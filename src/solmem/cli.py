@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .errors import SolmemError
@@ -152,15 +153,21 @@ def cmd_fuzz(args) -> int:
     )
     disagreements = [o for o in outcomes if not o.agreed]
     compared = sum(o.compared for o in outcomes)
+    rejections = Counter()
+    for o in outcomes:
+        rejections.update(o.rejections)
     print(f"{len(outcomes)} seeds, {compared} asserts compared, "
           f"{len(disagreements)} disagreements")
+    print("rejected candidates: "
+          + (", ".join(f"{reason} {n}" for reason, n in sorted(rejections.items())) or "none"))
     for o in disagreements:
         print(f"  seed {o.seed}: {o.detail}")
     if args.json:
         payload = {
-            "schema": 1,
+            "schema": 2,
             "seeds": [
-                {"seed": o.seed, "agreed": o.agreed, "compared": o.compared, "detail": o.detail}
+                {"seed": o.seed, "agreed": o.agreed, "compared": o.compared, "detail": o.detail,
+                 "rejections": o.rejections}
                 for o in outcomes
             ],
         }

@@ -1,23 +1,34 @@
 """Random well-typed fragment programs for differential testing.
 
-Generation is oracle-guided: after each emitted statement the program so
-far is re-run through the reference interpreter, so array indexes stay
-in bounds and assert expectations are computed from actual state rather
-than guessed. Programs are constructor-only (fully concrete), biased
-toward reference-type assignments across data locations, storage pointer
-creation and re-pointing, push/pop/delete, and tuple swaps, and never
-use constructs the translator reports as unsupported. Output is
-deterministic per seed.
+Generation is oracle-guided: every candidate statement is run through
+the reference interpreter after the statements kept so far, so array
+indexes stay in bounds and assert expectations are computed from actual
+state rather than guessed. Programs are constructor-only (fully
+concrete), biased toward reference-type assignments across data
+locations, storage pointer creation and re-pointing, push/pop/delete,
+and tuple swaps, and never use constructs the translator reports as
+unsupported. Output is deterministic per seed.
+
+Checking is incremental. The skeleton (structs, state variables, an
+empty constructor) is parsed and resolved once; a candidate line is then
+lexed and parsed on its own as one statement, resolved against a copy
+of the constructor's scope and taken names, and run with the kept
+statements on a fresh interpreter. The replay is deliberate: sampling
+reads the interpreter state and those reads change it (backing arrays
+grow, mapping entries appear), so a candidate must never start from
+the sampled state. Rejected candidates are counted by reason.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
+from .errors import SolmemError
 from .oracle import MemArray, MemRef, MemStruct, StorArray, StorMapping, StorPath, StorStruct, run_constructor
-from .parser import parse_source
-from .resolver import resolve_and_check
+from .parser import parse_source, parse_statement
+from .resolver import function_scope, resolve_and_check, resolve_statement
 from .sol_ast import (
     BOOL,
     INT,
@@ -33,6 +44,7 @@ from .sol_ast import (
 )
 
 _KEY_POOL = [0, 1, 2, 7]
+_INDENT = " " * 8  # of a constructor statement in the generated source
 
 _STRUCTS = {
     "T": [("z", INT)],
@@ -107,11 +119,19 @@ class ProgramBuilder:
         count = self.rng.randint(3, min(6, len(pool)))
         self.state_vars = self.rng.sample(pool, count)
         self.g = _Gen(self.rng, self.structs, self.state_vars)
-        self.machine = None
+        self.rejections: Counter[str] = Counter()  # rejected candidates by reason
+        # the skeleton, parsed and resolved once; its constructor body
+        # collects the resolved statements kept so far
+        self.contract = resolve_and_check(parse_source(self.source()))
+        self.scope = function_scope(self.contract, self.contract.constructor)
+        # the constructor has no parameters and no statements yet, so
+        # resolution has taken only the state variables' names
+        self.used_names = {v.name for v in self.contract.state_vars}
+        self.machine = run_constructor(self.contract).state
 
     # ----- source assembly -------------------------------------------
 
-    def source(self, extra: list[str] | None = None) -> str:
+    def source(self) -> str:
         lines = ["contract Fuzz {"]
         for name, members in self.structs.items():
             lines.append(f"    struct {name} {{")
@@ -121,29 +141,43 @@ class ProgramBuilder:
         for name, ty in self.state_vars:
             lines.append(f"    {_type_src(ty)} {name};")
         lines.append("    constructor() {")
-        for line in self.g.lines + (extra or []):
-            lines.append(f"        {line}")
+        for line in self.g.lines:
+            lines.append(f"{_INDENT}{line}")
         lines.append("    }")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def _refresh(self, extra: list[str] | None = None) -> bool:
-        """Re-run the program; returns False if the candidate is invalid."""
+    # ----- incremental checking ----------------------------------------
+
+    def _try(self, line: str):
+        """Check `line` as the next statement. Returns the resolved
+        statement, the scope and taken names after it and the
+        interpreter state after running the program with it; None, with
+        the reason counted, if it does not parse, resolve or run, or if
+        an assert fails."""
+        ctor = self.contract.constructor
+        scope, used_names = self.scope.copy(), set(self.used_names)
         try:
-            contract = resolve_and_check(parse_source(self.source(extra)))
-            result = run_constructor(contract)
-        except Exception:
-            return False
+            stmt = parse_statement(line, ctor.line + 1 + len(ctor.body), len(_INDENT) + 1)
+            resolve_statement(self.contract, ctor, stmt, scope, used_names)
+            candidate = replace(self.contract, constructor=replace(ctor, body=ctor.body + [stmt]))
+            result = run_constructor(candidate)
+        except SolmemError as e:
+            self.rejections[type(e).__name__] += 1
+            return None
         if result.failed is not None:
-            return False  # asserts are only appended at the end
-        self.machine = result.state
-        return True
+            self.rejections["assert-failed"] += 1
+            return None
+        return stmt, scope, used_names, result.state
 
     def commit(self, line: str) -> bool:
-        if self._refresh([line]):
-            self.g.lines.append(line)
-            return True
-        return False
+        checked = self._try(line)
+        if checked is None:
+            return False
+        stmt, self.scope, self.used_names, self.machine = checked
+        self.contract.constructor.body.append(stmt)
+        self.g.lines.append(line)
+        return True
 
     # ----- state sampling ---------------------------------------------
 
@@ -283,6 +317,8 @@ class ProgramBuilder:
             value = self._literal(elem)
         elif isinstance(elem, StructType) and _memory_safe(elem, self.structs):
             value = self._struct_ctor_src(elem)
+            if not value:
+                return False
         else:
             sources = [
                 t for t, sty, sv in self._storage_paths() if sty == elem
@@ -458,16 +494,10 @@ class ProgramBuilder:
     def _probe(self, expr: str):
         """Concrete value of a value-typed expression in the final state."""
         probe = self.g.fresh("probe")
-        try:
-            contract = resolve_and_check(
-                parse_source(self.source([f"int {probe} = {expr};"]))
-            )
-            result = run_constructor(contract)
-        except Exception:
+        checked = self._try(f"int {probe} = {expr};")
+        if checked is None:
             return None
-        if result.failed is not None:
-            return None
-        return result.state.locals.get(probe)
+        return checked[3].locals.get(probe)
 
     def make_asserts(self, max_asserts: int = 3, fail_share: float = 0.3):
         reads = [r for r in self._value_reads() if r[1] != BOOL]
@@ -492,10 +522,9 @@ class ProgramBuilder:
             text, _, _ = self.rng.choice(reads)
             value = self._probe(text)
             if value is not None:
-                line = f"assert({text} == {int(value) + 1});"
-                if self._refresh():  # state before appending
-                    self.g.lines.append(line)
-                    emitted += 1
+                # source only: the interpreter would stop at this assert
+                self.g.lines.append(f"assert({text} == {int(value) + 1});")
+                emitted += 1
         return emitted
 
     # ----- driver ---------------------------------------------------------
@@ -516,8 +545,6 @@ class ProgramBuilder:
     ]
 
     def build(self) -> str:
-        if not self._refresh():
-            raise RuntimeError("generator produced an invalid skeleton")
         emitted = 0
         attempts = 0
         names = [n for n, _ in self._OPS]

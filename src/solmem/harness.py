@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SolmemError
-from .generator import random_program
+from .generator import ProgramBuilder
 from .oracle import run_constructor
 from .parser import parse_source
 from .resolver import resolve_and_check
@@ -241,6 +241,7 @@ class FuzzOutcome:
     compared: int
     detail: str = ""
     wall_time_seconds: float = 0.0
+    rejections: dict[str, int] = field(default_factory=dict)  # generator candidates, by reason
 
 
 def differential_check(
@@ -289,14 +290,17 @@ def run_fuzz(
 ) -> list[FuzzOutcome]:
     def run_one(seed: int) -> FuzzOutcome:
         start = time.monotonic()
+        builder = ProgramBuilder(seed, size_budget)
         try:
-            source = random_program(seed, size_budget)
+            source = builder.build()
             agreed, compared, detail = differential_check(
                 source, solver_cmd=solver_cmd, timeout=timeout
             )
         except SolmemError as e:
-            return FuzzOutcome(seed, False, 0, f"pipeline error: {e}")
-        return FuzzOutcome(seed, agreed, compared, detail, time.monotonic() - start)
+            return FuzzOutcome(seed, False, 0, f"pipeline error: {e}", rejections=dict(builder.rejections))
+        return FuzzOutcome(
+            seed, agreed, compared, detail, time.monotonic() - start, dict(builder.rejections)
+        )
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         return list(pool.map(run_one, seeds))

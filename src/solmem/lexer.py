@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -99,60 +100,48 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
 
 
-def tokenize(text: str) -> list[Token]:
+# One alternative per lexeme class, tried in this order at each position
+# (the "Writing a Tokenizer" recipe of the `re` docs). A number directly
+# followed by a letter or `_` is malformed; `/*` without its `*/` is
+# unterminated; `other` catches every character no class accepts.
+_TOKEN_RE = re.compile(
+    "|".join([
+        r"(?P<space>\s+)",
+        r"(?P<comment>//[^\n]*|/\*.*?\*/)",
+        r"(?P<unterminated>/\*)",
+        r"(?P<number>\d+)(?P<malformed>[^\W\d])?",
+        r"(?P<word>\w+)",
+        "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+        r"(?P<other>.)",
+    ]),
+    re.S,
+)
+
+
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """Tokens of `text`, whose first character sits at `line`:`col`.
+    Columns count characters; only `\\n` starts a new line."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            advance(1)
+    line_start = 1 - col  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "space" or kind == "comment":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + value.rindex("\n") + 1
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated block comment", line, col)
-            advance(end + 2 - i)
-            continue
-        if c.isdigit():
-            start, sline, scol = i, line, col
-            while i < n and text[i].isdigit():
-                advance(1)
-            if i < n and (text[i].isalpha() or text[i] == "_"):
-                raise ParseError("malformed number", sline, scol)
-            tokens.append(Token("number", text[start:i], sline, scol))
-            continue
-        if c.isalpha() or c == "_":
-            start, sline, scol = i, line, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance(1)
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, sline, scol))
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
-                advance(len(sym))
-                break
+        at = m.start() - line_start + 1
+        if kind == "word":
+            tokens.append(Token("keyword" if value in KEYWORDS else "ident", value, line, at))
+        elif kind == "number" or kind == "symbol":
+            tokens.append(Token(kind, value, line, at))
+        elif kind == "malformed":
+            raise ParseError("malformed number", line, at)
+        elif kind == "unterminated":
+            raise ParseError("unterminated block comment", line, at)
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {value!r}", line, at)
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens

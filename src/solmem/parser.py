@@ -53,8 +53,8 @@ _VALUE_TYPES = {"address": ADDRESS, "int": INT, "uint": UINT, "bool": BOOL}
 
 
 class Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, line: int = 1, col: int = 1):
+        self.tokens = tokenize(text, line, col)
         self.pos = 0
         self.warnings: list[str] = []
 
@@ -453,3 +453,13 @@ class Parser:
 def parse_source(text: str) -> Contract:
     """Parse a source file into an unresolved contract tree."""
     return Parser(text).parse_contract()
+
+
+def parse_statement(text: str, line: int = 1, col: int = 1) -> Stmt:
+    """Parse exactly one statement followed by end of input. `line` and
+    `col` give the statement's position in its file, so the positions in
+    the tree and in errors are the file's."""
+    parser = Parser(text, line, col)
+    stmt = parser.parse_stmt()
+    parser.expect("eof")
+    return stmt

@@ -64,11 +64,11 @@ def _reserved(name: str) -> bool:
     return name == "refcnt" or name.startswith(RESERVED_PREFIXES)
 
 
-class _Scope:
+class Scope:
     """Function-local symbol table mapping source names to declarations."""
 
-    def __init__(self):
-        self.entries: dict[str, tuple[str, SolType, Loc, str]] = {}
+    def __init__(self, entries: dict[str, tuple[str, SolType, Loc, str]] | None = None):
+        self.entries = dict(entries or {})
 
     def define(self, source_name: str, unique: str, ty: SolType, loc: Loc, kind: str):
         self.entries[source_name] = (unique, ty, loc, kind)
@@ -76,11 +76,15 @@ class _Scope:
     def lookup(self, name: str):
         return self.entries.get(name)
 
+    def copy(self) -> Scope:
+        return Scope(self.entries)
+
 
 class Resolver:
-    def __init__(self, contract: Contract):
+    def __init__(self, contract: Contract, used_names: set[str] | None = None):
         self.contract = contract
-        self.used_names: set[str] = set()
+        # unique names taken so far, shared by all functions of the contract
+        self.used_names: set[str] = set() if used_names is None else used_names
 
     # -- naming ---------------------------------------------------------
 
@@ -199,19 +203,16 @@ class Resolver:
     def _resolve_function(self, fn: Function) -> None:
         if fn.is_constructor and fn.returns:
             raise ResolveError("constructors cannot have return values", fn.line)
-        scope = _Scope()
-        for v in self.contract.state_vars:
-            loc = Loc.STORAGE if is_reference_type(v.ty) else Loc.VALUE
-            scope.define(v.name, v.name, v.ty, loc, "state")
+        seen: set[str] = set()
         for kind, group in (("param", fn.params), ("return", fn.returns)):
             for p in group:
                 self._check_param(p, kind)
-                prior = scope.lookup(p.name)
-                if prior is not None and prior[3] in ("param", "return"):
+                if p.name in seen:
                     raise ResolveError(f"duplicate parameter {p.name}", p.line)
+                seen.add(p.name)
                 p.name_source = p.name
                 p.name = self._unique(p.name)
-                scope.define(p.name_source, p.name, p.ty, p.loc, kind)
+        scope = function_scope(self.contract, fn)
         for stmt in fn.body:
             self._resolve_stmt(stmt, scope, fn)
 
@@ -232,7 +233,7 @@ class Resolver:
 
     # -- statements ---------------------------------------------------------
 
-    def _resolve_stmt(self, stmt, scope: _Scope, fn: Function) -> None:
+    def _resolve_stmt(self, stmt, scope: Scope, fn: Function) -> None:
         if isinstance(stmt, DeclStmt):
             self._resolve_decl(stmt, scope)
         elif isinstance(stmt, AssignStmt):
@@ -250,7 +251,7 @@ class Resolver:
         else:
             raise ResolveError(f"unknown statement {stmt!r}", getattr(stmt, "line", 0))
 
-    def _resolve_decl(self, stmt: DeclStmt, scope: _Scope) -> None:
+    def _resolve_decl(self, stmt: DeclStmt, scope: Scope) -> None:
         self._check_type(stmt.var_type, stmt.line)
         ty = stmt.var_type
         if is_value_type(ty):
@@ -274,7 +275,7 @@ class Resolver:
         stmt.name = self._unique(source)
         scope.define(source, stmt.name, ty, loc, "local")
 
-    def _resolve_assign(self, stmt: AssignStmt, scope: _Scope) -> None:
+    def _resolve_assign(self, stmt: AssignStmt, scope: Scope) -> None:
         if len(stmt.lhs) != len(stmt.rhs):
             raise ResolveError(
                 f"tuple assignment arity mismatch: {len(stmt.lhs)} vs {len(stmt.rhs)}",
@@ -288,7 +289,7 @@ class Resolver:
         for target, value in zip(stmt.lhs, stmt.rhs):
             self._check_assignable(target.ty, target.loc, value, stmt.line)
 
-    def _resolve_push(self, stmt: PushStmt, scope: _Scope) -> None:
+    def _resolve_push(self, stmt: PushStmt, scope: Scope) -> None:
         ty = self._expect_array_lvalue(stmt.target, scope, "push", stmt.line)
         self._resolve_expr(stmt.value, scope)
         elem = ty.base
@@ -297,7 +298,7 @@ class Resolver:
         target_loc = Loc.STORAGE if is_reference_type(elem) else Loc.VALUE
         self._check_assignable(elem, target_loc, stmt.value, stmt.line)
 
-    def _expect_array_lvalue(self, target: Expr, scope: _Scope, op: str, line: int):
+    def _expect_array_lvalue(self, target: Expr, scope: Scope, op: str, line: int):
         self._resolve_expr(target, scope)
         self._check_lvalue(target, line)
         ty = target.ty
@@ -309,7 +310,7 @@ class Resolver:
             raise ResolveError(f"{op} is not allowed on memory arrays", line)
         return ty
 
-    def _resolve_delete(self, stmt: DeleteStmt, scope: _Scope) -> None:
+    def _resolve_delete(self, stmt: DeleteStmt, scope: Scope) -> None:
         self._resolve_expr(stmt.target, scope)
         self._check_lvalue(stmt.target, stmt.line)
         if isinstance(stmt.target.ty, MappingType):
@@ -347,7 +348,7 @@ class Resolver:
 
     # -- expressions ----------------------------------------------------------
 
-    def _resolve_expr(self, e: Expr, scope: _Scope) -> None:
+    def _resolve_expr(self, e: Expr, scope: Scope) -> None:
         if isinstance(e, IdentExpr):
             entry = scope.lookup(e.name)
             if entry is None:
@@ -415,7 +416,7 @@ class Resolver:
             return
         raise ResolveError(f"unknown expression {e!r}", getattr(e, "line", 0))
 
-    def _resolve_member(self, e: MemberExpr, scope: _Scope) -> None:
+    def _resolve_member(self, e: MemberExpr, scope: Scope) -> None:
         self._resolve_expr(e.base, scope)
         base_ty, base_loc = e.base.ty, e.base.loc
         if isinstance(base_ty, (DynArrayType, FixArrayType)):
@@ -433,7 +434,7 @@ class Resolver:
         e.ty = member.ty
         e.loc = self._access_loc(member.ty, base_loc, e.line)
 
-    def _resolve_index(self, e: IndexExpr, scope: _Scope) -> None:
+    def _resolve_index(self, e: IndexExpr, scope: Scope) -> None:
         self._resolve_expr(e.base, scope)
         self._resolve_expr(e.index, scope)
         base_ty, base_loc = e.base.ty, e.base.loc
@@ -461,7 +462,7 @@ class Resolver:
             return Loc.MEMORY
         raise ResolveError("member or index access on a value-typed base", line)
 
-    def _resolve_cond(self, e: CondExpr, scope: _Scope) -> None:
+    def _resolve_cond(self, e: CondExpr, scope: Scope) -> None:
         self._resolve_expr(e.cond, scope)
         if e.cond.ty != BOOL:
             raise ResolveError("conditional guard must be boolean", e.line)
@@ -479,7 +480,7 @@ class Resolver:
         e.ty = t.ty
         e.loc = Loc.MEMORY if Loc.MEMORY in (t.loc, f.loc) else Loc.STORPTR
 
-    def _resolve_binop(self, e: BinExpr, scope: _Scope) -> None:
+    def _resolve_binop(self, e: BinExpr, scope: Scope) -> None:
         self._resolve_expr(e.left, scope)
         self._resolve_expr(e.right, scope)
         lt, rt = e.left.ty, e.right.ty
@@ -518,3 +519,24 @@ def _struct_refs(ty: SolType):
 def resolve_and_check(contract: Contract) -> Contract:
     """Annotate and alpha-rename a parsed contract; raises on errors."""
     return Resolver(contract).run()
+
+
+def function_scope(contract: Contract, fn: Function) -> Scope:
+    """The names visible at the start of `fn`'s body once its parameters
+    are resolved: state variables, shadowed by parameters and returns."""
+    scope = Scope()
+    for v in contract.state_vars:
+        loc = Loc.STORAGE if is_reference_type(v.ty) else Loc.VALUE
+        scope.define(v.name, v.name, v.ty, loc, "state")
+    for kind, group in (("param", fn.params), ("return", fn.returns)):
+        for p in group:
+            scope.define(p.name_source, p.name, p.ty, p.loc, kind)
+    return scope
+
+
+def resolve_statement(contract: Contract, fn: Function, stmt, scope: Scope, used_names: set[str]) -> None:
+    """Resolve `stmt` in place as the next statement of `fn`'s body of a
+    resolved contract. `scope` holds the names visible before it and
+    `used_names` every unique name the contract has taken; a declaration
+    adds to both."""
+    Resolver(contract, used_names)._resolve_stmt(stmt, scope, fn)

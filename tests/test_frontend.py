@@ -7,7 +7,7 @@ from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP
 from solmem.errors import ParseError, ResolveError, UnsupportedError
 from solmem.generator import random_program
 from solmem.lexer import tokenize
-from solmem.parser import parse_source
+from solmem.parser import parse_source, parse_statement
 from solmem.printer import signature, to_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
@@ -104,6 +104,16 @@ def test_tuple_and_push_pop_statements():
     c2 = parse_source("contract C { int[] a; function f() { a.push(1); a.pop(); } }")
     names = [type(s).__name__ for s in c2.functions[0].body]
     assert names == ["PushStmt", "PopStmt"]
+
+
+def test_parse_statement_takes_exactly_one_at_its_file_position():
+    stmt = parse_statement("a[1] = b + 2;", line=12, col=9)
+    assert type(stmt).__name__ == "AssignStmt"
+    assert stmt.line == 12 and (stmt.rhs[0].line, stmt.rhs[0].col) == (12, 18)
+    with pytest.raises(ParseError, match="12:16: expected eof"):
+        parse_statement("x = 1; y = 2;", line=12, col=9)
+    with pytest.raises(ParseError, match="3:6: expected ;"):
+        parse_statement("x = 1", line=3)
 
 
 def test_new_array_only_dynamic():

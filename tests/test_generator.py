@@ -1,16 +1,21 @@
 """Random program generator: determinism, validity, coverage."""
 
+import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from solmem.generator import random_program
-from solmem.oracle import run_constructor
+from solmem.generator import ProgramBuilder, random_program
+from solmem.oracle import ExecResult, run_constructor, serialize_storage
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.translate import translate_contract
 
 GOLDEN = Path(__file__).parent / "data" / "gen_seed0.sol"
+# SHA-256 of random_program(s, 10) for s in 0..199, concatenated; the
+# fuzz benchmark pins the same value
+SEEDS_0_199_SHA256 = "44f3049e74541e374f340113124c4cd820e87b84779723aa64976cc2a84a15bc"
 
 
 def test_deterministic_per_seed():
@@ -44,3 +49,38 @@ def test_coverage_across_seeds():
     assert "new " in corpus
     assert "mapping(" in corpus
     assert "assert(" in corpus
+
+
+def test_golden_digest_and_rejections_seeds_0_199():
+    digest = hashlib.sha256()
+    rejections = Counter()
+    for seed in range(200):
+        builder = ProgramBuilder(seed, 10)
+        digest.update(builder.build().encode())
+        rejections += builder.rejections
+    assert digest.hexdigest() == SEEDS_0_199_SHA256
+    # no self-inflicted rejects such as an empty `x.push();`
+    assert rejections == {"ParseError": 3, "ResolveError": 3}
+
+
+class _CheckedBuilder(ProgramBuilder):
+    """Compares the incremental state with a full re-run after every
+    accepted line."""
+
+    def commit(self, line: str) -> bool:
+        if not super().commit(line):
+            return False
+        full = resolve_and_check(parse_source(self.source()))
+        result = run_constructor(full)
+        assert result.failed is None
+        assert self.contract.constructor.body == full.constructor.body
+        incremental = ExecResult(self.machine.storage, {}, [], self.machine)
+        assert serialize_storage(incremental) == serialize_storage(result)
+        return True
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_incremental_state_matches_full_rerun(seed):
+    builder = _CheckedBuilder(seed, 10)
+    assert builder.build() == random_program(seed, 10)
+    assert builder.g.lines  # some lines were accepted and checked

@@ -202,7 +202,18 @@ def test_cli_fuzz_small(tmp_path, capsys, solver_available):
                  "--json", str(report)]) == 0
     out = capsys.readouterr().out
     assert "0 disagreements" in out
-    assert json.loads(report.read_text())["schema"] == 1
+    payload = json.loads(report.read_text())
+    assert payload["schema"] == 2
+    assert all("rejections" in seed for seed in payload["seeds"])
+
+
+def test_cli_fuzz_json_reports_rejections_without_solver(tmp_path):
+    report = tmp_path / "fuzz.json"
+    main(["fuzz", "--start", "69", "--count", "1", "--jobs", "1",
+          "--solver-cmd", "definitely-not-a-solver-binary", "--json", str(report)])
+    payload = json.loads(report.read_text())
+    assert payload["schema"] == 2
+    assert payload["seeds"][0]["rejections"] == {"ParseError": 1, "ResolveError": 1}
 
 
 def test_corpus_rerun_is_deterministic(tmp_path, solver_available):

@@ -1,0 +1,98 @@
+"""The regex lexer against token streams recorded from the earlier
+per-character lexer: same tokens (kind, value, line, col), same error
+messages and positions, on every corpus file, 50 generated programs,
+long straight-line sources and hand-picked edge cases."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from solmem.errors import ParseError
+from solmem.generator import random_program
+from solmem.lexer import tokenize
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "data" / "lexer_golden.json"
+
+EDGE_CASES = {
+    "empty": "",
+    "only_space": " \t\r\n\n  ",
+    "unterminated_block": "int x; /* never\nclosed",
+    "unterminated_after_lines": "a\n\n   /*",
+    "malformed_number": "x = 12ab;",
+    "number_underscore": "1_",
+    "number_at_end": "x = 12",
+    "at_sign": "int @ x;",
+    "backtick": "int x = `3`;",
+    "tabs": "\tint\tx;\n\t\tx = 1;\t// tab\n",
+    "crlf": "int x;\r\nx = 1;\r\n/* a\r\nb */ y\r\n",
+    "comments": "a // line\n/* b */ c /* d\n e */ f//g\n//",
+    "empty_block_comment": "/**/x/***/y",
+    "slash_is_symbol": "a / b % c * d",
+    "two_char_symbols": "a=>b==c!=d<=e>=f&&g||h=i<j>k!l",
+    "keywords": "contract struct constructor function returns mapping storage memory "
+                "delete new assert true false int uint bool address pragma if bytes public",
+    "underscore_ident": "_a a_1 __ _9",
+    "hex_literal": "0x1f",
+    "non_ascii_ident": "int \u00e9t\u00e9 = 1;",
+    "nbsp": "x\u00a0y",
+    "line_separator": "x\u2028y\nz",
+    "lone_cr": "x\ry",
+}
+
+
+def stress_source(size: int, assert_every: int) -> str:
+    body = []
+    for i in range(size):
+        body.append(f"        a[{i % 7}] = a[{(i + 1) % 7}] + {i};")
+        if assert_every and (i + 1) % assert_every == 0:
+            body.append(f"        assert(a[{i % 7}] == a[{i % 7}]);")
+    return "contract Stress {\n    int[7] a;\n    constructor() {\n" + "\n".join(body) + "\n    }\n}\n"
+
+
+def inputs():
+    """(name, text) for every recorded input."""
+    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
+        yield f"corpus/{path.parent.name}/{path.name}", path.read_text()
+    for seed in range(50):
+        yield f"fuzz/{seed}", random_program(seed, 10)
+    for size, every in ((250, 0), (250, 25), (1000, 0)):
+        yield f"stress/{size}/{every}", stress_source(size, every)
+    yield from EDGE_CASES.items()
+
+
+def lex(text: str):
+    """Tokens as [kind, value, line, col] lists, or the error raised."""
+    try:
+        return [[t.kind, t.value, t.line, t.col] for t in tokenize(text)]
+    except ParseError as e:
+        return {"error": e.message, "line": e.line, "col": e.col}
+
+
+def recorded_form(name: str, text: str):
+    """Edge cases are recorded in full, long inputs as a SHA-256 of
+    their JSON-encoded tokens."""
+    out = lex(text)
+    if name in EDGE_CASES:
+        return out
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_tokens_match_recorded(golden):
+    assert {name: recorded_form(name, text) for name, text in inputs()} == golden
+
+
+def test_start_position():
+    toks = tokenize("x = 1;\n  y", line=7, col=9)
+    assert [(t.value, t.line, t.col) for t in toks] == [
+        ("x", 7, 9), ("=", 7, 11), ("1", 7, 13), (";", 7, 14), ("y", 8, 3), ("", 8, 4)]
+    with pytest.raises(ParseError) as e:
+        tokenize("  @", line=4, col=5)
+    assert (e.value.line, e.value.col) == (4, 7)
