@@ -249,53 +249,36 @@ class Assert(IrStmt):
 class SmtProgram:
     """Datatype definitions, then declarations, then statements.
 
-    Datatypes and declarations are deduplicated by name on insertion;
-    re-adding a name with a conflicting definition is an error.
+    Datatypes and declarations are keyed by name and kept in insertion
+    order; re-adding a name with a conflicting definition is an error.
     """
 
-    datatypes: list[DatatypeDef] = field(default_factory=list)
-    decls: list[tuple[str, IrType]] = field(default_factory=list)
+    datatypes: dict[str, DatatypeDef] = field(default_factory=dict)
+    decls: dict[str, IrType] = field(default_factory=dict)
     stmts: list[IrStmt] = field(default_factory=list)
 
     def add_datatype(self, dt: DatatypeDef) -> None:
-        existing = self.datatype(dt.name)
-        if existing is not None:
-            if existing != dt:
-                raise ValueError(f"conflicting datatype definition {dt.name}")
-            return
-        self.datatypes.append(dt)
+        if self.datatypes.setdefault(dt.name, dt) != dt:
+            raise ValueError(f"conflicting datatype definition {dt.name}")
 
     def datatype(self, name: str) -> DatatypeDef | None:
-        for dt in self.datatypes:
-            if dt.name == name:
-                return dt
-        return None
+        return self.datatypes.get(name)
 
     def declare(self, name: str, ty: IrType) -> None:
-        for n, t in self.decls:
-            if n == name:
-                if t != ty:
-                    raise ValueError(f"conflicting declaration {name}")
-                return
-        self.decls.append((name, ty))
+        if self.decls.setdefault(name, ty) != ty:
+            raise ValueError(f"conflicting declaration {name}")
 
     def decl_type(self, name: str) -> IrType | None:
-        for n, t in self.decls:
-            if n == name:
-                return t
-        return None
+        return self.decls.get(name)
 
     def copy_shell(self) -> "SmtProgram":
-        """New program sharing datatype/decl lists (copied), no statements."""
-        return SmtProgram(list(self.datatypes), list(self.decls), [])
+        """New program with copies of the datatype and declaration
+        registries, and no statements."""
+        return SmtProgram(dict(self.datatypes), dict(self.decls), [])
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer (stable textual form used by --emit-ir and golden tests)
-
-
-def format_type(ty: IrType) -> str:
-    return str(ty)
 
 
 _INFIX = {"+", "-", "==", "!=", "<", "<=", ">", ">=", "and", "or"}
@@ -352,11 +335,11 @@ def format_stmt(s: IrStmt, indent: int = 0) -> list[str]:
 
 def format_program(p: SmtProgram) -> str:
     lines: list[str] = []
-    for dt in p.datatypes:
-        members = ", ".join(f"{n}: {format_type(t)}" for n, t in dt.members)
+    for dt in p.datatypes.values():
+        members = ", ".join(f"{n}: {t}" for n, t in dt.members)
         lines.append(f"datatype {dt.name}({members})")
-    for name, ty in p.decls:
-        lines.append(f"var {name}: {format_type(ty)}")
+    for name, ty in p.decls.items():
+        lines.append(f"var {name}: {ty}")
     for s in p.stmts:
         lines.extend(format_stmt(s))
     return "\n".join(lines) + "\n"

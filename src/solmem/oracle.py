@@ -274,14 +274,6 @@ class Machine:
             arr.backing.append(self.default(arr.elem, elem_loc))
         return arr.backing[index]
 
-    def _root_entity(self, tree: StorageTree, edge_label: str):
-        if tree.default_context:
-            ctx = self.default_contexts[tree.target]
-            return ctx
-        if edge_label not in self.storage:
-            raise OracleError(f"unknown state variable {edge_label}")
-        return self.storage[edge_label]
-
     def path_place(self, pointer: StorPath) -> Place:
         """Dereference a pointer path into a live storage place. Ordinals
         matching no edge fall through to the last edge, mirroring the

@@ -108,9 +108,9 @@ def expr_to_sexpr(e: IrExpr) -> str:
 def datatype_block(program: SmtProgram) -> str:
     if not program.datatypes:
         return ""
-    heads = " ".join(f"({dt.name} 0)" for dt in program.datatypes)
+    heads = " ".join(f"({name} 0)" for name in program.datatypes)
     bodies = []
-    for dt in program.datatypes:
+    for dt in program.datatypes.values():
         sels = " ".join(
             f"({selector_name(dt.name, m)} {sort_of(t)})" for m, t in dt.members
         )
@@ -125,7 +125,7 @@ def emit_smtlib(program: SmtProgram, formula: IrExpr, get_model: bool = True) ->
     block = datatype_block(program)
     if block:
         lines.append(block)
-    for name, ty in program.decls:
+    for name, ty in program.decls.items():
         lines.append(f"(declare-const {name} {sort_of(ty)})")
     lines.append(f"(assert {expr_to_sexpr(formula)})")
     lines.append("(check-sat)")

@@ -76,18 +76,8 @@ def is_reference_type(t: SolType) -> bool:
     return not isinstance(t, ValueType)
 
 
-def is_array_type(t: SolType) -> bool:
-    return isinstance(t, (DynArrayType, FixArrayType))
-
-
 def is_integerish(t: SolType) -> bool:
     return isinstance(t, ValueType) and t.kind in ("int", "uint", "address")
-
-
-def array_base(t: SolType) -> SolType:
-    if isinstance(t, (DynArrayType, FixArrayType)):
-        return t.base
-    raise TypeError(f"not an array type: {t}")
 
 
 def value_compatible(a: SolType, b: SolType) -> bool:
@@ -309,12 +299,6 @@ class Contract:
         for s in self.structs:
             if s.name == name:
                 return s
-        return None
-
-    def state_var(self, name: str) -> StateVar | None:
-        for v in self.state_vars:
-            if v.name == name:
-                return v
         return None
 
     def all_functions(self) -> list[Function]:

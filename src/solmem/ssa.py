@@ -28,7 +28,7 @@ from .ir import (
     IfStmt,
     IntLit,
     IrExpr,
-        Ite,
+    Ite,
     Select,
     SmtProgram,
     UnOp,
@@ -80,7 +80,7 @@ class _Converter:
         self.source = program
         self.out = program.copy_shell()
         self.counters: dict[str, int] = {}
-        self.taken = {name for name, _ in program.decls}
+        self.taken = set(program.decls)
 
     def fresh_version(self, base: str) -> str:
         k = self.counters.get(base, 0) + 1
@@ -144,5 +144,5 @@ def to_ssa(program: SmtProgram) -> SsaResult:
     conv = _Converter(program)
     versions: dict[str, str] = {}
     conv.convert(program.stmts, versions, None)
-    final = {name: versions.get(name, name) for name, _ in program.decls}
+    final = {name: versions.get(name, name) for name in program.decls}
     return SsaResult(conv.out, final)

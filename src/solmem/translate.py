@@ -19,6 +19,7 @@ dangling storage pointers while indexing sees a defaulted slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import IrError, UnsupportedError
 from . import ir
@@ -86,6 +87,25 @@ from .storage_tree import (
 )
 
 REFCNT = "refcnt"
+
+
+@cache
+def _names(ty: SolType) -> tuple[str, str, str]:
+    """Storage datatype, memory datatype and memory heap of an array or
+    struct type. Fixed and dynamic arrays of one base share them."""
+    if isinstance(ty, StructType):
+        return f"StorStruct_{ty.name}", f"MemStruct_{ty.name}", f"structHeap_{ty.name}"
+    if isinstance(ty, (DynArrayType, FixArrayType)):
+        base = mangle(ty.base)
+        return f"StorArr_{base}", f"MemArr_{base}", f"arrHeap_{base}"
+    raise IrError(f"no datatype for {ty}")
+
+
+def _loc_in(ty: SolType, loc: Loc) -> Loc:
+    """Location category of a `ty` part of an entity held in `loc`:
+    value types are plain values wherever they live."""
+    return loc if is_reference_type(ty) else Loc.VALUE
+
 
 _BINOPS = {"+": "+", "-": "-", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "&&": "and", "||": "or"}
 
@@ -163,6 +183,10 @@ class Translator:
     # type mapping
 
     def map_type(self, ty: SolType, loc: Loc) -> IrType:
+        """SMT type of a `ty` entity held in `loc`. Storage arrays and
+        structs are datatypes; memory ones are pointers into the heap of
+        their datatype. Datatypes and heaps are registered on first use,
+        inner ones first."""
         if is_value_type(ty):
             return ir.BOOL if ty == BOOL else ir.INT
         if loc == Loc.STORPTR:
@@ -171,55 +195,24 @@ class Translator:
             if loc != Loc.STORAGE:
                 raise IrError("mappings exist only in storage")
             return ArrayType(self.map_type(ty.key, Loc.VALUE), self.map_type(ty.value, Loc.STORAGE))
-        if isinstance(ty, (DynArrayType, FixArrayType)):
-            base = ty.base
-            if loc == Loc.STORAGE:
-                elem = self.map_type(base, Loc.STORAGE if is_reference_type(base) else Loc.VALUE)
-                name = f"StorArr_{mangle(base)}"
-                self.program.add_datatype(
-                    DatatypeDef(name, (("arr", ArrayType(ir.INT, elem)), ("length", ir.INT)))
+        if loc not in (Loc.STORAGE, Loc.MEMORY):
+            raise IrError(f"no type mapping for {ty} in {loc}")
+        stor, mem, heap = _names(ty)
+        name = stor if loc == Loc.STORAGE else mem
+        if name not in self.program.datatypes:
+            if isinstance(ty, StructType):
+                members = tuple(
+                    (m.name, self.map_type(m.ty, _loc_in(m.ty, loc)))
+                    for m in self.struct_def(ty.name).members
                 )
-                return DatatypeType(name)
-            if loc == Loc.MEMORY:
-                elem = self.map_type(base, Loc.MEMORY if is_reference_type(base) else Loc.VALUE)
-                name = f"MemArr_{mangle(base)}"
-                self.program.add_datatype(
-                    DatatypeDef(name, (("arr", ArrayType(ir.INT, elem)), ("length", ir.INT)))
-                )
-                self.program.declare(f"arrHeap_{mangle(base)}", ArrayType(ir.INT, DatatypeType(name)))
-                return ir.INT
-        if isinstance(ty, StructType):
-            sd = self.struct_def(ty.name)
-            if loc == Loc.STORAGE:
-                name = f"StorStruct_{ty.name}"
-                if self.program.datatype(name) is None:
-                    members = tuple(
-                        (
-                            m.name,
-                            self.map_type(
-                                m.ty, Loc.STORAGE if is_reference_type(m.ty) else Loc.VALUE
-                            ),
-                        )
-                        for m in sd.members
-                    )
-                    self.program.add_datatype(DatatypeDef(name, members))
-                return DatatypeType(name)
-            if loc == Loc.MEMORY:
-                name = f"MemStruct_{ty.name}"
-                if self.program.datatype(name) is None:
-                    members = tuple(
-                        (
-                            m.name,
-                            self.map_type(
-                                m.ty, Loc.MEMORY if is_reference_type(m.ty) else Loc.VALUE
-                            ),
-                        )
-                        for m in sd.members
-                    )
-                    self.program.add_datatype(DatatypeDef(name, members))
-                self.program.declare(f"structHeap_{ty.name}", ArrayType(ir.INT, DatatypeType(name)))
-                return ir.INT
-        raise IrError(f"no type mapping for {ty} in {loc}")
+            else:
+                elem = self.map_type(ty.base, _loc_in(ty.base, loc))
+                members = (("arr", ArrayType(ir.INT, elem)), ("length", ir.INT))
+            self.program.add_datatype(DatatypeDef(name, members))
+        if loc == Loc.STORAGE:
+            return DatatypeType(name)
+        self.program.declare(heap, ArrayType(ir.INT, DatatypeType(name)))
+        return ir.INT
 
     def stor_datatype(self, ty: SolType) -> str:
         mapped = self.map_type(ty, Loc.STORAGE)
@@ -227,21 +220,16 @@ class Translator:
         return mapped.name
 
     def mem_datatype(self, ty: SolType) -> str:
-        if isinstance(ty, (DynArrayType, FixArrayType)):
-            self.map_type(ty, Loc.MEMORY)
-            return f"MemArr_{mangle(ty.base)}"
-        if isinstance(ty, StructType):
-            self.map_type(ty, Loc.MEMORY)
-            return f"MemStruct_{ty.name}"
-        raise IrError(f"no memory datatype for {ty}")
+        self.map_type(ty, Loc.MEMORY)
+        return _names(ty)[1]
+
+    def _datatype_at(self, ty: SolType, loc: Loc) -> str:
+        """Datatype of a storage (or storage pointer) or memory entity."""
+        return self.mem_datatype(ty) if loc == Loc.MEMORY else self.stor_datatype(ty)
 
     def heap_ident(self, ty: SolType) -> Ident:
         self.map_type(ty, Loc.MEMORY)
-        if isinstance(ty, (DynArrayType, FixArrayType)):
-            return Ident(f"arrHeap_{mangle(ty.base)}")
-        if isinstance(ty, StructType):
-            return Ident(f"structHeap_{ty.name}")
-        raise IrError(f"no heap for {ty}")
+        return Ident(_names(ty)[2])
 
     def heap_read(self, ty: SolType, pointer: IrExpr) -> IrExpr:
         return ArrayRead(self.heap_ident(ty), pointer)
@@ -465,7 +453,7 @@ class Translator:
         if isinstance(ty, (DynArrayType, FixArrayType)):
             length = ty.size if isinstance(ty, FixArrayType) else 0
             if loc == Loc.STORAGE:
-                elem_loc = Loc.STORAGE if is_reference_type(ty.base) else Loc.VALUE
+                elem_loc = _loc_in(ty.base, Loc.STORAGE)
                 elem_ty = self.map_type(ty.base, elem_loc)
                 return Construct(
                     self.stor_datatype(ty),
@@ -476,21 +464,15 @@ class Translator:
                 )
             return self._alloc_memory_array(ty, IntLit(length), length)
         if isinstance(ty, StructType):
-            sd = self.struct_def(ty.name)
-            if loc == Loc.STORAGE:
-                args = tuple(
-                    self.default_value(m.ty, Loc.STORAGE if is_reference_type(m.ty) else Loc.VALUE)
-                    for m in sd.members
-                )
-                return Construct(self.stor_datatype(ty), args)
-            # memory struct: allocate and initialize members recursively
-            ptr = self.allocate()
+            # a memory struct is allocated first, then its members defaulted
+            ptr = self.allocate() if loc == Loc.MEMORY else None
             args = tuple(
-                self.default_value(m.ty, Loc.MEMORY if is_reference_type(m.ty) else Loc.VALUE)
-                for m in sd.members
+                self.default_value(m.ty, _loc_in(m.ty, loc)) for m in self.struct_def(ty.name).members
             )
-            dt = self.mem_datatype(ty)
-            self.emit(Assign(self.heap_read(ty, ptr), Construct(dt, args)))
+            value = Construct(self._datatype_at(ty, loc), args)
+            if ptr is None:
+                return value
+            self.emit(Assign(self.heap_read(ty, ptr), value))
             return ptr
         raise IrError(f"no default for {ty} in {loc}")
 
@@ -581,22 +563,10 @@ class Translator:
         return self.lvalue(base) if lvalue else self.expr(base)
 
     def _member(self, e: MemberExpr, lvalue: bool) -> IrExpr:
-        base_ty = e.base.ty
-        if isinstance(base_ty, (DynArrayType, FixArrayType)):
-            # only `length`; the resolver rejects anything else
-            entity = self._storage_base(e.base, lvalue)
-            if e.base.loc == Loc.MEMORY:
-                dt = self.mem_datatype(base_ty)
-            else:
-                dt = self.stor_datatype(base_ty)
-            return Select(entity, "length", dt)
-        assert isinstance(base_ty, StructType)
+        # a struct member, or an array's `length` (the resolver rejects
+        # any other array member)
         entity = self._storage_base(e.base, lvalue)
-        if e.base.loc == Loc.MEMORY:
-            dt = self.mem_datatype(base_ty)
-        else:
-            dt = self.stor_datatype(base_ty)
-        return Select(entity, e.member, dt)
+        return Select(entity, e.member, self._datatype_at(e.base.ty, e.base.loc))
 
     def _index(self, e: IndexExpr, lvalue: bool) -> IrExpr:
         base_ty = e.base.ty
@@ -605,7 +575,7 @@ class Translator:
             return ArrayRead(entity, self.expr(e.index))
         assert isinstance(base_ty, (DynArrayType, FixArrayType))
         in_memory = e.base.loc == Loc.MEMORY
-        dt = self.mem_datatype(base_ty) if in_memory else self.stor_datatype(base_ty)
+        dt = self._datatype_at(base_ty, e.base.loc)
         entity = self._storage_base(e.base, lvalue)
         idx = self.expr(e.index)
         backing = ArrayRead(Select(entity, "arr", dt), idx)
@@ -627,9 +597,7 @@ class Translator:
         elif in_memory:
             fallback = self.default_value(elem, Loc.VALUE)
         else:
-            fallback = self.default_value(
-                elem, Loc.STORAGE if is_reference_type(elem) else Loc.VALUE
-            )
+            fallback = self.default_value(elem, _loc_in(elem, Loc.STORAGE))
         return Ite(in_range, backing, fallback)
 
     def _conditional(self, e: CondExpr) -> IrExpr:
@@ -664,7 +632,7 @@ class Translator:
         dt = self.mem_datatype(ty)
         for member, arg in zip(sd.members, e.args):
             slot = Select(self.heap_read(ty, ptr), member.name, dt)
-            loc = Loc.MEMORY if is_reference_type(member.ty) else Loc.VALUE
+            loc = _loc_in(member.ty, Loc.MEMORY)
             self.assign(Operand(member.ty, loc, ir_target=slot), self.operand_of(arg))
         return ptr
 
@@ -693,125 +661,42 @@ class Translator:
         return self.pack(op.ast)
 
     def assign(self, lhs: Operand, rhs: Operand) -> None:
-        """Location-directed assignment of reference and value types."""
+        """Location-directed assignment: one matrix keyed on the data
+        locations (lhs.loc, rhs.loc) of reference types.
+
+            lhs \\ rhs   storage      memory      storage pointer
+            storage     copy         deep copy   unpack
+            memory      deep copy    copy        unpack, deep copy
+            pointer     pack         (error)     copy
+
+        Value types always copy. A mapping is never copied: only a
+        storage pointer to it can be set. Between storage and memory, the
+        type matters only inside the two deep-copy helpers.
+        """
         if is_value_type(lhs.ty):
             self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
             return
+        if lhs.loc == Loc.STORPTR:
+            if rhs.loc == Loc.MEMORY:
+                raise IrError("memory cannot be assigned to a storage pointer")
+            target = self._target_of(lhs)
+            value = self._pack_operand(rhs) if rhs.loc == Loc.STORAGE else self._value_of(rhs)
+            self.emit(Assign(target, value))
+            return
         if isinstance(lhs.ty, MappingType):
-            self._assign_mapping(lhs, rhs)
+            # keys are not stored, so a mapping cannot be copied: the
+            # resolver rejects such assignments, and `delete` of a whole
+            # mapping has no effect
             return
-        if isinstance(lhs.ty, StructType):
-            self._assign_struct(lhs, rhs)
-            return
-        if isinstance(lhs.ty, (DynArrayType, FixArrayType)):
-            self._assign_array(lhs, rhs)
-            return
-        raise IrError(f"cannot assign {lhs.ty}")
-
-    def _assign_mapping(self, lhs: Operand, rhs: Operand) -> None:
-        if lhs.loc == Loc.STORPTR and rhs.loc == Loc.STORAGE:
-            self.emit(Assign(self._target_of(lhs), self._pack_operand(rhs)))
-        elif lhs.loc == Loc.STORPTR and rhs.loc == Loc.STORPTR:
+        if rhs.loc == Loc.STORPTR:
+            unpacked = self.unpack(self._value_of(rhs), rhs.ty)
+            rhs = Operand(rhs.ty, Loc.STORAGE, ir_value=unpacked)
+        if rhs.loc == lhs.loc:
             self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-        # other combinations cannot be performed (keys are not stored);
-        # the resolver rejects them in source, so nothing is emitted here
-
-    def _assign_struct(self, lhs: Operand, rhs: Operand) -> None:
-        assert isinstance(lhs.ty, StructType)
-        sd = self.struct_def(lhs.ty.name)
-        if lhs.loc == Loc.STORAGE:
-            if rhs.loc == Loc.STORAGE:
-                self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-            elif rhs.loc == Loc.STORPTR:
-                unpacked = self.unpack(self._value_of(rhs), rhs.ty)
-                self.emit(Assign(self._target_of(lhs), unpacked))
-            elif rhs.loc == Loc.MEMORY:
-                # member-wise deep copy out of the heap
-                rhs_ptr = self._value_of(rhs)
-                mem_dt = self.mem_datatype(rhs.ty)
-                stor_dt = self.stor_datatype(lhs.ty)
-                target = self._target_of(lhs)
-                for m in sd.members:
-                    m_lhs = Operand(
-                        m.ty,
-                        Loc.STORAGE if is_reference_type(m.ty) else Loc.VALUE,
-                        ir_target=Select(target, m.name, stor_dt),
-                    )
-                    m_rhs = Operand(
-                        m.ty,
-                        Loc.MEMORY if is_reference_type(m.ty) else Loc.VALUE,
-                        ir_value=Select(self.heap_read(rhs.ty, rhs_ptr), m.name, mem_dt),
-                    )
-                    self.assign(m_lhs, m_rhs)
-            return
-        if lhs.loc == Loc.MEMORY:
-            if rhs.loc == Loc.MEMORY:
-                self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-                return
-            # storage (or pointer) into memory: allocate, then deep copy
-            value = (
-                self.unpack(self._value_of(rhs), rhs.ty)
-                if rhs.loc == Loc.STORPTR
-                else self._value_of(rhs)
-            )
-            ptr = self.allocate()
-            stor_dt = self.stor_datatype(rhs.ty)
-            mem_dt = self.mem_datatype(lhs.ty)
-            for m in sd.members:
-                m_lhs = Operand(
-                    m.ty,
-                    Loc.MEMORY if is_reference_type(m.ty) else Loc.VALUE,
-                    ir_target=Select(self.heap_read(lhs.ty, ptr), m.name, mem_dt),
-                )
-                m_rhs = Operand(
-                    m.ty,
-                    Loc.STORAGE if is_reference_type(m.ty) else Loc.VALUE,
-                    ir_value=Select(value, m.name, stor_dt),
-                )
-                self.assign(m_lhs, m_rhs)
-            self.emit(Assign(self._target_of(lhs), ptr))
-            return
-        if lhs.loc == Loc.STORPTR:
-            if rhs.loc == Loc.STORAGE:
-                self.emit(Assign(self._target_of(lhs), self._pack_operand(rhs)))
-            elif rhs.loc == Loc.STORPTR:
-                self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-            else:
-                raise IrError("memory cannot be assigned to a storage pointer")
-            return
-        raise IrError(f"cannot assign struct at {lhs.loc}")
-
-    def _assign_array(self, lhs: Operand, rhs: Operand) -> None:
-        assert isinstance(lhs.ty, (DynArrayType, FixArrayType))
-        if lhs.loc == Loc.STORAGE:
-            if rhs.loc == Loc.STORAGE:
-                self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-            elif rhs.loc == Loc.STORPTR:
-                unpacked = self.unpack(self._value_of(rhs), rhs.ty)
-                self.emit(Assign(self._target_of(lhs), unpacked))
-            elif rhs.loc == Loc.MEMORY:
-                self._array_memory_to_storage(lhs, rhs)
-            return
-        if lhs.loc == Loc.MEMORY:
-            if rhs.loc == Loc.MEMORY:
-                self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-                return
-            value = (
-                self.unpack(self._value_of(rhs), rhs.ty)
-                if rhs.loc == Loc.STORPTR
-                else self._value_of(rhs)
-            )
-            self._array_storage_to_memory(lhs, value)
-            return
-        if lhs.loc == Loc.STORPTR:
-            if rhs.loc == Loc.STORAGE:
-                self.emit(Assign(self._target_of(lhs), self._pack_operand(rhs)))
-            elif rhs.loc == Loc.STORPTR:
-                self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-            else:
-                raise IrError("memory cannot be assigned to a storage pointer")
-            return
-        raise IrError(f"cannot assign array at {lhs.loc}")
+        elif lhs.loc == Loc.STORAGE:
+            self._copy_to_storage(lhs, self._value_of(rhs))
+        else:
+            self._copy_to_memory(lhs, self._value_of(rhs))
 
     def _array_bound(self, ty: SolType, length: IrExpr, what: str) -> int:
         """Unroll bound for element-wise array copies: the compile-time
@@ -828,65 +713,74 @@ class Translator:
             "type requires element-wise iteration (use --unroll)"
         )
 
-    def _array_memory_to_storage(self, lhs: Operand, rhs: Operand) -> None:
-        assert isinstance(lhs.ty, (DynArrayType, FixArrayType))
-        base = lhs.ty.base
-        rhs_ptr = self._value_of(rhs)
-        mem_dt = self.mem_datatype(rhs.ty)
-        stor_dt = self.stor_datatype(lhs.ty)
-        heap_val = self.heap_read(rhs.ty, rhs_ptr)
+    def _copy_to_storage(self, lhs: Operand, pointer: IrExpr) -> None:
+        """Deep copy of the memory entity at `pointer` into storage."""
+        ty = lhs.ty
+        mem_dt = self.mem_datatype(ty)
+        stor_dt = self.stor_datatype(ty)
+        heap_val = self.heap_read(ty, pointer)
+        if isinstance(ty, StructType):
+            self._copy_parts(ty, 0, self._target_of(lhs), Loc.STORAGE, heap_val, Loc.MEMORY)
+            return
+        base = ty.base
         length = Select(heap_val, "length", mem_dt)
         if is_value_type(base):
             copied = Construct(stor_dt, (Select(heap_val, "arr", mem_dt), length))
             self.emit(Assign(self._target_of(lhs), copied))
             return
-        bound = self._array_bound(lhs.ty, length, "deep copy into storage")
-        elem_loc = Loc.STORAGE
-        elem_ty = self.map_type(base, elem_loc)
+        bound = self._array_bound(ty, length, "deep copy into storage")
+        elem_ty = self.map_type(base, Loc.STORAGE)
         blank = Construct(
             stor_dt,
-            (ConstArray(ir.INT, elem_ty, self.default_value(base, elem_loc)), length),
+            (ConstArray(ir.INT, elem_ty, self.default_value(base, Loc.STORAGE)), length),
         )
         target = self._target_of(lhs)
         self.emit(Assign(target, blank))
-        for i in range(bound):
-            m_lhs = Operand(
-                base, Loc.STORAGE, ir_target=ArrayRead(Select(target, "arr", stor_dt), IntLit(i))
-            )
-            m_rhs = Operand(
-                base,
-                Loc.MEMORY,
-                ir_value=ArrayRead(Select(self.heap_read(rhs.ty, rhs_ptr), "arr", mem_dt), IntLit(i)),
-            )
-            self.assign(m_lhs, m_rhs)
+        self._copy_parts(ty, bound, target, Loc.STORAGE, heap_val, Loc.MEMORY)
 
-    def _array_storage_to_memory(self, lhs: Operand, value: IrExpr) -> None:
-        assert isinstance(lhs.ty, (DynArrayType, FixArrayType))
-        base = lhs.ty.base
-        stor_dt = self.stor_datatype(lhs.ty)
-        mem_dt = self.mem_datatype(lhs.ty)
-        length = Select(value, "length", stor_dt)
+    def _copy_to_memory(self, lhs: Operand, value: IrExpr) -> None:
+        """Deep copy of the storage entity `value` into a fresh memory
+        allocation, which `lhs` then points to."""
+        ty = lhs.ty
+        stor_dt = self.stor_datatype(ty)
+        mem_dt = self.mem_datatype(ty)
         ptr = self.allocate()
-        heap_slot = self.heap_read(lhs.ty, ptr)
-        if is_value_type(base):
+        heap_slot = self.heap_read(ty, ptr)
+        if isinstance(ty, StructType):
+            self._copy_parts(ty, 0, heap_slot, Loc.MEMORY, value, Loc.STORAGE)
+        elif is_value_type(ty.base):
+            length = Select(value, "length", stor_dt)
             self.emit(Assign(heap_slot, Construct(mem_dt, (Select(value, "arr", stor_dt), length))))
-            self.emit(Assign(self._target_of(lhs), ptr))
-            return
-        bound = self._array_bound(lhs.ty, length, "deep copy into memory")
-        self.emit(
-            Assign(heap_slot, Construct(mem_dt, (ConstArray(ir.INT, ir.INT, IntLit(0)), length)))
-        )
-        for i in range(bound):
-            m_lhs = Operand(
-                base,
-                Loc.MEMORY,
-                ir_target=ArrayRead(Select(self.heap_read(lhs.ty, ptr), "arr", mem_dt), IntLit(i)),
-            )
-            m_rhs = Operand(
-                base, Loc.STORAGE, ir_value=ArrayRead(Select(value, "arr", stor_dt), IntLit(i))
-            )
-            self.assign(m_lhs, m_rhs)
+        else:
+            length = Select(value, "length", stor_dt)
+            bound = self._array_bound(ty, length, "deep copy into memory")
+            blank = Construct(mem_dt, (ConstArray(ir.INT, ir.INT, IntLit(0)), length))
+            self.emit(Assign(heap_slot, blank))
+            self._copy_parts(ty, bound, heap_slot, Loc.MEMORY, value, Loc.STORAGE)
         self.emit(Assign(self._target_of(lhs), ptr))
+
+    def _copy_parts(
+        self, ty: SolType, bound: int, dst: IrExpr, dst_loc: Loc, src: IrExpr, src_loc: Loc
+    ) -> None:
+        """Assign each member of the struct `src`, or each of the first
+        `bound` elements of the array `src`, to the same part of `dst`."""
+        dst_dt, src_dt = self._datatype_at(ty, dst_loc), self._datatype_at(ty, src_loc)
+        if isinstance(ty, StructType):
+            parts = [
+                (m.ty, Select(dst, m.name, dst_dt), Select(src, m.name, src_dt))
+                for m in self.struct_def(ty.name).members
+            ]
+        else:
+            dst_arr, src_arr = Select(dst, "arr", dst_dt), Select(src, "arr", src_dt)
+            parts = [
+                (ty.base, ArrayRead(dst_arr, IntLit(i)), ArrayRead(src_arr, IntLit(i)))
+                for i in range(bound)
+            ]
+        for part_ty, dst_part, src_part in parts:
+            self.assign(
+                Operand(part_ty, _loc_in(part_ty, dst_loc), ir_target=dst_part),
+                Operand(part_ty, _loc_in(part_ty, src_loc), ir_value=src_part),
+            )
 
     # ------------------------------------------------------------------
     # statements
@@ -924,8 +818,7 @@ class Translator:
             self.assign(target, self.operand_of(s.init))
         else:
             default = self.default_value(s.var_type, loc)
-            rhs_loc = loc if is_reference_type(s.var_type) else Loc.VALUE
-            self.assign(target, Operand(s.var_type, rhs_loc, ir_value=default))
+            self.assign(target, Operand(s.var_type, loc, ir_value=default))
 
     def _assign_stmt(self, s: AssignStmt) -> None:
         if len(s.lhs) == 1:
@@ -936,21 +829,14 @@ class Translator:
         temps: list[Operand] = []
         for r in s.rhs:
             if is_value_type(r.ty):
-                tmp = self.fresh("tmp", self.map_type(r.ty, Loc.VALUE))
-                self.emit(Assign(tmp, self.expr(r)))
-                temps.append(Operand(r.ty, Loc.VALUE, ir_value=tmp))
-            elif r.loc == Loc.STORAGE:
-                tmp = self.fresh("tmp", PTR)
-                self.emit(Assign(tmp, self.pack(r)))
-                temps.append(Operand(r.ty, Loc.STORPTR, ir_value=tmp))
-            elif r.loc == Loc.STORPTR:
-                tmp = self.fresh("tmp", PTR)
-                self.emit(Assign(tmp, self.expr(r)))
-                temps.append(Operand(r.ty, Loc.STORPTR, ir_value=tmp))
+                loc, ty = Loc.VALUE, self.map_type(r.ty, Loc.VALUE)
+            elif r.loc == Loc.MEMORY:
+                loc, ty = Loc.MEMORY, ir.INT
             else:
-                tmp = self.fresh("tmp", ir.INT)
-                self.emit(Assign(tmp, self.expr(r)))
-                temps.append(Operand(r.ty, Loc.MEMORY, ir_value=tmp))
+                loc, ty = Loc.STORPTR, PTR
+            tmp = self.fresh("tmp", ty)
+            self.emit(Assign(tmp, self.pack(r) if r.loc == Loc.STORAGE else self.expr(r)))
+            temps.append(Operand(r.ty, loc, ir_value=tmp))
         for target, tmp_op in reversed(list(zip(s.lhs, temps))):
             self.assign(self.operand_of(target), tmp_op)
 
@@ -967,7 +853,7 @@ class Translator:
         elem = s.target.ty.base
         length = Select(entity, "length", dt)
         slot = ArrayRead(Select(entity, "arr", dt), length)
-        loc = Loc.STORAGE if is_reference_type(elem) else Loc.VALUE
+        loc = _loc_in(elem, Loc.STORAGE)
         self.assign(Operand(elem, loc, ir_target=slot), self.operand_of(s.value))
         self.emit(Assign(length, ir.add(length, IntLit(1))))
 
@@ -980,17 +866,10 @@ class Translator:
         self.emit(Assign(length, ir.sub(length, IntLit(1))))
 
     def _delete_stmt(self, s: DeleteStmt) -> None:
-        target = self.operand_of(s.target)
-        loc = s.target.loc
-        if loc == Loc.VALUE:
-            default = self.default_value(s.target.ty, Loc.VALUE)
-            self.assign(target, Operand(s.target.ty, Loc.VALUE, ir_value=default))
-        elif loc == Loc.MEMORY:
-            default = self.default_value(s.target.ty, Loc.MEMORY)
-            self.assign(target, Operand(s.target.ty, Loc.MEMORY, ir_value=default))
-        else:
-            default = self.default_value(s.target.ty, Loc.STORAGE)
-            self.assign(target, Operand(s.target.ty, Loc.STORAGE, ir_value=default))
+        # the resolver rejects deleting a storage pointer variable
+        target = s.target
+        default = self.default_value(target.ty, target.loc)
+        self.assign(self.operand_of(target), Operand(target.ty, target.loc, ir_value=default))
 
     # ------------------------------------------------------------------
     # functions
@@ -1033,26 +912,23 @@ class Translator:
 
     def translate_function(self, fn: Function) -> TranslatedFunction:
         for v in self.contract.state_vars:
-            loc = Loc.STORAGE if is_reference_type(v.ty) else Loc.VALUE
-            self.program.declare(v.name, self.map_type(v.ty, loc))
+            self.program.declare(v.name, self.map_type(v.ty, _loc_in(v.ty, Loc.STORAGE)))
         for p in fn.params + fn.returns:
             self.program.declare(p.name, self.map_type(p.ty, p.loc))
         if fn.is_constructor:
             # direct default assignments: the mapping row of the
             # assignment matrix must not swallow state initialization
             for v in self.contract.state_vars:
-                loc = Loc.STORAGE if is_reference_type(v.ty) else Loc.VALUE
-                self.emit(Assign(Ident(v.name), self.default_value(v.ty, loc)))
+                self.emit(Assign(Ident(v.name), self.default_value(v.ty, _loc_in(v.ty, Loc.STORAGE))))
         else:
             for p in fn.params:
                 if p.loc == Loc.MEMORY:
                     self._assume_memory_pointer(p.ty, Ident(p.name))
         for p in fn.returns:
             default = self.default_value(p.ty, p.loc)
-            rhs_loc = p.loc if is_reference_type(p.ty) else Loc.VALUE
             self.assign(
                 Operand(p.ty, p.loc, ir_target=Ident(p.name), ir_value=Ident(p.name)),
-                Operand(p.ty, rhs_loc, ir_value=default),
+                Operand(p.ty, _loc_in(p.ty, p.loc), ir_value=default),
             )
         for s in fn.body:
             self.stmt(s)

@@ -27,10 +27,6 @@ def assert_count(program: SmtProgram) -> int:
     return sum(1 for s in program.stmts if isinstance(s, Assert))
 
 
-def assert_stmts(program: SmtProgram) -> list[Assert]:
-    return [s for s in program.stmts if isinstance(s, Assert)]
-
-
 def vc_gen(program: SmtProgram, assert_index: int) -> IrExpr:
     """Formula whose satisfiability witnesses a failure of assert number
     `assert_index` (0-based, in program order)."""

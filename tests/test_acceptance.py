@@ -172,7 +172,7 @@ def test_criterion_6a_transformation_equivalence():
             r2.failed_index,
         ), f"seed {seed}"
         if r0.status == "ok":
-            for name, _ in program.decls:
+            for name in program.decls:
                 assert values_equal(r0.env.get(name), r1.env.get(name)), (seed, name)
                 final = ssa.final_versions[name]
                 if final in r2.env or name in r0.env:

@@ -140,7 +140,7 @@ def _equivalent(seed: int) -> None:
     assert r0.status == r1.status == r2.status
     assert r0.failed_index == r1.failed_index == r2.failed_index
     if r0.status == "ok":
-        for name, _ in original.decls:
+        for name in original.decls:
             assert values_equal(r0.env.get(name), r1.env.get(name)), name
             final = ssa.final_versions[name]
             v2 = r2.env.get(final)

@@ -104,7 +104,7 @@ def test_datatype_deduplication():
     tr = fresh_translator()
     tr.map_type(DynArrayType(INT), Loc.STORAGE)
     tr.map_type(FixArrayType(INT, 7), Loc.STORAGE)
-    assert len([d for d in tr.program.datatypes if d.name == "StorArr_int"]) == 1
+    assert len([d for d in tr.program.datatypes.values() if d.name == "StorArr_int"]) == 1
 
 
 def test_nested_array_mangling():
@@ -221,7 +221,7 @@ contract C {
 """
     )
     env = res.env
-    m_ptr = env[next(n for n, _ in tf.program.decls if n == "m")]
+    m_ptr = env[next(n for n in tf.program.decls if n == "m")]
     obj = env["arrHeap_int"].read(m_ptr)
     assert obj.members[1] == 1  # snapshot before the second push
     assert obj.members[0].read(0) == 7
