@@ -7,6 +7,9 @@
 
 The solver command resolves from --solver-cmd, then $SOLMEM_SOLVER, then
 z3/cvc5 on PATH, then the bundled Node.js backend.
+
+verify, corpus and fuzz exit 2 when the solver cannot be found, launched
+or smoke-tested, even if some assert also has a counterexample.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 
 from .errors import SolmemError
 from .harness import render_table, report_json, run_corpus, run_fuzz
+from .ir import format_program
 from .oracle import exec_function, run_constructor, serialize, serialize_storage
 from .parser import parse_source
 from .resolver import resolve_and_check
@@ -39,39 +43,29 @@ def cmd_verify(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    report = verify_source(
-        text,
-        solver_cmd=args.solver_cmd,
-        timeout=args.timeout,
-        unroll=args.unroll,
-        collect_smt=args.emit_smt is not None,
-        emit_ir=args.emit_ir,
-    )
+    report = verify_source(text, solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.error is not None:
         print(f"{path}: error: {report.error}")
-        return 2
     if report.unsupported is not None:
         print(f"{path}: {report.unsupported}")
-        return 2
     for f in report.functions:
         if f.unsupported is not None:
             print(f"{f.name}: {f.unsupported}")
             continue
-        if args.emit_ir and f.ir_text:
+        if args.emit_ir:
             print(f"; intermediate program for {f.name}")
-            print(f.ir_text)
+            print(format_program(f.program))
         for a in f.asserts:
-            where = f"{f.name}:{a.line}"
             if a.verdict == "verified":
-                print(f"{where}: assert({a.text}): verified [{a.time_seconds:.2f}s]")
+                tail = f" [{a.time_seconds:.2f}s]"
             elif a.verdict == "counterexample":
                 model = ", ".join(f"{k} = {v}" for k, v in sorted(a.model.items()))
-                print(f"{where}: assert({a.text}): counterexample"
-                      + (f" [{model}]" if model else ""))
+                tail = f" [{model}]" if model else ""
             else:
-                print(f"{where}: assert({a.text}): {a.verdict} {a.detail}")
+                tail = f" {a.detail}"
+            print(f"{f.name}:{a.line}: assert({a.text}): {a.verdict}{tail}")
         if args.emit_smt is not None:
             out_dir = Path(args.emit_smt)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,8 +133,8 @@ def cmd_corpus(args) -> int:
     print(render_table(classes))
     if args.json:
         Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True))
-    bad = sum(s.incorrect + s.invalid for s in classes.values())
-    return 1 if bad else 0
+    outcomes = {t.observed for s in classes.values() for t in s.tests}
+    return 2 if "error" in outcomes else 1 if outcomes & {"incorrect", "invalid"} else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -151,28 +145,29 @@ def cmd_fuzz(args) -> int:
         timeout=args.timeout,
         jobs=args.jobs,
     )
-    disagreements = [o for o in outcomes if not o.agreed]
+    errors = [o for o in outcomes if o.observed == "error"]
+    disagreements = [o for o in outcomes if not o.agreed and o.observed != "error"]
     compared = sum(o.compared for o in outcomes)
     rejections = Counter()
     for o in outcomes:
         rejections.update(o.rejections)
     print(f"{len(outcomes)} seeds, {compared} asserts compared, "
-          f"{len(disagreements)} disagreements")
+          f"{len(disagreements)} disagreements, {len(errors)} solver errors")
     print("rejected candidates: "
           + (", ".join(f"{reason} {n}" for reason, n in sorted(rejections.items())) or "none"))
-    for o in disagreements:
-        print(f"  seed {o.seed}: {o.detail}")
+    for o in disagreements + errors[:1]:
+        print(f"  seed {o.seed}: {o.observed}: {o.detail}")
     if args.json:
         payload = {
             "schema": 2,
             "seeds": [
-                {"seed": o.seed, "agreed": o.agreed, "compared": o.compared, "detail": o.detail,
-                 "rejections": o.rejections}
+                {"seed": o.seed, "agreed": o.agreed, "observed": o.observed, "compared": o.compared,
+                 "detail": o.detail, "rejections": o.rejections}
                 for o in outcomes
             ],
         }
         Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return 1 if disagreements else 0
+    return 2 if errors else 1 if disagreements else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,13 +3,16 @@
 Corpus tests live in `<dir>/<class>/<name>.sol`; a comment line
 `//expect: holds` or `//expect: fails` annotates the next assert
 (asserts default to `holds`). Each test counts as exactly one of
-correct / incorrect / unsupported / timeout, and results aggregate per
-class into a table plus a versioned JSON report.
+`OUTCOMES`, and results aggregate per class into a table plus a
+versioned JSON report.
 
 Differential fuzzing generates constructor-only programs, runs them
 through the reference interpreter, and demands that the verifier agrees
 on every assert the interpreter reached: passed asserts must verify,
 the failed assert must yield a counterexample.
+
+Both judge a verifier report the same way (`judge`); only where the
+expected outcomes come from differs.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from pathlib import Path
 from .errors import SolmemError
 from .generator import ProgramBuilder
 from .oracle import run_constructor
-from .parser import parse_source
-from .resolver import resolve_and_check
+from .sol_ast import Contract
 from .verify import VerifyReport, verify_source
 
 REPORT_SCHEMA = 1
+
+# Every outcome a corpus test or fuzz seed can have. `error` means the
+# solver could not be found, launched or smoke-tested.
+OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
 
 _EXPECT_RE = re.compile(r"//\s*expect:\s*(holds|fails)\b")
 _ASSERT_RE = re.compile(r"\bassert\s*\(")
@@ -37,7 +43,7 @@ _ASSERT_RE = re.compile(r"\bassert\s*\(")
 class TestOutcome:
     test_id: str
     expected: list[str]  # per assert, in source order: "holds" | "fails"
-    observed: str  # "correct" | "incorrect" | "unsupported" | "timeout" | "invalid"
+    observed: str  # one of OUTCOMES
     wall_time_seconds: float
     detail: str = ""
 
@@ -62,28 +68,39 @@ def parse_expectations(text: str) -> dict[int, str]:
     return expectations
 
 
-def _classify(report: VerifyReport, expectations: dict[int, str]) -> tuple[str, str]:
+def oracle_expectations(contract: Contract) -> dict[int, str]:
+    """holds/fails per assert line the constructor oracle reached."""
+    return {a.line: "holds" if a.passed else "fails" for a in run_constructor(contract).asserts}
+
+
+def judge(
+    report: VerifyReport, expected: dict[int, str], default: str | None = "holds"
+) -> tuple[str, str, int]:
+    """(outcome, detail, asserts compared) of a report against the
+    expected holds/fails per assert line. Asserts on other lines expect
+    `default`, or are not compared when it is None."""
     if report.error is not None:
-        return "invalid", report.error
-    if report.unsupported is not None:
-        return "unsupported", report.unsupported
-    for f in report.functions:
-        if f.unsupported is not None:
-            return "unsupported", f.unsupported
-    if report.any_timeout:
-        return "timeout", ""
-    for f in report.functions:
-        for a in f.asserts:
-            expected = expectations.get(a.line, "holds")
-            if a.verdict not in ("verified", "counterexample"):
-                return "incorrect", f"{f.name}:{a.line}: solver said {a.verdict} ({a.detail})"
-            observed = "holds" if a.verdict == "verified" else "fails"
-            if observed != expected:
-                return (
-                    "incorrect",
-                    f"{f.name}:{a.line}: expected {expected}, verifier says {observed}",
-                )
-    return "correct", ""
+        return "invalid", report.error, 0
+    unsupported = report.unsupported or next((f.unsupported for f in report.functions if f.unsupported), None)
+    if unsupported is not None:
+        return "unsupported", unsupported, 0
+    results = [(f.name, a) for f in report.functions for a in f.asserts]
+    for kind in ("error", "timeout"):  # a solver failure or timeout outranks every verdict
+        for name, a in results:
+            if a.verdict == kind:
+                return kind, f"{name}:{a.line}: {a.detail}".strip(), 0
+    compared = 0
+    for name, a in results:
+        want = expected.get(a.line, default)
+        if want is None:
+            continue
+        if a.verdict not in ("verified", "counterexample"):
+            return "incorrect", f"{name}:{a.line}: solver said {a.verdict} ({a.detail})", compared
+        compared += 1
+        got = "holds" if a.verdict == "verified" else "fails"
+        if got != want:
+            return "incorrect", f"{name}:{a.line}: expected {want}, verifier says {got}", compared
+    return "correct", "", compared
 
 
 def run_test(
@@ -93,62 +110,46 @@ def run_test(
     unroll: int | None = None,
     cross_check_oracle: bool = False,
 ) -> TestOutcome:
+    """Verify one corpus file and judge it against its `//expect` lines.
+    With `cross_check_oracle`, a self-contained contract's verdicts must
+    also match the constructor oracle."""
     text = path.read_text()
     expectations = parse_expectations(text)
     start = time.monotonic()
     report = verify_source(text, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
-    elapsed = time.monotonic() - start
-    observed, detail = _classify(report, expectations)
-    outcome = TestOutcome(
+    observed, detail, _ = judge(report, expectations)
+    if cross_check_oracle and observed == "correct" and not report.contract.functions:
+        try:
+            observed, detail, _ = judge(report, oracle_expectations(report.contract), None)
+            detail = detail and f"oracle disagrees: {detail}"
+        except SolmemError as e:
+            observed, detail = "incorrect", f"oracle failed: {e}"
+    return TestOutcome(
         test_id=str(path),
         expected=[expectations[k] for k in sorted(expectations)],
         observed=observed,
-        wall_time_seconds=elapsed,
+        wall_time_seconds=time.monotonic() - start,
         detail=detail,
     )
-    if cross_check_oracle and observed in ("correct", "incorrect"):
-        mismatch = _oracle_mismatch(text, expectations)
-        if mismatch:
-            outcome.observed = "incorrect"
-            outcome.detail = (outcome.detail + "; " if outcome.detail else "") + mismatch
-    return outcome
-
-
-def _oracle_mismatch(text: str, expectations: dict[int, str]) -> str:
-    """Run the constructor oracle when the contract is self-contained and
-    compare assert outcomes with the expectations."""
-    try:
-        contract = resolve_and_check(parse_source(text))
-    except SolmemError:
-        return ""
-    if contract.functions:
-        return ""  # functions take arbitrary inputs; only the verifier applies
-    try:
-        result = run_constructor(contract)
-    except SolmemError as e:
-        return f"oracle failed: {e}"
-    for a in result.asserts:
-        expected = expectations.get(a.line, "holds")
-        observed = "holds" if a.passed else "fails"
-        if observed != expected:
-            return f"oracle disagrees at line {a.line}: expected {expected}, ran {observed}"
-    return ""
 
 
 @dataclass
 class ClassSummary:
+    """Per-class counts, one field per name in OUTCOMES."""
+
     name: str
     correct: int = 0
     incorrect: int = 0
     unsupported: int = 0
     timeout: int = 0
     invalid: int = 0
+    error: int = 0
     time_seconds: float = 0.0
     tests: list[TestOutcome] = field(default_factory=list)
 
     @property
     def total(self) -> int:
-        return self.correct + self.incorrect + self.unsupported + self.timeout + self.invalid
+        return sum(getattr(self, o) for o in OUTCOMES)
 
 
 def run_corpus(
@@ -168,13 +169,7 @@ def run_corpus(
 
     def run_one(item):
         cls, path = item
-        return cls, run_test(
-            path,
-            solver_cmd=solver_cmd,
-            timeout=timeout,
-            unroll=unroll,
-            cross_check_oracle=cross_check_oracle,
-        )
+        return cls, run_test(path, solver_cmd, timeout, unroll, cross_check_oracle)
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         for cls, outcome in pool.map(run_one, work):
@@ -186,19 +181,16 @@ def run_corpus(
 
 
 def render_table(classes: dict[str, ClassSummary]) -> str:
-    lines = []
-    header = f"{'class':<14} {'correct':>8} {'incorrect':>10} {'unsupported':>12} {'timeout':>8} {'time (s)':>9}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    header = f"{'class':<14}" + "".join(f" {o:>11}" for o in OUTCOMES) + f" {'time (s)':>9}"
+    lines = [header, "-" * len(header)]
     for name in sorted(classes):
         s = classes[name]
         label = f"{name} ({s.total})"
         lines.append(
-            f"{label:<14} {s.correct:>8} {s.incorrect:>10} {s.unsupported:>12} "
-            f"{s.timeout:>8} {s.time_seconds:>9.2f}"
+            f"{label:<14}" + "".join(f" {getattr(s, o):>11}" for o in OUTCOMES) + f" {s.time_seconds:>9.2f}"
         )
         for t in s.tests:
-            if t.observed in ("incorrect", "invalid") and t.detail:
+            if t.observed in ("incorrect", "invalid", "error") and t.detail:
                 lines.append(f"    {Path(t.test_id).name}: {t.observed}: {t.detail}")
     return "\n".join(lines)
 
@@ -208,11 +200,7 @@ def report_json(classes: dict[str, ClassSummary]) -> dict:
         "schema": REPORT_SCHEMA,
         "classes": {
             name: {
-                "correct": s.correct,
-                "incorrect": s.incorrect,
-                "unsupported": s.unsupported,
-                "timeout": s.timeout,
-                "invalid": s.invalid,
+                **{o: getattr(s, o) for o in OUTCOMES},
                 "time_seconds": round(s.time_seconds, 3),
                 "tests": [
                     {
@@ -237,11 +225,26 @@ def report_json(classes: dict[str, ClassSummary]) -> dict:
 @dataclass
 class FuzzOutcome:
     seed: int
-    agreed: bool
+    observed: str  # one of OUTCOMES
     compared: int
     detail: str = ""
     wall_time_seconds: float = 0.0
     rejections: dict[str, int] = field(default_factory=dict)  # generator candidates, by reason
+
+    @property
+    def agreed(self) -> bool:
+        return self.observed == "correct"
+
+
+def _differential(
+    source: str, solver_cmd: str | None, timeout: float, unroll: int | None
+) -> tuple[str, int, str]:
+    report = verify_source(source, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
+    expected = oracle_expectations(report.contract) if report.contract is not None else {}
+    observed, detail, compared = judge(report, expected, None)
+    if observed == "correct" and compared < len(expected):
+        observed, detail = "incorrect", "verifier reported fewer asserts than the oracle ran"
+    return observed, compared, detail
 
 
 def differential_check(
@@ -252,33 +255,8 @@ def differential_check(
 ) -> tuple[bool, int, str]:
     """Oracle vs verifier on a constructor-only program: for every assert
     the oracle reached, passed must verify and failed must refute."""
-    contract = resolve_and_check(parse_source(source))
-    oracle_result = run_constructor(contract)
-    report = verify_source(source, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
-    if report.error is not None or report.unsupported is not None:
-        return False, 0, f"verifier rejected program: {report.error or report.unsupported}"
-    ctor = next((f for f in report.functions if f.name == "constructor"), None)
-    if ctor is None:
-        return False, 0, "no constructor report"
-    if ctor.unsupported is not None:
-        return False, 0, f"translation unsupported: {ctor.unsupported}"
-    compared = 0
-    for outcome in oracle_result.asserts:
-        if outcome.ordinal >= len(ctor.asserts):
-            return False, compared, "verifier reported fewer asserts than the oracle ran"
-        verdict = ctor.asserts[outcome.ordinal].verdict
-        if verdict not in ("verified", "counterexample"):
-            return False, compared, f"assert {outcome.ordinal}: solver said {verdict}"
-        agreed = (verdict == "verified") == outcome.passed
-        compared += 1
-        if not agreed:
-            return (
-                False,
-                compared,
-                f"assert {outcome.ordinal} (line {outcome.line}): oracle "
-                f"{'passed' if outcome.passed else 'failed'}, verifier said {verdict}",
-            )
-    return True, compared, ""
+    observed, compared, detail = _differential(source, solver_cmd, timeout, unroll)
+    return observed == "correct", compared, detail
 
 
 def run_fuzz(
@@ -292,14 +270,11 @@ def run_fuzz(
         start = time.monotonic()
         builder = ProgramBuilder(seed, size_budget)
         try:
-            source = builder.build()
-            agreed, compared, detail = differential_check(
-                source, solver_cmd=solver_cmd, timeout=timeout
-            )
+            observed, compared, detail = _differential(builder.build(), solver_cmd, timeout, None)
         except SolmemError as e:
-            return FuzzOutcome(seed, False, 0, f"pipeline error: {e}", rejections=dict(builder.rejections))
+            observed, compared, detail = "invalid", 0, f"pipeline error: {e}"
         return FuzzOutcome(
-            seed, agreed, compared, detail, time.monotonic() - start, dict(builder.rejections)
+            seed, observed, compared, detail, time.monotonic() - start, dict(builder.rejections)
         )
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:

@@ -118,7 +118,7 @@ def datatype_block(program: SmtProgram) -> str:
     return f"(declare-datatypes ({heads}) ({' '.join(bodies)}))"
 
 
-def emit_smtlib(program: SmtProgram, formula: IrExpr, get_model: bool = True) -> str:
+def emit_smtlib(program: SmtProgram, formula: IrExpr) -> str:
     """Complete SMT-LIB session checking satisfiability of `formula` over
     the program's datatypes and declarations."""
     lines = ["(set-logic ALL)"]
@@ -129,6 +129,5 @@ def emit_smtlib(program: SmtProgram, formula: IrExpr, get_model: bool = True) ->
         lines.append(f"(declare-const {name} {sort_of(ty)})")
     lines.append(f"(assert {expr_to_sexpr(formula)})")
     lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
+    lines.append("(get-model)")
     return "\n".join(lines) + "\n"

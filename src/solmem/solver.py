@@ -4,15 +4,18 @@ Each query launches one solver process, writes the script on stdin, and
 parses the verdict from stdout. The command is configurable via the
 `SOLMEM_SOLVER` environment variable or an explicit argument; by default
 a `z3` or `cvc5` binary on PATH is used, falling back to the bundled
-Node.js shim around the z3-solver WASM distribution.
+Node.js shim around the z3-solver WASM distribution. `query`, which the
+verifier uses, first sends each command one smoke query per process.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,58 +30,80 @@ class SolverVerdict:
     model: dict[str, str] = field(default_factory=dict)
     detail: str = ""
 
-    @property
-    def is_sat(self) -> bool:
-        return self.kind == "sat"
-
-    @property
-    def is_unsat(self) -> bool:
-        return self.kind == "unsat"
-
 
 def _bundled_shim() -> Path:
     return Path(__file__).parent / "backends" / "z3smt2.cjs"
 
 
-_default_cmd_cache: list[str] | None = None
-
-
 def default_solver_command() -> list[str]:
     """Resolve the solver command: $SOLMEM_SOLVER, a z3/cvc5 binary on
     PATH, or the bundled Node.js shim."""
-    global _default_cmd_cache
     env = os.environ.get("SOLMEM_SOLVER")
     if env:
         return shlex.split(env)
-    if _default_cmd_cache is not None:
-        return list(_default_cmd_cache)
     if shutil.which("z3"):
-        _default_cmd_cache = ["z3", "-in"]
-    elif shutil.which("cvc5"):
-        _default_cmd_cache = ["cvc5", "--lang", "smt2"]
-    elif shutil.which("node") and _bundled_shim().exists():
-        _default_cmd_cache = ["node", str(_bundled_shim())]
-    else:
-        raise SolverFailure(
-            "no SMT solver found: install z3 or cvc5, run "
-            "`npm install -g z3-solver` for the bundled backend, or set "
-            "SOLMEM_SOLVER / --solver-cmd"
-        )
-    return list(_default_cmd_cache)
+        return ["z3", "-in"]
+    if shutil.which("cvc5"):
+        return ["cvc5", "--lang", "smt2"]
+    if shutil.which("node") and _bundled_shim().exists():
+        return ["node", str(_bundled_shim())]
+    raise SolverFailure(
+        "no SMT solver found: install z3 or cvc5, run "
+        "`npm install -g z3-solver` for the bundled backend, or set "
+        "SOLMEM_SOLVER / --solver-cmd"
+    )
 
 
-def resolve_command(solver_cmd: str | None) -> list[str]:
-    if solver_cmd:
-        return shlex.split(solver_cmd)
-    return default_solver_command()
+def _command(solver_cmd: str | None) -> list[str]:
+    return shlex.split(solver_cmd) if solver_cmd else default_solver_command()
 
 
 def check(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = None) -> SolverVerdict:
-    """Run one SMT-LIB session and classify the outcome.
+    """Run one SMT-LIB session and classify the outcome. A solver that
+    cannot be found or launched gives an `error` verdict."""
+    try:
+        cmd = _command(solver_cmd)
+    except SolverFailure as e:
+        return SolverVerdict("error", detail=str(e))
+    return _run(cmd, script, timeout_seconds)
+
+
+# The query the test suite's `solver_available` fixture sends.
+SMOKE_QUERY = "(set-logic ALL)(assert false)(check-sat)\n"
+SMOKE_TIMEOUT_SECONDS = 30.0
+
+_smoke_lock = threading.Lock()
+_smoke_failures: dict[tuple[str, ...], str] = {}  # command -> reason, "" once it answered
+
+
+def query(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = None) -> SolverVerdict:
+    """`check`, once the solver command has answered the smoke query.
+
+    The smoke query runs once per command per process. After it fails,
+    every query gets an `error` verdict with the reason and no solver
+    process is launched again.
+    """
+    try:
+        cmd = _command(solver_cmd)
+    except SolverFailure as e:
+        return SolverVerdict("error", detail=str(e))
+    with _smoke_lock:
+        reason = _smoke_failures.get(tuple(cmd))
+        if reason is None:
+            smoke = _run(cmd, SMOKE_QUERY, SMOKE_TIMEOUT_SECONDS)
+            failure = f"solver smoke test failed: {smoke.kind} {smoke.detail}"
+            reason = "" if smoke.kind == "unsat" else " ".join(failure.split())
+            _smoke_failures[tuple(cmd)] = reason
+    if reason:
+        return SolverVerdict("error", detail=reason)
+    return _run(cmd, script, timeout_seconds)
+
+
+def _run(cmd: list[str], script: str, timeout_seconds: float) -> SolverVerdict:
+    """Launch `cmd`, write the script on stdin and parse the verdict.
 
     The child process is killed (and reaped) if it exceeds the timeout.
     """
-    cmd = resolve_command(solver_cmd)
     try:
         proc = subprocess.Popen(
             cmd,
@@ -98,12 +123,8 @@ def check(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = N
         except subprocess.TimeoutExpired:
             pass
         return SolverVerdict("timeout")
-    verdict = None
-    for line in out.splitlines():
-        token = line.strip()
-        if token in ("sat", "unsat", "unknown"):
-            verdict = token
-            break
+    lines = (line.strip() for line in out.splitlines())
+    verdict = next((t for t in lines if t in ("sat", "unsat", "unknown")), None)
     if verdict is None:
         return SolverVerdict(
             "error",
@@ -121,38 +142,11 @@ def check(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = N
 # Model parsing
 
 
+_SEXPR_TOKEN = re.compile(r'\s+|;[^\n]*|([()]|"[^"]*"?|\|[^|]*\|?|[^\s();]+)')
+
+
 def _tokenize_sexpr(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c in "()":
-            tokens.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c == '"':
-            j = i + 1
-            while j < len(text) and text[j] != '"':
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif c == "|":
-            j = i + 1
-            while j < len(text) and text[j] != "|":
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return [m.group(1) for m in _SEXPR_TOKEN.finditer(text) if m.group(1)]
 
 
 def _parse_sexprs(tokens: list[str]):

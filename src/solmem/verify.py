@@ -11,15 +11,20 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ResolveError, SolmemError, UnsupportedError
+from .ir import SmtProgram
 from .normalize import normalize_lhs
 from .parser import parse_source
 from .resolver import resolve_and_check
+from .sol_ast import Contract
 from .smtlib import emit_smtlib
-from .solver import SolverVerdict, check
+from .solver import query
 from .ssa import to_ssa
 from .translate import TranslatedFunction, translate_function
 from .vcgen import vc_gen
-from .ir import format_program
+
+# Solver answer -> assert verdict; every other kind ("timeout",
+# "unknown", "error") keeps its name.
+VERDICT_OF = {"unsat": "verified", "sat": "counterexample"}
 
 
 @dataclass
@@ -38,7 +43,7 @@ class FunctionReport:
     asserts: list[AssertResult] = field(default_factory=list)
     unsupported: str | None = None
     smt_scripts: list[str] = field(default_factory=list)
-    ir_text: str | None = None
+    program: SmtProgram | None = None  # the translated program
 
 
 @dataclass
@@ -47,38 +52,18 @@ class VerifyReport:
     error: str | None = None
     unsupported: str | None = None
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def all_verified(self) -> bool:
-        return self.error is None and self.unsupported is None and all(
-            f.unsupported is None and all(a.verdict == "verified" for a in f.asserts)
-            for f in self.functions
-        )
-
-    @property
-    def any_violation(self) -> bool:
-        return any(
-            a.verdict == "counterexample" for f in self.functions for a in f.asserts
-        )
-
-    @property
-    def any_timeout(self) -> bool:
-        return any(a.verdict == "timeout" for f in self.functions for a in f.asserts)
-
-    @property
-    def any_unsupported(self) -> bool:
-        return self.unsupported is not None or any(
-            f.unsupported is not None for f in self.functions
-        )
+    contract: Contract | None = None  # the resolved contract, when it resolved
 
     def exit_code(self) -> int:
-        if self.error is not None:
+        """0 all verified, 1 a counterexample, 2 anything else; a solver
+        error wins over a counterexample."""
+        verdicts = {a.verdict for f in self.functions for a in f.asserts}
+        if "error" in verdicts or self.error is not None:
             return 2
-        if self.any_violation:
+        if "counterexample" in verdicts:
             return 1
-        if self.any_unsupported or self.any_timeout or not self.all_verified:
-            return 2
-        return 0
+        complete = self.unsupported is None and not any(f.unsupported for f in self.functions)
+        return 0 if complete and verdicts <= {"verified"} else 2
 
 
 def _relevant_model(model: dict[str, str]) -> dict[str, str]:
@@ -95,33 +80,24 @@ def verify_translated(
     tf: TranslatedFunction,
     solver_cmd: str | None = None,
     timeout: float = 60.0,
-    collect_smt: bool = False,
 ) -> FunctionReport:
-    report = FunctionReport(tf.name)
-    normalized = normalize_lhs(tf.program)
-    ssa = to_ssa(normalized)
+    report = FunctionReport(tf.name, program=tf.program)
+    ssa = to_ssa(normalize_lhs(tf.program))
     for info in tf.asserts:
-        formula = vc_gen(ssa.program, info.ordinal)
-        script = emit_smtlib(ssa.program, formula)
-        if collect_smt:
-            report.smt_scripts.append(script)
+        script = emit_smtlib(ssa.program, vc_gen(ssa.program, info.ordinal))
+        report.smt_scripts.append(script)
         start = time.monotonic()
-        verdict: SolverVerdict = check(script, timeout, solver_cmd)
-        elapsed = time.monotonic() - start
-        if verdict.is_unsat:
-            result = AssertResult(info.line, info.text, "verified")
-        elif verdict.is_sat:
-            result = AssertResult(
-                info.line, info.text, "counterexample", model=_relevant_model(verdict.model)
+        verdict = query(script, timeout, solver_cmd)
+        report.asserts.append(
+            AssertResult(
+                info.line,
+                info.text,
+                VERDICT_OF.get(verdict.kind, verdict.kind),
+                model=_relevant_model(verdict.model),
+                detail=verdict.detail,
+                time_seconds=time.monotonic() - start,
             )
-        elif verdict.kind == "timeout":
-            result = AssertResult(info.line, info.text, "timeout")
-        elif verdict.kind == "unknown":
-            result = AssertResult(info.line, info.text, "unknown", detail=verdict.detail)
-        else:
-            result = AssertResult(info.line, info.text, "error", detail=verdict.detail)
-        result.time_seconds = elapsed
-        report.asserts.append(result)
+        )
     return report
 
 
@@ -130,8 +106,6 @@ def verify_source(
     solver_cmd: str | None = None,
     timeout: float = 60.0,
     unroll: int | None = None,
-    collect_smt: bool = False,
-    emit_ir: bool = False,
 ) -> VerifyReport:
     report = VerifyReport()
     try:
@@ -142,6 +116,7 @@ def verify_source(
     except (ParseError, ResolveError) as e:
         report.error = str(e)
         return report
+    report.contract = contract
     report.warnings = list(contract.warnings)
     for fn in contract.all_functions():
         try:
@@ -152,8 +127,5 @@ def verify_source(
         except SolmemError as e:
             report.error = f"{fn.name}: {e}"
             return report
-        fn_report = verify_translated(tf, solver_cmd, timeout, collect_smt)
-        if emit_ir:
-            fn_report.ir_text = format_program(tf.program)
-        report.functions.append(fn_report)
+        report.functions.append(verify_translated(tf, solver_cmd, timeout))
     return report

@@ -1,0 +1,137 @@
+"""Driver behaviour around the solver boundary, without a real solver.
+
+A stub solver (`stub_solver.py`) answers fixed verdicts or garbage and
+logs one line per launch. A solver that cannot be found, launched or
+smoke-tested must give the outcome `error` and exit code 2, and must be
+launched only once per run.
+"""
+
+import json
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from solmem.cli import main
+from solmem.harness import OUTCOMES, render_table, run_corpus, run_test
+from solmem.verify import AssertResult, FunctionReport, VerifyReport
+
+STUB = Path(__file__).parent / "stub_solver.py"
+SRC = Path(__file__).parent.parent / "src"
+
+HOLDS = "contract C { int x; constructor() { x = 1; assert(x == 1); } }"
+FAILS = "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }"
+
+
+def _stub(answers: str, log: Path) -> str:
+    return shlex.join([sys.executable, str(STUB), answers, str(log)])
+
+
+def _launches(log: Path) -> int:
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+def _write(root: Path, cls: str, name: str, text: str) -> Path:
+    (root / cls).mkdir(parents=True, exist_ok=True)
+    path = root / cls / name
+    path.write_text(text)
+    return path
+
+
+def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_path, capsys):
+    corpus, log, report = tmp_path / "corpus", tmp_path / "launches.log", tmp_path / "report.json"
+    _write(corpus, "storage", "a.sol", HOLDS)
+    _write(corpus, "storage", "b.sol", FAILS)
+    _write(corpus, "delete", "c.sol", HOLDS)
+    code = main(["corpus", str(corpus), "--solver-cmd", _stub("garbage", log),
+                 "--jobs", "3", "--json", str(report)])
+    assert code == 2
+    payload = json.loads(report.read_text())
+    assert payload["schema"] == 1
+    observed = [t["observed"] for c in payload["classes"].values() for t in c["tests"]]
+    assert observed == ["error"] * 3
+    assert sum(c["error"] for c in payload["classes"].values()) == 3
+    assert "smoke test failed" in capsys.readouterr().out
+    assert _launches(log) == 1
+
+
+def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys):
+    log, report = tmp_path / "launches.log", tmp_path / "fuzz.json"
+    code = main(["fuzz", "--count", "2", "--budget", "4", "--jobs", "2",
+                 "--solver-cmd", _stub("garbage", log), "--json", str(report)])
+    assert code == 2
+    assert "0 disagreements" in capsys.readouterr().out
+    seeds = json.loads(report.read_text())["seeds"]
+    assert [s["observed"] for s in seeds] == ["error", "error"]
+    assert not any(s["agreed"] for s in seeds)
+    assert _launches(log) == 1
+
+
+def test_always_unsat_solver_grades_against_expectations(tmp_path):
+    log = tmp_path / "launches.log"
+    holds = _write(tmp_path, "init", "holds.sol", HOLDS)
+    fails = _write(tmp_path, "init", "fails.sol", FAILS)
+    solver = _stub("unsat", log)
+    assert run_test(holds, solver_cmd=solver).observed == "correct"
+    outcome = run_test(fails, solver_cmd=solver)
+    assert outcome.observed == "incorrect"
+    assert "expected fails, verifier says holds" in outcome.detail
+    assert _launches(log) == 3  # one smoke query, then one query per assert
+
+
+def test_solver_error_wins_over_a_counterexample(tmp_path, capsys):
+    log = tmp_path / "launches.log"
+    f = tmp_path / "t.sol"
+    f.write_text("contract C { int x; constructor() { assert(x == 1); assert(x == 2); } }")
+    # smoke query, then a counterexample, then a verdict the client cannot read
+    assert main(["verify", str(f), "--solver-cmd", _stub("unsat,sat,garbage", log)]) == 2
+    out = capsys.readouterr().out
+    assert ": counterexample" in out and ": error" in out
+
+
+def test_exit_code_ranks_error_over_counterexample_over_verified():
+    def report(*verdicts):
+        asserts = [AssertResult(i, "x", v) for i, v in enumerate(verdicts)]
+        return VerifyReport(functions=[FunctionReport("f", asserts)])
+
+    assert report("verified").exit_code() == 0
+    assert report("verified", "counterexample").exit_code() == 1
+    assert report("counterexample", "error").exit_code() == 2
+    assert report("verified", "timeout").exit_code() == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "corpus/storage/deep_copy_independence.sol"],
+     ["corpus", "corpus"],
+     ["fuzz", "--count", "1", "--budget", "4", "--jobs", "1"]],
+    ids=["verify", "corpus", "fuzz"],
+)
+def test_no_solver_on_path_exits_2_without_traceback(args):
+    env = {"PATH": "", "PYTHONPATH": str(SRC)}  # and no SOLMEM_SOLVER
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", *args], cwd=SRC.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "no SMT solver found" in proc.stdout
+
+
+def test_table_columns_sum_to_each_class_total(tmp_path):
+    _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
+    _write(tmp_path, "init", "loops.sol", "contract C { function f() { while (true) {} } }")
+    _write(tmp_path, "delete", "loops.sol", "contract C { function f() { for (;;) {} } }")
+    (tmp_path / "storage").mkdir()
+    table = render_table(run_corpus(tmp_path, jobs=1))
+    header = table.splitlines()[0].split()
+    assert all(o in header for o in OUTCOMES)
+    rows = [re.match(r"(\S+) \((\d+)\)\s+([\d\s.]+)$", line) for line in table.splitlines()]
+    rows = [r for r in rows if r]
+    assert [r.group(1) for r in rows] == ["delete", "init", "storage"]
+    for r in rows:
+        *counts, _seconds = r.group(3).split()
+        assert len(counts) == len(OUTCOMES)
+        assert sum(map(int, counts)) == int(r.group(2))
+    assert "init (2)" in table
