@@ -32,11 +32,14 @@ from .verify import VerifyReport, verify_source
 REPORT_SCHEMA = 1
 
 # Every outcome a corpus test or fuzz seed can have. `error` means the
-# solver could not be found, launched or smoke-tested.
+# solver could not be found, launched or smoke-tested, or a VC was too
+# deep to print.
 OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
 
 _EXPECT_RE = re.compile(r"//\s*expect:\s*(holds|fails)\b")
 _ASSERT_RE = re.compile(r"\bassert\s*\(")
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)  # as the lexer reads comments
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
 @dataclass
@@ -50,19 +53,18 @@ class TestOutcome:
 
 def parse_expectations(text: str) -> dict[int, str]:
     """Map an assert's line number to holds/fails. An `//expect:` comment
-    applies to the next assert at or below it; asserts without one hold."""
+    applies to the next assert at or below it; asserts without one hold.
+    Only asserts outside comments count, on lines numbered as the lexer
+    numbers them."""
+    code = _COMMENT_RE.sub(lambda m: _NOT_NEWLINE_RE.sub(" ", m.group()), text)
     expectations: dict[int, str] = {}
     pending: str | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, (line, code_line) in enumerate(zip(text.split("\n"), code.split("\n")), start=1):
         m = _EXPECT_RE.search(line)
         if m:
             pending = m.group(1)
-            # an expectation and its assert may share a line
-            if _ASSERT_RE.search(line.split("//")[0]):
-                expectations[lineno] = pending
-                pending = None
-            continue
-        if _ASSERT_RE.search(line):
+        # an expectation and its assert may share a line
+        if _ASSERT_RE.search(code_line):
             expectations[lineno] = pending or "holds"
             pending = None
     return expectations

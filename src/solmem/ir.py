@@ -256,6 +256,14 @@ class SmtProgram:
     datatypes: dict[str, DatatypeDef] = field(default_factory=dict)
     decls: dict[str, IrType] = field(default_factory=dict)
     stmts: list[IrStmt] = field(default_factory=list)
+    # Memos for the program's lifetime; never compared, printed or copied.
+    # `conjuncts` is vcgen's walk of `stmts` with the statements it was made
+    # from; `printed` maps a conjunct's id to (conjunct, SMT-LIB text), and
+    # holding the node keeps its id from being reused.
+    conjuncts: tuple[list[IrStmt], list[IrExpr], list[int]] | None = field(
+        default=None, compare=False, repr=False
+    )
+    printed: dict[int, tuple[IrExpr, str]] = field(default_factory=dict, compare=False, repr=False)
 
     def add_datatype(self, dt: DatatypeDef) -> None:
         if self.datatypes.setdefault(dt.name, dt) != dt:

@@ -5,6 +5,10 @@ single-constructor datatypes (selectors are prefixed with the datatype
 name to keep them globally unique), `declare-const` per variable, one
 `assert`, `check-sat`, and `get-model`. Constant arrays use the standard
 `as const` form. No quantifiers are ever emitted.
+
+The VCs of one program share their conjuncts (see `vcgen`). The text of
+each conjunct is printed once per program and kept on it; every script
+is assembled from those strings and joined once.
 """
 
 from __future__ import annotations
@@ -118,16 +122,36 @@ def datatype_block(program: SmtProgram) -> str:
     return f"(declare-datatypes ({heads}) ({' '.join(bodies)}))"
 
 
+def _print_conjunction(e: IrExpr, printed: dict[int, tuple[IrExpr, str]], out: list[str]) -> None:
+    """Append the text of `e` to `out`: one frame per `and` down the left
+    spine, and each conjunct's text from `printed`."""
+    if isinstance(e, BinOp) and e.op == "and":
+        out.append("(and ")
+        _print_conjunction(e.left, printed, out)
+        out.append(" ")
+        out.append(_conjunct_text(e.right, printed))
+        out.append(")")
+    else:
+        out.append(_conjunct_text(e, printed))
+
+
+def _conjunct_text(e: IrExpr, printed: dict[int, tuple[IrExpr, str]]) -> str:
+    entry = printed.get(id(e))
+    if entry is None:
+        entry = printed[id(e)] = (e, expr_to_sexpr(e))
+    return entry[1]
+
+
 def emit_smtlib(program: SmtProgram, formula: IrExpr) -> str:
     """Complete SMT-LIB session checking satisfiability of `formula` over
     the program's datatypes and declarations."""
-    lines = ["(set-logic ALL)"]
+    out = ["(set-logic ALL)\n"]
     block = datatype_block(program)
     if block:
-        lines.append(block)
+        out.append(block + "\n")
     for name, ty in program.decls.items():
-        lines.append(f"(declare-const {name} {sort_of(ty)})")
-    lines.append(f"(assert {expr_to_sexpr(formula)})")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+        out.append(f"(declare-const {name} {sort_of(ty)})\n")
+    out.append("(assert ")
+    _print_conjunction(formula, program.printed, out)
+    out.append(")\n(check-sat)\n(get-model)\n")
+    return "".join(out)

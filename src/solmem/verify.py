@@ -55,8 +55,8 @@ class VerifyReport:
     contract: Contract | None = None  # the resolved contract, when it resolved
 
     def exit_code(self) -> int:
-        """0 all verified, 1 a counterexample, 2 anything else; a solver
-        error wins over a counterexample."""
+        """0 all verified, 1 a counterexample, 2 anything else; an `error`
+        verdict wins over a counterexample."""
         verdicts = {a.verdict for f in self.functions for a in f.asserts}
         if "error" in verdicts or self.error is not None:
             return 2
@@ -84,7 +84,13 @@ def verify_translated(
     report = FunctionReport(tf.name, program=tf.program)
     ssa = to_ssa(normalize_lhs(tf.program))
     for info in tf.asserts:
-        script = emit_smtlib(ssa.program, vc_gen(ssa.program, info.ordinal))
+        formula = vc_gen(ssa.program, info.ordinal)
+        try:
+            script = emit_smtlib(ssa.program, formula)
+        except RecursionError:
+            detail = "verification condition nested too deeply to print (RecursionError)"
+            report.asserts.append(AssertResult(info.line, info.text, "error", detail=detail))
+            continue
         report.smt_scripts.append(script)
         start = time.monotonic()
         verdict = query(script, timeout, solver_cmd)

@@ -30,6 +30,15 @@ def test_parse_expectations_attach_to_next_assert():
     assert expectations == {3: "holds", 5: "fails", 6: "holds"}
 
 
+def test_parse_expectations_skip_asserts_in_comments():
+    text = """//expect: fails
+// assert(false);
+x = 1; /* assert(x == 2); */
+assert(x == 2);
+"""
+    assert parse_expectations(text) == {4: "fails"}
+
+
 def _write(tmp_path: Path, cls: str, name: str, text: str) -> Path:
     d = tmp_path / cls
     d.mkdir(parents=True, exist_ok=True)
