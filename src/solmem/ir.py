@@ -259,11 +259,15 @@ class SmtProgram:
     # Memos for the program's lifetime; never compared, printed or copied.
     # `conjuncts` is vcgen's walk of `stmts` with the statements it was made
     # from; `printed` maps a conjunct's id to (conjunct, SMT-LIB text), and
-    # holding the node keeps its id from being reused.
+    # holding the node keeps its id from being reused; `header` is the
+    # SMT-LIB header with the datatypes and declarations it was printed from.
     conjuncts: tuple[list[IrStmt], list[IrExpr], list[int]] | None = field(
         default=None, compare=False, repr=False
     )
     printed: dict[int, tuple[IrExpr, str]] = field(default_factory=dict, compare=False, repr=False)
+    header: tuple[dict[str, DatatypeDef], dict[str, IrType], str] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def add_datatype(self, dt: DatatypeDef) -> None:
         if self.datatypes.setdefault(dt.name, dt) != dt:

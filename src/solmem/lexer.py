@@ -89,7 +89,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # "ident" | "number" | "keyword" | "symbol" | "eof"
     value: str

@@ -7,6 +7,20 @@ Constructs from full Solidity outside the fragment (loops, if, returns,
 inheritance, ...) are reported as unsupported, never skipped. Leading
 `pragma` directives and function-header visibility/mutability modifiers
 are ignored with a warning.
+
+The parser holds the current token in `tok` and reads it directly;
+`peek(offset)` looks further ahead only to tell a declaration from an
+expression statement. Binary operators are parsed by one
+precedence-climbing loop over `_BINARY_PREC`, all left-associative:
+
+    1  ||
+    2  &&
+    3  ==  !=
+    4  <  <=  >  >=
+    5  +  -
+
+Prefix `!` and `-` bind tighter, and postfix `.member` and `[index]`
+tighter still. `c ? x : y` is the loosest form and nests to the right.
 """
 
 from __future__ import annotations
@@ -51,26 +65,33 @@ from .sol_ast import (
 
 _VALUE_TYPES = {"address": ADDRESS, "int": INT, "uint": UINT, "bool": BOOL}
 
+# Binding power of the binary operators, all left-associative. `*`, `/`
+# and `%` are outside the fragment: absent here, they end an expression.
+_BINARY_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4, "+": 5, "-": 5}
+
 
 class Parser:
     def __init__(self, text: str, line: int = 1, col: int = 1):
         self.tokens = tokenize(text, line, col)
         self.pos = 0
+        self.last = len(self.tokens) - 1  # the eof token
+        self.tok = self.tokens[0]
         self.warnings: list[str] = []
 
     # -- token plumbing -------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self, offset: int) -> Token:
+        return self.tokens[min(self.pos + offset, self.last)]
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        tok = self.tok
+        if self.pos < self.last:
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok.kind == kind and (value is None or tok.value == value)
 
     def accept(self, kind: str, value: str | None = None) -> Token | None:
@@ -79,21 +100,18 @@ class Parser:
         return None
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
         if not self.at(kind, value):
-            self._reject(tok, expected=value or kind)
+            self._reject(expected=value or kind)
         return self.next()
 
-    def _reject(self, tok: Token, expected: str) -> None:
-        if tok.kind == "ident" and tok.value in UNSUPPORTED_KEYWORDS:
-            raise UnsupportedError(
-                f"unsupported: {UNSUPPORTED_KEYWORDS[tok.value]}", tok.line, tok.col
-            )
+    def _reject(self, expected: str) -> None:
+        self._check_unsupported()
+        tok = self.tok
         shown = tok.value or "end of input"
         raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
 
     def _check_unsupported(self) -> None:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident" and tok.value in UNSUPPORTED_KEYWORDS:
             raise UnsupportedError(
                 f"unsupported: {UNSUPPORTED_KEYWORDS[tok.value]}", tok.line, tok.col
@@ -102,7 +120,7 @@ class Parser:
     # -- types -----------------------------------------------------------
 
     def parse_type(self) -> SolType:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "keyword" and tok.value in _VALUE_TYPES:
             self.next()
             base: SolType = _VALUE_TYPES[tok.value]
@@ -119,7 +137,7 @@ class Parser:
             self.next()
             base = StructType(tok.value)
         else:
-            self._reject(tok, expected="type")
+            self._reject(expected="type")
         while self.at("symbol", "["):
             self.next()
             if self.accept("symbol", "]"):
@@ -131,7 +149,7 @@ class Parser:
         return base
 
     def _looks_like_type(self) -> bool:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "keyword" and (tok.value in _VALUE_TYPES or tok.value == "mapping"):
             return True
         if tok.kind != "ident":
@@ -163,10 +181,8 @@ class Parser:
                 self.next()
             self.expect("symbol", ";")
             self.warnings.append(f"{tok.line}: pragma directive ignored")
-        self._check_unsupported()
         self.expect("keyword", "contract")
         name = self.expect("ident").value
-        self._check_unsupported()
         self.expect("symbol", "{")
         structs: list[StructDef] = []
         while self.at("keyword", "struct"):
@@ -180,8 +196,6 @@ class Parser:
         functions: list[Function] = []
         while self.at("keyword", "function"):
             functions.append(self.parse_function(is_constructor=False))
-        if not self.at("symbol", "}"):
-            self._check_unsupported()
         self.expect("symbol", "}")
         self.expect("eof")
         return Contract(name, structs, state_vars, constructor, functions, self.warnings)
@@ -202,7 +216,6 @@ class Parser:
         return StructDef(name, members, tok.line)
 
     def parse_state_var(self) -> StateVar:
-        self._check_unsupported()
         ty = self.parse_type()
         tok = self.expect("ident")
         self.expect("symbol", ";")
@@ -234,7 +247,7 @@ class Parser:
         return Function(name, params, returns, body, is_constructor, tok.line)
 
     def _skip_modifiers(self) -> None:
-        while self.peek().kind == "ident" and self.peek().value in IGNORED_MODIFIERS:
+        while self.tok.kind == "ident" and self.tok.value in IGNORED_MODIFIERS:
             tok = self.next()
             self.warnings.append(f"{tok.line}: ignoring modifier '{tok.value}'")
 
@@ -258,8 +271,7 @@ class Parser:
     # -- statements --------------------------------------------------------
 
     def parse_stmt(self) -> Stmt:
-        self._check_unsupported()
-        tok = self.peek()
+        tok = self.tok
         if self.at("keyword", "delete"):
             self.next()
             target = self.parse_expr()
@@ -293,7 +305,7 @@ class Parser:
             rhs = self.parse_expr()
             self.expect("symbol", ";")
             return AssignStmt([expr], [rhs], tuple_form=False, line=tok.line)
-        self._reject(self.peek(), expected="'=' or ';'")
+        self._reject(expected="'=' or ';'")
         raise AssertionError("unreachable")
 
     def parse_tuple_assign(self) -> Stmt:
@@ -312,7 +324,7 @@ class Parser:
         return AssignStmt(lhs, rhs, tuple_form=True, line=tok.line)
 
     def parse_decl(self) -> Stmt:
-        tok = self.peek()
+        tok = self.tok
         ty = self.parse_type()
         data_loc = None
         if self.at("keyword", "storage") or self.at("keyword", "memory"):
@@ -327,10 +339,7 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.parse_conditional()
-
-    def parse_conditional(self) -> Expr:
-        cond = self.parse_or()
+        cond = self.parse_binary(1)
         if self.accept("symbol", "?"):
             then = self.parse_expr()
             self.expect("symbol", ":")
@@ -338,68 +347,39 @@ class Parser:
             return CondExpr(cond, then, other, line=cond.line, col=cond.col)
         return cond
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at("symbol", "||"):
-            op = self.next()
-            right = self.parse_and()
-            left = BinExpr("||", left, right, line=op.line, col=op.col)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.at("symbol", "&&"):
-            op = self.next()
-            right = self.parse_equality()
-            left = BinExpr("&&", left, right, line=op.line, col=op.col)
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
-        while self.at("symbol", "==") or self.at("symbol", "!="):
-            op = self.next()
-            right = self.parse_relational()
-            left = BinExpr(op.value, left, right, line=op.line, col=op.col)
-        return left
-
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while self.peek().kind == "symbol" and self.peek().value in ("<", "<=", ">", ">="):
-            op = self.next()
-            right = self.parse_additive()
-            left = BinExpr(op.value, left, right, line=op.line, col=op.col)
-        return left
-
-    def parse_additive(self) -> Expr:
+    def parse_binary(self, min_prec: int) -> Expr:
+        """Precedence climbing: a unary operand, then every operator that
+        binds at least `min_prec`. Its right operand takes only tighter
+        operators, so equal levels group to the left."""
         left = self.parse_unary()
-        while self.peek().kind == "symbol" and self.peek().value in ("+", "-"):
-            op = self.next()
-            right = self.parse_unary()
+        while True:
+            op = self.tok
+            prec = _BINARY_PREC.get(op.value, 0)  # only symbols spell operators
+            if prec < min_prec:
+                return left
+            self.next()
+            right = self.parse_binary(prec + 1)
             left = BinExpr(op.value, left, right, line=op.line, col=op.col)
-        return left
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if self.at("symbol", "!"):
-            self.next()
-            return UnExpr("!", self.parse_unary(), line=tok.line, col=tok.col)
-        if self.at("symbol", "-"):
-            self.next()
-            return UnExpr("-", self.parse_unary(), line=tok.line, col=tok.col)
-        if self.peek().kind == "symbol" and self.peek().value in ("*", "/", "%"):
-            raise UnsupportedError(
-                f"unsupported: operator {self.peek().value}", tok.line, tok.col
-            )
+        tok = self.tok
+        if tok.kind == "symbol":
+            if tok.value == "!" or tok.value == "-":
+                self.next()
+                return UnExpr(tok.value, self.parse_unary(), line=tok.line, col=tok.col)
+            if tok.value in ("*", "/", "%"):
+                raise UnsupportedError(f"unsupported: operator {tok.value}", tok.line, tok.col)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
         while True:
-            if self.at("symbol", "."):
+            value = self.tok.value  # only symbols spell "." and "["
+            if value == ".":
                 self.next()
                 member = self.expect("ident").value
                 expr = MemberExpr(expr, member, line=expr.line, col=expr.col)
-            elif self.at("symbol", "["):
+            elif value == "[":
                 self.next()
                 index = self.parse_expr()
                 self.expect("symbol", "]")
@@ -408,14 +388,14 @@ class Parser:
                 return expr
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "number":
             self.next()
             return IntLitExpr(int(tok.value), line=tok.line, col=tok.col)
-        if self.at("keyword", "true") or self.at("keyword", "false"):
+        if tok.kind == "keyword" and (tok.value == "true" or tok.value == "false"):
             self.next()
             return BoolLitExpr(tok.value == "true", line=tok.line, col=tok.col)
-        if self.at("keyword", "new"):
+        if tok.kind == "keyword" and tok.value == "new":
             self.next()
             elem = self.parse_type()
             if not isinstance(elem, DynArrayType):
@@ -446,7 +426,7 @@ class Parser:
             inner = self.parse_expr()
             self.expect("symbol", ")")
             return inner
-        self._reject(tok, expected="expression")
+        self._reject(expected="expression")
         raise AssertionError("unreachable")
 
 

@@ -7,8 +7,9 @@ name to keep them globally unique), `declare-const` per variable, one
 `as const` form. No quantifiers are ever emitted.
 
 The VCs of one program share their conjuncts (see `vcgen`). The text of
-each conjunct is printed once per program and kept on it; every script
-is assembled from those strings and joined once.
+each conjunct, and the header of datatypes and declarations, is printed
+once per program and kept on it; every script is assembled from those
+strings and joined once.
 """
 
 from __future__ import annotations
@@ -142,16 +143,25 @@ def _conjunct_text(e: IrExpr, printed: dict[int, tuple[IrExpr, str]]) -> str:
     return entry[1]
 
 
+def _header(program: SmtProgram) -> str:
+    """`set-logic`, the datatypes and the declarations, kept on the program
+    and printed again only when `datatypes` or `decls` has changed."""
+    memo = program.header
+    if memo is None or memo[0] != program.datatypes or memo[1] != program.decls:
+        out = ["(set-logic ALL)\n"]
+        block = datatype_block(program)
+        if block:
+            out.append(block + "\n")
+        for name, ty in program.decls.items():
+            out.append(f"(declare-const {name} {sort_of(ty)})\n")
+        memo = program.header = (dict(program.datatypes), dict(program.decls), "".join(out))
+    return memo[2]
+
+
 def emit_smtlib(program: SmtProgram, formula: IrExpr) -> str:
     """Complete SMT-LIB session checking satisfiability of `formula` over
     the program's datatypes and declarations."""
-    out = ["(set-logic ALL)\n"]
-    block = datatype_block(program)
-    if block:
-        out.append(block + "\n")
-    for name, ty in program.decls.items():
-        out.append(f"(declare-const {name} {sort_of(ty)})\n")
-    out.append("(assert ")
+    out = [_header(program), "(assert "]
     _print_conjunction(formula, program.printed, out)
     out.append(")\n(check-sat)\n(get-model)\n")
     return "".join(out)

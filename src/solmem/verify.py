@@ -122,6 +122,9 @@ def verify_source(
     except (ParseError, ResolveError) as e:
         report.error = str(e)
         return report
+    except RecursionError:
+        report.error = "source nested too deeply to parse and resolve (RecursionError)"
+        return report
     report.contract = contract
     report.warnings = list(contract.warnings)
     for fn in contract.all_functions():
@@ -132,6 +135,9 @@ def verify_source(
             continue
         except SolmemError as e:
             report.error = f"{fn.name}: {e}"
+            return report
+        except RecursionError:
+            report.error = f"{fn.name}: expression nested too deeply to translate (RecursionError)"
             return report
         report.functions.append(verify_translated(tf, solver_cmd, timeout))
     return report

@@ -1,14 +1,19 @@
 """Lexer, parser, resolver: fragment coverage, annotations, round-trips."""
 
+import shlex
+import subprocess
+import sys
+
 import pytest
 from pathlib import Path
 
 from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP
+from solmem import verify
 from solmem.errors import ParseError, ResolveError, UnsupportedError
 from solmem.generator import random_program
 from solmem.lexer import tokenize
 from solmem.parser import parse_source, parse_statement
-from solmem.printer import signature, to_source
+from solmem.printer import expr_to_source, signature, to_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
     BOOL,
@@ -20,6 +25,8 @@ from solmem.sol_ast import (
     StructType,
     type_of,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def compile_source(text):
@@ -114,6 +121,76 @@ def test_parse_statement_takes_exactly_one_at_its_file_position():
         parse_statement("x = 1; y = 2;", line=12, col=9)
     with pytest.raises(ParseError, match="3:6: expected ;"):
         parse_statement("x = 1", line=3)
+
+
+@pytest.mark.parametrize("expr, grouped, col", [
+    ("a - b - c", "((a - b) - c)", 11),
+    ("a - b + c", "((a - b) + c)", 11),
+    ("a || b && c", "(a || (b && c))", 7),
+    ("a == b < c", "(a == (b < c))", 7),
+    ("!a == b", "((!a) == b)", 8),
+    ("-a + b", "((-a) + b)", 8),
+    ("x ? y : z ? w : v", "(x ? y : (z ? w : v))", 5),
+])
+def test_operator_precedence_and_associativity(expr, grouped, col):
+    rhs = parse_statement(f"x = {expr};").rhs[0]
+    assert expr_to_source(rhs) == grouped
+    assert (rhs.line, rhs.col) == (1, col)  # the loosest operator's token
+
+
+def test_multiplicative_operators_are_rejected_where_they_stand():
+    with pytest.raises(ParseError, match=r"^1:3: expected '=' or ';', found '\*'$"):
+        parse_statement("a * b;")
+    with pytest.raises(ParseError, match=r"^1:7: expected ;, found '%'$"):
+        parse_statement("x = a % b;")
+    with pytest.raises(UnsupportedError, match=r"^1:1: unsupported: operator \*$"):
+        parse_statement("* a;")
+    with pytest.raises(UnsupportedError, match=r"^1:5: unsupported: operator /$"):
+        parse_statement("x = / a;")
+
+
+def _verify_nested(tmp_path, depth):
+    """`solmem verify` on a constructor assigning `1` inside `depth`
+    parentheses, with a stub solver that answers unsat; the process and
+    the stub's launch log."""
+    path, log = tmp_path / "deep.sol", tmp_path / "launches.log"
+    path.write_text(
+        "contract C {\n    int x;\n    constructor() {\n"
+        f"        x = {'(' * depth}1{')' * depth};\n        assert(x == 1);\n    }}\n}}\n"
+    )
+    stub = shlex.join([sys.executable, str(ROOT / "tests" / "stub_solver.py"), "unsat", str(log)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "solmem.cli", "verify", str(path), "--solver-cmd", stub],
+        cwd=ROOT, env={"PATH": "", "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc, log
+
+
+def test_expression_150_parentheses_deep_reaches_the_solver(tmp_path):
+    proc, log = _verify_nested(tmp_path, 150)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "assert((x == 1)): verified" in proc.stdout
+    assert log.exists()
+
+
+def test_expression_too_deep_to_parse_is_an_error(tmp_path):
+    proc, log = _verify_nested(tmp_path, 400)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(": error: source nested too deeply to parse and resolve (RecursionError)\n")
+    assert proc.stdout.count("\n") == 1
+    assert not log.exists()
+
+
+def test_translation_too_deep_is_an_error(monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(verify, "translate_function", too_deep)
+    report = verify.verify_source("contract C { int x; constructor() { x = 1; assert(x == 1); } }")
+    assert report.error == "constructor: expression nested too deeply to translate (RecursionError)"
+    assert report.exit_code() == 2
 
 
 def test_new_array_only_dynamic():
@@ -251,7 +328,7 @@ def test_type_of_requires_resolution():
         type_of(c.functions[0].body[0].init)
 
 
-CORPUS = Path(__file__).parent.parent / "corpus"
+CORPUS = ROOT / "corpus"
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.sol")), ids=lambda p: p.parent.name + "/" + p.name)

@@ -5,6 +5,8 @@ conjunct once, keeping the text on the program. The scripts must not
 depend on the order or the number of emissions, must follow changes to
 the program's statements, and must stay within the interpreter's frame
 budget on long programs. A VC too deep to print is an `error`, exit 2.
+The header of datatypes and declarations is kept the same way and must
+follow `declare` and `add_datatype`.
 """
 
 import subprocess
@@ -80,6 +82,19 @@ def test_scripts_follow_new_and_replaced_statements():
     assert [_script(program, i) for i in range(count + 1)] == [
         _script(_fresh(program), i) for i in range(count + 1)
     ]
+
+
+def test_header_follows_new_declarations_and_datatypes():
+    program, count = _constructor(stress_source(60, 20))
+    first = _script(program, 0)
+    assert "(declare-const fresh_var Int)" not in first
+    program.declare("fresh_var", ir.INT)
+    assert "(declare-const fresh_var Int)\n" in _script(program, 0)
+    program.add_datatype(ir.DatatypeDef("Fresh_T", (("m", ir.INT),)))
+    script = _script(program, 0)
+    assert "(Fresh_T 0)" in script and "(Fresh_T.m Int)" in script
+    assert script == _script(_fresh(program), 0)
+    assert _fresh(program).header is None and program.copy_shell().header is None
 
 
 def test_700_statement_constructor_prints_every_script():
