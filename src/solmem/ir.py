@@ -8,7 +8,18 @@ conditionals, linear integer arithmetic, comparisons, and boolean
 connectives. Assignment left-hand sides may temporarily be composite
 (array read / member select / ite); `normalize` rewrites them away.
 
-All nodes are immutable; transformations build new programs.
+Invariant: no expression or statement node is changed after it is built.
+Transformations build new nodes and new programs, and share the nodes
+they keep, so one node may sit in many programs and VCs. The nodes are
+plain slotted records rather than frozen dataclasses because the
+pipeline is mostly node construction (over 400,000 nodes per pass of
+the benchmark's stress workload), and a frozen node costs 2.5-5 times as
+much to build, since its `__init__` sets every field through
+`object.__setattr__` (a `BinOp` took 1.2 µs frozen and 0.45 µs slotted
+on Python 3.11). `tests/test_stage_purity.py` checks the invariant
+for every stage after translation. Nodes compare by value but are
+unhashable, so a memo keys a node by `id()` and holds the node, which
+keeps the id from being reused while the entry lives.
 """
 
 from __future__ import annotations
@@ -82,40 +93,40 @@ class DatatypeDef:
 # Expressions
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IrExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ident(IrExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntLit(IrExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoolLit(IrExpr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrayRead(IrExpr):
     array: IrExpr
     index: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrayWrite(IrExpr):
     array: IrExpr
     index: IrExpr
     value: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstArray(IrExpr):
     """Total array equal to `value` at every index."""
 
@@ -124,7 +135,7 @@ class ConstArray(IrExpr):
     value: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Construct(IrExpr):
     """Datatype constructor application."""
 
@@ -132,7 +143,7 @@ class Construct(IrExpr):
     args: tuple[IrExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Select(IrExpr):
     """Datatype member selector. `datatype` names the base's type."""
 
@@ -141,14 +152,14 @@ class Select(IrExpr):
     datatype: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ite(IrExpr):
     cond: IrExpr
     then: IrExpr
     other: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp(IrExpr):
     """op is one of + - == != < <= > >= and or"""
 
@@ -157,7 +168,7 @@ class BinOp(IrExpr):
     right: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UnOp(IrExpr):
     """op is one of not neg"""
 
@@ -214,30 +225,30 @@ def conjoin(exprs: list[IrExpr]) -> IrExpr:
 # Statements
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IrStmt:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assign(IrStmt):
     lhs: IrExpr
     rhs: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IfStmt(IrStmt):
     cond: IrExpr
     then: tuple[IrStmt, ...]
     other: tuple[IrStmt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assume(IrStmt):
     cond: IrExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assert(IrStmt):
     cond: IrExpr
     # carries the source position for reporting; not part of semantics
@@ -257,11 +268,12 @@ class SmtProgram:
     decls: dict[str, IrType] = field(default_factory=dict)
     stmts: list[IrStmt] = field(default_factory=list)
     # Memos for the program's lifetime; never compared, printed or copied.
-    # `conjuncts` is vcgen's walk of `stmts` with the statements it was made
-    # from; `printed` maps a conjunct's id to (conjunct, SMT-LIB text), and
-    # holding the node keeps its id from being reused; `header` is the
-    # SMT-LIB header with the datatypes and declarations it was printed from.
-    conjuncts: tuple[list[IrStmt], list[IrExpr], list[int]] | None = field(
+    # `conjuncts` is vcgen's walk of `stmts` (conjuncts, assert positions and
+    # prefix chain) with the statements it was made from; `printed` maps a
+    # conjunct's id to (conjunct, SMT-LIB text), and holding the node keeps
+    # its id from being reused; `header` is the SMT-LIB header with the
+    # datatypes and declarations it was printed from.
+    conjuncts: tuple[list[IrStmt], list[IrExpr], list[int], list[IrExpr]] | None = field(
         default=None, compare=False, repr=False
     )
     printed: dict[int, tuple[IrExpr, str]] = field(default_factory=dict, compare=False, repr=False)

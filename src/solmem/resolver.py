@@ -481,29 +481,36 @@ class Resolver:
         e.loc = Loc.MEMORY if Loc.MEMORY in (t.loc, f.loc) else Loc.STORPTR
 
     def _resolve_binop(self, e: BinExpr, scope: Scope) -> None:
-        self._resolve_expr(e.left, scope)
-        self._resolve_expr(e.right, scope)
-        lt, rt = e.left.ty, e.right.ty
-        op = e.op
-        if op in ("&&", "||"):
-            if lt != BOOL or rt != BOOL:
-                raise ResolveError(f"{op} requires boolean operands", e.line)
-            e.ty = BOOL
-        elif op in ("+", "-"):
-            if not (is_integerish(lt) and is_integerish(rt)):
-                raise ResolveError(f"{op} requires integer operands", e.line)
-            e.ty = lt if lt == rt else INT
-        elif op in ("<", "<=", ">", ">="):
-            if not (is_integerish(lt) and is_integerish(rt)):
-                raise ResolveError(f"{op} requires integer operands", e.line)
-            e.ty = BOOL
-        elif op in ("==", "!="):
-            if not (is_value_type(lt) and is_value_type(rt) and value_compatible(lt, rt)):
-                raise ResolveError("comparison requires compatible value types", e.line)
-            e.ty = BOOL
-        else:
-            raise ResolveError(f"unknown operator {op}", e.line)
-        e.loc = Loc.VALUE
+        # The parser builds `a + b + c` left-nested, so walk the left spine
+        # with a loop and check it bottom-up: a long chain takes no frame
+        # per operator.
+        spine = [e]
+        while isinstance(spine[-1].left, BinExpr):
+            spine.append(spine[-1].left)
+        self._resolve_expr(spine[-1].left, scope)
+        for b in reversed(spine):
+            self._resolve_expr(b.right, scope)
+            lt, rt = b.left.ty, b.right.ty
+            op = b.op
+            if op in ("&&", "||"):
+                if lt != BOOL or rt != BOOL:
+                    raise ResolveError(f"{op} requires boolean operands", b.line)
+                b.ty = BOOL
+            elif op in ("+", "-"):
+                if not (is_integerish(lt) and is_integerish(rt)):
+                    raise ResolveError(f"{op} requires integer operands", b.line)
+                b.ty = lt if lt == rt else INT
+            elif op in ("<", "<=", ">", ">="):
+                if not (is_integerish(lt) and is_integerish(rt)):
+                    raise ResolveError(f"{op} requires integer operands", b.line)
+                b.ty = BOOL
+            elif op in ("==", "!="):
+                if not (is_value_type(lt) and is_value_type(rt) and value_compatible(lt, rt)):
+                    raise ResolveError("comparison requires compatible value types", b.line)
+                b.ty = BOOL
+            else:
+                raise ResolveError(f"unknown operator {op}", b.line)
+            b.loc = Loc.VALUE
 
 
 def _struct_refs(ty: SolType):

@@ -5,10 +5,12 @@ all assumptions, every assert condition strictly before the target (prior
 checks are taken as established), and the negation of the target. The
 formula is satisfiable exactly when the target assert can fail.
 
-One walk over the program builds its conjuncts; the walk is kept on the
-program and redone only when `stmts` changes. Every VC is a prefix of
-that list plus one negation, so the VCs of a program share their conjunct
-objects and `smtlib.emit_smtlib` prints each definition once per program.
+One walk over the program builds its conjuncts and their left-nested
+prefix chain (`chain[k]` is the conjunction of `parts[:k + 1]`); the walk
+is kept on the program and redone only when `stmts` changes. Every VC is
+a prefix of that chain and one negation, so the VCs of a program share
+their conjunct and chain objects, each VC builds two new nodes, and
+`smtlib.emit_smtlib` prints each definition once per program.
 """
 
 from __future__ import annotations
@@ -22,18 +24,20 @@ from .ir import (
     Ident,
     IrExpr,
     SmtProgram,
+    and_,
     conjoin,
     eq,
     not_,
 )
 
 
-def _conjuncts(program: SmtProgram) -> tuple[list[IrExpr], list[int]]:
+def _conjuncts(program: SmtProgram) -> tuple[list[IrExpr], list[int], list[IrExpr]]:
     """Every definition, assumption and assert condition in program order,
-    and the index of each assert's condition in that list."""
+    the index of each assert's condition in that list, and the prefix
+    chain of the list."""
     memo = program.conjuncts
     if memo is not None and memo[0] == program.stmts:
-        return memo[1], memo[2]
+        return memo[1], memo[2], memo[3]
     parts: list[IrExpr] = []
     positions: list[int] = []
     for s in program.stmts:
@@ -48,18 +52,21 @@ def _conjuncts(program: SmtProgram) -> tuple[list[IrExpr], list[int]]:
         elif isinstance(s, Assert):
             positions.append(len(parts))
             parts.append(s.cond)
-    program.conjuncts = (list(program.stmts), parts, positions)
-    return parts, positions
+    chain = parts[:1]
+    for part in parts[1:]:
+        chain.append(and_(chain[-1], part))
+    program.conjuncts = (list(program.stmts), parts, positions, chain)
+    return parts, positions, chain
 
 
 def vc_gen(program: SmtProgram, assert_index: int) -> IrExpr:
     """Formula whose satisfiability witnesses a failure of assert number
     `assert_index` (0-based, in program order)."""
-    parts, positions = _conjuncts(program)
+    parts, positions, chain = _conjuncts(program)
     if not 0 <= assert_index < len(positions):
         raise IrError(f"assert index {assert_index} out of range")
     pos = positions[assert_index]
-    return conjoin(parts[:pos] + [not_(parts[pos])])
+    return and_(chain[pos - 1], not_(parts[pos])) if pos else not_(parts[0])
 
 
 def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
@@ -68,7 +75,7 @@ def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
     Used for non-aliasing and deep-copy validity checks: conjunction of
     all definitions and assumptions with the negation of pre == post.
     """
-    parts, positions = _conjuncts(program)
+    parts, positions, _ = _conjuncts(program)
     asserted = set(positions)
     kept = [p for i, p in enumerate(parts) if i not in asserted]
     return conjoin(kept + [not_(eq(Ident(pre_name), Ident(post_name)))])

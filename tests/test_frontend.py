@@ -18,6 +18,7 @@ from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
     BOOL,
     INT,
+    BinExpr,
     DeclStmt,
     DynArrayType,
     Loc,
@@ -149,15 +150,16 @@ def test_multiplicative_operators_are_rejected_where_they_stand():
         parse_statement("x = / a;")
 
 
-def _verify_nested(tmp_path, depth):
-    """`solmem verify` on a constructor assigning `1` inside `depth`
-    parentheses, with a stub solver that answers unsat; the process and
-    the stub's launch log."""
+def _deep_source(rhs: str) -> str:
+    """A constructor assigning `rhs` to `x`, then asserting `x == 1`."""
+    return f"contract C {{\n    int x;\n    constructor() {{\n        x = {rhs};\n        assert(x == 1);\n    }}\n}}\n"
+
+
+def _verify_nested(tmp_path, rhs):
+    """`solmem verify` on `_deep_source(rhs)`, with a stub solver that
+    answers unsat; the process and the stub's launch log."""
     path, log = tmp_path / "deep.sol", tmp_path / "launches.log"
-    path.write_text(
-        "contract C {\n    int x;\n    constructor() {\n"
-        f"        x = {'(' * depth}1{')' * depth};\n        assert(x == 1);\n    }}\n}}\n"
-    )
+    path.write_text(_deep_source(rhs))
     stub = shlex.join([sys.executable, str(ROOT / "tests" / "stub_solver.py"), "unsat", str(log)])
     proc = subprocess.run(
         [sys.executable, "-m", "solmem.cli", "verify", str(path), "--solver-cmd", stub],
@@ -168,15 +170,41 @@ def _verify_nested(tmp_path, depth):
     return proc, log
 
 
-def test_expression_150_parentheses_deep_reaches_the_solver(tmp_path):
-    proc, log = _verify_nested(tmp_path, 150)
+def _parenthesized(depth: int) -> str:
+    return "(" * depth + "1" + ")" * depth
+
+
+# A left-nested chain `1 + x + … + x` of 700 terms: the parser and the
+# resolver walk its left spine with a loop, so it needs no frame per term.
+LONG_SUM = " + ".join(["1"] + ["x"] * 699)
+
+
+def _assert_reaches_the_solver(tmp_path, rhs):
+    proc, log = _verify_nested(tmp_path, rhs)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "assert((x == 1)): verified" in proc.stdout
     assert log.exists()
 
 
+def test_expression_150_parentheses_deep_reaches_the_solver(tmp_path):
+    _assert_reaches_the_solver(tmp_path, _parenthesized(150))
+
+
+def test_700_term_sum_reaches_the_solver(tmp_path):
+    _assert_reaches_the_solver(tmp_path, LONG_SUM)
+
+
+def test_700_term_sum_resolves():
+    contract = resolve_and_check(parse_source(_deep_source(LONG_SUM)))
+    e, terms = contract.constructor.body[0].rhs[0], 1
+    while isinstance(e, BinExpr):
+        assert e.ty == INT and e.right.ty == INT and e.right.name == "x"
+        e, terms = e.left, terms + 1
+    assert terms == 700 and e.ty == INT
+
+
 def test_expression_too_deep_to_parse_is_an_error(tmp_path):
-    proc, log = _verify_nested(tmp_path, 400)
+    proc, log = _verify_nested(tmp_path, _parenthesized(400))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout.endswith(": error: source nested too deeply to parse and resolve (RecursionError)\n")
     assert proc.stdout.count("\n") == 1

@@ -6,7 +6,8 @@ depend on the order or the number of emissions, must follow changes to
 the program's statements, and must stay within the interpreter's frame
 budget on long programs. A VC too deep to print is an `error`, exit 2.
 The header of datatypes and declarations is kept the same way and must
-follow `declare` and `add_datatype`.
+follow `declare` and `add_datatype`. Every VC of a program extends one
+shared prefix chain of conjunctions and prints as if built from scratch.
 """
 
 import subprocess
@@ -102,6 +103,66 @@ def test_700_statement_constructor_prints_every_script():
     scripts = [_script(program, i) for i in range(count)]
     assert len(scripts) == 29
     assert all(s.endswith("(check-sat)\n(get-model)\n") for s in scripts)
+
+
+def _reference_vc(program: SmtProgram, index: int) -> ir.IrExpr:
+    """The VC built from scratch: every definition, assumption and assert
+    condition before the target, conjoined left-nested, and the negated
+    target."""
+    parts, positions = [], []
+    for s in program.stmts:
+        if isinstance(s, Assign):
+            parts.append(ir.eq(s.lhs, s.rhs))
+        else:
+            if isinstance(s, Assert):
+                positions.append(len(parts))
+            parts.append(s.cond)
+    pos = positions[index]
+    return ir.conjoin(parts[:pos] + [ir.not_(parts[pos])])
+
+
+def _left_spine(e: ir.IrExpr):
+    while isinstance(e, ir.BinOp) and e.op == "and":
+        yield e
+        e = e.left
+    yield e
+
+
+def test_vcs_share_one_prefix_chain(monkeypatch):
+    program, count = _constructor(stress_source(700, 25))
+    assert count == 29
+    vcs = [vc_gen(program, i) for i in range(count)]
+    for vc, later in zip(vcs, vcs[1:]):
+        assert any(node is vc.left for node in _left_spine(later.left))
+    reference = _fresh(program)
+    assert [emit_smtlib(program, vc) for vc in vcs] == [
+        emit_smtlib(reference, _reference_vc(reference, i)) for i in range(count)
+    ]
+
+    built = []
+
+    class CountedBinOp(ir.BinOp):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    class CountedUnOp(ir.UnOp):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(ir, "BinOp", CountedBinOp)
+    monkeypatch.setattr(ir, "UnOp", CountedUnOp)
+    counted = _fresh(program)
+    for i in range(count):
+        vc_gen(counted, i)
+    parts = {id(part) for part in counted.conjuncts[1]}
+    # besides the definitional equalities, which are the conjuncts themselves
+    assert len([n for n in built if id(n) not in parts]) <= len(parts) + 2 * count
 
 
 def test_frame_formula_keeps_definitions_and_assumptions_in_order():
