@@ -107,6 +107,11 @@ def _loc_in(ty: SolType, loc: Loc) -> Loc:
     return loc if is_reference_type(ty) else Loc.VALUE
 
 
+_COPY_NEEDS_UNROLL = (
+    "unsupported: deep copy into {} of a dynamic array with reference base "
+    "type requires element-wise iteration (use --unroll)"
+)
+
 _BINOPS = {"+": "+", "-": "-", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "&&": "and", "||": "or"}
 
 
@@ -227,12 +232,9 @@ class Translator:
         """Datatype of a storage (or storage pointer) or memory entity."""
         return self.mem_datatype(ty) if loc == Loc.MEMORY else self.stor_datatype(ty)
 
-    def heap_ident(self, ty: SolType) -> Ident:
-        self.map_type(ty, Loc.MEMORY)
-        return Ident(_names(ty)[2])
-
     def heap_read(self, ty: SolType, pointer: IrExpr) -> IrExpr:
-        return ArrayRead(self.heap_ident(ty), pointer)
+        self.map_type(ty, Loc.MEMORY)
+        return ArrayRead(Ident(_names(ty)[2]), pointer)
 
     # ------------------------------------------------------------------
     # storage trees, pack, unpack
@@ -250,87 +252,58 @@ class Translator:
             self.trees[target] = tree
         return tree
 
-    @staticmethod
-    def _base_chain(expr: Expr) -> list[Expr]:
-        """Innermost-first list of base expressions: for ss[8].ts[5] the
-        chain is [ss, ss[8], ss[8].ts, ss[8].ts[5]]."""
-        chain: list[Expr] = []
-        node = expr
-        while True:
-            chain.append(node)
-            if isinstance(node, MemberExpr):
-                node = node.base
-            elif isinstance(node, IndexExpr):
-                node = node.base
-            else:
-                break
-        chain.reverse()
-        return chain
-
-    def _mapping_key_to_int(self, node: TreeNode, key: IrExpr) -> IrExpr:
-        if node.kind == "mapping" and isinstance(node.ty, MappingType) and node.ty.key == BOOL:
-            return Ite(key, IntLit(1), IntLit(0))
-        return key
-
-    def _step_index_read(self, node: TreeNode, subexpr: IrExpr, ptr: IrExpr, depth: int) -> IrExpr:
-        """Index step of unpack: raw backing read for storage arrays,
-        plain array read for mappings (bool keys decoded from 0/1)."""
-        idx: IrExpr = ArrayRead(ptr, IntLit(depth))
-        if node.kind == "array":
-            assert node.ty is not None
-            dt = self.stor_datatype(node.ty)
-            return ArrayRead(Select(subexpr, "arr", dt), idx)
-        if node.kind == "mapping":
-            assert isinstance(node.ty, MappingType)
-            if node.ty.key == BOOL:
-                idx = BinOp("!=", idx, IntLit(0))
-            return ArrayRead(subexpr, idx)
-        raise IrError(f"unexpected node kind {node.kind}")
-
     def pack(self, expr: Expr) -> IrExpr:
         """Path array uniquely identifying the storage entity `expr`
         denotes: edge ordinals at identifier/member steps, translated
         index expressions at index steps."""
-        chain = self._base_chain(expr)
-        root_expr = chain[0]
-        if not isinstance(root_expr, IdentExpr):
+        chain: list[Expr] = []
+        root = expr
+        while isinstance(root, (MemberExpr, IndexExpr)):
+            chain.append(root)
+            root = root.base
+        chain.reverse()
+        if not isinstance(root, IdentExpr):
             raise IrError(f"cannot pack non-lvalue {expr_to_source(expr)}")
-        if root_expr.decl_kind == "state":
-            return self._pack_from_root(chain, expr)
-        if root_expr.loc == Loc.STORPTR:
-            return self._repack(root_expr, chain[1:], expr)
+        if root.decl_kind == "state":
+            tree = self.tree_for(expr.ty)
+            if tree.default_context:
+                raise IrError("state-variable path cannot live in a default context")
+            return self._path(tree.root, [("label", root.name)] + self._steps(chain), None)
+        if root.loc == Loc.STORPTR:
+            return self._repack(root, chain, expr)
         raise IrError(f"cannot pack {expr_to_source(expr)}")
 
-    def _pack_from_root(self, chain: list[Expr], expr: Expr) -> IrExpr:
-        tree = self.tree_for(expr.ty)
-        if tree.default_context:
-            raise IrError("state-variable path cannot live in a default context")
-        node = tree.root
+    def _steps(self, chain: list[Expr]) -> list[tuple[str, object]]:
+        """One ("label", name) or ("index", translated index) per member or
+        index access; the indexes are translated once, in source order."""
+        return [
+            ("label", step.member) if isinstance(step, MemberExpr) else ("index", self.expr(step.index))
+            for step in chain
+        ]
+
+    def _path(self, node: TreeNode, steps: list[tuple[str, object]], ptr: IrExpr | None) -> IrExpr:
+        """Path array of `steps` taken from `node`: the edge ordinal at a
+        label, the index at an index step (bool mapping keys as 0/1). An
+        index step without an index copies `ptr`'s element at its depth."""
         result: IrExpr = ConstArray(ir.INT, ir.INT, IntLit(0))
-        for depth, step in enumerate(chain):
-            if isinstance(step, IdentExpr):
-                edge = self._edge_by_label(node, step.name)
-                result = ArrayWrite(result, IntLit(depth), IntLit(edge.ordinal))
-            elif isinstance(step, MemberExpr):
-                edge = self._edge_by_label(node, step.member)
-                result = ArrayWrite(result, IntLit(depth), IntLit(edge.ordinal))
-            elif isinstance(step, IndexExpr):
-                edge = node.edges[0]
-                idx = self._mapping_key_to_int(node, self.expr(step.index))
-                result = ArrayWrite(result, IntLit(depth), idx)
+        for depth, (kind, payload) in enumerate(steps):
+            if kind == "label":
+                edge = next((e for e in node.edges if e.label == payload), None)
+                if edge is None:
+                    raise IrError(f"storage tree has no edge labeled {payload}")
+                value: IrExpr = IntLit(edge.ordinal)
             else:
-                raise IrError(f"cannot pack step {step!r}")
+                edge = node.edges[0]
+                value = payload if payload is not None else ArrayRead(ptr, IntLit(depth))
+                if isinstance(node.ty, MappingType) and node.ty.key == BOOL:
+                    value = Ite(value, IntLit(1), IntLit(0))
+            result = ArrayWrite(result, IntLit(depth), value)
             node = edge.target
+        if not node.is_leaf:
+            raise IrError("packed path does not reach a leaf")
         return result
 
-    @staticmethod
-    def _edge_by_label(node: TreeNode, label: str):
-        for e in node.edges:
-            if e.label == label:
-                return e
-        raise IrError(f"storage tree has no edge labeled {label}")
-
-    def _repack(self, root: IdentExpr, suffix: list[Expr], expr: Expr) -> IrExpr:
+    def _repack(self, root: IdentExpr, chain: list[Expr], expr: Expr) -> IrExpr:
         """Rebase a pointer-rooted lvalue (e.g. p.member[i]) into a path
         for the composite's own type: for every leaf the pointer may
         reference, re-encode the prefix ordinals in the target tree and
@@ -346,16 +319,7 @@ class Translator:
         if target_tree.default_context:
             raise IrError("target tree empty while source tree is not")
         ptr = self.expr(root)
-
-        # suffix index expressions are translated once, in source order
-        suffix_steps: list[tuple[str, object]] = []
-        for step in suffix:
-            if isinstance(step, MemberExpr):
-                suffix_steps.append(("label", step.member))
-            elif isinstance(step, IndexExpr):
-                suffix_steps.append(("index", self.expr(step.index)))
-            else:
-                raise IrError(f"cannot pack step {step!r}")
+        suffix = self._steps(chain)
 
         leaves: list[tuple[list[tuple[str, object]], list[tuple[int, int]]]] = []
 
@@ -371,28 +335,9 @@ class Translator:
 
         collect(source_tree.root, [], [])
 
-        def path_for(leaf_steps) -> IrExpr:
-            node = target_tree.root
-            result: IrExpr = ConstArray(ir.INT, ir.INT, IntLit(0))
-            depth = 0
-            for kind, payload in leaf_steps + suffix_steps:
-                if kind == "label":
-                    edge = self._edge_by_label(node, payload)
-                    result = ArrayWrite(result, IntLit(depth), IntLit(edge.ordinal))
-                else:
-                    edge = node.edges[0]
-                    idx = payload if payload is not None else ArrayRead(ptr, IntLit(depth))
-                    idx = self._mapping_key_to_int(node, idx)
-                    result = ArrayWrite(result, IntLit(depth), idx)
-                node = edge.target
-                depth += 1
-            if not node.is_leaf:
-                raise IrError("re-packed path does not reach a leaf")
-            return result
-
         result: IrExpr | None = None
         for steps, conds in reversed(leaves):
-            path = path_for(steps)
+            path = self._path(target_tree.root, steps + suffix, ptr)
             if result is None:
                 result = path
             else:
@@ -431,10 +376,18 @@ class Translator:
                 if result is None:
                     raise IrError("unpack over an empty storage tree")
                 return result
-            # array / mapping: single index edge
+            # array / mapping: one index edge; arrays read their backing
+            # store raw, bool mapping keys are decoded from 0/1
             assert subexpr is not None
-            edge = node.edges[0]
-            return walk(edge.target, self._step_index_read(node, subexpr, ptr, depth), depth + 1)
+            idx: IrExpr = ArrayRead(ptr, IntLit(depth))
+            if isinstance(node.ty, MappingType):
+                if node.ty.key == BOOL:
+                    idx = BinOp("!=", idx, IntLit(0))
+                sub = ArrayRead(subexpr, idx)
+            else:
+                assert node.ty is not None
+                sub = ArrayRead(Select(subexpr, "arr", self.stor_datatype(node.ty)), idx)
+            return walk(node.edges[0].target, sub, depth + 1)
 
         return walk(tree.root, None, 0)
 
@@ -462,7 +415,7 @@ class Translator:
                         IntLit(length),
                     ),
                 )
-            return self._alloc_memory_array(ty, IntLit(length), length)
+            return self._alloc_memory_array(ty, IntLit(length))
         if isinstance(ty, StructType):
             # a memory struct is allocated first, then its members defaulted
             ptr = self.allocate() if loc == Loc.MEMORY else None
@@ -476,9 +429,7 @@ class Translator:
             return ptr
         raise IrError(f"no default for {ty} in {loc}")
 
-    def _alloc_memory_array(
-        self, ty: SolType, length_expr: IrExpr, const_length: int | None
-    ) -> IrExpr:
+    def _alloc_memory_array(self, ty: SolType, length_expr: IrExpr) -> IrExpr:
         """Allocate a memory array with defaulted elements. Value bases
         default wholesale through a constant array; reference bases need
         one allocation per element, so the length must be a compile-time
@@ -495,17 +446,12 @@ class Translator:
             return ptr
         backing = ConstArray(ir.INT, ir.INT, IntLit(0))
         self.emit(Assign(heap_slot, Construct(dt, (backing, length_expr))))
-        if const_length is not None:
-            bound = const_length
-        elif self.unroll is not None:
-            bound = self.unroll
-            self.emit(Assume(ir.le(length_expr, IntLit(bound))))
-            self.emit(Assume(ir.le(IntLit(0), length_expr)))
-        else:
-            raise UnsupportedError(
-                "unsupported: memory array of reference base type with "
-                "non-constant length (use --unroll)"
-            )
+        bound = self._array_bound(
+            ty,
+            length_expr,
+            "unsupported: memory array of reference base type with "
+            "non-constant length (use --unroll)",
+        )
         for i in range(bound):
             elem = self.default_value(base, Loc.MEMORY)
             self.emit(
@@ -620,9 +566,7 @@ class Translator:
     def _new_array(self, e: NewArrayExpr) -> IrExpr:
         ty = DynArrayType(e.elem_type)
         self.map_type(ty, Loc.MEMORY)
-        length = self.expr(e.length)
-        const_length = e.length.value if isinstance(e.length, IntLitExpr) else None
-        return self._alloc_memory_array(ty, length, const_length)
+        return self._alloc_memory_array(ty, self.expr(e.length))
 
     def _struct_ctor(self, e: StructCtorExpr) -> IrExpr:
         ty = StructType(e.name)
@@ -698,20 +642,19 @@ class Translator:
         else:
             self._copy_to_memory(lhs, self._value_of(rhs))
 
-    def _array_bound(self, ty: SolType, length: IrExpr, what: str) -> int:
-        """Unroll bound for element-wise array copies: the compile-time
-        size for fixed arrays, --unroll (with an assumed length bound)
-        for dynamic ones."""
+    def _array_bound(self, ty: SolType, length: IrExpr, unsupported: str) -> int:
+        """Unroll bound for element-wise array work: the compile-time
+        length (a fixed size or a literal), else --unroll with an assumed
+        length bound. Without either, UnsupportedError(unsupported)."""
         if isinstance(ty, FixArrayType):
             return ty.size
+        if isinstance(length, IntLit):
+            return length.value
         if self.unroll is not None:
             self.emit(Assume(ir.le(length, IntLit(self.unroll))))
             self.emit(Assume(ir.le(IntLit(0), length)))
             return self.unroll
-        raise UnsupportedError(
-            f"unsupported: {what} of a dynamic array with reference base "
-            "type requires element-wise iteration (use --unroll)"
-        )
+        raise UnsupportedError(unsupported)
 
     def _copy_to_storage(self, lhs: Operand, pointer: IrExpr) -> None:
         """Deep copy of the memory entity at `pointer` into storage."""
@@ -728,7 +671,7 @@ class Translator:
             copied = Construct(stor_dt, (Select(heap_val, "arr", mem_dt), length))
             self.emit(Assign(self._target_of(lhs), copied))
             return
-        bound = self._array_bound(ty, length, "deep copy into storage")
+        bound = self._array_bound(ty, length, _COPY_NEEDS_UNROLL.format("storage"))
         elem_ty = self.map_type(base, Loc.STORAGE)
         blank = Construct(
             stor_dt,
@@ -753,7 +696,7 @@ class Translator:
             self.emit(Assign(heap_slot, Construct(mem_dt, (Select(value, "arr", stor_dt), length))))
         else:
             length = Select(value, "length", stor_dt)
-            bound = self._array_bound(ty, length, "deep copy into memory")
+            bound = self._array_bound(ty, length, _COPY_NEEDS_UNROLL.format("memory"))
             blank = Construct(mem_dt, (ConstArray(ir.INT, ir.INT, IntLit(0)), length))
             self.emit(Assign(heap_slot, blank))
             self._copy_parts(ty, bound, heap_slot, Loc.MEMORY, value, Loc.STORAGE)
@@ -874,7 +817,7 @@ class Translator:
     # ------------------------------------------------------------------
     # functions
 
-    def _assume_memory_pointer(self, ty: SolType, pointer: IrExpr, depth: int = 0) -> None:
+    def _assume_memory_pointer(self, ty: SolType, pointer: IrExpr) -> None:
         """Non-aliasing assumptions for memory pointers passed in: the
         pointer, and recursively every reference it contains, precedes
         all fresh allocations."""
@@ -884,9 +827,7 @@ class Translator:
             dt = self.mem_datatype(ty)
             for m in sd.members:
                 if is_reference_type(m.ty):
-                    self._assume_memory_pointer(
-                        m.ty, Select(self.heap_read(ty, pointer), m.name, dt), depth + 1
-                    )
+                    self._assume_memory_pointer(m.ty, Select(self.heap_read(ty, pointer), m.name, dt))
             return
         if isinstance(ty, (DynArrayType, FixArrayType)):
             base = ty.base
@@ -908,7 +849,7 @@ class Translator:
                 )
             for i in range(bound):
                 elem = ArrayRead(Select(self.heap_read(ty, pointer), "arr", dt), IntLit(i))
-                self._assume_memory_pointer(base, elem, depth + 1)
+                self._assume_memory_pointer(base, elem)
 
     def translate_function(self, fn: Function) -> TranslatedFunction:
         for v in self.contract.state_vars:
