@@ -163,8 +163,11 @@ class Translator:
     # helpers
 
     def fresh(self, prefix: str, ty: IrType) -> Ident:
+        # `$` is outside the alphabets of source identifiers (`\w`), the
+        # resolver's renaming (`~`) and SSA versions (`!`), so a temporary
+        # never shadows a variable
         self.fresh_counter += 1
-        name = f"{prefix}~{self.fresh_counter}"
+        name = f"{prefix}${self.fresh_counter}"
         self.program.declare(name, ty)
         return Ident(name)
 

@@ -70,7 +70,7 @@ def _relevant_model(model: dict[str, str]) -> dict[str, str]:
     """Inputs only: drop SSA versions and machinery, keep pre-state."""
     out = {}
     for name, value in model.items():
-        if "!" in name or "~" in name or name.startswith(("arrHeap_", "structHeap_")):
+        if "!" in name or "$" in name or name.startswith(("arrHeap_", "structHeap_")):
             continue
         out[name] = value
     return out

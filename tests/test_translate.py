@@ -17,6 +17,7 @@ from solmem.ir import (
         format_stmt,
 )
 from solmem.ireval import VData, eval_ir
+from solmem.oracle import exec_function
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
@@ -414,3 +415,18 @@ contract C {
 """
     )
     assert res.env["probe"] == 0
+
+
+def test_temporaries_do_not_overwrite_renamed_locals():
+    # the resolver renames g's `tmp` to `tmp~2`, which must not be the
+    # name of the tuple assignment's temporary
+    c = compile_source(
+        """
+contract C {
+    function f(int tmp) {}
+    function g() { int tmp = 1; int a = 2; int b = 3; (a, b) = (b, a); assert(tmp == 1); }
+}
+"""
+    )
+    assert exec_function(c, "g").failed is None
+    assert eval_ir(translate_function(c, c.function("g")).program).status == "ok"

@@ -26,7 +26,7 @@ from solmem.vcgen import vc_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DIGEST = "2934589fc42ab3d60b870783a83c375cf769d7f5051f9249056d10ae7fb007ca"
+DIGEST = "eca23e48ccafb9191e17b0e6dac49cde9352a3d400c92fcbce219e19c79b926a"
 
 
 # every location pair of the assignment matrix, for arrays, structs and
