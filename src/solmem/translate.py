@@ -527,16 +527,21 @@ class Translator:
         dt = self._datatype_at(base_ty, e.base.loc)
         entity = self._storage_base(e.base, lvalue)
         idx = self.expr(e.index)
-        backing = ArrayRead(Select(entity, "arr", dt), idx)
         if lvalue:
-            return backing
+            return ArrayRead(Select(entity, "arr", dt), idx)
         # length-guarded read: out-of-range indexes yield the element
-        # default (in particular, elements removed by pop)
+        # default (in particular, elements removed by pop). The guard reads
+        # the index and the entity again, so each is bound once unless it
+        # is a name or literal; otherwise `a[a[a[0]]]` grows exponentially.
+        if not isinstance(idx, (Ident, IntLit)):
+            tmp = self.fresh("idx", ir.INT)
+            self.emit(Assign(tmp, idx))
+            idx = tmp
         if not isinstance(entity, (Ident, Select)):
             tmp = self.fresh("arrval", DatatypeType(dt))
             self.emit(Assign(tmp, entity))
             entity = tmp
-            backing = ArrayRead(Select(entity, "arr", dt), idx)
+        backing = ArrayRead(Select(entity, "arr", dt), idx)
         in_range = ir.and_(
             ir.le(IntLit(0), idx), ir.lt(idx, Select(entity, "length", dt))
         )

@@ -17,9 +17,11 @@ from solmem.ir import (
         format_stmt,
 )
 from solmem.ireval import VData, eval_ir
-from solmem.oracle import exec_function
+from solmem.normalize import normalize_lhs
+from solmem.oracle import exec_function, run_constructor
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
+from solmem.smtlib import emit_smtlib
 from solmem.sol_ast import (
     ADDRESS,
     BOOL,
@@ -31,7 +33,9 @@ from solmem.sol_ast import (
     MappingType,
     StructType,
 )
+from solmem.ssa import to_ssa
 from solmem.translate import Translator, translate_function
+from solmem.vcgen import vc_gen
 
 
 def compile_source(text):
@@ -415,6 +419,24 @@ contract C {
 """
     )
     assert res.env["probe"] == 0
+
+
+def test_nested_index_read_is_linear_in_depth():
+    # a[a[...a[0]...]] with a = [1, 2, 0] reads depth % 3
+    depth = 100
+    read = "0"
+    for _ in range(depth):
+        read = f"a[{read}]"
+    c = compile_source(
+        f"contract C {{ int[] a; constructor() {{ a.push(1); a.push(2); a.push(0); "
+        f"int x = {read}; assert(x == {depth % 3}); }} }}"
+    )
+    tf = translate_function(c, c.constructor)
+    ssa = to_ssa(normalize_lhs(tf.program)).program
+    assert len(emit_smtlib(ssa, vc_gen(ssa, 0))) < 64 * 1024
+    assert run_constructor(c).failed is None
+    assert eval_ir(ssa).status == "ok"
+    assert eval_ir(tf.program).env["x"] == depth % 3
 
 
 def test_temporaries_do_not_overwrite_renamed_locals():
