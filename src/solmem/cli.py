@@ -128,7 +128,6 @@ def cmd_corpus(args) -> int:
         timeout=args.timeout,
         unroll=args.unroll,
         jobs=args.jobs,
-        cross_check_oracle=args.oracle,
     )
     print(render_table(classes))
     if args.json:
@@ -193,8 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_solver_flags(p)
     p.add_argument("--jobs", type=int, default=4)
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run self-contained tests through the reference interpreter")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("fuzz", help="differential fuzzing against the reference interpreter")

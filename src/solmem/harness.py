@@ -110,17 +110,16 @@ def run_test(
     solver_cmd: str | None = None,
     timeout: float = 60.0,
     unroll: int | None = None,
-    cross_check_oracle: bool = False,
 ) -> TestOutcome:
     """Verify one corpus file and judge it against its `//expect` lines.
-    With `cross_check_oracle`, a self-contained contract's verdicts must
-    also match the constructor oracle."""
+    A self-contained contract's verdicts must also match the constructor
+    oracle."""
     text = path.read_text()
     expectations = parse_expectations(text)
     start = time.monotonic()
     report = verify_source(text, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
     observed, detail, _ = judge(report, expectations)
-    if cross_check_oracle and observed == "correct" and not report.contract.functions:
+    if observed == "correct" and not report.contract.functions:
         try:
             observed, detail, _ = judge(report, oracle_expectations(report.contract), None)
             detail = detail and f"oracle disagrees: {detail}"
@@ -160,7 +159,6 @@ def run_corpus(
     timeout: float = 60.0,
     unroll: int | None = None,
     jobs: int = 4,
-    cross_check_oracle: bool = False,
 ) -> dict[str, ClassSummary]:
     classes: dict[str, ClassSummary] = {}
     work: list[tuple[str, Path]] = []
@@ -171,7 +169,7 @@ def run_corpus(
 
     def run_one(item):
         cls, path = item
-        return cls, run_test(path, solver_cmd, timeout, unroll, cross_check_oracle)
+        return cls, run_test(path, solver_cmd, timeout, unroll)
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         for cls, outcome in pool.map(run_one, work):

@@ -101,7 +101,7 @@ def test_corpus_aggregation_and_json(tmp_path, solver_available):
            "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }")
     _write(tmp_path, "delete", "c.sol",
            "contract C { int x; constructor() { delete x; assert(x == 0); } }")
-    classes = run_corpus(tmp_path, jobs=2, cross_check_oracle=True)
+    classes = run_corpus(tmp_path, jobs=2)
     assert classes["storage"].correct == 2
     assert classes["delete"].correct == 1
     assert classes["storage"].total == 2
