@@ -41,6 +41,7 @@ from .sol_ast import (
     ValueType,
     is_reference_type,
     is_value_type,
+    value_compatible,
 )
 
 _KEY_POOL = [0, 1, 2, 7]
@@ -67,12 +68,6 @@ _STATE_POOLS = [
     ("counter", INT),
     ("ok", BOOL),
 ]
-
-
-def _type_src(ty: SolType) -> str:
-    from .printer import type_to_source
-
-    return type_to_source(ty)
 
 
 def _memory_safe(ty: SolType, structs: dict) -> bool:
@@ -136,10 +131,10 @@ class ProgramBuilder:
         for name, members in self.structs.items():
             lines.append(f"    struct {name} {{")
             for mname, mty in members:
-                lines.append(f"        {_type_src(mty)} {mname};")
+                lines.append(f"        {mty} {mname};")
             lines.append("    }")
         for name, ty in self.state_vars:
-            lines.append(f"    {_type_src(ty)} {name};")
+            lines.append(f"    {ty} {name};")
         lines.append("    constructor() {")
         for line in self.g.lines:
             lines.append(f"{_INDENT}{line}")
@@ -285,7 +280,7 @@ class ProgramBuilder:
         if not targets:
             return False
         text, ty = self.rng.choice(targets)
-        reads = [r for r in self._value_reads() if _compatible(r[1], ty)]
+        reads = [r for r in self._value_reads() if value_compatible(r[1], ty)]
         if reads and self.rng.random() < 0.5:
             src, _, _ = self.rng.choice(reads)
             if ty != BOOL and self.rng.random() < 0.4:
@@ -298,7 +293,7 @@ class ProgramBuilder:
         ty = self.rng.choice([INT, UINT, BOOL])
         name = self.g.fresh("v")
         init = f" = {self._literal(ty)}" if self.rng.random() < 0.8 else ""
-        if self.commit(f"{_type_src(ty)} {name}{init};"):
+        if self.commit(f"{ty} {name}{init};"):
             self.g.locals.append((name, ty, "value"))
             return True
         return False
@@ -335,7 +330,7 @@ class ProgramBuilder:
                 args.append(self._literal(mty))
             elif isinstance(mty, DynArrayType) and is_value_type(mty.base):
                 n = self.rng.randint(0, 2)
-                args.append(f"new {_type_src(mty.base)}[]({n})")
+                args.append(f"new {mty.base}[]({n})")
             else:
                 mems = [t for t, t2, _ in self._memory_values() if t2 == mty]
                 stos = [t for t, t2, _ in self._storage_paths() if t2 == mty]
@@ -379,7 +374,7 @@ class ProgramBuilder:
             return False
         text, ty = self.rng.choice(refs)
         name = self.g.fresh("p")
-        if self.commit(f"{_type_src(ty)} storage {name} = {text};"):
+        if self.commit(f"{ty} storage {name} = {text};"):
             self.g.locals.append((name, ty, "storage"))
             return True
         return False
@@ -402,7 +397,7 @@ class ProgramBuilder:
             base = self.rng.choice([INT, UINT, BOOL])
             n = self.rng.randint(0, 3)
             ty: SolType = DynArrayType(base)
-            line = f"{_type_src(base)}[] memory {name} = new {_type_src(base)}[]({n});"
+            line = f"{base}[] memory {name} = new {base}[]({n});"
         elif choice < 0.7:
             structs = [
                 StructType(s) for s in self.structs if _memory_safe(StructType(s), self.structs)
@@ -413,7 +408,7 @@ class ProgramBuilder:
             ctor = self._struct_ctor_src(ty)
             if not ctor:
                 return False
-            line = f"{_type_src(ty)} memory {name} = {ctor};"
+            line = f"{ty} memory {name} = {ctor};"
         else:
             # deep copy out of storage
             refs = [
@@ -424,7 +419,7 @@ class ProgramBuilder:
             if not refs:
                 return False
             text, ty = self.rng.choice(refs)
-            line = f"{_type_src(ty)} memory {name} = {text};"
+            line = f"{ty} memory {name} = {text};"
         if self.commit(line):
             self.g.locals.append((name, ty, "memory"))
             return True
@@ -457,7 +452,7 @@ class ProgramBuilder:
     def _op_tuple_swap(self) -> bool:
         if self.rng.random() < 0.5:
             vals = [(t, ty) for t, ty, _ in self._storage_paths() + self._pointer_paths() if is_value_type(ty)]
-            pairs = [(a, b) for a, aty in vals for b, bty in vals if a != b and _compatible(aty, bty)]
+            pairs = [(a, b) for a, aty in vals for b, bty in vals if a != b and value_compatible(aty, bty)]
             if not pairs:
                 return False
             a, b = self.rng.choice(pairs)
@@ -565,12 +560,6 @@ def _struct_names(ty: SolType):
         yield from _struct_names(ty.base)
     elif isinstance(ty, MappingType):
         yield from _struct_names(ty.value)
-
-
-def _compatible(a: SolType, b: SolType) -> bool:
-    from .sol_ast import value_compatible
-
-    return value_compatible(a, b)
 
 
 def random_program(seed: int, size_budget: int = 10) -> str:

@@ -16,39 +16,19 @@ from .sol_ast import (
     Contract,
     DeclStmt,
     DeleteStmt,
-    DynArrayType,
     Expr,
-    FixArrayType,
     Function,
     IdentExpr,
     IndexExpr,
     IntLitExpr,
-    MappingType,
     MemberExpr,
     NewArrayExpr,
     PopStmt,
     PushStmt,
-    SolType,
     Stmt,
     StructCtorExpr,
-    StructType,
     UnExpr,
-    ValueType,
 )
-
-
-def type_to_source(ty: SolType) -> str:
-    if isinstance(ty, ValueType):
-        return ty.kind
-    if isinstance(ty, MappingType):
-        return f"mapping({type_to_source(ty.key)} => {type_to_source(ty.value)})"
-    if isinstance(ty, DynArrayType):
-        return f"{type_to_source(ty.base)}[]"
-    if isinstance(ty, FixArrayType):
-        return f"{type_to_source(ty.base)}[{ty.size}]"
-    if isinstance(ty, StructType):
-        return ty.name
-    raise TypeError(f"unknown type {ty}")
 
 
 def expr_to_source(e: Expr) -> str:
@@ -65,7 +45,7 @@ def expr_to_source(e: Expr) -> str:
     if isinstance(e, CondExpr):
         return f"({expr_to_source(e.cond)} ? {expr_to_source(e.then)} : {expr_to_source(e.other)})"
     if isinstance(e, NewArrayExpr):
-        return f"new {type_to_source(e.elem_type)}[]({expr_to_source(e.length)})"
+        return f"new {e.elem_type}[]({expr_to_source(e.length)})"
     if isinstance(e, StructCtorExpr):
         return f"{e.name}({', '.join(expr_to_source(a) for a in e.args)})"
     if isinstance(e, BinExpr):
@@ -79,7 +59,7 @@ def stmt_to_source(s: Stmt, indent: str = "        ") -> str:
     if isinstance(s, DeclStmt):
         loc = f" {s.data_loc}" if s.data_loc else ""
         init = f" = {expr_to_source(s.init)}" if s.init is not None else ""
-        return f"{indent}{type_to_source(s.var_type)}{loc} {s.name}{init};"
+        return f"{indent}{s.var_type}{loc} {s.name}{init};"
     if isinstance(s, AssignStmt):
         if s.tuple_form:
             lhs = ", ".join(expr_to_source(e) for e in s.lhs)
@@ -101,7 +81,7 @@ def _params_to_source(params) -> str:
     parts = []
     for p in params:
         loc = f" {p.data_loc}" if p.data_loc else ""
-        parts.append(f"{type_to_source(p.ty)}{loc} {p.name}".rstrip())
+        parts.append(f"{p.ty}{loc} {p.name}".rstrip())
     return ", ".join(parts)
 
 
@@ -124,10 +104,10 @@ def to_source(c: Contract) -> str:
     for s in c.structs:
         lines.append(f"    struct {s.name} {{")
         for m in s.members:
-            lines.append(f"        {type_to_source(m.ty)} {m.name};")
+            lines.append(f"        {m.ty} {m.name};")
         lines.append("    }")
     for v in c.state_vars:
-        lines.append(f"    {type_to_source(v.ty)} {v.name};")
+        lines.append(f"    {v.ty} {v.name};")
     for fn in c.all_functions():
         lines.extend(function_to_source(fn))
     lines.append("}")
@@ -142,10 +122,10 @@ def signature(node) -> object:
             "contract",
             node.name,
             tuple(
-                (s.name, tuple((m.name, type_to_source(m.ty)) for m in s.members))
+                (s.name, tuple((m.name, str(m.ty)) for m in s.members))
                 for s in node.structs
             ),
-            tuple((v.name, type_to_source(v.ty)) for v in node.state_vars),
+            tuple((v.name, str(v.ty)) for v in node.state_vars),
             tuple(signature(f) for f in node.all_functions()),
         )
     if isinstance(node, Function):
@@ -153,14 +133,14 @@ def signature(node) -> object:
             "function",
             node.name,
             node.is_constructor,
-            tuple((p.name, p.data_loc, type_to_source(p.ty)) for p in node.params),
-            tuple((p.name, p.data_loc, type_to_source(p.ty)) for p in node.returns),
+            tuple((p.name, p.data_loc, str(p.ty)) for p in node.params),
+            tuple((p.name, p.data_loc, str(p.ty)) for p in node.returns),
             tuple(signature(s) for s in node.body),
         )
     if isinstance(node, DeclStmt):
         return (
             "decl",
-            type_to_source(node.var_type),
+            str(node.var_type),
             node.data_loc,
             node.name,
             signature(node.init) if node.init is not None else None,
@@ -193,7 +173,7 @@ def signature(node) -> object:
     if isinstance(node, CondExpr):
         return ("cond", signature(node.cond), signature(node.then), signature(node.other))
     if isinstance(node, NewArrayExpr):
-        return ("new", type_to_source(node.elem_type), signature(node.length))
+        return ("new", str(node.elem_type), signature(node.length))
     if isinstance(node, StructCtorExpr):
         return ("ctor", node.name, tuple(signature(a) for a in node.args))
     if isinstance(node, BinExpr):
