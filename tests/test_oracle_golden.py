@@ -1,0 +1,79 @@
+"""Reference-interpreter results pinned by one digest.
+
+Over the programs of `test_translate_golden.inputs()`, every function runs
+on a fresh constructor state with zero arguments built from its parameter
+types (a storage-pointer parameter gets the path `[]`). The digest covers
+the canonical storage, the serialized returns and the assert outcomes, or
+the type and text of the error raised. It also covers the raw storage,
+heap, locals and allocation counter, so a change of aliasing, allocation
+order or of which defaults get materialized shows too. A refactoring of
+the interpreter must leave it unchanged.
+"""
+
+import hashlib
+
+from solmem.errors import SolmemError
+from solmem.oracle import exec_function, run_constructor, serialize, serialize_storage
+from solmem.parser import parse_source
+from solmem.resolver import resolve_and_check
+from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
+from test_translate_golden import inputs
+
+DIGEST = "8a9e73724d27b8d1747dfda2b2eee87c94c42925cc19cfaf94fdd825aca94cf4"
+
+
+def zero_arg(contract, ty, loc):
+    """JSON-ish zero value of a parameter type, as `exec_function` takes."""
+    if loc == Loc.STORPTR:
+        return []
+    if is_value_type(ty):
+        return False if ty == BOOL else 0
+    if isinstance(ty, StructType):
+        members = contract.struct(ty.name).members
+        return {m.name: zero_arg(contract, m.ty, Loc.MEMORY) for m in members}
+    if isinstance(ty, FixArrayType):
+        return [zero_arg(contract, ty.base, Loc.MEMORY) for _ in range(ty.size)]
+    return []
+
+
+def run_record(contract, fn) -> str:
+    base = run_constructor(contract)
+    if fn.is_constructor:
+        result = base
+    else:
+        args = [zero_arg(contract, p.ty, p.loc) for p in fn.params]
+        result = exec_function(contract, fn.name, args, initial=base.state)
+    machine = result.state
+    returns = {
+        r.name_source: serialize(machine, r.ty, result.returns[r.name_source]) for r in fn.returns
+    }
+    asserts = [(a.ordinal, a.line, a.passed) for a in result.asserts]
+    raw = (machine.storage, sorted(machine.heap.items()), machine.locals, machine.next_addr)
+    return repr((serialize_storage(result), returns, asserts, raw))
+
+
+def records(source: str):
+    try:
+        contract = resolve_and_check(parse_source(source))
+    except SolmemError as e:
+        yield f"error {type(e).__name__}: {e}"
+        return
+    for fn in contract.all_functions():
+        yield f"function {fn.name}"
+        try:
+            yield run_record(contract, fn)
+        except SolmemError as e:
+            yield f"error {type(e).__name__}: {e}"
+
+
+def golden_digest() -> str:
+    digest = hashlib.sha256()
+    for name, source in inputs():
+        digest.update(f"{name}\0".encode())
+        for record in records(source):
+            digest.update(record.encode() + b"\0")
+    return digest.hexdigest()
+
+
+def test_oracle_digest():
+    assert golden_digest() == DIGEST
