@@ -51,8 +51,8 @@ from .sol_ast import (
     UnExpr,
     ValueType,
     is_integerish,
-    is_reference_type,
     is_value_type,
+    part_loc,
     value_compatible,
 )
 
@@ -241,7 +241,7 @@ class Resolver:
         elif isinstance(stmt, PushStmt):
             self._resolve_push(stmt, scope)
         elif isinstance(stmt, PopStmt):
-            target = self._expect_array_lvalue(stmt.target, scope, "pop", stmt.line)
+            self._expect_array_lvalue(stmt.target, scope, "pop", stmt.line)
         elif isinstance(stmt, DeleteStmt):
             self._resolve_delete(stmt, scope)
         elif isinstance(stmt, AssertStmt):
@@ -257,13 +257,12 @@ class Resolver:
         if is_value_type(ty):
             if stmt.data_loc is not None:
                 raise ResolveError("data location not allowed for value type", stmt.line)
-            loc = Loc.VALUE
         else:
             if stmt.data_loc is None:
                 raise ResolveError(f"data location required for {ty}", stmt.line)
             if stmt.data_loc == "memory" and self.contains_mapping(ty):
                 raise ResolveError("types containing mappings cannot be in memory", stmt.line)
-            loc = Loc.STORPTR if stmt.data_loc == "storage" else Loc.MEMORY
+        loc = stmt.loc
         if loc == Loc.STORPTR and stmt.init is None:
             raise ResolveError(
                 f"storage pointer {stmt.name} must be explicitly initialized", stmt.line
@@ -295,8 +294,7 @@ class Resolver:
         elem = ty.base
         if isinstance(elem, MappingType):
             raise ResolveError("mappings cannot be pushed", stmt.line)
-        target_loc = Loc.STORAGE if is_reference_type(elem) else Loc.VALUE
-        self._check_assignable(elem, target_loc, stmt.value, stmt.line)
+        self._check_assignable(elem, part_loc(elem, Loc.STORAGE), stmt.value, stmt.line)
 
     def _expect_array_lvalue(self, target: Expr, scope: Scope, op: str, line: int):
         self._resolve_expr(target, scope)
@@ -395,8 +393,7 @@ class Resolver:
                 )
             for arg, member in zip(e.args, sd.members):
                 self._resolve_expr(arg, scope)
-                target_loc = Loc.VALUE if is_value_type(member.ty) else Loc.MEMORY
-                self._check_assignable(member.ty, target_loc, arg, e.line)
+                self._check_assignable(member.ty, part_loc(member.ty, Loc.MEMORY), arg, e.line)
             e.ty, e.loc = StructType(e.name), Loc.MEMORY
             return
         if isinstance(e, BinExpr):
@@ -432,7 +429,7 @@ class Resolver:
         if member is None:
             raise ResolveError(f"struct {base_ty.name} has no member {e.member}", e.line)
         e.ty = member.ty
-        e.loc = self._access_loc(member.ty, base_loc, e.line)
+        e.loc = _access_loc(member.ty, base_loc)
 
     def _resolve_index(self, e: IndexExpr, scope: Scope) -> None:
         self._resolve_expr(e.base, scope)
@@ -442,25 +439,15 @@ class Resolver:
             if not is_value_type(e.index.ty) or not value_compatible(base_ty.key, e.index.ty):
                 raise ResolveError(f"mapping key must be {base_ty.key}", e.line)
             e.ty = base_ty.value
-            e.loc = self._access_loc(base_ty.value, base_loc, e.line)
+            e.loc = _access_loc(base_ty.value, base_loc)
             return
         if isinstance(base_ty, (DynArrayType, FixArrayType)):
             if not is_integerish(e.index.ty):
                 raise ResolveError("array index must be an integer", e.line)
             e.ty = base_ty.base
-            e.loc = self._access_loc(base_ty.base, base_loc, e.line)
+            e.loc = _access_loc(base_ty.base, base_loc)
             return
         raise ResolveError(f"indexing into non-array type {base_ty}", e.line)
-
-    @staticmethod
-    def _access_loc(result_ty: SolType, base_loc: Loc, line: int) -> Loc:
-        if is_value_type(result_ty):
-            return Loc.VALUE
-        if base_loc in (Loc.STORAGE, Loc.STORPTR):
-            return Loc.STORAGE
-        if base_loc == Loc.MEMORY:
-            return Loc.MEMORY
-        raise ResolveError("member or index access on a value-typed base", line)
 
     def _resolve_cond(self, e: CondExpr, scope: Scope) -> None:
         self._resolve_expr(e.cond, scope)
@@ -513,6 +500,12 @@ class Resolver:
             b.loc = Loc.VALUE
 
 
+def _access_loc(part_ty: SolType, base_loc: Loc) -> Loc:
+    """Location of a member or element: what a storage pointer points at
+    lives in storage."""
+    return part_loc(part_ty, Loc.STORAGE if base_loc == Loc.STORPTR else base_loc)
+
+
 def _struct_refs(ty: SolType):
     if isinstance(ty, StructType):
         yield ty.name
@@ -533,8 +526,7 @@ def function_scope(contract: Contract, fn: Function) -> Scope:
     are resolved: state variables, shadowed by parameters and returns."""
     scope = Scope()
     for v in contract.state_vars:
-        loc = Loc.STORAGE if is_reference_type(v.ty) else Loc.VALUE
-        scope.define(v.name, v.name, v.ty, loc, "state")
+        scope.define(v.name, v.name, v.ty, part_loc(v.ty, Loc.STORAGE), "state")
     for kind, group in (("param", fn.params), ("return", fn.returns)):
         for p in group:
             scope.define(p.name_source, p.name, p.ty, p.loc, kind)

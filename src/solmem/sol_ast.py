@@ -111,6 +111,20 @@ class Loc(enum.Enum):
     MEMORY = "memory"
 
 
+def part_loc(ty: SolType, holder: Loc) -> Loc:
+    """Location of a `ty` part of an entity held at `holder`: a value
+    type is a plain value, a reference type takes its holder's location."""
+    return Loc.VALUE if is_value_type(ty) else holder
+
+
+def declared_loc(ty: SolType, data_loc: str | None) -> Loc:
+    """Location of a variable or parameter declared with `data_loc`: a
+    storage reference is a pointer into storage."""
+    if is_value_type(ty):
+        return Loc.VALUE
+    return Loc.STORPTR if data_loc == "storage" else Loc.MEMORY
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -200,6 +214,10 @@ class DeclStmt(Stmt):
     name: str
     init: Expr | None
 
+    @property
+    def loc(self) -> Loc:
+        return declared_loc(self.var_type, self.data_loc)
+
 
 @dataclass
 class AssignStmt(Stmt):
@@ -270,9 +288,7 @@ class Param:
 
     @property
     def loc(self) -> Loc:
-        if is_value_type(self.ty):
-            return Loc.VALUE
-        return Loc.STORPTR if self.data_loc == "storage" else Loc.MEMORY
+        return declared_loc(self.ty, self.data_loc)
 
 
 @dataclass

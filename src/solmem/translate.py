@@ -77,6 +77,7 @@ from .sol_ast import (
     is_reference_type,
     is_value_type,
     mangle,
+    part_loc,
 )
 from .storage_tree import (
     StorageTree,
@@ -99,12 +100,6 @@ def _names(ty: SolType) -> tuple[str, str, str]:
         base = mangle(ty.base)
         return f"StorArr_{base}", f"MemArr_{base}", f"arrHeap_{base}"
     raise IrError(f"no datatype for {ty}")
-
-
-def _loc_in(ty: SolType, loc: Loc) -> Loc:
-    """Location category of a `ty` part of an entity held in `loc`:
-    value types are plain values wherever they live."""
-    return loc if is_reference_type(ty) else Loc.VALUE
 
 
 _COPY_NEEDS_UNROLL = (
@@ -210,11 +205,11 @@ class Translator:
         if name not in self.program.datatypes:
             if isinstance(ty, StructType):
                 members = tuple(
-                    (m.name, self.map_type(m.ty, _loc_in(m.ty, loc)))
+                    (m.name, self.map_type(m.ty, part_loc(m.ty, loc)))
                     for m in self.struct_def(ty.name).members
                 )
             else:
-                elem = self.map_type(ty.base, _loc_in(ty.base, loc))
+                elem = self.map_type(ty.base, part_loc(ty.base, loc))
                 members = (("arr", ArrayType(ir.INT, elem)), ("length", ir.INT))
             self.program.add_datatype(DatatypeDef(name, members))
         if loc == Loc.STORAGE:
@@ -409,7 +404,7 @@ class Translator:
         if isinstance(ty, (DynArrayType, FixArrayType)):
             length = ty.size if isinstance(ty, FixArrayType) else 0
             if loc == Loc.STORAGE:
-                elem_loc = _loc_in(ty.base, Loc.STORAGE)
+                elem_loc = part_loc(ty.base, Loc.STORAGE)
                 elem_ty = self.map_type(ty.base, elem_loc)
                 return Construct(
                     self.stor_datatype(ty),
@@ -423,7 +418,7 @@ class Translator:
             # a memory struct is allocated first, then its members defaulted
             ptr = self.allocate() if loc == Loc.MEMORY else None
             args = tuple(
-                self.default_value(m.ty, _loc_in(m.ty, loc)) for m in self.struct_def(ty.name).members
+                self.default_value(m.ty, part_loc(m.ty, loc)) for m in self.struct_def(ty.name).members
             )
             value = Construct(self._datatype_at(ty, loc), args)
             if ptr is None:
@@ -548,10 +543,8 @@ class Translator:
         elem = base_ty.base
         if in_memory and is_reference_type(elem):
             fallback: IrExpr = IntLit(0)
-        elif in_memory:
-            fallback = self.default_value(elem, Loc.VALUE)
         else:
-            fallback = self.default_value(elem, _loc_in(elem, Loc.STORAGE))
+            fallback = self.default_value(elem, part_loc(elem, Loc.STORAGE))
         return Ite(in_range, backing, fallback)
 
     def _conditional(self, e: CondExpr) -> IrExpr:
@@ -584,7 +577,7 @@ class Translator:
         dt = self.mem_datatype(ty)
         for member, arg in zip(sd.members, e.args):
             slot = Select(self.heap_read(ty, ptr), member.name, dt)
-            loc = _loc_in(member.ty, Loc.MEMORY)
+            loc = part_loc(member.ty, Loc.MEMORY)
             self.assign(Operand(member.ty, loc, ir_target=slot), self.operand_of(arg))
         return ptr
 
@@ -729,8 +722,8 @@ class Translator:
             ]
         for part_ty, dst_part, src_part in parts:
             self.assign(
-                Operand(part_ty, _loc_in(part_ty, dst_loc), ir_target=dst_part),
-                Operand(part_ty, _loc_in(part_ty, src_loc), ir_value=src_part),
+                Operand(part_ty, part_loc(part_ty, dst_loc), ir_target=dst_part),
+                Operand(part_ty, part_loc(part_ty, src_loc), ir_value=src_part),
             )
 
     # ------------------------------------------------------------------
@@ -755,13 +748,8 @@ class Translator:
         else:
             raise IrError(f"unknown statement {s!r}")
 
-    def _local_loc(self, s: DeclStmt) -> Loc:
-        if is_value_type(s.var_type):
-            return Loc.VALUE
-        return Loc.STORPTR if s.data_loc == "storage" else Loc.MEMORY
-
     def _decl_stmt(self, s: DeclStmt) -> None:
-        loc = self._local_loc(s)
+        loc = s.loc
         var_ty = self.map_type(s.var_type, loc)
         self.program.declare(s.name, var_ty)
         target = Operand(s.var_type, loc, ir_target=Ident(s.name), ir_value=Ident(s.name))
@@ -804,7 +792,7 @@ class Translator:
         elem = s.target.ty.base
         length = Select(entity, "length", dt)
         slot = ArrayRead(Select(entity, "arr", dt), length)
-        loc = _loc_in(elem, Loc.STORAGE)
+        loc = part_loc(elem, Loc.STORAGE)
         self.assign(Operand(elem, loc, ir_target=slot), self.operand_of(s.value))
         self.emit(Assign(length, ir.add(length, IntLit(1))))
 
@@ -861,14 +849,14 @@ class Translator:
 
     def translate_function(self, fn: Function) -> TranslatedFunction:
         for v in self.contract.state_vars:
-            self.program.declare(v.name, self.map_type(v.ty, _loc_in(v.ty, Loc.STORAGE)))
+            self.program.declare(v.name, self.map_type(v.ty, part_loc(v.ty, Loc.STORAGE)))
         for p in fn.params + fn.returns:
             self.program.declare(p.name, self.map_type(p.ty, p.loc))
         if fn.is_constructor:
             # direct default assignments: the mapping row of the
             # assignment matrix must not swallow state initialization
             for v in self.contract.state_vars:
-                self.emit(Assign(Ident(v.name), self.default_value(v.ty, _loc_in(v.ty, Loc.STORAGE))))
+                self.emit(Assign(Ident(v.name), self.default_value(v.ty, part_loc(v.ty, Loc.STORAGE))))
         else:
             for p in fn.params:
                 if p.loc == Loc.MEMORY:
@@ -877,7 +865,7 @@ class Translator:
             default = self.default_value(p.ty, p.loc)
             self.assign(
                 Operand(p.ty, p.loc, ir_target=Ident(p.name), ir_value=Ident(p.name)),
-                Operand(p.ty, _loc_in(p.ty, p.loc), ir_value=default),
+                Operand(p.ty, p.loc, ir_value=default),
             )
         for s in fn.body:
             self.stmt(s)
