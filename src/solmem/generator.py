@@ -25,7 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .errors import SolmemError
+from .errors import SourceError
 from .oracle import MemArray, MemRef, MemStruct, StorArray, StorMapping, StorPath, StorStruct, run_constructor
 from .parser import parse_source, parse_statement
 from .resolver import function_scope, resolve_and_check, resolve_statement
@@ -148,8 +148,8 @@ class ProgramBuilder:
         """Check `line` as the next statement. Returns the resolved
         statement, the scope and taken names after it and the
         interpreter state after running the program with it; None, with
-        the reason counted, if it does not parse, resolve or run, or if
-        an assert fails."""
+        the reason counted, if it does not parse or resolve, or if an
+        assert fails. An interpreter error is a bug and propagates."""
         ctor = self.contract.constructor
         scope, used_names = self.scope.copy(), set(self.used_names)
         try:
@@ -157,7 +157,7 @@ class ProgramBuilder:
             resolve_statement(self.contract, ctor, stmt, scope, used_names)
             candidate = replace(self.contract, constructor=replace(ctor, body=ctor.body + [stmt]))
             result = run_constructor(candidate)
-        except SolmemError as e:
+        except SourceError as e:
             self.rejections[type(e).__name__] += 1
             return None
         if result.failed is not None:
@@ -214,7 +214,7 @@ class ProgramBuilder:
             pointer = self.machine.locals.get(name)
             if not isinstance(pointer, StorPath):
                 continue
-            value = self.machine.path_place(pointer).read()
+            value = self.machine.deref_path(pointer)
             out.append((name, ty, value))
             if isinstance(ty, StructType):
                 assert isinstance(value, StorStruct)

@@ -17,7 +17,7 @@ mappings included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .errors import SolmemError
 from .sol_ast import (
@@ -33,7 +33,7 @@ from .sol_ast import (
     DynArrayType,
     Expr,
     FixArrayType,
-        IdentExpr,
+    IdentExpr,
     IndexExpr,
     IntLitExpr,
     Loc,
@@ -44,16 +44,21 @@ from .sol_ast import (
     PushStmt,
     SolType,
     StructCtorExpr,
+    StructMember,
     StructType,
     UnExpr,
-    is_reference_type,
     is_value_type,
+    part_loc,
 )
 from .storage_tree import StorageTree, build_storage_tree, default_context_tree
 
 
 class OracleError(SolmemError):
     """Internal interpreter error: indicates a bug, not a user mistake."""
+
+
+class ArgumentError(SolmemError):
+    """A function argument does not match its parameter's type."""
 
 
 @dataclass
@@ -122,14 +127,6 @@ class ExecResult:
         return None
 
 
-class Place:
-    """Mutable location: a read/write pair over live state."""
-
-    def __init__(self, read: Callable[[], Any], write: Callable[[Any], None]):
-        self.read = read
-        self.write = write
-
-
 class Machine:
     def __init__(self, contract: Contract):
         if not contract.resolved:
@@ -142,6 +139,11 @@ class Machine:
         self.trees: dict[SolType, StorageTree] = {}
         self.default_contexts: dict[SolType, StorArray] = {}
         self.assert_results: list[AssertOutcome] = []
+
+    def members(self, ty: StructType) -> list[StructMember]:
+        sd = self.contract.struct(ty.name)
+        assert sd is not None
+        return sd.members
 
     # ------------------------------------------------------------------
     # defaults and copies
@@ -157,33 +159,14 @@ class Machine:
             length = ty.size if isinstance(ty, FixArrayType) else 0
             if loc == Loc.STORAGE:
                 return StorArray(ty.base, [], length)
-            elem_loc = Loc.MEMORY if is_reference_type(ty.base) else Loc.VALUE
-            elems = [self.default(ty.base, elem_loc) for _ in range(length)]
+            elems = [self.default(ty.base, part_loc(ty.base, Loc.MEMORY)) for _ in range(length)]
             return self.allocate(MemArray(ty.base, elems, length))
         if isinstance(ty, StructType):
-            sd = self.contract.struct(ty.name)
-            assert sd is not None
+            # a memory struct's members are defaulted first, then it is allocated
+            members = {m.name: self.default(m.ty, part_loc(m.ty, loc)) for m in self.members(ty)}
             if loc == Loc.STORAGE:
-                return StorStruct(
-                    ty.name,
-                    {
-                        m.name: self.default(
-                            m.ty, Loc.STORAGE if is_reference_type(m.ty) else Loc.VALUE
-                        )
-                        for m in sd.members
-                    },
-                )
-            return self.allocate(
-                MemStruct(
-                    ty.name,
-                    {
-                        m.name: self.default(
-                            m.ty, Loc.MEMORY if is_reference_type(m.ty) else Loc.VALUE
-                        )
-                        for m in sd.members
-                    },
-                )
-            )
+                return StorStruct(ty.name, members)
+            return self.allocate(MemStruct(ty.name, members))
         raise OracleError(f"no default for {ty}")
 
     def allocate(self, obj) -> MemRef:
@@ -214,11 +197,9 @@ class Machine:
             obj = self.deref(v)
             if not isinstance(obj, MemStruct):
                 raise OracleError("expected a memory struct")
-            sd = self.contract.struct(ty.name)
-            assert sd is not None
             return StorStruct(
                 ty.name,
-                {m.name: self.storage_from_memory(m.ty, obj.members[m.name]) for m in sd.members},
+                {m.name: self.storage_from_memory(m.ty, obj.members[m.name]) for m in self.members(ty)},
             )
         raise OracleError(f"cannot copy {ty} from memory")
 
@@ -237,15 +218,36 @@ class Machine:
         if isinstance(ty, StructType):
             if not isinstance(v, StorStruct):
                 raise OracleError("expected a storage struct")
-            sd = self.contract.struct(ty.name)
-            assert sd is not None
             return self.allocate(
                 MemStruct(
                     ty.name,
-                    {m.name: self.memory_from_storage(m.ty, v.members[m.name]) for m in sd.members},
+                    {m.name: self.memory_from_storage(m.ty, v.members[m.name]) for m in self.members(ty)},
                 )
             )
         raise OracleError(f"cannot copy {ty} into memory")
+
+    def _stored(self, ty: SolType, loc: Loc, rloc: Loc, rval: Any) -> Any:
+        """The value an assignment of `rval`, found at `rloc`, writes into
+        a `ty` slot at `loc`. A storage right side is a live entity or a
+        pointer path to one. One matrix, keyed on (loc, rloc):
+
+            loc \\ rloc   VALUE   MEMORY           STORAGE / STORPTR
+            VALUE        as is
+            MEMORY               shared           copied into memory
+            STORAGE              copied to storage deep copy
+            STORPTR                               the path, copied
+        """
+        if loc == Loc.VALUE or loc == rloc == Loc.MEMORY:
+            return rval
+        if loc == Loc.STORPTR:
+            return StorPath(rval.target, list(rval.path))
+        if isinstance(rval, StorPath):
+            rval = self.deref_path(rval)
+        if rloc == Loc.MEMORY:
+            return self.storage_from_memory(ty, rval)
+        if loc == Loc.MEMORY:
+            return self.memory_from_storage(ty, rval)
+        return self.deep_copy(rval)
 
     def deref(self, ref: Any):
         if not isinstance(ref, MemRef):
@@ -270,87 +272,52 @@ class Machine:
         if index < 0:
             raise OracleError("negative raw index")
         while len(arr.backing) <= index:
-            elem_loc = Loc.STORAGE if is_reference_type(arr.elem) else Loc.VALUE
-            arr.backing.append(self.default(arr.elem, elem_loc))
+            arr.backing.append(self.default(arr.elem, part_loc(arr.elem, Loc.STORAGE)))
         return arr.backing[index]
 
-    def path_place(self, pointer: StorPath) -> Place:
-        """Dereference a pointer path into a live storage place. Ordinals
-        matching no edge fall through to the last edge, mirroring the
-        unpack conditional."""
+    def deref_path(self, pointer: StorPath) -> Any:
+        """The live storage entity a pointer path denotes, materializing
+        the defaults it passes through. Ordinals matching no edge fall
+        through to the last edge, mirroring the unpack conditional."""
         tree = self.tree_for(pointer.target)
-        node = tree.root
         path = pointer.path
-        first = path[0] if path else 0
-        edge = next((e for e in node.edges if e.ordinal == first), node.edges[-1])
-        label = edge.label
-
         if tree.default_context:
-            ctx = self.default_contexts[pointer.target]
-            idx = path[1] if len(path) > 1 else 0
-
-            def read_ctx():
-                return self.backing_read(ctx, idx)
-
-            def write_ctx(v):
-                self.backing_read(ctx, idx)
-                ctx.backing[idx] = v
-
-            return Place(read_ctx, write_ctx)
-
-        place = Place(
-            lambda label=label: self.storage[label],
-            lambda v, label=label: self.storage.__setitem__(label, v),
-        )
-        node = edge.target
-        depth = 1
+            return self.backing_read(self.default_contexts[pointer.target], path[1] if len(path) > 1 else 0)
+        node, entity, depth = tree.root, None, 0
         while not node.is_leaf:
-            if node.kind == "struct":
-                ordinal = path[depth] if depth < len(path) else 0
-                edge = next((e for e in node.edges if e.ordinal == ordinal), node.edges[-1])
-                holder = place.read()
-                if not isinstance(holder, StorStruct):
+            step = path[depth] if depth < len(path) else 0
+            if node.kind in ("contract", "struct"):
+                edge = next((e for e in node.edges if e.ordinal == step), node.edges[-1])
+                if node.kind == "contract":
+                    entity = self.storage[edge.label]
+                elif isinstance(entity, StorStruct):
+                    entity = entity.members[edge.label]
+                else:
                     raise OracleError("path expects a struct")
-                member = edge.label
-                place = Place(
-                    lambda h=holder, m=member: h.members[m],
-                    lambda v, h=holder, m=member: h.members.__setitem__(m, v),
-                )
-                node = edge.target
-            elif node.kind == "array":
-                idx = path[depth] if depth < len(path) else 0
-                holder = place.read()
-                if not isinstance(holder, StorArray):
-                    raise OracleError("path expects an array")
-                self.backing_read(holder, idx)
-                place = Place(
-                    lambda h=holder, i=idx: self.backing_read(h, i),
-                    lambda v, h=holder, i=idx: h.backing.__setitem__(i, v),
-                )
-                node = node.edges[0].target
-            elif node.kind == "mapping":
-                raw = path[depth] if depth < len(path) else 0
-                holder = place.read()
-                if not isinstance(holder, StorMapping):
-                    raise OracleError("path expects a mapping")
-                key = (raw != 0) if holder.key == BOOL else raw
-                place = Place(
-                    lambda h=holder, k=key: self.mapping_read(h, k, materialize=True),
-                    lambda v, h=holder, k=key: h.entries.__setitem__(k, v),
-                )
-                node = node.edges[0].target
+            elif node.kind == "array" and isinstance(entity, StorArray):
+                edge, entity = node.edges[0], self.backing_read(entity, step)
+            elif node.kind == "mapping" and isinstance(entity, StorMapping):
+                key = self._key(entity, step)
+                edge, entity = node.edges[0], self.mapping_read(entity, key, materialize=True)
             else:
-                raise OracleError(f"unexpected node {node.kind}")
+                raise OracleError(f"path expects a {node.kind}")
+            node = edge.target
             depth += 1
-        return place
+        return entity
 
     def mapping_read(self, m: StorMapping, key, materialize: bool = False):
         if key in m.entries:
             return m.entries[key]
-        value = self.default(m.value, Loc.STORAGE if is_reference_type(m.value) else Loc.VALUE)
+        value = self.default(m.value, part_loc(m.value, Loc.STORAGE))
         if materialize:
             m.entries[key] = value
         return value
+
+    @staticmethod
+    def _key(mapping: StorMapping, key):
+        if mapping.key == BOOL:
+            return bool(key)
+        return key
 
     # ------------------------------------------------------------------
     # packing (concrete)
@@ -444,15 +411,13 @@ class Machine:
             return self._eval_cond(e)
         if isinstance(e, NewArrayExpr):
             length = self.eval(e.length)
-            elem_loc = Loc.MEMORY if is_reference_type(e.elem_type) else Loc.VALUE
+            elem_loc = part_loc(e.elem_type, Loc.MEMORY)
             elems = [self.default(e.elem_type, elem_loc) for _ in range(max(length, 0))]
             return self.allocate(MemArray(e.elem_type, elems, length))
         if isinstance(e, StructCtorExpr):
-            sd = self.contract.struct(e.name)
-            assert sd is not None
             members = {}
-            for m, arg in zip(sd.members, e.args):
-                members[m.name] = self._operand_to_member(m.ty, arg)
+            for m, arg in zip(self.members(e.ty), e.args):
+                members[m.name] = self._stored(m.ty, part_loc(m.ty, Loc.MEMORY), arg.loc, self.eval(arg))
             return self.allocate(MemStruct(e.name, members))
         if isinstance(e, BinExpr):
             return self._eval_binop(e)
@@ -461,63 +426,35 @@ class Machine:
             return (not v) if e.op == "!" else -v
         raise OracleError(f"unknown expression {e!r}")
 
-    def _operand_to_member(self, ty: SolType, arg: Expr) -> Any:
-        """Struct-constructor argument into a memory member slot."""
-        if is_value_type(ty):
-            return self.eval(arg)
-        if arg.loc == Loc.MEMORY:
-            return self.eval(arg)
-        return self.memory_from_storage(ty, self.storage_entity(arg))
-
-    def storage_entity(self, e: Expr) -> Any:
-        """Live storage value an expression denotes (no copy)."""
+    def entity(self, e: Expr) -> Any:
+        """Live object an expression denotes, no copy: memory references
+        and storage pointers are followed."""
+        value = self.eval(e)
+        if e.loc == Loc.MEMORY:
+            return self.deref(value)
         if e.loc == Loc.STORPTR:
-            pointer = self.eval(e)
-            if not isinstance(pointer, StorPath):
-                raise OracleError("expected a storage pointer")
-            return self.path_place(pointer).read()
-        return self.eval(e)
+            return self.deref_path(value)
+        return value
 
     def _eval_member(self, e: MemberExpr) -> Any:
-        base_ty = e.base.ty
-        if isinstance(base_ty, (DynArrayType, FixArrayType)):
-            entity = self._array_entity_value(e.base)
+        entity = self.entity(e.base)
+        if isinstance(e.base.ty, (DynArrayType, FixArrayType)):
+            if not isinstance(entity, (StorArray, MemArray)):
+                raise OracleError("expected an array")
             return entity.length
-        entity = self.storage_entity(e.base) if e.base.loc != Loc.MEMORY else self.deref(self.eval(e.base))
         if isinstance(entity, (StorStruct, MemStruct)):
             return entity.members[e.member]
         raise OracleError(f"member access on {type(entity).__name__}")
 
-    def _array_entity_value(self, e: Expr):
-        if e.loc == Loc.MEMORY:
-            obj = self.deref(self.eval(e))
-            if not isinstance(obj, MemArray):
-                raise OracleError("expected a memory array")
-            return obj
-        entity = self.storage_entity(e)
-        if not isinstance(entity, StorArray):
-            raise OracleError("expected a storage array")
-        return entity
-
-    def _live_array(self, e: Expr) -> StorArray:
-        """Storage array entity resolved through materializing accesses,
-        so push/pop mutate the stored value (not a detached default)."""
-        if isinstance(e, IdentExpr) and e.loc == Loc.STORPTR:
-            entity = self.path_place(self.eval(e)).read()
-        else:
-            entity = self.lvalue_place(e).read()
-        if not isinstance(entity, StorArray):
-            raise OracleError("push/pop on non-storage array")
-        return entity
-
     def _eval_index(self, e: IndexExpr) -> Any:
         base_ty = e.base.ty
+        entity = self.entity(e.base)
         if isinstance(base_ty, MappingType):
-            entity = self.storage_entity(e.base)
             if not isinstance(entity, StorMapping):
                 raise OracleError("expected a mapping")
             return self.mapping_read(entity, self._key(entity, self.eval(e.index)))
-        entity = self._array_entity_value(e.base)
+        if not isinstance(entity, (StorArray, MemArray)):
+            raise OracleError("expected an array")
         idx = self.eval(e.index)
         # length-guarded read; out of range yields the element default
         if 0 <= idx < entity.length:
@@ -525,27 +462,13 @@ class Machine:
                 return self.backing_read(entity, idx)
             if idx < len(entity.elems):
                 return entity.elems[idx]
-        elem_ty = base_ty.base
-        if isinstance(entity, MemArray):
-            loc = Loc.MEMORY if is_reference_type(elem_ty) else Loc.VALUE
-        else:
-            loc = Loc.STORAGE if is_reference_type(elem_ty) else Loc.VALUE
-        return self.default(elem_ty, loc)
-
-    @staticmethod
-    def _key(mapping: StorMapping, key):
-        if mapping.key == BOOL:
-            return bool(key)
-        return key
+        holder = Loc.MEMORY if isinstance(entity, MemArray) else Loc.STORAGE
+        return self.default(base_ty.base, part_loc(base_ty.base, holder))
 
     def _eval_cond(self, e: CondExpr) -> Any:
         taken = e.then if self.eval(e.cond) else e.other
-        if e.loc == Loc.VALUE:
-            return self.eval(taken)
-        if e.loc == Loc.MEMORY:
-            if taken.loc == Loc.MEMORY:
-                return self.eval(taken)
-            return self.memory_from_storage(e.ty, self.storage_entity(taken))
+        if e.loc != Loc.STORPTR:
+            return self._stored(e.ty, e.loc, taken.loc, self.eval(taken))
         # common location: storage pointer
         if taken.loc == Loc.STORPTR and isinstance(taken, IdentExpr):
             return self.eval(taken)
@@ -580,151 +503,88 @@ class Machine:
     # ------------------------------------------------------------------
     # lvalues
 
-    def lvalue_place(self, e: Expr) -> Place:
+    def lvalue_place(self, e: Expr) -> tuple[Any, Any]:
+        """The slot `(container, key)` of an lvalue: `container[key]` is
+        its live value. Storage defaults on the way are materialized."""
         if isinstance(e, IdentExpr):
-            if e.decl_kind == "state":
-                return Place(
-                    lambda: self.storage[e.name],
-                    lambda v: self.storage.__setitem__(e.name, v),
-                )
-            return Place(
-                lambda: self.locals[e.name], lambda v: self.locals.__setitem__(e.name, v)
-            )
+            return (self.storage if e.decl_kind == "state" else self.locals), e.name
         if isinstance(e, MemberExpr):
             holder = self._entity_for_access(e.base)
             if not isinstance(holder, (StorStruct, MemStruct)):
                 raise OracleError("member write on non-struct")
-            return Place(
-                lambda: holder.members[e.member],
-                lambda v: holder.members.__setitem__(e.member, v),
-            )
-        if isinstance(e, IndexExpr):
-            holder = self._entity_for_access(e.base)
-            idx = self.eval(e.index)
-            if isinstance(holder, StorMapping):
-                key = self._key(holder, idx)
-                return Place(
-                    lambda: self.mapping_read(holder, key, materialize=True),
-                    lambda v: holder.entries.__setitem__(key, v),
-                )
-            if isinstance(holder, StorArray):
-                self.backing_read(holder, idx)
-                return Place(
-                    lambda: self.backing_read(holder, idx),
-                    lambda v: holder.backing.__setitem__(idx, v),
-                )
-            if isinstance(holder, MemArray):
-                while len(holder.elems) <= idx:
-                    loc = Loc.MEMORY if is_reference_type(holder.elem) else Loc.VALUE
-                    holder.elems.append(self.default(holder.elem, loc))
-                return Place(
-                    lambda: holder.elems[idx], lambda v: holder.elems.__setitem__(idx, v)
-                )
-            raise OracleError("index write on non-array")
-        raise OracleError(f"not an lvalue: {e!r}")
+            return holder.members, e.member
+        if not isinstance(e, IndexExpr):
+            raise OracleError(f"not an lvalue: {e!r}")
+        holder = self._entity_for_access(e.base)
+        idx = self.eval(e.index)
+        if isinstance(holder, StorMapping):
+            key = self._key(holder, idx)
+            self.mapping_read(holder, key, materialize=True)
+            return holder.entries, key
+        if isinstance(holder, StorArray):
+            self.backing_read(holder, idx)
+            return holder.backing, idx
+        if isinstance(holder, MemArray):
+            while len(holder.elems) <= idx:
+                holder.elems.append(self.default(holder.elem, part_loc(holder.elem, Loc.MEMORY)))
+            return holder.elems, idx
+        raise OracleError("index write on non-array")
 
     def _entity_for_access(self, base: Expr) -> Any:
         """Live container object for a member/index step of an lvalue."""
         if base.loc == Loc.MEMORY:
             return self.deref(self.eval(base))
         if base.loc == Loc.STORPTR:
-            pointer = self.eval(base)
-            return self.path_place(pointer).read()
-        if isinstance(base, IdentExpr):
-            return self.lvalue_place(base).read()
-        place = self.lvalue_place(base)
-        return place.read()
+            return self.deref_path(self.eval(base))
+        container, key = self.lvalue_place(base)
+        return container[key]
 
-    # ------------------------------------------------------------------
-    # assignment
-
-    def assign(self, lhs: Expr, rhs_ty: SolType, rhs_loc: Loc, rhs_value: Any) -> None:
-        """Store `rhs_value` (already evaluated: prim, live storage
-        value, StorPath, or MemRef) into a non-pointer lvalue per the
-        location matrix."""
-        ty, loc = lhs.ty, lhs.loc
-        if is_value_type(ty):
-            self.lvalue_place(lhs).write(rhs_value)
-            return
-        if loc == Loc.STORAGE:
-            if rhs_loc in (Loc.STORAGE, Loc.STORPTR):
-                entity = (
-                    self.path_place(rhs_value).read()
-                    if isinstance(rhs_value, StorPath)
-                    else rhs_value
-                )
-                self.lvalue_place(lhs).write(self.deep_copy(entity))
-            else:
-                self.lvalue_place(lhs).write(self.storage_from_memory(ty, rhs_value))
-            return
-        if loc == Loc.MEMORY:
-            if rhs_loc == Loc.MEMORY:
-                self.lvalue_place(lhs).write(rhs_value)
-            else:
-                entity = (
-                    self.path_place(rhs_value).read()
-                    if isinstance(rhs_value, StorPath)
-                    else rhs_value
-                )
-                self.lvalue_place(lhs).write(self.memory_from_storage(ty, entity))
-            return
-        raise OracleError(f"cannot assign into {loc}")
-
-    def _rhs_operand(self, e: Expr) -> tuple[SolType, Loc, Any]:
-        """Evaluate an assignment right side: storage entities become
-        pointers (paths), memory stays a reference, values evaluate."""
-        if is_value_type(e.ty):
-            return e.ty, Loc.VALUE, self.eval(e)
-        if e.loc == Loc.STORAGE:
-            return e.ty, Loc.STORPTR, self.pack_path(e)
-        if e.loc == Loc.STORPTR:
-            return e.ty, Loc.STORPTR, self.eval(e)
-        return e.ty, Loc.MEMORY, self.eval(e)
-
-    def _assign_pair(self, lhs: Expr, rhs_ty: SolType, rhs_loc: Loc, rhs_value: Any) -> None:
-        if lhs.loc == Loc.STORPTR:
-            # repoint the pointer variable
-            if rhs_loc == Loc.STORPTR and isinstance(rhs_value, StorPath):
-                self.locals[lhs.name] = StorPath(rhs_value.target, list(rhs_value.path))
-                return
-            raise OracleError("cannot repoint from a non-storage value")
-        self.assign(lhs, rhs_ty, rhs_loc, rhs_value)
+    def _live_array(self, e: Expr) -> StorArray:
+        """Storage array entity resolved through materializing accesses,
+        so push/pop mutate the stored value (not a detached default)."""
+        entity = self._entity_for_access(e)
+        if not isinstance(entity, StorArray):
+            raise OracleError("push/pop on non-storage array")
+        return entity
 
     # ------------------------------------------------------------------
     # statements
 
+    def _rhs_operand(self, e: Expr) -> tuple[Loc, Any]:
+        """Evaluate an assignment right side: a storage entity becomes a
+        pointer path, anything else evaluates."""
+        if e.loc == Loc.STORAGE:
+            return Loc.STORPTR, self.pack_path(e)
+        return e.loc, self.eval(e)
+
     def exec_stmt(self, s) -> bool:
         """Returns False when execution must stop (failed assert)."""
         if isinstance(s, DeclStmt):
-            self._exec_decl(s)
+            if s.init is None:
+                self.locals[s.name] = self.default(s.var_type, s.loc)
+            else:
+                self.locals[s.name] = self._stored(s.var_type, s.loc, *self._rhs_operand(s.init))
         elif isinstance(s, AssignStmt):
             operands = [self._rhs_operand(r) for r in s.rhs]
-            for lhs, (rty, rloc, rval) in reversed(list(zip(s.lhs, operands))):
-                self._assign_pair(lhs, rty, rloc, rval)
+            for lhs, (rloc, rval) in reversed(list(zip(s.lhs, operands))):
+                if lhs.loc != Loc.STORPTR and isinstance(rval, StorPath):
+                    # the right side is read before the target's slot is found
+                    rval = self.deref_path(rval)
+                container, key = self.lvalue_place(lhs)
+                container[key] = self._stored(lhs.ty, lhs.loc, rloc, rval)
         elif isinstance(s, PushStmt):
             arr = self._live_array(s.target)
-            rty, rloc, rval = self._rhs_operand(s.value)
+            rloc, rval = self._rhs_operand(s.value)
             slot = max(arr.length, 0)
             self.backing_read(arr, slot)
-            if is_value_type(arr.elem):
-                arr.backing[slot] = rval
-            elif rloc == Loc.MEMORY:
-                arr.backing[slot] = self.storage_from_memory(arr.elem, rval)
-            else:
-                entity = self.path_place(rval).read() if isinstance(rval, StorPath) else rval
-                arr.backing[slot] = self.deep_copy(entity)
+            arr.backing[slot] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
             arr.length = arr.length + 1
         elif isinstance(s, PopStmt):
             arr = self._live_array(s.target)
             arr.length -= 1
         elif isinstance(s, DeleteStmt):
-            t = s.target
-            if t.loc == Loc.MEMORY:
-                self.lvalue_place(t).write(self.default(t.ty, Loc.MEMORY))
-            elif is_value_type(t.ty):
-                self.lvalue_place(t).write(self.default(t.ty, Loc.VALUE))
-            else:
-                self.lvalue_place(t).write(self.default(t.ty, Loc.STORAGE))
+            container, key = self.lvalue_place(s.target)
+            container[key] = self.default(s.target.ty, s.target.loc)
         elif isinstance(s, AssertStmt):
             ok = bool(self.eval(s.cond))
             self.assert_results.append(AssertOutcome(len(self.assert_results), s.line, ok))
@@ -733,67 +593,40 @@ class Machine:
             raise OracleError(f"unknown statement {s!r}")
         return True
 
-    def _exec_decl(self, s: DeclStmt) -> None:
-        if is_value_type(s.var_type):
-            if s.init is not None:
-                self.locals[s.name] = self.eval(s.init)
-            else:
-                self.locals[s.name] = self.default(s.var_type, Loc.VALUE)
-            return
-        loc = Loc.STORPTR if s.data_loc == "storage" else Loc.MEMORY
-        if loc == Loc.STORPTR:
-            assert s.init is not None
-            rty, rloc, rval = self._rhs_operand(s.init)
-            if not isinstance(rval, StorPath):
-                raise OracleError("storage pointer initializer must be a storage entity")
-            self.locals[s.name] = StorPath(rval.target, list(rval.path))
-            return
-        if s.init is None:
-            self.locals[s.name] = self.default(s.var_type, Loc.MEMORY)
-            return
-        rty, rloc, rval = self._rhs_operand(s.init)
-        if rloc == Loc.MEMORY:
-            self.locals[s.name] = rval
-        else:
-            entity = self.path_place(rval).read() if isinstance(rval, StorPath) else rval
-            self.locals[s.name] = self.memory_from_storage(s.var_type, entity)
-
 
 def init_storage(machine: Machine) -> None:
     for v in machine.contract.state_vars:
-        loc = Loc.STORAGE if is_reference_type(v.ty) else Loc.VALUE
-        machine.storage[v.name] = machine.default(v.ty, loc)
+        machine.storage[v.name] = machine.default(v.ty, part_loc(v.ty, Loc.STORAGE))
 
 
-def _bind_arg(machine: Machine, p, value):
-    """JSON-ish argument into a runtime value: prims directly, lists for
-    memory arrays / pointer paths, dicts for memory structs."""
-    if is_value_type(p.ty):
-        return value
-    if p.loc == Loc.STORPTR:
-        if not isinstance(value, list):
-            raise OracleError(f"storage pointer argument {p.name_source or p.name} must be a path list")
-        machine.tree_for(p.ty)
-        return StorPath(p.ty, [int(x) for x in value])
-    return _materialize_memory(machine, p.ty, value)
+def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
+    """JSON argument into a runtime value, checked against its type: an
+    integer or a boolean for a value type, a list of integers (a path)
+    for a storage pointer, a list for a memory array and an object with
+    exactly the members for a memory struct."""
 
+    def fail():
+        return ArgumentError(f"argument {name}: expected {ty}, got {value!r}")
 
-def _materialize_memory(machine: Machine, ty: SolType, value):
     if is_value_type(ty):
+        if not isinstance(value, int) or isinstance(value, bool) != (ty == BOOL):
+            raise fail()
         return value
+    if loc == Loc.STORPTR:
+        if not isinstance(value, list) or not all(type(x) is int for x in value):
+            raise ArgumentError(f"argument {name}: expected a storage path (list of integers), got {value!r}")
+        machine.tree_for(ty)
+        return StorPath(ty, list(value))
     if isinstance(ty, (DynArrayType, FixArrayType)):
-        if not isinstance(value, list):
-            raise OracleError("memory array argument must be a list")
-        elems = [_materialize_memory(machine, ty.base, v) for v in value]
+        if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
+            raise fail()
+        elems = [_bind_arg(machine, name, ty.base, Loc.MEMORY, v) for v in value]
         return machine.allocate(MemArray(ty.base, elems, len(elems)))
-    if isinstance(ty, StructType):
-        sd = machine.contract.struct(ty.name)
-        assert sd is not None
-        if not isinstance(value, dict):
-            raise OracleError("memory struct argument must be an object")
-        members = {m.name: _materialize_memory(machine, m.ty, value[m.name]) for m in sd.members}
-        return machine.allocate(MemStruct(ty.name, members))
-    raise OracleError(f"cannot materialize {ty}")
+    members = machine.members(ty)
+    if not isinstance(value, dict) or set(value) != {m.name for m in members}:
+        raise fail()
+    bound = {m.name: _bind_arg(machine, name, m.ty, Loc.MEMORY, value[m.name]) for m in members}
+    return machine.allocate(MemStruct(ty.name, bound))
 
 
 def exec_function(
@@ -813,11 +646,11 @@ def exec_function(
         init_storage(machine)
     machine.locals = {}
     machine.assert_results = []
-    args = args or []
-    if len(args) != len(fn.params):
-        raise OracleError(f"{fn_name} takes {len(fn.params)} arguments, got {len(args)}")
+    args = [] if args is None else args
+    if not isinstance(args, list) or len(args) != len(fn.params):
+        raise ArgumentError(f"{fn_name} takes a list of {len(fn.params)} arguments, got {args!r}")
     for p, a in zip(fn.params, args):
-        machine.locals[p.name] = _bind_arg(machine, p, a)
+        machine.locals[p.name] = _bind_arg(machine, p.name_source or p.name, p.ty, p.loc, a)
     for r in fn.returns:
         machine.locals[r.name] = machine.default(r.ty, r.loc)
     for s in fn.body:
@@ -861,20 +694,12 @@ def serialize(machine: Machine, ty: SolType, value) -> Any:
         ]
         return {"length": value.length, "elems": elems}
     if isinstance(ty, StructType):
-        sd = machine.contract.struct(ty.name)
-        assert sd is not None
-        if isinstance(value, MemRef):
-            obj = machine.deref(value)
-            return {m.name: serialize(machine, m.ty, obj.members[m.name]) for m in sd.members}
-        assert isinstance(value, StorStruct)
-        return {m.name: serialize(machine, m.ty, value.members[m.name]) for m in sd.members}
+        obj = machine.deref(value) if isinstance(value, MemRef) else value
+        assert isinstance(obj, (MemStruct, StorStruct))
+        return {m.name: serialize(machine, m.ty, obj.members[m.name]) for m in machine.members(ty)}
     if isinstance(ty, MappingType):
         assert isinstance(value, StorMapping)
-        default = serialize(
-            machine,
-            ty.value,
-            machine.default(ty.value, Loc.STORAGE if is_reference_type(ty.value) else Loc.VALUE),
-        )
+        default = serialize(machine, ty.value, machine.default(ty.value, part_loc(ty.value, Loc.STORAGE)))
         entries = {}
         for key in sorted(value.entries, key=str):
             entry = serialize(machine, ty.value, value.entries[key])

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from solmem import generator
 from solmem.generator import ProgramBuilder, random_program
-from solmem.oracle import ExecResult, run_constructor, serialize_storage
+from solmem.harness import run_fuzz
+from solmem.oracle import ExecResult, OracleError, run_constructor, serialize_storage
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.translate import translate_contract
@@ -84,3 +86,22 @@ def test_incremental_state_matches_full_rerun(seed):
     builder = _CheckedBuilder(seed, 10)
     assert builder.build() == random_program(seed, 10)
     assert builder.g.lines  # some lines were accepted and checked
+
+
+def test_interpreter_errors_are_not_rejected_candidates(monkeypatch):
+    """An OracleError while checking a candidate line is a bug in the
+    ground truth: it reaches the fuzz loop as an invalid seed instead of
+    being counted as a rejection."""
+    real = generator.run_constructor
+
+    def broken(contract):
+        if contract.constructor.body:
+            raise OracleError("interpreter bug")
+        return real(contract)
+
+    monkeypatch.setattr(generator, "run_constructor", broken)
+    with pytest.raises(OracleError, match="interpreter bug"):
+        ProgramBuilder(0, 10).build()
+    [outcome] = run_fuzz(range(1), jobs=1)
+    assert (outcome.observed, outcome.detail) == ("invalid", "pipeline error: interpreter bug")
+    assert outcome.rejections == {}
