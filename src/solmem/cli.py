@@ -78,30 +78,35 @@ def cmd_run(args) -> int:
     path = Path(args.file)
     try:
         contract = resolve_and_check(parse_source(path.read_text()))
-    except SolmemError as e:
+    except (OSError, SolmemError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        if args.entry == "constructor":
-            result = run_constructor(contract)
-        else:
-            fn = contract.function(args.entry)
-            if fn is None:
-                print(f"error: no function named {args.entry}", file=sys.stderr)
-                return 2
-            fn_args = json.loads(args.args) if args.args else []
-            base = run_constructor(contract)
-            result = exec_function(contract, args.entry, fn_args, initial=base.state)
-    except SolmemError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("error: source nested too deeply to parse and resolve (RecursionError)", file=sys.stderr)
         return 2
     fn = contract.function(args.entry)
-    returns = {}
-    if fn is not None and fn.returns:
+    if fn is None and args.entry != "constructor":
+        print(f"error: no function named {args.entry}", file=sys.stderr)
+        return 2
+    try:
+        fn_args = json.loads(args.args) if args.args else []
+        result = run_constructor(contract)
+        if fn is not None and not fn.is_constructor:
+            result = exec_function(contract, fn.name, fn_args, initial=result.state)
         returns = {
-            (r.name_source or r.name): serialize(result.state, r.ty, result.returns[r.name_source or r.name])
-            for r in fn.returns
+            name: serialize(result.state, r.ty, result.returns[name])
+            for r in (fn.returns if fn is not None else [])
+            for name in [r.name_source or r.name]
         }
+    except json.JSONDecodeError as e:
+        print(f"error: --args is not valid JSON: {e}", file=sys.stderr)
+        return 2
+    except SolmemError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply to run (RecursionError)", file=sys.stderr)
+        return 2
     payload = {
         "storage": serialize_storage(result),
         "returns": returns,

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from sources import DANGLING_POINTER
 from solmem.cli import main
@@ -193,6 +194,34 @@ def test_cli_run_reports_assert_failure(tmp_path, capsys):
     assert main(["run", str(f)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["asserts"][0]["passed"] is False
+
+
+_ONE_ARG = "contract C { int x; function f(int a) { x = a; } }"
+
+
+@pytest.mark.parametrize(
+    "source, argv, message",
+    [
+        (None, [], "No such file or directory"),
+        (_ONE_ARG, ["--entry", "f", "--args", "[1,"], "--args is not valid JSON"),
+        (_ONE_ARG, ["--entry", "f", "--args", '["a"]'], "argument a: expected int, got 'a'"),
+        (_ONE_ARG, ["--entry", "f", "--args", '{"a":1}'], "f takes a list of 1 arguments"),
+        ("contract C { int x; constructor() { x = " + "(" * 400 + "1" + ")" * 400 + "; } }", [],
+         "source nested too deeply to parse and resolve (RecursionError)"),
+        ("contract C { int x; constructor() { x = " + " + ".join(["x"] * 3000) + "; } }", [],
+         "expression nested too deeply to run (RecursionError)"),
+    ],
+    ids=["missing-file", "malformed-json", "wrong-type", "not-a-list", "too-deep-to-parse", "too-deep-to-run"],
+)
+def test_cli_run_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, source, argv, message):
+    f = tmp_path / "t.sol"
+    if source is not None:
+        f.write_text(source)
+    assert main(["run", str(f), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_corpus(tmp_path, capsys, solver_available):
