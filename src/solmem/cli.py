@@ -94,9 +94,8 @@ def cmd_run(args) -> int:
         if fn is not None and not fn.is_constructor:
             result = exec_function(contract, fn.name, fn_args, initial=result.state)
         returns = {
-            name: serialize(result.state, r.ty, result.returns[name])
-            for r in (fn.returns if fn is not None else [])
-            for name in [r.name_source or r.name]
+            name: serialize(result.state, r.ty, value)
+            for r, (name, value) in zip(fn.returns if fn else [], result.returns.items())
         }
     except json.JSONDecodeError as e:
         print(f"error: --args is not valid JSON: {e}", file=sys.stderr)

@@ -277,32 +277,21 @@ class Machine:
 
     def deref_path(self, pointer: StorPath) -> Any:
         """The live storage entity a pointer path denotes, materializing
-        the defaults it passes through. Ordinals matching no edge fall
-        through to the last edge, mirroring the unpack conditional."""
-        tree = self.tree_for(pointer.target)
-        path = pointer.path
-        if tree.default_context:
+        the defaults it passes through."""
+        if self.tree_for(pointer.target).default_context:
+            path = pointer.path
             return self.backing_read(self.default_contexts[pointer.target], path[1] if len(path) > 1 else 0)
-        node, entity, depth = tree.root, None, 0
-        while not node.is_leaf:
-            step = path[depth] if depth < len(path) else 0
-            if node.kind in ("contract", "struct"):
-                edge = next((e for e in node.edges if e.ordinal == step), node.edges[-1])
-                if node.kind == "contract":
-                    entity = self.storage[edge.label]
-                elif isinstance(entity, StorStruct):
-                    entity = entity.members[edge.label]
-                else:
-                    raise OracleError("path expects a struct")
-            elif node.kind == "array" and isinstance(entity, StorArray):
-                edge, entity = node.edges[0], self.backing_read(entity, step)
-            elif node.kind == "mapping" and isinstance(entity, StorMapping):
-                key = self._key(entity, step)
-                edge, entity = node.edges[0], self.mapping_read(entity, key, materialize=True)
+        steps = self._steps_of_path(pointer)
+        entity = self.storage[steps[0][1]]
+        for _, step in steps[1:]:
+            if isinstance(entity, StorStruct):
+                entity = entity.members[step]
+            elif isinstance(entity, StorArray):
+                entity = self.backing_read(entity, step)
+            elif isinstance(entity, StorMapping):
+                entity = self.mapping_read(entity, self._key(entity, step), materialize=True)
             else:
-                raise OracleError(f"path expects a {node.kind}")
-            node = edge.target
-            depth += 1
+                raise OracleError(f"path steps into {type(entity).__name__}")
         return entity
 
     def mapping_read(self, m: StorMapping, key, materialize: bool = False):
@@ -371,8 +360,9 @@ class Machine:
         return StorPath(expr.ty, path)
 
     def _steps_of_path(self, pointer: StorPath) -> list[tuple[str, Any]]:
-        """Recover the label/index steps a concrete path denotes, so it
-        can be re-encoded in another type's tree."""
+        """Recover the label/index steps a concrete path denotes. Ordinals
+        matching no edge fall through to the last edge, mirroring the
+        unpack conditional."""
         tree = self.tree_for(pointer.target)
         if tree.default_context:
             raise OracleError("cannot re-pack a default-context pointer")
@@ -470,9 +460,7 @@ class Machine:
         if e.loc != Loc.STORPTR:
             return self._stored(e.ty, e.loc, taken.loc, self.eval(taken))
         # common location: storage pointer
-        if taken.loc == Loc.STORPTR and isinstance(taken, IdentExpr):
-            return self.eval(taken)
-        return self.pack_path(taken)
+        return self.eval(taken) if taken.loc == Loc.STORPTR else self.pack_path(taken)
 
     def _eval_binop(self, e: BinExpr) -> Any:
         op = e.op

@@ -176,3 +176,21 @@ def test_mapping_values_not_tracked_for_existence():
         "length": 0,
         "elems": [],
     }
+
+
+def test_nested_storage_pointer_conditional():
+    src = """
+contract C {
+    struct S { int x; }
+    S a; S b; S c;
+    constructor() {
+        bool t = true;
+        S storage p = t ? (t ? a : b) : c;
+        p.x = 5;
+        assert(a.x == 5);
+    }
+}
+"""
+    result = run_constructor(compile_source(src))
+    assert [a.passed for a in result.asserts] == [True]
+    assert serialize_storage(result) == {"a": {"x": 5}, "b": {"x": 0}, "c": {"x": 0}}
