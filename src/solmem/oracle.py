@@ -519,11 +519,11 @@ class Machine:
         raise OracleError("index write on non-array")
 
     def _entity_for_access(self, base: Expr) -> Any:
-        """Live container object for a member/index step of an lvalue."""
-        if base.loc == Loc.MEMORY:
-            return self.deref(self.eval(base))
-        if base.loc == Loc.STORPTR:
-            return self.deref_path(self.eval(base))
+        """Live container object for a member/index step of an lvalue. A
+        storage container is reached through slots, which materialize
+        defaults, so a write lands in the stored value."""
+        if base.loc != Loc.STORAGE:
+            return self.entity(base)
         container, key = self.lvalue_place(base)
         return container[key]
 
@@ -556,7 +556,7 @@ class Machine:
             operands = [self._rhs_operand(r) for r in s.rhs]
             for lhs, (rloc, rval) in reversed(list(zip(s.lhs, operands))):
                 if lhs.loc != Loc.STORPTR and isinstance(rval, StorPath):
-                    # the right side is read before the target's slot is found
+                    # before finding the slot: both can materialize mapping entries
                     rval = self.deref_path(rval)
                 container, key = self.lvalue_place(lhs)
                 container[key] = self._stored(lhs.ty, lhs.loc, rloc, rval)
