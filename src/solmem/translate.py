@@ -541,10 +541,7 @@ class Translator:
             ir.le(IntLit(0), idx), ir.lt(idx, Select(entity, "length", dt))
         )
         elem = base_ty.base
-        if in_memory and is_reference_type(elem):
-            fallback: IrExpr = IntLit(0)
-        else:
-            fallback = self.default_value(elem, part_loc(elem, Loc.STORAGE))
+        fallback = self.default_value(elem, part_loc(elem, Loc.MEMORY if in_memory else Loc.STORAGE))
         return Ite(in_range, backing, fallback)
 
     def _conditional(self, e: CondExpr) -> IrExpr:

@@ -1,10 +1,14 @@
 """Hand-picked adversarial programs where oracle and verifier must agree:
 pointer/pop interactions, bool mapping keys, nested mappings, memory
-aliasing graphs, and deletes observed through watching pointers."""
+aliasing graphs, deletes observed through watching pointers, and reads
+past the end of a memory array of references."""
 
 import pytest
 
+from solmem import parse_source, resolve_and_check, translate_function
 from solmem.harness import differential_check
+from solmem.ireval import eval_ir
+from solmem.oracle import run_constructor
 
 CASES = {
     "bool_keyed_mapping_pointer": """
@@ -113,6 +117,33 @@ contract C {
 }
 """,
 }
+
+
+# Checked without a solver only: each out-of-range read yields a fresh
+# default struct, as in the oracle, so a write through one read leaves
+# the next one at zero.
+OUT_OF_RANGE_MEMORY_STRUCT_READ = """
+contract C {
+    struct S { int a; }
+    constructor() {
+        S[] memory arr = new S[](1);
+        S memory x = arr[5];
+        x.a = 3;
+        assert(arr[5].a == 0);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("name", [*CASES, "out_of_range_memory_struct_read"])
+def test_ireval_fails_where_the_oracle_fails(name):
+    source = CASES.get(name, OUT_OF_RANGE_MEMORY_STRUCT_READ)
+    contract = resolve_and_check(parse_source(source))
+    oracle = run_constructor(contract)
+    ran = eval_ir(translate_function(contract, contract.constructor).program)
+    assert ran.status != "assume-violated"
+    ir_failed = ran.failed_index if ran.status == "assert-failed" else None
+    assert ir_failed == (oracle.failed.ordinal if oracle.failed else None)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -26,7 +26,7 @@ from solmem.vcgen import vc_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DIGEST = "eca23e48ccafb9191e17b0e6dac49cde9352a3d400c92fcbce219e19c79b926a"
+DIGEST = "939cfeaaa7b8a0744222f7639e74e5aed1e862714707ba5f4590b174a731623a"
 
 
 # every location pair of the assignment matrix, for arrays, structs and
