@@ -8,8 +8,7 @@ truth, and a seeded generator produces fuzz programs for it.
 
 from .parser import parse_source
 from .resolver import resolve_and_check
-from .sol_ast import type_of
-from .translate import translate_contract, translate_function
+from .translate import translate_function
 from .verify import verify_source
 
 __version__ = "0.1.0"
@@ -17,8 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "parse_source",
     "resolve_and_check",
-    "type_of",
-    "translate_contract",
     "translate_function",
     "verify_source",
     "__version__",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from .errors import SourceError
 from .oracle import MemArray, MemRef, MemStruct, StorArray, StorMapping, StorPath, StorStruct, run_constructor
 from .parser import parse_source, parse_statement
-from .resolver import function_scope, resolve_and_check, resolve_statement
+from .resolver import function_scope, resolve_and_check, resolve_statement, struct_refs
 from .sol_ast import (
     BOOL,
     INT,
@@ -109,7 +109,7 @@ class ProgramBuilder:
         pool = [
             (n, t)
             for n, t in _STATE_POOLS
-            if all(s.name in self.structs for s in _struct_names(t))
+            if all(name in self.structs for name in struct_refs(t))
         ]
         count = self.rng.randint(3, min(6, len(pool)))
         self.state_vars = self.rng.sample(pool, count)
@@ -494,12 +494,12 @@ class ProgramBuilder:
             return None
         return checked[3].locals.get(probe)
 
-    def make_asserts(self, max_asserts: int = 3, fail_share: float = 0.3):
+    def make_asserts(self):
+        """Up to three passing asserts over value reads, then, with
+        probability 0.3, one failing assert."""
         reads = [r for r in self._value_reads() if r[1] != BOOL]
         bools = [r for r in self._value_reads() if r[1] == BOOL]
-        count = self.rng.randint(1, max_asserts)
-        emitted = 0
-        for _ in range(count):
+        for _ in range(self.rng.randint(1, 3)):
             if reads and (not bools or self.rng.random() < 0.8):
                 text, _, _ = self.rng.choice(reads)
                 value = self._probe(text)
@@ -509,18 +509,15 @@ class ProgramBuilder:
             else:
                 text, _, value = self.rng.choice(bools)
                 line = f"assert({text} == {'true' if value else 'false'});"
-            if self.commit(line):
-                emitted += 1
+            self.commit(line)
         # at most one failing assert, placed last so every earlier assert
         # is reached by the oracle
-        if reads and self.rng.random() < fail_share:
+        if reads and self.rng.random() < 0.3:
             text, _, _ = self.rng.choice(reads)
             value = self._probe(text)
             if value is not None:
                 # source only: the interpreter would stop at this assert
                 self.g.lines.append(f"assert({text} == {int(value) + 1});")
-                emitted += 1
-        return emitted
 
     # ----- driver ---------------------------------------------------------
 
@@ -551,15 +548,6 @@ class ProgramBuilder:
                 emitted += 1
         self.make_asserts()
         return self.source()
-
-
-def _struct_names(ty: SolType):
-    if isinstance(ty, StructType):
-        yield ty
-    elif isinstance(ty, (DynArrayType, FixArrayType)):
-        yield from _struct_names(ty.base)
-    elif isinstance(ty, MappingType):
-        yield from _struct_names(ty.value)
 
 
 def random_program(seed: int, size_budget: int = 10) -> str:

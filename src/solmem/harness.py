@@ -236,27 +236,18 @@ class FuzzOutcome:
         return self.observed == "correct"
 
 
-def _differential(
-    source: str, solver_cmd: str | None, timeout: float, unroll: int | None
+def differential(
+    source: str, solver_cmd: str | None = None, timeout: float = 60.0
 ) -> tuple[str, int, str]:
-    report = verify_source(source, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
+    """(outcome, asserts compared, detail) of oracle vs verifier on a
+    constructor-only program: for every assert the oracle reached,
+    passed must verify and failed must refute."""
+    report = verify_source(source, solver_cmd=solver_cmd, timeout=timeout)
     expected = oracle_expectations(report.contract) if report.contract is not None else {}
     observed, detail, compared = judge(report, expected, None)
     if observed == "correct" and compared < len(expected):
         observed, detail = "incorrect", "verifier reported fewer asserts than the oracle ran"
     return observed, compared, detail
-
-
-def differential_check(
-    source: str,
-    solver_cmd: str | None = None,
-    timeout: float = 60.0,
-    unroll: int | None = None,
-) -> tuple[bool, int, str]:
-    """Oracle vs verifier on a constructor-only program: for every assert
-    the oracle reached, passed must verify and failed must refute."""
-    observed, compared, detail = _differential(source, solver_cmd, timeout, unroll)
-    return observed == "correct", compared, detail
 
 
 def run_fuzz(
@@ -270,7 +261,7 @@ def run_fuzz(
         start = time.monotonic()
         builder = ProgramBuilder(seed, size_budget)
         try:
-            observed, compared, detail = _differential(builder.build(), solver_cmd, timeout, None)
+            observed, compared, detail = differential(builder.build(), solver_cmd, timeout)
         except SolmemError as e:
             observed, compared, detail = "invalid", 0, f"pipeline error: {e}"
         return FuzzOutcome(

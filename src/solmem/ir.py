@@ -76,12 +76,6 @@ class DatatypeDef:
     name: str
     members: tuple[tuple[str, IrType], ...]
 
-    def member_type(self, member: str) -> IrType:
-        for name, ty in self.members:
-            if name == member:
-                return ty
-        raise KeyError(f"datatype {self.name} has no member {member}")
-
     def member_index(self, member: str) -> int:
         for i, (name, _) in enumerate(self.members):
             if name == member:
@@ -186,10 +180,6 @@ def sub(a: IrExpr, b: IrExpr) -> IrExpr:
 
 def eq(a: IrExpr, b: IrExpr) -> IrExpr:
     return BinOp("==", a, b)
-
-
-def neq(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("!=", a, b)
 
 
 def lt(a: IrExpr, b: IrExpr) -> IrExpr:

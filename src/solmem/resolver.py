@@ -149,7 +149,7 @@ class Resolver:
             sd = self.contract.struct(name)
             assert sd is not None
             for m in sd.members:
-                for sub in _struct_refs(m.ty):
+                for sub in struct_refs(m.ty):
                     visit(sub, m.line)
             visiting.discard(name)
             done.add(name)
@@ -506,14 +506,15 @@ def _access_loc(part_ty: SolType, base_loc: Loc) -> Loc:
     return part_loc(part_ty, Loc.STORAGE if base_loc == Loc.STORPTR else base_loc)
 
 
-def _struct_refs(ty: SolType):
+def struct_refs(ty: SolType):
+    """Names of the structs `ty` mentions, mapping keys included."""
     if isinstance(ty, StructType):
         yield ty.name
     elif isinstance(ty, (DynArrayType, FixArrayType)):
-        yield from _struct_refs(ty.base)
+        yield from struct_refs(ty.base)
     elif isinstance(ty, MappingType):
-        yield from _struct_refs(ty.key)
-        yield from _struct_refs(ty.value)
+        yield from struct_refs(ty.key)
+        yield from struct_refs(ty.value)
 
 
 def resolve_and_check(contract: Contract) -> Contract:

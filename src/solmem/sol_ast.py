@@ -332,8 +332,27 @@ class Contract:
         return None
 
 
-def type_of(expr: Expr) -> tuple[SolType, Loc]:
-    """Annotation lookup; total on resolved trees."""
-    if expr.ty is None or expr.loc is None:
-        raise ValueError("expression is not resolved")
-    return expr.ty, expr.loc
+def expr_to_source(e: Expr) -> str:
+    """Source text of an expression, every operator application in
+    parentheses; for error messages and assert texts."""
+    if isinstance(e, IdentExpr):
+        return e.name
+    if isinstance(e, IntLitExpr):
+        return str(e.value)
+    if isinstance(e, BoolLitExpr):
+        return "true" if e.value else "false"
+    if isinstance(e, MemberExpr):
+        return f"{expr_to_source(e.base)}.{e.member}"
+    if isinstance(e, IndexExpr):
+        return f"{expr_to_source(e.base)}[{expr_to_source(e.index)}]"
+    if isinstance(e, CondExpr):
+        return f"({expr_to_source(e.cond)} ? {expr_to_source(e.then)} : {expr_to_source(e.other)})"
+    if isinstance(e, NewArrayExpr):
+        return f"new {e.elem_type}[]({expr_to_source(e.length)})"
+    if isinstance(e, StructCtorExpr):
+        return f"{e.name}({', '.join(expr_to_source(a) for a in e.args)})"
+    if isinstance(e, BinExpr):
+        return f"({expr_to_source(e.left)} {e.op} {expr_to_source(e.right)})"
+    if isinstance(e, UnExpr):
+        return f"({e.op}{expr_to_source(e.operand)})"
+    raise TypeError(f"unknown expression {e!r}")

@@ -66,29 +66,6 @@ class StorageTree:
     def is_empty(self) -> bool:
         return not self.root.edges
 
-    def leaf_count(self) -> int:
-        def count(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return sum(count(e.target) for e in node.edges)
-
-        return count(self.root)
-
-    def leaf_paths(self) -> list[list[str]]:
-        """Human-readable root-to-leaf paths, for tests and diagnostics."""
-        out: list[list[str]] = []
-
-        def walk(node: TreeNode, prefix: list[str]) -> None:
-            if node.is_leaf:
-                out.append(prefix)
-                return
-            for e in node.edges:
-                step = e.label if e.label is not None else "[i]"
-                walk(e.target, prefix + [step])
-
-        walk(self.root, [])
-        return out
-
 
 def default_context_name(target: SolType) -> str:
     return f"defaultctx_{mangle(target)}"

@@ -46,7 +46,6 @@ from .ir import (
     SmtProgram,
     UnOp,
 )
-from .printer import expr_to_source
 from .sol_ast import (
     BOOL,
     AssertStmt,
@@ -74,6 +73,7 @@ from .sol_ast import (
     StructCtorExpr,
     StructType,
     UnExpr,
+    expr_to_source,
     is_reference_type,
     is_value_type,
     mangle,
@@ -175,10 +175,10 @@ class Translator:
             raise IrError(f"unknown struct {name}")
         return sd
 
-    def allocate(self, prefix: str = "newptr") -> Ident:
+    def allocate(self) -> Ident:
         """refcnt := refcnt + 1; p := refcnt — fresh, never-aliasing address."""
         self.emit(Assign(Ident(REFCNT), ir.add(Ident(REFCNT), IntLit(1))))
-        ptr = self.fresh(prefix, ir.INT)
+        ptr = self.fresh("newptr", ir.INT)
         self.emit(Assign(ptr, Ident(REFCNT)))
         return ptr
 
@@ -874,12 +874,3 @@ def translate_function(
 ) -> TranslatedFunction:
     return Translator(contract, unroll).translate_function(fn)
 
-
-def translate_contract(
-    contract: Contract, unroll: int | None = None
-) -> dict[str, TranslatedFunction]:
-    """Translate every function (constructor included) independently."""
-    out: dict[str, TranslatedFunction] = {}
-    for fn in contract.all_functions():
-        out[fn.name] = translate_function(contract, fn, unroll)
-    return out

@@ -25,7 +25,6 @@ from .ir import (
     IrExpr,
     SmtProgram,
     and_,
-    conjoin,
     eq,
     not_,
 )
@@ -68,14 +67,3 @@ def vc_gen(program: SmtProgram, assert_index: int) -> IrExpr:
     pos = positions[assert_index]
     return and_(chain[pos - 1], not_(parts[pos])) if pos else not_(parts[0])
 
-
-def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
-    """Formula satisfiable iff `post_name` can differ from `pre_name`.
-
-    Used for non-aliasing and deep-copy validity checks: conjunction of
-    all definitions and assumptions with the negation of pre == post.
-    """
-    parts, positions, _ = _conjuncts(program)
-    asserted = set(positions)
-    kept = [p for i, p in enumerate(parts) if i not in asserted]
-    return conjoin(kept + [not_(eq(Ident(pre_name), Ident(post_name)))])

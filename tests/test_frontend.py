@@ -8,12 +8,12 @@ import pytest
 from pathlib import Path
 
 from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP
+from srcprint import to_source
 from solmem import verify
 from solmem.errors import ParseError, ResolveError, UnsupportedError
 from solmem.generator import random_program
 from solmem.lexer import tokenize
 from solmem.parser import parse_source, parse_statement
-from solmem.printer import expr_to_source, signature, to_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
     BOOL,
@@ -24,7 +24,7 @@ from solmem.sol_ast import (
     Loc,
     MappingType,
     StructType,
-    type_of,
+    expr_to_source,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,20 +226,28 @@ def test_new_array_only_dynamic():
         parse_source("contract C { function f() { int[3] memory m = new int[3](); } }")
 
 
-# round-trip: printing a parse tree and reparsing yields the same tree
+def _tokens_without_parens(text):
+    return [(t.kind, t.value) for t in tokenize(text) if t.value not in ("(", ")")]
+
+
+def assert_print_roundtrip(src):
+    """Printing the parse of `src`, reparsing and printing again gives the
+    same text, so the reparse is the same tree; and the print has the
+    source's tokens up to parentheses, which the printer puts around
+    every operator application, so neither parse dropped a token."""
+    printed = to_source(parse_source(src))
+    assert to_source(parse_source(printed)) == printed
+    assert _tokens_without_parens(printed) == _tokens_without_parens(src)
+
+
 @pytest.mark.parametrize("src", [DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP])
 def test_print_parse_roundtrip(src):
-    tree = parse_source(src)
-    printed = to_source(tree)
-    assert signature(parse_source(printed)) == signature(tree)
+    assert_print_roundtrip(src)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_roundtrip_generated_corpus(seed):
-    src = random_program(seed, 8)
-    tree = parse_source(src)
-    printed = to_source(tree)
-    assert signature(parse_source(printed)) == signature(tree)
+    assert_print_roundtrip(random_program(seed, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +261,12 @@ def test_data_storage_annotations():
     assert isinstance(r_decl, DeclStmt)
     assert r_decl.data_loc == "storage"
     # the pointer target is a storage entity
-    assert type_of(r_decl.init) == (StructType("Record"), Loc.STORAGE)
+    assert (r_decl.init.ty, r_decl.init.loc) == (StructType("Record"), Loc.STORAGE)
     # records[at] base mapping annotation
     get = c.function("get")
     rhs = get.body[0].rhs[0]
-    assert type_of(rhs) == (DynArrayType(INT), Loc.STORAGE)
-    assert type_of(rhs.base.base)[0] == MappingType(
+    assert (rhs.ty, rhs.loc) == (DynArrayType(INT), Loc.STORAGE)
+    assert rhs.base.base.ty == MappingType(
         c.state_vars[0].ty.key, StructType("Record")
     )
     ret = get.returns[0]
@@ -274,19 +282,19 @@ def test_pointer_variable_is_storptr_and_member_is_storage():
     )
     f = c.function("f")
     p_init = f.body[0].init
-    assert type_of(p_init) == (StructType("S"), Loc.STORAGE)
+    assert (p_init.ty, p_init.loc) == (StructType("S"), Loc.STORAGE)
     q_init = f.body[1].init
     # member access on a pointer denotes a storage entity
-    assert type_of(q_init) == (StructType("T"), Loc.STORAGE)
-    assert type_of(q_init.base) == (StructType("S"), Loc.STORPTR)
+    assert (q_init.ty, q_init.loc) == (StructType("T"), Loc.STORAGE)
+    assert (q_init.base.ty, q_init.base.loc) == (StructType("S"), Loc.STORPTR)
     lhs = f.body[2].lhs[0]
-    assert type_of(lhs) == (INT, Loc.VALUE)
+    assert (lhs.ty, lhs.loc) == (INT, Loc.VALUE)
 
 
 def test_literals_and_value_categories():
     c = compile_source("contract C { function f() { bool b = true; int x = -3; } }")
     f = c.function("f")
-    assert type_of(f.body[0].init) == (BOOL, Loc.VALUE)
+    assert (f.body[0].init.ty, f.body[0].init.loc) == (BOOL, Loc.VALUE)
 
 
 def test_conditional_common_location():
@@ -296,14 +304,14 @@ def test_conditional_common_location():
     )
     c = compile_source(src)
     cond = c.function("f").body[0].init
-    assert type_of(cond) == (StructType("T"), Loc.STORPTR)
+    assert (cond.ty, cond.loc) == (StructType("T"), Loc.STORPTR)
 
     src2 = POINTER_CONTRACT.replace(
         "S[] ss;",
         "S[] ss;\n    function f(bool c, T memory m) { T memory p = c ? m : t1; }",
     )
     cond2 = compile_source(src2).function("f").body[0].init
-    assert type_of(cond2) == (StructType("T"), Loc.MEMORY)
+    assert (cond2.ty, cond2.loc) == (StructType("T"), Loc.MEMORY)
 
 
 def test_alpha_renaming_is_injective():
@@ -350,19 +358,12 @@ def test_resolver_errors():
             compile_source(src)
 
 
-def test_type_of_requires_resolution():
-    c = parse_source("contract C { function f() { int x = 1; } }")
-    with pytest.raises(ValueError):
-        type_of(c.functions[0].body[0].init)
-
-
 CORPUS = ROOT / "corpus"
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.sol")), ids=lambda p: p.parent.name + "/" + p.name)
 def test_roundtrip_corpus_files(path):
-    tree = parse_source(path.read_text())
-    assert signature(parse_source(to_source(tree))) == signature(tree)
+    assert_print_roundtrip(path.read_text())
 
 
 def _walk_exprs(node):

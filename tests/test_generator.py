@@ -12,7 +12,7 @@ from solmem.harness import run_fuzz
 from solmem.oracle import ExecResult, OracleError, run_constructor, serialize_storage
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.translate import translate_contract
+from solmem.translate import translate_function
 
 GOLDEN = Path(__file__).parent / "data" / "gen_seed0.sol"
 # SHA-256 of random_program(s, 10) for s in 0..199, concatenated; the
@@ -36,7 +36,8 @@ def test_generated_programs_compile_run_translate(seed):
     contract = resolve_and_check(parse_source(src))
     assert contract.constructor is not None
     run_constructor(contract)  # oracle accepts it
-    translate_contract(contract)  # never unsupported
+    for fn in contract.all_functions():
+        translate_function(contract, fn)  # never unsupported
 
 
 def test_coverage_across_seeds():

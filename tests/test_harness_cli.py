@@ -8,7 +8,7 @@ import pytest
 from sources import DANGLING_POINTER
 from solmem.cli import main
 from solmem.harness import (
-        differential_check,
+    differential,
     parse_expectations,
     render_table,
     report_json,
@@ -123,9 +123,9 @@ def test_empty_corpus_renders_all_zero(tmp_path):
     assert "assignment (0)" in render_table(classes)
 
 
-def test_differential_check_agrees_on_dangling(solver_available):
-    agreed, compared, detail = differential_check(DANGLING_POINTER)
-    assert agreed, detail
+def test_differential_agrees_on_dangling(solver_available):
+    observed, compared, detail = differential(DANGLING_POINTER)
+    assert observed == "correct", detail
     assert compared == 2
 
 

@@ -1,16 +1,24 @@
 """Source hygiene of the `solmem` package, checked on its syntax trees.
 
 No handler may catch everything (a bare `except`, `except Exception` or
-`except BaseException`), and every imported name must be used by its
-module, or re-exported through `__all__`.
+`except BaseException`), every imported name must be used by its
+module, or re-exported through `__all__`, and every public function and
+method must have a caller in the pipeline or the benchmark, so that
+helpers only tests need live in `tests/`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "solmem").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "solmem").glob("*.py"))
+# Where a caller may live: the package's modules (not the `__init__.py`
+# re-exports) and the benchmark, whose `STAGES` and `IMPORT_SITES`
+# tables name what they call in strings.
+CALLERS = [p for p in SOURCES if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 
 
@@ -43,6 +51,56 @@ def unused_imports(tree: ast.AST) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def public_definitions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Public top-level functions and public methods of top-level classes."""
+    found = []
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        found += [
+            d for d in body
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and not d.name.startswith("_")
+        ]
+    return found
+
+
+def references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name, attribute, import alias and word of a
+    non-docstring string constant."""
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found += [(part, node.lineno) for part in node.name.split(".")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            found += [(word, node.lineno) for word in re.findall(r"\w+", node.value)]
+    return found
+
+
+def uncalled(definitions: dict[str, ast.Module], callers: dict[str, ast.Module]) -> list[str]:
+    """`file:name` of each public definition that no caller references
+    outside the definition's own body."""
+    lines_by_name: dict[str, list[tuple[str, int]]] = {}
+    for path, tree in callers.items():
+        for name, line in references(tree):
+            lines_by_name.setdefault(name, []).append((path, line))
+    out = []
+    for path, tree in definitions.items():
+        for d in public_definitions(tree):
+            if not any(
+                p != path or not d.lineno <= line <= d.end_lineno
+                for p, line in lines_by_name.get(d.name, ())
+            ):
+                out.append(f"{path}:{d.name}")
+    return out
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_catch_all_handlers(path):
     assert catch_alls(ast.parse(path.read_text())) == []
@@ -62,3 +120,37 @@ def test_checks_find_what_they_look_for():
     )
     assert catch_alls(tree) == [5, 9, 13]
     assert unused_imports(tree) == ["os (line 1)", "b (line 2)"]
+
+
+def _trees(paths: list[Path]) -> dict[str, ast.Module]:
+    return {str(p.relative_to(ROOT)): ast.parse(p.read_text()) for p in paths}
+
+
+def test_every_public_definition_has_a_caller():
+    assert uncalled(_trees(SOURCES), _trees(CALLERS)) == []
+
+
+def test_caller_check_finds_what_it_looks_for():
+    module = ast.parse(
+        "def called(): pass\n"
+        "def imported(): pass\n"
+        "def named_in_a_table(): pass\n"
+        "def named_in_a_docstring(): pass\n"
+        "def recursive():\n    recursive()\n"
+        "def _private(): pass\n"
+        "class K:\n"
+        "    def method(self): pass\n"
+        "    def unused(self):\n        self.unused()\n"
+    )
+    caller = ast.parse(
+        '"""named_in_a_docstring"""\n'
+        "from m import imported\n"
+        "TABLE = ('m', 'K.named_in_a_table')\n"
+        "called()\n"
+        "K().method()\n"
+    )
+    assert uncalled({"m.py": module}, {"m.py": module, "c.py": caller}) == [
+        "m.py:named_in_a_docstring",
+        "m.py:recursive",
+        "m.py:unused",
+    ]

@@ -6,7 +6,7 @@ import pytest
 
 from irserialize import serialize_ir
 from solmem import ir
-from solmem.ir import Assign, Ident
+from solmem.ir import Assign, Assume, Ident, IrExpr, SmtProgram
 from solmem.ireval import eval_ir
 from solmem.normalize import normalize_lhs
 from solmem.oracle import Machine, serialize
@@ -17,7 +17,18 @@ from solmem.solver import check
 from solmem.ssa import to_ssa
 from solmem.sol_ast import Loc, is_reference_type, is_value_type
 from solmem.translate import Translator, translate_function
-from solmem.vcgen import frame_formula
+
+
+def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
+    """Formula satisfiable iff `post_name` can differ from `pre_name` after
+    the flat SSA `program`: every definition and assumption, in program
+    order, and the negation of pre == post. Asserts are left out."""
+    parts = [
+        ir.eq(s.lhs, s.rhs) if isinstance(s, Assign) else s.cond
+        for s in program.stmts
+        if isinstance(s, (Assign, Assume))
+    ]
+    return ir.conjoin(parts + [ir.not_(ir.eq(Ident(pre_name), Ident(post_name)))])
 
 
 def compile_source(text):

@@ -18,6 +18,7 @@ import pytest
 
 import sources
 from solmem import ir
+from test_invariants import frame_formula
 from solmem.generator import random_program
 from solmem.ireval import eval_ir
 from solmem.ir import format_program
@@ -27,7 +28,7 @@ from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
-from solmem.vcgen import frame_formula, vc_gen
+from solmem.vcgen import vc_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))

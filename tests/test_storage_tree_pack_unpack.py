@@ -16,8 +16,23 @@ from solmem.ireval import VArray, eval_ir
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import INT, StructType
-from solmem.storage_tree import build_storage_tree, default_context_tree
+from solmem.storage_tree import StorageTree, TreeNode, build_storage_tree, default_context_tree
 from solmem.translate import Translator
+
+
+def leaf_paths(tree: StorageTree) -> list[list[str]]:
+    """Readable root-to-leaf paths; index edges read `[i]`."""
+    out: list[list[str]] = []
+
+    def walk(node: TreeNode, prefix: list[str]) -> None:
+        if node.is_leaf:
+            out.append(prefix)
+            return
+        for e in node.edges:
+            walk(e.target, prefix + [e.label if e.label is not None else "[i]"])
+
+    walk(tree.root, [])
+    return out
 
 
 def pointer_contract(extra: str = ""):
@@ -42,8 +57,8 @@ def eval_pack(tr: Translator, expr) -> list[int]:
 def test_tree_for_t_has_five_leaves():
     c = pointer_contract()
     tree = build_storage_tree(c, StructType("T"))
-    assert tree.leaf_count() == 5
-    assert tree.leaf_paths() == [
+    assert len(leaf_paths(tree)) == 5
+    assert leaf_paths(tree) == [
         ["t1"],
         ["s1", "t"],
         ["s1", "ts", "[i]"],
@@ -61,7 +76,7 @@ def test_tree_for_t_has_five_leaves():
 def test_tree_for_s_filters_and_renumbers():
     c = pointer_contract()
     tree = build_storage_tree(c, StructType("S"))
-    assert tree.leaf_paths() == [["s1"], ["ss", "[i]"]]
+    assert leaf_paths(tree) == [["s1"], ["ss", "[i]"]]
     assert [(e.label, e.ordinal) for e in tree.root.edges] == [("s1", 0), ("ss", 1)]
 
 
@@ -69,13 +84,13 @@ def test_empty_tree_is_legal():
     c = resolve_and_check(parse_source("contract C { struct T { int z; } int x; }"))
     tree = build_storage_tree(c, StructType("T"))
     assert tree.is_empty
-    assert tree.leaf_count() == 0
+    assert len(leaf_paths(tree)) == 0
 
 
 def test_default_context_tree_shape():
     tree = default_context_tree(StructType("T"))
     assert tree.default_context
-    assert tree.leaf_count() == 1
+    assert len(leaf_paths(tree)) == 1
     assert tree.root.edges[0].label == "defaultctx_T"
 
 

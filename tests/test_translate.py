@@ -117,7 +117,7 @@ def test_nested_array_mangling():
     mapped = tr.map_type(DynArrayType(DynArrayType(INT)), Loc.STORAGE)
     assert mapped == DatatypeType("StorArr_int_arr")
     inner = tr.program.datatype("StorArr_int_arr")
-    assert inner.member_type("arr") == ArrayType(ir.INT, DatatypeType("StorArr_int"))
+    assert dict(inner.members)["arr"] == ArrayType(ir.INT, DatatypeType("StorArr_int"))
 
 
 # ---------------------------------------------------------------------------

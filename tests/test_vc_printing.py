@@ -22,7 +22,8 @@ from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
-from solmem.vcgen import frame_formula, vc_gen
+from solmem.vcgen import vc_gen
+from test_invariants import frame_formula
 
 SRC = Path(__file__).parent.parent / "src"
 

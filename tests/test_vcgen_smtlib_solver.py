@@ -10,6 +10,7 @@ from solmem.ir import (
     Assert,
     Assign,
     Assume,
+    BinOp,
     BoolLit,
     ConstArray,
     DatatypeDef,
@@ -101,7 +102,7 @@ def test_const_array_and_negative_literals():
         == "((as const (Array Int Int)) 0)"
     )
     assert expr_to_sexpr(IntLit(-3)) == "(- 3)"
-    assert expr_to_sexpr(ir.neq(Ident("a"), Ident("b"))) == "(distinct a b)"
+    assert expr_to_sexpr(BinOp("!=", Ident("a"), Ident("b"))) == "(distinct a b)"
 
 
 # ---------------------------------------------------------------------------
