@@ -281,8 +281,9 @@ class Translator:
 
     def _path(self, node: TreeNode, steps: list[tuple[str, object]], ptr: IrExpr | None) -> IrExpr:
         """Path array of `steps` taken from `node`: the edge ordinal at a
-        label, the index at an index step (bool mapping keys as 0/1). An
-        index step without an index copies `ptr`'s element at its depth."""
+        label, the index at an index step (translated bool mapping keys as
+        0/1). An index step without an index copies `ptr`'s element at its
+        depth, which is already encoded."""
         result: IrExpr = ConstArray(ir.INT, ir.INT, IntLit(0))
         for depth, (kind, payload) in enumerate(steps):
             if kind == "label":
@@ -292,9 +293,12 @@ class Translator:
                 value: IrExpr = IntLit(edge.ordinal)
             else:
                 edge = node.edges[0]
-                value = payload if payload is not None else ArrayRead(ptr, IntLit(depth))
-                if isinstance(node.ty, MappingType) and node.ty.key == BOOL:
-                    value = Ite(value, IntLit(1), IntLit(0))
+                if payload is None:
+                    value = ArrayRead(ptr, IntLit(depth))
+                elif isinstance(node.ty, MappingType) and node.ty.key == BOOL:
+                    value = Ite(payload, IntLit(1), IntLit(0))
+                else:
+                    value = payload
             result = ArrayWrite(result, IntLit(depth), value)
             node = edge.target
         if not node.is_leaf:

@@ -1,0 +1,133 @@
+"""Every translated SSA program is well-sorted, checked without a solver
+by the sort inference of `irsorts`: the pinned translate-golden inputs
+without and with `unroll=2`, and a pointer re-packed through a
+`mapping(bool => ...)`."""
+
+import pytest
+
+from irsorts import SortError, check_program
+from solmem import ir
+from solmem.errors import SolmemError
+from solmem.ir import (
+    ArrayRead,
+    ArrayType,
+    ArrayWrite,
+    Assert,
+    Assign,
+    BinOp,
+    BoolLit,
+    Construct,
+    DatatypeDef,
+    DatatypeType,
+    Ident,
+    IntLit,
+    Ite,
+    Select,
+    SmtProgram,
+    UnOp,
+)
+from solmem.normalize import normalize_lhs
+from solmem.parser import parse_source
+from solmem.resolver import resolve_and_check
+from solmem.ssa import to_ssa
+from solmem.translate import translate_function
+from test_translate_golden import inputs
+
+# the re-packed path of `p.t` copies the key element of `p`, which is
+# already 0/1-encoded, so it must not be encoded again
+BOOL_KEY_REPACK = """
+contract C {
+    struct T { int z; }
+    struct S { int x; T t; }
+    mapping(bool => S) m;
+    constructor() {
+        S storage p = m[true];
+        T storage q = p.t;
+        q.z = 3;
+        assert(m[true].t.z == 3);
+        assert(m[false].t.z == 0);
+    }
+}
+"""
+
+
+def ssa_programs(source: str, unroll: int | None):
+    """(function name, SSA program) for each function that translates."""
+    try:
+        contract = resolve_and_check(parse_source(source))
+    except SolmemError:
+        return
+    for fn in contract.all_functions():
+        try:
+            program = translate_function(contract, fn, unroll).program
+        except SolmemError:
+            continue
+        yield fn.name, to_ssa(normalize_lhs(program)).program
+
+
+def test_golden_inputs_are_well_sorted():
+    checked = 0
+    for name, source in inputs():
+        for unroll in (None, 2):
+            for fn_name, program in ssa_programs(source, unroll):
+                try:
+                    check_program(program)
+                except SortError as e:
+                    pytest.fail(f"{name} {fn_name} unroll={unroll}: {e}")
+                checked += 1
+    assert checked == 200
+
+
+def test_bool_key_repack_is_well_sorted():
+    [(_, program)] = ssa_programs(BOOL_KEY_REPACK, None)
+    check_program(program)
+
+
+def _program() -> SmtProgram:
+    p = SmtProgram(decls={"i": ir.INT, "b": ir.BOOL, "a": ArrayType(ir.INT, ir.INT), "s": DatatypeType("S")})
+    p.add_datatype(DatatypeDef("S", (("x", ir.INT),)))
+    p.add_datatype(DatatypeDef("R", (("x", ir.INT),)))
+    return p
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        Ite(Ident("i"), IntLit(1), IntLit(0)),
+        Ite(Ident("b"), IntLit(1), BoolLit(False)),
+        ArrayRead(Ident("a"), Ident("b")),
+        ArrayRead(Ident("i"), IntLit(0)),
+        ArrayWrite(Ident("a"), IntLit(0), Ident("b")),
+        BinOp("==", Ident("i"), Ident("b")),
+        BinOp("+", Ident("i"), Ident("b")),
+        BinOp("<", Ident("s"), Ident("i")),
+        UnOp("neg", Ident("b")),
+        BinOp("and", Ident("b"), Ident("i")),
+        UnOp("not", Ident("i")),
+        Select(Ident("s"), "x", "R"),
+        Select(Ident("s"), "y", "S"),
+        Construct("S", (Ident("b"),)),
+        Ident("undeclared"),
+    ],
+    ids=ir.format_expr,
+)
+def test_sort_check_rejects_ill_sorted_terms(term):
+    p = _program()
+    p.stmts = [Assert(BinOp("==", term, term), 0, "")]
+    with pytest.raises(SortError):
+        check_program(p)
+
+
+def test_sort_check_accepts_and_checks_statements():
+    p = _program()
+    p.stmts = [
+        Assign(Ident("i"), Select(Construct("S", (IntLit(1),)), "x", "S")),
+        Assert(Ite(Ident("b"), BinOp(">=", ArrayRead(Ident("a"), Ident("i")), IntLit(0)), BoolLit(True)), 0, ""),
+    ]
+    check_program(p)
+    p.stmts.append(Assign(Ident("b"), Ident("i")))
+    with pytest.raises(SortError):
+        check_program(p)
+    p.stmts[-1] = Assert(Ident("i"), 0, "")
+    with pytest.raises(SortError):
+        check_program(p)
