@@ -202,15 +202,6 @@ def not_(a: IrExpr) -> IrExpr:
     return UnOp("not", a)
 
 
-def conjoin(exprs: list[IrExpr]) -> IrExpr:
-    if not exprs:
-        return BoolLit(True)
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = and_(out, e)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Statements
 

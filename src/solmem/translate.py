@@ -18,8 +18,9 @@ dangling storage pointers while indexing sees a defaulted slot.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .errors import IrError, UnsupportedError
 from . import ir
@@ -81,6 +82,7 @@ from .sol_ast import (
 )
 from .storage_tree import (
     StorageTree,
+    TreeEdge,
     TreeNode,
     build_storage_tree,
     default_context_name,
@@ -88,6 +90,9 @@ from .storage_tree import (
 )
 
 REFCNT = "refcnt"
+
+# the (node, edge) pairs taken from a storage tree's root
+Edges = tuple[tuple[TreeNode, TreeEdge], ...]
 
 
 @cache
@@ -307,11 +312,11 @@ class Translator:
 
     def _repack(self, root: IdentExpr, chain: list[Expr], expr: Expr) -> IrExpr:
         """Rebase a pointer-rooted lvalue (e.g. p.member[i]) into a path
-        for the composite's own type: for every leaf the pointer may
-        reference, re-encode the prefix ordinals in the target tree and
-        append the suffix steps at the leaf's depth."""
-        source_tree = self.tree_for(root.ty)
-        if source_tree.default_context:
+        for the composite's own type through unpack's conditional: at each
+        leaf the pointer may reach, re-encode the edges taken in the
+        target tree and append the suffix steps at the leaf's depth. As
+        in unpack, an element that matches no edge takes the last edge."""
+        if self.tree_for(root.ty).default_context:
             raise UnsupportedError(
                 "unsupported: storage pointer access through a default context "
                 "cannot be re-packed",
@@ -323,75 +328,50 @@ class Translator:
         ptr = self.expr(root)
         suffix = self._steps(chain)
 
-        leaves: list[tuple[list[tuple[str, object]], list[tuple[int, int]]]] = []
+        def leaf(edges: Edges) -> IrExpr:
+            steps = [("label", e.label) if e.label is not None else ("index", None) for _, e in edges]
+            return self._path(target_tree.root, steps + suffix, ptr)
 
-        def collect(node: TreeNode, steps, conds) -> None:
+        return self.unpack(ptr, root.ty, leaf)
+
+    def unpack(self, ptr: IrExpr, target: SolType, leaf: Callable[[Edges], IrExpr] | None = None) -> IrExpr:
+        """Conditional over the storage tree's leaves decoding a pointer.
+        At a contract or struct node the path element selects the edge
+        with that ordinal, and an element that matches no edge takes the
+        last edge, the unguarded fall-through; arrays and mappings index
+        by it. A leaf yields the storage entity it reaches, or
+        `leaf(edges)` for the (node, edge) pairs taken to it."""
+        leaf = leaf or partial(self._entity, ptr)
+
+        def walk(node: TreeNode, edges: Edges) -> IrExpr:
             if node.is_leaf:
-                leaves.append((steps, conds))
-                return
-            branching = node.kind in ("contract", "struct")
-            for e in node.edges:
-                step = ("label", e.label) if e.label is not None else ("index", None)
-                cond = conds + [(len(steps), e.ordinal)] if branching else conds
-                collect(e.target, steps + [step], cond)
+                return leaf(edges)
+            last = node.edges[-1]
+            result = walk(last.target, edges + ((node, last),))
+            for edge in reversed(node.edges[:-1]):
+                cond = ir.eq(ArrayRead(ptr, IntLit(len(edges))), IntLit(edge.ordinal))
+                result = Ite(cond, walk(edge.target, edges + ((node, edge),)), result)
+            return result
 
-        collect(source_tree.root, [], [])
+        return walk(self.tree_for(target).root, ())
 
-        result: IrExpr | None = None
-        for steps, conds in reversed(leaves):
-            path = self._path(target_tree.root, steps + suffix, ptr)
-            if result is None:
-                result = path
-            else:
-                guard = ir.conjoin(
-                    [ir.eq(ArrayRead(ptr, IntLit(d)), IntLit(o)) for d, o in conds]
-                )
-                result = Ite(guard, path, result)
-        assert result is not None
-        return result
-
-    def unpack(self, ptr: IrExpr, target: SolType) -> IrExpr:
-        """Conditional over the storage tree's leaves decoding a pointer:
-        contract/struct nodes branch on the path element (processed in
-        reverse so the last edge is the unguarded fall-through), arrays
-        and mappings index by it."""
-        tree = self.tree_for(target)
-
-        def walk(node: TreeNode, subexpr: IrExpr | None, depth: int) -> IrExpr:
-            if node.is_leaf:
-                assert subexpr is not None
-                return subexpr
-            if node.kind in ("contract", "struct"):
-                result: IrExpr | None = None
-                for edge in reversed(node.edges):
-                    if node.kind == "contract":
-                        sub: IrExpr = Ident(edge.label)
-                    else:
-                        assert isinstance(node.ty, StructType) and subexpr is not None
-                        sub = Select(subexpr, edge.label, self.stor_datatype(node.ty))
-                    branch = walk(edge.target, sub, depth + 1)
-                    if result is None:
-                        result = branch
-                    else:
-                        cond = ir.eq(ArrayRead(ptr, IntLit(depth)), IntLit(edge.ordinal))
-                        result = Ite(cond, branch, result)
-                if result is None:
-                    raise IrError("unpack over an empty storage tree")
-                return result
-            # array / mapping: one index edge; arrays read their backing
-            # store raw, bool mapping keys are decoded from 0/1
-            assert subexpr is not None
+    def _entity(self, ptr: IrExpr, edges: Edges) -> IrExpr:
+        """Storage entity at the end of `edges`: arrays read their backing
+        store raw at the path element, bool mapping keys are decoded from
+        0/1."""
+        (_, first), *rest = edges
+        entity: IrExpr = Ident(first.label)
+        for depth, (node, edge) in enumerate(rest, 1):
+            if node.kind == "struct":
+                entity = Select(entity, edge.label, self.stor_datatype(node.ty))
+                continue
             idx: IrExpr = ArrayRead(ptr, IntLit(depth))
-            if isinstance(node.ty, MappingType):
-                if node.ty.key == BOOL:
-                    idx = BinOp("!=", idx, IntLit(0))
-                sub = ArrayRead(subexpr, idx)
-            else:
-                assert node.ty is not None
-                sub = ArrayRead(Select(subexpr, "arr", self.stor_datatype(node.ty)), idx)
-            return walk(node.edges[0].target, sub, depth + 1)
-
-        return walk(tree.root, None, 0)
+            if not isinstance(node.ty, MappingType):
+                entity = Select(entity, "arr", self.stor_datatype(node.ty))
+            elif node.ty.key == BOOL:
+                idx = BinOp("!=", idx, IntLit(0))
+            entity = ArrayRead(entity, idx)
+        return entity
 
     # ------------------------------------------------------------------
     # default values
@@ -639,10 +619,8 @@ class Translator:
             rhs = Operand(rhs.ty, Loc.STORAGE, ir_value=unpacked)
         if rhs.loc == lhs.loc:
             self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-        elif lhs.loc == Loc.STORAGE:
-            self._copy_to_storage(lhs, self._value_of(rhs))
         else:
-            self._copy_to_memory(lhs, self._value_of(rhs))
+            self._deep_copy(lhs, self._value_of(rhs), rhs.loc)
 
     def _array_bound(self, ty: SolType, length: IrExpr, unsupported: str) -> int:
         """Unroll bound for element-wise array work: the compile-time
@@ -658,51 +636,36 @@ class Translator:
             return self.unroll
         raise UnsupportedError(unsupported)
 
-    def _copy_to_storage(self, lhs: Operand, pointer: IrExpr) -> None:
-        """Deep copy of the memory entity at `pointer` into storage."""
-        ty = lhs.ty
-        mem_dt = self.mem_datatype(ty)
-        stor_dt = self.stor_datatype(ty)
-        heap_val = self.heap_read(ty, pointer)
-        if isinstance(ty, StructType):
-            self._copy_parts(ty, 0, self._target_of(lhs), Loc.STORAGE, heap_val, Loc.MEMORY)
-            return
-        base = ty.base
-        length = Select(heap_val, "length", mem_dt)
-        if is_value_type(base):
-            copied = Construct(stor_dt, (Select(heap_val, "arr", mem_dt), length))
-            self.emit(Assign(self._target_of(lhs), copied))
-            return
-        bound = self._array_bound(ty, length, _COPY_NEEDS_UNROLL.format("storage"))
-        elem_ty = self.map_type(base, Loc.STORAGE)
-        blank = Construct(
-            stor_dt,
-            (ConstArray(ir.INT, elem_ty, self.default_value(base, Loc.STORAGE)), length),
-        )
-        target = self._target_of(lhs)
-        self.emit(Assign(target, blank))
-        self._copy_parts(ty, bound, target, Loc.STORAGE, heap_val, Loc.MEMORY)
-
-    def _copy_to_memory(self, lhs: Operand, value: IrExpr) -> None:
-        """Deep copy of the storage entity `value` into a fresh memory
+    def _deep_copy(self, lhs: Operand, src: IrExpr, src_loc: Loc) -> None:
+        """Deep copy between storage and memory. `src` is a storage value
+        or a pointer to a memory entity; a copy into memory fills a fresh
         allocation, which `lhs` then points to."""
-        ty = lhs.ty
-        stor_dt = self.stor_datatype(ty)
-        mem_dt = self.mem_datatype(ty)
-        ptr = self.allocate()
-        heap_slot = self.heap_read(ty, ptr)
-        if isinstance(ty, StructType):
-            self._copy_parts(ty, 0, heap_slot, Loc.MEMORY, value, Loc.STORAGE)
-        elif is_value_type(ty.base):
-            length = Select(value, "length", stor_dt)
-            self.emit(Assign(heap_slot, Construct(mem_dt, (Select(value, "arr", stor_dt), length))))
+        ty, dst_loc = lhs.ty, lhs.loc
+        src_dt = self._datatype_at(ty, src_loc)
+        dst_dt = self._datatype_at(ty, dst_loc)
+        ptr = None
+        if src_loc == Loc.MEMORY:
+            src = self.heap_read(ty, src)
         else:
-            length = Select(value, "length", stor_dt)
-            bound = self._array_bound(ty, length, _COPY_NEEDS_UNROLL.format("memory"))
-            blank = Construct(mem_dt, (ConstArray(ir.INT, ir.INT, IntLit(0)), length))
-            self.emit(Assign(heap_slot, blank))
-            self._copy_parts(ty, bound, heap_slot, Loc.MEMORY, value, Loc.STORAGE)
-        self.emit(Assign(self._target_of(lhs), ptr))
+            ptr = self.allocate()
+        whole, bound = None, 0
+        if not isinstance(ty, StructType):
+            base, length = ty.base, Select(src, "length", src_dt)
+            if is_value_type(base):
+                whole = Construct(dst_dt, (Select(src, "arr", src_dt), length))
+            else:
+                # elements are copied one by one over blank ones (null
+                # pointers in memory)
+                bound = self._array_bound(ty, length, _COPY_NEEDS_UNROLL.format(dst_loc.value))
+                elem_ty = self.map_type(base, part_loc(base, dst_loc))
+                blank = self.default_value(base, Loc.STORAGE) if dst_loc == Loc.STORAGE else IntLit(0)
+                whole = Construct(dst_dt, (ConstArray(ir.INT, elem_ty, blank), length))
+        dst = self._target_of(lhs) if ptr is None else self.heap_read(ty, ptr)
+        if whole is not None:
+            self.emit(Assign(dst, whole))
+        self._copy_parts(ty, bound, dst, dst_loc, src, src_loc)
+        if ptr is not None:
+            self.emit(Assign(self._target_of(lhs), ptr))
 
     def _copy_parts(
         self, ty: SolType, bound: int, dst: IrExpr, dst_loc: Loc, src: IrExpr, src_loc: Loc

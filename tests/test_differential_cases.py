@@ -1,7 +1,7 @@
 """Hand-picked adversarial programs where oracle and verifier must agree:
 pointer/pop interactions, bool mapping keys, nested mappings, memory
-aliasing graphs, deletes observed through watching pointers, and reads
-past the end of a memory array of references."""
+aliasing graphs, deletes observed through watching pointers, integer
+operators, and reads past the end of a memory array of references."""
 
 import pytest
 
@@ -104,6 +104,25 @@ contract C {
         q.x = 2;
         assert(s2.x == 1);
         assert(s1.x == 2);
+    }
+}
+""",
+    # every operator at a boundary where a wrong one flips an assert;
+    # the last assert fails
+    "integer_operators_at_boundaries": """
+contract C {
+    int[] a;
+    int d;
+    constructor() {
+        a.push(3);
+        a.push(-a[0]);
+        d = a[0] - a[1];
+        assert(d >= 6);
+        assert(!(d > 6));
+        assert(d - 7 == -1);
+        assert(false || d == 6);
+        assert(-d > -7);
+        assert(d > 6 || a.length >= 3);
     }
 }
 """,

@@ -2,6 +2,8 @@
 non-aliasing frames, deep-copy validity, allocation freshness, and
 default-value conformance between the translator and the interpreter."""
 
+from functools import reduce
+
 import pytest
 
 from irserialize import serialize_ir
@@ -19,6 +21,11 @@ from solmem.sol_ast import Loc, is_reference_type, is_value_type
 from solmem.translate import Translator, translate_function
 
 
+def conjoin(exprs: list[IrExpr]) -> IrExpr:
+    """Left-nested conjunction of a non-empty list."""
+    return reduce(ir.and_, exprs)
+
+
 def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
     """Formula satisfiable iff `post_name` can differ from `pre_name` after
     the flat SSA `program`: every definition and assumption, in program
@@ -28,7 +35,7 @@ def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
         for s in program.stmts
         if isinstance(s, (Assign, Assume))
     ]
-    return ir.conjoin(parts + [ir.not_(ir.eq(Ident(pre_name), Ident(post_name)))])
+    return conjoin(parts + [ir.not_(ir.eq(Ident(pre_name), Ident(post_name)))])
 
 
 def compile_source(text):
@@ -173,7 +180,7 @@ contract C {
         elif isinstance(s, ir.Assume):
             parts.append(s.cond)
     parts.append(ir.eq(Ident(q_final), Ident(p_name)))
-    formula = ir.conjoin(parts)
+    formula = conjoin(parts)
     assert check(emit_smtlib(ssa.program, formula), 60).kind == "unsat"
 
 
@@ -200,7 +207,7 @@ contract C {
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             distinct.append(ir.eq(Ident(names[i]), Ident(names[j])))
-    formula = ir.conjoin(parts + [ir.or_(ir.or_(distinct[0], distinct[1]), distinct[2])])
+    formula = conjoin(parts + [ir.or_(ir.or_(distinct[0], distinct[1]), distinct[2])])
     assert check(emit_smtlib(ssa.program, formula), 60).kind == "unsat"
 
 

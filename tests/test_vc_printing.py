@@ -23,7 +23,7 @@ from solmem.smtlib import emit_smtlib
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 from solmem.vcgen import vc_gen
-from test_invariants import frame_formula
+from test_invariants import conjoin, frame_formula
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -119,7 +119,7 @@ def _reference_vc(program: SmtProgram, index: int) -> ir.IrExpr:
                 positions.append(len(parts))
             parts.append(s.cond)
     pos = positions[index]
-    return ir.conjoin(parts[:pos] + [ir.not_(parts[pos])])
+    return conjoin(parts[:pos] + [ir.not_(parts[pos])])
 
 
 def _left_spine(e: ir.IrExpr):
@@ -170,7 +170,7 @@ def test_frame_formula_keeps_definitions_and_assumptions_in_order():
     p = SmtProgram(decls={"x": ir.INT, "y": ir.INT})
     define, assume = Assign(Ident("x"), IntLit(1)), Assume(ir.lt(Ident("y"), IntLit(3)))
     p.stmts = [define, Assert(ir.eq(Ident("x"), IntLit(1))), assume]
-    expected = ir.conjoin([
+    expected = conjoin([
         ir.eq(Ident("x"), IntLit(1)),
         assume.cond,
         ir.not_(ir.eq(Ident("x"), Ident("y"))),
