@@ -6,20 +6,24 @@ types (a storage-pointer parameter gets the path `[]`). The digest covers
 the canonical storage, the serialized returns and the assert outcomes, or
 the type and text of the error raised. It also covers the raw storage,
 heap, locals and allocation counter, so a change of aliasing, allocation
-order or of which defaults get materialized shows too. A refactoring of
-the interpreter must leave it unchanged.
+order or of which defaults get materialized shows too. A storage-pointer
+local is rendered as its target type and its access path: the root (a
+state variable or a default context), then the member names and index
+values taken from it, with boolean keys as integers. A refactoring of
+the interpreter must leave the digest unchanged.
 """
 
 import hashlib
 
 from solmem.errors import SolmemError
-from solmem.oracle import exec_function, run_constructor, serialize, serialize_storage
+from solmem.oracle import StorPath, exec_function, run_constructor, serialize, serialize_storage
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
+from solmem.storage_tree import default_context_name
 from test_translate_golden import inputs
 
-DIGEST = "8a9e73724d27b8d1747dfda2b2eee87c94c42925cc19cfaf94fdd825aca94cf4"
+DIGEST = "fbfcca1d9b58f302db4338a671774ecda761ac35fa3ebd767b6c310f19af6d15"
 
 
 def zero_arg(contract, ty, loc):
@@ -36,6 +40,21 @@ def zero_arg(contract, ty, loc):
     return []
 
 
+def pointer_keys(machine, pointer: StorPath) -> tuple:
+    if machine.tree_for(pointer.target).default_context:
+        path = pointer.path
+        return (default_context_name(pointer.target), path[1] if len(path) > 1 else 0)
+    return tuple(payload for _, payload in machine._steps_of_path(pointer))
+
+
+def rendered_locals(machine) -> dict:
+    return {
+        name: (v.target, tuple(int(k) if isinstance(k, bool) else k for k in pointer_keys(machine, v)))
+        if isinstance(v, StorPath) else v
+        for name, v in machine.locals.items()
+    }
+
+
 def run_record(contract, fn) -> str:
     base = run_constructor(contract)
     if fn.is_constructor:
@@ -48,7 +67,7 @@ def run_record(contract, fn) -> str:
         r.name_source: serialize(machine, r.ty, result.returns[r.name_source]) for r in fn.returns
     }
     asserts = [(a.ordinal, a.line, a.passed) for a in result.asserts]
-    raw = (machine.storage, sorted(machine.heap.items()), machine.locals, machine.next_addr)
+    raw = (machine.storage, sorted(machine.heap.items()), rendered_locals(machine), machine.next_addr)
     return repr((serialize_storage(result), returns, asserts, raw))
 
 
