@@ -157,17 +157,23 @@ class _Machine:
                 raise IrError(f"unknown datatype {e.datatype}")
             return base.members[dt.member_index(e.member)]
         if isinstance(e, Ite):
-            return self.eval(e.then) if self.eval(e.cond) else self.eval(e.other)
+            return self.eval(e.then) if self._cond(e.cond) else self.eval(e.other)
         if isinstance(e, BinOp):
             return self._binop(e)
         if isinstance(e, UnOp):
-            v = self.eval(e.operand)
             if e.op == "not":
-                return not v
+                return not self._cond(e.operand)
             if e.op == "neg":
-                return -v
+                return -self.eval(e.operand)
             raise IrError(f"unknown unary operator {e.op}")
         raise IrError(f"unknown expression {e!r}")
+
+    def _cond(self, e: IrExpr) -> bool:
+        """A condition or boolean operand, which must evaluate to a bool."""
+        v = self.eval(e)
+        if not isinstance(v, bool):
+            raise IrError(f"condition is not a bool: {e}")
+        return v
 
     @staticmethod
     def _key(v):
@@ -177,6 +183,9 @@ class _Machine:
 
     def _binop(self, e: BinOp):
         op = e.op
+        if op in ("and", "or"):
+            a, b = self._cond(e.left), self._cond(e.right)
+            return (a and b) if op == "and" else (a or b)
         a = self.eval(e.left)
         b = self.eval(e.right)
         if op == "+":
@@ -195,10 +204,6 @@ class _Machine:
             return a > b
         if op == ">=":
             return a >= b
-        if op == "and":
-            return bool(a) and bool(b)
-        if op == "or":
-            return bool(a) or bool(b)
         raise IrError(f"unknown operator {op}")
 
     # -- statements ---------------------------------------------------
@@ -223,7 +228,7 @@ class _Machine:
             self.assign(lhs.base, base.replace(dt.member_index(lhs.member), value))
             return
         if isinstance(lhs, Ite):
-            target = lhs.then if self.eval(lhs.cond) else lhs.other
+            target = lhs.then if self._cond(lhs.cond) else lhs.other
             self.assign(target, value)
             return
         raise IrError(f"invalid assignment target {lhs!r}")
@@ -252,7 +257,7 @@ class _Machine:
             self.assign(s.lhs, self.eval(s.rhs))
             return None
         if isinstance(s, IfStmt):
-            if self.eval(s.cond):
+            if self._cond(s.cond):
                 result = self.run(s.then)
                 self._skip_counts(s.other)
             else:
@@ -262,13 +267,13 @@ class _Machine:
         if isinstance(s, Assume):
             idx = self.assume_ordinal
             self.assume_ordinal += 1
-            if not self.eval(s.cond):
+            if not self._cond(s.cond):
                 return EvalResult("assume-violated", self.env, idx)
             return None
         if isinstance(s, Assert):
             idx = self.assert_ordinal
             self.assert_ordinal += 1
-            if not self.eval(s.cond):
+            if not self._cond(s.cond):
                 return EvalResult("assert-failed", self.env, idx)
             return None
         raise IrError(f"unknown statement {s!r}")

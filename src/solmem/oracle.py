@@ -2,9 +2,13 @@
 
 Storage is a pure tree of values (structs, arrays with an explicit
 length over a growable backing store, total mappings with defaults);
-memory is a heap of objects reached through references; local storage
-pointers are concrete root-to-leaf paths through the per-type storage
-tree, dereferenced against the current storage. Deep copies materialize
+memory is a heap of objects reached through references; a local storage
+pointer is an access path, the root it starts from (a state variable or
+a default context) followed by the member names and index values taken
+from it, dereferenced against the current storage. The storage trees and
+their ordinal paths, which the translator encodes pointers with, appear
+only where `solmem run --args` passes a pointer argument: it is decoded
+into an access path once, when it is bound. Deep copies materialize
 fresh trees or heap objects exactly where the translation does.
 
 Semantics deliberately mirror the SMT encoding rather than the EVM:
@@ -86,10 +90,13 @@ class MemRef:
     addr: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class StorPath:
+    """A storage pointer: its root's name, then the member names and
+    index values taken from it."""
+
     target: SolType
-    path: list[int]
+    keys: tuple
 
 
 @dataclass
@@ -136,8 +143,7 @@ class Machine:
         self.heap: dict[int, Any] = {}
         self.next_addr = 0
         self.locals: dict[str, Any] = {}
-        self.trees: dict[SolType, StorageTree] = {}
-        self.default_contexts: dict[SolType, StorArray] = {}
+        self.default_contexts: dict[str, StorArray] = {}
         self.assert_results: list[AssertOutcome] = []
 
     def members(self, ty: StructType) -> list[StructMember]:
@@ -183,48 +189,29 @@ class Machine:
             return StorMapping(v.key, v.value, {k: self.deep_copy(e) for k, e in v.entries.items()})
         return v
 
-    def storage_from_memory(self, ty: SolType, v: Any) -> Any:
-        """Deep copy of a memory entity into a fresh storage value tree."""
+    def _copy_across(self, ty: SolType, v: Any, dst: Loc) -> Any:
+        """Deep copy of a storage value into fresh memory (`dst` is
+        MEMORY), or of a memory entity into a fresh storage value tree
+        (`dst` is STORAGE). A memory holder is allocated after its parts."""
         if is_value_type(ty):
             return v
-        if isinstance(ty, (DynArrayType, FixArrayType)):
-            obj = self.deref(v)
-            if not isinstance(obj, MemArray):
-                raise OracleError("expected a memory array")
-            backing = [self.storage_from_memory(ty.base, e) for e in obj.elems[: max(obj.length, 0)]]
-            return StorArray(ty.base, backing, obj.length)
+        to_memory = dst == Loc.MEMORY
+        src = v if to_memory else self.deref(v)
         if isinstance(ty, StructType):
-            obj = self.deref(v)
-            if not isinstance(obj, MemStruct):
-                raise OracleError("expected a memory struct")
-            return StorStruct(
-                ty.name,
-                {m.name: self.storage_from_memory(m.ty, obj.members[m.name]) for m in self.members(ty)},
-            )
-        raise OracleError(f"cannot copy {ty} from memory")
-
-    def memory_from_storage(self, ty: SolType, v: Any) -> Any:
-        """Deep copy of a storage value into freshly allocated memory."""
-        if is_value_type(ty):
-            return v
-        if isinstance(ty, (DynArrayType, FixArrayType)):
-            if not isinstance(v, StorArray):
-                raise OracleError("expected a storage array")
-            length = max(v.length, 0)
-            elems = [
-                self.memory_from_storage(ty.base, self.backing_read(v, i)) for i in range(length)
-            ]
-            return self.allocate(MemArray(ty.base, elems, v.length))
-        if isinstance(ty, StructType):
-            if not isinstance(v, StorStruct):
-                raise OracleError("expected a storage struct")
-            return self.allocate(
-                MemStruct(
-                    ty.name,
-                    {m.name: self.memory_from_storage(m.ty, v.members[m.name]) for m in self.members(ty)},
-                )
-            )
-        raise OracleError(f"cannot copy {ty} into memory")
+            if not isinstance(src, (StorStruct, MemStruct)):
+                raise OracleError("expected a struct")
+            members = {m.name: self._copy_across(m.ty, src.members[m.name], dst) for m in self.members(ty)}
+            holder = (MemStruct if to_memory else StorStruct)(ty.name, members)
+        elif isinstance(ty, (DynArrayType, FixArrayType)):
+            if not isinstance(src, (StorArray, MemArray)):
+                raise OracleError("expected an array")
+            n = max(src.length, 0)
+            parts = (self.backing_read(src, i) for i in range(n)) if isinstance(src, StorArray) else src.elems[:n]
+            elems = [self._copy_across(ty.base, e, dst) for e in parts]
+            holder = (MemArray if to_memory else StorArray)(ty.base, elems, src.length)
+        else:
+            raise OracleError(f"cannot copy {ty} across locations")
+        return self.allocate(holder) if to_memory else holder
 
     def _stored(self, ty: SolType, loc: Loc, rloc: Loc, rval: Any) -> Any:
         """The value an assignment of `rval`, found at `rloc`, writes into
@@ -235,18 +222,14 @@ class Machine:
             VALUE        as is
             MEMORY               shared           copied into memory
             STORAGE              copied to storage deep copy
-            STORPTR                               the path, copied
+            STORPTR                               the path, as is
         """
-        if loc == Loc.VALUE or loc == rloc == Loc.MEMORY:
+        if loc in (Loc.VALUE, Loc.STORPTR) or loc == rloc == Loc.MEMORY:
             return rval
-        if loc == Loc.STORPTR:
-            return StorPath(rval.target, list(rval.path))
         if isinstance(rval, StorPath):
             rval = self.deref_path(rval)
-        if rloc == Loc.MEMORY:
-            return self.storage_from_memory(ty, rval)
-        if loc == Loc.MEMORY:
-            return self.memory_from_storage(ty, rval)
+        if Loc.MEMORY in (loc, rloc):
+            return self._copy_across(ty, rval, loc)
         return self.deep_copy(rval)
 
     def deref(self, ref: Any):
@@ -255,17 +238,7 @@ class Machine:
         return self.heap[ref.addr]
 
     # ------------------------------------------------------------------
-    # storage trees and pointer paths
-
-    def tree_for(self, target: SolType) -> StorageTree:
-        tree = self.trees.get(target)
-        if tree is None:
-            tree = build_storage_tree(self.contract, target)
-            if tree.is_empty:
-                tree = default_context_tree(target)
-                self.default_contexts[target] = StorArray(target, [], 0)
-            self.trees[target] = tree
-        return tree
+    # storage pointers
 
     def backing_read(self, arr: StorArray, index: int) -> Any:
         """Raw backing read: extends with defaults, ignores length."""
@@ -276,20 +249,17 @@ class Machine:
         return arr.backing[index]
 
     def deref_path(self, pointer: StorPath) -> Any:
-        """The live storage entity a pointer path denotes, materializing
-        the defaults it passes through."""
-        if self.tree_for(pointer.target).default_context:
-            path = pointer.path
-            return self.backing_read(self.default_contexts[pointer.target], path[1] if len(path) > 1 else 0)
-        steps = self._steps_of_path(pointer)
-        entity = self.storage[steps[0][1]]
-        for _, step in steps[1:]:
+        """The live storage entity a pointer denotes, materializing the
+        defaults it passes through."""
+        root, *steps = pointer.keys
+        entity = self.storage[root] if root in self.storage else self.default_contexts[root]
+        for key in steps:
             if isinstance(entity, StorStruct):
-                entity = entity.members[step]
+                entity = entity.members[key]
             elif isinstance(entity, StorArray):
-                entity = self.backing_read(entity, step)
+                entity = self.backing_read(entity, key)
             elif isinstance(entity, StorMapping):
-                entity = self.mapping_read(entity, self._key(entity, step), materialize=True)
+                entity = self.mapping_read(entity, self._key(entity, key), materialize=True)
             else:
                 raise OracleError(f"path steps into {type(entity).__name__}")
         return entity
@@ -308,78 +278,24 @@ class Machine:
             return bool(key)
         return key
 
-    # ------------------------------------------------------------------
-    # packing (concrete)
-
     def pack_path(self, expr: Expr) -> StorPath:
+        """The access path of a storage lvalue: a state variable's name,
+        or the keys of the storage pointer it starts from (a variable or
+        a conditional), then the member names and index values taken."""
         chain: list[Expr] = []
         node = expr
         while isinstance(node, (MemberExpr, IndexExpr)):
             chain.append(node)
             node = node.base
-        if not isinstance(node, IdentExpr):
-            raise OracleError("cannot pack a non-lvalue")
-        chain.reverse()
-
-        steps: list[tuple[str, Any]] = []
-        if node.decl_kind == "state":
-            steps.append(("label", node.name))
+        if isinstance(node, IdentExpr) and node.decl_kind == "state":
+            keys = [node.name]
         elif node.loc == Loc.STORPTR:
-            pointer = self.locals[node.name]
-            if not isinstance(pointer, StorPath):
-                raise OracleError("storage pointer variable holds no path")
-            steps.extend(self._steps_of_path(pointer))
+            keys = list(self.eval(node).keys)
         else:
             raise OracleError("cannot pack a memory expression")
-        for part in chain:
-            if isinstance(part, MemberExpr):
-                steps.append(("label", part.member))
-            else:
-                steps.append(("index", self.eval(part.index)))
-
-        tree = self.tree_for(expr.ty)
-        if tree.default_context:
-            raise OracleError("cannot pack into a default context")
-        tnode = tree.root
-        path: list[int] = []
-        for kind, payload in steps:
-            if kind == "label":
-                edge = next((e for e in tnode.edges if e.label == payload), None)
-                if edge is None:
-                    raise OracleError(f"tree for {expr.ty} has no edge {payload}")
-                path.append(edge.ordinal)
-            else:
-                edge = tnode.edges[0]
-                if tnode.kind == "mapping":
-                    assert isinstance(tnode.ty, MappingType)
-                    payload = int(payload) if tnode.ty.key == BOOL else payload
-                path.append(int(payload))
-            tnode = edge.target
-        if not tnode.is_leaf:
-            raise OracleError("packed path does not reach a leaf")
-        return StorPath(expr.ty, path)
-
-    def _steps_of_path(self, pointer: StorPath) -> list[tuple[str, Any]]:
-        """Recover the label/index steps a concrete path denotes. Ordinals
-        matching no edge fall through to the last edge, mirroring the
-        unpack conditional."""
-        tree = self.tree_for(pointer.target)
-        if tree.default_context:
-            raise OracleError("cannot re-pack a default-context pointer")
-        node = tree.root
-        steps: list[tuple[str, Any]] = []
-        depth = 0
-        while not node.is_leaf:
-            ordinal = pointer.path[depth] if depth < len(pointer.path) else 0
-            if node.kind in ("contract", "struct"):
-                edge = next((e for e in node.edges if e.ordinal == ordinal), node.edges[-1])
-                steps.append(("label", edge.label))
-            else:
-                edge = node.edges[0]
-                steps.append(("index", ordinal))
-            node = edge.target
-            depth += 1
-        return steps
+        for part in reversed(chain):
+            keys.append(part.member if isinstance(part, MemberExpr) else self.eval(part.index))
+        return StorPath(expr.ty, tuple(keys))
 
     # ------------------------------------------------------------------
     # expression evaluation
@@ -603,8 +519,11 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
     if loc == Loc.STORPTR:
         if not isinstance(value, list) or not all(type(x) is int for x in value):
             raise ArgumentError(f"argument {name}: expected a storage path (list of integers), got {value!r}")
-        machine.tree_for(ty)
-        return StorPath(ty, list(value))
+        tree = build_storage_tree(machine.contract, ty)
+        if tree.is_empty:
+            tree = default_context_tree(ty)
+            machine.default_contexts.setdefault(tree.root.edges[0].label, StorArray(ty))
+        return StorPath(ty, _decode(tree, value))
     if isinstance(ty, (DynArrayType, FixArrayType)):
         if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
             raise fail()
@@ -615,6 +534,23 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
         raise fail()
     bound = {m.name: _bind_arg(machine, name, m.ty, Loc.MEMORY, value[m.name]) for m in members}
     return machine.allocate(MemStruct(ty.name, bound))
+
+
+def _decode(tree: StorageTree, path: list[int]) -> tuple:
+    """The access path an encoded storage pointer denotes. An element that
+    matches no edge of a contract or struct node takes its last edge, and
+    a missing element reads as 0, as in the translator's unpack."""
+    node, keys = tree.root, []
+    while not node.is_leaf:
+        ordinal = path[len(keys)] if len(keys) < len(path) else 0
+        if node.kind in ("contract", "struct"):
+            edge = node.edges[ordinal] if 0 <= ordinal < len(node.edges) else node.edges[-1]
+            keys.append(edge.label)
+        else:
+            edge = node.edges[0]
+            keys.append(ordinal)
+        node = edge.target
+    return tuple(keys)
 
 
 def exec_function(

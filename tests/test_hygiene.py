@@ -4,7 +4,9 @@ No handler may catch everything (a bare `except`, `except Exception` or
 `except BaseException`), every imported name must be used by its
 module, or re-exported through `__all__`, and every public function and
 method must have a caller in the pipeline or the benchmark, so that
-helpers only tests need live in `tests/`.
+helpers only tests need live in `tests/`. The reference interpreter
+imports nothing from the translator's side of the pipeline, so that a
+fault there cannot hide from differential testing.
 """
 
 import ast
@@ -20,6 +22,9 @@ SOURCES = sorted((ROOT / "src" / "solmem").glob("*.py"))
 # tables name what they call in strings.
 CALLERS = [p for p in SOURCES if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
+# The modules that turn a resolved contract into IR and SMT-LIB or
+# evaluate IR; `oracle.py` must not import them.
+TRANSLATOR_SIDE = {"translate", "ir", "normalize", "ssa", "vcgen", "smtlib", "ireval"}
 
 
 def catch_alls(tree: ast.AST) -> list[int]:
@@ -49,6 +54,22 @@ def unused_imports(tree: ast.AST) -> list[str]:
         ):
             used |= {elt.value for elt in node.value.elts}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Names of the package modules a module imports, however spelled:
+    `from .x import …`, `from . import x`, `import solmem.x` and
+    `from solmem import x`. Other imports are kept under their names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("solmem.") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.removeprefix("solmem").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+    return found
 
 
 def public_definitions(tree: ast.Module) -> list[ast.FunctionDef]:
@@ -120,6 +141,20 @@ def test_checks_find_what_they_look_for():
     )
     assert catch_alls(tree) == [5, 9, 13]
     assert unused_imports(tree) == ["os (line 1)", "b (line 2)"]
+
+
+def test_oracle_imports_nothing_from_the_translator_side():
+    tree = ast.parse((ROOT / "src" / "solmem" / "oracle.py").read_text())
+    assert imported_modules(tree) & TRANSLATOR_SIDE == set()
+
+
+def test_import_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        "from .ir import Ite\nfrom . import ssa\nimport solmem.vcgen\n"
+        "from solmem import smtlib, errors\nfrom solmem.sol_ast import Loc\n"
+        "from ..translate import x\nfrom dataclasses import field\n"
+    )
+    assert imported_modules(tree) & TRANSLATOR_SIDE == {"ir", "ssa", "vcgen", "smtlib", "translate"}
 
 
 def _trees(paths: list[Path]) -> dict[str, ast.Module]:

@@ -1,6 +1,9 @@
 """Evaluator behavior the rest of the suite leans on."""
 
+import pytest
+
 from solmem import ir
+from solmem.errors import IrError
 from solmem.ir import (
     ArrayRead,
     Assert,
@@ -99,6 +102,26 @@ def test_if_statement_branching():
     )
     assert eval_ir(p, {"x": -3}).env["y"] == 1
     assert eval_ir(p, {"x": 3}).env["y"] == 2
+
+
+ONE = IntLit(1)
+INT_CONDITIONS = {
+    "ite": Assign(Ident("x"), Ite(ONE, IntLit(2), IntLit(3))),
+    "ite_lvalue": Assign(Ite(ONE, Ident("x"), Ident("y")), IntLit(4)),
+    "if": IfStmt(ONE, (Assign(Ident("x"), IntLit(5)),), ()),
+    "assume": Assume(ONE),
+    "assert": Assert(ONE),
+    "and": Assert(ir.and_(BoolLit(True), ONE)),
+    "or": Assert(ir.or_(ONE, BoolLit(False))),
+    "not": Assert(ir.not_(ONE)),
+}
+
+
+@pytest.mark.parametrize("site", INT_CONDITIONS)
+def test_int_condition_is_an_error(site):
+    p = program(INT_CONDITIONS[site], decls=[("x", ir.INT), ("y", ir.INT)])
+    with pytest.raises(IrError, match="not a bool"):
+        eval_ir(p)
 
 
 def test_values_equal_collapses_default_entries():

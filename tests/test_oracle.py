@@ -1,9 +1,13 @@
 """Reference interpreter: worked examples, determinism, storage purity."""
 
 import json
+from pathlib import Path
 
+import pytest
 
 from sources import DANGLING_POINTER, DATA_STORAGE, TUPLE_SWAP
+from solmem import oracle
+from solmem.generator import random_program
 from solmem.oracle import (
     MemRef,
     StorArray,
@@ -194,3 +198,26 @@ contract C {
     result = run_constructor(compile_source(src))
     assert [a.passed for a in result.asserts] == [True]
     assert serialize_storage(result) == {"a": {"x": 5}, "b": {"x": 0}, "c": {"x": 0}}
+
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").rglob("*.sol"))
+
+
+def test_pointers_are_paths_without_storage_trees(monkeypatch):
+    """Only binding an encoded pointer argument builds a storage tree:
+    constructor-only corpus files and fuzz programs, whose pointers all
+    come from packing, run with the tree builders removed."""
+    sources = [p.read_text() for p in CORPUS] + [random_program(seed) for seed in range(20)]
+    contracts = [c for c in map(compile_source, sources) if not c.functions]
+    data_storage = compile_source(DATA_STORAGE)
+
+    def no_tree(*args):
+        raise AssertionError("the oracle built a storage tree")
+
+    monkeypatch.setattr(oracle, "build_storage_tree", no_tree)
+    monkeypatch.setattr(oracle, "default_context_tree", no_tree)
+    for contract in contracts:
+        run_constructor(contract)
+    assert len(contracts) > 40
+    with pytest.raises(AssertionError, match="storage tree"):
+        exec_function(data_storage, "isset", [[0, 3]])

@@ -20,7 +20,6 @@ from solmem.oracle import StorPath, exec_function, run_constructor, serialize, s
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
-from solmem.storage_tree import default_context_name
 from test_translate_golden import inputs
 
 DIGEST = "fbfcca1d9b58f302db4338a671774ecda761ac35fa3ebd767b6c310f19af6d15"
@@ -40,16 +39,9 @@ def zero_arg(contract, ty, loc):
     return []
 
 
-def pointer_keys(machine, pointer: StorPath) -> tuple:
-    if machine.tree_for(pointer.target).default_context:
-        path = pointer.path
-        return (default_context_name(pointer.target), path[1] if len(path) > 1 else 0)
-    return tuple(payload for _, payload in machine._steps_of_path(pointer))
-
-
 def rendered_locals(machine) -> dict:
     return {
-        name: (v.target, tuple(int(k) if isinstance(k, bool) else k for k in pointer_keys(machine, v)))
+        name: (v.target, tuple(int(k) if isinstance(k, bool) else k for k in v.keys))
         if isinstance(v, StorPath) else v
         for name, v in machine.locals.items()
     }
