@@ -54,7 +54,7 @@ from .sol_ast import (
     is_value_type,
     part_loc,
 )
-from .storage_tree import StorageTree, build_storage_tree, default_context_tree
+from .storage_tree import StorageTree, build_storage_tree, default_context_name, default_context_tree
 
 
 class OracleError(SolmemError):
@@ -522,7 +522,7 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
         tree = build_storage_tree(machine.contract, ty)
         if tree.is_empty:
             tree = default_context_tree(ty)
-            machine.default_contexts.setdefault(tree.root.edges[0].label, StorArray(ty))
+            machine.default_contexts.setdefault(default_context_name(ty), StorArray(ty))
         return StorPath(ty, _decode(tree, value))
     if isinstance(ty, (DynArrayType, FixArrayType)):
         if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
