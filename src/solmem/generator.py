@@ -10,20 +10,22 @@ and tuple swaps, and never use constructs the translator reports as
 unsupported. Output is deterministic per seed.
 
 Checking is incremental. The skeleton (structs, state variables, an
-empty constructor) is parsed and resolved once; a candidate line is then
-lexed and parsed on its own as one statement, resolved against a copy
-of the constructor's scope and taken names, and run with the kept
-statements on a fresh interpreter. The replay is deliberate: sampling
-reads the interpreter state and those reads change it (backing arrays
-grow, mapping entries appear), so a candidate must never start from
-the sampled state. Rejected candidates are counted by reason.
+empty constructor) is parsed, resolved and run once; a candidate line is
+then lexed and parsed on its own as one statement, resolved against a
+copy of the constructor's scope and taken names, and run alone on a
+clone of the interpreter state after the kept statements (the pristine
+state). Sampling reads a second clone, never the pristine state: reads
+change the state they read (backing arrays grow, mapping entries
+appear), and a candidate started from sampled state could see slots
+the kept program never created. Rejected candidates are counted by
+reason.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import SourceError
 from .oracle import MemArray, MemRef, MemStruct, StorArray, StorMapping, StorPath, StorStruct, run_constructor
@@ -122,7 +124,10 @@ class ProgramBuilder:
         # the constructor has no parameters and no statements yet, so
         # resolution has taken only the state variables' names
         self.used_names = {v.name for v in self.contract.state_vars}
-        self.machine = run_constructor(self.contract).state
+        # the state after the kept statements, which sampling never reads,
+        # and the sampler's copy of it
+        self.pristine = run_constructor(self.contract).state
+        self.machine = self.pristine.clone()
 
     # ----- source assembly -------------------------------------------
 
@@ -147,29 +152,30 @@ class ProgramBuilder:
     def _try(self, line: str):
         """Check `line` as the next statement. Returns the resolved
         statement, the scope and taken names after it and the
-        interpreter state after running the program with it; None, with
-        the reason counted, if it does not parse or resolve, or if an
-        assert fails. An interpreter error is a bug and propagates."""
+        interpreter state after running it on a clone of the pristine
+        state; None, with the reason counted, if it does not parse or
+        resolve, or if its assert fails. An interpreter error is a bug
+        and propagates."""
         ctor = self.contract.constructor
         scope, used_names = self.scope.copy(), set(self.used_names)
         try:
             stmt = parse_statement(line, ctor.line + 1 + len(ctor.body), len(_INDENT) + 1)
             resolve_statement(self.contract, ctor, stmt, scope, used_names)
-            candidate = replace(self.contract, constructor=replace(ctor, body=ctor.body + [stmt]))
-            result = run_constructor(candidate)
         except SourceError as e:
             self.rejections[type(e).__name__] += 1
             return None
-        if result.failed is not None:
+        machine = self.pristine.clone()
+        if not machine.exec_stmt(stmt):
             self.rejections["assert-failed"] += 1
             return None
-        return stmt, scope, used_names, result.state
+        return stmt, scope, used_names, machine
 
     def commit(self, line: str) -> bool:
         checked = self._try(line)
         if checked is None:
             return False
-        stmt, self.scope, self.used_names, self.machine = checked
+        stmt, self.scope, self.used_names, self.pristine = checked
+        self.machine = self.pristine.clone()
         self.contract.constructor.body.append(stmt)
         self.g.lines.append(line)
         return True

@@ -18,7 +18,7 @@ dangling storage pointers while indexing sees a defaulted slot.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -93,6 +93,8 @@ REFCNT = "refcnt"
 
 # the (node, edge) pairs taken from a storage tree's root
 Edges = tuple[tuple[TreeNode, TreeEdge], ...]
+# one step of an access path: ("label", member name) or ("index", translated index)
+Step = tuple[str, object]
 
 
 @cache
@@ -255,28 +257,34 @@ class Translator:
             self.trees[target] = tree
         return tree
 
-    def pack(self, expr: Expr) -> IrExpr:
+    def pack(self, expr: Expr, target: SolType | None = None, suffix: Sequence[Step] = ()) -> IrExpr:
         """Path array uniquely identifying the storage entity `expr`
         denotes: edge ordinals at identifier/member steps, translated
-        index expressions at index steps."""
+        index expressions at index steps. The access steps taken from a
+        conditional base are translated once and packed below each
+        branch, as the branch's `suffix` to an entity of type `target`."""
+        target = target or expr.ty
         chain: list[Expr] = []
         root = expr
         while isinstance(root, (MemberExpr, IndexExpr)):
             chain.append(root)
             root = root.base
         chain.reverse()
+        steps = self._steps(chain) + list(suffix)
+        if isinstance(root, CondExpr):
+            return Ite(self.expr(root.cond), self.pack(root.then, target, steps), self.pack(root.other, target, steps))
         if not isinstance(root, IdentExpr):
             raise IrError(f"cannot pack non-lvalue {expr_to_source(expr)}")
         if root.decl_kind == "state":
-            tree = self.tree_for(expr.ty)
+            tree = self.tree_for(target)
             if tree.default_context:
                 raise IrError("state-variable path cannot live in a default context")
-            return self._path(tree.root, [("label", root.name)] + self._steps(chain), None)
+            return self._path(tree.root, [("label", root.name)] + steps, None)
         if root.loc == Loc.STORPTR:
-            return self._repack(root, chain, expr)
+            return self._repack(root, steps, target, expr.line)
         raise IrError(f"cannot pack {expr_to_source(expr)}")
 
-    def _steps(self, chain: list[Expr]) -> list[tuple[str, object]]:
+    def _steps(self, chain: list[Expr]) -> list[Step]:
         """One ("label", name) or ("index", translated index) per member or
         index access; the indexes are translated once, in source order."""
         return [
@@ -284,7 +292,7 @@ class Translator:
             for step in chain
         ]
 
-    def _path(self, node: TreeNode, steps: list[tuple[str, object]], ptr: IrExpr | None) -> IrExpr:
+    def _path(self, node: TreeNode, steps: list[Step], ptr: IrExpr | None) -> IrExpr:
         """Path array of `steps` taken from `node`: the edge ordinal at a
         label, the index at an index step (translated bool mapping keys as
         0/1). An index step without an index copies `ptr`'s element at its
@@ -310,7 +318,7 @@ class Translator:
             raise IrError("packed path does not reach a leaf")
         return result
 
-    def _repack(self, root: IdentExpr, chain: list[Expr], expr: Expr) -> IrExpr:
+    def _repack(self, root: IdentExpr, suffix: list[Step], target: SolType, line: int) -> IrExpr:
         """Rebase a pointer-rooted lvalue (e.g. p.member[i]) into a path
         for the composite's own type through unpack's conditional: at each
         leaf the pointer may reach, re-encode the edges taken in the
@@ -320,13 +328,12 @@ class Translator:
             raise UnsupportedError(
                 "unsupported: storage pointer access through a default context "
                 "cannot be re-packed",
-                expr.line,
+                line,
             )
-        target_tree = self.tree_for(expr.ty)
+        target_tree = self.tree_for(target)
         if target_tree.default_context:
             raise IrError("target tree empty while source tree is not")
         ptr = self.expr(root)
-        suffix = self._steps(chain)
 
         def leaf(edges: Edges) -> IrExpr:
             steps = [("label", e.label) if e.label is not None else ("index", None) for _, e in edges]

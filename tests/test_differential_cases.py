@@ -1,8 +1,9 @@
 """Hand-picked adversarial programs where oracle and verifier must agree:
 pointer/pop interactions, bool mapping keys, nested mappings, memory
 aliasing graphs, deletes observed through watching pointers, integer
-operators, reads past the end of a memory array of references, and a
-memory copy out of a member of a storage-pointer conditional."""
+operators, reads past the end of a memory array of references, a
+memory copy out of a member of a storage-pointer conditional, and
+storage pointers packed through a conditional base."""
 
 import pytest
 
@@ -177,9 +178,72 @@ contract C {
 }
 """
 
+# Checked without a solver only: a storage pointer packed through a
+# conditional base is a path into the taken branch, fixed when it is
+# packed; each last assert fails.
+CONDITIONAL_BASE_MEMBER_POINTER = """
+contract C {
+    struct S { int[] ys; }
+    S a;
+    S b;
+    constructor() {
+        a.ys.push(1);
+        b.ys.push(2);
+        bool t = false;
+        int[] storage q = (t ? a : b).ys;
+        q.push(3);
+        t = true;
+        q[0] = 4;
+        assert(a.ys.length == 1);
+        assert(b.ys.length == 2);
+        assert(b.ys[0] == 4);
+        assert(a.ys[0] == 4);
+    }
+}
+"""
+
+CONDITIONAL_POINTER_BASE_ELEMENT_POINTER = """
+contract C {
+    struct T { int z; }
+    struct S { T[] zs; }
+    S a;
+    S c;
+    constructor() {
+        a.zs.push(T(1));
+        c.zs.push(T(2));
+        S storage p = c;
+        bool t = true;
+        T storage q = (t ? p : a).zs[0];
+        q.z = 5;
+        assert(c.zs[0].z == 5);
+        assert(a.zs[0].z == 1);
+        p = a;
+        assert(q.z == 1);
+    }
+}
+"""
+
+CONDITIONAL_BASE_ELEMENT_POINTER = """
+contract C {
+    struct T { int z; }
+    T[2] g;
+    T[2] h;
+    constructor() {
+        bool t = false;
+        T storage q = (t ? g : h)[0];
+        q.z = 6;
+        assert(h[0].z == 6);
+        assert(g[0].z == 6);
+    }
+}
+"""
+
 SOLVER_FREE = {
     "out_of_range_memory_struct_read": OUT_OF_RANGE_MEMORY_STRUCT_READ,
     "conditional_base_memory_copy": CONDITIONAL_BASE_MEMORY_COPY,
+    "conditional_base_member_pointer": CONDITIONAL_BASE_MEMBER_POINTER,
+    "conditional_pointer_base_element_pointer": CONDITIONAL_POINTER_BASE_ELEMENT_POINTER,
+    "conditional_base_element_pointer": CONDITIONAL_BASE_ELEMENT_POINTER,
 }
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from solmem import generator
+from solmem import generator, oracle
 from solmem.generator import ProgramBuilder, random_program
 from solmem.harness import run_fuzz
 from solmem.oracle import ExecResult, OracleError, run_constructor, serialize_storage
@@ -66,9 +66,22 @@ def test_golden_digest_and_rejections_seeds_0_199():
     assert rejections == {"ParseError": 3, "ResolveError": 3}
 
 
+def _state(machine):
+    """Storage (backing slots past `length` and mapping insertion order
+    included), heap, next address and locals, as text."""
+    return repr((machine.storage, machine.heap, machine.next_addr, machine.locals))
+
+
 class _CheckedBuilder(ProgramBuilder):
-    """Compares the incremental state with a full re-run after every
-    accepted line."""
+    """Compares the pristine state with a full re-run after every
+    accepted line, and checks that neither a candidate nor the sampler's
+    reads change the pristine state."""
+
+    def _try(self, line: str):
+        before = _state(self.pristine)
+        checked = super()._try(line)
+        assert _state(self.pristine) == before
+        return checked
 
     def commit(self, line: str) -> bool:
         if not super().commit(line):
@@ -77,8 +90,16 @@ class _CheckedBuilder(ProgramBuilder):
         result = run_constructor(full)
         assert result.failed is None
         assert self.contract.constructor.body == full.constructor.body
+        kept = _state(result.state)
+        assert _state(self.pristine) == kept
         incremental = ExecResult(self.machine.storage, {}, [], self.machine)
         assert serialize_storage(incremental) == serialize_storage(result)
+        # sample as the operations do, leaving the random stream as it was
+        rng_state = self.rng.getstate()
+        self._storage_paths()
+        self._value_reads()
+        self.rng.setstate(rng_state)
+        assert _state(self.pristine) == kept
         return True
 
 
@@ -89,18 +110,43 @@ def test_incremental_state_matches_full_rerun(seed):
     assert builder.g.lines  # some lines were accepted and checked
 
 
+def test_each_candidate_runs_once_on_the_kept_state(monkeypatch):
+    """Checking a candidate runs that one statement, not the kept
+    statements again; the interpreter runs a whole constructor only for
+    each program's skeleton."""
+    calls = Counter()
+    real_exec, real_run, real_resolve = oracle.Machine.exec_stmt, generator.run_constructor, generator.resolve_statement
+
+    def exec_stmt(machine, stmt):
+        calls["exec_stmt"] += 1
+        return real_exec(machine, stmt)
+
+    def run_constructor(contract):
+        calls["run_constructor"] += 1
+        return real_run(contract)
+
+    def resolve_statement(*args):
+        real_resolve(*args)
+        calls["resolved"] += 1
+
+    monkeypatch.setattr(oracle.Machine, "exec_stmt", exec_stmt)
+    monkeypatch.setattr(generator, "run_constructor", run_constructor)
+    monkeypatch.setattr(generator, "resolve_statement", resolve_statement)
+    for seed in range(200):
+        ProgramBuilder(seed, 10).build()
+    assert calls == {"exec_stmt": 2792, "resolved": 2792, "run_constructor": 200}
+
+
 def test_interpreter_errors_are_not_rejected_candidates(monkeypatch):
     """An OracleError while checking a candidate line is a bug in the
     ground truth: it reaches the fuzz loop as an invalid seed instead of
     being counted as a rejection."""
-    real = generator.run_constructor
 
-    def broken(contract):
-        if contract.constructor.body:
-            raise OracleError("interpreter bug")
-        return real(contract)
+    def broken(machine, stmt):
+        raise OracleError("interpreter bug")
 
-    monkeypatch.setattr(generator, "run_constructor", broken)
+    # candidates run statement by statement on a clone of the kept state
+    monkeypatch.setattr(oracle.Machine, "exec_stmt", broken)
     with pytest.raises(OracleError, match="interpreter bug"):
         ProgramBuilder(0, 10).build()
     [outcome] = run_fuzz(range(1), jobs=1)
