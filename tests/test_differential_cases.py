@@ -263,3 +263,66 @@ def test_differential_agreement(name, solver_available):
     observed, compared, detail = differential(CASES[name], timeout=30)
     assert observed == "correct", detail
     assert compared >= 1
+
+
+# Closure over storage-pointer sources: every base (a state variable, a
+# mapping entry, a fixed-array element, a pointer and conditionals of
+# these) in every shape (as is, `.ys`, `.zs[0]`), under both conditions.
+# Each root starts with distinct values; a write through the new pointer
+# must land in exactly the root the taken branch names, so every assert
+# passes in the oracle and `ireval` agrees with it.
+CLOSURE_ROOTS = {"a": 1, "m[1]": 2, "g[0]": 3, "g[1]": 4}
+CLOSURE_BASES = {
+    "a": ("a", "a"),
+    "m[1]": ("m[1]", "m[1]"),
+    "g[0]": ("g[0]", "g[0]"),
+    "p": ("g[1]", "g[1]"),
+    "(t ? a : m[1])": ("a", "m[1]"),
+    "(t ? g[0] : p)": ("g[0]", "g[1]"),
+    "(t ? p : a)": ("g[1]", "a"),
+    "(t ? m[1] : g[0])": ("m[1]", "g[0]"),
+}
+CLOSURE_SHAPES = {
+    "": ("S", "q.ys[0] = 9; q.zs[0].z = 9;"),
+    ".ys": ("int[]", "q[0] = 9;"),
+    ".zs[0]": ("T", "q.z = 9;"),
+}
+
+
+def closure_source(base: str, shape: str, cond: bool) -> str:
+    ty, write = CLOSURE_SHAPES[shape]
+    taken = CLOSURE_BASES[base][0 if cond else 1]
+    setup = "".join(f"{r}.ys.push({v}); {r}.zs.push(T({10 * v})); " for r, v in CLOSURE_ROOTS.items())
+    checks = []
+    for root, v in CLOSURE_ROOTS.items():
+        hit = root == taken
+        checks.append(f"assert({root}.ys[0] == {9 if hit and shape != '.zs[0]' else v});")
+        checks.append(f"assert({root}.zs[0].z == {9 if hit and shape != '.ys' else 10 * v});")
+    return f"""
+contract C {{
+    struct T {{ int z; }}
+    struct S {{ int[] ys; T[] zs; }}
+    S a;
+    mapping(int => S) m;
+    S[2] g;
+    constructor() {{
+        {setup}
+        S storage p = g[1];
+        bool t = {'true' if cond else 'false'};
+        {ty} storage q = {base}{shape};
+        {write}
+        {' '.join(checks)}
+    }}
+}}
+"""
+
+
+@pytest.mark.parametrize("cond", [True, False])
+@pytest.mark.parametrize("shape", CLOSURE_SHAPES)
+@pytest.mark.parametrize("base", CLOSURE_BASES)
+def test_storage_pointer_source_closure(base, shape, cond):
+    contract = resolve_and_check(parse_source(closure_source(base, shape, cond)))
+    oracle = run_constructor(contract)
+    assert oracle.failed is None and len(oracle.asserts) == 2 * len(CLOSURE_ROOTS)
+    ran = eval_ir(translate_function(contract, contract.constructor).program)
+    assert ran.status == "ok"
