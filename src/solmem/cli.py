@@ -9,13 +9,15 @@ The solver command resolves from --solver-cmd, then $SOLMEM_SOLVER, then
 z3/cvc5 on PATH, then the bundled Node.js backend.
 
 verify, corpus and fuzz exit 2 when the solver cannot be found, launched
-or smoke-tested, even if some assert also has a counterexample.
+or smoke-tested, even if some assert also has a counterexample. Every
+command exits 2 when its standard output is closed before it is done.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -208,7 +210,16 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_fuzz)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more reaches the reader; point stdout at /dev/null so the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed (broken pipe)", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

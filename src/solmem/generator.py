@@ -14,18 +14,14 @@ empty constructor) is parsed, resolved and run once; a candidate line is
 then lexed and parsed on its own as one statement, resolved against a
 copy of the constructor's scope and taken names, and run alone on a
 clone of the interpreter state after the kept statements (the pristine
-state). Sampling reads a second clone, never the pristine state: reads
-change the state they read (backing arrays grow, mapping entries
-appear), and a candidate started from sampled state could see slots
-the kept program never created. Rejected candidates are counted by
-reason.
+state). Sampling reads the pristine state itself, since interpreter
+reads never change state. Rejected candidates are counted by reason.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import SourceError
 from .oracle import MemArray, MemRef, MemStruct, StorArray, StorMapping, StorPath, StorStruct, run_constructor
@@ -88,20 +84,6 @@ def _memory_safe(ty: SolType, structs: dict) -> bool:
     return False
 
 
-@dataclass
-class _Gen:
-    rng: random.Random
-    structs: dict
-    state_vars: list
-    lines: list[str] = field(default_factory=list)
-    locals: list[tuple[str, SolType, str]] = field(default_factory=list)  # name, type, loc
-    counter: int = 0
-
-    def fresh(self, prefix: str) -> str:
-        self.counter += 1
-        return f"{prefix}{self.counter}"
-
-
 class ProgramBuilder:
     def __init__(self, seed: int, size_budget: int):
         self.rng = random.Random(seed)
@@ -115,7 +97,9 @@ class ProgramBuilder:
         ]
         count = self.rng.randint(3, min(6, len(pool)))
         self.state_vars = self.rng.sample(pool, count)
-        self.g = _Gen(self.rng, self.structs, self.state_vars)
+        self.lines: list[str] = []  # source lines of the constructor body
+        self.locals: list[tuple[str, SolType, str]] = []  # name, type, loc
+        self.counter = 0
         self.rejections: Counter[str] = Counter()  # rejected candidates by reason
         # the skeleton, parsed and resolved once; its constructor body
         # collects the resolved statements kept so far
@@ -124,10 +108,12 @@ class ProgramBuilder:
         # the constructor has no parameters and no statements yet, so
         # resolution has taken only the state variables' names
         self.used_names = {v.name for v in self.contract.state_vars}
-        # the state after the kept statements, which sampling never reads,
-        # and the sampler's copy of it
+        # the state after the kept statements
         self.pristine = run_constructor(self.contract).state
-        self.machine = self.pristine.clone()
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}{self.counter}"
 
     # ----- source assembly -------------------------------------------
 
@@ -141,7 +127,7 @@ class ProgramBuilder:
         for name, ty in self.state_vars:
             lines.append(f"    {ty} {name};")
         lines.append("    constructor() {")
-        for line in self.g.lines:
+        for line in self.lines:
             lines.append(f"{_INDENT}{line}")
         lines.append("    }")
         lines.append("}")
@@ -175,9 +161,8 @@ class ProgramBuilder:
         if checked is None:
             return False
         stmt, self.scope, self.used_names, self.pristine = checked
-        self.machine = self.pristine.clone()
         self.contract.constructor.body.append(stmt)
-        self.g.lines.append(line)
+        self.lines.append(line)
         return True
 
     # ----- state sampling ---------------------------------------------
@@ -198,29 +183,29 @@ class ProgramBuilder:
             elif isinstance(ty, (DynArrayType, FixArrayType)):
                 assert isinstance(value, StorArray)
                 for i in range(min(max(value.length, 0), 3)):
-                    walk(f"{text}[{i}]", ty.base, self.machine.backing_read(value, i), depth + 1)
+                    walk(f"{text}[{i}]", ty.base, self.pristine.part(value, i), depth + 1)
             elif isinstance(ty, MappingType):
                 assert isinstance(value, StorMapping)
                 keys = _KEY_POOL if ty.key != BOOL else [True, False]
                 for key in self.rng.sample(keys, min(2, len(keys))):
                     ktext = ("true" if key else "false") if ty.key == BOOL else str(key)
-                    kval = self.machine.mapping_read(value, key)
+                    kval = self.pristine.part(value, key)
                     walk(f"{text}[{ktext}]", ty.value, kval, depth + 1)
 
         for name, ty in self.state_vars:
-            walk(name, ty, self.machine.storage[name], 0)
+            walk(name, ty, self.pristine.storage[name], 0)
         return out
 
     def _pointer_paths(self):
         """Storage lvalues reachable through live storage pointers."""
         out = []
-        for name, ty, loc in self.g.locals:
+        for name, ty, loc in self.locals:
             if loc != "storage":
                 continue
-            pointer = self.machine.locals.get(name)
+            pointer = self.pristine.locals.get(name)
             if not isinstance(pointer, StorPath):
                 continue
-            value = self.machine.deref_path(pointer)
+            value = self.pristine.deref_path(pointer)
             out.append((name, ty, value))
             if isinstance(ty, StructType):
                 assert isinstance(value, StorStruct)
@@ -229,28 +214,27 @@ class ProgramBuilder:
             elif isinstance(ty, (DynArrayType, FixArrayType)):
                 assert isinstance(value, StorArray)
                 for i in range(min(max(value.length, 0), 2)):
-                    out.append((f"{name}[{i}]", ty.base, self.machine.backing_read(value, i)))
+                    out.append((f"{name}[{i}]", ty.base, self.pristine.part(value, i)))
             elif isinstance(ty, MappingType):
                 assert isinstance(value, StorMapping)
                 key = self.rng.choice(_KEY_POOL if ty.key != BOOL else [True, False])
                 ktext = ("true" if key else "false") if ty.key == BOOL else str(key)
-                out.append((f"{name}[{ktext}]", ty.value, self.machine.mapping_read(value, key)))
+                out.append((f"{name}[{ktext}]", ty.value, self.pristine.part(value, key)))
         return out
 
     def _memory_values(self):
         out = []
-        for name, ty, loc in self.g.locals:
+        for name, ty, loc in self.locals:
             if loc != "memory":
                 continue
-            ref = self.machine.locals.get(name)
+            ref = self.pristine.locals.get(name)
             if not isinstance(ref, MemRef):
                 continue
             out.append((name, ty, ref))
-            obj = self.machine.heap[ref.addr]
+            obj = self.pristine.heap[ref.addr]
             if isinstance(obj, MemArray):
                 for i in range(min(max(obj.length, 0), 2)):
-                    if i < len(obj.elems):
-                        out.append((f"{name}[{i}]", ty.base, obj.elems[i]))
+                    out.append((f"{name}[{i}]", ty.base, self.pristine.part(obj, i)))
             elif isinstance(obj, MemStruct):
                 for mname, mty in self.structs[obj.struct]:
                     out.append((f"{name}.{mname}", mty, obj.members[mname]))
@@ -265,9 +249,9 @@ class ProgramBuilder:
             elif isinstance(ty, (DynArrayType, FixArrayType)) and not isinstance(value, MemRef):
                 if isinstance(value, StorArray):
                     reads.append((f"{text}.length", UINT, value.length))
-        for name, ty, loc in self.g.locals:
-            if loc == "value" and name in self.machine.locals:
-                reads.append((name, ty, self.machine.locals[name]))
+        for name, ty, loc in self.locals:
+            if loc == "value" and name in self.pristine.locals:
+                reads.append((name, ty, self.pristine.locals[name]))
         return reads
 
     def _literal(self, ty: SolType) -> str:
@@ -282,7 +266,7 @@ class ProgramBuilder:
             (t, ty) for t, ty, _ in self._storage_paths() + self._pointer_paths() + self._memory_values()
             if is_value_type(ty)
         ]
-        targets += [(n, ty) for n, ty, loc in self.g.locals if loc == "value"]
+        targets += [(n, ty) for n, ty, loc in self.locals if loc == "value"]
         if not targets:
             return False
         text, ty = self.rng.choice(targets)
@@ -297,10 +281,10 @@ class ProgramBuilder:
 
     def _op_local_value(self) -> bool:
         ty = self.rng.choice([INT, UINT, BOOL])
-        name = self.g.fresh("v")
+        name = self.fresh("v")
         init = f" = {self._literal(ty)}" if self.rng.random() < 0.8 else ""
         if self.commit(f"{ty} {name}{init};"):
-            self.g.locals.append((name, ty, "value"))
+            self.locals.append((name, ty, "value"))
             return True
         return False
 
@@ -379,26 +363,26 @@ class ProgramBuilder:
         if not refs:
             return False
         text, ty = self.rng.choice(refs)
-        name = self.g.fresh("p")
+        name = self.fresh("p")
         if self.commit(f"{ty} storage {name} = {text};"):
-            self.g.locals.append((name, ty, "storage"))
+            self.locals.append((name, ty, "storage"))
             return True
         return False
 
     def _op_repoint(self) -> bool:
-        pointers = [(n, ty) for n, ty, loc in self.g.locals if loc == "storage"]
+        pointers = [(n, ty) for n, ty, loc in self.locals if loc == "storage"]
         if not pointers:
             return False
         name, ty = self.rng.choice(pointers)
         candidates = [t for t, t2, _ in self._storage_paths() if t2 == ty]
-        candidates += [n for n, t2, loc in self.g.locals if loc == "storage" and t2 == ty and n != name]
+        candidates += [n for n, t2, loc in self.locals if loc == "storage" and t2 == ty and n != name]
         if not candidates:
             return False
         return self.commit(f"{name} = {self.rng.choice(candidates)};")
 
     def _op_memory_decl(self) -> bool:
         choice = self.rng.random()
-        name = self.g.fresh("m")
+        name = self.fresh("m")
         if choice < 0.4:
             base = self.rng.choice([INT, UINT, BOOL])
             n = self.rng.randint(0, 3)
@@ -427,7 +411,7 @@ class ProgramBuilder:
             text, ty = self.rng.choice(refs)
             line = f"{ty} memory {name} = {text};"
         if self.commit(line):
-            self.g.locals.append((name, ty, "memory"))
+            self.locals.append((name, ty, "memory"))
             return True
         return False
 
@@ -484,9 +468,9 @@ class ProgramBuilder:
         )
         a = self.rng.choice(ints)[0]
         b = self.rng.choice(ints)[0]
-        name = self.g.fresh("v")
+        name = self.fresh("v")
         if self.commit(f"int {name} = {cond} ? {a} : {b};"):
-            self.g.locals.append((name, INT, "value"))
+            self.locals.append((name, INT, "value"))
             return True
         return False
 
@@ -494,7 +478,7 @@ class ProgramBuilder:
 
     def _probe(self, expr: str):
         """Concrete value of a value-typed expression in the final state."""
-        probe = self.g.fresh("probe")
+        probe = self.fresh("probe")
         checked = self._try(f"int {probe} = {expr};")
         if checked is None:
             return None
@@ -523,7 +507,7 @@ class ProgramBuilder:
             value = self._probe(text)
             if value is not None:
                 # source only: the interpreter would stop at this assert
-                self.g.lines.append(f"assert({text} == {int(value) + 1});")
+                self.lines.append(f"assert({text} == {int(value) + 1});")
 
     # ----- driver ---------------------------------------------------------
 

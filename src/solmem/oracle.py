@@ -1,21 +1,26 @@
 """Concrete reference interpreter for the Solidity fragment.
 
-Storage is a pure tree of values (structs, arrays with an explicit
-length over a growable backing store, total mappings with defaults);
-memory is a heap of objects reached through references; a local storage
-pointer is an access path, the root it starts from (a state variable or
-a default context) followed by the member names and index values taken
-from it, dereferenced against the current storage. The storage trees and
-their ordinal paths, which the translator encodes pointers with, appear
-only where `solmem run --args` passes a pointer argument: it is decoded
-into an access path once, when it is bound. Deep copies materialize
-fresh trees or heap objects exactly where the translation does.
+Storage is a pure tree of values: structs, arrays and mappings. An
+array, in storage or memory, is an explicit length next to a total map
+from raw index to slot, and a mapping is a total map with a default, as
+in the SMT encoding: a slot never written reads as the element default.
+Reads (`Machine.part`) never change state; a write finds its slot with
+`Machine.slot`, which stores the default first. Memory is a heap of
+objects reached through references. A local storage pointer is an
+access path, the root it starts from (a state variable or a default
+context) followed by the member names and index values taken from it,
+dereferenced against the current storage. The storage trees and their
+ordinal paths, which the translator encodes pointers with, appear only
+where `solmem run --args` passes a pointer argument: it is decoded into
+an access path once, when it is bound. Deep copies build fresh trees or
+heap objects exactly where the translation does.
 
 Semantics deliberately mirror the SMT encoding rather than the EVM:
 indexed array reads outside [0, length) yield defaults instead of
-reverting, pop shrinks the length but keeps the backing slot (dangling
-pointers still read it), and delete rebuilds whole default values,
-mappings included.
+reverting, while a write or a pointer uses the raw slot at any index,
+negative ones included; pop shrinks the length but keeps the slot
+(dangling pointers still read it), and delete rebuilds whole default
+values, mappings included.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class StorStruct:
 @dataclass
 class StorArray:
     elem: SolType
-    backing: list = field(default_factory=list)
+    backing: dict = field(default_factory=dict)  # raw index -> element
     length: int = 0
 
 
@@ -108,7 +113,7 @@ class MemStruct:
 @dataclass
 class MemArray:
     elem: SolType
-    elems: list
+    elems: dict  # raw index -> element
     length: int
 
 
@@ -164,8 +169,8 @@ class Machine:
         if isinstance(ty, (DynArrayType, FixArrayType)):
             length = ty.size if isinstance(ty, FixArrayType) else 0
             if loc == Loc.STORAGE:
-                return StorArray(ty.base, [], length)
-            elems = [self.default(ty.base, part_loc(ty.base, Loc.MEMORY)) for _ in range(length)]
+                return StorArray(ty.base, length=length)
+            elems = {i: self.default(ty.base, part_loc(ty.base, Loc.MEMORY)) for i in range(length)}
             return self.allocate(MemArray(ty.base, elems, length))
         if isinstance(ty, StructType):
             # a memory struct's members are defaulted first, then it is allocated
@@ -184,7 +189,7 @@ class Machine:
         if isinstance(v, StorStruct):
             return StorStruct(v.struct, {k: self.deep_copy(m) for k, m in v.members.items()})
         if isinstance(v, StorArray):
-            return StorArray(v.elem, [self.deep_copy(e) for e in v.backing], v.length)
+            return StorArray(v.elem, {i: self.deep_copy(e) for i, e in v.backing.items()}, v.length)
         if isinstance(v, StorMapping):
             return StorMapping(v.key, v.value, {k: self.deep_copy(e) for k, e in v.entries.items()})
         return v
@@ -199,7 +204,7 @@ class Machine:
         twin.heap = {
             addr: MemStruct(obj.struct, dict(obj.members))
             if isinstance(obj, MemStruct)
-            else MemArray(obj.elem, list(obj.elems), obj.length)
+            else MemArray(obj.elem, dict(obj.elems), obj.length)
             for addr, obj in self.heap.items()
         }
         twin.next_addr = self.next_addr
@@ -224,9 +229,7 @@ class Machine:
         elif isinstance(ty, (DynArrayType, FixArrayType)):
             if not isinstance(src, (StorArray, MemArray)):
                 raise OracleError("expected an array")
-            n = max(src.length, 0)
-            parts = (self.backing_read(src, i) for i in range(n)) if isinstance(src, StorArray) else src.elems[:n]
-            elems = [self._copy_across(ty.base, e, dst) for e in parts]
+            elems = {i: self._copy_across(ty.base, self.part(src, i), dst) for i in range(max(src.length, 0))}
             holder = (MemArray if to_memory else StorArray)(ty.base, elems, src.length)
         else:
             raise OracleError(f"cannot copy {ty} across locations")
@@ -257,45 +260,62 @@ class Machine:
         return self.heap[ref.addr]
 
     # ------------------------------------------------------------------
+    # parts and slots
+
+    def part(self, entity: Any, key) -> Any:
+        """A struct member, array slot or mapping entry, read without
+        changing state: a slot never written reads as the element default.
+        Every in-range slot of a memory array is stored, so reading one
+        allocates nothing."""
+        slots, key = self._slots(entity, key)
+        if key in slots:
+            return slots[key]
+        ty = entity.value if isinstance(entity, StorMapping) else entity.elem
+        return self.default(ty, part_loc(ty, Loc.MEMORY if isinstance(entity, MemArray) else Loc.STORAGE))
+
+    def slot(self, entity: Any, key) -> tuple[dict, Any]:
+        """The slot `(container, key)` of a part: `container[key]` is its
+        live value. A slot never written gets its default stored first,
+        so a write through it lands."""
+        slots, key = self._slots(entity, key)
+        if key not in slots:
+            slots[key] = self.part(entity, key)
+        return slots, key
+
+    @staticmethod
+    def _slots(entity: Any, key) -> tuple[dict, Any]:
+        """The dict holding an entity's parts, and the key into it
+        (boolean mapping keys folded, so `1` and `True` name one entry)."""
+        if isinstance(entity, (StorStruct, MemStruct)):
+            return entity.members, key
+        if isinstance(entity, StorMapping):
+            return entity.entries, bool(key) if entity.key == BOOL else key
+        if isinstance(entity, StorArray):
+            return entity.backing, key
+        if isinstance(entity, MemArray):
+            return entity.elems, key
+        raise OracleError(f"no part {key!r} in {type(entity).__name__}")
+
+    # ------------------------------------------------------------------
     # storage pointers
 
-    def backing_read(self, arr: StorArray, index: int) -> Any:
-        """Raw backing read: extends with defaults, ignores length."""
-        if index < 0:
-            raise OracleError("negative raw index")
-        while len(arr.backing) <= index:
-            arr.backing.append(self.default(arr.elem, part_loc(arr.elem, Loc.STORAGE)))
-        return arr.backing[index]
-
     def deref_path(self, pointer: StorPath) -> Any:
-        """The live storage entity a pointer denotes, materializing the
-        defaults it passes through."""
+        """The live storage entity a pointer denotes, or the default an
+        unwritten slot on its way reads as."""
         root, *steps = pointer.keys
         entity = self.storage[root] if root in self.storage else self.default_contexts[root]
         for key in steps:
-            if isinstance(entity, StorStruct):
-                entity = entity.members[key]
-            elif isinstance(entity, StorArray):
-                entity = self.backing_read(entity, key)
-            elif isinstance(entity, StorMapping):
-                entity = self.mapping_read(entity, self._key(entity, key), materialize=True)
-            else:
-                raise OracleError(f"path steps into {type(entity).__name__}")
+            entity = self.part(entity, key)
         return entity
 
-    def mapping_read(self, m: StorMapping, key, materialize: bool = False):
-        if key in m.entries:
-            return m.entries[key]
-        value = self.default(m.value, part_loc(m.value, Loc.STORAGE))
-        if materialize:
-            m.entries[key] = value
-        return value
-
-    @staticmethod
-    def _key(mapping: StorMapping, key):
-        if mapping.key == BOOL:
-            return bool(key)
-        return key
+    def _path_slot(self, pointer: StorPath) -> tuple[dict, Any]:
+        """The slot of the entity a pointer denotes, storing the defaults
+        on its way, so a write through the pointer lands."""
+        root, *steps = pointer.keys
+        container, key = (self.storage if root in self.storage else self.default_contexts), root
+        for step in steps:
+            container, key = self.slot(container[key], step)
+        return container, key
 
     def pack_path(self, expr: Expr) -> StorPath:
         """The access path of a storage lvalue: a state variable's name,
@@ -337,7 +357,7 @@ class Machine:
         if isinstance(e, NewArrayExpr):
             length = self.eval(e.length)
             elem_loc = part_loc(e.elem_type, Loc.MEMORY)
-            elems = [self.default(e.elem_type, elem_loc) for _ in range(max(length, 0))]
+            elems = {i: self.default(e.elem_type, elem_loc) for i in range(max(length, 0))}
             return self.allocate(MemArray(e.elem_type, elems, length))
         if isinstance(e, StructCtorExpr):
             members = {}
@@ -375,18 +395,13 @@ class Machine:
         base_ty = e.base.ty
         entity = self.entity(e.base)
         if isinstance(base_ty, MappingType):
-            if not isinstance(entity, StorMapping):
-                raise OracleError("expected a mapping")
-            return self.mapping_read(entity, self._key(entity, self.eval(e.index)))
+            return self.part(entity, self.eval(e.index))
         if not isinstance(entity, (StorArray, MemArray)):
             raise OracleError("expected an array")
         idx = self.eval(e.index)
         # length-guarded read; out of range yields the element default
         if 0 <= idx < entity.length:
-            if isinstance(entity, StorArray):
-                return self.backing_read(entity, idx)
-            if idx < len(entity.elems):
-                return entity.elems[idx]
+            return self.part(entity, idx)
         holder = Loc.MEMORY if isinstance(entity, MemArray) else Loc.STORAGE
         return self.default(base_ty.base, part_loc(base_ty.base, holder))
 
@@ -428,43 +443,29 @@ class Machine:
 
     def lvalue_place(self, e: Expr) -> tuple[Any, Any]:
         """The slot `(container, key)` of an lvalue: `container[key]` is
-        its live value. Storage defaults on the way are materialized."""
+        its live value. Storage defaults on the way are stored."""
         if isinstance(e, IdentExpr):
             return (self.storage if e.decl_kind == "state" else self.locals), e.name
-        if isinstance(e, MemberExpr):
-            holder = self._entity_for_access(e.base)
-            if not isinstance(holder, (StorStruct, MemStruct)):
-                raise OracleError("member write on non-struct")
-            return holder.members, e.member
-        if not isinstance(e, IndexExpr):
+        if not isinstance(e, (MemberExpr, IndexExpr)):
             raise OracleError(f"not an lvalue: {e!r}")
         holder = self._entity_for_access(e.base)
-        idx = self.eval(e.index)
-        if isinstance(holder, StorMapping):
-            key = self._key(holder, idx)
-            self.mapping_read(holder, key, materialize=True)
-            return holder.entries, key
-        if isinstance(holder, StorArray):
-            self.backing_read(holder, idx)
-            return holder.backing, idx
-        if isinstance(holder, MemArray):
-            while len(holder.elems) <= idx:
-                holder.elems.append(self.default(holder.elem, part_loc(holder.elem, Loc.MEMORY)))
-            return holder.elems, idx
-        raise OracleError("index write on non-array")
+        return self.slot(holder, e.member if isinstance(e, MemberExpr) else self.eval(e.index))
 
     def _entity_for_access(self, base: Expr) -> Any:
         """Live container object for a member/index step of an lvalue. A
-        storage container is reached through slots, which materialize
-        defaults, so a write lands in the stored value."""
-        if base.loc != Loc.STORAGE:
+        storage container is reached through slots, which store defaults,
+        so a write lands in the stored value."""
+        if base.loc == Loc.STORAGE:
+            container, key = self.lvalue_place(base)
+        elif base.loc == Loc.STORPTR:
+            container, key = self._path_slot(self.eval(base))
+        else:
             return self.entity(base)
-        container, key = self.lvalue_place(base)
         return container[key]
 
     def _live_array(self, e: Expr) -> StorArray:
-        """Storage array entity resolved through materializing accesses,
-        so push/pop mutate the stored value (not a detached default)."""
+        """Storage array entity reached through slots, so push/pop
+        mutate the stored value (not a detached default)."""
         entity = self._entity_for_access(e)
         if not isinstance(entity, StorArray):
             raise OracleError("push/pop on non-storage array")
@@ -490,18 +491,13 @@ class Machine:
         elif isinstance(s, AssignStmt):
             operands = [self._rhs_operand(r) for r in s.rhs]
             for lhs, (rloc, rval) in reversed(list(zip(s.lhs, operands))):
-                if lhs.loc != Loc.STORPTR and isinstance(rval, StorPath):
-                    # before finding the slot: both can materialize mapping entries
-                    rval = self.deref_path(rval)
                 container, key = self.lvalue_place(lhs)
                 container[key] = self._stored(lhs.ty, lhs.loc, rloc, rval)
         elif isinstance(s, PushStmt):
             arr = self._live_array(s.target)
             rloc, rval = self._rhs_operand(s.value)
-            slot = max(arr.length, 0)
-            self.backing_read(arr, slot)
-            arr.backing[slot] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
-            arr.length = arr.length + 1
+            arr.backing[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
+            arr.length += 1
         elif isinstance(s, PopStmt):
             arr = self._live_array(s.target)
             arr.length -= 1
@@ -546,7 +542,7 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
     if isinstance(ty, (DynArrayType, FixArrayType)):
         if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
             raise fail()
-        elems = [_bind_arg(machine, name, ty.base, Loc.MEMORY, v) for v in value]
+        elems = {i: _bind_arg(machine, name, ty.base, Loc.MEMORY, v) for i, v in enumerate(value)}
         return machine.allocate(MemArray(ty.base, elems, len(elems)))
     members = machine.members(ty)
     if not isinstance(value, dict) or set(value) != {m.name for m in members}:
@@ -622,20 +618,10 @@ def serialize(machine: Machine, ty: SolType, value) -> Any:
     if is_value_type(ty):
         return bool(value) if ty == BOOL else int(value)
     if isinstance(ty, (DynArrayType, FixArrayType)):
-        if isinstance(value, MemRef):
-            obj = machine.deref(value)
-            elems = [
-                serialize(machine, ty.base, obj.elems[i])
-                for i in range(max(obj.length, 0))
-                if i < len(obj.elems)
-            ]
-            return {"length": obj.length, "elems": elems}
-        assert isinstance(value, StorArray)
-        elems = [
-            serialize(machine, ty.base, machine.backing_read(value, i))
-            for i in range(max(value.length, 0))
-        ]
-        return {"length": value.length, "elems": elems}
+        obj = machine.deref(value) if isinstance(value, MemRef) else value
+        assert isinstance(obj, (MemArray, StorArray))
+        elems = [serialize(machine, ty.base, machine.part(obj, i)) for i in range(max(obj.length, 0))]
+        return {"length": obj.length, "elems": elems}
     if isinstance(ty, StructType):
         obj = machine.deref(value) if isinstance(value, MemRef) else value
         assert isinstance(obj, (MemStruct, StorStruct))

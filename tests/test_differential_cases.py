@@ -2,8 +2,9 @@
 pointer/pop interactions, bool mapping keys, nested mappings, memory
 aliasing graphs, deletes observed through watching pointers, integer
 operators, reads past the end of a memory array of references, a
-memory copy out of a member of a storage-pointer conditional, and
-storage pointers packed through a conditional base."""
+memory copy out of a member of a storage-pointer conditional, storage
+pointers packed through a conditional base, writes and pointers at
+negative indexes, and a closure over storage-pointer sources."""
 
 import pytest
 
@@ -238,7 +239,67 @@ contract C {
 }
 """
 
+# Checked without a solver only: arrays are total maps over raw Int
+# indexes, so a write at a negative index lands in its own slot, which a
+# length-guarded read never sees and a pointer reads back.
+NEGATIVE_MEMORY_INDEX_WRITE = """
+contract C {
+    constructor() {
+        int[] memory m = new int[](2);
+        m[1] = 7;
+        m[0 - 1] = 5;
+        assert(m[1] == 7);
+        assert(m[0 - 1] == 0);
+    }
+}
+"""
+
+NEGATIVE_STORAGE_INDEX_WRITE = """
+contract C {
+    int[] xs;
+    constructor() {
+        xs.push(1);
+        xs[0 - 1] = 5;
+        assert(xs[0 - 1] == 0);
+        assert(xs[0] == 1);
+        assert(xs.length == 1);
+    }
+}
+"""
+
+NEGATIVE_INDEX_STRUCT_POINTER = """
+contract C {
+    struct T { int z; }
+    T[] ts;
+    constructor() {
+        T storage p = ts[0 - 1];
+        p.z = 3;
+        T storage q = ts[0 - 1];
+        assert(q.z == 3);
+        assert(ts.length == 0);
+    }
+}
+"""
+
+NEGATIVE_INDEX_ARRAY_POINTER = """
+contract C {
+    int[][] rows;
+    constructor() {
+        int[] storage r = rows[0 - 2];
+        r.push(4);
+        int[] storage s = rows[0 - 2];
+        assert(s[0] == 4);
+        assert(s.length == 1);
+        assert(rows.length == 0);
+    }
+}
+"""
+
 SOLVER_FREE = {
+    "negative_memory_index_write": NEGATIVE_MEMORY_INDEX_WRITE,
+    "negative_storage_index_write": NEGATIVE_STORAGE_INDEX_WRITE,
+    "negative_index_struct_pointer": NEGATIVE_INDEX_STRUCT_POINTER,
+    "negative_index_array_pointer": NEGATIVE_INDEX_ARRAY_POINTER,
     "out_of_range_memory_struct_read": OUT_OF_RANGE_MEMORY_STRUCT_READ,
     "conditional_base_memory_copy": CONDITIONAL_BASE_MEMORY_COPY,
     "conditional_base_member_pointer": CONDITIONAL_BASE_MEMBER_POINTER,

@@ -75,7 +75,7 @@ def _state(machine):
 class _CheckedBuilder(ProgramBuilder):
     """Compares the pristine state with a full re-run after every
     accepted line, and checks that neither a candidate nor the sampler's
-    reads change the pristine state."""
+    reads of the pristine state change it."""
 
     def _try(self, line: str):
         before = _state(self.pristine)
@@ -92,7 +92,7 @@ class _CheckedBuilder(ProgramBuilder):
         assert self.contract.constructor.body == full.constructor.body
         kept = _state(result.state)
         assert _state(self.pristine) == kept
-        incremental = ExecResult(self.machine.storage, {}, [], self.machine)
+        incremental = ExecResult(self.pristine.storage, {}, [], self.pristine)
         assert serialize_storage(incremental) == serialize_storage(result)
         # sample as the operations do, leaving the random stream as it was
         rng_state = self.rng.getstate()
@@ -107,7 +107,7 @@ class _CheckedBuilder(ProgramBuilder):
 def test_incremental_state_matches_full_rerun(seed):
     builder = _CheckedBuilder(seed, 10)
     assert builder.build() == random_program(seed, 10)
-    assert builder.g.lines  # some lines were accepted and checked
+    assert builder.lines  # some lines were accepted and checked
 
 
 def test_each_candidate_runs_once_on_the_kept_state(monkeypatch):

@@ -1,6 +1,10 @@
 """Corpus harness classification, JSON schema, and CLI entry points."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +226,42 @@ def test_cli_run_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, source
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_cli_run_accepts_a_negative_path_element(tmp_path, capsys):
+    """A pointer argument is a path of raw Int indexes, as in the
+    translation, so a negative array index names a slot of its own."""
+    f = tmp_path / "t.sol"
+    f.write_text("contract C { struct T { int z; } T[] ts; function f(T storage p) { p.z = 3; assert(p.z == 3); } }")
+    assert main(["run", str(f), "--entry", "f", "--args", "[[0, -1]]"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["asserts"] == [{"index": 0, "line": 1, "passed": True}]
+    assert payload["storage"] == {"ts": {"length": 0, "elems": []}}
+
+
+TESTS = Path(__file__).parent
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_cli_closed_stdout_is_one_error_line_and_exit_2(tmp_path, command):
+    """A reader that goes away is an environment failure, not a
+    counterexample or a failed assert."""
+    f = tmp_path / "t.sol"
+    f.write_text("contract C { int x; constructor() { x = 1; assert(x == 1); } }")
+    argv = [str(f)]
+    if command == "verify":
+        stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+        argv += ["--solver-cmd", shlex.join(stub)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_cli_corpus(tmp_path, capsys, solver_available):

@@ -107,7 +107,7 @@ contract C {
             for m in v.members.values():
                 scan(m)
         elif isinstance(v, StorArray):
-            for e in v.backing:
+            for e in v.backing.values():
                 scan(e)
         elif isinstance(v, StorMapping):
             for e in v.entries.values():
@@ -256,14 +256,14 @@ def _cloned_machine():
 
 
 _CLONE_MUTATIONS = {
-    "backing_past_end": lambda m: m.backing_read(m.storage["nums"], 5),
-    "materializing_mapping_read": lambda m: m.mapping_read(m.storage["m"], 7, materialize=True),
-    "nested_storage_write": lambda m: m.storage["m"].entries[1].members["ys"].backing.append(4),
+    "backing_past_end": lambda m: m.slot(m.storage["nums"], 5),
+    "materializing_mapping_read": lambda m: m.slot(m.storage["m"], 7),
+    "nested_storage_write": lambda m: m.storage["m"].entries[1].members["ys"].backing.__setitem__(0, 4),
     "memory_struct_member": lambda m: m.deref(m.locals["ms"]).members.update(x=9),
     "memory_array_element": lambda m: m.deref(m.locals["ma"]).elems.__setitem__(0, 9),
     "new_local": lambda m: m.locals.update(fresh=1),
     "assert_result": lambda m: m.assert_results.append(oracle.AssertOutcome(1, 0, False)),
-    "default_context_backing": lambda m: m.backing_read(next(iter(m.default_contexts.values())), 3),
+    "default_context_backing": lambda m: m.slot(next(iter(m.default_contexts.values())), 3),
     "default_context_entry": lambda m: m.default_contexts.update(defaultctx_other=StorArray(None)),
 }
 
@@ -285,3 +285,29 @@ def test_mutating_a_clone_leaves_the_original_alone(mutation):
     _CLONE_MUTATIONS[mutation](clone)
     assert _state(clone) != before  # the mutation took effect
     assert _state(original) == before
+
+
+def test_serializing_leaves_the_state_alone():
+    """Serializing reads slots, never stores them: the fixed array's
+    never-written elements and the mapping entry's fixed-array member
+    read as defaults without appearing in the state."""
+    contract = compile_source(
+        """
+contract C {
+    struct S { int x; int[2] f; }
+    int[3] g;
+    mapping(int => S) m;
+    constructor() { m[1].x = 2; }
+}
+"""
+    )
+    result = run_constructor(contract)
+    before = _state(result.state)
+    assert serialize_storage(result) == {
+        "g": {"length": 3, "elems": [0, 0, 0]},
+        "m": {
+            "default": {"x": 0, "f": {"length": 2, "elems": [0, 0]}},
+            "entries": {"1": {"x": 2, "f": {"length": 2, "elems": [0, 0]}}},
+        },
+    }
+    assert _state(result.state) == before

@@ -6,7 +6,7 @@ types (a storage-pointer parameter gets the path `[]`). The digest covers
 the canonical storage, the serialized returns and the assert outcomes, or
 the type and text of the error raised. It also covers the raw storage,
 heap, locals and allocation counter, so a change of aliasing, allocation
-order or of which defaults get materialized shows too. A storage-pointer
+order or of which slots get stored shows too. A storage-pointer
 local is rendered as its target type and its access path: the root (a
 state variable or a default context), then the member names and index
 values taken from it, with boolean keys as integers. A refactoring of
@@ -22,7 +22,7 @@ from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
 from test_translate_golden import inputs
 
-DIGEST = "fbfcca1d9b58f302db4338a671774ecda761ac35fa3ebd767b6c310f19af6d15"
+DIGEST = "32425da8cb4b3da35ac891d5bd6ad17b174dc9dca02d3f660c5ed4f2d1950afc"
 
 
 def zero_arg(contract, ty, loc):
