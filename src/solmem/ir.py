@@ -20,11 +20,25 @@ on Python 3.11). `tests/test_stage_purity.py` checks the invariant
 for every stage after translation. Nodes compare by value but are
 unhashable, so a memo keys a node by `id()` and holds the node, which
 keeps the id from being reused while the entry lives.
+
+Walkers: each operation over expressions (SSA renaming, SMT-LIB and
+text printing, evaluation) is a module-level table from a node's exact
+class to a handler, looked up as `TABLE[type(e)]`. A handler recurses by
+indexing its table directly, so a walk takes one Python frame per
+expression level, and long chains stay within the default recursion
+limit. Only the walker's entry point catches a missing key and turns it
+into an `IrError` (`unknown_key`). Nodes are never subclassed: a
+subclass would miss every table, and `tests/test_hygiene.py` checks that
+each table's keys are exactly the node classes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
+
+from .errors import IrError
 
 # ---------------------------------------------------------------------------
 # Types
@@ -80,7 +94,7 @@ class DatatypeDef:
         for i, (name, _) in enumerate(self.members):
             if name == member:
                 return i
-        raise KeyError(f"datatype {self.name} has no member {member}")
+        raise IrError(f"datatype {self.name} has no member {member}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,40 +296,47 @@ class SmtProgram:
         return SmtProgram(dict(self.datatypes), dict(self.decls), [])
 
 
+def unknown_key(err: KeyError) -> IrError:
+    """What a walker's entry point raises for a key missing from its
+    table (a node class) or from a handler's operator table (an op)."""
+    key = err.args[0]
+    if isinstance(key, type):
+        return IrError(f"unknown expression node {key.__name__}")
+    return IrError(f"unknown operator {key}")
+
+
 # ---------------------------------------------------------------------------
 # Pretty printer (stable textual form used by --emit-ir and golden tests)
 
 
-_INFIX = {"+", "-", "==", "!=", "<", "<=", ">", ">=", "and", "or"}
+_PREFIX = {"neg": "-", "not": "!"}
+
+_FORMAT: dict[type, Callable[[Any], str]] = {
+    Ident: lambda e: e.name,
+    IntLit: lambda e: str(e.value),
+    BoolLit: lambda e: "true" if e.value else "false",
+    ArrayRead: lambda e: f"{_FORMAT[type(e.array)](e.array)}[{_FORMAT[type(e.index)](e.index)}]",
+    ArrayWrite: lambda e: (
+        f"{_FORMAT[type(e.array)](e.array)}"
+        f"[{_FORMAT[type(e.index)](e.index)} <- {_FORMAT[type(e.value)](e.value)}]"
+    ),
+    ConstArray: lambda e: f"const([{e.index}]{e.elem}, {_FORMAT[type(e.value)](e.value)})",
+    Construct: lambda e: f"{e.datatype}({', '.join(_FORMAT[type(a)](a) for a in e.args)})",
+    Select: lambda e: f"{_FORMAT[type(e.base)](e.base)}.{e.member}",
+    Ite: lambda e: (
+        f"ite({_FORMAT[type(e.cond)](e.cond)}, "
+        f"{_FORMAT[type(e.then)](e.then)}, {_FORMAT[type(e.other)](e.other)})"
+    ),
+    BinOp: lambda e: f"({_FORMAT[type(e.left)](e.left)} {e.op} {_FORMAT[type(e.right)](e.right)})",
+    UnOp: lambda e: f"({_PREFIX[e.op]}{_FORMAT[type(e.operand)](e.operand)})",
+}
 
 
 def format_expr(e: IrExpr) -> str:
-    if isinstance(e, Ident):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, ArrayRead):
-        return f"{format_expr(e.array)}[{format_expr(e.index)}]"
-    if isinstance(e, ArrayWrite):
-        return f"{format_expr(e.array)}[{format_expr(e.index)} <- {format_expr(e.value)}]"
-    if isinstance(e, ConstArray):
-        return f"const([{e.index}]{e.elem}, {format_expr(e.value)})"
-    if isinstance(e, Construct):
-        args = ", ".join(format_expr(a) for a in e.args)
-        return f"{e.datatype}({args})"
-    if isinstance(e, Select):
-        return f"{format_expr(e.base)}.{e.member}"
-    if isinstance(e, Ite):
-        return f"ite({format_expr(e.cond)}, {format_expr(e.then)}, {format_expr(e.other)})"
-    if isinstance(e, BinOp):
-        return f"({format_expr(e.left)} {e.op} {format_expr(e.right)})"
-    if isinstance(e, UnOp):
-        if e.op == "neg":
-            return f"(-{format_expr(e.operand)})"
-        return f"(!{format_expr(e.operand)})"
-    raise TypeError(f"unknown expression node {e!r}")
+    try:
+        return _FORMAT[type(e)](e)
+    except KeyError as err:
+        raise unknown_key(err) from None
 
 
 def format_stmt(s: IrStmt, indent: int = 0) -> list[str]:

@@ -10,6 +10,8 @@ environment to model free inputs.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,6 +40,7 @@ from .ir import (
     Select,
     SmtProgram,
     UnOp,
+    unknown_key,
 )
 
 
@@ -103,6 +106,19 @@ def default_value(ty: IrType, program: SmtProgram):
     raise IrError(f"no default for type {ty}")
 
 
+_BINOPS = {
+    "+": operator.add, "-": operator.sub, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": values_equal, "!=": lambda a, b: not values_equal(a, b), "and": operator.and_, "or": operator.or_,
+}
+
+
+def _truth(v, e: IrExpr) -> bool:
+    """`v`, the value of a condition or boolean operand `e`, which must be a bool."""
+    if not isinstance(v, bool):
+        raise IrError(f"condition is not a bool: {e}")
+    return v
+
+
 @dataclass
 class EvalResult:
     status: str  # "ok" | "assume-violated" | "assert-failed"
@@ -120,60 +136,13 @@ class _Machine:
     # -- expressions --------------------------------------------------
 
     def eval(self, e: IrExpr):
-        if isinstance(e, Ident):
-            if e.name in self.env:
-                return self.env[e.name]
-            ty = self.program.decl_type(e.name)
-            if ty is None:
-                raise IrError(f"undeclared identifier {e.name}")
-            val = default_value(ty, self.program)
-            self.env[e.name] = val
-            return val
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, ArrayRead):
-            arr = self.eval(e.array)
-            idx = self._key(self.eval(e.index))
-            if not isinstance(arr, VArray):
-                raise IrError("array read on non-array value")
-            return arr.read(idx)
-        if isinstance(e, ArrayWrite):
-            arr = self.eval(e.array)
-            if not isinstance(arr, VArray):
-                raise IrError("array write on non-array value")
-            return arr.write(self._key(self.eval(e.index)), self.eval(e.value))
-        if isinstance(e, ConstArray):
-            return VArray(self.eval(e.value))
-        if isinstance(e, Construct):
-            return VData(e.datatype, tuple(self.eval(a) for a in e.args))
-        if isinstance(e, Select):
-            base = self.eval(e.base)
-            if not isinstance(base, VData):
-                raise IrError(f"member select on non-datatype value: {e}")
-            dt = self.program.datatype(e.datatype)
-            if dt is None:
-                raise IrError(f"unknown datatype {e.datatype}")
-            return base.members[dt.member_index(e.member)]
-        if isinstance(e, Ite):
-            return self.eval(e.then) if self._cond(e.cond) else self.eval(e.other)
-        if isinstance(e, BinOp):
-            return self._binop(e)
-        if isinstance(e, UnOp):
-            if e.op == "not":
-                return not self._cond(e.operand)
-            if e.op == "neg":
-                return -self.eval(e.operand)
-            raise IrError(f"unknown unary operator {e.op}")
-        raise IrError(f"unknown expression {e!r}")
+        try:
+            return _EVAL[type(e)](self, e)
+        except KeyError as err:
+            raise unknown_key(err) from None
 
     def _cond(self, e: IrExpr) -> bool:
-        """A condition or boolean operand, which must evaluate to a bool."""
-        v = self.eval(e)
-        if not isinstance(v, bool):
-            raise IrError(f"condition is not a bool: {e}")
-        return v
+        return _truth(self.eval(e), e)
 
     @staticmethod
     def _key(v):
@@ -181,30 +150,57 @@ class _Machine:
             return v
         raise IrError("array index must be an integer or boolean")
 
+    def _ident(self, e: Ident):
+        if e.name not in self.env:
+            ty = self.program.decl_type(e.name)
+            if ty is None:
+                raise IrError(f"undeclared identifier {e.name}")
+            self.env[e.name] = default_value(ty, self.program)
+        return self.env[e.name]
+
+    def _read(self, e: ArrayRead):
+        arr = _EVAL[type(e.array)](self, e.array)
+        idx = self._key(_EVAL[type(e.index)](self, e.index))
+        if not isinstance(arr, VArray):
+            raise IrError("array read on non-array value")
+        return arr.read(idx)
+
+    def _write(self, e: ArrayWrite):
+        arr = _EVAL[type(e.array)](self, e.array)
+        if not isinstance(arr, VArray):
+            raise IrError("array write on non-array value")
+        return arr.write(self._key(_EVAL[type(e.index)](self, e.index)), _EVAL[type(e.value)](self, e.value))
+
+    def _select(self, e: Select):
+        base = _EVAL[type(e.base)](self, e.base)
+        if not isinstance(base, VData):
+            raise IrError(f"member select on non-datatype value: {e}")
+        dt = self.program.datatype(e.datatype)
+        if dt is None:
+            raise IrError(f"unknown datatype {e.datatype}")
+        return base.members[dt.member_index(e.member)]
+
+    def _ite(self, e: Ite):
+        taken = e.then if _truth(_EVAL[type(e.cond)](self, e.cond), e.cond) else e.other
+        return _EVAL[type(taken)](self, taken)
+
     def _binop(self, e: BinOp):
-        op = e.op
-        if op in ("and", "or"):
-            a, b = self._cond(e.left), self._cond(e.right)
-            return (a and b) if op == "and" else (a or b)
-        a = self.eval(e.left)
-        b = self.eval(e.right)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "==":
-            return values_equal(a, b)
-        if op == "!=":
-            return not values_equal(a, b)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise IrError(f"unknown operator {op}")
+        left, right = e.left, e.right
+        if e.op in ("and", "or"):
+            a = _truth(_EVAL[type(left)](self, left), left)
+            b = _truth(_EVAL[type(right)](self, right), right)
+        else:
+            a = _EVAL[type(left)](self, left)
+            b = _EVAL[type(right)](self, right)
+        return _BINOPS[e.op](a, b)
+
+    def _unop(self, e: UnOp):
+        v = _EVAL[type(e.operand)](self, e.operand)
+        if e.op == "not":
+            return not _truth(v, e.operand)
+        if e.op == "neg":
+            return -v
+        raise IrError(f"unknown unary operator {e.op}")
 
     # -- statements ---------------------------------------------------
 
@@ -277,6 +273,21 @@ class _Machine:
                 return EvalResult("assert-failed", self.env, idx)
             return None
         raise IrError(f"unknown statement {s!r}")
+
+
+_EVAL: dict[type, Callable[[_Machine, Any], Any]] = {
+    Ident: _Machine._ident,
+    IntLit: lambda m, e: e.value,
+    BoolLit: lambda m, e: e.value,
+    ArrayRead: _Machine._read,
+    ArrayWrite: _Machine._write,
+    ConstArray: lambda m, e: VArray(_EVAL[type(e.value)](m, e.value)),
+    Construct: lambda m, e: VData(e.datatype, tuple(_EVAL[type(a)](m, a) for a in e.args)),
+    Select: _Machine._select,
+    Ite: _Machine._ite,
+    BinOp: _Machine._binop,
+    UnOp: _Machine._unop,
+}
 
 
 def eval_ir(program: SmtProgram, env: dict | None = None) -> EvalResult:

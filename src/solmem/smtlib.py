@@ -14,6 +14,9 @@ strings and joined once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import Any
+
 from .errors import IrError
 from .ir import (
     ArrayRead,
@@ -34,6 +37,7 @@ from .ir import (
     Ite,
     Select,
     UnOp,
+    unknown_key,
 )
 
 
@@ -57,6 +61,7 @@ _OPS = {
     "+": "+",
     "-": "-",
     "==": "=",
+    "!=": "distinct",
     "<": "<",
     "<=": "<=",
     ">": ">",
@@ -64,50 +69,38 @@ _OPS = {
     "and": "and",
     "or": "or",
 }
+_UNOPS = {"not": "not", "neg": "-"}
+
+_SEXPR: dict[type, Callable[[Any], str]] = {
+    Ident: lambda e: e.name,
+    IntLit: lambda e: str(e.value) if e.value >= 0 else f"(- {-e.value})",
+    BoolLit: lambda e: "true" if e.value else "false",
+    ArrayRead: lambda e: f"(select {_SEXPR[type(e.array)](e.array)} {_SEXPR[type(e.index)](e.index)})",
+    ArrayWrite: lambda e: (
+        f"(store {_SEXPR[type(e.array)](e.array)} "
+        f"{_SEXPR[type(e.index)](e.index)} {_SEXPR[type(e.value)](e.value)})"
+    ),
+    ConstArray: lambda e: (
+        f"((as const (Array {sort_of(e.index)} {sort_of(e.elem)})) {_SEXPR[type(e.value)](e.value)})"
+    ),
+    Construct: lambda e: (
+        f"({e.datatype} {' '.join(_SEXPR[type(a)](a) for a in e.args)})" if e.args else e.datatype
+    ),
+    Select: lambda e: f"({selector_name(e.datatype, e.member)} {_SEXPR[type(e.base)](e.base)})",
+    Ite: lambda e: (
+        f"(ite {_SEXPR[type(e.cond)](e.cond)} "
+        f"{_SEXPR[type(e.then)](e.then)} {_SEXPR[type(e.other)](e.other)})"
+    ),
+    BinOp: lambda e: f"({_OPS[e.op]} {_SEXPR[type(e.left)](e.left)} {_SEXPR[type(e.right)](e.right)})",
+    UnOp: lambda e: f"({_UNOPS[e.op]} {_SEXPR[type(e.operand)](e.operand)})",
+}
 
 
 def expr_to_sexpr(e: IrExpr) -> str:
-    if isinstance(e, Ident):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, ArrayRead):
-        return f"(select {expr_to_sexpr(e.array)} {expr_to_sexpr(e.index)})"
-    if isinstance(e, ArrayWrite):
-        return (
-            f"(store {expr_to_sexpr(e.array)} "
-            f"{expr_to_sexpr(e.index)} {expr_to_sexpr(e.value)})"
-        )
-    if isinstance(e, ConstArray):
-        sort = f"(Array {sort_of(e.index)} {sort_of(e.elem)})"
-        return f"((as const {sort}) {expr_to_sexpr(e.value)})"
-    if isinstance(e, Construct):
-        if not e.args:
-            return e.datatype
-        return f"({e.datatype} {' '.join(expr_to_sexpr(a) for a in e.args)})"
-    if isinstance(e, Select):
-        return f"({selector_name(e.datatype, e.member)} {expr_to_sexpr(e.base)})"
-    if isinstance(e, Ite):
-        return (
-            f"(ite {expr_to_sexpr(e.cond)} "
-            f"{expr_to_sexpr(e.then)} {expr_to_sexpr(e.other)})"
-        )
-    if isinstance(e, BinOp):
-        if e.op == "!=":
-            return f"(distinct {expr_to_sexpr(e.left)} {expr_to_sexpr(e.right)})"
-        op = _OPS.get(e.op)
-        if op is None:
-            raise IrError(f"unknown operator {e.op}")
-        return f"({op} {expr_to_sexpr(e.left)} {expr_to_sexpr(e.right)})"
-    if isinstance(e, UnOp):
-        if e.op == "not":
-            return f"(not {expr_to_sexpr(e.operand)})"
-        if e.op == "neg":
-            return f"(- {expr_to_sexpr(e.operand)})"
-        raise IrError(f"unknown unary operator {e.op}")
-    raise IrError(f"unknown expression {e!r}")
+    try:
+        return _SEXPR[type(e)](e)
+    except KeyError as err:
+        raise unknown_key(err) from None
 
 
 def datatype_block(program: SmtProgram) -> str:

@@ -11,7 +11,9 @@ name, so never-assigned inputs are stable across the conversion.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import IrError
 from .ir import (
@@ -34,39 +36,34 @@ from .ir import (
     UnOp,
     or_,
     not_,
+    unknown_key,
 )
 
 
+_RENAME: dict[type, Callable[[Any, dict[str, str]], IrExpr]] = {
+    Ident: lambda e, v: Ident(v.get(e.name, e.name)),
+    IntLit: lambda e, v: e,
+    BoolLit: lambda e, v: e,
+    ArrayRead: lambda e, v: ArrayRead(_RENAME[type(e.array)](e.array, v), _RENAME[type(e.index)](e.index, v)),
+    ArrayWrite: lambda e, v: ArrayWrite(
+        _RENAME[type(e.array)](e.array, v), _RENAME[type(e.index)](e.index, v), _RENAME[type(e.value)](e.value, v)
+    ),
+    ConstArray: lambda e, v: ConstArray(e.index, e.elem, _RENAME[type(e.value)](e.value, v)),
+    Construct: lambda e, v: Construct(e.datatype, tuple(_RENAME[type(a)](a, v) for a in e.args)),
+    Select: lambda e, v: Select(_RENAME[type(e.base)](e.base, v), e.member, e.datatype),
+    Ite: lambda e, v: Ite(
+        _RENAME[type(e.cond)](e.cond, v), _RENAME[type(e.then)](e.then, v), _RENAME[type(e.other)](e.other, v)
+    ),
+    BinOp: lambda e, v: BinOp(e.op, _RENAME[type(e.left)](e.left, v), _RENAME[type(e.right)](e.right, v)),
+    UnOp: lambda e, v: UnOp(e.op, _RENAME[type(e.operand)](e.operand, v)),
+}
+
+
 def rename_idents(e: IrExpr, versions: dict[str, str]) -> IrExpr:
-    if isinstance(e, Ident):
-        return Ident(versions.get(e.name, e.name))
-    if isinstance(e, (IntLit, BoolLit)):
-        return e
-    if isinstance(e, ArrayRead):
-        return ArrayRead(rename_idents(e.array, versions), rename_idents(e.index, versions))
-    if isinstance(e, ArrayWrite):
-        return ArrayWrite(
-            rename_idents(e.array, versions),
-            rename_idents(e.index, versions),
-            rename_idents(e.value, versions),
-        )
-    if isinstance(e, ConstArray):
-        return ConstArray(e.index, e.elem, rename_idents(e.value, versions))
-    if isinstance(e, Construct):
-        return Construct(e.datatype, tuple(rename_idents(a, versions) for a in e.args))
-    if isinstance(e, Select):
-        return Select(rename_idents(e.base, versions), e.member, e.datatype)
-    if isinstance(e, Ite):
-        return Ite(
-            rename_idents(e.cond, versions),
-            rename_idents(e.then, versions),
-            rename_idents(e.other, versions),
-        )
-    if isinstance(e, BinOp):
-        return BinOp(e.op, rename_idents(e.left, versions), rename_idents(e.right, versions))
-    if isinstance(e, UnOp):
-        return UnOp(e.op, rename_idents(e.operand, versions))
-    raise IrError(f"unknown expression {e!r}")
+    try:
+        return _RENAME[type(e)](e, versions)
+    except KeyError as err:
+        raise unknown_key(err) from None
 
 
 @dataclass

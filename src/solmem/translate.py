@@ -155,6 +155,8 @@ class Translator:
         self.contract = contract
         self.unroll = unroll
         self.program = SmtProgram()
+        # map_type's results by (type, location); `program` holds what it registered
+        self.types: dict[tuple[SolType, Loc], IrType] = {}
         self.stmts: list[ir.IrStmt] = self.program.stmts
         self.fresh_counter = 0
         self.trees: dict[SolType, StorageTree] = {}
@@ -196,7 +198,13 @@ class Translator:
         """SMT type of a `ty` entity held in `loc`. Storage arrays and
         structs are datatypes; memory ones are pointers into the heap of
         their datatype. Datatypes and heaps are registered on first use,
-        inner ones first."""
+        inner ones first, and the result is kept for later calls."""
+        mapped = self.types.get((ty, loc))
+        if mapped is None:
+            mapped = self.types[ty, loc] = self._map_type(ty, loc)
+        return mapped
+
+    def _map_type(self, ty: SolType, loc: Loc) -> IrType:
         if is_value_type(ty):
             return ir.BOOL if ty == BOOL else ir.INT
         if loc == Loc.STORPTR:

@@ -6,14 +6,19 @@ module, or re-exported through `__all__`, and every public function and
 method must have a caller in the pipeline or the benchmark, so that
 helpers only tests need live in `tests/`. The reference interpreter
 imports nothing from the translator's side of the pipeline, so that a
-fault there cannot hide from differential testing.
+fault there cannot hide from differential testing. Every walker's
+dispatch table has exactly one handler per IR expression class, so a
+forgotten node is caught here and not at run time.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import irsorts
 import pytest
+from solmem import ir, ireval, smtlib, ssa
+from solmem.ir import IrExpr, UnOp
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "solmem").glob("*.py"))
@@ -189,3 +194,47 @@ def test_caller_check_finds_what_it_looks_for():
         "m.py:recursive",
         "m.py:unused",
     ]
+
+
+def leaf_classes(root: type) -> set[type]:
+    """The classes below `root`, collected recursively through
+    `__subclasses__`, that have no subclasses of their own."""
+    found, stack = set(), root.__subclasses__()
+    while stack:
+        cls = stack.pop()
+        below = cls.__subclasses__()
+        stack += below
+        if not below:
+            found.add(cls)
+    return found
+
+
+def table_gaps(table: dict, root: type) -> tuple[list[str], list[str]]:
+    """The leaf classes of `root` that `table` has no key for, and the
+    keys of `table` that are not such a class, by name."""
+    leaves = leaf_classes(root)
+    return sorted(c.__name__ for c in leaves - table.keys()), sorted(c.__name__ for c in table.keys() - leaves)
+
+
+DISPATCH_TABLES = {
+    "ir._FORMAT": ir._FORMAT,
+    "smtlib._SEXPR": smtlib._SEXPR,
+    "ssa._RENAME": ssa._RENAME,
+    "ireval._EVAL": ireval._EVAL,
+    "irsorts._SORT": irsorts._SORT,
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH_TABLES)
+def test_dispatch_table_has_one_handler_per_expression_class(name):
+    assert table_gaps(DISPATCH_TABLES[name], IrExpr) == ([], [])
+
+
+def test_table_check_finds_what_it_looks_for():
+    a = type("A", (), {})
+    b = type("B", (a,), {})
+    c, d = type("C", (b,), {}), type("D", (a,), {})
+    assert leaf_classes(a) == {c, d}
+    table = dict.fromkeys(leaf_classes(IrExpr) - {UnOp})
+    table[IrExpr] = None
+    assert table_gaps(table, IrExpr) == (["UnOp"], ["IrExpr"])

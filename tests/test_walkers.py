@@ -3,14 +3,18 @@
 `ssa.rename_idents`, `smtlib.expr_to_sexpr` and `ir.format_expr` run at
 the default recursion limit on a 700-deep left-nested sum and a 700-deep
 `ite` else-chain, the shapes that long source expressions and storage
-pointer unpacking produce.
+pointer unpacking produce. A node class or operator that a walker's
+table lacks is an `IrError`, never a `KeyError` or a guessed text.
 """
 
 import sys
 
 import pytest
 
-from solmem.ir import BinOp, Ident, IntLit, Ite, format_expr
+from solmem import ir
+from solmem.errors import IrError
+from solmem.ir import BinOp, BoolLit, Ident, IntLit, Ite, SmtProgram, UnOp, format_expr
+from solmem.ireval import eval_ir
 from solmem.smtlib import expr_to_sexpr
 from solmem.ssa import rename_idents
 
@@ -51,3 +55,27 @@ def test_700_deep_chains_come_out_whole():
     assert expr_to_sexpr(_sum_chain(DEPTH)) == "(+ " * DEPTH + "1" + " x)" * DEPTH
     assert format_expr(_sum_chain(DEPTH)) == "(" * DEPTH + "1" + " + x)" * DEPTH
     assert expr_to_sexpr(_ite_chain(DEPTH)).count("(ite (= i ") == DEPTH
+
+
+def _evaluate(e):
+    program = SmtProgram(decls={"x": ir.INT, "y": ir.INT})
+    program.stmts.append(ir.Assign(Ident("y"), e))
+    return eval_ir(program)
+
+
+@pytest.mark.parametrize("walker", [*WALKERS, "eval_ir"])
+def test_a_non_ir_object_in_a_tree_is_an_ir_error(walker):
+    tree = BinOp("+", Ident("x"), Ite(BoolLit(True), object(), IntLit(0)))
+    with pytest.raises(IrError, match="unknown expression node object"):
+        WALKERS.get(walker, _evaluate)(tree)
+
+
+@pytest.mark.parametrize(
+    "printer, texts",
+    [(expr_to_sexpr, ["(not x)", "(- x)"]), (format_expr, ["(!x)", "(-x)"])],
+    ids=["expr_to_sexpr", "format_expr"],
+)
+def test_an_unknown_unary_operator_is_an_ir_error(printer, texts):
+    assert [printer(UnOp(op, Ident("x"))) for op in ("not", "neg")] == texts
+    with pytest.raises(IrError, match="unknown operator abs"):
+        printer(UnOp("abs", Ident("x")))
