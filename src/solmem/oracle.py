@@ -25,6 +25,7 @@ values, mappings included.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,6 +69,19 @@ class OracleError(SolmemError):
 
 class ArgumentError(SolmemError):
     """A function argument does not match its parameter's type."""
+
+
+# the binary operators other than `&&` and `||`, which short-circuit
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass
@@ -413,30 +427,25 @@ class Machine:
         return self.eval(taken) if taken.loc == Loc.STORPTR else self.pack_path(taken)
 
     def _eval_binop(self, e: BinExpr) -> Any:
-        op = e.op
-        if op == "&&":
-            return bool(self.eval(e.left)) and bool(self.eval(e.right))
-        if op == "||":
-            return bool(self.eval(e.left)) or bool(self.eval(e.right))
-        a = self.eval(e.left)
-        b = self.eval(e.right)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise OracleError(f"unknown operator {op}")
+        # The parser builds `a + b + c` left-nested, so walk the left spine
+        # with a loop, bottom-up: a long chain takes no frame per operator.
+        # Each left operand is still evaluated before its right one, and
+        # `&&`/`||` skip the right operand as before.
+        spine = [e]
+        while isinstance(spine[-1].left, BinExpr):
+            spine.append(spine[-1].left)
+        value = self.eval(spine[-1].left)
+        for b in reversed(spine):
+            if b.op == "&&":
+                value = bool(value) and bool(self.eval(b.right))
+            elif b.op == "||":
+                value = bool(value) or bool(self.eval(b.right))
+            else:
+                right = self.eval(b.right)
+                if b.op not in _OPERATORS:
+                    raise OracleError(f"unknown operator {b.op}")
+                value = _OPERATORS[b.op](value, right)
+        return value
 
     # ------------------------------------------------------------------
     # lvalues

@@ -12,7 +12,9 @@ from srcprint import to_source
 from solmem import verify
 from solmem.errors import ParseError, ResolveError, UnsupportedError
 from solmem.generator import random_program
+from solmem.ireval import eval_ir
 from solmem.lexer import tokenize
+from solmem.oracle import run_constructor
 from solmem.parser import parse_source, parse_statement
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
@@ -26,6 +28,7 @@ from solmem.sol_ast import (
     StructType,
     expr_to_source,
 )
+from solmem.translate import translate_function
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -201,6 +204,25 @@ def test_700_term_sum_resolves():
         assert e.ty == INT and e.right.ty == INT and e.right.name == "x"
         e, terms = e.left, terms + 1
     assert terms == 700 and e.ty == INT
+
+
+def test_700_term_sum_runs_in_both_interpreters(tmp_path):
+    """The ground truths evaluate what the verifier verifies: the oracle
+    walks the chain's left spine with a loop, and `eval_ir` takes one
+    frame per IR level."""
+    source = _deep_source(LONG_SUM)
+    contract = compile_source(source)
+    assert [a.passed for a in run_constructor(contract).asserts] == [True]
+    assert eval_ir(translate_function(contract, contract.constructor).program).status == "ok"
+    path = tmp_path / "deep.sol"
+    path.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "solmem.cli", "run", str(path)],
+        cwd=ROOT, env={"PATH": "", "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert '"passed": true' in proc.stdout
 
 
 def test_expression_too_deep_to_parse_is_an_error(tmp_path):
