@@ -79,3 +79,11 @@ def test_an_unknown_unary_operator_is_an_ir_error(printer, texts):
     assert [printer(UnOp(op, Ident("x"))) for op in ("not", "neg")] == texts
     with pytest.raises(IrError, match="unknown operator abs"):
         printer(UnOp("abs", Ident("x")))
+
+
+def test_a_select_of_an_unknown_member_is_an_ir_error():
+    program = SmtProgram(decls={"d": ir.DatatypeType("D"), "y": ir.INT})
+    program.add_datatype(ir.DatatypeDef("D", (("a", ir.INT),)))
+    program.stmts.append(ir.Assign(Ident("y"), ir.Select(Ident("d"), "b", "D")))
+    with pytest.raises(IrError, match="datatype D has no member b"):
+        eval_ir(program)
