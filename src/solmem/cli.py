@@ -34,6 +34,9 @@ from .verify import verify_source
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-cmd", help="solver command line (reads SMT-LIB on stdin)")
     p.add_argument("--timeout", type=float, default=60.0, help="per-query timeout in seconds")
+
+
+def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unroll", type=int, default=None, metavar="N",
                    help="bound element-wise copies of dynamic arrays by N (adds length assumptions)")
 
@@ -99,6 +102,14 @@ def cmd_run(args) -> int:
             name: serialize(result.state, r.ty, value)
             for r, (name, value) in zip(fn.returns if fn else [], result.returns.items())
         }
+        payload = {
+            "storage": serialize_storage(result),
+            "returns": returns,
+            "asserts": [
+                {"index": a.ordinal, "line": a.line, "passed": a.passed} for a in result.asserts
+            ],
+        }
+        text = json.dumps(payload, sort_keys=True, indent=2)
     except json.JSONDecodeError as e:
         print(f"error: --args is not valid JSON: {e}", file=sys.stderr)
         return 2
@@ -106,16 +117,9 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: expression nested too deeply to run (RecursionError)", file=sys.stderr)
+        print("error: value or expression nested too deeply to run (RecursionError)", file=sys.stderr)
         return 2
-    payload = {
-        "storage": serialize_storage(result),
-        "returns": returns,
-        "asserts": [
-            {"index": a.ordinal, "line": a.line, "passed": a.passed} for a in result.asserts
-        ],
-    }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(text)
     failed = result.failed
     if failed is not None:
         print(f"assert failed at line {failed.line} (index {failed.ordinal})", file=sys.stderr)
@@ -175,7 +179,7 @@ def cmd_fuzz(args) -> int:
     return 2 if errors else 1 if disagreements else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="solmem", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -183,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("verify", help="verify the asserts in a contract")
     p.add_argument("file")
     _add_solver_flags(p)
+    _add_unroll_flag(p)
     p.add_argument("--emit-smt", metavar="DIR", help="write one .smt2 script per assert")
     p.add_argument("--emit-ir", action="store_true", help="print the intermediate program")
     p.set_defaults(func=cmd_verify)
@@ -196,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("corpus", help="run a corpus directory")
     p.add_argument("dir")
     _add_solver_flags(p)
+    _add_unroll_flag(p)
     p.add_argument("--jobs", type=int, default=4)
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     p.set_defaults(func=cmd_corpus)
@@ -208,8 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--jobs", type=int, default=4)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_fuzz)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -356,7 +356,7 @@ def format_stmt(s: IrStmt, indent: int = 0) -> list[str]:
             lines.extend(format_stmt(t, indent + 1))
         lines.append(f"{pad}}}")
         return lines
-    raise TypeError(f"unknown statement node {s!r}")
+    raise IrError(f"unknown statement node {s!r}")
 
 
 def format_program(p: SmtProgram) -> str:

@@ -4,8 +4,9 @@ Storage is a pure tree of values: structs, arrays and mappings. An
 array, in storage or memory, is an explicit length next to a total map
 from raw index to slot, and a mapping is a total map with a default, as
 in the SMT encoding: a slot never written reads as the element default.
-Reads (`Machine.part`) never change state; a write finds its slot with
-`Machine.slot`, which stores the default first. Memory is a heap of
+Reads (`Machine.part`) never change state; a storage write goes through
+the access path of its lvalue (`Machine.pack_path`), storing the
+defaults on its way (`Machine.slot`). Memory is a heap of
 objects reached through references. A local storage pointer is an
 access path, the root it starts from (a state variable or a default
 context) followed by the member names and index values taken from it,
@@ -452,33 +453,15 @@ class Machine:
 
     def lvalue_place(self, e: Expr) -> tuple[Any, Any]:
         """The slot `(container, key)` of an lvalue: `container[key]` is
-        its live value. Storage defaults on the way are stored."""
-        if isinstance(e, IdentExpr):
-            return (self.storage if e.decl_kind == "state" else self.locals), e.name
-        if not isinstance(e, (MemberExpr, IndexExpr)):
+        its live value. A storage lvalue is reached through its access
+        path, which stores the defaults on its way."""
+        if isinstance(e, IdentExpr) and e.decl_kind != "state":
+            return self.locals, e.name
+        if not isinstance(e, (IdentExpr, MemberExpr, IndexExpr)):
             raise OracleError(f"not an lvalue: {e!r}")
-        holder = self._entity_for_access(e.base)
-        return self.slot(holder, e.member if isinstance(e, MemberExpr) else self.eval(e.index))
-
-    def _entity_for_access(self, base: Expr) -> Any:
-        """Live container object for a member/index step of an lvalue. A
-        storage container is reached through slots, which store defaults,
-        so a write lands in the stored value."""
-        if base.loc == Loc.STORAGE:
-            container, key = self.lvalue_place(base)
-        elif base.loc == Loc.STORPTR:
-            container, key = self._path_slot(self.eval(base))
-        else:
-            return self.entity(base)
-        return container[key]
-
-    def _live_array(self, e: Expr) -> StorArray:
-        """Storage array entity reached through slots, so push/pop
-        mutate the stored value (not a detached default)."""
-        entity = self._entity_for_access(e)
-        if not isinstance(entity, StorArray):
-            raise OracleError("push/pop on non-storage array")
-        return entity
+        if isinstance(e, IdentExpr) or e.base.loc != Loc.MEMORY:
+            return self._path_slot(self.pack_path(e))
+        return self.slot(self.entity(e.base), e.member if isinstance(e, MemberExpr) else self.eval(e.index))
 
     # ------------------------------------------------------------------
     # statements
@@ -502,14 +485,13 @@ class Machine:
             for lhs, (rloc, rval) in reversed(list(zip(s.lhs, operands))):
                 container, key = self.lvalue_place(lhs)
                 container[key] = self._stored(lhs.ty, lhs.loc, rloc, rval)
-        elif isinstance(s, PushStmt):
-            arr = self._live_array(s.target)
-            rloc, rval = self._rhs_operand(s.value)
-            arr.backing[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
-            arr.length += 1
-        elif isinstance(s, PopStmt):
-            arr = self._live_array(s.target)
-            arr.length -= 1
+        elif isinstance(s, (PushStmt, PopStmt)):
+            container, key = self._path_slot(self.pack_path(s.target))
+            arr = container[key]
+            if isinstance(s, PushStmt):
+                rloc, rval = self._rhs_operand(s.value)
+                arr.backing[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
+            arr.length += 1 if isinstance(s, PushStmt) else -1
         elif isinstance(s, DeleteStmt):
             container, key = self.lvalue_place(s.target)
             container[key] = self.default(s.target.ty, s.target.loc)

@@ -42,7 +42,6 @@ from .sol_ast import (
     MappingType,
     MemberExpr,
     NewArrayExpr,
-    Param,
     PopStmt,
     PushStmt,
     SolType,
@@ -64,20 +63,8 @@ def _reserved(name: str) -> bool:
     return name == "refcnt" or name.startswith(RESERVED_PREFIXES)
 
 
-class Scope:
-    """Function-local symbol table mapping source names to declarations."""
-
-    def __init__(self, entries: dict[str, tuple[str, SolType, Loc, str]] | None = None):
-        self.entries = dict(entries or {})
-
-    def define(self, source_name: str, unique: str, ty: SolType, loc: Loc, kind: str):
-        self.entries[source_name] = (unique, ty, loc, kind)
-
-    def lookup(self, name: str):
-        return self.entries.get(name)
-
-    def copy(self) -> Scope:
-        return Scope(self.entries)
+# function-local symbol table: source name -> (unique name, type, location, kind)
+Scope = dict[str, tuple[str, SolType, Loc, str]]
 
 
 class Resolver:
@@ -206,7 +193,9 @@ class Resolver:
         seen: set[str] = set()
         for kind, group in (("param", fn.params), ("return", fn.returns)):
             for p in group:
-                self._check_param(p, kind)
+                self._check_declared(p.ty, p.data_loc, p.line)
+                if kind == "return" and p.data_loc == "storage":
+                    raise ResolveError("storage-pointer return values are unsupported (no default value)", p.line)
                 if p.name in seen:
                     raise ResolveError(f"duplicate parameter {p.name}", p.line)
                 seen.add(p.name)
@@ -216,20 +205,17 @@ class Resolver:
         for stmt in fn.body:
             self._resolve_stmt(stmt, scope, fn)
 
-    def _check_param(self, p: Param, kind: str) -> None:
-        self._check_type(p.ty, p.line)
-        if is_value_type(p.ty):
-            if p.data_loc is not None:
-                raise ResolveError(f"data location not allowed for value type {p.ty}", p.line)
-            return
-        if p.data_loc is None:
-            raise ResolveError(f"data location required for reference type {p.ty}", p.line)
-        if p.data_loc == "memory" and self.contains_mapping(p.ty):
-            raise ResolveError("types containing mappings cannot be in memory", p.line)
-        if kind == "return" and p.data_loc == "storage":
-            raise ResolveError(
-                "storage-pointer return values are unsupported (no default value)", p.line
-            )
+    def _check_declared(self, ty: SolType, data_loc: str | None, line: int) -> None:
+        """A declared type exists and has a data location exactly when it
+        is a reference type, never memory for one containing a mapping."""
+        self._check_type(ty, line)
+        if is_value_type(ty):
+            if data_loc is not None:
+                raise ResolveError(f"data location not allowed for value type {ty}", line)
+        elif data_loc is None:
+            raise ResolveError(f"data location required for reference type {ty}", line)
+        elif data_loc == "memory" and self.contains_mapping(ty):
+            raise ResolveError("types containing mappings cannot be in memory", line)
 
     # -- statements ---------------------------------------------------------
 
@@ -252,16 +238,8 @@ class Resolver:
             raise ResolveError(f"unknown statement {stmt!r}", getattr(stmt, "line", 0))
 
     def _resolve_decl(self, stmt: DeclStmt, scope: Scope) -> None:
-        self._check_type(stmt.var_type, stmt.line)
         ty = stmt.var_type
-        if is_value_type(ty):
-            if stmt.data_loc is not None:
-                raise ResolveError("data location not allowed for value type", stmt.line)
-        else:
-            if stmt.data_loc is None:
-                raise ResolveError(f"data location required for {ty}", stmt.line)
-            if stmt.data_loc == "memory" and self.contains_mapping(ty):
-                raise ResolveError("types containing mappings cannot be in memory", stmt.line)
+        self._check_declared(ty, stmt.data_loc, stmt.line)
         loc = stmt.loc
         if loc == Loc.STORPTR and stmt.init is None:
             raise ResolveError(
@@ -272,7 +250,7 @@ class Resolver:
             self._check_assignable(ty, loc, stmt.init, stmt.line)
         source = stmt.name
         stmt.name = self._unique(source)
-        scope.define(source, stmt.name, ty, loc, "local")
+        scope[source] = (stmt.name, ty, loc, "local")
 
     def _resolve_assign(self, stmt: AssignStmt, scope: Scope) -> None:
         if len(stmt.lhs) != len(stmt.rhs):
@@ -348,7 +326,7 @@ class Resolver:
 
     def _resolve_expr(self, e: Expr, scope: Scope) -> None:
         if isinstance(e, IdentExpr):
-            entry = scope.lookup(e.name)
+            entry = scope.get(e.name)
             if entry is None:
                 raise ResolveError(f"unknown identifier {e.name}", e.line, e.col)
             unique, ty, loc, kind = entry
@@ -525,12 +503,10 @@ def resolve_and_check(contract: Contract) -> Contract:
 def function_scope(contract: Contract, fn: Function) -> Scope:
     """The names visible at the start of `fn`'s body once its parameters
     are resolved: state variables, shadowed by parameters and returns."""
-    scope = Scope()
-    for v in contract.state_vars:
-        scope.define(v.name, v.name, v.ty, part_loc(v.ty, Loc.STORAGE), "state")
+    scope: Scope = {v.name: (v.name, v.ty, part_loc(v.ty, Loc.STORAGE), "state") for v in contract.state_vars}
     for kind, group in (("param", fn.params), ("return", fn.returns)):
         for p in group:
-            scope.define(p.name_source, p.name, p.ty, p.loc, kind)
+            scope[p.name_source] = (p.name, p.ty, p.loc, kind)
     return scope
 
 

@@ -149,32 +149,43 @@ def _tokenize_sexpr(text: str) -> list[str]:
     return [m.group(1) for m in _SEXPR_TOKEN.finditer(text) if m.group(1)]
 
 
-def _parse_sexprs(tokens: list[str]):
-    pos = 0
+def _parse_sexprs(tokens: list[str]) -> list:
+    """The s-expressions in `tokens` as nested lists of atoms, built on an
+    explicit stack so that nesting costs no Python frames. A list still
+    open at the end ends there; a stray `)` at the top is an atom."""
+    stack: list[list] = [[]]
+    for token in tokens:
+        if token == "(":
+            stack[-1].append([])
+            stack.append(stack[-1][-1])
+        elif token == ")" and len(stack) > 1:
+            stack.pop()
+        else:
+            stack[-1].append(token)
+    return stack[0]
 
-    def parse():
-        nonlocal pos
-        if tokens[pos] == "(":
-            pos += 1
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(parse())
-            pos += 1  # closing paren
-            return items
-        atom = tokens[pos]
-        pos += 1
-        return atom
 
-    out = []
-    while pos < len(tokens):
-        out.append(parse())
-    return out
+_CLOSE = object()  # marks where `_render` closes a list
 
 
 def _render(node) -> str:
-    if isinstance(node, str):
-        return node
-    return "(" + " ".join(_render(n) for n in node) + ")"
+    """SMT-LIB text of a parsed s-expression, one space between items."""
+    out: list[str] = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if item is _CLOSE:
+            out.append(")")
+            continue
+        if out and out[-1] != "(":
+            out.append(" ")
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            out.append("(")
+            stack.append(_CLOSE)
+            stack.extend(reversed(item))
+    return "".join(out)
 
 
 def parse_model(text: str) -> dict[str, str]:
@@ -182,20 +193,18 @@ def parse_model(text: str) -> dict[str, str]:
 
     Integers and booleans become plain text ("3", "-4", "true"); values
     of other sorts (datatypes, arrays) are preserved as raw s-expression
-    text.
+    text. No step recurses, so a value of any depth parses.
     """
     start = text.find("(")
     if start < 0:
         return {}
-    try:
-        nodes = _parse_sexprs(_tokenize_sexpr(text[start:]))
-    except IndexError:
-        return {}
     model: dict[str, str] = {}
-
-    def visit(node):
+    # every list, outermost first and in text order, but not inside a definition
+    stack = list(reversed(_parse_sexprs(_tokenize_sexpr(text[start:]))))
+    while stack:
+        node = stack.pop()
         if not isinstance(node, list):
-            return
+            continue
         if len(node) == 5 and node[0] == "define-fun" and node[2] == []:
             name, value = node[1], node[4]
             if isinstance(value, list) and len(value) == 2 and value[0] == "-":
@@ -205,9 +214,5 @@ def parse_model(text: str) -> dict[str, str]:
             else:
                 model[name] = _render(value)
         else:
-            for child in node:
-                visit(child)
-
-    for n in nodes:
-        visit(n)
+            stack.extend(reversed(node))
     return model

@@ -232,18 +232,11 @@ class Translator:
         self.program.declare(heap, ArrayType(ir.INT, DatatypeType(name)))
         return ir.INT
 
-    def stor_datatype(self, ty: SolType) -> str:
-        mapped = self.map_type(ty, Loc.STORAGE)
-        assert isinstance(mapped, DatatypeType)
-        return mapped.name
-
-    def mem_datatype(self, ty: SolType) -> str:
-        self.map_type(ty, Loc.MEMORY)
-        return _names(ty)[1]
-
     def _datatype_at(self, ty: SolType, loc: Loc) -> str:
         """Datatype of a storage (or storage pointer) or memory entity."""
-        return self.mem_datatype(ty) if loc == Loc.MEMORY else self.stor_datatype(ty)
+        in_memory = loc == Loc.MEMORY
+        self.map_type(ty, Loc.MEMORY if in_memory else Loc.STORAGE)
+        return _names(ty)[in_memory]
 
     def heap_read(self, ty: SolType, pointer: IrExpr) -> IrExpr:
         self.map_type(ty, Loc.MEMORY)
@@ -378,11 +371,11 @@ class Translator:
         entity: IrExpr = Ident(first.label)
         for depth, (node, edge) in enumerate(rest, 1):
             if node.kind == "struct":
-                entity = Select(entity, edge.label, self.stor_datatype(node.ty))
+                entity = Select(entity, edge.label, self._datatype_at(node.ty, Loc.STORAGE))
                 continue
             idx: IrExpr = ArrayRead(ptr, IntLit(depth))
             if not isinstance(node.ty, MappingType):
-                entity = Select(entity, "arr", self.stor_datatype(node.ty))
+                entity = Select(entity, "arr", self._datatype_at(node.ty, Loc.STORAGE))
             elif node.ty.key == BOOL:
                 idx = BinOp("!=", idx, IntLit(0))
             entity = ArrayRead(entity, idx)
@@ -406,7 +399,7 @@ class Translator:
                 elem_loc = part_loc(ty.base, Loc.STORAGE)
                 elem_ty = self.map_type(ty.base, elem_loc)
                 return Construct(
-                    self.stor_datatype(ty),
+                    self._datatype_at(ty, Loc.STORAGE),
                     (
                         ConstArray(ir.INT, elem_ty, self.default_value(ty.base, elem_loc)),
                         IntLit(length),
@@ -434,7 +427,7 @@ class Translator:
         assert isinstance(ty, (DynArrayType, FixArrayType))
         base = ty.base
         ptr = self.allocate()
-        dt = self.mem_datatype(ty)
+        dt = self._datatype_at(ty, Loc.MEMORY)
         heap_slot = self.heap_read(ty, ptr)
         if is_value_type(base):
             elem_default = self.default_value(base, Loc.VALUE)
@@ -570,7 +563,7 @@ class Translator:
         self.map_type(ty, Loc.MEMORY)
         sd = self.struct_def(e.name)
         ptr = self.allocate()
-        dt = self.mem_datatype(ty)
+        dt = self._datatype_at(ty, Loc.MEMORY)
         for member, arg in zip(sd.members, e.args):
             slot = Select(self.heap_read(ty, ptr), member.name, dt)
             loc = part_loc(member.ty, Loc.MEMORY)
@@ -758,16 +751,9 @@ class Translator:
         for target, tmp_op in reversed(list(zip(s.lhs, temps))):
             self.assign(self.operand_of(target), tmp_op)
 
-    def _array_entity(self, e: Expr) -> tuple[IrExpr, str]:
-        """Storage array entity for push/pop, as an assignable term."""
-        assert isinstance(e.ty, DynArrayType)
-        dt = self.stor_datatype(e.ty)
-        if e.loc == Loc.STORPTR:
-            return self.unpack(self.expr(e), e.ty), dt
-        return self.lvalue(e), dt
-
     def _push_stmt(self, s: PushStmt) -> None:
-        entity, dt = self._array_entity(s.target)
+        dt = self._datatype_at(s.target.ty, s.target.loc)
+        entity = self._storage_base(s.target, lvalue=True)
         elem = s.target.ty.base
         length = Select(entity, "length", dt)
         slot = ArrayRead(Select(entity, "arr", dt), length)
@@ -779,8 +765,8 @@ class Translator:
         # length shrinks; the backing slot is retained so dangling
         # storage pointers still read the removed element, while indexed
         # access (length-guarded) sees the default value
-        entity, dt = self._array_entity(s.target)
-        length = Select(entity, "length", dt)
+        dt = self._datatype_at(s.target.ty, s.target.loc)
+        length = Select(self._storage_base(s.target, lvalue=True), "length", dt)
         self.emit(Assign(length, ir.sub(length, IntLit(1))))
 
     def _delete_stmt(self, s: DeleteStmt) -> None:
@@ -799,7 +785,7 @@ class Translator:
         self.emit(Assume(ir.le(pointer, Ident(REFCNT))))
         if isinstance(ty, StructType):
             sd = self.struct_def(ty.name)
-            dt = self.mem_datatype(ty)
+            dt = self._datatype_at(ty, Loc.MEMORY)
             for m in sd.members:
                 if is_reference_type(m.ty):
                     self._assume_memory_pointer(m.ty, Select(self.heap_read(ty, pointer), m.name, dt))
@@ -808,7 +794,7 @@ class Translator:
             base = ty.base
             if not is_reference_type(base):
                 return
-            dt = self.mem_datatype(ty)
+            dt = self._datatype_at(ty, Loc.MEMORY)
             heap_val = self.heap_read(ty, pointer)
             length = Select(heap_val, "length", dt)
             if isinstance(ty, FixArrayType):

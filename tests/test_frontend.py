@@ -357,6 +357,25 @@ contract C {
     assert g.body[1].init.name != "x"
 
 
+def test_locals_with_reserved_names_are_renamed():
+    """A local named like the allocation counter or a heap is renamed, so
+    the allocation below does not change it in the translation."""
+    src = """
+contract C {
+    constructor() {
+        int refcnt = 1;
+        uint arrHeap_x = 2;
+        int[] memory m = new int[](1);
+        assert(refcnt == 1 && arrHeap_x == 2);
+    }
+}
+"""
+    c = compile_source(src)
+    assert [s.name for s in c.constructor.body[:2]] == ["refcnt~2", "arrHeap_x~2"]
+    assert [a.passed for a in run_constructor(c).asserts] == [True]
+    assert eval_ir(translate_function(c, c.constructor).program).status == "ok"
+
+
 def test_resolver_errors():
     cases = [
         ("contract C { struct S { S s; } S v; }", "recursive struct"),

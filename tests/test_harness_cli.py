@@ -1,7 +1,10 @@
 """Corpus harness classification, JSON schema, and CLI entry points."""
 
+import argparse
+import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from sources import DANGLING_POINTER
-from solmem.cli import main
+from solmem.cli import build_parser, main
 from solmem.harness import (
     differential,
     parse_expectations,
@@ -217,8 +220,14 @@ _ONE_ARG = "contract C { int x; function f(int a) { x = a; } }"
         # and the resolver still accept.
         ("contract C { int x; int" + "[]" * 400 + " a; constructor() { x = a" + "[0]" * 400 + "; } }", [],
          "expression nested too deeply to run (RecursionError)"),
+        # runs, but its final state is too deep to serialize
+        ("contract C { int" + "[1]" * 600 + " a; constructor() { } }", [],
+         "value or expression nested too deeply to run (RecursionError)"),
     ],
-    ids=["missing-file", "malformed-json", "wrong-type", "not-a-list", "too-deep-to-parse", "too-deep-to-run"],
+    ids=[
+        "missing-file", "malformed-json", "wrong-type", "not-a-list", "too-deep-to-parse", "too-deep-to-run",
+        "too-deep-to-serialize",
+    ],
 )
 def test_cli_run_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, source, argv, message):
     f = tmp_path / "t.sol"
@@ -229,6 +238,19 @@ def test_cli_run_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, source
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_every_subcommand_reads_each_option_it_declares():
+    """An option its command never reads is dead: it parses, then changes
+    nothing."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction) and not re.search(rf"\bargs\.{action.dest}\b", source):
+                unread.append(f"{name}: {action.dest}")
+    assert unread == []
 
 
 def test_cli_run_accepts_a_negative_path_element(tmp_path, capsys):

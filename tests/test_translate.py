@@ -368,6 +368,17 @@ contract C {
     assert any(isinstance(s, ir.Assume) for s in tf.program.stmts)
 
 
+def test_memory_param_fixed_array_of_structs_assumes_each_element():
+    c = compile_source("contract C { struct T { int z; } function f(T[2] memory xs) { } }")
+    tf = translate_function(c, c.function("f"))
+    texts = [line for s in tf.program.stmts for line in format_stmt(s)]
+    assert [t for t in texts if t.startswith("assume")] == [
+        "assume (xs <= refcnt)",
+        "assume (arrHeap_T[xs].arr[0] <= refcnt)",
+        "assume (arrHeap_T[xs].arr[1] <= refcnt)",
+    ]
+
+
 def test_returns_are_default_initialized():
     c = compile_source(DATA_STORAGE)
     tf = translate_function(c, c.function("get"))

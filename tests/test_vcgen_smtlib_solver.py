@@ -217,3 +217,9 @@ def test_parse_model_preserves_composite_values():
     text = "(\n(define-fun a () StorArr_int (StorArr_int ((as const (Array Int Int)) 0) 2))\n)"
     model = parse_model(text)
     assert model["a"].startswith("(StorArr_int")
+
+
+def test_parse_model_of_a_3000_deep_value():
+    """A value nested past the recursion limit parses to its own text."""
+    value = "(store " * 3000 + "((as const (Array Int Int)) 0)" + " 1 2)" * 3000
+    assert parse_model(f"sat\n(\n  (define-fun a () (Array Int Int) {value})\n)\n") == {"a": value}

@@ -87,3 +87,8 @@ def test_a_select_of_an_unknown_member_is_an_ir_error():
     program.stmts.append(ir.Assign(Ident("y"), ir.Select(Ident("d"), "b", "D")))
     with pytest.raises(IrError, match="datatype D has no member b"):
         eval_ir(program)
+
+
+def test_an_unknown_statement_is_an_ir_error():
+    with pytest.raises(IrError, match="unknown statement node"):
+        ir.format_stmt(object())
