@@ -95,9 +95,10 @@ def cmd_run(args) -> int:
         return 2
     try:
         fn_args = json.loads(args.args) if args.args else []
-        result = run_constructor(contract)
         if fn is not None and not fn.is_constructor:
-            result = exec_function(contract, fn.name, fn_args, initial=result.state)
+            result = exec_function(contract, fn.name, fn_args, initial=run_constructor(contract).state)
+        else:
+            result = run_constructor(contract, fn_args)
         returns = {
             name: serialize(result.state, r.ty, value)
             for r, (name, value) in zip(fn.returns if fn else [], result.returns.items())

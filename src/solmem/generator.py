@@ -2,12 +2,12 @@
 
 Generation is oracle-guided: every candidate statement is run through
 the reference interpreter after the statements kept so far, so array
-indexes stay in bounds and assert expectations are computed from actual
-state rather than guessed. Programs are constructor-only (fully
-concrete), biased toward reference-type assignments across data
-locations, storage pointer creation and re-pointing, push/pop/delete,
-and tuple swaps, and never use constructs the translator reports as
-unsupported. Output is deterministic per seed.
+indexes stay in bounds, and an assert compares a read with the value
+sampled for it from actual state rather than a guess. Programs are
+constructor-only (fully concrete), biased toward reference-type
+assignments across data locations, storage pointer creation and
+re-pointing, push/pop/delete, and tuple swaps, and never use constructs
+the translator reports as unsupported. Output is deterministic per seed.
 
 Checking is incremental. The skeleton (structs, state variables, an
 empty constructor) is parsed, resolved and run once; a candidate line is
@@ -15,7 +15,9 @@ then lexed and parsed on its own as one statement, resolved against a
 copy of the constructor's scope and taken names, and run alone on a
 clone of the interpreter state after the kept statements (the pristine
 state). Sampling reads the pristine state itself, since interpreter
-reads never change state. Rejected candidates are counted by reason.
+reads never change state: one walk samples the storage, pointer and
+memory roots, each value once. Rejected candidates are counted by
+reason.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ _STATE_POOLS = [
     ("counter", INT),
     ("ok", BOOL),
 ]
+
+
+def _literal_text(value) -> str:
+    """Source literal of a sampled bool or integer."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _memory_safe(ty: SolType, structs: dict) -> bool:
@@ -167,77 +176,54 @@ class ProgramBuilder:
 
     # ----- state sampling ---------------------------------------------
 
+    def _walk(self, out: list, text: str, ty: SolType, value, levels: int, elems: int, keys: int) -> None:
+        """Append (source-text, type, value) of `text` and, `levels`
+        levels down, of its members, its first `elems` in-range elements
+        and its parts at `keys` randomly drawn mapping keys. A memory
+        reference is followed to its heap object."""
+        out.append((text, ty, value))
+        if levels == 0:
+            return
+        obj = self.pristine.heap[value.addr] if isinstance(value, MemRef) else value
+        if isinstance(ty, StructType):
+            assert isinstance(obj, (StorStruct, MemStruct))
+            for mname, mty in self.structs[ty.name]:
+                self._walk(out, f"{text}.{mname}", mty, obj.members[mname], levels - 1, elems, keys)
+        elif isinstance(ty, (DynArrayType, FixArrayType)):
+            assert isinstance(obj, (StorArray, MemArray))
+            for i in range(min(max(obj.length, 0), elems)):
+                self._walk(out, f"{text}[{i}]", ty.base, self.pristine.part(obj, i), levels - 1, elems, keys)
+        elif isinstance(ty, MappingType):
+            assert isinstance(obj, StorMapping)
+            pool = [True, False] if ty.key == BOOL else _KEY_POOL
+            for key in self.rng.sample(pool, min(keys, len(pool))):
+                part = self.pristine.part(obj, key)
+                self._walk(out, f"{text}[{_literal_text(key)}]", ty.value, part, levels - 1, elems, keys)
+
     def _storage_paths(self):
         """Every reachable storage lvalue with its concrete value, as
         (source-text, type, value), staying in bounds."""
         out = []
-
-        def walk(text: str, ty: SolType, value, depth: int):
-            out.append((text, ty, value))
-            if depth > 3:
-                return
-            if isinstance(ty, StructType):
-                assert isinstance(value, StorStruct)
-                for mname, mty in self.structs[ty.name]:
-                    walk(f"{text}.{mname}", mty, value.members[mname], depth + 1)
-            elif isinstance(ty, (DynArrayType, FixArrayType)):
-                assert isinstance(value, StorArray)
-                for i in range(min(max(value.length, 0), 3)):
-                    walk(f"{text}[{i}]", ty.base, self.pristine.part(value, i), depth + 1)
-            elif isinstance(ty, MappingType):
-                assert isinstance(value, StorMapping)
-                keys = _KEY_POOL if ty.key != BOOL else [True, False]
-                for key in self.rng.sample(keys, min(2, len(keys))):
-                    ktext = ("true" if key else "false") if ty.key == BOOL else str(key)
-                    kval = self.pristine.part(value, key)
-                    walk(f"{text}[{ktext}]", ty.value, kval, depth + 1)
-
         for name, ty in self.state_vars:
-            walk(name, ty, self.pristine.storage[name], 0)
+            self._walk(out, name, ty, self.pristine.storage[name], 4, 3, 2)
         return out
 
     def _pointer_paths(self):
         """Storage lvalues reachable through live storage pointers."""
         out = []
         for name, ty, loc in self.locals:
-            if loc != "storage":
-                continue
             pointer = self.pristine.locals.get(name)
-            if not isinstance(pointer, StorPath):
-                continue
-            value = self.pristine.deref_path(pointer)
-            out.append((name, ty, value))
-            if isinstance(ty, StructType):
-                assert isinstance(value, StorStruct)
-                for mname, mty in self.structs[ty.name]:
-                    out.append((f"{name}.{mname}", mty, value.members[mname]))
-            elif isinstance(ty, (DynArrayType, FixArrayType)):
-                assert isinstance(value, StorArray)
-                for i in range(min(max(value.length, 0), 2)):
-                    out.append((f"{name}[{i}]", ty.base, self.pristine.part(value, i)))
-            elif isinstance(ty, MappingType):
-                assert isinstance(value, StorMapping)
-                key = self.rng.choice(_KEY_POOL if ty.key != BOOL else [True, False])
-                ktext = ("true" if key else "false") if ty.key == BOOL else str(key)
-                out.append((f"{name}[{ktext}]", ty.value, self.pristine.part(value, key)))
+            if loc == "storage" and isinstance(pointer, StorPath):
+                self._walk(out, name, ty, self.pristine.deref_path(pointer), 1, 2, 1)
         return out
 
     def _memory_values(self):
+        """Memory locals (as references) and their members and elements."""
         out = []
         for name, ty, loc in self.locals:
-            if loc != "memory":
-                continue
             ref = self.pristine.locals.get(name)
-            if not isinstance(ref, MemRef):
-                continue
-            out.append((name, ty, ref))
-            obj = self.pristine.heap[ref.addr]
-            if isinstance(obj, MemArray):
-                for i in range(min(max(obj.length, 0), 2)):
-                    out.append((f"{name}[{i}]", ty.base, self.pristine.part(obj, i)))
-            elif isinstance(obj, MemStruct):
-                for mname, mty in self.structs[obj.struct]:
-                    out.append((f"{name}.{mname}", mty, obj.members[mname]))
+            if loc == "memory" and isinstance(ref, MemRef):
+                self._walk(out, name, ty, ref, 1, 2, 0)
         return out
 
     def _value_reads(self):
@@ -246,9 +232,8 @@ class ProgramBuilder:
         for text, ty, value in self._storage_paths() + self._pointer_paths() + self._memory_values():
             if is_value_type(ty):
                 reads.append((text, ty, value))
-            elif isinstance(ty, (DynArrayType, FixArrayType)) and not isinstance(value, MemRef):
-                if isinstance(value, StorArray):
-                    reads.append((f"{text}.length", UINT, value.length))
+            elif isinstance(value, StorArray):
+                reads.append((f"{text}.length", UINT, value.length))
         for name, ty, loc in self.locals:
             if loc == "value" and name in self.pristine.locals:
                 reads.append((name, ty, self.pristine.locals[name]))
@@ -476,38 +461,22 @@ class ProgramBuilder:
 
     # ----- asserts -------------------------------------------------------
 
-    def _probe(self, expr: str):
-        """Concrete value of a value-typed expression in the final state."""
-        probe = self.fresh("probe")
-        checked = self._try(f"int {probe} = {expr};")
-        if checked is None:
-            return None
-        return checked[3].locals.get(probe)
-
     def make_asserts(self):
-        """Up to three passing asserts over value reads, then, with
-        probability 0.3, one failing assert."""
+        """Up to three passing asserts, each comparing a value read with
+        the value sampled for it, then, with probability 0.3, one failing
+        assert."""
         reads = [r for r in self._value_reads() if r[1] != BOOL]
         bools = [r for r in self._value_reads() if r[1] == BOOL]
         for _ in range(self.rng.randint(1, 3)):
-            if reads and (not bools or self.rng.random() < 0.8):
-                text, _, _ = self.rng.choice(reads)
-                value = self._probe(text)
-                if value is None:
-                    continue
-                line = f"assert({text} == {int(value)});"
-            else:
-                text, _, value = self.rng.choice(bools)
-                line = f"assert({text} == {'true' if value else 'false'});"
-            self.commit(line)
+            pool = reads if reads and (not bools or self.rng.random() < 0.8) else bools
+            text, _, value = self.rng.choice(pool)
+            self.commit(f"assert({text} == {_literal_text(value)});")
         # at most one failing assert, placed last so every earlier assert
         # is reached by the oracle
         if reads and self.rng.random() < 0.3:
-            text, _, _ = self.rng.choice(reads)
-            value = self._probe(text)
-            if value is not None:
-                # source only: the interpreter would stop at this assert
-                self.lines.append(f"assert({text} == {int(value) + 1});")
+            text, _, value = self.rng.choice(reads)
+            # source only: the interpreter would stop at this assert
+            self.lines.append(f"assert({text} == {value + 1});")
 
     # ----- driver ---------------------------------------------------------
 

@@ -590,9 +590,11 @@ def exec_function(
     return ExecResult(machine.storage, returns, machine.assert_results, machine)
 
 
-def run_constructor(contract: Contract) -> ExecResult:
+def run_constructor(contract: Contract, args: list | None = None) -> ExecResult:
     if contract.constructor is not None:
-        return exec_function(contract, "constructor")
+        return exec_function(contract, "constructor", args)
+    if args not in (None, []):
+        raise ArgumentError(f"constructor takes a list of 0 arguments, got {args!r}")
     machine = Machine(contract)
     init_storage(machine)
     return ExecResult(machine.storage, {}, [], machine)

@@ -207,6 +207,8 @@ def parse_model(text: str) -> dict[str, str]:
             continue
         if len(node) == 5 and node[0] == "define-fun" and node[2] == []:
             name, value = node[1], node[4]
+            if isinstance(name, list):
+                continue  # not a name: skip the entry
             if isinstance(value, list) and len(value) == 2 and value[0] == "-":
                 model[name] = f"-{value[1]}"
             elif isinstance(value, str):

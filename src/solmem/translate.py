@@ -822,10 +822,9 @@ class Translator:
             # assignment matrix must not swallow state initialization
             for v in self.contract.state_vars:
                 self.emit(Assign(Ident(v.name), self.default_value(v.ty, part_loc(v.ty, Loc.STORAGE))))
-        else:
-            for p in fn.params:
-                if p.loc == Loc.MEMORY:
-                    self._assume_memory_pointer(p.ty, Ident(p.name))
+        for p in fn.params:
+            if p.loc == Loc.MEMORY:
+                self._assume_memory_pointer(p.ty, Ident(p.name))
         for p in fn.returns:
             default = self.default_value(p.ty, p.loc)
             self.assign(

@@ -74,8 +74,9 @@ def _state(machine):
 
 class _CheckedBuilder(ProgramBuilder):
     """Compares the pristine state with a full re-run after every
-    accepted line, and checks that neither a candidate nor the sampler's
-    reads of the pristine state change it."""
+    accepted line, checks that neither a candidate nor the sampler's
+    reads of the pristine state change it, and that every sampled read
+    evaluates to the value sampled for it."""
 
     def _try(self, line: str):
         before = _state(self.pristine)
@@ -97,9 +98,14 @@ class _CheckedBuilder(ProgramBuilder):
         # sample as the operations do, leaving the random stream as it was
         rng_state = self.rng.getstate()
         self._storage_paths()
-        self._value_reads()
+        reads = self._value_reads()
         self.rng.setstate(rng_state)
         assert _state(self.pristine) == kept
+        for text, ty, value in reads:
+            # a declaration of the read, run on a clone of the kept state
+            checked = self._try(f"{ty} sampled = {text};")
+            assert checked is not None, text
+            assert checked[3].locals["sampled"] == value, text
         return True
 
 
@@ -134,7 +140,7 @@ def test_each_candidate_runs_once_on_the_kept_state(monkeypatch):
     monkeypatch.setattr(generator, "resolve_statement", resolve_statement)
     for seed in range(200):
         ProgramBuilder(seed, 10).build()
-    assert calls == {"exec_stmt": 2792, "resolved": 2792, "run_constructor": 200}
+    assert calls == {"exec_stmt": 2400, "resolved": 2400, "run_constructor": 200}
 
 
 def test_interpreter_errors_are_not_rejected_candidates(monkeypatch):

@@ -195,6 +195,23 @@ contract C {
     assert payload["returns"] == {"out": 0}
 
 
+def test_cli_run_binds_args_to_the_constructor(tmp_path, capsys):
+    f = tmp_path / "t.sol"
+    f.write_text(
+        "contract C { struct S { int x; } int y; "
+        "constructor(int a, S memory m) { y = a + m.x; assert(y == 12); } }"
+    )
+    assert main(["run", str(f), "--args", '[5, {"x": 7}]']) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["storage"] == {"y": 12}
+    assert payload["asserts"] == [{"index": 0, "line": 1, "passed": True}]
+    assert main(["run", str(f)]) == 2
+    assert "constructor takes a list of 2 arguments, got []" in capsys.readouterr().err
+    (tmp_path / "none.sol").write_text("contract C { int y; }")
+    assert main(["run", str(tmp_path / "none.sol"), "--args", "[5]"]) == 2
+    assert "constructor takes a list of 0 arguments, got [5]" in capsys.readouterr().err
+
+
 def test_cli_run_reports_assert_failure(tmp_path, capsys):
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { assert(x == 1); } }")

@@ -82,6 +82,21 @@ def test_always_unsat_solver_grades_against_expectations(tmp_path):
     assert _launches(log) == 3  # one smoke query, then one query per assert
 
 
+def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path):
+    """The constructor oracle has no arguments to bind, so only a contract
+    without functions and without constructor parameters is run by it."""
+    corpus = tmp_path / "corpus"
+    solver = _stub("unsat", tmp_path / "launches.log")
+    with_param = _write(corpus, "init", "param.sol", "contract C { int y; constructor(int a) { y = a; assert(y == a); } }")
+    outcome = run_test(with_param, solver_cmd=solver)
+    assert (outcome.observed, outcome.detail) == ("correct", "")
+    # without parameters the oracle still runs, and disagrees with a solver that always says unsat
+    without = _write(corpus, "init", "none.sol", "contract C { int y; constructor() { assert(y == 1); } }")
+    outcome = run_test(without, solver_cmd=solver)
+    assert outcome.observed == "incorrect"
+    assert outcome.detail.startswith("oracle disagrees")
+
+
 def test_solver_error_wins_over_a_counterexample(tmp_path, capsys):
     log = tmp_path / "launches.log"
     f = tmp_path / "t.sol"

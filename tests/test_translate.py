@@ -379,6 +379,21 @@ def test_memory_param_fixed_array_of_structs_assumes_each_element():
     ]
 
 
+@pytest.mark.parametrize("header", ["constructor(S memory m)", "function f(S memory m)"])
+def test_memory_param_cannot_alias_a_fresh_allocation(header):
+    """A memory parameter precedes every allocation in a constructor as in
+    a function: the state where `m` is the address `new` hands out next is
+    excluded, so the assert, which holds, is never reached failing."""
+    c = compile_source(
+        f"contract C {{ struct S {{ int x; }} {header} "
+        "{ int old = m.x; S memory n = S(old + 1); assert(m.x == old); } }"
+    )
+    fn = c.constructor or c.function("f")
+    ssa = to_ssa(normalize_lhs(translate_function(c, fn).program))
+    assert eval_ir(ssa.program, {"refcnt": 0, "m": 1}).status == "assume-violated"
+    assert eval_ir(ssa.program, {"refcnt": 1, "m": 1}).status == "ok"
+
+
 def test_returns_are_default_initialized():
     c = compile_source(DATA_STORAGE)
     tf = translate_function(c, c.function("get"))

@@ -219,6 +219,10 @@ def test_parse_model_preserves_composite_values():
     assert model["a"].startswith("(StorArr_int")
 
 
+def test_parse_model_skips_an_entry_whose_name_is_not_an_atom():
+    assert parse_model("((define-fun (x) () Int 3) (define-fun y () Int 4))") == {"y": "4"}
+
+
 def test_parse_model_of_a_3000_deep_value():
     """A value nested past the recursion limit parses to its own text."""
     value = "(store " * 3000 + "((as const (Array Int Int)) 0)" + " 1 2)" * 3000
