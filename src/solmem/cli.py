@@ -93,6 +93,15 @@ def cmd_run(args) -> int:
     if fn is None and args.entry != "constructor":
         print(f"error: no function named {args.entry}", file=sys.stderr)
         return 2
+    ctor = contract.constructor
+    if fn is not None and not fn.is_constructor and ctor is not None and ctor.params:
+        n = len(ctor.params)
+        print(
+            f"error: {fn.name} runs after the constructor, which takes {n} argument{'s' * (n != 1)}; "
+            f"--args holds only {fn.name}'s arguments",
+            file=sys.stderr,
+        )
+        return 2
     try:
         fn_args = json.loads(args.args) if args.args else []
         if fn is not None and not fn.is_constructor:

@@ -26,7 +26,9 @@ import random
 from collections import Counter
 
 from .errors import SourceError
-from .oracle import MemArray, MemRef, MemStruct, StorArray, StorMapping, StorPath, StorStruct, run_constructor
+from .oracle import (
+    MemArray, MemRef, MemStruct, OracleError, StorArray, StorMapping, StorPath, StorStruct, run_constructor,
+)
 from .parser import parse_source, parse_statement
 from .resolver import function_scope, resolve_and_check, resolve_statement, struct_refs
 from .sol_ast import (
@@ -149,8 +151,9 @@ class ProgramBuilder:
         statement, the scope and taken names after it and the
         interpreter state after running it on a clone of the pristine
         state; None, with the reason counted, if it does not parse or
-        resolve, or if its assert fails. An interpreter error is a bug
-        and propagates."""
+        resolve. An assert compares a read with the value sampled for
+        it, so a failing one is a sampler bug: it raises OracleError, and
+        an interpreter error propagates too."""
         ctor = self.contract.constructor
         scope, used_names = self.scope.copy(), set(self.used_names)
         try:
@@ -161,8 +164,7 @@ class ProgramBuilder:
             return None
         machine = self.pristine.clone()
         if not machine.exec_stmt(stmt):
-            self.rejections["assert-failed"] += 1
-            return None
+            raise OracleError(f"sampled assert fails: {line}")
         return stmt, scope, used_names, machine
 
     def commit(self, line: str) -> bool:
@@ -285,17 +287,12 @@ class ProgramBuilder:
         elem = ty.base
         if is_value_type(elem):
             value = self._literal(elem)
-        elif isinstance(elem, StructType) and _memory_safe(elem, self.structs):
+        else:
+            # the dynamic arrays of _STRUCTS and _STATE_POOLS hold values
+            # or memory-safe structs
             value = self._struct_ctor_src(elem)
             if not value:
                 return False
-        else:
-            sources = [
-                t for t, sty, sv in self._storage_paths() if sty == elem
-            ]
-            if not sources:
-                return False
-            value = self.rng.choice(sources)
         return self.commit(f"{text}.push({value});")
 
     def _struct_ctor_src(self, ty: StructType) -> str:

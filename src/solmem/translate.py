@@ -132,18 +132,6 @@ class TranslatedFunction:
     is_constructor: bool = False
 
 
-@dataclass
-class Operand:
-    """Assignment operand: type, location category, and at least one of a
-    source expression (for packing) or an already-translated term."""
-
-    ty: SolType
-    loc: Loc
-    ast: Expr | None = None
-    ir_value: IrExpr | None = None
-    ir_target: IrExpr | None = None
-
-
 class Translator:
     """Per-function translation context: one SMT program, one allocation
     counter, deduplicated datatype/heap declarations, a fresh-name supply,
@@ -177,12 +165,6 @@ class Translator:
 
     def emit(self, stmt: ir.IrStmt) -> None:
         self.stmts.append(stmt)
-
-    def struct_def(self, name: str):
-        sd = self.contract.struct(name)
-        if sd is None:
-            raise IrError(f"unknown struct {name}")
-        return sd
 
     def allocate(self) -> Ident:
         """refcnt := refcnt + 1; p := refcnt — fresh, never-aliasing address."""
@@ -221,7 +203,7 @@ class Translator:
             if isinstance(ty, StructType):
                 members = tuple(
                     (m.name, self.map_type(m.ty, part_loc(m.ty, loc)))
-                    for m in self.struct_def(ty.name).members
+                    for m in self.contract.struct(ty.name).members
                 )
             else:
                 elem = self.map_type(ty.base, part_loc(ty.base, loc))
@@ -410,7 +392,7 @@ class Translator:
             # a memory struct is allocated first, then its members defaulted
             ptr = self.allocate() if loc == Loc.MEMORY else None
             args = tuple(
-                self.default_value(m.ty, part_loc(m.ty, loc)) for m in self.struct_def(ty.name).members
+                self.default_value(m.ty, part_loc(m.ty, loc)) for m in self.contract.struct(ty.name).members
             )
             value = Construct(self._datatype_at(ty, loc), args)
             if ptr is None:
@@ -452,8 +434,9 @@ class Translator:
     # ------------------------------------------------------------------
     # expressions
 
-    def expr(self, e: Expr) -> IrExpr:
-        """Rvalue translation; side effects are emitted in order."""
+    def expr(self, e: Expr | IrExpr) -> IrExpr:
+        """Rvalue translation; side effects are emitted in order. An IR
+        term is already translated and is returned as is."""
         if isinstance(e, IdentExpr):
             return Ident(e.name)
         if isinstance(e, IntLitExpr):
@@ -477,17 +460,22 @@ class Translator:
             return BinOp(op, self.expr(e.left), self.expr(e.right))
         if isinstance(e, UnExpr):
             return UnOp("not" if e.op == "!" else "neg", self.expr(e.operand))
+        if isinstance(e, IrExpr):
+            return e
         raise IrError(f"unknown expression {e!r}")
 
-    def lvalue(self, e: Expr) -> IrExpr:
+    def lvalue(self, e: Expr | IrExpr) -> IrExpr:
         """Assignment-target translation: raw selects and reads, with the
-        pointer dereference inserted at storage-pointer bases."""
+        pointer dereference inserted at storage-pointer bases. An IR term
+        is already translated and is returned as is."""
         if isinstance(e, IdentExpr):
             return Ident(e.name)
         if isinstance(e, MemberExpr):
             return self._member(e, lvalue=True)
         if isinstance(e, IndexExpr):
             return self._index(e, lvalue=True)
+        if isinstance(e, IrExpr):
+            return e
         raise IrError(f"not an lvalue: {expr_to_source(e)}")
 
     def _storage_base(self, base: Expr, lvalue: bool) -> IrExpr:
@@ -543,14 +531,8 @@ class Translator:
         var_ty = self.map_type(e.ty, e.loc)
         var_t = self.fresh("cond_t", var_ty)
         var_f = self.fresh("cond_f", var_ty)
-        self.assign(
-            Operand(e.ty, e.loc, ir_target=var_t, ir_value=var_t),
-            self.operand_of(e.then),
-        )
-        self.assign(
-            Operand(e.ty, e.loc, ir_target=var_f, ir_value=var_f),
-            self.operand_of(e.other),
-        )
+        self.assign(e.ty, e.loc, var_t, e.then.loc, e.then)
+        self.assign(e.ty, e.loc, var_f, e.other.loc, e.other)
         return Ite(cond, var_t, var_f)
 
     def _new_array(self, e: NewArrayExpr) -> IrExpr:
@@ -561,74 +543,49 @@ class Translator:
     def _struct_ctor(self, e: StructCtorExpr) -> IrExpr:
         ty = StructType(e.name)
         self.map_type(ty, Loc.MEMORY)
-        sd = self.struct_def(e.name)
+        sd = self.contract.struct(e.name)
         ptr = self.allocate()
         dt = self._datatype_at(ty, Loc.MEMORY)
         for member, arg in zip(sd.members, e.args):
             slot = Select(self.heap_read(ty, ptr), member.name, dt)
-            loc = part_loc(member.ty, Loc.MEMORY)
-            self.assign(Operand(member.ty, loc, ir_target=slot), self.operand_of(arg))
+            self.assign(member.ty, part_loc(member.ty, Loc.MEMORY), slot, arg.loc, arg)
         return ptr
 
     # ------------------------------------------------------------------
     # assignment
 
-    def operand_of(self, e: Expr) -> Operand:
-        return Operand(e.ty, e.loc, ast=e)
+    def assign(self, ty: SolType, loc: Loc, target: Expr | IrExpr, rloc: Loc, source: Expr | IrExpr) -> None:
+        """Location-directed assignment of `source`, found at `rloc`, to
+        the `ty` slot `target` at `loc`. Each operand is a resolved
+        expression, which `lvalue` or `expr` translates where the
+        assignment first needs it, or an IR term already translated. One
+        matrix keyed on (loc, rloc) of reference types:
 
-    def _value_of(self, op: Operand) -> IrExpr:
-        if op.ir_value is None:
-            assert op.ast is not None
-            op.ir_value = self.expr(op.ast)
-        return op.ir_value
-
-    def _target_of(self, op: Operand) -> IrExpr:
-        if op.ir_target is None:
-            assert op.ast is not None
-            op.ir_target = self.lvalue(op.ast)
-        return op.ir_target
-
-    def _pack_operand(self, op: Operand) -> IrExpr:
-        """Pointer value of a storage-category operand."""
-        if op.ast is None:
-            raise IrError("cannot pack a synthesized storage value")
-        return self.pack(op.ast)
-
-    def assign(self, lhs: Operand, rhs: Operand) -> None:
-        """Location-directed assignment: one matrix keyed on the data
-        locations (lhs.loc, rhs.loc) of reference types.
-
-            lhs \\ rhs   storage      memory      storage pointer
+            loc \\ rloc  storage      memory      storage pointer
             storage     copy         deep copy   unpack
             memory      deep copy    copy        unpack, deep copy
             pointer     pack         (error)     copy
 
-        Value types always copy. A mapping is never copied: only a
-        storage pointer to it can be set. Between storage and memory, the
-        type matters only inside the two deep-copy helpers.
+        Value types always copy. The resolver rejects copying a mapping,
+        so only a storage pointer to one is ever set. Between storage and
+        memory, the type matters only in the deep copy.
         """
-        if is_value_type(lhs.ty):
-            self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
-            return
-        if lhs.loc == Loc.STORPTR:
-            if rhs.loc == Loc.MEMORY:
+        if loc == Loc.STORPTR and rloc != Loc.STORPTR:
+            if rloc == Loc.MEMORY:
                 raise IrError("memory cannot be assigned to a storage pointer")
-            target = self._target_of(lhs)
-            value = self._pack_operand(rhs) if rhs.loc == Loc.STORAGE else self._value_of(rhs)
-            self.emit(Assign(target, value))
-            return
-        if isinstance(lhs.ty, MappingType):
-            # keys are not stored, so a mapping cannot be copied: the
-            # resolver rejects such assignments, and `delete` of a whole
-            # mapping has no effect
-            return
-        if rhs.loc == Loc.STORPTR:
-            unpacked = self.unpack(self._value_of(rhs), rhs.ty)
-            rhs = Operand(rhs.ty, Loc.STORAGE, ir_value=unpacked)
-        if rhs.loc == lhs.loc:
-            self.emit(Assign(self._target_of(lhs), self._value_of(rhs)))
+            if not isinstance(source, Expr):
+                raise IrError("cannot pack a synthesized storage value")
+            self.emit(Assign(self.lvalue(target), self.pack(source)))
+        elif is_value_type(ty) or loc == rloc:
+            self.emit(Assign(self.lvalue(target), self.expr(source)))
+        elif rloc == Loc.STORPTR:
+            value = self.unpack(self.expr(source), ty)
+            if loc == Loc.STORAGE:
+                self.emit(Assign(self.lvalue(target), value))
+            else:
+                self._deep_copy(ty, loc, target, value, Loc.STORAGE)
         else:
-            self._deep_copy(lhs, self._value_of(rhs), rhs.loc)
+            self._deep_copy(ty, loc, target, self.expr(source), rloc)
 
     def _array_bound(self, ty: SolType, length: IrExpr, unsupported: str) -> int:
         """Unroll bound for element-wise array work: the compile-time
@@ -644,11 +601,10 @@ class Translator:
             return self.unroll
         raise UnsupportedError(unsupported)
 
-    def _deep_copy(self, lhs: Operand, src: IrExpr, src_loc: Loc) -> None:
+    def _deep_copy(self, ty: SolType, dst_loc: Loc, target: Expr | IrExpr, src: IrExpr, src_loc: Loc) -> None:
         """Deep copy between storage and memory. `src` is a storage value
         or a pointer to a memory entity; a copy into memory fills a fresh
-        allocation, which `lhs` then points to."""
-        ty, dst_loc = lhs.ty, lhs.loc
+        allocation, which `target` then points to."""
         src_dt = self._datatype_at(ty, src_loc)
         dst_dt = self._datatype_at(ty, dst_loc)
         ptr = None
@@ -668,35 +624,23 @@ class Translator:
                 elem_ty = self.map_type(base, part_loc(base, dst_loc))
                 blank = self.default_value(base, Loc.STORAGE) if dst_loc == Loc.STORAGE else IntLit(0)
                 whole = Construct(dst_dt, (ConstArray(ir.INT, elem_ty, blank), length))
-        dst = self._target_of(lhs) if ptr is None else self.heap_read(ty, ptr)
+        dst = self.lvalue(target) if ptr is None else self.heap_read(ty, ptr)
         if whole is not None:
             self.emit(Assign(dst, whole))
-        self._copy_parts(ty, bound, dst, dst_loc, src, src_loc)
+        dst_parts, src_parts = self._parts(ty, dst, dst_loc, bound), self._parts(ty, src, src_loc, bound)
+        for (part_ty, dst_part), (_, src_part) in zip(dst_parts, src_parts):
+            self.assign(part_ty, part_loc(part_ty, dst_loc), dst_part, part_loc(part_ty, src_loc), src_part)
         if ptr is not None:
-            self.emit(Assign(self._target_of(lhs), ptr))
+            self.emit(Assign(self.lvalue(target), ptr))
 
-    def _copy_parts(
-        self, ty: SolType, bound: int, dst: IrExpr, dst_loc: Loc, src: IrExpr, src_loc: Loc
-    ) -> None:
-        """Assign each member of the struct `src`, or each of the first
-        `bound` elements of the array `src`, to the same part of `dst`."""
-        dst_dt, src_dt = self._datatype_at(ty, dst_loc), self._datatype_at(ty, src_loc)
+    def _parts(self, ty: SolType, entity: IrExpr, loc: Loc, bound: int) -> list[tuple[SolType, IrExpr]]:
+        """(type, term) of each member of the struct `entity`, or of each
+        of the first `bound` elements of the array `entity`, held at `loc`."""
+        dt = self._datatype_at(ty, loc)
         if isinstance(ty, StructType):
-            parts = [
-                (m.ty, Select(dst, m.name, dst_dt), Select(src, m.name, src_dt))
-                for m in self.struct_def(ty.name).members
-            ]
-        else:
-            dst_arr, src_arr = Select(dst, "arr", dst_dt), Select(src, "arr", src_dt)
-            parts = [
-                (ty.base, ArrayRead(dst_arr, IntLit(i)), ArrayRead(src_arr, IntLit(i)))
-                for i in range(bound)
-            ]
-        for part_ty, dst_part, src_part in parts:
-            self.assign(
-                Operand(part_ty, part_loc(part_ty, dst_loc), ir_target=dst_part),
-                Operand(part_ty, part_loc(part_ty, src_loc), ir_value=src_part),
-            )
+            return [(m.ty, Select(entity, m.name, dt)) for m in self.contract.struct(ty.name).members]
+        arr = Select(entity, "arr", dt)
+        return [(ty.base, ArrayRead(arr, IntLit(i))) for i in range(bound)]
 
     # ------------------------------------------------------------------
     # statements
@@ -724,20 +668,19 @@ class Translator:
         loc = s.loc
         var_ty = self.map_type(s.var_type, loc)
         self.program.declare(s.name, var_ty)
-        target = Operand(s.var_type, loc, ir_target=Ident(s.name), ir_value=Ident(s.name))
         if s.init is not None:
-            self.assign(target, self.operand_of(s.init))
+            self.assign(s.var_type, loc, Ident(s.name), s.init.loc, s.init)
         else:
-            default = self.default_value(s.var_type, loc)
-            self.assign(target, Operand(s.var_type, loc, ir_value=default))
+            self.assign(s.var_type, loc, Ident(s.name), loc, self.default_value(s.var_type, loc))
 
     def _assign_stmt(self, s: AssignStmt) -> None:
         if len(s.lhs) == 1:
-            self.assign(self.operand_of(s.lhs[0]), self.operand_of(s.rhs[0]))
+            lhs, rhs = s.lhs[0], s.rhs[0]
+            self.assign(lhs.ty, lhs.loc, lhs, rhs.loc, rhs)
             return
         # tuple: evaluate the right side left to right (storage entities
         # evaluate to pointers), assign right to left
-        temps: list[Operand] = []
+        temps: list[tuple[Loc, Ident]] = []
         for r in s.rhs:
             if is_value_type(r.ty):
                 loc, ty = Loc.VALUE, self.map_type(r.ty, Loc.VALUE)
@@ -747,9 +690,9 @@ class Translator:
                 loc, ty = Loc.STORPTR, PTR
             tmp = self.fresh("tmp", ty)
             self.emit(Assign(tmp, self.pack(r) if r.loc == Loc.STORAGE else self.expr(r)))
-            temps.append(Operand(r.ty, loc, ir_value=tmp))
-        for target, tmp_op in reversed(list(zip(s.lhs, temps))):
-            self.assign(self.operand_of(target), tmp_op)
+            temps.append((loc, tmp))
+        for target, (loc, tmp) in reversed(list(zip(s.lhs, temps))):
+            self.assign(target.ty, target.loc, target, loc, tmp)
 
     def _push_stmt(self, s: PushStmt) -> None:
         dt = self._datatype_at(s.target.ty, s.target.loc)
@@ -757,8 +700,7 @@ class Translator:
         elem = s.target.ty.base
         length = Select(entity, "length", dt)
         slot = ArrayRead(Select(entity, "arr", dt), length)
-        loc = part_loc(elem, Loc.STORAGE)
-        self.assign(Operand(elem, loc, ir_target=slot), self.operand_of(s.value))
+        self.assign(elem, part_loc(elem, Loc.STORAGE), slot, s.value.loc, s.value)
         self.emit(Assign(length, ir.add(length, IntLit(1))))
 
     def _pop_stmt(self, s: PopStmt) -> None:
@@ -773,7 +715,7 @@ class Translator:
         # the resolver rejects deleting a storage pointer variable
         target = s.target
         default = self.default_value(target.ty, target.loc)
-        self.assign(self.operand_of(target), Operand(target.ty, target.loc, ir_value=default))
+        self.assign(target.ty, target.loc, target, target.loc, default)
 
     # ------------------------------------------------------------------
     # functions
@@ -783,24 +725,15 @@ class Translator:
         pointer, and recursively every reference it contains, precedes
         all fresh allocations."""
         self.emit(Assume(ir.le(pointer, Ident(REFCNT))))
-        if isinstance(ty, StructType):
-            sd = self.struct_def(ty.name)
-            dt = self._datatype_at(ty, Loc.MEMORY)
-            for m in sd.members:
-                if is_reference_type(m.ty):
-                    self._assume_memory_pointer(m.ty, Select(self.heap_read(ty, pointer), m.name, dt))
-            return
+        bound = 0
         if isinstance(ty, (DynArrayType, FixArrayType)):
-            base = ty.base
-            if not is_reference_type(base):
+            if not is_reference_type(ty.base):
                 return
-            dt = self._datatype_at(ty, Loc.MEMORY)
-            heap_val = self.heap_read(ty, pointer)
-            length = Select(heap_val, "length", dt)
             if isinstance(ty, FixArrayType):
                 bound = ty.size
             elif self.unroll is not None:
                 bound = self.unroll
+                length = Select(self.heap_read(ty, pointer), "length", self._datatype_at(ty, Loc.MEMORY))
                 self.emit(Assume(ir.le(length, IntLit(bound))))
             else:
                 raise UnsupportedError(
@@ -808,9 +741,9 @@ class Translator:
                     "of reference base type requires quantified non-aliasing "
                     "assumptions (use --unroll)"
                 )
-            for i in range(bound):
-                elem = ArrayRead(Select(self.heap_read(ty, pointer), "arr", dt), IntLit(i))
-                self._assume_memory_pointer(base, elem)
+        for part_ty, part in self._parts(ty, self.heap_read(ty, pointer), Loc.MEMORY, bound):
+            if is_reference_type(part_ty):
+                self._assume_memory_pointer(part_ty, part)
 
     def translate_function(self, fn: Function) -> TranslatedFunction:
         for v in self.contract.state_vars:
@@ -818,19 +751,14 @@ class Translator:
         for p in fn.params + fn.returns:
             self.program.declare(p.name, self.map_type(p.ty, p.loc))
         if fn.is_constructor:
-            # direct default assignments: the mapping row of the
-            # assignment matrix must not swallow state initialization
+            # every state variable starts at its default, assigned as is
             for v in self.contract.state_vars:
                 self.emit(Assign(Ident(v.name), self.default_value(v.ty, part_loc(v.ty, Loc.STORAGE))))
         for p in fn.params:
             if p.loc == Loc.MEMORY:
                 self._assume_memory_pointer(p.ty, Ident(p.name))
         for p in fn.returns:
-            default = self.default_value(p.ty, p.loc)
-            self.assign(
-                Operand(p.ty, p.loc, ir_target=Ident(p.name), ir_value=Ident(p.name)),
-                Operand(p.ty, p.loc, ir_value=default),
-            )
+            self.assign(p.ty, p.loc, Ident(p.name), p.loc, self.default_value(p.ty, p.loc))
         for s in fn.body:
             self.stmt(s)
         return TranslatedFunction(fn.name, self.program, self.asserts, fn.is_constructor)

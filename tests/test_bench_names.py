@@ -4,11 +4,16 @@
 `perfbench/spans.py` wraps functions and methods in place
 (`IMPORT_SITES`), so a rename would otherwise show up only when the
 benchmark runs. Both tables are read from the benchmark's source, not
-imported, so this test depends on nothing else in `perfbench/`.
+imported, so these name checks depend on nothing else in `perfbench/`.
+The benchmark's own tests, which pin its deterministic counts, run in a
+subprocess.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +40,15 @@ def test_benchmark_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_benchmark_tests_pass():
+    """`perfbench`'s tests pin counts such as the corpus SMT bytes per
+    pass. They run in their own process, since `pipeline.load_stages`
+    purges `solmem.*` from `sys.modules`."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+        cwd=PERFBENCH.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

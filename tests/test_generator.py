@@ -158,3 +158,21 @@ def test_interpreter_errors_are_not_rejected_candidates(monkeypatch):
     [outcome] = run_fuzz(range(1), jobs=1)
     assert (outcome.observed, outcome.detail) == ("invalid", "pipeline error: interpreter bug")
     assert outcome.rejections == {}
+
+
+def test_failing_sampled_assert_is_an_error(monkeypatch):
+    """Each assert compares a read with the value sampled for it, so one
+    that fails shows a wrong sampler: it raises, naming the line, and the
+    fuzz loop reports the seed as invalid instead of dropping the
+    assert."""
+    real_reads = ProgramBuilder._value_reads
+
+    def off_by_one(self):
+        return [(text, ty, v if isinstance(v, bool) else v + 1) for text, ty, v in real_reads(self)]
+
+    monkeypatch.setattr(ProgramBuilder, "_value_reads", off_by_one)
+    with pytest.raises(OracleError, match=r"^sampled assert fails: assert\(.+ == -?\d+\);$"):
+        ProgramBuilder(0, 10).build()
+    [outcome] = run_fuzz(range(1), jobs=1)
+    assert outcome.observed == "invalid"
+    assert outcome.detail.startswith("pipeline error: sampled assert fails: assert(")

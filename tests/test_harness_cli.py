@@ -221,6 +221,9 @@ def test_cli_run_reports_assert_failure(tmp_path, capsys):
 
 
 _ONE_ARG = "contract C { int x; function f(int a) { x = a; } }"
+_CTOR_ARG = "contract C { int y; constructor(int a) { y = a; } function f(int b) { y = b; } }"
+_POINTER_ARG = "contract C { int[] xs; function f(int[] storage p) { } }"
+_MEMORY_ARGS = "contract C { struct S { int x; } function f(int[2] memory m, S memory s) { } }"
 
 
 @pytest.mark.parametrize(
@@ -230,6 +233,13 @@ _ONE_ARG = "contract C { int x; function f(int a) { x = a; } }"
         (_ONE_ARG, ["--entry", "f", "--args", "[1,"], "--args is not valid JSON"),
         (_ONE_ARG, ["--entry", "f", "--args", '["a"]'], "argument a: expected int, got 'a'"),
         (_ONE_ARG, ["--entry", "f", "--args", '{"a":1}'], "f takes a list of 1 arguments"),
+        (_CTOR_ARG, ["--entry", "f", "--args", "[3]"],
+         "f runs after the constructor, which takes 1 argument; --args holds only f's arguments"),
+        (_POINTER_ARG, ["--entry", "f", "--args", "[[0, true]]"], "expected a storage path (list of integers)"),
+        (_POINTER_ARG, ["--entry", "f", "--args", "[5]"], "expected a storage path (list of integers)"),
+        (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2, 3], {"x": 1}]'], "argument m: expected int[2]"),
+        (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2], {"y": 1}]'], "argument s: expected S"),
+        (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2], {"x": 1, "y": 2}]'], "argument s: expected S"),
         ("contract C { int x; constructor() { x = " + "(" * 400 + "1" + ")" * 400 + "; } }", [],
          "source nested too deeply to parse and resolve (RecursionError)"),
         # The oracle evaluates a long sum with a loop, but takes frames per
@@ -242,8 +252,9 @@ _ONE_ARG = "contract C { int x; function f(int a) { x = a; } }"
          "value or expression nested too deeply to run (RecursionError)"),
     ],
     ids=[
-        "missing-file", "malformed-json", "wrong-type", "not-a-list", "too-deep-to-parse", "too-deep-to-run",
-        "too-deep-to-serialize",
+        "missing-file", "malformed-json", "wrong-type", "not-a-list", "constructor-takes-arguments",
+        "pointer-not-integers", "pointer-not-a-list", "memory-array-size", "memory-struct-member",
+        "memory-struct-extra-member", "too-deep-to-parse", "too-deep-to-run", "too-deep-to-serialize",
     ],
 )
 def test_cli_run_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, source, argv, message):

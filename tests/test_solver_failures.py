@@ -9,15 +9,19 @@ launched only once per run.
 import json
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from solmem import solver
 from solmem.cli import main
-from solmem.harness import OUTCOMES, render_table, run_corpus, run_test
-from solmem.verify import AssertResult, FunctionReport, VerifyReport
+from solmem.errors import SolverFailure
+from solmem.harness import OUTCOMES, judge, render_table, run_corpus, run_test
+from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
 
 STUB = Path(__file__).parent / "stub_solver.py"
 SRC = Path(__file__).parent.parent / "src"
@@ -150,3 +154,48 @@ def test_table_columns_sum_to_each_class_total(tmp_path):
         assert len(counts) == len(OUTCOMES)
         assert sum(map(int, counts)) == int(r.group(2))
     assert "init (2)" in table
+
+
+def test_solver_past_its_timeout_is_killed_and_reaped():
+    sleeper = shlex.join([sys.executable, "-c", "import time; time.sleep(60)"])
+    start = time.monotonic()
+    verdict = solver.check("(check-sat)\n", timeout_seconds=0.5, solver_cmd=sleeper)
+    assert verdict.kind == "timeout"
+    assert time.monotonic() - start < 10
+
+
+def test_unknown_verdict_is_graded_incorrect(tmp_path):
+    log = tmp_path / "launches.log"
+    assert solver.check("(check-sat)\n", solver_cmd=_stub("unknown", log)).kind == "unknown"
+    # the smoke query must be refuted; the assert's query then gets unknown
+    report = verify_source("contract C { function f(int a) { assert(a == 1); } }",
+                           solver_cmd=_stub("unsat,unknown", tmp_path / "verify.log"))
+    [[result]] = [f.asserts for f in report.functions]
+    assert result.verdict == "unknown"
+    outcome, detail, compared = judge(report, {})
+    assert (outcome, compared) == ("incorrect", 0)
+    assert detail.startswith("f:1: solver said unknown")
+
+
+@pytest.mark.parametrize(
+    "env, on_path, command",
+    [
+        ("my-solver --flag", {"z3", "cvc5", "node"}, ["my-solver", "--flag"]),
+        (None, {"z3", "cvc5", "node"}, ["z3", "-in"]),
+        (None, {"cvc5", "node"}, ["cvc5", "--lang", "smt2"]),
+        (None, {"node"}, ["node", str(solver._bundled_shim())]),
+        (None, set(), None),
+    ],
+    ids=["environment", "z3", "cvc5", "node-shim", "none"],
+)
+def test_default_solver_command_resolution_order(monkeypatch, env, on_path, command):
+    if env is None:
+        monkeypatch.delenv("SOLMEM_SOLVER", raising=False)
+    else:
+        monkeypatch.setenv("SOLMEM_SOLVER", env)
+    monkeypatch.setattr(shutil, "which", lambda name: f"/bin/{name}" if name in on_path else None)
+    if command is None:
+        with pytest.raises(SolverFailure, match="no SMT solver found"):
+            solver.default_solver_command()
+    else:
+        assert solver.default_solver_command() == command
