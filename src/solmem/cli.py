@@ -38,7 +38,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unroll", type=int, default=None, metavar="N",
-                   help="bound element-wise copies of dynamic arrays by N (adds length assumptions)")
+                   help="assume dynamic array lengths <= N and unroll their copies: verified covers only those lengths")
 
 
 def cmd_verify(args) -> int:

@@ -11,10 +11,11 @@ the translator reports as unsupported. Output is deterministic per seed.
 
 Checking is incremental. The skeleton (structs, state variables, an
 empty constructor) is parsed, resolved and run once; a candidate line is
-then lexed and parsed on its own as one statement, resolved against a
-copy of the constructor's scope and taken names, and run alone on a
-clone of the interpreter state after the kept statements (the pristine
-state). Sampling reads the pristine state itself, since interpreter
+then lexed and parsed on its own as one statement, resolved against the
+constructor's scope and taken names, which change only once it
+resolves, and kept: it runs alone, in place, on the interpreter state
+after the kept statements (the pristine state). The locals are the
+scope's. Sampling reads the pristine state itself, since interpreter
 reads never change state: one walk samples the storage, pointer and
 memory roots, each value once. Rejected candidates are counted by
 reason.
@@ -22,6 +23,7 @@ reason.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 
@@ -37,6 +39,7 @@ from .sol_ast import (
     UINT,
     DynArrayType,
     FixArrayType,
+    Loc,
     MappingType,
     SolType,
     StructType,
@@ -109,7 +112,6 @@ class ProgramBuilder:
         count = self.rng.randint(3, min(6, len(pool)))
         self.state_vars = self.rng.sample(pool, count)
         self.lines: list[str] = []  # source lines of the constructor body
-        self.locals: list[tuple[str, SolType, str]] = []  # name, type, loc
         self.counter = 0
         self.rejections: Counter[str] = Counter()  # rejected candidates by reason
         # the skeleton, parsed and resolved once; its constructor body
@@ -146,35 +148,28 @@ class ProgramBuilder:
 
     # ----- incremental checking ----------------------------------------
 
-    def _try(self, line: str):
-        """Check `line` as the next statement. Returns the resolved
-        statement, the scope and taken names after it and the
-        interpreter state after running it on a clone of the pristine
-        state; None, with the reason counted, if it does not parse or
+    def commit(self, line: str) -> bool:
+        """Keep `line` as the next statement and run it on the pristine
+        state; False, with the reason counted, if it does not parse or
         resolve. An assert compares a read with the value sampled for
         it, so a failing one is a sampler bug: it raises OracleError, and
         an interpreter error propagates too."""
         ctor = self.contract.constructor
-        scope, used_names = self.scope.copy(), set(self.used_names)
         try:
             stmt = parse_statement(line, ctor.line + 1 + len(ctor.body), len(_INDENT) + 1)
-            resolve_statement(self.contract, ctor, stmt, scope, used_names)
+            resolve_statement(self.contract, ctor, stmt, self.scope, self.used_names)
         except SourceError as e:
             self.rejections[type(e).__name__] += 1
-            return None
-        machine = self.pristine.clone()
-        if not machine.exec_stmt(stmt):
-            raise OracleError(f"sampled assert fails: {line}")
-        return stmt, scope, used_names, machine
-
-    def commit(self, line: str) -> bool:
-        checked = self._try(line)
-        if checked is None:
             return False
-        stmt, self.scope, self.used_names, self.pristine = checked
-        self.contract.constructor.body.append(stmt)
+        if not self.pristine.exec_stmt(stmt):
+            raise OracleError(f"sampled assert fails: {line}")
+        ctor.body.append(stmt)
         self.lines.append(line)
         return True
+
+    def _locals(self, loc: Loc) -> list[tuple[str, SolType]]:
+        """(name, type) of the constructor's locals at `loc`, in declaration order."""
+        return [(name, ty) for name, (_, ty, at, kind) in self.scope.items() if kind == "local" and at == loc]
 
     # ----- state sampling ---------------------------------------------
 
@@ -213,18 +208,18 @@ class ProgramBuilder:
     def _pointer_paths(self):
         """Storage lvalues reachable through live storage pointers."""
         out = []
-        for name, ty, loc in self.locals:
+        for name, ty in self._locals(Loc.STORPTR):
             pointer = self.pristine.locals.get(name)
-            if loc == "storage" and isinstance(pointer, StorPath):
+            if isinstance(pointer, StorPath):
                 self._walk(out, name, ty, self.pristine.deref_path(pointer), 1, 2, 1)
         return out
 
     def _memory_values(self):
         """Memory locals (as references) and their members and elements."""
         out = []
-        for name, ty, loc in self.locals:
+        for name, ty in self._locals(Loc.MEMORY):
             ref = self.pristine.locals.get(name)
-            if loc == "memory" and isinstance(ref, MemRef):
+            if isinstance(ref, MemRef):
                 self._walk(out, name, ty, ref, 1, 2, 0)
         return out
 
@@ -236,8 +231,8 @@ class ProgramBuilder:
                 reads.append((text, ty, value))
             elif isinstance(value, StorArray):
                 reads.append((f"{text}.length", UINT, value.length))
-        for name, ty, loc in self.locals:
-            if loc == "value" and name in self.pristine.locals:
+        for name, ty in self._locals(Loc.VALUE):
+            if name in self.pristine.locals:
                 reads.append((name, ty, self.pristine.locals[name]))
         return reads
 
@@ -253,7 +248,7 @@ class ProgramBuilder:
             (t, ty) for t, ty, _ in self._storage_paths() + self._pointer_paths() + self._memory_values()
             if is_value_type(ty)
         ]
-        targets += [(n, ty) for n, ty, loc in self.locals if loc == "value"]
+        targets += self._locals(Loc.VALUE)
         if not targets:
             return False
         text, ty = self.rng.choice(targets)
@@ -270,17 +265,18 @@ class ProgramBuilder:
         ty = self.rng.choice([INT, UINT, BOOL])
         name = self.fresh("v")
         init = f" = {self._literal(ty)}" if self.rng.random() < 0.8 else ""
-        if self.commit(f"{ty} {name}{init};"):
-            self.locals.append((name, ty, "value"))
-            return True
-        return False
+        return self.commit(f"{ty} {name}{init};")
 
-    def _op_push(self) -> bool:
-        arrays = [
+    def _dyn_arrays(self):
+        """Dynamic storage arrays reached directly or through pointers."""
+        return [
             (t, ty, v)
             for t, ty, v in self._storage_paths() + self._pointer_paths()
-            if isinstance(ty, DynArrayType) and isinstance(v, StorArray) and v.length < 4
+            if isinstance(ty, DynArrayType) and isinstance(v, StorArray)
         ]
+
+    def _op_push(self) -> bool:
+        arrays = [a for a in self._dyn_arrays() if a[2].length < 4]
         if not arrays:
             return False
         text, ty, _ = self.rng.choice(arrays)
@@ -315,11 +311,7 @@ class ProgramBuilder:
         return f"{ty.name}({', '.join(args)})"
 
     def _op_pop(self) -> bool:
-        arrays = [
-            (t, ty, v)
-            for t, ty, v in self._storage_paths() + self._pointer_paths()
-            if isinstance(ty, DynArrayType) and isinstance(v, StorArray) and v.length > 0
-        ]
+        arrays = [a for a in self._dyn_arrays() if a[2].length > 0]
         if not arrays:
             return False
         text, _, _ = self.rng.choice(arrays)
@@ -346,18 +338,15 @@ class ProgramBuilder:
             return False
         text, ty = self.rng.choice(refs)
         name = self.fresh("p")
-        if self.commit(f"{ty} storage {name} = {text};"):
-            self.locals.append((name, ty, "storage"))
-            return True
-        return False
+        return self.commit(f"{ty} storage {name} = {text};")
 
     def _op_repoint(self) -> bool:
-        pointers = [(n, ty) for n, ty, loc in self.locals if loc == "storage"]
+        pointers = self._locals(Loc.STORPTR)
         if not pointers:
             return False
         name, ty = self.rng.choice(pointers)
         candidates = [t for t, t2, _ in self._storage_paths() if t2 == ty]
-        candidates += [n for n, t2, loc in self.locals if loc == "storage" and t2 == ty and n != name]
+        candidates += [n for n, t2 in pointers if t2 == ty and n != name]
         if not candidates:
             return False
         return self.commit(f"{name} = {self.rng.choice(candidates)};")
@@ -392,10 +381,7 @@ class ProgramBuilder:
                 return False
             text, ty = self.rng.choice(refs)
             line = f"{ty} memory {name} = {text};"
-        if self.commit(line):
-            self.locals.append((name, ty, "memory"))
-            return True
-        return False
+        return self.commit(line)
 
     def _op_copy_into_storage(self) -> bool:
         mems = [
@@ -405,17 +391,17 @@ class ProgramBuilder:
         ]
         if not mems:
             return False
-        src, ty = self.rng.choice(mems)
-        targets = [t for t, t2, _ in self._storage_paths() + self._pointer_paths() if t2 == ty]
-        if not targets:
-            return False
-        return self.commit(f"{self.rng.choice(targets)} = {src};")
+        return self._copy_to_storage(*self.rng.choice(mems))
 
     def _op_storage_copy(self) -> bool:
         refs = [(t, ty) for t, ty, _ in self._storage_paths() if is_reference_type(ty) and not isinstance(ty, MappingType)]
         if not refs:
             return False
-        src, ty = self.rng.choice(refs)
+        return self._copy_to_storage(*self.rng.choice(refs))
+
+    def _copy_to_storage(self, src: str, ty: SolType) -> bool:
+        """`target = src;` for a storage lvalue of type `ty` other than
+        `src`, reached directly or through a pointer."""
         targets = [t for t, t2, _ in self._storage_paths() + self._pointer_paths() if t2 == ty and t != src]
         if not targets:
             return False
@@ -423,17 +409,12 @@ class ProgramBuilder:
 
     def _op_tuple_swap(self) -> bool:
         if self.rng.random() < 0.5:
-            vals = [(t, ty) for t, ty, _ in self._storage_paths() + self._pointer_paths() if is_value_type(ty)]
-            pairs = [(a, b) for a, aty in vals for b, bty in vals if a != b and value_compatible(aty, bty)]
-            if not pairs:
-                return False
-            a, b = self.rng.choice(pairs)
-            return self.commit(f"({a}, {b}) = ({b}, {a});")
-        structs = [
-            (t, ty) for t, ty, _ in self._storage_paths()
-            if isinstance(ty, StructType)
-        ]
-        pairs = [(a, b) for a, aty in structs for b, bty in structs if a != b and aty == bty]
+            parts = [(t, ty) for t, ty, _ in self._storage_paths() + self._pointer_paths() if is_value_type(ty)]
+            swappable = value_compatible
+        else:
+            parts = [(t, ty) for t, ty, _ in self._storage_paths() if isinstance(ty, StructType)]
+            swappable = operator.eq
+        pairs = [(a, b) for a, aty in parts for b, bty in parts if a != b and swappable(aty, bty)]
         if not pairs:
             return False
         a, b = self.rng.choice(pairs)
@@ -451,10 +432,7 @@ class ProgramBuilder:
         a = self.rng.choice(ints)[0]
         b = self.rng.choice(ints)[0]
         name = self.fresh("v")
-        if self.commit(f"int {name} = {cond} ? {a} : {b};"):
-            self.locals.append((name, INT, "value"))
-            return True
-        return False
+        return self.commit(f"int {name} = {cond} ? {a} : {b};")
 
     # ----- asserts -------------------------------------------------------
 

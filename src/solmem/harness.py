@@ -70,17 +70,19 @@ def parse_expectations(text: str) -> dict[int, str]:
     return expectations
 
 
-def oracle_expectations(contract: Contract) -> dict[int, str]:
-    """holds/fails per assert line the constructor oracle reached."""
-    return {a.line: "holds" if a.passed else "fails" for a in run_constructor(contract).asserts}
+def oracle_expectations(contract: Contract) -> list[str]:
+    """holds/fails of each assert the constructor oracle reached, in
+    order: by ordinal, since asserts may share a line."""
+    return ["holds" if a.passed else "fails" for a in run_constructor(contract).asserts]
 
 
 def judge(
-    report: VerifyReport, expected: dict[int, str], default: str | None = "holds"
+    report: VerifyReport, expected: dict[int, str] | list[str], default: str | None = "holds"
 ) -> tuple[str, str, int]:
     """(outcome, detail, asserts compared) of a report against the
-    expected holds/fails per assert line. Asserts on other lines expect
-    `default`, or are not compared when it is None."""
+    expected holds/fails per assert line or, given a list, per assert
+    ordinal in the report. Asserts it does not cover expect `default`,
+    or are not compared when it is None."""
     if report.error is not None:
         return "invalid", report.error, 0
     unsupported = report.unsupported or next((f.unsupported for f in report.functions if f.unsupported), None)
@@ -92,8 +94,11 @@ def judge(
             if a.verdict == kind:
                 return kind, f"{name}:{a.line}: {a.detail}".strip(), 0
     compared = 0
-    for name, a in results:
-        want = expected.get(a.line, default)
+    for ordinal, (name, a) in enumerate(results):
+        if isinstance(expected, list):
+            want = expected[ordinal] if ordinal < len(expected) else default
+        else:
+            want = expected.get(a.line, default)
         if want is None:
             continue
         if a.verdict not in ("verified", "counterexample"):

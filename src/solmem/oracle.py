@@ -209,25 +209,6 @@ class Machine:
             return StorMapping(v.key, v.value, {k: self.deep_copy(e) for k, e in v.entries.items()})
         return v
 
-    def clone(self) -> "Machine":
-        """An independent copy of the state sharing only the contract:
-        storage and default contexts are deep-copied, each heap object one
-        level deep (its entries are values, memory references or paths,
-        all immutable)."""
-        twin = Machine(self.contract)
-        twin.storage = {name: self.deep_copy(v) for name, v in self.storage.items()}
-        twin.heap = {
-            addr: MemStruct(obj.struct, dict(obj.members))
-            if isinstance(obj, MemStruct)
-            else MemArray(obj.elem, dict(obj.elems), obj.length)
-            for addr, obj in self.heap.items()
-        }
-        twin.next_addr = self.next_addr
-        twin.locals = dict(self.locals)
-        twin.default_contexts = {name: self.deep_copy(v) for name, v in self.default_contexts.items()}
-        twin.assert_results = list(self.assert_results)
-        return twin
-
     def _copy_across(self, ty: SolType, v: Any, dst: Loc) -> Any:
         """Deep copy of a storage value into fresh memory (`dst` is
         MEMORY), or of a memory entity into a fresh storage value tree

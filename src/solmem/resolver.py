@@ -514,5 +514,6 @@ def resolve_statement(contract: Contract, fn: Function, stmt, scope: Scope, used
     """Resolve `stmt` in place as the next statement of `fn`'s body of a
     resolved contract. `scope` holds the names visible before it and
     `used_names` every unique name the contract has taken; a declaration
-    adds to both."""
+    adds to both, and only once it resolves, so a statement that raises
+    leaves both unchanged."""
     Resolver(contract, used_names)._resolve_stmt(stmt, scope, fn)

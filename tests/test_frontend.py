@@ -393,6 +393,41 @@ def test_resolver_errors():
         ("contract C { struct S { int x; } S s; function f() returns (S storage r) { r = s; } }", "unsupported"),
         ("contract C { function f() { assert(1); } }", "boolean"),
         ("contract C { int refcnt; }", "reserved"),
+        ("contract C { function f() { } function f() { } }", "duplicate function f"),
+        ("contract C { struct S { int x; } struct S { int y; } }", "duplicate struct S"),
+        ("contract C { struct S { int x; int x; } }", "duplicate member S.x"),
+        ("contract C { struct S { int length; } }", "member name length is reserved"),
+        ("contract C { constructor() returns (int r) { } }", "constructors cannot have return values"),
+        ("contract C { function f(int a, int a) { } }", "duplicate parameter a"),
+        ("contract C { function f(int memory a) { } }", "data location not allowed"),
+        ("contract C { mapping(int => int)[] ms; function f() { ms.push(1); } }", "mappings cannot be pushed"),
+        ("contract C { int x; function f() { x.push(1); } }", "push requires a dynamic array"),
+        ("contract C { function f() { int[] memory a = new int[](1); a.pop(); } }", "pop is not allowed on memory arrays"),
+        ("contract C { mapping(int => int) m; function f() { delete m; } }", "delete cannot be applied to mappings"),
+        ("contract C { int x; function f() { delete 1; } }", "not assignable"),
+        ("contract C { int x; function f() { x = true; } }", "cannot assign bool to int"),
+        ("contract C { int[] a; int[2] b; function f() { a = b; } }", r"cannot assign int\[2\] to int\[\]"),
+        ("contract C { function f() { x = 1; } }", "unknown identifier x"),
+        ("contract C { struct S { mapping(int => int) m; } S[] a; function f() { a = new S[](1); } }", "mappings cannot be in memory"),
+        ("contract C { function f() { int[] memory a = new int[](true); } }", "array length must be an integer"),
+        ("contract C { function f() { int x = S(1); } }", "unknown struct S"),
+        ("contract C { struct S { mapping(int => int) m; } S s; function f() { s = S(1); } }", "mappings cannot be in memory"),
+        ("contract C { struct S { int x; } function f() { S memory s = S(1, 2); } }", "S constructor takes 1 arguments, got 2"),
+        ("contract C { function f() { bool b = !1; } }", "! requires a boolean operand"),
+        ("contract C { function f() { int x = -true; } }", "unary - requires an integer operand"),
+        ("contract C { int[] a; function f() { int x = a.size; } }", "arrays have no member size"),
+        ("contract C { int x; function f() { int y = x.z; } }", "member access on non-struct type int"),
+        ("contract C { struct S { int x; } S s; function f() { int y = s.z; } }", "struct S has no member z"),
+        ("contract C { mapping(int => int) m; function f() { int y = m[true]; } }", "mapping key must be int"),
+        ("contract C { int[] a; function f() { int y = a[true]; } }", "array index must be an integer"),
+        ("contract C { int x; function f() { int y = x[0]; } }", "indexing into non-array type int"),
+        ("contract C { function f() { int y = 1 ? 2 : 3; } }", "conditional guard must be boolean"),
+        ("contract C { function f(bool c) { int y = c ? 1 : true; } }", "incompatible branches int / bool"),
+        ("contract C { int[] a; int[2] b; function f(bool c) { int[] storage p = c ? a : b; } }", r"incompatible branches int\[\] / int\[2\]"),
+        ("contract C { function f() { bool b = 1 && true; } }", "&& requires boolean operands"),
+        ("contract C { function f() { int x = true + 1; } }", r"\+ requires integer operands"),
+        ("contract C { function f() { bool b = true < 1; } }", "< requires integer operands"),
+        ("contract C { int[] a; function f() { bool b = a == a; } }", "comparison requires compatible value types"),
     ]
     for src, match in cases:
         with pytest.raises(ResolveError, match=match):

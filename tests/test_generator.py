@@ -10,14 +10,17 @@ from solmem import generator, oracle
 from solmem.generator import ProgramBuilder, random_program
 from solmem.harness import run_fuzz
 from solmem.oracle import ExecResult, OracleError, run_constructor, serialize_storage
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
+from solmem.parser import parse_source, parse_statement
+from solmem.resolver import resolve_and_check, resolve_statement
 from solmem.translate import translate_function
 
 GOLDEN = Path(__file__).parent / "data" / "gen_seed0.sol"
 # SHA-256 of random_program(s, 10) for s in 0..199, concatenated; the
 # fuzz benchmark pins the same value
 SEEDS_0_199_SHA256 = "44f3049e74541e374f340113124c4cd820e87b84779723aa64976cc2a84a15bc"
+# the same over s in 0..999, so a sampler change that shows only past
+# seed 199 is caught too
+SEEDS_0_999_SHA256 = "cb2c6d43e58395612c3fa12740556d2e13412559f275b5b14203d431afe495c4"
 
 
 def test_deterministic_per_seed():
@@ -55,15 +58,19 @@ def test_coverage_across_seeds():
 
 
 def test_golden_digest_and_rejections_seeds_0_199():
-    digest = hashlib.sha256()
-    rejections = Counter()
-    for seed in range(200):
+    digest, digest_200 = hashlib.sha256(), None
+    rejections, rejections_200 = Counter(), None
+    for seed in range(1000):
+        if seed == 200:
+            digest_200, rejections_200 = digest.hexdigest(), Counter(rejections)
         builder = ProgramBuilder(seed, 10)
         digest.update(builder.build().encode())
         rejections += builder.rejections
-    assert digest.hexdigest() == SEEDS_0_199_SHA256
+    assert digest_200 == SEEDS_0_199_SHA256
     # no self-inflicted rejects such as an empty `x.push();`
-    assert rejections == {"ParseError": 3, "ResolveError": 3}
+    assert rejections_200 == {"ParseError": 3, "ResolveError": 3}
+    assert digest.hexdigest() == SEEDS_0_999_SHA256
+    assert rejections == {"ParseError": 15, "ResolveError": 16}
 
 
 def _state(machine):
@@ -74,18 +81,19 @@ def _state(machine):
 
 class _CheckedBuilder(ProgramBuilder):
     """Compares the pristine state with a full re-run after every
-    accepted line, checks that neither a candidate nor the sampler's
-    reads of the pristine state change it, and that every sampled read
+    accepted line, checks that a rejected line and the sampler's reads
+    of the pristine state change nothing, and that every sampled read
     evaluates to the value sampled for it."""
 
-    def _try(self, line: str):
-        before = _state(self.pristine)
-        checked = super()._try(line)
-        assert _state(self.pristine) == before
-        return checked
+    def _snapshot(self):
+        """State, scope, taken names, body and lines, as compared values."""
+        body = list(self.contract.constructor.body)
+        return _state(self.pristine), dict(self.scope), set(self.used_names), body, list(self.lines)
 
     def commit(self, line: str) -> bool:
+        before = self._snapshot()
         if not super().commit(line):
+            assert self._snapshot() == before, line
             return False
         full = resolve_and_check(parse_source(self.source()))
         result = run_constructor(full)
@@ -101,11 +109,14 @@ class _CheckedBuilder(ProgramBuilder):
         reads = self._value_reads()
         self.rng.setstate(rng_state)
         assert _state(self.pristine) == kept
+        ctor = self.contract.constructor
         for text, ty, value in reads:
-            # a declaration of the read, run on a clone of the kept state
-            checked = self._try(f"{ty} sampled = {text};")
-            assert checked is not None, text
-            assert checked[3].locals["sampled"] == value, text
+            # a declaration of the read, resolved against copies of the
+            # scope and taken names; its initializer read on the kept state
+            decl = parse_statement(f"{ty} sampled = {text};")
+            resolve_statement(self.contract, ctor, decl, self.scope.copy(), set(self.used_names))
+            assert self.pristine.eval(decl.init) == value, text
+        assert _state(self.pristine) == kept
         return True
 
 
@@ -114,6 +125,11 @@ def test_incremental_state_matches_full_rerun(seed):
     builder = _CheckedBuilder(seed, 10)
     assert builder.build() == random_program(seed, 10)
     assert builder.lines  # some lines were accepted and checked
+    # these seeds reject no candidate, so reject a parse error, an
+    # unknown name and a declaration whose initializer does not type
+    for line in ("counter = ;", "undeclared = 1;", "bool v0 = 1;"):
+        assert not builder.commit(line)
+    assert builder.rejections == {"ParseError": 1, "ResolveError": 2}
 
 
 def test_each_candidate_runs_once_on_the_kept_state(monkeypatch):
@@ -151,7 +167,7 @@ def test_interpreter_errors_are_not_rejected_candidates(monkeypatch):
     def broken(machine, stmt):
         raise OracleError("interpreter bug")
 
-    # candidates run statement by statement on a clone of the kept state
+    # candidates run statement by statement on the kept state
     monkeypatch.setattr(oracle.Machine, "exec_stmt", broken)
     with pytest.raises(OracleError, match="interpreter bug"):
         ProgramBuilder(0, 10).build()

@@ -223,68 +223,9 @@ def test_pointers_are_paths_without_storage_trees(monkeypatch):
         exec_function(data_storage, "isset", [[0, 3]])
 
 
-CLONED = """
-contract C {
-    struct T { int z; }
-    struct S { int x; int[] ys; }
-    S s;
-    int[] nums;
-    mapping(int => S) m;
-    constructor() {
-        nums.push(1);
-        m[1].x = 2;
-        S memory ms = S(1, new int[](2));
-        int[] memory ma = new int[](2);
-        assert(ms.x == 1);
-    }
-    function f(T storage p) { p.z = 1; }
-}
-"""
-
-
 def _state(machine):
     """Everything of a machine but its contract, as text."""
     return repr({k: v for k, v in vars(machine).items() if k != "contract"})
-
-
-def _cloned_machine():
-    """A machine with storage, a default context, heap objects, locals
-    and an assert result."""
-    contract = compile_source(CLONED)
-    machine = exec_function(contract, "f", [[0, 1]]).state
-    return exec_function(contract, "constructor", initial=machine).state
-
-
-_CLONE_MUTATIONS = {
-    "backing_past_end": lambda m: m.slot(m.storage["nums"], 5),
-    "materializing_mapping_read": lambda m: m.slot(m.storage["m"], 7),
-    "nested_storage_write": lambda m: m.storage["m"].entries[1].members["ys"].backing.__setitem__(0, 4),
-    "memory_struct_member": lambda m: m.deref(m.locals["ms"]).members.update(x=9),
-    "memory_array_element": lambda m: m.deref(m.locals["ma"]).elems.__setitem__(0, 9),
-    "new_local": lambda m: m.locals.update(fresh=1),
-    "assert_result": lambda m: m.assert_results.append(oracle.AssertOutcome(1, 0, False)),
-    "default_context_backing": lambda m: m.slot(next(iter(m.default_contexts.values())), 3),
-    "default_context_entry": lambda m: m.default_contexts.update(defaultctx_other=StorArray(None)),
-}
-
-
-def test_clone_has_every_field_and_shares_the_contract():
-    original = _cloned_machine()
-    clone = original.clone()
-    assert vars(clone).keys() == vars(oracle.Machine(original.contract)).keys()
-    assert clone.contract is original.contract
-    assert _state(clone) == _state(original)
-    assert original.default_contexts and original.heap and original.locals and original.assert_results
-
-
-@pytest.mark.parametrize("mutation", _CLONE_MUTATIONS)
-def test_mutating_a_clone_leaves_the_original_alone(mutation):
-    original = _cloned_machine()
-    before = _state(original)
-    clone = original.clone()
-    _CLONE_MUTATIONS[mutation](clone)
-    assert _state(clone) != before  # the mutation took effect
-    assert _state(original) == before
 
 
 def test_serializing_leaves_the_state_alone():

@@ -20,7 +20,7 @@ import pytest
 from solmem import solver
 from solmem.cli import main
 from solmem.errors import SolverFailure
-from solmem.harness import OUTCOMES, judge, render_table, run_corpus, run_test
+from solmem.harness import OUTCOMES, differential, judge, render_table, run_corpus, run_test
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
 
 STUB = Path(__file__).parent / "stub_solver.py"
@@ -175,6 +175,15 @@ def test_unknown_verdict_is_graded_incorrect(tmp_path):
     outcome, detail, compared = judge(report, {})
     assert (outcome, compared) == ("incorrect", 0)
     assert detail.startswith("f:1: solver said unknown")
+
+
+def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path):
+    """Two asserts share a line, the first holds and the second fails;
+    the stub refutes the smoke query, verifies the first and refutes the
+    second. Each verdict is compared with the oracle's outcome of the
+    same ordinal, not with the last outcome on its line."""
+    source = "contract C { int x; constructor() { x = 1; assert(x == 1); assert(x == 2); } }"
+    assert differential(source, solver_cmd=_stub("unsat,unsat,sat", tmp_path / "log")) == ("correct", 2, "")
 
 
 @pytest.mark.parametrize(

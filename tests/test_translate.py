@@ -319,6 +319,20 @@ contract C {
     assert res.status == "ok"
 
 
+def test_unroll_bounds_lengths_instead_of_covering_them():
+    """`unroll=2` assumes the symbolic length is at most 2, so a verdict
+    covers only such lengths: the IR cannot run with `n = 3`, while the
+    oracle runs it and fails the assert that the assumption makes hold."""
+    c = compile_source(
+        "contract C { struct S { int x; } function f(uint n) { S[] memory a = new S[](n); assert(n <= 2); } }"
+    )
+    tf = translate_function(c, c.function("f"), unroll=2)
+    assert eval_ir(tf.program, {"n": 2}).status == "ok"
+    ran = eval_ir(tf.program, {"n": 3})
+    assert (ran.status, ran.failed_index) == ("assume-violated", 0)
+    assert [a.passed for a in exec_function(c, "f", [3]).asserts] == [False]
+
+
 def test_fixed_reference_arrays_copy_without_unroll():
     src = """
 contract C {
