@@ -36,9 +36,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=60.0, help="per-query timeout in seconds")
 
 
+def _unroll_bound(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--unroll", type=int, default=None, metavar="N",
-                   help="assume dynamic array lengths <= N and unroll their copies: verified covers only those lengths")
+    p.add_argument("--unroll", type=_unroll_bound, default=None, metavar="N",
+                   help="assume dynamic array lengths <= N (N >= 0) and unroll their copies: "
+                        "verified covers only those lengths")
 
 
 def cmd_verify(args) -> int:

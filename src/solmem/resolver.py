@@ -3,6 +3,8 @@
 Every expression in a resolved tree carries a (type, location-category)
 annotation. Identifiers are alpha-renamed to be globally unique within
 their contract (`~k` suffixes, outside the source identifier alphabet).
+No name is reserved: every name the translator invents contains `$`,
+which the lexer rejects in identifiers.
 Location categories follow the storage model:
 
   * value-typed expressions are always `value`;
@@ -56,11 +58,6 @@ from .sol_ast import (
 )
 
 RESERVED_MEMBERS = {"push", "pop", "length"}
-RESERVED_PREFIXES = ("arrHeap_", "structHeap_", "StorArr_", "MemArr_", "StorStruct_", "MemStruct_", "defaultctx_")
-
-
-def _reserved(name: str) -> bool:
-    return name == "refcnt" or name.startswith(RESERVED_PREFIXES)
 
 
 # function-local symbol table: source name -> (unique name, type, location, kind)
@@ -76,17 +73,10 @@ class Resolver:
     # -- naming ---------------------------------------------------------
 
     def _unique(self, name: str) -> str:
-        if _reserved(name):
-            candidate = None  # force a rename below
-        else:
-            candidate = name
-        if candidate is not None and candidate not in self.used_names:
-            self.used_names.add(candidate)
-            return candidate
-        k = 2
-        while f"{name}~{k}" in self.used_names:
+        fresh, k = name, 1
+        while fresh in self.used_names:
             k += 1
-        fresh = f"{name}~{k}"
+            fresh = f"{name}~{k}"
         self.used_names.add(fresh)
         return fresh
 
@@ -149,8 +139,6 @@ class Resolver:
         for v in self.contract.state_vars:
             if v.name in seen:
                 raise ResolveError(f"duplicate state variable {v.name}", v.line)
-            if _reserved(v.name):
-                raise ResolveError(f"state variable name {v.name} is reserved", v.line)
             seen.add(v.name)
             self.used_names.add(v.name)
             self._check_type(v.ty, v.line)

@@ -89,14 +89,15 @@ def value_compatible(a: SolType, b: SolType) -> bool:
 
 
 def mangle(t: SolType) -> str:
-    """Stable, readable name component for SMT datatype names. Fixed and
-    dynamic arrays collapse to the same name (they share an encoding)."""
+    """Name component of `t` in SMT names: `T*` for arrays of T, `<K=V>`
+    for mappings. Injective, since struct names are `\\w+`, except that
+    fixed and dynamic arrays of one base share it (and an encoding)."""
     if isinstance(t, ValueType):
         return t.kind
     if isinstance(t, MappingType):
-        return f"map_{mangle(t.key)}_{mangle(t.value)}"
+        return f"<{mangle(t.key)}={mangle(t.value)}>"
     if isinstance(t, (DynArrayType, FixArrayType)):
-        return f"{mangle(t.base)}_arr"
+        return f"{mangle(t.base)}*"
     if isinstance(t, StructType):
         return t.name
     raise TypeError(f"unknown type {t}")

@@ -40,7 +40,7 @@ def default_solver_command() -> list[str]:
     PATH, or the bundled Node.js shim."""
     env = os.environ.get("SOLMEM_SOLVER")
     if env:
-        return shlex.split(env)
+        return _split(env)
     if shutil.which("z3"):
         return ["z3", "-in"]
     if shutil.which("cvc5"):
@@ -54,8 +54,19 @@ def default_solver_command() -> list[str]:
     )
 
 
+def _split(command: str) -> list[str]:
+    """The words of a solver command line, which must name a program."""
+    try:
+        words = shlex.split(command)
+        if not words:
+            raise ValueError("no program")
+    except ValueError as e:
+        raise SolverFailure(f"malformed solver command {command!r}: {e}") from None
+    return words
+
+
 def _command(solver_cmd: str | None) -> list[str]:
-    return shlex.split(solver_cmd) if solver_cmd else default_solver_command()
+    return _split(solver_cmd) if solver_cmd else default_solver_command()
 
 
 def check(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = None) -> SolverVerdict:

@@ -68,7 +68,7 @@ class StorageTree:
 
 
 def default_context_name(target: SolType) -> str:
-    return f"defaultctx_{mangle(target)}"
+    return f"defaultctx${mangle(target)}"
 
 
 def build_storage_tree(contract: Contract, target: SolType) -> StorageTree:

@@ -3,8 +3,8 @@
 Storage entities become SMT values: storage arrays and structs are
 single-constructor datatypes (value semantics, deep copy on assignment,
 non-aliasing by construction), mappings are SMT arrays. Memory entities
-live behind integer pointers into per-type heaps (`arrHeap_T`,
-`structHeap_S`), with a monotone allocation counter `refcnt` generating
+live behind integer pointers into per-type heaps (`arrHeap$T`,
+`structHeap$S`), with a monotone allocation counter `$alloc` generating
 fresh addresses. Local storage pointers are integer arrays spelling a
 path through the per-type storage tree; they are created by packing a
 storage lvalue and dereferenced by unpacking into a conditional over the
@@ -89,7 +89,7 @@ from .storage_tree import (
     default_context_tree,
 )
 
-REFCNT = "refcnt"
+ALLOC = "$alloc"
 
 # the (node, edge) pairs taken from a storage tree's root
 Edges = tuple[tuple[TreeNode, TreeEdge], ...]
@@ -102,10 +102,10 @@ def _names(ty: SolType) -> tuple[str, str, str]:
     """Storage datatype, memory datatype and memory heap of an array or
     struct type. Fixed and dynamic arrays of one base share them."""
     if isinstance(ty, StructType):
-        return f"StorStruct_{ty.name}", f"MemStruct_{ty.name}", f"structHeap_{ty.name}"
+        return f"StorStruct${ty.name}", f"MemStruct${ty.name}", f"structHeap${ty.name}"
     if isinstance(ty, (DynArrayType, FixArrayType)):
         base = mangle(ty.base)
-        return f"StorArr_{base}", f"MemArr_{base}", f"arrHeap_{base}"
+        return f"StorArr${base}", f"MemArr${base}", f"arrHeap${base}"
     raise IrError(f"no datatype for {ty}")
 
 
@@ -149,15 +149,15 @@ class Translator:
         self.fresh_counter = 0
         self.trees: dict[SolType, StorageTree] = {}
         self.asserts: list[AssertInfo] = []
-        self.program.declare(REFCNT, ir.INT)
+        self.program.declare(ALLOC, ir.INT)
 
     # ------------------------------------------------------------------
     # helpers
 
     def fresh(self, prefix: str, ty: IrType) -> Ident:
-        # `$` is outside the alphabets of source identifiers (`\w`), the
-        # resolver's renaming (`~`) and SSA versions (`!`), so a temporary
-        # never shadows a variable
+        # every name the translator invents contains `$`, which is outside
+        # the alphabets of source identifiers (`\w`), the resolver's
+        # renaming (`~`) and SSA versions (`!`), so none names a variable
         self.fresh_counter += 1
         name = f"{prefix}${self.fresh_counter}"
         self.program.declare(name, ty)
@@ -167,10 +167,10 @@ class Translator:
         self.stmts.append(stmt)
 
     def allocate(self) -> Ident:
-        """refcnt := refcnt + 1; p := refcnt — fresh, never-aliasing address."""
-        self.emit(Assign(Ident(REFCNT), ir.add(Ident(REFCNT), IntLit(1))))
+        """$alloc := $alloc + 1; p := $alloc — fresh, never-aliasing address."""
+        self.emit(Assign(Ident(ALLOC), ir.add(Ident(ALLOC), IntLit(1))))
         ptr = self.fresh("newptr", ir.INT)
-        self.emit(Assign(ptr, Ident(REFCNT)))
+        self.emit(Assign(ptr, Ident(ALLOC)))
         return ptr
 
     # ------------------------------------------------------------------
@@ -724,7 +724,7 @@ class Translator:
         """Non-aliasing assumptions for memory pointers passed in: the
         pointer, and recursively every reference it contains, precedes
         all fresh allocations."""
-        self.emit(Assume(ir.le(pointer, Ident(REFCNT))))
+        self.emit(Assume(ir.le(pointer, Ident(ALLOC))))
         bound = 0
         if isinstance(ty, (DynArrayType, FixArrayType)):
             if not is_reference_type(ty.base):

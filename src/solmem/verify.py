@@ -66,16 +66,6 @@ class VerifyReport:
         return 0 if complete and verdicts <= {"verified"} else 2
 
 
-def _relevant_model(model: dict[str, str]) -> dict[str, str]:
-    """Inputs only: drop SSA versions and machinery, keep pre-state."""
-    out = {}
-    for name, value in model.items():
-        if "!" in name or "$" in name or name.startswith(("arrHeap_", "structHeap_")):
-            continue
-        out[name] = value
-    return out
-
-
 def verify_translated(
     tf: TranslatedFunction,
     solver_cmd: str | None = None,
@@ -94,12 +84,15 @@ def verify_translated(
         report.smt_scripts.append(script)
         start = time.monotonic()
         verdict = query(script, timeout, solver_cmd)
+        # the pre-state of source names: SSA versions have a `!`, and every
+        # name the translator invents a `$`
+        model = {name: value for name, value in verdict.model.items() if "!" not in name and "$" not in name}
         report.asserts.append(
             AssertResult(
                 info.line,
                 info.text,
                 VERDICT_OF.get(verdict.kind, verdict.kind),
-                model=_relevant_model(verdict.model),
+                model=model,
                 detail=verdict.detail,
                 time_seconds=time.monotonic() - start,
             )

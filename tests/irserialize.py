@@ -19,8 +19,8 @@ from solmem.sol_ast import (
     StructType,
     is_reference_type,
     is_value_type,
-    mangle,
 )
+from solmem.translate import _names
 
 
 def serialize_ir(contract: Contract, ty: SolType, loc: Loc, value, env: dict):
@@ -40,7 +40,7 @@ def serialize_ir(contract: Contract, ty: SolType, loc: Loc, value, env: dict):
     if isinstance(ty, (DynArrayType, FixArrayType)):
         elem_loc = loc if is_reference_type(ty.base) else Loc.VALUE
         if loc == Loc.MEMORY:
-            heap = env[f"arrHeap_{mangle(ty.base)}"]
+            heap = env[_names(ty)[2]]
             obj = heap.read(value)
         else:
             obj = value
@@ -56,7 +56,7 @@ def serialize_ir(contract: Contract, ty: SolType, loc: Loc, value, env: dict):
     if isinstance(ty, StructType):
         member_loc = loc
         if loc == Loc.MEMORY:
-            heap = env[f"structHeap_{ty.name}"]
+            heap = env[_names(ty)[2]]
             obj = heap.read(value)
         else:
             obj = value

@@ -357,21 +357,26 @@ contract C {
     assert g.body[1].init.name != "x"
 
 
-def test_locals_with_reserved_names_are_renamed():
-    """A local named like the allocation counter or a heap is renamed, so
-    the allocation below does not change it in the translation."""
+def test_former_reserved_names_are_ordinary_identifiers():
+    """Names like the translator's allocation counter, heaps and default
+    contexts once were reserved. The translator's own names contain `$`
+    now, so these stay as written, and the allocation below changes none
+    of them."""
     src = """
 contract C {
+    int refcnt;
     constructor() {
-        int refcnt = 1;
+        refcnt = 1;
         uint arrHeap_x = 2;
+        int defaultctx_int = 3;
         int[] memory m = new int[](1);
-        assert(refcnt == 1 && arrHeap_x == 2);
+        assert(refcnt == 1 && arrHeap_x == 2 && defaultctx_int == 3);
     }
 }
 """
     c = compile_source(src)
-    assert [s.name for s in c.constructor.body[:2]] == ["refcnt~2", "arrHeap_x~2"]
+    assert c.state_vars[0].name == "refcnt"
+    assert [s.name for s in c.constructor.body[1:3]] == ["arrHeap_x", "defaultctx_int"]
     assert [a.passed for a in run_constructor(c).asserts] == [True]
     assert eval_ir(translate_function(c, c.constructor).program).status == "ok"
 
@@ -392,7 +397,6 @@ def test_resolver_errors():
         ("contract C { struct S { int x; } S s; function f() { S storage p = s; delete p; } }", "storage pointer"),
         ("contract C { struct S { int x; } S s; function f() returns (S storage r) { r = s; } }", "unsupported"),
         ("contract C { function f() { assert(1); } }", "boolean"),
-        ("contract C { int refcnt; }", "reserved"),
         ("contract C { function f() { } function f() { } }", "duplicate function f"),
         ("contract C { struct S { int x; } struct S { int y; } }", "duplicate struct S"),
         ("contract C { struct S { int x; int x; } }", "duplicate member S.x"),

@@ -366,3 +366,15 @@ def test_class_totals_count_every_file(tmp_path, solver_available):
                "contract C { int x; constructor() { assert(x == 0); } }")
     classes = run_corpus(tmp_path, jobs=2)
     assert classes["init"].total == 3 == len(classes["init"].tests)
+
+
+@pytest.mark.parametrize("command", ["verify", "corpus"])
+def test_negative_unroll_is_a_usage_error(tmp_path, capsys, command):
+    """A negative bound N assumes `n <= N` next to `0 <= n` for a length
+    `n`: no length satisfies both, so every later assert would verify
+    vacuously."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(tmp_path), "--unroll", "-1"])
+    assert exit_info.value.code == 2
+    assert "--unroll: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert build_parser().parse_args([command, str(tmp_path), "--unroll", "0"]).unroll == 0

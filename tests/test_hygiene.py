@@ -8,7 +8,8 @@ helpers only tests need live in `tests/`. The reference interpreter
 imports nothing from the translator's side of the pipeline, so that a
 fault there cannot hide from differential testing. Every walker's
 dispatch table has exactly one handler per IR expression class, so a
-forgotten node is caught here and not at run time.
+forgotten node is caught here and not at run time. The names the
+translator invents are spelled only where it invents them.
 """
 
 import ast
@@ -27,6 +28,10 @@ SOURCES = sorted((ROOT / "src" / "solmem").glob("*.py"))
 # tables name what they call in strings.
 CALLERS = [p for p in SOURCES if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
+# The stems of the names the translator invents (datatypes, heaps, default
+# contexts, the allocation counter), and the modules that spell them.
+INVENTED = ("StorStruct", "MemStruct", "structHeap", "StorArr", "MemArr", "arrHeap", "defaultctx", "$alloc")
+NAMERS = {"translate.py", "storage_tree.py"}
 # The modules that turn a resolved contract into IR and SMT-LIB or
 # evaluate IR; `oracle.py` must not import them.
 TRANSLATOR_SIDE = {"translate", "ir", "normalize", "ssa", "vcgen", "smtlib", "ireval"}
@@ -146,6 +151,29 @@ def test_checks_find_what_they_look_for():
     )
     assert catch_alls(tree) == [5, 9, 13]
     assert unused_imports(tree) == ["os (line 1)", "b (line 2)"]
+
+
+def spelled_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(stem, line) of each invented-name stem in a string constant,
+    docstrings and the literal parts of f-strings included."""
+    return [
+        (stem, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for stem in INVENTED
+        if stem in node.value
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in NAMERS], ids=lambda p: p.name)
+def test_invented_names_are_spelled_only_where_they_are_invented(path):
+    assert spelled_names(ast.parse(path.read_text())) == []
+
+
+def test_spelling_check_finds_what_it_looks_for():
+    tree = ast.parse('"""a StorArr$int"""\nx = f"arrHeap${y}"\nz = ("$alloc", "alloc", StorStruct)\n')
+    assert spelled_names(tree) == [("StorArr", 1), ("arrHeap", 2), ("$alloc", 3)]
+    assert all(spelled_names(ast.parse((ROOT / "src" / "solmem" / name).read_text())) for name in NAMERS)
 
 
 def test_oracle_imports_nothing_from_the_translator_side():

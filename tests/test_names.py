@@ -1,0 +1,266 @@
+"""The names the translator invents, and what they keep apart.
+
+Every datatype, heap, default context and the allocation counter has a
+`$` in its name, which no source identifier has, so no source name is
+reserved. `mangle` spells each type apart, except fixed and dynamic
+arrays of one base, which share an encoding: two types never share a
+datatype, a heap or a default context. The three programs below made
+distinct types share one at an earlier revision.
+"""
+
+import json
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from irserialize import serialize_ir
+from irsorts import check_program
+from solmem.cli import main
+from solmem.errors import SolmemError
+from solmem.ireval import default_value, eval_ir
+from solmem.normalize import normalize_lhs
+from solmem.oracle import run_constructor, serialize
+from solmem.parser import parse_source
+from solmem.resolver import resolve_and_check
+from solmem.sol_ast import (
+    ADDRESS,
+    BOOL,
+    INT,
+    UINT,
+    DeclStmt,
+    DynArrayType,
+    FixArrayType,
+    Loc,
+    MappingType,
+    SolType,
+    StructType,
+)
+from solmem.ssa import to_ssa
+from solmem.storage_tree import default_context_name
+from solmem.solver import SolverVerdict
+from solmem.translate import _names, translate_function
+from solmem.verify import verify_translated
+from test_translate_golden import inputs
+
+SRC = Path(__file__).parent.parent / "src"
+
+# `int[][]` and `int_arr[]` both stored their datatype as `StorArr_int_arr`
+STRUCT_NAMED_LIKE_AN_ARRAY = """
+contract C {
+    struct int_arr { int x; }
+    int[][] a;
+    int_arr[] b;
+    constructor() {
+        int[] memory m = new int[](2);
+        m[1] = 4;
+        a.push(m);
+        b.push(int_arr(3));
+        assert(a[0][1] == 4);
+        assert(b[0].x == 3);
+        assert(a.length == 1 && b.length == 1);
+    }
+}
+"""
+
+# both arrays stored their datatype as `StorArr_map_int_int_arr`
+MAPPING_ARRAYS = """
+contract C {
+    mapping(int => int[])[] a;
+    mapping(int => int)[][] b;
+    constructor() {
+        assert(a.length == 0);
+        assert(b.length == 0);
+    }
+    function f(mapping(int => int[]) storage p) {
+        p[1].push(3);
+        assert(p[1][0] == 3);
+    }
+}
+"""
+
+# neither type is stored, and both default contexts were `defaultctx_int_arr`
+DEFAULT_CONTEXTS = """
+contract C {
+    struct int_arr { int x; }
+    function f(int_arr storage p, int[] storage q) {
+        assert(p.x == q.length);
+    }
+}
+"""
+
+COLLISIONS = {
+    "struct_named_like_an_array": STRUCT_NAMED_LIKE_AN_ARRAY,
+    "mapping_arrays": MAPPING_ARRAYS,
+    "default_contexts": DEFAULT_CONTEXTS,
+}
+
+# structs named like the old spellings of compound types, nested arrays,
+# mappings as array bases, and pointers to types no state variable holds
+ZOO = """
+contract Zoo {
+    struct arr { int x; }
+    struct map { int y; }
+    struct int_arr { int z; }
+    struct map_int_int { bool w; }
+    int[][] a;
+    int[2][] a2;
+    int_arr[] b;
+    arr[] c;
+    map[2] d;
+    map_int_int[] e;
+    mapping(int => int[])[] f;
+    mapping(int => int)[][] g;
+    mapping(int => map_int_int) h;
+    constructor() {
+        b.push(int_arr(1));
+        c.push(arr(2));
+        d[1].y = 3;
+        e.push(map_int_int(true));
+        h[4].w = true;
+        int[] memory m = new int[](1);
+        a.push(m);
+        assert(b[0].z == 1 && c[0].x == 2 && d[1].y == 3 && e[0].w && h[4].w);
+    }
+    function stored(mapping(int => int[]) storage p, int[][] storage q, arr storage r) {
+        p[1].push(3);
+        q.push(p[1]);
+        r.x = 5;
+        assert(p[1][0] == 3 && r.x == 5);
+    }
+    function unstored(mapping(int => bool) storage p, bool[][] storage q, bool[] storage r) {
+        p[1] = true;
+        r.push(true);
+        assert(p[1] && r[r.length - 1] && q.length == q.length);
+    }
+}
+"""
+
+
+def ssa_program(contract, fn, unroll=None):
+    return to_ssa(normalize_lhs(translate_function(contract, fn, unroll).program))
+
+
+@pytest.mark.parametrize("source", [*COLLISIONS.values(), ZOO], ids=[*COLLISIONS, "zoo"])
+def test_every_function_is_well_sorted(source):
+    contract = resolve_and_check(parse_source(source))
+    for fn in contract.all_functions():
+        check_program(ssa_program(contract, fn).program)
+
+
+@pytest.mark.parametrize("name", ["struct_named_like_an_array", "mapping_arrays"])
+def test_constructor_agrees_with_the_oracle(name):
+    contract = resolve_and_check(parse_source(COLLISIONS[name]))
+    oracle = run_constructor(contract)
+    assert oracle.failed is None
+    ssa = ssa_program(contract, contract.constructor)
+    ran = eval_ir(ssa.program)
+    assert ran.status == "ok"
+    for v in contract.state_vars:
+        final = ssa.final_versions[v.name]
+        value = ran.env[final] if final in ran.env else default_value(ssa.program.decl_type(final), ssa.program)
+        ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
+        assert ir_json == serialize(oracle.state, v.ty, oracle.storage[v.name]), v.name
+
+
+def test_distinct_default_contexts_run_and_verify(tmp_path, capsys):
+    f = tmp_path / "t.sol"
+    f.write_text(DEFAULT_CONTEXTS)
+    assert main(["run", str(f), "--entry", "f", "--args", "[[0, 0], [0, 0]]"]) == 0
+    assert json.loads(capsys.readouterr().out)["asserts"] == [{"index": 0, "line": 5, "passed": True}]
+    env = {"PATH": "", "PYTHONPATH": str(SRC)}  # no solver
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", "verify", str(f)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "assert((p.x == q.length)): error no SMT solver found" in proc.stdout
+
+
+def test_counterexample_models_list_source_names_only(monkeypatch):
+    """A solver model names every declaration; the report keeps the
+    pre-state of source names, without the allocation counter, heaps,
+    default contexts, temporaries or SSA versions."""
+    contract = resolve_and_check(parse_source(ZOO))
+    for fn in contract.all_functions():
+        tf = translate_function(contract, fn)
+        ssa = to_ssa(normalize_lhs(tf.program)).program
+        monkeypatch.setattr("solmem.verify.query", lambda *_: SolverVerdict("sat", dict.fromkeys(ssa.decls, "0")))
+        models = [a.model for a in verify_translated(tf).asserts]
+        assert models == [dict.fromkeys(source_names(contract) & set(ssa.decls), "0")], fn.name
+
+
+def source_names(contract) -> set[str]:
+    """The resolved names of a contract's state variables, parameters,
+    returns and locals."""
+    names = {v.name for v in contract.state_vars}
+    for fn in contract.all_functions():
+        names |= {p.name for p in fn.params + fn.returns}
+        names |= {s.name for s in fn.body if isinstance(s, DeclStmt)}
+    return names
+
+
+def test_every_declared_name_is_a_source_name_or_invented():
+    """Over the translate-golden programs (corpus, shared sources, the
+    assignment matrix, fuzz seeds 0-49 and the stress constructors): a
+    name the SSA program declares that is no resolved source name has a
+    `$` (invented by the translator) or a `!` (an SSA version)."""
+    checked = 0
+    for name, source in inputs():
+        try:
+            contract = resolve_and_check(parse_source(source))
+        except SolmemError:
+            continue
+        taken = source_names(contract)
+        for fn in contract.all_functions():
+            for unroll in (None, 2):
+                try:
+                    program = ssa_program(contract, fn, unroll).program
+                except SolmemError:
+                    continue
+                stray = [d for d in program.decls if d not in taken and "$" not in d and "!" not in d]
+                assert stray == [], (name, fn.name, unroll)
+                assert all("$" in d for d in program.datatypes), (name, fn.name, unroll)
+                checked += 1
+    assert checked == 200
+
+
+def _arrays_of(ty: SolType) -> list[SolType]:
+    return [DynArrayType(ty), FixArrayType(ty, 2)]
+
+
+def zoo_types() -> list[SolType]:
+    structs = [StructType(n) for n in ("arr", "map", "int_arr", "map_int_int")]
+    values = [INT, UINT, BOOL, ADDRESS]
+    arrays = [a for t in values + structs for a in _arrays_of(t)]
+    nested = [a for t in arrays for a in _arrays_of(t)]
+    mappings = [MappingType(k, v) for k in (INT, BOOL) for v in (INT, StructType("map"), *arrays[:2])]
+    mappings += [MappingType(INT, m) for m in mappings[:2]]
+    return structs + arrays + nested + mappings + [a for m in mappings for a in _arrays_of(m)]
+
+
+def _collapse(ty: SolType) -> SolType:
+    """`ty` with every fixed-size array made dynamic: the types that
+    share an encoding share a collapse."""
+    if isinstance(ty, (DynArrayType, FixArrayType)):
+        return DynArrayType(_collapse(ty.base))
+    if isinstance(ty, MappingType):
+        return MappingType(ty.key, _collapse(ty.value))
+    return ty
+
+
+def test_names_of_distinct_types_are_distinct():
+    """Two datatypes, heaps or default contexts share a name exactly when
+    they are of one kind and their types differ at most in array sizes."""
+    named = []  # (kind, collapsed type, name)
+    for ty in zoo_types():
+        if not isinstance(ty, MappingType):
+            named += [(kind, _collapse(ty), n) for kind, n in zip(("stor", "mem", "heap"), _names(ty))]
+        named.append(("context", _collapse(ty), default_context_name(ty)))
+    assert len(named) == 298
+    for (k1, t1, n1), (k2, t2, n2) in combinations(named, 2):
+        assert (n1 == n2) == (k1 == k2 and t1 == t2), (n1, n2)
+    for _, _, n in named:
+        assert "$" in n and not n.startswith(("@", ".")), n
+        assert not any(c in n for c in "!~."), n

@@ -122,20 +122,29 @@ def test_exit_code_ranks_error_over_counterexample_over_verified():
     assert report("verified", "timeout").exit_code() == 2
 
 
+VERIFY = ["verify", "corpus/storage/deep_copy_independence.sol"]
+NOT_FOUND = "no SMT solver found"
+UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["verify", "corpus/storage/deep_copy_independence.sol"],
-     ["corpus", "corpus"],
-     ["fuzz", "--count", "1", "--budget", "4", "--jobs", "1"]],
-    ids=["verify", "corpus", "fuzz"],
+    "args, env, message",
+    [(VERIFY, {}, NOT_FOUND),
+     (["corpus", "corpus"], {}, NOT_FOUND),
+     (["fuzz", "--count", "1", "--budget", "4", "--jobs", "1"], {}, NOT_FOUND),
+     ([*VERIFY, "--solver-cmd", 'z3 "'], {}, UNBALANCED),
+     ([*VERIFY, "--solver-cmd", " "], {}, "malformed solver command ' ': no program"),
+     (VERIFY, {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED),
+     (["corpus", "corpus", "--solver-cmd", 'z3 "'], {}, UNBALANCED)],
+    ids=["verify", "corpus", "fuzz", "malformed-flag", "blank-flag", "malformed-environment", "malformed-corpus"],
 )
-def test_no_solver_on_path_exits_2_without_traceback(args):
-    env = {"PATH": "", "PYTHONPATH": str(SRC)}  # and no SOLMEM_SOLVER
+def test_no_solver_on_path_exits_2_without_traceback(args, env, message):
+    env = {"PATH": "", "PYTHONPATH": str(SRC), **env}  # SOLMEM_SOLVER only where given
     proc = subprocess.run([sys.executable, "-m", "solmem.cli", *args], cwd=SRC.parent, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "no SMT solver found" in proc.stdout
+    assert message in proc.stdout
 
 
 def test_table_columns_sum_to_each_class_total(tmp_path):

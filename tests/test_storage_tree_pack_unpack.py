@@ -91,7 +91,7 @@ def test_default_context_tree_shape():
     tree = default_context_tree(StructType("T"))
     assert tree.default_context
     assert len(leaf_paths(tree)) == 1
-    assert tree.root.edges[0].label == "defaultctx_T"
+    assert tree.root.edges[0].label == "defaultctx$T"
 
 
 def test_pack_goldens():
@@ -148,16 +148,16 @@ def test_unpack_of_packed_path_evaluates_to_entity():
     prog.declare("ptr", ir.PTR)
     prog.stmts = [Assign(Ident("out~"), unpacked)]
 
-    t_zero = VData("StorStruct_T", (0,))
-    marked = VData("StorStruct_T", (55,))
-    empty_ts = VData("StorArr_T", (VArray(t_zero), 0))
-    s_zero = VData("StorStruct_S", (0, t_zero, empty_ts))
+    t_zero = VData("StorStruct$T", (0,))
+    marked = VData("StorStruct$T", (55,))
+    empty_ts = VData("StorArr$T", (VArray(t_zero), 0))
+    s_zero = VData("StorStruct$S", (0, t_zero, empty_ts))
     # build ss with ss[8].ts[5].z == 55
-    ts = VData("StorArr_T", (VArray(t_zero, {5: marked}), 6))
-    s_at_8 = VData("StorStruct_S", (0, t_zero, ts))
+    ts = VData("StorArr$T", (VArray(t_zero, {5: marked}), 6))
+    s_at_8 = VData("StorStruct$S", (0, t_zero, ts))
     env = {
         "ptr": VArray(0, {0: 2, 1: 8, 2: 1, 3: 5}),
-        "ss": VData("StorArr_S", (VArray(s_zero, {8: s_at_8}), 9)),
+        "ss": VData("StorArr$S", (VArray(s_zero, {8: s_at_8}), 9)),
         "t1": t_zero,
         "s1": s_zero,
     }

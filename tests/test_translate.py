@@ -77,8 +77,8 @@ def test_fixed_arrays_collapse_to_dynamic():
 def test_storage_array_datatype():
     tr = fresh_translator()
     mapped = tr.map_type(DynArrayType(INT), Loc.STORAGE)
-    assert mapped == DatatypeType("StorArr_int")
-    dt = tr.program.datatype("StorArr_int")
+    assert mapped == DatatypeType("StorArr$int")
+    dt = tr.program.datatype("StorArr$int")
     assert dt.members == (("arr", ArrayType(ir.INT, ir.INT)), ("length", ir.INT))
 
 
@@ -86,38 +86,38 @@ def test_memory_array_introduces_heap():
     tr = fresh_translator()
     mapped = tr.map_type(DynArrayType(INT), Loc.MEMORY)
     assert mapped == ir.INT
-    assert tr.program.datatype("MemArr_int") is not None
-    assert tr.program.decl_type("arrHeap_int") == ArrayType(ir.INT, DatatypeType("MemArr_int"))
+    assert tr.program.datatype("MemArr$int") is not None
+    assert tr.program.decl_type("arrHeap$int") == ArrayType(ir.INT, DatatypeType("MemArr$int"))
 
 
 def test_struct_types_and_pointer_encoding():
     tr = fresh_translator()
     assert tr.map_type(StructType("S"), Loc.STORPTR) == ir.PTR
     stor = tr.map_type(StructType("S"), Loc.STORAGE)
-    assert stor == DatatypeType("StorStruct_S")
-    dt = tr.program.datatype("StorStruct_S")
-    assert dt.members == (("x", ir.INT), ("t", DatatypeType("StorStruct_T")))
+    assert stor == DatatypeType("StorStruct$S")
+    dt = tr.program.datatype("StorStruct$S")
+    assert dt.members == (("x", ir.INT), ("t", DatatypeType("StorStruct$T")))
     mem = tr.map_type(StructType("S"), Loc.MEMORY)
     assert mem == ir.INT
     # memory struct members of reference type are pointers
-    mdt = tr.program.datatype("MemStruct_S")
+    mdt = tr.program.datatype("MemStruct$S")
     assert mdt.members == (("x", ir.INT), ("t", ir.INT))
-    assert tr.program.decl_type("structHeap_S") == ArrayType(ir.INT, DatatypeType("MemStruct_S"))
+    assert tr.program.decl_type("structHeap$S") == ArrayType(ir.INT, DatatypeType("MemStruct$S"))
 
 
 def test_datatype_deduplication():
     tr = fresh_translator()
     tr.map_type(DynArrayType(INT), Loc.STORAGE)
     tr.map_type(FixArrayType(INT, 7), Loc.STORAGE)
-    assert len([d for d in tr.program.datatypes.values() if d.name == "StorArr_int"]) == 1
+    assert len([d for d in tr.program.datatypes.values() if d.name == "StorArr$int"]) == 1
 
 
 def test_nested_array_mangling():
     tr = fresh_translator()
     mapped = tr.map_type(DynArrayType(DynArrayType(INT)), Loc.STORAGE)
-    assert mapped == DatatypeType("StorArr_int_arr")
-    inner = tr.program.datatype("StorArr_int_arr")
-    assert dict(inner.members)["arr"] == ArrayType(ir.INT, DatatypeType("StorArr_int"))
+    assert mapped == DatatypeType("StorArr$int*")
+    inner = tr.program.datatype("StorArr$int*")
+    assert dict(inner.members)["arr"] == ArrayType(ir.INT, DatatypeType("StorArr$int"))
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,11 @@ def test_storage_array_defaults():
     tr = fresh_translator()
     d = tr.default_value(FixArrayType(INT, 3), Loc.STORAGE)
     assert d == Construct(
-        "StorArr_int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(3))
+        "StorArr$int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(3))
     )
     d0 = tr.default_value(DynArrayType(INT), Loc.STORAGE)
     assert d0 == Construct(
-        "StorArr_int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(0))
+        "StorArr$int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(0))
     )
 
 
@@ -151,18 +151,18 @@ def test_mapping_default_is_const_array():
 def test_storage_struct_default_recursive():
     tr = fresh_translator()
     d = tr.default_value(StructType("S"), Loc.STORAGE)
-    assert d == Construct("StorStruct_S", (IntLit(0), Construct("StorStruct_T", (IntLit(0),))))
+    assert d == Construct("StorStruct$S", (IntLit(0), Construct("StorStruct$T", (IntLit(0),))))
 
 
 def test_memory_struct_default_allocates():
     tr = fresh_translator()
     result = tr.default_value(StructType("S"), Loc.MEMORY)
     lines = [line for s in tr.stmts for line in format_stmt(s)]
-    assert lines[0] == "refcnt := (refcnt + 1)"
-    assert "refcnt" in lines[1]
+    assert lines[0] == "$alloc := ($alloc + 1)"
+    assert "$alloc" in lines[1]
     # nested member t allocates its own entity before the struct write
-    assert any(line.startswith("structHeap_T[") for line in lines)
-    assert any(line.startswith("structHeap_S[") for line in lines)
+    assert any(line.startswith("structHeap$T[") for line in lines)
+    assert any(line.startswith("structHeap$S[") for line in lines)
     assert isinstance(result, Ident)
 
 
@@ -172,7 +172,7 @@ def test_memory_array_default_and_eval():
     prog = tr.program.copy_shell()
     prog.stmts = list(tr.stmts)
     env = eval_ir(prog).env
-    heap = env["arrHeap_int"]
+    heap = env["arrHeap$int"]
     obj = heap.read(env[ptr.name])
     assert obj.members[1] == 2  # length
     assert obj.members[0].read(0) == 0 and obj.members[0].read(1) == 0
@@ -208,8 +208,8 @@ def test_storage_to_storage_is_datatype_assign():
     res, tf = run_constructor_ir(
         "contract C { struct S { int x; } S a; S b; constructor() { a.x = 5; b = a; a.x = 6; } }"
     )
-    assert res.env["b"] == VData("StorStruct_S", (5,))
-    assert res.env["a"] == VData("StorStruct_S", (6,))
+    assert res.env["b"] == VData("StorStruct$S", (5,))
+    assert res.env["a"] == VData("StorStruct$S", (6,))
 
 
 def test_storage_to_memory_allocates_and_copies():
@@ -227,7 +227,7 @@ contract C {
     )
     env = res.env
     m_ptr = env[next(n for n in tf.program.decls if n == "m")]
-    obj = env["arrHeap_int"].read(m_ptr)
+    obj = env["arrHeap$int"].read(m_ptr)
     assert obj.members[1] == 1  # snapshot before the second push
     assert obj.members[0].read(0) == 7
     assert env["a"].members[1] == 2
@@ -364,8 +364,8 @@ contract C {
     tf = translate_function(c, c.function("f"))
     texts = [line for s in tf.program.stmts for line in format_stmt(s)]
     p = c.function("f").params[0].name
-    assert f"assume ({p} <= refcnt)" in texts
-    assert any(t.startswith("assume (structHeap_S[") for t in texts)
+    assert f"assume ({p} <= $alloc)" in texts
+    assert any(t.startswith("assume (structHeap$S[") for t in texts)
 
 
 def test_memory_param_dynamic_reference_array_needs_unroll():
@@ -387,9 +387,9 @@ def test_memory_param_fixed_array_of_structs_assumes_each_element():
     tf = translate_function(c, c.function("f"))
     texts = [line for s in tf.program.stmts for line in format_stmt(s)]
     assert [t for t in texts if t.startswith("assume")] == [
-        "assume (xs <= refcnt)",
-        "assume (arrHeap_T[xs].arr[0] <= refcnt)",
-        "assume (arrHeap_T[xs].arr[1] <= refcnt)",
+        "assume (xs <= $alloc)",
+        "assume (arrHeap$T[xs].arr[0] <= $alloc)",
+        "assume (arrHeap$T[xs].arr[1] <= $alloc)",
     ]
 
 
@@ -404,8 +404,8 @@ def test_memory_param_cannot_alias_a_fresh_allocation(header):
     )
     fn = c.constructor or c.function("f")
     ssa = to_ssa(normalize_lhs(translate_function(c, fn).program))
-    assert eval_ir(ssa.program, {"refcnt": 0, "m": 1}).status == "assume-violated"
-    assert eval_ir(ssa.program, {"refcnt": 1, "m": 1}).status == "ok"
+    assert eval_ir(ssa.program, {"$alloc": 0, "m": 1}).status == "assume-violated"
+    assert eval_ir(ssa.program, {"$alloc": 1, "m": 1}).status == "ok"
 
 
 def test_returns_are_default_initialized():
@@ -414,7 +414,7 @@ def test_returns_are_default_initialized():
     ret = c.function("get").returns[0].name
     texts = [line for s in tf.program.stmts for line in format_stmt(s)]
     # allocation prologue for the memory return value
-    assert texts[0] == "refcnt := (refcnt + 1)"
+    assert texts[0] == "$alloc := ($alloc + 1)"
     assert any(t.startswith(f"{ret} :=") for t in texts)
 
 

@@ -26,7 +26,7 @@ from solmem.vcgen import vc_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DIGEST = "939cfeaaa7b8a0744222f7639e74e5aed1e862714707ba5f4590b174a731623a"
+DIGEST = "2cf7fef06498282866bea4fa2fcc1bbc879f93dde8c2f5308853ffe77565926f"
 
 
 # every location pair of the assignment matrix, for arrays, structs and

@@ -86,14 +86,14 @@ def test_datatype_block_has_prefixed_selectors():
     p = _program(
         datatypes=[
             DatatypeDef(
-                "StorArr_int",
+                "StorArr$int",
                 (("arr", ir.ArrayType(ir.INT, ir.INT)), ("length", ir.INT)),
             )
         ]
     )
     block = datatype_block(p)
-    assert "(StorArr_int.arr (Array Int Int))" in block
-    assert "(StorArr_int.length Int)" in block
+    assert "(StorArr$int.arr (Array Int Int))" in block
+    assert "(StorArr$int.length Int)" in block
 
 
 def test_const_array_and_negative_literals():
@@ -149,13 +149,13 @@ def test_datatype_script_roundtrips(solver_available):
     p = _program(
         Assign(
             Ident("a"),
-            ir.Construct("StorArr_int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(3))),
+            ir.Construct("StorArr$int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(3))),
         ),
-        Assert(ir.eq(ir.Select(Ident("a"), "length", "StorArr_int"), IntLit(3))),
-        decls=[("a", DatatypeType("StorArr_int"))],
+        Assert(ir.eq(ir.Select(Ident("a"), "length", "StorArr$int"), IntLit(3))),
+        decls=[("a", DatatypeType("StorArr$int"))],
         datatypes=[
             DatatypeDef(
-                "StorArr_int",
+                "StorArr$int",
                 (("arr", ir.ArrayType(ir.INT, ir.INT)), ("length", ir.INT)),
             )
         ],
@@ -214,9 +214,9 @@ def test_parse_model_define_funs():
 
 
 def test_parse_model_preserves_composite_values():
-    text = "(\n(define-fun a () StorArr_int (StorArr_int ((as const (Array Int Int)) 0) 2))\n)"
+    text = "(\n(define-fun a () StorArr$int (StorArr$int ((as const (Array Int Int)) 0) 2))\n)"
     model = parse_model(text)
-    assert model["a"].startswith("(StorArr_int")
+    assert model["a"].startswith("(StorArr$int")
 
 
 def test_parse_model_skips_an_entry_whose_name_is_not_an_atom():
