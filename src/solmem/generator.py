@@ -28,6 +28,7 @@ import random
 from collections import Counter
 
 from .errors import SourceError
+from .gcpause import gc_paused
 from .oracle import (
     MemArray, MemRef, MemStruct, OracleError, StorArray, StorMapping, StorPath, StorStruct, run_constructor,
 )
@@ -484,6 +485,7 @@ class ProgramBuilder:
         return self.source()
 
 
+@gc_paused
 def random_program(seed: int, size_budget: int = 10) -> str:
     """Deterministic, well-typed, in-bounds fragment program."""
     return ProgramBuilder(seed, size_budget).build()

@@ -11,6 +11,7 @@ identifier:
 from __future__ import annotations
 
 from .errors import IrError
+from .gcpause import gc_paused
 from .ir import (
     ArrayRead,
     ArrayWrite,
@@ -70,6 +71,7 @@ def _normalize_stmts(stmts, program: SmtProgram) -> list[IrStmt]:
     return out
 
 
+@gc_paused
 def normalize_lhs(program: SmtProgram) -> SmtProgram:
     """Program with every assignment target reduced to an identifier."""
     result = program.copy_shell()

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import SolmemError
+from .gcpause import gc_paused
 from .sol_ast import (
     BOOL,
     AssertStmt,
@@ -571,6 +572,7 @@ def exec_function(
     return ExecResult(machine.storage, returns, machine.assert_results, machine)
 
 
+@gc_paused
 def run_constructor(contract: Contract, args: list | None = None) -> ExecResult:
     if contract.constructor is not None:
         return exec_function(contract, "constructor", args)

@@ -26,6 +26,7 @@ tighter still. `c ? x : y` is the loosest form and nests to the right.
 from __future__ import annotations
 
 from .errors import ParseError, UnsupportedError
+from .gcpause import gc_paused
 from .lexer import IGNORED_MODIFIERS, UNSUPPORTED_KEYWORDS, Token, tokenize
 from .sol_ast import (
     ADDRESS,
@@ -430,6 +431,7 @@ class Parser:
         raise AssertionError("unreachable")
 
 
+@gc_paused
 def parse_source(text: str) -> Contract:
     """Parse a source file into an unresolved contract tree."""
     return Parser(text).parse_contract()

@@ -21,6 +21,7 @@ Location categories follow the storage model:
 from __future__ import annotations
 
 from .errors import ResolveError
+from .gcpause import gc_paused
 from .sol_ast import (
     BOOL,
     INT,
@@ -116,23 +117,24 @@ class Resolver:
         # storage must stay a finite-depth tree of values
         visiting: set[str] = set()
         done: set[str] = set()
-
-        def visit(name: str, line: int) -> None:
-            if name in done:
-                return
-            if name in visiting:
-                raise ResolveError(f"recursive struct type {name}", line)
-            visiting.add(name)
-            sd = self.contract.struct(name)
-            assert sd is not None
-            for m in sd.members:
-                for sub in struct_refs(m.ty):
-                    visit(sub, m.line)
-            visiting.discard(name)
-            done.add(name)
-
         for s in self.contract.structs:
-            visit(s.name, s.line)
+            self._check_finite(s.name, s.line, visiting, done)
+
+    def _check_finite(self, name: str, line: int, visiting: set[str], done: set[str]) -> None:
+        """Depth-first search for a struct that contains itself; `visiting`
+        holds the structs on the current path, `done` those cleared."""
+        if name in done:
+            return
+        if name in visiting:
+            raise ResolveError(f"recursive struct type {name}", line)
+        visiting.add(name)
+        sd = self.contract.struct(name)
+        assert sd is not None
+        for m in sd.members:
+            for sub in struct_refs(m.ty):
+                self._check_finite(sub, m.line, visiting, done)
+        visiting.discard(name)
+        done.add(name)
 
     def _check_state_vars(self) -> None:
         seen: set[str] = set()
@@ -483,6 +485,7 @@ def struct_refs(ty: SolType):
         yield from struct_refs(ty.value)
 
 
+@gc_paused
 def resolve_and_check(contract: Contract) -> Contract:
     """Annotate and alpha-rename a parsed contract; raises on errors."""
     return Resolver(contract).run()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import IrError
+from .gcpause import gc_paused
 from .ir import (
     ArrayRead,
     ArrayWrite,
@@ -136,6 +137,7 @@ class _Converter:
                 raise IrError(f"unknown statement {s!r}")
 
 
+@gc_paused
 def to_ssa(program: SmtProgram) -> SsaResult:
     """Flatten `program` into straight-line single-assignment form."""
     conv = _Converter(program)

@@ -81,41 +81,44 @@ def build_storage_tree(contract: Contract, target: SolType) -> StorageTree:
     if not is_reference_type(target):
         raise ValueError(f"storage trees exist only for reference types, got {target}")
 
-    def build(ty: SolType) -> TreeNode | None:
-        if ty == target:
-            return TreeNode("leaf", ty)
-        if isinstance(ty, StructType):
-            sd = contract.struct(ty.name)
-            if sd is None:
-                raise ValueError(f"unknown struct {ty.name}")
-            node = TreeNode("struct", ty)
-            for m in sd.members:
-                sub = build(m.ty)
-                if sub is not None:
-                    node.edges.append(TreeEdge(m.name, len(node.edges), sub))
-            return node if node.edges else None
-        if isinstance(ty, (DynArrayType, FixArrayType)):
-            sub = build(ty.base)
-            if sub is None:
-                return None
-            node = TreeNode("array", ty)
-            node.edges.append(TreeEdge(None, 0, sub))
-            return node
-        if isinstance(ty, MappingType):
-            sub = build(ty.value)
-            if sub is None:
-                return None
-            node = TreeNode("mapping", ty)
-            node.edges.append(TreeEdge(None, 0, sub))
-            return node
-        return None
-
     root = TreeNode("contract")
     for v in contract.state_vars:
-        sub = build(v.ty)
+        sub = _build(contract, target, v.ty)
         if sub is not None:
             root.edges.append(TreeEdge(v.name, len(root.edges), sub))
     return StorageTree(target, root)
+
+
+def _build(contract: Contract, target: SolType, ty: SolType) -> TreeNode | None:
+    """The subtree of paths from an entity of type `ty` to entities of
+    `target`, or None when there are none."""
+    if ty == target:
+        return TreeNode("leaf", ty)
+    if isinstance(ty, StructType):
+        sd = contract.struct(ty.name)
+        if sd is None:
+            raise ValueError(f"unknown struct {ty.name}")
+        node = TreeNode("struct", ty)
+        for m in sd.members:
+            sub = _build(contract, target, m.ty)
+            if sub is not None:
+                node.edges.append(TreeEdge(m.name, len(node.edges), sub))
+        return node if node.edges else None
+    if isinstance(ty, (DynArrayType, FixArrayType)):
+        sub = _build(contract, target, ty.base)
+        if sub is None:
+            return None
+        node = TreeNode("array", ty)
+        node.edges.append(TreeEdge(None, 0, sub))
+        return node
+    if isinstance(ty, MappingType):
+        sub = _build(contract, target, ty.value)
+        if sub is None:
+            return None
+        node = TreeNode("mapping", ty)
+        node.edges.append(TreeEdge(None, 0, sub))
+        return node
+    return None
 
 
 def default_context_tree(target: SolType) -> StorageTree:

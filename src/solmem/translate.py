@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .errors import IrError, UnsupportedError
+from .gcpause import gc_paused
 from . import ir
 from .ir import (
     PTR,
@@ -109,6 +110,18 @@ def _names(ty: SolType) -> tuple[str, str, str]:
     raise IrError(f"no datatype for {ty}")
 
 
+def _unpack_below(ptr: IrExpr, leaf: Callable[[Edges], IrExpr], node: TreeNode, edges: Edges) -> IrExpr:
+    """`Translator.unpack` below `node`, reached through `edges`."""
+    if node.is_leaf:
+        return leaf(edges)
+    last = node.edges[-1]
+    result = _unpack_below(ptr, leaf, last.target, edges + ((node, last),))
+    for edge in reversed(node.edges[:-1]):
+        cond = ir.eq(ArrayRead(ptr, IntLit(len(edges))), IntLit(edge.ordinal))
+        result = Ite(cond, _unpack_below(ptr, leaf, edge.target, edges + ((node, edge),)), result)
+    return result
+
+
 _COPY_NEEDS_UNROLL = (
     "unsupported: deep copy into {} of a dynamic array with reference base "
     "type requires element-wise iteration (use --unroll)"
@@ -140,6 +153,9 @@ class Translator:
     def __init__(self, contract: Contract, unroll: int | None = None):
         if not contract.resolved:
             raise IrError("contract must be resolved before translation")
+        if unroll is not None and unroll < 0:
+            # a negative bound contradicts every length's `0 <= n`, so every assert would verify
+            raise ValueError(f"unroll bound must be a non-negative integer, got {unroll}")
         self.contract = contract
         self.unroll = unroll
         self.program = SmtProgram()
@@ -331,19 +347,7 @@ class Translator:
         last edge, the unguarded fall-through; arrays and mappings index
         by it. A leaf yields the storage entity it reaches, or
         `leaf(edges)` for the (node, edge) pairs taken to it."""
-        leaf = leaf or partial(self._entity, ptr)
-
-        def walk(node: TreeNode, edges: Edges) -> IrExpr:
-            if node.is_leaf:
-                return leaf(edges)
-            last = node.edges[-1]
-            result = walk(last.target, edges + ((node, last),))
-            for edge in reversed(node.edges[:-1]):
-                cond = ir.eq(ArrayRead(ptr, IntLit(len(edges))), IntLit(edge.ordinal))
-                result = Ite(cond, walk(edge.target, edges + ((node, edge),)), result)
-            return result
-
-        return walk(self.tree_for(target).root, ())
+        return _unpack_below(ptr, leaf or partial(self._entity, ptr), self.tree_for(target).root, ())
 
     def _entity(self, ptr: IrExpr, edges: Edges) -> IrExpr:
         """Storage entity at the end of `edges`: arrays read their backing
@@ -764,6 +768,7 @@ class Translator:
         return TranslatedFunction(fn.name, self.program, self.asserts, fn.is_constructor)
 
 
+@gc_paused
 def translate_function(
     contract: Contract, fn: Function, unroll: int | None = None
 ) -> TranslatedFunction:

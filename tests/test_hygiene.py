@@ -9,7 +9,10 @@ imports nothing from the translator's side of the pipeline, so that a
 fault there cannot hide from differential testing. Every walker's
 dispatch table has exactly one handler per IR expression class, so a
 forgotten node is caught here and not at run time. The names the
-translator invents are spelled only where it invents them.
+translator invents are spelled only where it invents them. No nested
+function refers to its own name, so that no closure holds itself in a
+reference cycle. Every text that `tests/mutants.py` replaces still occurs
+exactly once in its module.
 """
 
 import ast
@@ -17,6 +20,7 @@ import re
 from pathlib import Path
 
 import irsorts
+import mutants
 import pytest
 from solmem import ir, ireval, smtlib, ssa
 from solmem.ir import IrExpr, UnOp
@@ -153,6 +157,52 @@ def test_checks_find_what_they_look_for():
     assert unused_imports(tree) == ["os (line 1)", "b (line 2)"]
 
 
+def self_referencing_closures(tree: ast.Module) -> list[str]:
+    """Qualified names of the functions defined inside a function that
+    name themselves, as a recursive closure does: the closure holds its
+    own cell, a reference cycle that keeps everything it captures alive
+    until the cyclic collector runs."""
+    found = []
+    stack: list[tuple[ast.AST, str, bool]] = [(tree, "", False)]
+    while stack:
+        node, prefix, in_function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if in_function and any(
+                    isinstance(n, ast.Name) and n.id == child.name for stmt in child.body for n in ast.walk(stmt)
+                ):
+                    found.append(name)
+                stack.append((child, f"{name}.<locals>.", True))
+            elif isinstance(child, ast.ClassDef):
+                # a method's name is not in scope inside the method
+                stack.append((child, f"{prefix}{child.name}.", False))
+            else:
+                stack.append((child, prefix, in_function))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_nested_function_names_itself(path):
+    assert self_referencing_closures(ast.parse(path.read_text())) == []
+
+
+def test_closure_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        "def top(n):\n    return top(n - 1)\n"
+        "class K:\n"
+        "    def method(self):\n"
+        "        def walk(x):\n            return [walk(y) for y in x]\n"
+        "        def leaf(x):\n            return x\n"
+        "        return walk, leaf, self.method\n"
+        "def outer():\n"
+        "    class Inner:\n        def again(self):\n            return again\n"
+        "    async def poll():\n        await poll()\n"
+        "    return Inner, poll\n"
+    )
+    assert self_referencing_closures(tree) == ["K.method.<locals>.walk", "outer.<locals>.poll"]
+
+
 def spelled_names(tree: ast.AST) -> list[tuple[str, int]]:
     """(stem, line) of each invented-name stem in a string constant,
     docstrings and the literal parts of f-strings included."""
@@ -266,3 +316,10 @@ def test_table_check_finds_what_it_looks_for():
     table = dict.fromkeys(leaf_classes(IrExpr) - {UnOp})
     table[IrExpr] = None
     assert table_gaps(table, IrExpr) == (["UnOp"], ["IrExpr"])
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_text_occurs_once(mutant):
+    """`tests/mutants.py` replaces each text in place, so it must still
+    name exactly one spot of its module."""
+    assert (ROOT / mutant.path).read_text().count(mutant.text) == 1

@@ -333,6 +333,17 @@ def test_unroll_bounds_lengths_instead_of_covering_them():
     assert [a.passed for a in exec_function(c, "f", [3]).asserts] == [False]
 
 
+def test_negative_unroll_bound_is_rejected():
+    """A negative bound would assume `n <= -1` beside `0 <= n`, so every
+    later assert would verify vacuously; the translator refuses it."""
+    c = compile_source(
+        "contract C { struct S { int x; } function f(uint n) { S[] memory a = new S[](n); assert(false); } }"
+    )
+    with pytest.raises(ValueError, match="got -1"):
+        translate_function(c, c.function("f"), -1)
+    assert translate_function(c, c.function("f"), 0).asserts
+
+
 def test_fixed_reference_arrays_copy_without_unroll():
     src = """
 contract C {
