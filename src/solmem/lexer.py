@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -86,62 +85,66 @@ SYMBOLS = [
     "*",
     "/",
     "%",
+    "^",
+    "~",
 ]
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # "ident" | "number" | "keyword" | "symbol" | "eof"
-    value: str
-    line: int
-    col: int
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
-
-
-# One alternative per lexeme class, tried in this order at each position
-# (the "Writing a Tokenizer" recipe of the `re` docs). A number directly
-# followed by a letter or `_` is malformed; `/*` without its `*/` is
-# unterminated; `other` catches every character no class accepts.
+# One match per lexeme, each taking the horizontal space before it
+# (`[^\S\n]*`; every `\s` but `\n`), so that space costs no turn of the
+# loop. A `\n` and a comment are matches of their own, so that only they
+# move the line. The alternatives are tried in order (the "Writing a
+# Tokenizer" recipe of the `re` docs): a comment before the `/` symbol, a
+# number before a word. A number directly followed by a letter or `_` is
+# malformed; `/*` without its `*/` is unterminated; `end` only takes the
+# space at the end of the text; `other` catches every character no class
+# accepts. Positions come from the lexeme's group, not the match.
 _TOKEN_RE = re.compile(
-    "|".join([
-        r"(?P<space>\s+)",
+    r"[^\S\n]*(?:"
+    + "|".join([
         r"(?P<comment>//[^\n]*|/\*.*?\*/)",
         r"(?P<unterminated>/\*)",
+        "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
         r"(?P<number>\d+)(?P<malformed>[^\W\d])?",
         r"(?P<word>\w+)",
-        "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+        r"(?P<newline>\n)",
+        r"(?P<end>\Z)",
         r"(?P<other>.)",
-    ]),
+    ])
+    + ")",
     re.S,
 )
 
 
-def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
-    """Tokens of `text`, whose first character sits at `line`:`col`.
-    Columns count characters; only `\\n` starts a new line."""
-    tokens: list[Token] = []
-    line_start = 1 - col  # offset of the current line's first character
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int, int]]:
+    """Tokens of `text`, whose first character sits at `line`:`col`, as
+    `(kind, value, line, col)` tuples; `kind` is "ident", "number",
+    "keyword", "symbol" or, for the last token, "eof". Columns count
+    characters; only `\\n` starts a new line."""
+    tokens: list[tuple[str, str, int, int]] = []
+    append = tokens.append
+    base = -col  # a character's column is its offset minus `base`
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "space" or kind == "comment":
+        if kind == "symbol" or kind == "number":
+            append((kind, m[kind], line, m.start(kind) - base))
+        elif kind == "word":
+            value = m[kind]
+            append(("keyword" if value in KEYWORDS else "ident", value, line, m.start(kind) - base))
+        elif kind == "newline":
+            line += 1
+            base = m.end() - 1
+        elif kind == "comment":
+            value = m[kind]
             newlines = value.count("\n")
             if newlines:
                 line += newlines
-                line_start = m.start() + value.rindex("\n") + 1
-            continue
-        at = m.start() - line_start + 1
-        if kind == "word":
-            tokens.append(Token("keyword" if value in KEYWORDS else "ident", value, line, at))
-        elif kind == "number" or kind == "symbol":
-            tokens.append(Token(kind, value, line, at))
+                base = m.start(kind) + value.rindex("\n")
         elif kind == "malformed":
-            raise ParseError("malformed number", line, at)
+            raise ParseError("malformed number", line, m.start("number") - base)
         elif kind == "unterminated":
-            raise ParseError("unterminated block comment", line, at)
-        else:
-            raise ParseError(f"unexpected character {value!r}", line, at)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+            raise ParseError("unterminated block comment", line, m.start(kind) - base)
+        elif kind == "other":
+            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) - base)
+    append(("eof", "", line, len(text) - base))
     return tokens

@@ -8,10 +8,11 @@ inheritance, ...) are reported as unsupported, never skipped. Leading
 `pragma` directives and function-header visibility/mutability modifiers
 are ignored with a warning.
 
-The parser holds the current token in `tok` and reads it directly;
-`peek(offset)` looks further ahead only to tell a declaration from an
-expression statement. Binary operators are parsed by one
-precedence-climbing loop over `_BINARY_PREC`, all left-associative:
+Tokens are the lexer's `(kind, value, line, col)` tuples. The parser
+holds the current one in `tok` and reads its fields in place; it looks
+further ahead, by index, only to tell a declaration from an expression
+statement. Binary operators are parsed by one precedence-climbing loop
+over `_BINARY_PREC`, all left-associative:
 
     1  ||
     2  &&
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from .errors import ParseError, UnsupportedError
 from .gcpause import gc_paused
-from .lexer import IGNORED_MODIFIERS, UNSUPPORTED_KEYWORDS, Token, tokenize
+from .lexer import IGNORED_MODIFIERS, UNSUPPORTED_KEYWORDS, tokenize
 from .sol_ast import (
     ADDRESS,
     BOOL,
@@ -66,282 +67,290 @@ from .sol_ast import (
 
 _VALUE_TYPES = {"address": ADDRESS, "int": INT, "uint": UINT, "bool": BOOL}
 
-# Binding power of the binary operators, all left-associative. `*`, `/`
-# and `%` are outside the fragment: absent here, they end an expression.
+# Binding power of the binary operators, all left-associative. `*`, `/`,
+# `%` and `^` are outside the fragment: absent here, they end an expression.
 _BINARY_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4, "+": 5, "-": 5}
+
+# Symbols that start an operand as a prefix: `!` and `-` are in the
+# fragment, the rest are operators outside it and are reported as such.
+_PREFIX = {"!", "-", "*", "/", "%", "^", "~"}
 
 
 class Parser:
+    """The current token is `tok`, a `(kind, value, line, col)` tuple at
+    `tokens[pos]`. Only symbols spell punctuation and operators and only
+    keywords spell keywords, so most tests read the value alone. The hot
+    paths (operands, their suffixes, the binary loop and expression
+    statements) advance in place; the rest go through `next`, `accept`
+    and `expect`."""
+
     def __init__(self, text: str, line: int = 1, col: int = 1):
         self.tokens = tokenize(text, line, col)
+        # `_looks_like_type` reads up to four tokens ahead; past the end
+        # it reads the eof token again
+        self.tokens += [self.tokens[-1]] * 4
         self.pos = 0
-        self.last = len(self.tokens) - 1  # the eof token
         self.tok = self.tokens[0]
         self.warnings: list[str] = []
 
     # -- token plumbing -------------------------------------------------
 
-    def peek(self, offset: int) -> Token:
-        return self.tokens[min(self.pos + offset, self.last)]
-
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tok
-        if self.pos < self.last:
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.tok
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
+    def accept(self, value: str) -> tuple | None:
+        if self.tok[1] == value:
             return self.next()
         return None
 
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        if not self.at(kind, value):
+    def expect(self, kind: str, value: str | None = None) -> tuple:
+        tok = self.tok
+        if tok[0] != kind or (value is not None and tok[1] != value):
             self._reject(expected=value or kind)
         return self.next()
 
     def _reject(self, expected: str) -> None:
         self._check_unsupported()
-        tok = self.tok
-        shown = tok.value or "end of input"
-        raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
+        _, value, line, col = self.tok
+        shown = value or "end of input"
+        raise ParseError(f"expected {expected}, found {shown!r}", line, col)
 
     def _check_unsupported(self) -> None:
-        tok = self.tok
-        if tok.kind == "ident" and tok.value in UNSUPPORTED_KEYWORDS:
-            raise UnsupportedError(
-                f"unsupported: {UNSUPPORTED_KEYWORDS[tok.value]}", tok.line, tok.col
-            )
+        kind, value, line, col = self.tok
+        if kind == "ident" and value in UNSUPPORTED_KEYWORDS:
+            raise UnsupportedError(f"unsupported: {UNSUPPORTED_KEYWORDS[value]}", line, col)
 
     # -- types -----------------------------------------------------------
 
     def parse_type(self) -> SolType:
-        tok = self.tok
-        if tok.kind == "keyword" and tok.value in _VALUE_TYPES:
+        kind, value, _, _ = self.tok
+        if kind == "keyword" and value in _VALUE_TYPES:
             self.next()
-            base: SolType = _VALUE_TYPES[tok.value]
-        elif tok.kind == "keyword" and tok.value == "mapping":
+            base: SolType = _VALUE_TYPES[value]
+        elif value == "mapping":
             self.next()
             self.expect("symbol", "(")
             key = self.parse_type()
             self.expect("symbol", "=>")
-            value = self.parse_type()
+            mapped = self.parse_type()
             self.expect("symbol", ")")
-            base = MappingType(key, value)
-        elif tok.kind == "ident":
+            base = MappingType(key, mapped)
+        elif kind == "ident":
             self._check_unsupported()
             self.next()
-            base = StructType(tok.value)
+            base = StructType(value)
         else:
             self._reject(expected="type")
-        while self.at("symbol", "["):
-            self.next()
-            if self.accept("symbol", "]"):
+        while self.accept("["):
+            if self.accept("]"):
                 base = DynArrayType(base)
             else:
-                size_tok = self.expect("number")
+                size = self.expect("number")[1]
                 self.expect("symbol", "]")
-                base = FixArrayType(base, int(size_tok.value))
+                base = FixArrayType(base, int(size))
         return base
 
     def _looks_like_type(self) -> bool:
-        tok = self.tok
-        if tok.kind == "keyword" and (tok.value in _VALUE_TYPES or tok.value == "mapping"):
-            return True
-        if tok.kind != "ident":
+        kind, value, _, _ = self.tok
+        if kind == "keyword":
+            return value in _VALUE_TYPES or value == "mapping"
+        if kind != "ident":
             return False
         # `Name x`, `Name storage x`, `Name[...]` start declarations;
         # `Name.`, `Name =`, `Name[` could also start an expression, so a
         # bracket requires a closing look: `Name[` followed by `]` or a
         # number-then-`]` is a type.
-        nxt = self.peek(1)
-        if nxt.kind == "ident" or (nxt.kind == "keyword" and nxt.value in ("storage", "memory")):
+        toks, pos = self.tokens, self.pos
+        kind, value = toks[pos + 1][:2]
+        if kind == "ident" or value == "storage" or value == "memory":
             return True
-        if nxt.kind == "symbol" and nxt.value == "[":
-            if self.peek(2).kind == "symbol" and self.peek(2).value == "]":
+        if value == "[":
+            kind, value = toks[pos + 2][:2]
+            if value == "]":
                 return True
-            if self.peek(2).kind == "number" and self.peek(3).value == "]":
+            if kind == "number" and toks[pos + 3][1] == "]":
                 # `a[3] = ...` is an assignment; `T[3] x ...` a declaration
-                after = self.peek(4)
-                return after.kind == "ident" or (
-                    after.kind == "keyword" and after.value in ("storage", "memory")
-                ) or (after.kind == "symbol" and after.value == "[")
+                kind, value = toks[pos + 4][:2]
+                return kind == "ident" or value in ("storage", "memory", "[")
         return False
 
     # -- contract structure ----------------------------------------------
 
     def parse_contract(self) -> Contract:
-        while self.at("keyword", "pragma"):
-            tok = self.next()
-            while not self.at("symbol", ";") and not self.at("eof"):
+        while self.tok[1] == "pragma":
+            line = self.next()[2]
+            while self.tok[1] != ";" and self.tok[0] != "eof":
                 self.next()
             self.expect("symbol", ";")
-            self.warnings.append(f"{tok.line}: pragma directive ignored")
+            self.warnings.append(f"{line}: pragma directive ignored")
         self.expect("keyword", "contract")
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         self.expect("symbol", "{")
         structs: list[StructDef] = []
-        while self.at("keyword", "struct"):
+        while self.tok[1] == "struct":
             structs.append(self.parse_struct())
         state_vars: list[StateVar] = []
-        while not self.at("keyword", "constructor") and not self.at("keyword", "function") and not self.at("symbol", "}"):
+        while self.tok[1] not in ("constructor", "function", "}"):
             state_vars.append(self.parse_state_var())
         constructor = None
-        if self.at("keyword", "constructor"):
+        if self.tok[1] == "constructor":
             constructor = self.parse_function(is_constructor=True)
         functions: list[Function] = []
-        while self.at("keyword", "function"):
+        while self.tok[1] == "function":
             functions.append(self.parse_function(is_constructor=False))
         self.expect("symbol", "}")
         self.expect("eof")
         return Contract(name, structs, state_vars, constructor, functions, self.warnings)
 
     def parse_struct(self) -> StructDef:
-        tok = self.expect("keyword", "struct")
-        name = self.expect("ident").value
+        _, _, line, col = self.expect("keyword", "struct")
+        name = self.expect("ident")[1]
         self.expect("symbol", "{")
         members: list[StructMember] = []
-        while not self.at("symbol", "}"):
+        while self.tok[1] != "}":
             ty = self.parse_type()
-            mname = self.expect("ident")
+            _, mname, mline, _ = self.expect("ident")
             self.expect("symbol", ";")
-            members.append(StructMember(mname.value, ty, mname.line))
-        self.expect("symbol", "}")
+            members.append(StructMember(mname, ty, mline))
+        self.next()
         if not members:
-            raise ParseError(f"struct {name} has no members", tok.line, tok.col)
-        return StructDef(name, members, tok.line)
+            raise ParseError(f"struct {name} has no members", line, col)
+        return StructDef(name, members, line)
 
     def parse_state_var(self) -> StateVar:
         ty = self.parse_type()
-        tok = self.expect("ident")
+        _, name, line, _ = self.expect("ident")
         self.expect("symbol", ";")
-        return StateVar(tok.value, ty, tok.line)
+        return StateVar(name, ty, line)
 
     def parse_function(self, is_constructor: bool) -> Function:
         if is_constructor:
-            tok = self.expect("keyword", "constructor")
+            _, _, line, col = self.expect("keyword", "constructor")
             name = "constructor"
         else:
-            tok = self.expect("keyword", "function")
-            name = self.expect("ident").value
+            _, _, line, col = self.expect("keyword", "function")
+            name = self.expect("ident")[1]
         params = self.parse_params()
         self._skip_modifiers()
         returns: list[Param] = []
-        if self.accept("keyword", "returns"):
+        if self.accept("returns"):
             returns = self.parse_params()
             for r in returns:
                 if not r.name:
-                    raise ParseError(
-                        "return values must be named in this fragment", tok.line, tok.col
-                    )
+                    raise ParseError("return values must be named in this fragment", line, col)
         self._skip_modifiers()
         self.expect("symbol", "{")
         body: list[Stmt] = []
-        while not self.at("symbol", "}"):
+        while self.tok[1] != "}":
             body.append(self.parse_stmt())
-        self.expect("symbol", "}")
-        return Function(name, params, returns, body, is_constructor, tok.line)
+        self.next()
+        return Function(name, params, returns, body, is_constructor, line)
 
     def _skip_modifiers(self) -> None:
-        while self.tok.kind == "ident" and self.tok.value in IGNORED_MODIFIERS:
-            tok = self.next()
-            self.warnings.append(f"{tok.line}: ignoring modifier '{tok.value}'")
+        while self.tok[0] == "ident" and self.tok[1] in IGNORED_MODIFIERS:
+            _, value, line, _ = self.next()
+            self.warnings.append(f"{line}: ignoring modifier '{value}'")
 
     def parse_params(self) -> list[Param]:
         self.expect("symbol", "(")
         params: list[Param] = []
-        while not self.at("symbol", ")"):
+        while self.tok[1] != ")":
             if params:
                 self.expect("symbol", ",")
             ty = self.parse_type()
             data_loc = None
-            if self.at("keyword", "storage") or self.at("keyword", "memory"):
-                data_loc = self.next().value
-            name_tok = self.accept("ident")
-            params.append(
-                Param(ty, data_loc, name_tok.value if name_tok else "", name_tok.line if name_tok else 0)
-            )
-        self.expect("symbol", ")")
+            if self.tok[1] in ("storage", "memory"):
+                data_loc = self.next()[1]
+            if self.tok[0] == "ident":
+                _, name, line, _ = self.next()
+                params.append(Param(ty, data_loc, name, line))
+            else:
+                params.append(Param(ty, data_loc, "", 0))
+        self.next()
         return params
 
     # -- statements --------------------------------------------------------
 
     def parse_stmt(self) -> Stmt:
-        tok = self.tok
-        if self.at("keyword", "delete"):
-            self.next()
-            target = self.parse_expr()
-            self.expect("symbol", ";")
-            return DeleteStmt(target, line=tok.line)
-        if self.at("keyword", "assert"):
-            self.next()
-            self.expect("symbol", "(")
-            cond = self.parse_expr()
-            self.expect("symbol", ")")
-            self.expect("symbol", ";")
-            return AssertStmt(cond, line=tok.line)
-        if self.at("symbol", "("):
+        kind, value, line, _ = self.tok
+        if kind == "keyword":
+            if value == "delete":
+                self.next()
+                target = self.parse_expr()
+                self.expect("symbol", ";")
+                return DeleteStmt(target, line=line)
+            if value == "assert":
+                self.next()
+                self.expect("symbol", "(")
+                cond = self.parse_expr()
+                self.expect("symbol", ")")
+                self.expect("symbol", ";")
+                return AssertStmt(cond, line=line)
+        elif value == "(":
             return self.parse_tuple_assign()
         if self._looks_like_type():
             return self.parse_decl()
         # expression statement: single assignment or push/pop
         expr = self.parse_expr()
-        if isinstance(expr, MemberExpr) and expr.member in ("push", "pop") and self.at("symbol", "("):
+        if self.tok[1] == "=":
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+            rhs = self.parse_expr()
+            if self.tok[1] != ";":
+                self._reject(expected=";")
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+            return AssignStmt([expr], [rhs], tuple_form=False, line=line)
+        if isinstance(expr, MemberExpr) and expr.member in ("push", "pop") and self.tok[1] == "(":
             self.next()
             if expr.member == "push":
-                value = self.parse_expr()
+                pushed = self.parse_expr()
                 self.expect("symbol", ")")
                 self.expect("symbol", ";")
-                return PushStmt(expr.base, value, line=tok.line)
+                return PushStmt(expr.base, pushed, line=line)
             self.expect("symbol", ")")
             self.expect("symbol", ";")
-            return PopStmt(expr.base, line=tok.line)
-        if self.at("symbol", "="):
-            self.next()
-            rhs = self.parse_expr()
-            self.expect("symbol", ";")
-            return AssignStmt([expr], [rhs], tuple_form=False, line=tok.line)
+            return PopStmt(expr.base, line=line)
         self._reject(expected="'=' or ';'")
         raise AssertionError("unreachable")
 
     def parse_tuple_assign(self) -> Stmt:
-        tok = self.expect("symbol", "(")
+        line = self.next()[2]
         lhs = [self.parse_expr()]
-        while self.accept("symbol", ","):
+        while self.accept(","):
             lhs.append(self.parse_expr())
         self.expect("symbol", ")")
         self.expect("symbol", "=")
         self.expect("symbol", "(")
         rhs = [self.parse_expr()]
-        while self.accept("symbol", ","):
+        while self.accept(","):
             rhs.append(self.parse_expr())
         self.expect("symbol", ")")
         self.expect("symbol", ";")
-        return AssignStmt(lhs, rhs, tuple_form=True, line=tok.line)
+        return AssignStmt(lhs, rhs, tuple_form=True, line=line)
 
     def parse_decl(self) -> Stmt:
-        tok = self.tok
+        line = self.tok[2]
         ty = self.parse_type()
         data_loc = None
-        if self.at("keyword", "storage") or self.at("keyword", "memory"):
-            data_loc = self.next().value
-        name = self.expect("ident").value
+        if self.tok[1] in ("storage", "memory"):
+            data_loc = self.next()[1]
+        name = self.expect("ident")[1]
         init = None
-        if self.accept("symbol", "="):
+        if self.accept("="):
             init = self.parse_expr()
         self.expect("symbol", ";")
-        return DeclStmt(ty, data_loc, name, init, line=tok.line)
+        return DeclStmt(ty, data_loc, name, init, line=line)
 
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         cond = self.parse_binary(1)
-        if self.accept("symbol", "?"):
+        if self.tok[1] == "?":
+            self.next()
             then = self.parse_expr()
             self.expect("symbol", ":")
             other = self.parse_expr()
@@ -349,80 +358,93 @@ class Parser:
         return cond
 
     def parse_binary(self, min_prec: int) -> Expr:
-        """Precedence climbing: a unary operand, then every operator that
-        binds at least `min_prec`. Its right operand takes only tighter
+        """Precedence climbing: an operand, then every operator that binds
+        at least `min_prec`. Its right operand takes only tighter
         operators, so equal levels group to the left."""
-        left = self.parse_unary()
+        left = self.parse_operand()
         while True:
-            op = self.tok
-            prec = _BINARY_PREC.get(op.value, 0)  # only symbols spell operators
-            if prec < min_prec:
+            _, op, line, col = self.tok
+            if op not in _BINARY_PREC or _BINARY_PREC[op] < min_prec:
                 return left
-            self.next()
-            right = self.parse_binary(prec + 1)
-            left = BinExpr(op.value, left, right, line=op.line, col=op.col)
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+            right = self.parse_binary(_BINARY_PREC[op] + 1)
+            left = BinExpr(op, left, right, line=line, col=col)
 
-    def parse_unary(self) -> Expr:
-        tok = self.tok
-        if tok.kind == "symbol":
-            if tok.value == "!" or tok.value == "-":
-                self.next()
-                return UnExpr(tok.value, self.parse_unary(), line=tok.line, col=tok.col)
-            if tok.value in ("*", "/", "%"):
-                raise UnsupportedError(f"unsupported: operator {tok.value}", tok.line, tok.col)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        expr = self.parse_primary()
+    def parse_operand(self) -> Expr:
+        """Prefix `!` and `-`, a primary, then its `.member` and `[index]`
+        suffixes. Identifiers and numbers, the common primaries, are read
+        here; the rest in `parse_primary`."""
+        kind, value, line, col = self.tok
+        if kind == "ident":
+            if value in UNSUPPORTED_KEYWORDS:
+                self._check_unsupported()
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+            if self.tok[1] == "(":
+                expr: Expr = self.parse_struct_ctor(value, line, col)
+            else:
+                expr = IdentExpr(value, line=line, col=col)
+        elif kind == "number":
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+            expr = IntLitExpr(int(value), line=line, col=col)
+        elif value in _PREFIX:
+            if value == "!" or value == "-":
+                self.pos += 1
+                self.tok = self.tokens[self.pos]
+                return UnExpr(value, self.parse_operand(), line=line, col=col)
+            raise UnsupportedError(f"unsupported: operator {value}", line, col)
+        else:
+            expr = self.parse_primary()
         while True:
-            value = self.tok.value  # only symbols spell "." and "["
+            value = self.tok[1]
             if value == ".":
-                self.next()
-                member = self.expect("ident").value
-                expr = MemberExpr(expr, member, line=expr.line, col=expr.col)
+                self.pos += 1
+                tok = self.tok = self.tokens[self.pos]
+                if tok[0] != "ident":
+                    self._reject(expected="ident")
+                self.pos += 1
+                self.tok = self.tokens[self.pos]
+                expr = MemberExpr(expr, tok[1], line=expr.line, col=expr.col)
             elif value == "[":
-                self.next()
+                self.pos += 1
+                self.tok = self.tokens[self.pos]
                 index = self.parse_expr()
-                self.expect("symbol", "]")
+                if self.tok[1] != "]":
+                    self._reject(expected="]")
+                self.pos += 1
+                self.tok = self.tokens[self.pos]
                 expr = IndexExpr(expr, index, line=expr.line, col=expr.col)
             else:
                 return expr
 
+    def parse_struct_ctor(self, name: str, line: int, col: int) -> Expr:
+        self.next()
+        args: list[Expr] = []
+        while self.tok[1] != ")":
+            if args:
+                self.expect("symbol", ",")
+            args.append(self.parse_expr())
+        self.next()
+        return StructCtorExpr(name, args, line=line, col=col)
+
     def parse_primary(self) -> Expr:
-        tok = self.tok
-        if tok.kind == "number":
+        """A primary other than an identifier or a number."""
+        _, value, line, col = self.tok
+        if value == "true" or value == "false":
             self.next()
-            return IntLitExpr(int(tok.value), line=tok.line, col=tok.col)
-        if tok.kind == "keyword" and (tok.value == "true" or tok.value == "false"):
-            self.next()
-            return BoolLitExpr(tok.value == "true", line=tok.line, col=tok.col)
-        if tok.kind == "keyword" and tok.value == "new":
+            return BoolLitExpr(value == "true", line=line, col=col)
+        if value == "new":
             self.next()
             elem = self.parse_type()
             if not isinstance(elem, DynArrayType):
-                raise ParseError(
-                    "new is only supported for dynamic arrays: new T[](n)",
-                    tok.line,
-                    tok.col,
-                )
+                raise ParseError("new is only supported for dynamic arrays: new T[](n)", line, col)
             self.expect("symbol", "(")
             length = self.parse_expr()
             self.expect("symbol", ")")
-            return NewArrayExpr(elem.base, length, line=tok.line, col=tok.col)
-        if tok.kind == "ident":
-            self._check_unsupported()
-            self.next()
-            if self.at("symbol", "("):
-                self.next()
-                args: list[Expr] = []
-                while not self.at("symbol", ")"):
-                    if args:
-                        self.expect("symbol", ",")
-                    args.append(self.parse_expr())
-                self.expect("symbol", ")")
-                return StructCtorExpr(tok.value, args, line=tok.line, col=tok.col)
-            return IdentExpr(tok.value, line=tok.line, col=tok.col)
-        if self.at("symbol", "("):
+            return NewArrayExpr(elem.base, length, line=line, col=col)
+        if value == "(":
             self.next()
             inner = self.parse_expr()
             self.expect("symbol", ")")

@@ -43,7 +43,7 @@ def compile_source(text):
 
 def test_tokenize_symbols_and_keywords():
     toks = tokenize("mapping(address => int) m; a[1] >= b != !c")
-    kinds = [(t.kind, t.value) for t in toks]
+    kinds = [t[:2] for t in toks]
     assert ("keyword", "mapping") in kinds
     assert ("symbol", "=>") in kinds
     assert ("symbol", ">=") in kinds
@@ -53,7 +53,7 @@ def test_tokenize_symbols_and_keywords():
 
 def test_tokenize_positions_and_comments():
     toks = tokenize("// comment\n  x /* multi\nline */ y")
-    assert [(t.value, t.line) for t in toks[:2]] == [("x", 2), ("y", 3)]
+    assert [t[1:3] for t in toks[:2]] == [("x", 2), ("y", 3)]
 
 
 def test_tokenize_rejects_garbage():
@@ -101,6 +101,12 @@ def test_unsupported_constructs_are_reported_not_skipped():
 def test_pragma_ignored_with_warning():
     c = parse_source("pragma solidity >=0.5.0;\ncontract C { int x; }")
     assert any("pragma" in w for w in c.warnings)
+
+
+@pytest.mark.parametrize("version", ["^0.5.0", "~0.4.24", ">=0.4.22 <0.6.0", ">=0.4.22 <0.6.0 || ^0.7.0"])
+def test_version_pragma_forms_are_ignored(version):
+    c = parse_source(f"pragma solidity {version};\ncontract C {{ int x; }}")
+    assert c.warnings == ["1: pragma directive ignored"]
 
 
 def test_modifiers_ignored_with_warning():
@@ -151,6 +157,16 @@ def test_multiplicative_operators_are_rejected_where_they_stand():
         parse_statement("* a;")
     with pytest.raises(UnsupportedError, match=r"^1:5: unsupported: operator /$"):
         parse_statement("x = / a;")
+
+
+def test_caret_and_tilde_are_operators_outside_the_fragment():
+    """They lex, for version pragmas, but no expression takes them."""
+    with pytest.raises(ParseError, match=r"^1:7: expected ;, found '\^'$"):
+        parse_statement("x = a ^ b;")
+    with pytest.raises(UnsupportedError, match=r"^1:5: unsupported: operator \^$"):
+        parse_statement("x = ^ a;")
+    with pytest.raises(UnsupportedError, match=r"^1:5: unsupported: operator ~$"):
+        parse_statement("x = ~a;")
 
 
 def _deep_source(rhs: str) -> str:
@@ -249,7 +265,7 @@ def test_new_array_only_dynamic():
 
 
 def _tokens_without_parens(text):
-    return [(t.kind, t.value) for t in tokenize(text) if t.value not in ("(", ")")]
+    return [t[:2] for t in tokenize(text) if t[1] not in ("(", ")")]
 
 
 def assert_print_roundtrip(src):

@@ -40,6 +40,15 @@ EDGE_CASES = {
     "nbsp": "x\u00a0y",
     "line_separator": "x\u2028y\nz",
     "lone_cr": "x\ry",
+    "trailing_space": "x  ",
+    "trailing_space_after_newline": "x \n  ",
+    "space_before_backtick": "a  `",
+    "space_before_malformed_number": "  12ab",
+    "form_feed_vertical_tab": "a\fb\v c \f\vd",
+    "nbsp_before_newline": "x\u00a0\ny",
+    "line_separator_spaced": "x \u2028 y",
+    "indent_after_block_comment": "a /* b\n  c */\n    d",
+    "crlf_indent": "a\r\n    b\r\n\tc",
 }
 
 
@@ -66,7 +75,7 @@ def inputs():
 def lex(text: str):
     """Tokens as [kind, value, line, col] lists, or the error raised."""
     try:
-        return [[t.kind, t.value, t.line, t.col] for t in tokenize(text)]
+        return [list(t) for t in tokenize(text)]
     except ParseError as e:
         return {"error": e.message, "line": e.line, "col": e.col}
 
@@ -91,8 +100,10 @@ def test_tokens_match_recorded(golden):
 
 def test_start_position():
     toks = tokenize("x = 1;\n  y", line=7, col=9)
-    assert [(t.value, t.line, t.col) for t in toks] == [
+    assert [t[1:] for t in toks] == [
         ("x", 7, 9), ("=", 7, 11), ("1", 7, 13), (";", 7, 14), ("y", 8, 3), ("", 8, 4)]
+    toks = tokenize("  x\n y", 3, 7)
+    assert [t[1:] for t in toks] == [("x", 3, 9), ("y", 4, 2), ("", 4, 3)]
     with pytest.raises(ParseError) as e:
         tokenize("  @", line=4, col=5)
     assert (e.value.line, e.value.col) == (4, 7)
