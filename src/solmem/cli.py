@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -31,19 +32,37 @@ from .resolver import resolve_and_check
 from .verify import verify_source
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver-cmd", help="solver command line (reads SMT-LIB on stdin)")
-    p.add_argument("--timeout", type=float, default=60.0, help="per-query timeout in seconds")
-
-
-def _unroll_bound(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_seconds(text: str) -> float:
+    """A solver timeout: zero or less would kill every solver at once and
+    report each VC as a timeout."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return seconds
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--solver-cmd", help="solver command line (reads SMT-LIB on stdin)")
+    p.add_argument("--timeout", type=_positive_seconds, default=60.0, help="per-query timeout in seconds (> 0)")
+
+
 def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--unroll", type=_unroll_bound, default=None, metavar="N",
+    p.add_argument("--unroll", type=_non_negative_int, default=None, metavar="N",
                    help="assume dynamic array lengths <= N (N >= 0) and unroll their copies: "
                         "verified covers only those lengths")
 
@@ -219,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     _add_solver_flags(p)
     _add_unroll_flag(p)
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=_positive_int, default=4)
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("fuzz", help="differential fuzzing against the reference interpreter")
     _add_solver_flags(p)
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--budget", type=int, default=10, help="statements per generated program")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--count", type=_positive_int, default=100)
+    p.add_argument("--budget", type=_non_negative_int, default=10, help="statements per generated program")
+    p.add_argument("--jobs", type=_positive_int, default=4)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_fuzz)
     return parser

@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 import random
 from collections import Counter
+from itertools import accumulate
 
 from .errors import SourceError
 from .gcpause import gc_paused
@@ -50,7 +51,10 @@ from .sol_ast import (
     value_compatible,
 )
 
-_KEY_POOL = [0, 1, 2, 7]
+# the mapping keys a walk draws from, each with its source text;
+# `rng.sample` draws positions, so pairs are drawn as bare keys would be
+_KEY_POOL = [(key, str(key)) for key in (0, 1, 2, 7)]
+_BOOL_KEY_POOL = [(True, "true"), (False, "false")]
 _INDENT = " " * 8  # of a constructor statement in the generated source
 
 _STRUCTS = {
@@ -124,6 +128,7 @@ class ProgramBuilder:
         self.used_names = {v.name for v in self.contract.state_vars}
         # the state after the kept statements
         self.pristine = run_constructor(self.contract).state
+        self._defaults: dict[SolType, object] = {}  # see _unwritten
 
     def fresh(self, prefix: str) -> str:
         self.counter += 1
@@ -175,35 +180,71 @@ class ProgramBuilder:
     # ----- state sampling ---------------------------------------------
 
     def _walk(self, out: list, text: str, ty: SolType, value, levels: int, elems: int, keys: int) -> None:
-        """Append (source-text, type, value) of `text` and, `levels`
-        levels down, of its members, its first `elems` in-range elements
-        and its parts at `keys` randomly drawn mapping keys. A memory
-        reference is followed to its heap object."""
+        """Append (source-text, type, value) of `text`, a reference-typed
+        part, and, `levels` (at least 1) levels down, of its members, its
+        first `elems` in-range elements and its parts at `keys` randomly
+        drawn mapping keys. A memory reference is followed to its heap
+        object.
+
+        Parts are read in place, as `Machine.part` reads them, and a
+        value-typed part or a part at the last level is appended without
+        a call. Every in-range slot of a memory array is stored; a storage
+        slot never written reads as `_unwritten` of its type."""
         out.append((text, ty, value))
-        if levels == 0:
-            return
-        obj = self.pristine.heap[value.addr] if isinstance(value, MemRef) else value
-        if isinstance(ty, StructType):
+        kind = type(ty)
+        levels -= 1
+        obj = self.pristine.heap[value.addr] if type(value) is MemRef else value
+        if kind is StructType:
             assert isinstance(obj, (StorStruct, MemStruct))
+            members = obj.members
             for mname, mty in self.structs[ty.name]:
-                self._walk(out, f"{text}.{mname}", mty, obj.members[mname], levels - 1, elems, keys)
-        elif isinstance(ty, (DynArrayType, FixArrayType)):
-            assert isinstance(obj, (StorArray, MemArray))
-            for i in range(min(max(obj.length, 0), elems)):
-                self._walk(out, f"{text}[{i}]", ty.base, self.pristine.part(obj, i), levels - 1, elems, keys)
-        elif isinstance(ty, MappingType):
+                if levels and type(mty) is not ValueType:
+                    self._walk(out, f"{text}.{mname}", mty, members[mname], levels, elems, keys)
+                else:
+                    out.append((f"{text}.{mname}", mty, members[mname]))
+            return
+        if kind is MappingType:
             assert isinstance(obj, StorMapping)
-            pool = [True, False] if ty.key == BOOL else _KEY_POOL
-            for key in self.rng.sample(pool, min(keys, len(pool))):
-                part = self.pristine.part(obj, key)
-                self._walk(out, f"{text}[{_literal_text(key)}]", ty.value, part, levels - 1, elems, keys)
+            pool = _BOOL_KEY_POOL if ty.key == BOOL else _KEY_POOL
+            base, slots = ty.value, obj.entries
+            index = self.rng.sample(pool, min(keys, len(pool)))
+        else:
+            assert isinstance(obj, (StorArray, MemArray))
+            base, slots = ty.base, obj.elems if type(obj) is MemArray else obj.backing
+            index = [(i, i) for i in range(min(max(obj.length, 0), elems))]
+        leaf = not levels or type(base) is ValueType
+        for key, shown in index:
+            part = slots[key] if key in slots else self._unwritten(base)
+            if leaf:
+                out.append((f"{text}[{shown}]", base, part))
+            else:
+                self._walk(out, f"{text}[{shown}]", base, part, levels, elems, keys)
+
+    def _unwritten(self, ty: SolType):
+        """What a storage slot of type `ty` never written reads as: the
+        value type's default, or this builder's one default of the
+        reference type, built on first use instead of on every read.
+        Sharing it is safe: sampled values only choose source text and
+        filter candidates, and the generator never writes one into the
+        interpreter state (`commit` runs each line's own writes through
+        `Machine.slot`)."""
+        if type(ty) is ValueType:
+            return False if ty == BOOL else 0
+        default = self._defaults.get(ty)
+        if default is None:
+            default = self._defaults[ty] = self.pristine.default(ty, Loc.STORAGE)
+        return default
 
     def _storage_paths(self):
         """Every reachable storage lvalue with its concrete value, as
         (source-text, type, value), staying in bounds."""
         out = []
+        storage = self.pristine.storage
         for name, ty in self.state_vars:
-            self._walk(out, name, ty, self.pristine.storage[name], 4, 3, 2)
+            if type(ty) is ValueType:
+                out.append((name, ty, storage[name]))
+            else:
+                self._walk(out, name, ty, storage[name], 4, 3, 2)
         return out
 
     def _pointer_paths(self):
@@ -227,9 +268,10 @@ class ProgramBuilder:
     def _value_reads(self):
         """Readable value-typed expressions with their current values."""
         reads = []
-        for text, ty, value in self._storage_paths() + self._pointer_paths() + self._memory_values():
-            if is_value_type(ty):
-                reads.append((text, ty, value))
+        for read in self._storage_paths() + self._pointer_paths() + self._memory_values():
+            text, ty, value = read
+            if type(ty) is ValueType:
+                reads.append(read)
             elif isinstance(value, StorArray):
                 reads.append((f"{text}.length", UINT, value.length))
         for name, ty in self._locals(Loc.VALUE):
@@ -471,14 +513,16 @@ class ProgramBuilder:
         ("_op_cond_value", 0.8),
     ]
 
+    _OP_NAMES = [n for n, _ in _OPS]
+    # what `choices` would accumulate from the weights itself: the same draws
+    _OP_CUM_WEIGHTS = list(accumulate(w for _, w in _OPS))
+
     def build(self) -> str:
         emitted = 0
         attempts = 0
-        names = [n for n, _ in self._OPS]
-        weights = [w for _, w in self._OPS]
         while emitted < self.size_budget and attempts < self.size_budget * 10:
             attempts += 1
-            op = self.rng.choices(names, weights)[0]
+            op = self.rng.choices(self._OP_NAMES, cum_weights=self._OP_CUM_WEIGHTS)[0]
             if getattr(self, op)():
                 emitted += 1
         self.make_asserts()

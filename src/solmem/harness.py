@@ -182,7 +182,7 @@ def run_corpus(
         cls, path = item
         return cls, run_test(path, solver_cmd, timeout, unroll)
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         for cls, outcome in pool.map(run_one, work):
             summary = classes[cls]
             summary.tests.append(outcome)
@@ -279,5 +279,5 @@ def run_fuzz(
             seed, observed, compared, detail, time.monotonic() - start, dict(builder.rejections)
         )
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_one, seeds))

@@ -1,11 +1,13 @@
 """A fixed list of mutants of the translator, SSA and normalization
-rules, and a runner that measures which of them the test suite kills.
+rules and of the fuzz sampler's reads, and a runner that measures which
+of them the test suite kills.
 
 No solver runs in the test suite, so its trust in the translator rests on
 the IR evaluator agreeing with the reference interpreter and on golden
 digests. A digest fails on any change, right or wrong, so it says
 nothing about semantics. Each mutant here breaks one rule of the
-encoding by replacing one exact text in one module; a mutant is killed
+encoding, or of the sampler whose values the fuzz asserts compare
+with, by replacing one exact text in one module; a mutant is killed
 only when a test other than a pin (the golden digests, the encoding
 goldens and the benchmark's byte counts) fails under it.
 
@@ -114,6 +116,12 @@ MUTANTS = (
         "node.edges.append(TreeEdge(m.name, len(node.edges), sub))",
         "node.edges.append(TreeEdge(m.name, len(node.edges) ^ 1, sub))",
         "struct edges of a storage tree are numbered in declaration order (ordinals XOR 1 swaps them in pairs)",
+    ),
+    Mutant(
+        "M12", "src/solmem/generator.py",
+        "return False if ty == BOOL else 0",
+        "return 0",
+        "the fuzz sampler reads a storage bool slot never written as false, as the interpreter does",
     ),
 )
 

@@ -4,14 +4,17 @@ aliasing graphs, deletes observed through watching pointers, integer
 operators, reads past the end of a memory array of references, a
 memory copy out of a member of a storage-pointer conditional, storage
 pointers packed through a conditional base, writes and pointers at
-negative indexes, and a closure over storage-pointer sources."""
+negative indexes, copies of a fixed-size array of structs between
+storage and memory, and a closure over storage-pointer sources."""
 
 import pytest
 
 from solmem import parse_source, resolve_and_check, translate_function
 from solmem.harness import differential
 from solmem.ireval import eval_ir
+from solmem.normalize import normalize_lhs
 from solmem.oracle import run_constructor
+from solmem.ssa import to_ssa
 
 CASES = {
     "bool_keyed_mapping_pointer": """
@@ -295,6 +298,33 @@ contract C {
 }
 """
 
+# Checked without a solver only: a copy between storage and memory of a
+# fixed-size array of structs copies every element, the last one too.
+STORAGE_TO_MEMORY_STRUCT_ARRAY_COPY = """
+contract C {
+    struct T { int z; }
+    T[2] pairs;
+    constructor() {
+        pairs[1].z = 5;
+        T[2] memory m = pairs;
+        assert(m[1].z == 5);
+    }
+}
+"""
+
+MEMORY_TO_STORAGE_STRUCT_ARRAY_COPY = """
+contract C {
+    struct T { int z; }
+    T[2] pairs;
+    constructor() {
+        T[2] memory m;
+        m[1].z = 7;
+        pairs = m;
+        assert(pairs[1].z == 7);
+    }
+}
+"""
+
 SOLVER_FREE = {
     "negative_memory_index_write": NEGATIVE_MEMORY_INDEX_WRITE,
     "negative_storage_index_write": NEGATIVE_STORAGE_INDEX_WRITE,
@@ -305,6 +335,8 @@ SOLVER_FREE = {
     "conditional_base_member_pointer": CONDITIONAL_BASE_MEMBER_POINTER,
     "conditional_pointer_base_element_pointer": CONDITIONAL_POINTER_BASE_ELEMENT_POINTER,
     "conditional_base_element_pointer": CONDITIONAL_BASE_ELEMENT_POINTER,
+    "storage_to_memory_struct_array_copy": STORAGE_TO_MEMORY_STRUCT_ARRAY_COPY,
+    "memory_to_storage_struct_array_copy": MEMORY_TO_STORAGE_STRUCT_ARRAY_COPY,
 }
 
 
@@ -313,7 +345,8 @@ def test_ireval_fails_where_the_oracle_fails(name):
     source = CASES.get(name) or SOLVER_FREE[name]
     contract = resolve_and_check(parse_source(source))
     oracle = run_constructor(contract)
-    ran = eval_ir(translate_function(contract, contract.constructor).program)
+    # the SSA program, as the pipeline decides it
+    ran = eval_ir(to_ssa(normalize_lhs(translate_function(contract, contract.constructor).program)).program)
     assert ran.status != "assume-violated"
     ir_failed = ran.failed_index if ran.status == "assert-failed" else None
     assert ir_failed == (oracle.failed.ordinal if oracle.failed else None)

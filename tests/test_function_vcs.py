@@ -4,7 +4,9 @@ A function's VC quantifies over every entry state. The default state is
 one of them, so the IR evaluator run on a function's SSA program from
 its default environment must fail exactly where the reference
 interpreter fails the function from default storage, and must never
-find an assumption violated there.
+find an assumption violated there. A function whose parameters are all
+value types is run so for every argument tuple over a small domain, the
+arguments bound in both.
 
 The default environment is a valid entry state only when the contract
 stores no fixed-size array: its `length` is free in the entry state and
@@ -13,6 +15,7 @@ Those contracts are skipped until a fixed-size array's length is part of
 its type.
 """
 
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,7 @@ from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.sol_ast import DynArrayType, FixArrayType, MappingType, StructType
+from solmem.sol_ast import BOOL, DynArrayType, FixArrayType, MappingType, StructType, is_value_type
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 
@@ -44,29 +47,66 @@ def stores_fixed_array(contract) -> bool:
     return any(reaches(v.ty, frozenset()) for v in contract.state_vars)
 
 
-def parameterless_functions():
+def corpus_functions():
     """(id, contract, function, skip reason or None) for every corpus
-    function without parameters."""
+    function."""
     for path in sorted((ROOT / "corpus").glob("*/*.sol")):
         contract = resolve_and_check(parse_source(path.read_text()))
         skip = "fixed-size array length is free at entry" if stores_fixed_array(contract) else None
         for fn in contract.functions:
-            if not fn.params:
-                yield f"{path.name}:{fn.name}", contract, fn, skip
+            yield f"{path.name}:{fn.name}", contract, fn, skip
 
 
-CASES = list(parameterless_functions())
+FUNCTIONS = list(corpus_functions())
+CASES = [case for case in FUNCTIONS if not case[2].params]
+
+# the argument domain of a value parameter
+INTS, BOOLS = (-1, 0, 1, 2), (False, True)
+
+
+def _literal(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def value_argument_cases():
+    """(id, contract, function, arguments, skip reason or None) for every
+    corpus function with parameters, all of value type, and every
+    argument tuple over the domain."""
+    for name, contract, fn, skip in FUNCTIONS:
+        if fn.params and all(is_value_type(p.ty) for p in fn.params):
+            for args in product(*(BOOLS if p.ty == BOOL else INTS for p in fn.params)):
+                shown = ", ".join(f"{p.name}={_literal(a)}" for p, a in zip(fn.params, args))
+                yield f"{name}({shown})", contract, fn, list(args), skip
+
+
+ARG_CASES = list(value_argument_cases())
+
+
+def _failed_ordinals(contract, fn, args=None):
+    """The failing assert ordinal (or None) of the oracle run from default
+    storage and of `ireval` on the function's SSA program from the default
+    environment, `args` bound in both."""
+    oracle = exec_function(contract, fn.name, args)
+    env = {p.name: a for p, a in zip(fn.params, args or [])}
+    ran = eval_ir(to_ssa(normalize_lhs(translate_function(contract, fn).program)).program, env)
+    assert ran.status != "assume-violated"
+    return oracle.failed.ordinal if oracle.failed else None, ran.failed_index if ran.status == "assert-failed" else None
 
 
 @pytest.mark.parametrize("contract, fn, skip", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_function_vc_agrees_with_oracle_from_default_state(contract, fn, skip):
     if skip:
         pytest.skip(skip)
-    oracle = exec_function(contract, fn.name)
-    oracle_failed = oracle.failed.ordinal if oracle.failed else None
-    ran = eval_ir(to_ssa(normalize_lhs(translate_function(contract, fn).program)).program)
-    assert ran.status != "assume-violated"
-    assert (ran.failed_index if ran.status == "assert-failed" else None) == oracle_failed
+    oracle_failed, ir_failed = _failed_ordinals(contract, fn)
+    assert ir_failed == oracle_failed
+
+
+@pytest.mark.parametrize("contract, fn, args, skip", [c[1:] for c in ARG_CASES], ids=[c[0] for c in ARG_CASES])
+def test_function_vc_agrees_with_oracle_on_value_arguments(contract, fn, args, skip):
+    if skip:
+        pytest.skip(skip)
+    oracle_failed, ir_failed = _failed_ordinals(contract, fn, args)
+    assert ir_failed == oracle_failed
 
 
 def test_cases_cover_the_parameterless_corpus_functions():
@@ -79,3 +119,18 @@ def test_cases_cover_the_parameterless_corpus_functions():
         "tuple_order.sol:storageAssign",
     ]
     assert [c[0] for c in CASES if c[3] is not None] == ["fixarray_elements.sol:frame"]
+
+
+def test_cases_cover_the_value_argument_corpus_functions():
+    assert [c[0] for c in ARG_CASES if c[4] is None] == [
+        "nonaliasing_mapping_keys.sol:symbolic(k=-1)",
+        "nonaliasing_mapping_keys.sol:symbolic(k=0)",
+        "nonaliasing_mapping_keys.sol:symbolic(k=1)",
+        "nonaliasing_mapping_keys.sol:symbolic(k=2)",
+        "pointer_conditional.sol:pick(c=false)",
+        "pointer_conditional.sol:pick(c=true)",
+    ]
+    assert not [c for c in ARG_CASES if c[4] is not None]
+    # the domain reaches a failing assert: the key that aliases `m[2]`
+    failing = [c[0] for c in ARG_CASES if _failed_ordinals(*c[1:4]) != (None, None)]
+    assert failing == ["nonaliasing_mapping_keys.sol:symbolic(k=2)"]

@@ -9,9 +9,10 @@ import pytest
 from solmem import generator, oracle
 from solmem.generator import ProgramBuilder, random_program
 from solmem.harness import run_fuzz
-from solmem.oracle import ExecResult, OracleError, run_constructor, serialize_storage
+from solmem.oracle import ExecResult, OracleError, StorArray, run_constructor, serialize_storage
 from solmem.parser import parse_source, parse_statement
 from solmem.resolver import resolve_and_check, resolve_statement
+from solmem.sol_ast import BOOL, INT, DynArrayType, FixArrayType, MappingType, is_value_type
 from solmem.translate import translate_function
 
 GOLDEN = Path(__file__).parent / "data" / "gen_seed0.sol"
@@ -71,6 +72,45 @@ def test_golden_digest_and_rejections_seeds_0_199():
     assert rejections_200 == {"ParseError": 3, "ResolveError": 3}
     assert digest.hexdigest() == SEEDS_0_999_SHA256
     assert rejections == {"ParseError": 15, "ResolveError": 16}
+
+
+def _checked_samples(seeds):
+    """Build each seed's program, then require that every value-typed part
+    the sampler lists, and every storage array's length, is what the
+    interpreter reads on the kept state, of the same Python type (`False`
+    is not 0). Each read is an `assert(E == E);` resolved against copies
+    of the scope and taken names. Returns the sampled values."""
+    values = []
+    for seed in seeds:
+        builder = ProgramBuilder(seed, 10)
+        builder.build()
+        ctor = builder.contract.constructor
+        for text, ty, value in builder._storage_paths() + builder._pointer_paths() + builder._memory_values():
+            if isinstance(value, StorArray):
+                text, value = f"{text}.length", value.length
+            elif not is_value_type(ty):
+                continue
+            stmt = parse_statement(f"assert({text} == {text});")
+            resolve_statement(builder.contract, ctor, stmt, builder.scope.copy(), set(builder.used_names))
+            read = builder.pristine.eval(stmt.cond.left)
+            assert (read, type(read)) == (value, type(value)), (seed, text)
+            values.append(value)
+    return values
+
+
+def test_every_sampled_value_is_what_the_interpreter_reads():
+    assert len(_checked_samples(range(60))) > 600
+
+
+def test_unwritten_storage_bools_sample_as_false(monkeypatch):
+    """No storage slot of the generator's own types holds a bool that can
+    be left unwritten, so these state variables supply some."""
+    monkeypatch.setattr(generator, "_STATE_POOLS", [
+        ("bits", FixArrayType(BOOL, 3)),
+        ("marks", MappingType(INT, BOOL)),
+        ("flags", DynArrayType(BOOL)),
+    ])
+    assert sum(value is False for value in _checked_samples(range(10))) > 10
 
 
 def _state(machine):

@@ -378,3 +378,34 @@ def test_negative_unroll_is_a_usage_error(tmp_path, capsys, command):
     assert exit_info.value.code == 2
     assert "--unroll: expected a non-negative integer, got '-1'" in capsys.readouterr().err
     assert build_parser().parse_args([command, str(tmp_path), "--unroll", "0"]).unroll == 0
+
+
+BAD_NUMBERS = [
+    # a fuzz run over no seeds would pass having checked nothing
+    ("fuzz", "--count", "-5", "a positive integer"),
+    ("fuzz", "--count", "0", "a positive integer"),
+    ("fuzz", "--jobs", "0", "a positive integer"),
+    ("fuzz", "--jobs", "-3", "a positive integer"),
+    ("corpus", "--jobs", "0", "a positive integer"),
+    ("fuzz", "--budget", "-1", "a non-negative integer"),
+    # a solver given no time would report every VC as a timeout
+    ("verify", "--timeout", "-1", "a positive number"),
+    ("corpus", "--timeout", "0", "a positive number"),
+    ("fuzz", "--timeout", "nan", "a positive number"),
+    ("fuzz", "--timeout", "inf", "a positive number"),
+]
+
+
+@pytest.mark.parametrize("command, option, value, expected", BAD_NUMBERS,
+                         ids=[f"{c}{o}={v}" for c, o, v, _ in BAD_NUMBERS])
+def test_meaningless_numeric_option_is_a_usage_error(tmp_path, capsys, command, option, value, expected):
+    argv = [command] + ([str(tmp_path)] if command != "fuzz" else []) + [option, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"{option}: expected {expected}, got '{value}'" in capsys.readouterr().err
+
+
+def test_smallest_meaningful_numeric_options_parse():
+    args = build_parser().parse_args(["fuzz", "--count", "1", "--jobs", "1", "--budget", "0", "--timeout", "0.5"])
+    assert (args.count, args.jobs, args.budget, args.timeout) == (1, 1, 0, 0.5)
