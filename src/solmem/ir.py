@@ -246,9 +246,6 @@ class Assume(IrStmt):
 @dataclass(slots=True)
 class Assert(IrStmt):
     cond: IrExpr
-    # carries the source position for reporting; not part of semantics
-    line: int = 0
-    comment: str = ""
 
 
 @dataclass

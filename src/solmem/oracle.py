@@ -10,11 +10,11 @@ defaults on its way (`Machine.slot`). Memory is a heap of
 objects reached through references. A local storage pointer is an
 access path, the root it starts from (a state variable or a default
 context) followed by the member names and index values taken from it,
-dereferenced against the current storage. The storage trees and their
-ordinal paths, which the translator encodes pointers with, appear only
-where `solmem run --args` passes a pointer argument: it is decoded into
-an access path once, when it is bound. Deep copies build fresh trees or
-heap objects exactly where the translation does.
+dereferenced against the current storage. A pointer argument is such
+an access path too; the storage trees only check, when it is bound,
+that it leads from a root to an entity of the parameter's type. Deep
+copies build fresh trees or heap objects exactly where the translation
+does.
 
 Semantics deliberately mirror the SMT encoding rather than the EVM:
 indexed array reads outside [0, length) yield defaults instead of
@@ -62,7 +62,7 @@ from .sol_ast import (
     is_value_type,
     part_loc,
 )
-from .storage_tree import StorageTree, build_storage_tree, default_context_name, default_context_tree
+from .storage_tree import build_storage_tree, default_context_tree
 
 
 class OracleError(SolmemError):
@@ -493,9 +493,9 @@ def init_storage(machine: Machine) -> None:
 
 def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
     """JSON argument into a runtime value, checked against its type: an
-    integer or a boolean for a value type, a list of integers (a path)
-    for a storage pointer, a list for a memory array and an object with
-    exactly the members for a memory struct."""
+    integer or a boolean for a value type, an access path for a storage
+    pointer, a list for a memory array and an object with exactly the
+    members for a memory struct."""
 
     def fail():
         return ArgumentError(f"argument {name}: expected {ty}, got {value!r}")
@@ -505,13 +505,22 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
             raise fail()
         return value
     if loc == Loc.STORPTR:
-        if not isinstance(value, list) or not all(type(x) is int for x in value):
-            raise ArgumentError(f"argument {name}: expected a storage path (list of integers), got {value!r}")
+        # an access path follows the storage tree from its root to a leaf:
+        # an edge label at a contract or struct node, an integer index at
+        # an array or mapping node
         tree = build_storage_tree(machine.contract, ty)
         if tree.is_empty:
             tree = default_context_tree(ty)
-            machine.default_contexts.setdefault(default_context_name(ty), StorArray(ty))
-        return StorPath(ty, _decode(tree, value))
+        node = tree.root
+        for step in value if isinstance(value, list) else ():
+            node = next((e.target for e in node.edges if (type(step) is int if e.label is None else step == e.label)), None)
+            if node is None:
+                break
+        if node is None or not node.is_leaf:
+            raise ArgumentError(f"argument {name}: expected an access path to {ty}, got {value!r}")
+        if tree.default_context:
+            machine.default_contexts.setdefault(value[0], StorArray(ty))
+        return StorPath(ty, tuple(value))
     if isinstance(ty, (DynArrayType, FixArrayType)):
         if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
             raise fail()
@@ -522,23 +531,6 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
         raise fail()
     bound = {m.name: _bind_arg(machine, name, m.ty, Loc.MEMORY, value[m.name]) for m in members}
     return machine.allocate(MemStruct(ty.name, bound))
-
-
-def _decode(tree: StorageTree, path: list[int]) -> tuple:
-    """The access path an encoded storage pointer denotes. An element that
-    matches no edge of a contract or struct node takes its last edge, and
-    a missing element reads as 0, as in the translator's unpack."""
-    node, keys = tree.root, []
-    while not node.is_leaf:
-        ordinal = path[len(keys)] if len(keys) < len(path) else 0
-        if node.kind in ("contract", "struct"):
-            edge = node.edges[ordinal] if 0 <= ordinal < len(node.edges) else node.edges[-1]
-            keys.append(edge.label)
-        else:
-            edge = node.edges[0]
-            keys.append(ordinal)
-        node = edge.target
-    return tuple(keys)
 
 
 def exec_function(

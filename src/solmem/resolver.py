@@ -52,6 +52,7 @@ from .sol_ast import (
     StructType,
     UnExpr,
     ValueType,
+    expr_to_source,
     is_integerish,
     is_value_type,
     part_loc,
@@ -221,6 +222,7 @@ class Resolver:
         elif isinstance(stmt, DeleteStmt):
             self._resolve_delete(stmt, scope)
         elif isinstance(stmt, AssertStmt):
+            stmt.text = expr_to_source(stmt.cond)
             self._resolve_expr(stmt.cond, scope)
             if stmt.cond.ty != BOOL:
                 raise ResolveError("assert condition must be boolean", stmt.line)

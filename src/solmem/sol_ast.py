@@ -246,6 +246,9 @@ class DeleteStmt(Stmt):
 @dataclass
 class AssertStmt(Stmt):
     cond: Expr
+    # the condition in source names (`expr_to_source`), kept by the
+    # resolver before it renames
+    text: str = field(default="", repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------

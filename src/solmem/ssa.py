@@ -112,7 +112,7 @@ class _Converter:
                 cond = rename_idents(s.cond, versions)
                 if path is not None:
                     cond = or_(not_(path), cond)
-                self.out.stmts.append(Assert(cond, s.line, s.comment))
+                self.out.stmts.append(Assert(cond))
             elif isinstance(s, IfStmt):
                 cond = rename_idents(s.cond, versions)
                 then_path = cond if path is None else BinOp("and", path, cond)

@@ -662,9 +662,8 @@ class Translator:
             self._delete_stmt(s)
         elif isinstance(s, AssertStmt):
             cond = self.expr(s.cond)
-            info = AssertInfo(len(self.asserts), s.line, expr_to_source(s.cond))
-            self.asserts.append(info)
-            self.emit(Assert(cond, s.line, info.text))
+            self.asserts.append(AssertInfo(len(self.asserts), s.line, s.text))
+            self.emit(Assert(cond))
         else:
             raise IrError(f"unknown statement {s!r}")
 

@@ -123,6 +123,14 @@ MUTANTS = (
         "return 0",
         "the fuzz sampler reads a storage bool slot never written as false, as the interpreter does",
     ),
+    Mutant(
+        "M13", "src/solmem/translate.py",
+        "last = node.edges[-1]\n    result = _unpack_below(ptr, leaf, last.target, edges + ((node, last),))\n"
+        "    for edge in reversed(node.edges[:-1]):",
+        "last = node.edges[0]\n    result = _unpack_below(ptr, leaf, last.target, edges + ((node, last),))\n"
+        "    for edge in reversed(node.edges[1:]):",
+        "a pointer element that matches no edge of a contract or struct node takes the node's last edge",
+    ),
 )
 
 # Tests that fail on any change to what they pin, right or wrong: golden

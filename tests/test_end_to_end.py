@@ -45,7 +45,7 @@ contract Lib {
 }
 """
     c = compile_source(src)
-    result = exec_function(c, "bump", [[0, 3]])
+    result = exec_function(c, "bump", [["defaultctx$S", 3]])
     assert result.returns["out"] == 42
 
 

@@ -158,6 +158,23 @@ def test_cli_verify_exit_codes(tmp_path, capsys, solver_available):
     assert "unsupported: loops" in capsys.readouterr().out
 
 
+def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys):
+    """The resolver renames a parameter that shadows a state variable
+    (`x~2`), and a local declared again in a later function; an assert
+    is still printed as written."""
+    f = tmp_path / "t.sol"
+    f.write_text(
+        "contract C { int x; function f(int x) { x = 1; assert(x == 1); }\n"
+        "function g() { int y = 2; } function h() { int y = 3; assert(y == 3 && x == 0); } }"
+    )
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+    assert main(["verify", str(f), "--solver-cmd", shlex.join(stub)]) == 0
+    out = capsys.readouterr().out
+    assert "f:1: assert((x == 1)): verified" in out
+    assert "h:2: assert(((y == 3) && (x == 0))): verified" in out
+    assert "~" not in out
+
+
 def test_cli_verify_emits_artifacts(tmp_path, capsys, solver_available):
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { x = 2; assert(x == 2); } }")
@@ -222,7 +239,7 @@ def test_cli_run_reports_assert_failure(tmp_path, capsys):
 
 _ONE_ARG = "contract C { int x; function f(int a) { x = a; } }"
 _CTOR_ARG = "contract C { int y; constructor(int a) { y = a; } function f(int b) { y = b; } }"
-_POINTER_ARG = "contract C { int[] xs; function f(int[] storage p) { } }"
+_POINTER_ARG = "contract C { struct S { int[] ys; } S[] ss; function f(int[] storage p) { } }"
 _MEMORY_ARGS = "contract C { struct S { int x; } function f(int[2] memory m, S memory s) { } }"
 
 
@@ -235,8 +252,14 @@ _MEMORY_ARGS = "contract C { struct S { int x; } function f(int[2] memory m, S m
         (_ONE_ARG, ["--entry", "f", "--args", '{"a":1}'], "f takes a list of 1 arguments"),
         (_CTOR_ARG, ["--entry", "f", "--args", "[3]"],
          "f runs after the constructor, which takes 1 argument; --args holds only f's arguments"),
-        (_POINTER_ARG, ["--entry", "f", "--args", "[[0, true]]"], "expected a storage path (list of integers)"),
-        (_POINTER_ARG, ["--entry", "f", "--args", "[5]"], "expected a storage path (list of integers)"),
+        (_POINTER_ARG, ["--entry", "f", "--args", '[["ss", true, "ys"]]'], "argument p: expected an access path to int[]"),
+        (_POINTER_ARG, ["--entry", "f", "--args", "[5]"], "argument p: expected an access path to int[], got 5"),
+        (_POINTER_ARG, ["--entry", "f", "--args", '[["ss", "0", "ys"]]'], "expected an access path"),
+        (_POINTER_ARG, ["--entry", "f", "--args", '[["ss", 0]]'], "expected an access path"),
+        (_POINTER_ARG, ["--entry", "f", "--args", '[["ss", 0, "zs"]]'], "expected an access path"),
+        (_POINTER_ARG, ["--entry", "f", "--args", '[["ss", 0, "ys", 0]]'], "expected an access path"),
+        (_POINTER_ARG, ["--entry", "f", "--args", "[[]]"], "expected an access path"),
+        (_POINTER_ARG, ["--entry", "f", "--args", "[[0, 0, 0]]"], "expected an access path"),
         (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2, 3], {"x": 1}]'], "argument m: expected int[2]"),
         (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2], {"y": 1}]'], "argument s: expected S"),
         (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2], {"x": 1, "y": 2}]'], "argument s: expected S"),
@@ -253,7 +276,8 @@ _MEMORY_ARGS = "contract C { struct S { int x; } function f(int[2] memory m, S m
     ],
     ids=[
         "missing-file", "malformed-json", "wrong-type", "not-a-list", "constructor-takes-arguments",
-        "pointer-not-integers", "pointer-not-a-list", "memory-array-size", "memory-struct-member",
+        "pointer-not-integers", "pointer-not-a-list", "pointer-string-index", "pointer-short-of-a-leaf",
+        "pointer-missing-member", "pointer-past-the-leaf", "pointer-empty", "pointer-ordinals", "memory-array-size", "memory-struct-member",
         "memory-struct-extra-member", "too-deep-to-parse", "too-deep-to-run", "too-deep-to-serialize",
     ],
 )
@@ -282,11 +306,11 @@ def test_every_subcommand_reads_each_option_it_declares():
 
 
 def test_cli_run_accepts_a_negative_path_element(tmp_path, capsys):
-    """A pointer argument is a path of raw Int indexes, as in the
+    """An index of an access path is a raw Int index, as in the
     translation, so a negative array index names a slot of its own."""
     f = tmp_path / "t.sol"
     f.write_text("contract C { struct T { int z; } T[] ts; function f(T storage p) { p.z = 3; assert(p.z == 3); } }")
-    assert main(["run", str(f), "--entry", "f", "--args", "[[0, -1]]"]) == 0
+    assert main(["run", str(f), "--entry", "f", "--args", '[["ts", -1]]']) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["asserts"] == [{"index": 0, "line": 1, "passed": True}]
     assert payload["storage"] == {"ts": {"length": 0, "elems": []}}

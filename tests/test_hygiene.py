@@ -6,13 +6,15 @@ module, or re-exported through `__all__`, and every public function and
 method must have a caller in the pipeline or the benchmark, so that
 helpers only tests need live in `tests/`. The reference interpreter
 imports nothing from the translator's side of the pipeline, so that a
-fault there cannot hide from differential testing. Every walker's
-dispatch table has exactly one handler per IR expression class, so a
-forgotten node is caught here and not at run time. The names the
-translator invents are spelled only where it invents them. No nested
-function refers to its own name, so that no closure holds itself in a
-reference cycle. Every text that `tests/mutants.py` replaces still occurs
-exactly once in its module.
+fault there cannot hide from differential testing, and reads no storage
+tree edge's ordinal: it takes pointer arguments as access paths and
+uses the trees only to check them, so the translator alone maps
+ordinals to edges. Every walker's dispatch table has exactly one
+handler per IR expression class, so a forgotten node is caught here and
+not at run time. The names the translator invents are spelled only
+where it invents them. No nested function refers to its own name, so
+that no closure holds itself in a reference cycle. Every text that
+`tests/mutants.py` replaces still occurs exactly once in its module.
 """
 
 import ast
@@ -229,6 +231,22 @@ def test_spelling_check_finds_what_it_looks_for():
 def test_oracle_imports_nothing_from_the_translator_side():
     tree = ast.parse((ROOT / "src" / "solmem" / "oracle.py").read_text())
     assert imported_modules(tree) & TRANSLATOR_SIDE == set()
+
+
+def attribute_uses(tree: ast.AST, attr: str) -> list[int]:
+    """Lines that read or write an attribute named `attr`."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_oracle_reads_no_edge_ordinal():
+    tree = ast.parse((ROOT / "src" / "solmem" / "oracle.py").read_text())
+    assert attribute_uses(tree, "ordinal") == []
+
+
+def test_attribute_check_finds_what_it_looks_for():
+    tree = ast.parse("ordinal = 1\nx = edge.ordinal\ndef f(ordinal): return node.edges[ordinal].label\n")
+    assert attribute_uses(tree, "ordinal") == [2]
+    assert attribute_uses(tree, "label") == [3]
 
 
 def test_import_check_finds_what_it_looks_for():

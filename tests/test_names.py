@@ -168,7 +168,7 @@ def test_constructor_agrees_with_the_oracle(name):
 def test_distinct_default_contexts_run_and_verify(tmp_path, capsys):
     f = tmp_path / "t.sol"
     f.write_text(DEFAULT_CONTEXTS)
-    assert main(["run", str(f), "--entry", "f", "--args", "[[0, 0], [0, 0]]"]) == 0
+    assert main(["run", str(f), "--entry", "f", "--args", '[["defaultctx$int_arr", 0], ["defaultctx$int*", 0]]']) == 0
     assert json.loads(capsys.readouterr().out)["asserts"] == [{"index": 0, "line": 5, "passed": True}]
     env = {"PATH": "", "PYTHONPATH": str(SRC)}  # no solver
     proc = subprocess.run([sys.executable, "-m", "solmem.cli", "verify", str(f)], env=env,

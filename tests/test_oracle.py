@@ -58,8 +58,8 @@ def test_data_storage_append_isset_get():
     state = run_constructor(c).state
     state = exec_function(c, "append", [7, 41], initial=state).state
     result = exec_function(c, "append", [7, 42], initial=state)
-    assert exec_function(c, "isset", [[0, 7]], initial=result.state).returns["s"] is True
-    assert exec_function(c, "isset", [[0, 99]], initial=result.state).returns["s"] is False
+    assert exec_function(c, "isset", [["records", 7]], initial=result.state).returns["s"] is True
+    assert exec_function(c, "isset", [["records", 99]], initial=result.state).returns["s"] is False
     got = exec_function(c, "get", [7], initial=result.state)
     ret_ty = c.function("get").returns[0].ty
     assert serialize(got.state, ret_ty, got.returns["ret"]) == {
@@ -204,8 +204,8 @@ CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").rglob("*.sol
 
 
 def test_pointers_are_paths_without_storage_trees(monkeypatch):
-    """Only binding an encoded pointer argument builds a storage tree:
-    constructor-only corpus files and fuzz programs, whose pointers all
+    """Only binding a pointer argument builds a storage tree, to check
+    its access path: constructor-only corpus files and fuzz programs, whose pointers all
     come from packing, run with the tree builders removed."""
     sources = [p.read_text() for p in CORPUS] + [random_program(seed) for seed in range(20)]
     contracts = [c for c in map(compile_source, sources) if not c.functions]
@@ -220,7 +220,7 @@ def test_pointers_are_paths_without_storage_trees(monkeypatch):
         run_constructor(contract)
     assert len(contracts) > 40
     with pytest.raises(AssertionError, match="storage tree"):
-        exec_function(data_storage, "isset", [[0, 3]])
+        exec_function(data_storage, "isset", [["records", 3]])
 
 
 def _state(machine):

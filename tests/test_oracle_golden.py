@@ -2,9 +2,11 @@
 
 Over the programs of `test_translate_golden.inputs()`, every function runs
 on a fresh constructor state with zero arguments built from its parameter
-types (a storage-pointer parameter gets the path `[]`). The digest covers
-the canonical storage, the serialized returns and the assert outcomes, or
-the type and text of the error raised. It also covers the raw storage,
+types. A storage-pointer parameter gets the access path that takes the
+first edge of the storage tree at each contract or struct node and the
+index 0 at each array or mapping node. The digest covers the canonical
+storage, the serialized returns and the assert outcomes, or the type
+and text of the error raised. It also covers the raw storage,
 heap, locals and allocation counter, so a change of aliasing, allocation
 order or of which slots get stored shows too. A storage-pointer
 local is rendered as its target type and its access path: the root (a
@@ -20,6 +22,7 @@ from solmem.oracle import StorPath, exec_function, run_constructor, serialize, s
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
+from solmem.storage_tree import build_storage_tree, default_context_tree
 from test_translate_golden import inputs
 
 DIGEST = "32425da8cb4b3da35ac891d5bd6ad17b174dc9dca02d3f660c5ed4f2d1950afc"
@@ -28,7 +31,13 @@ DIGEST = "32425da8cb4b3da35ac891d5bd6ad17b174dc9dca02d3f660c5ed4f2d1950afc"
 def zero_arg(contract, ty, loc):
     """JSON-ish zero value of a parameter type, as `exec_function` takes."""
     if loc == Loc.STORPTR:
-        return []
+        tree = build_storage_tree(contract, ty)
+        node, path = (default_context_tree(ty) if tree.is_empty else tree).root, []
+        while not node.is_leaf:
+            edge = node.edges[0]
+            path.append(0 if edge.label is None else edge.label)
+            node = edge.target
+        return path
     if is_value_type(ty):
         return False if ty == BOOL else 0
     if isinstance(ty, StructType):

@@ -1,26 +1,31 @@
 """Storage-pointer parameters, run without a solver: the translated and
 SSA-converted function, evaluated by `eval_ir` with the pointer seeded to
 a concrete path, must fail the same assert and leave the same storage
-as the reference interpreter given that path. Every path over the
-ordinals {0, 1, 2, 7} is tried, so elements that match no edge of the
-storage tree are covered: at each node they take the last edge, both
-when the pointer is dereferenced and when `p.ys` is re-pointed."""
+as the reference interpreter given the access path that path encodes.
+Every access path over the contract's storage is tried, with the index
+values {-1, 0, 1, 2}. Only the IR side sees the encoding: each path is
+encoded with the translator's storage tree.
 
-from itertools import product
+An encoded path can also hold an element that matches no edge, which no
+access path spells. At a contract or struct node such an element takes
+the node's last edge, both when the pointer is dereferenced and when
+`p.ys` is re-pointed; that is checked on the IR alone."""
 
 import pytest
 
 from irserialize import serialize_ir
-from solmem.ireval import VArray, default_value, eval_ir
+from solmem.ir import Assign, Ident
+from solmem.ireval import VArray, default_value, eval_ir, values_equal
 from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function, serialize
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.sol_ast import Loc
+from solmem.sol_ast import Loc, StructType
 from solmem.ssa import to_ssa
-from solmem.translate import translate_function
+from solmem.storage_tree import build_storage_tree, default_context_tree
+from solmem.translate import Translator, translate_function
 
-ORDINALS = (0, 1, 2, 7)
+INDEXES = (-1, 0, 1, 2)
 
 # `q` re-points into the entity `p` reaches; `r` is a packed path to one
 # of the leaves, which must see the push exactly when `p` reaches it
@@ -58,8 +63,8 @@ contract C {
     mapping(bool => T) m;
 """ + REPACK_BODY % "m[true]"
 
-# no storage of type T: both pointers index the default context by the
-# path's second element, and alias when it is 1
+# no storage of type T: both pointers index the default context, and
+# alias when `p` takes the index 1 that `r` is given
 DEFAULT_CONTEXT = """
 contract C {
     struct T { int x; int[] ys; }
@@ -76,23 +81,63 @@ contract C {
 """
 
 CASES = {
-    "nested_structs": (NESTED_STRUCTS, 2, lambda path: [path]),
-    "array_then_struct": (ARRAY_THEN_STRUCT, 3, lambda path: [path]),
-    "bool_mapping": (BOOL_MAPPING, 2, lambda path: [path]),
-    "default_context": (DEFAULT_CONTEXT, 2, lambda path: [path, [0, 1]]),
+    "nested_structs": (NESTED_STRUCTS, lambda path: [path]),
+    "array_then_struct": (ARRAY_THEN_STRUCT, lambda path: [path]),
+    "bool_mapping": (BOOL_MAPPING, lambda path: [path]),
+    "default_context": (DEFAULT_CONTEXT, lambda path: [path, path[:1] + [1]]),
 }
+
+
+def pointer_tree(contract, ty):
+    """The translator's storage tree for pointers to `ty`."""
+    tree = build_storage_tree(contract, ty)
+    return default_context_tree(ty) if tree.is_empty else tree
+
+
+def access_paths(node):
+    """Every root-to-leaf access path below `node`: an edge label at a
+    contract or struct node, each of INDEXES at an array or mapping node."""
+    if node.is_leaf:
+        yield []
+        return
+    for edge in node.edges:
+        for key in INDEXES if edge.label is None else (edge.label,):
+            for rest in access_paths(edge.target):
+                yield [key] + rest
+
+
+def encode(node, path) -> VArray:
+    """An access path as the translator spells it: the edge ordinal at a
+    label, the index value itself at an index."""
+    encoded = {}
+    for depth, key in enumerate(path):
+        edge = node.edges[0] if node.edges[0].label is None else next(e for e in node.edges if e.label == key)
+        encoded[depth] = key if edge.label is None else edge.ordinal
+        node = edge.target
+    assert node.is_leaf
+    return VArray(0, encoded)
+
+
+def test_access_paths_cover_every_leaf():
+    contract = resolve_and_check(parse_source(ARRAY_THEN_STRUCT))
+    tree = pointer_tree(contract, StructType("T"))
+    paths = list(access_paths(tree.root))
+    assert paths[:3] == [["t0"], ["ss", -1, "a"], ["ss", -1, "b"]]
+    assert len(paths) == 1 + 2 * len(INDEXES)
+    assert encode(tree.root, ["ss", 2, "b"]) == VArray(0, {0: 1, 1: 2, 2: 1})
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_ireval_agrees_with_oracle_on_every_path(name):
-    source, depth, args_of = CASES[name]
+    source, args_of = CASES[name]
     contract = resolve_and_check(parse_source(source))
     fn = contract.function("f")
     ssa = to_ssa(normalize_lhs(translate_function(contract, fn).program))
-    for path in product(ORDINALS, repeat=depth):
-        args = args_of(list(path))
+    tree = pointer_tree(contract, fn.params[0].ty)
+    for path in access_paths(tree.root):
+        args = args_of(path)
         oracle = exec_function(contract, "f", args)
-        env = {p.name: VArray(0, dict(enumerate(a))) for p, a in zip(fn.params, args)}
+        env = {p.name: encode(pointer_tree(contract, p.ty).root, a) for p, a in zip(fn.params, args)}
         ran = eval_ir(ssa.program, env)
         assert ran.status != "assume-violated", path
         ir_failed = ran.failed_index if ran.status == "assert-failed" else None
@@ -107,3 +152,58 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
                 value = default_value(ssa.program.decl_type(final), ssa.program)
             ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
             assert ir_json == serialize(oracle.state, v.ty, oracle.storage[v.name]), (path, v.name)
+
+
+# three state variables of three members each, so that the last edge
+# differs from the first at both kinds of node; every `x` is distinct
+LAST_EDGE = """
+contract C {
+    struct T { int x; int[] ys; }
+    struct S { T a; T b; T c; }
+    S s1;
+    S s2;
+    S s3;
+    constructor() {
+%s    }
+    function f(T storage p) {
+        int[] storage q = p.ys;
+    }
+}
+""" % "".join(f"        s{i}.{m}.x = {10 * i + j};\n" for i in (1, 2, 3) for j, m in enumerate("abc"))
+
+# (pointer with an element that matches no edge, the same pointer at the
+# node's last edge)
+UNMATCHED = {
+    "contract": ((3, 0), (2, 0)),
+    "contract-negative": ((-1, 1), (2, 1)),
+    "struct": ((0, 3), (0, 2)),
+    "struct-negative": ((1, -1), (1, 2)),
+    "both": ((7, 7), (2, 2)),
+}
+
+
+def _value(tr: Translator, term, env: dict):
+    """`term`, built by `tr` after its statements, evaluated in `env`."""
+    program = tr.program.copy_shell()
+    program.stmts = list(tr.stmts) + [Assign(Ident("out$"), term)]
+    return eval_ir(program, env).env["out$"]
+
+
+@pytest.mark.parametrize("unmatched, last", UNMATCHED.values(), ids=UNMATCHED)
+def test_an_element_matching_no_edge_takes_the_last_edge(unmatched, last):
+    contract = resolve_and_check(parse_source(LAST_EDGE))
+    ctor = to_ssa(normalize_lhs(translate_function(contract, contract.constructor).program))
+    built = eval_ir(ctor.program)
+    assert built.status == "ok"
+    state = {v.name: built.env[ctor.final_versions[v.name]] for v in contract.state_vars}
+    fn = contract.function("f")
+    p = Ident(fn.params[0].name)
+    tr = Translator(contract)
+    read = tr.unpack(p, StructType("T"))  # a dereference of `p`
+    repacked = tr.pack(fn.body[0].init)  # `p.ys`, re-pointed into the `int[]` tree
+    # the first edge where `unmatched` matches none: a different leaf
+    first = tuple(0 if u != l else l for u, l in zip(unmatched, last))
+    for term in (read, repacked):
+        got = [_value(tr, term, {**state, p.name: VArray(0, dict(enumerate(path)))}) for path in (unmatched, last, first)]
+        assert values_equal(got[0], got[1])
+        assert not values_equal(got[1], got[2])

@@ -113,7 +113,7 @@ def _program() -> SmtProgram:
 )
 def test_sort_check_rejects_ill_sorted_terms(term):
     p = _program()
-    p.stmts = [Assert(BinOp("==", term, term), 0, "")]
+    p.stmts = [Assert(BinOp("==", term, term))]
     with pytest.raises(SortError):
         check_program(p)
 
@@ -122,12 +122,12 @@ def test_sort_check_accepts_and_checks_statements():
     p = _program()
     p.stmts = [
         Assign(Ident("i"), Select(Construct("S", (IntLit(1),)), "x", "S")),
-        Assert(Ite(Ident("b"), BinOp(">=", ArrayRead(Ident("a"), Ident("i")), IntLit(0)), BoolLit(True)), 0, ""),
+        Assert(Ite(Ident("b"), BinOp(">=", ArrayRead(Ident("a"), Ident("i")), IntLit(0)), BoolLit(True))),
     ]
     check_program(p)
     p.stmts.append(Assign(Ident("b"), Ident("i")))
     with pytest.raises(SortError):
         check_program(p)
-    p.stmts[-1] = Assert(Ident("i"), 0, "")
+    p.stmts[-1] = Assert(Ident("i"))
     with pytest.raises(SortError):
         check_program(p)
