@@ -25,10 +25,10 @@ from pathlib import Path
 
 from .errors import SolmemError
 from .harness import render_table, report_json, run_corpus, run_fuzz
-from .ir import format_program
 from .oracle import exec_function, run_constructor, serialize, serialize_storage
 from .parser import parse_source
 from .resolver import resolve_and_check
+from .smtlib import program_text
 from .verify import verify_source
 
 
@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
             continue
         if args.emit_ir:
             print(f"; intermediate program for {f.name}")
-            print(format_program(f.program))
+            print(program_text(f.program))
         for a in f.asserts:
             if a.verdict == "verified":
                 tail = f" [{a.time_seconds:.2f}s]"

@@ -21,8 +21,8 @@ for every stage after translation. Nodes compare by value but are
 unhashable, so a memo keys a node by `id()` and holds the node, which
 keeps the id from being reused while the entry lives.
 
-Walkers: each operation over expressions (SSA renaming, SMT-LIB and
-text printing, evaluation) is a module-level table from a node's exact
+Walkers: each operation over expressions (SSA renaming, SMT-LIB
+printing, evaluation) is a module-level table from a node's exact
 class to a handler, looked up as `TABLE[type(e)]`. A handler recurses by
 indexing its table directly, so a walk takes one Python frame per
 expression level, and long chains stay within the default recursion
@@ -34,9 +34,7 @@ each table's keys are exactly the node classes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
 
 from .errors import IrError
 
@@ -51,14 +49,12 @@ class IrType:
 
 @dataclass(frozen=True)
 class IntType(IrType):
-    def __str__(self) -> str:
-        return "Int"
+    pass
 
 
 @dataclass(frozen=True)
 class BoolType(IrType):
-    def __str__(self) -> str:
-        return "Bool"
+    pass
 
 
 @dataclass(frozen=True)
@@ -66,16 +62,10 @@ class ArrayType(IrType):
     index: IrType
     elem: IrType
 
-    def __str__(self) -> str:
-        return f"[{self.index}]{self.elem}"
-
 
 @dataclass(frozen=True)
 class DatatypeType(IrType):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 INT = IntType()
@@ -277,15 +267,9 @@ class SmtProgram:
         if self.datatypes.setdefault(dt.name, dt) != dt:
             raise ValueError(f"conflicting datatype definition {dt.name}")
 
-    def datatype(self, name: str) -> DatatypeDef | None:
-        return self.datatypes.get(name)
-
     def declare(self, name: str, ty: IrType) -> None:
         if self.decls.setdefault(name, ty) != ty:
             raise ValueError(f"conflicting declaration {name}")
-
-    def decl_type(self, name: str) -> IrType | None:
-        return self.decls.get(name)
 
     def copy_shell(self) -> "SmtProgram":
         """New program with copies of the datatype and declaration
@@ -300,69 +284,3 @@ def unknown_key(err: KeyError) -> IrError:
     if isinstance(key, type):
         return IrError(f"unknown expression node {key.__name__}")
     return IrError(f"unknown operator {key}")
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer (stable textual form used by --emit-ir and golden tests)
-
-
-_PREFIX = {"neg": "-", "not": "!"}
-
-_FORMAT: dict[type, Callable[[Any], str]] = {
-    Ident: lambda e: e.name,
-    IntLit: lambda e: str(e.value),
-    BoolLit: lambda e: "true" if e.value else "false",
-    ArrayRead: lambda e: f"{_FORMAT[type(e.array)](e.array)}[{_FORMAT[type(e.index)](e.index)}]",
-    ArrayWrite: lambda e: (
-        f"{_FORMAT[type(e.array)](e.array)}"
-        f"[{_FORMAT[type(e.index)](e.index)} <- {_FORMAT[type(e.value)](e.value)}]"
-    ),
-    ConstArray: lambda e: f"const([{e.index}]{e.elem}, {_FORMAT[type(e.value)](e.value)})",
-    Construct: lambda e: f"{e.datatype}({', '.join(_FORMAT[type(a)](a) for a in e.args)})",
-    Select: lambda e: f"{_FORMAT[type(e.base)](e.base)}.{e.member}",
-    Ite: lambda e: (
-        f"ite({_FORMAT[type(e.cond)](e.cond)}, "
-        f"{_FORMAT[type(e.then)](e.then)}, {_FORMAT[type(e.other)](e.other)})"
-    ),
-    BinOp: lambda e: f"({_FORMAT[type(e.left)](e.left)} {e.op} {_FORMAT[type(e.right)](e.right)})",
-    UnOp: lambda e: f"({_PREFIX[e.op]}{_FORMAT[type(e.operand)](e.operand)})",
-}
-
-
-def format_expr(e: IrExpr) -> str:
-    try:
-        return _FORMAT[type(e)](e)
-    except KeyError as err:
-        raise unknown_key(err) from None
-
-
-def format_stmt(s: IrStmt, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    if isinstance(s, Assign):
-        return [f"{pad}{format_expr(s.lhs)} := {format_expr(s.rhs)}"]
-    if isinstance(s, Assume):
-        return [f"{pad}assume {format_expr(s.cond)}"]
-    if isinstance(s, Assert):
-        return [f"{pad}assert {format_expr(s.cond)}"]
-    if isinstance(s, IfStmt):
-        lines = [f"{pad}if {format_expr(s.cond)} {{"]
-        for t in s.then:
-            lines.extend(format_stmt(t, indent + 1))
-        lines.append(f"{pad}}} else {{")
-        for t in s.other:
-            lines.extend(format_stmt(t, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    raise IrError(f"unknown statement node {s!r}")
-
-
-def format_program(p: SmtProgram) -> str:
-    lines: list[str] = []
-    for dt in p.datatypes.values():
-        members = ", ".join(f"{n}: {t}" for n, t in dt.members)
-        lines.append(f"datatype {dt.name}({members})")
-    for name, ty in p.decls.items():
-        lines.append(f"var {name}: {ty}")
-    for s in p.stmts:
-        lines.extend(format_stmt(s))
-    return "\n".join(lines) + "\n"

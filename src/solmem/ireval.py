@@ -99,11 +99,11 @@ def default_value(ty: IrType, program: SmtProgram):
     if isinstance(ty, ArrayType):
         return VArray(default_value(ty.elem, program))
     if isinstance(ty, DatatypeType):
-        dt = program.datatype(ty.name)
+        dt = program.datatypes.get(ty.name)
         if dt is None:
             raise IrError(f"unknown datatype {ty.name}")
         return VData(dt.name, tuple(default_value(t, program) for _, t in dt.members))
-    raise IrError(f"no default for type {ty}")
+    raise IrError(f"no default for type {type(ty).__name__}")
 
 
 _BINOPS = {
@@ -152,7 +152,7 @@ class _Machine:
 
     def _ident(self, e: Ident):
         if e.name not in self.env:
-            ty = self.program.decl_type(e.name)
+            ty = self.program.decls.get(e.name)
             if ty is None:
                 raise IrError(f"undeclared identifier {e.name}")
             self.env[e.name] = default_value(ty, self.program)
@@ -175,7 +175,7 @@ class _Machine:
         base = _EVAL[type(e.base)](self, e.base)
         if not isinstance(base, VData):
             raise IrError(f"member select on non-datatype value: {e}")
-        dt = self.program.datatype(e.datatype)
+        dt = self.program.datatypes.get(e.datatype)
         if dt is None:
             raise IrError(f"unknown datatype {e.datatype}")
         return base.members[dt.member_index(e.member)]
@@ -218,7 +218,7 @@ class _Machine:
             base = self.eval(lhs.base)
             if not isinstance(base, VData):
                 raise IrError("member write on non-datatype value")
-            dt = self.program.datatype(lhs.datatype)
+            dt = self.program.datatypes.get(lhs.datatype)
             if dt is None:
                 raise IrError(f"unknown datatype {lhs.datatype}")
             self.assign(lhs.base, base.replace(dt.member_index(lhs.member), value))

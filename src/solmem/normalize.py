@@ -36,7 +36,7 @@ def _normalize_assign(stmt: Assign, program: SmtProgram) -> list[IrStmt]:
             lhs = lhs.array
             continue
         if isinstance(lhs, Select):
-            dt = program.datatype(lhs.datatype)
+            dt = program.datatypes.get(lhs.datatype)
             if dt is None:
                 raise IrError(f"unknown datatype {lhs.datatype}")
             args = [

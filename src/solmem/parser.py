@@ -290,7 +290,9 @@ class Parser:
                 self.expect("symbol", ";")
                 return AssertStmt(cond, line=line)
         elif value == "(":
-            return self.parse_tuple_assign()
+            stmt = self.parse_tuple_assign()
+            if stmt is not None:
+                return stmt
         if self._looks_like_type():
             return self.parse_decl()
         # expression statement: single assignment or push/pop
@@ -317,12 +319,19 @@ class Parser:
         self._reject(expected="'=' or ';'")
         raise AssertionError("unreachable")
 
-    def parse_tuple_assign(self) -> Stmt:
+    def parse_tuple_assign(self) -> Stmt | None:
+        """`(a, b) = (c, d);`, or None and no token taken for a statement
+        such as `(p).xs.push(1);`."""
+        start = self.pos
         line = self.next()[2]
         lhs = [self.parse_expr()]
         while self.accept(","):
             lhs.append(self.parse_expr())
         self.expect("symbol", ")")
+        if len(lhs) == 1 and self.tok[1] in (".", "["):
+            self.pos = start
+            self.tok = self.tokens[start]
+            return None
         self.expect("symbol", "=")
         self.expect("symbol", "(")
         rhs = [self.parse_expr()]

@@ -20,7 +20,7 @@ Location categories follow the storage model:
 
 from __future__ import annotations
 
-from .errors import ResolveError
+from .errors import ResolveError, UnsupportedError
 from .gcpause import gc_paused
 from .sol_ast import (
     BOOL,
@@ -297,6 +297,8 @@ class Resolver:
         if isinstance(e, IndexExpr):
             self._check_lvalue(e.base, line)
             return
+        if isinstance(e, CondExpr):
+            raise UnsupportedError("unsupported: writing through a conditional expression", line)
         raise ResolveError("expression is not assignable", line)
 
     def _check_assignable(self, lhs_ty: SolType, lhs_loc: Loc, rhs: Expr, line: int) -> None:

@@ -10,6 +10,8 @@ The VCs of one program share their conjuncts (see `vcgen`). The text of
 each conjunct, and the header of datatypes and declarations, is printed
 once per program and kept on it; every script is assembled from those
 strings and joined once.
+
+`program_text` prints a whole IR program in the same syntax for `--emit-ir`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .ir import (
     ArrayRead,
     ArrayType,
     ArrayWrite,
+    Assert,
+    Assign,
+    Assume,
     BinOp,
     BoolLit,
     BoolType,
@@ -29,9 +34,11 @@ from .ir import (
     Construct,
     DatatypeType,
     Ident,
+    IfStmt,
     IntLit,
     IntType,
     IrExpr,
+    IrStmt,
     IrType,
     SmtProgram,
     Ite,
@@ -50,25 +57,15 @@ def sort_of(ty: IrType) -> str:
         return f"(Array {sort_of(ty.index)} {sort_of(ty.elem)})"
     if isinstance(ty, DatatypeType):
         return ty.name
-    raise IrError(f"unknown type {ty}")
+    raise IrError(f"unknown type {type(ty).__name__}")
 
 
 def selector_name(datatype: str, member: str) -> str:
     return f"{datatype}.{member}"
 
 
-_OPS = {
-    "+": "+",
-    "-": "-",
-    "==": "=",
-    "!=": "distinct",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-    "and": "and",
-    "or": "or",
-}
+# IR operator -> SMT-LIB function; the others are spelled alike
+_OPS = {"==": "=", "!=": "distinct"} | {op: op for op in ("+", "-", "<", "<=", ">", ">=", "and", "or")}
 _UNOPS = {"not": "not", "neg": "-"}
 
 _SEXPR: dict[type, Callable[[Any], str]] = {
@@ -158,3 +155,22 @@ def emit_smtlib(program: SmtProgram, formula: IrExpr) -> str:
     _print_conjunction(formula, program.printed, out)
     out.append(")\n(check-sat)\n(get-model)\n")
     return "".join(out)
+
+
+def _stmt_text(s: IrStmt) -> str:
+    if isinstance(s, Assign):
+        return f"(assign {expr_to_sexpr(s.lhs)} {expr_to_sexpr(s.rhs)})"
+    if isinstance(s, Assume):
+        return f"(assume {expr_to_sexpr(s.cond)})"
+    if isinstance(s, Assert):  # not `assert`, which a solver reads as an assumption
+        return f"(check {expr_to_sexpr(s.cond)})"
+    if isinstance(s, IfStmt):
+        then, other = ("".join(" " + _stmt_text(t) for t in branch) for branch in (s.then, s.other))
+        return f"(if {expr_to_sexpr(s.cond)} (then{then}) (else{other}))"
+    raise IrError(f"unknown statement node {type(s).__name__}")
+
+
+def program_text(program: SmtProgram) -> str:
+    """The header of a script, then one line per statement: `(assign L R)`,
+    `(assume C)`, `(check C)` or `(if C (then ...) (else ...))`."""
+    return _header(program) + "".join(_stmt_text(s) + "\n" for s in program.stmts)

@@ -88,7 +88,7 @@ class _Converter:
             name = f"{base}!{k}"
         self.counters[base] = k
         self.taken.add(name)
-        ty = self.source.decl_type(base)
+        ty = self.source.decls.get(base)
         if ty is None:
             raise IrError(f"assignment to undeclared identifier {base}")
         self.out.declare(name, ty)

@@ -142,6 +142,9 @@ class TranslatedFunction:
     name: str
     program: SmtProgram
     asserts: list[AssertInfo]
+    # the entry state a counterexample shows, declared name -> source name:
+    # the parameters, and outside a constructor the state variables
+    entry: dict[str, str]
     is_constructor: bool = False
 
 
@@ -764,7 +767,13 @@ class Translator:
             self.assign(p.ty, p.loc, Ident(p.name), p.loc, self.default_value(p.ty, p.loc))
         for s in fn.body:
             self.stmt(s)
-        return TranslatedFunction(fn.name, self.program, self.asserts, fn.is_constructor)
+        # a state variable that a parameter or return value shadows is shown
+        # as `this.x`, which no identifier can spell
+        shadowed = {p.name_source for p in fn.params + fn.returns}
+        state = () if fn.is_constructor else self.contract.state_vars
+        entry = {v.name: f"this.{v.name}" if v.name in shadowed else v.name for v in state}
+        entry.update((p.name, p.name_source) for p in fn.params)
+        return TranslatedFunction(fn.name, self.program, self.asserts, entry, fn.is_constructor)
 
 
 @gc_paused

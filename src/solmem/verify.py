@@ -84,9 +84,7 @@ def verify_translated(
         report.smt_scripts.append(script)
         start = time.monotonic()
         verdict = query(script, timeout, solver_cmd)
-        # the pre-state of source names: SSA versions have a `!`, and every
-        # name the translator invents a `$`
-        model = {name: value for name, value in verdict.model.items() if "!" not in name and "$" not in name}
+        model = {shown: verdict.model[name] for name, shown in tf.entry.items() if name in verdict.model}
         report.asserts.append(
             AssertResult(
                 info.line,

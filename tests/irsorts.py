@@ -37,8 +37,8 @@ from solmem.ir import (
     Select,
     SmtProgram,
     UnOp,
-    format_expr,
 )
+from solmem.smtlib import expr_to_sexpr, sort_of as sort_name
 
 _INT_OPS = {"+": INT, "-": INT, "<": BOOL, "<=": BOOL, ">": BOOL, ">=": BOOL}
 
@@ -49,11 +49,11 @@ class SortError(Exception):
 
 def _expect(e: IrExpr, got: IrType, want: IrType, role: str) -> None:
     if got != want:
-        raise SortError(f"{role} of {format_expr(e)} is {got}, expected {want}")
+        raise SortError(f"{role} of {expr_to_sexpr(e)} is {sort_name(got)}, expected {sort_name(want)}")
 
 
 def _ident(program: SmtProgram, e: Ident) -> IrType:
-    ty = program.decl_type(e.name)
+    ty = program.decls.get(e.name)
     if ty is None:
         raise SortError(f"undeclared identifier {e.name}")
     return ty
@@ -63,7 +63,7 @@ def _array(e: ArrayRead | ArrayWrite, arr: IrType, index: IrType) -> ArrayType:
     """`arr`, the sort of the array of a read or write; `index`, the sort
     of its index, must match it."""
     if not isinstance(arr, ArrayType):
-        raise SortError(f"array of {format_expr(e)} has sort {arr}")
+        raise SortError(f"array of {expr_to_sexpr(e)} has sort {sort_name(arr)}")
     _expect(e, index, arr.index, "index")
     return arr
 
@@ -84,7 +84,7 @@ def _const_array(program: SmtProgram, e: ConstArray) -> IrType:
 
 
 def _construct(program: SmtProgram, e: Construct) -> IrType:
-    dt = program.datatype(e.datatype)
+    dt = program.datatypes.get(e.datatype)
     if dt is None or len(dt.members) != len(e.args):
         raise SortError(f"no constructor {e.datatype} of arity {len(e.args)}")
     for (name, ty), arg in zip(dt.members, e.args):
@@ -94,7 +94,7 @@ def _construct(program: SmtProgram, e: Construct) -> IrType:
 
 def _select(program: SmtProgram, e: Select) -> IrType:
     _expect(e, _SORT[type(e.base)](program, e.base), DatatypeType(e.datatype), "base")
-    dt = program.datatype(e.datatype)
+    dt = program.datatypes.get(e.datatype)
     members = dict(dt.members) if dt is not None else {}
     if e.member not in members:
         raise SortError(f"datatype {e.datatype} has no member {e.member}")

@@ -15,13 +15,13 @@ from sources import DANGLING_POINTER, POINTER_CONTRACT, tuple_swap_with
 from test_invariants import FRAME_CONTRACTS, MEMORY_ZOO, ZOO_TYPES, _zoo_contract, frame_verdict
 from solmem import ir
 from solmem.harness import run_corpus, run_fuzz
-from solmem.ir import Assign, Ident, format_expr
+from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, eval_ir, values_equal
 from solmem.normalize import normalize_lhs
 from solmem.oracle import Machine, serialize
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib
+from solmem.smtlib import emit_smtlib, expr_to_sexpr
 from solmem.sol_ast import Loc, StructType, is_reference_type
 from solmem.ssa import to_ssa
 from solmem.translate import Translator, translate_function
@@ -66,12 +66,15 @@ def test_criterion_1_pack_unpack_goldens():
     assert packed_values(decls[1].init, 2) == [1, 0]
     assert packed_values(decls[2].init, 4) == [2, 8, 1, 5]
 
-    unpacked = format_expr(tr.unpack(Ident("ptr"), StructType("T")))
+    unpacked = expr_to_sexpr(tr.unpack(Ident("ptr"), StructType("T")))
+    s1_ts = "(select (StorArr$T.arr (StorStruct$S.ts s1)) (select ptr 2))"
+    ss_i = "(select (StorArr$S.arr ss) (select ptr 1))"
+    ss_i_ts = f"(select (StorArr$T.arr (StorStruct$S.ts {ss_i})) (select ptr 3))"
     expected = (
-        "ite((ptr[0] == 0), t1, "
-        "ite((ptr[0] == 1), "
-        "ite((ptr[1] == 0), s1.t, s1.ts.arr[ptr[2]]), "
-        "ite((ptr[2] == 0), ss.arr[ptr[1]].t, ss.arr[ptr[1]].ts.arr[ptr[3]])))"
+        "(ite (= (select ptr 0) 0) t1 "
+        "(ite (= (select ptr 0) 1) "
+        f"(ite (= (select ptr 1) 0) (StorStruct$S.t s1) {s1_ts}) "
+        f"(ite (= (select ptr 2) 0) (StorStruct$S.t {ss_i}) {ss_i_ts})))"
     )
     assert unpacked == expected
     elapsed = time.monotonic() - start

@@ -5,7 +5,8 @@ operators, reads past the end of a memory array of references, a
 memory copy out of a member of a storage-pointer conditional, storage
 pointers packed through a conditional base, writes and pointers at
 negative indexes, copies of a fixed-size array of structs between
-storage and memory, and a closure over storage-pointer sources."""
+storage and memory, statements that start with a parenthesized
+expression, and a closure over storage-pointer sources."""
 
 import pytest
 
@@ -325,6 +326,33 @@ contract C {
 }
 """
 
+# Checked without a solver only: statements that start with a
+# parenthesized expression write where the expression denotes; the last
+# assert fails in both.
+PARENTHESIZED_STATEMENT_START = """
+contract C {
+    struct S { int x; int[] ys; }
+    S s;
+    int[] u;
+    int[2] w;
+    constructor() {
+        S storage p = s;
+        (u).push(4);
+        (u)[0] = 7;
+        (w)[1] = 8;
+        (s).x = 3;
+        (p).ys.push(5);
+        (s.ys)[0] = 6;
+        S memory m = S(1, new int[](2));
+        (m).ys[1] = 9;
+        assert(u.length == 1 && u[0] == 7);
+        assert(w[1] == 8 && p.x == 3);
+        assert(s.ys[0] == 6 && m.ys[1] == 9);
+        assert(s.ys.length == 2);
+    }
+}
+"""
+
 SOLVER_FREE = {
     "negative_memory_index_write": NEGATIVE_MEMORY_INDEX_WRITE,
     "negative_storage_index_write": NEGATIVE_STORAGE_INDEX_WRITE,
@@ -337,6 +365,7 @@ SOLVER_FREE = {
     "conditional_base_element_pointer": CONDITIONAL_BASE_ELEMENT_POINTER,
     "storage_to_memory_struct_array_copy": STORAGE_TO_MEMORY_STRUCT_ARRAY_COPY,
     "memory_to_storage_struct_array_copy": MEMORY_TO_STORAGE_STRUCT_ARRAY_COPY,
+    "parenthesized_statement_start": PARENTHESIZED_STATEMENT_START,
 }
 
 

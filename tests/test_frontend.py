@@ -123,6 +123,19 @@ def test_tuple_and_push_pop_statements():
     assert names == ["PushStmt", "PopStmt"]
 
 
+def test_statements_that_start_with_a_parenthesized_expression():
+    """`(e).m ...` and `(e)[i] ...` are expression statements, not tuple
+    assignments; a write through a conditional is reported unsupported."""
+    assert type(parse_statement("(u).push(4);")).__name__ == "PushStmt"
+    assert type(parse_statement("(p).ys[0] = 1;")).__name__ == "AssignStmt"
+    assert type(parse_statement("(a, b) = (b, a);")).__name__ == "AssignStmt"
+    head = "contract C { struct S { int x; int[] ys; } S a; S b; int[] u; int[] v; constructor() { bool t = true; "
+    for stmt in ["(t ? a : b).ys.push(1);", "(t ? a : b).x = 1;", "(t ? u : v)[0] = 1;", "(t ? a : b).ys.pop();",
+                 "delete (t ? a : b).x;"]:
+        with pytest.raises(UnsupportedError, match="unsupported: writing through a conditional expression"):
+            compile_source(head + stmt + " } }")
+
+
 def test_parse_statement_takes_exactly_one_at_its_file_position():
     stmt = parse_statement("a[1] = b + 2;", line=12, col=9)
     assert type(stmt).__name__ == "AssignStmt"

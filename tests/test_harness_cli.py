@@ -175,13 +175,27 @@ def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys):
     assert "~" not in out
 
 
+def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys):
+    """Against a stub model that sets every Int to 0, the counterexample
+    lists the parameter `x` and the state variable it shadows as `this.x`,
+    and leaves out the local `y`; `--emit-ir` prints the program in
+    SMT-LIB, with the parameter under its resolved name."""
+    f = tmp_path / "c.sol"
+    f.write_text("contract C { int x; function f(int x) public { int y = x; assert(y == 1); } }")
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log")]
+    assert main(["verify", str(f), "--emit-ir", "--solver-cmd", shlex.join(stub)]) == 1
+    out = capsys.readouterr().out
+    assert "(declare-const x~2 Int)\n(declare-const y Int)\n(assign y x~2)\n(check (= y 1))\n" in out
+    assert "f:1: assert((y == 1)): counterexample [this.x = 0, x = 0]\n" in out
+
+
 def test_cli_verify_emits_artifacts(tmp_path, capsys, solver_available):
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { x = 2; assert(x == 2); } }")
     smt_dir = tmp_path / "smt"
     assert main(["verify", str(f), "--emit-smt", str(smt_dir), "--emit-ir"]) == 0
     out = capsys.readouterr().out
-    assert "x := 2" in out  # intermediate program
+    assert "(assign x 2)" in out  # intermediate program
     scripts = list(smt_dir.glob("*.smt2"))
     assert len(scripts) == 1
     assert "(check-sat)" in scripts[0].read_text()

@@ -24,7 +24,7 @@ from pathlib import Path
 import irsorts
 import mutants
 import pytest
-from solmem import ir, ireval, smtlib, ssa
+from solmem import ireval, smtlib, ssa
 from solmem.ir import IrExpr, UnOp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -313,7 +313,6 @@ def table_gaps(table: dict, root: type) -> tuple[list[str], list[str]]:
 
 
 DISPATCH_TABLES = {
-    "ir._FORMAT": ir._FORMAT,
     "smtlib._SEXPR": smtlib._SEXPR,
     "ssa._RENAME": ssa._RENAME,
     "ireval._EVAL": ireval._EVAL,

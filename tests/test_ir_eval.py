@@ -9,6 +9,7 @@ from solmem.ir import (
     Assert,
     Assign,
     Assume,
+    BinOp,
     BoolLit,
     ConstArray,
         Ident,
@@ -17,9 +18,9 @@ from solmem.ir import (
     Ite,
     Select,
     SmtProgram,
-    format_program,
 )
 from solmem.ireval import VArray, VData, eval_ir, values_equal
+from solmem.smtlib import program_text
 
 
 def program(*stmts, decls=(), datatypes=()):
@@ -141,9 +142,18 @@ def test_declared_unassigned_reads_default():
     assert eval_ir(p).env["x"] == 0
 
 
-def test_format_program_is_stable():
+def test_program_text_is_stable():
     p = program(
         Assign(Ident("x"), Ite(BoolLit(True), IntLit(1), IntLit(2))),
-        decls=[("x", ir.INT)],
+        Assume(Ident("b")),
+        IfStmt(Ident("b"), (Assert(BinOp("==", Ident("x"), IntLit(-1))),), ()),
+        decls=[("x", ir.INT), ("b", ir.BOOL)],
     )
-    assert format_program(p) == "var x: Int\nx := ite(true, 1, 2)\n"
+    assert program_text(p) == (
+        "(set-logic ALL)\n"
+        "(declare-const x Int)\n"
+        "(declare-const b Bool)\n"
+        "(assign x (ite true 1 2))\n"
+        "(assume b)\n"
+        "(if b (then (check (= x (- 1)))) (else))\n"
+    )

@@ -160,7 +160,7 @@ def test_constructor_agrees_with_the_oracle(name):
     assert ran.status == "ok"
     for v in contract.state_vars:
         final = ssa.final_versions[v.name]
-        value = ran.env[final] if final in ran.env else default_value(ssa.program.decl_type(final), ssa.program)
+        value = ran.env[final] if final in ran.env else default_value(ssa.program.decls.get(final), ssa.program)
         ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
         assert ir_json == serialize(oracle.state, v.ty, oracle.storage[v.name]), v.name
 
@@ -178,17 +178,41 @@ def test_distinct_default_contexts_run_and_verify(tmp_path, capsys):
     assert "assert((p.x == q.length)): error no SMT solver found" in proc.stdout
 
 
+# a parameter shadows state `x`, and a return value state `z`
+SHADOWING = """
+contract C {
+    int x;
+    int z;
+    constructor(int x) { z = x; assert(z == 1); }
+    function f(int x) returns (int z) { int y = x; assert(y == 1); }
+}
+"""
+
+
 def test_counterexample_models_list_source_names_only(monkeypatch):
-    """A solver model names every declaration; the report keeps the
-    pre-state of source names, without the allocation counter, heaps,
-    default contexts, temporaries or SSA versions."""
-    contract = resolve_and_check(parse_source(ZOO))
-    for fn in contract.all_functions():
-        tf = translate_function(contract, fn)
-        ssa = to_ssa(normalize_lhs(tf.program)).program
-        monkeypatch.setattr("solmem.verify.query", lambda *_: SolverVerdict("sat", dict.fromkeys(ssa.decls, "0")))
-        models = [a.model for a in verify_translated(tf).asserts]
-        assert models == [dict.fromkeys(source_names(contract) & set(ssa.decls), "0")], fn.name
+    """A solver model names every declaration; the report keeps the entry
+    state by source name: the parameters, and outside a constructor the
+    state variables, as `this.x` where a parameter or return value
+    shadows one. Locals, return values, the allocation counter, heaps,
+    default contexts and SSA versions are left out."""
+    state = {name: name for name in ("a", "a2", "b", "c", "d", "e", "f", "g", "h")}
+    expected = {
+        ZOO: {
+            "constructor": {},
+            "stored": {**state, "p": "p", "q": "q", "r": "r"},
+            "unstored": {**state, "p": "p~2", "q": "q~2", "r": "r~2"},
+        },
+        SHADOWING: {"constructor": {"x": "x~2"}, "f": {"this.x": "x", "this.z": "z", "x": "x~3"}},
+    }
+    for source, entries in expected.items():
+        contract = resolve_and_check(parse_source(source))
+        for fn in contract.all_functions():
+            tf = translate_function(contract, fn)
+            ssa = to_ssa(normalize_lhs(tf.program)).program
+            # the solver gives each declaration its own name as its value
+            model = {name: name for name in ssa.decls}
+            monkeypatch.setattr("solmem.verify.query", lambda *_: SolverVerdict("sat", model))
+            assert [a.model for a in verify_translated(tf).asserts] == [entries[fn.name]], fn.name
 
 
 def source_names(contract) -> set[str]:

@@ -23,7 +23,7 @@ from test_translate_golden import stress_source
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DIGEST = "a8c9eeb9da2c183d390bf63a4b7485491536c5c6efd3f17bcd91950ba6321ae6"
+DIGEST = "74070c7f0418b9c217ee5f5e27d9806694b9de3ab8f07f4ff109348efdbf754d"
 
 MUTATIONS = 6000
 

@@ -149,7 +149,7 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
             if final in ran.env:
                 value = ran.env[final]
             else:
-                value = default_value(ssa.program.decl_type(final), ssa.program)
+                value = default_value(ssa.program.decls.get(final), ssa.program)
             ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
             assert ir_json == serialize(oracle.state, v.ty, oracle.storage[v.name]), (path, v.name)
 

@@ -173,6 +173,15 @@ def test_solver_past_its_timeout_is_killed_and_reaped():
     assert time.monotonic() - start < 10
 
 
+def test_model_answer_sets_every_int_and_bool_constant(tmp_path):
+    script = (
+        "(set-logic ALL)\n(declare-const a Int)\n(declare-const b Bool)\n"
+        "(declare-const c (Array Int Int))\n(assert b)\n(check-sat)\n(get-model)\n"
+    )
+    verdict = solver.check(script, solver_cmd=_stub("model", tmp_path / "launches.log"))
+    assert (verdict.kind, verdict.model) == ("sat", {"a": "0", "b": "false"})
+
+
 def test_unknown_verdict_is_graded_incorrect(tmp_path):
     log = tmp_path / "launches.log"
     assert solver.check("(check-sat)\n", solver_cmd=_stub("unknown", log)).kind == "unknown"

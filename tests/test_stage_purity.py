@@ -21,11 +21,10 @@ from solmem import ir
 from test_invariants import frame_formula
 from solmem.generator import random_program
 from solmem.ireval import eval_ir
-from solmem.ir import format_program
 from solmem.normalize import normalize_lhs
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib
+from solmem.smtlib import emit_smtlib, program_text
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 from solmem.vcgen import vc_gen
@@ -51,9 +50,9 @@ def inputs():
 def _pure(stage, program, *args):
     """`stage(program, *args)`, checking that it leaves `program`'s text
     as it was."""
-    before = format_program(program)
+    before = program_text(program)
     result = stage(program, *args)
-    assert format_program(program) == before, f"{stage.__name__} changed its input"
+    assert program_text(program) == before, f"{stage.__name__} changed its input"
     return result
 
 

@@ -11,10 +11,11 @@ unpacking decodes a pointer back into the matching conditional.
 
 from sources import POINTER_CONTRACT
 from solmem import ir
-from solmem.ir import Assign, Ident, format_expr
+from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, eval_ir
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
+from solmem.smtlib import expr_to_sexpr
 from solmem.sol_ast import INT, StructType
 from solmem.storage_tree import StorageTree, TreeNode, build_storage_tree, default_context_tree
 from solmem.translate import Translator
@@ -120,19 +121,22 @@ def test_pack_symbolic_index():
 def test_unpack_matches_tree_conditional():
     c = pointer_contract()
     tr = Translator(c)
-    text = format_expr(tr.unpack(Ident("ptr"), StructType("T")))
+    text = expr_to_sexpr(tr.unpack(Ident("ptr"), StructType("T")))
+    s1_ts = "(select (StorArr$T.arr (StorStruct$S.ts s1)) (select ptr 2))"
+    ss_i = "(select (StorArr$S.arr ss) (select ptr 1))"
+    ss_i_ts = f"(select (StorArr$T.arr (StorStruct$S.ts {ss_i})) (select ptr 3))"
     assert text == (
-        "ite((ptr[0] == 0), t1, "
-        "ite((ptr[0] == 1), "
-        "ite((ptr[1] == 0), s1.t, s1.ts.arr[ptr[2]]), "
-        "ite((ptr[2] == 0), ss.arr[ptr[1]].t, ss.arr[ptr[1]].ts.arr[ptr[3]])))"
+        "(ite (= (select ptr 0) 0) t1 "
+        "(ite (= (select ptr 0) 1) "
+        f"(ite (= (select ptr 1) 0) (StorStruct$S.t s1) {s1_ts}) "
+        f"(ite (= (select ptr 2) 0) (StorStruct$S.t {ss_i}) {ss_i_ts})))"
     )
 
 
 def test_unpack_single_leaf_has_no_conditional():
     c = resolve_and_check(parse_source("contract C { struct T { int z; } T t; }"))
     tr = Translator(c)
-    assert format_expr(tr.unpack(Ident("ptr"), StructType("T"))) == "t"
+    assert expr_to_sexpr(tr.unpack(Ident("ptr"), StructType("T"))) == "t"
 
 
 def test_unpack_of_packed_path_evaluates_to_entity():
@@ -177,8 +181,8 @@ contract C {
     tr = Translator(c)
     expr = c.function("probe").body[0].init
     assert eval_pack(tr, expr) == [0, 1]  # true encodes as 1
-    text = format_expr(tr.unpack(Ident("ptr"), StructType("R")))
-    assert text == "flags[(ptr[1] != 0)]"
+    text = expr_to_sexpr(tr.unpack(Ident("ptr"), StructType("R")))
+    assert text == "(select flags (distinct (select ptr 1) 0))"
 
 
 def test_repack_through_pointer():

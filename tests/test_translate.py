@@ -14,14 +14,14 @@ from solmem.ir import (
     DatatypeType,
     Ident,
     IntLit,
-        format_stmt,
+    SmtProgram,
 )
 from solmem.ireval import VData, eval_ir
 from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function, run_constructor
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib
+from solmem.smtlib import emit_smtlib, program_text
 from solmem.sol_ast import (
     ADDRESS,
     BOOL,
@@ -47,6 +47,11 @@ STRUCTS = "contract C { struct T { int z; } struct S { int x; T t; } T t0; S s0;
 
 def fresh_translator(src=STRUCTS):
     return Translator(compile_source(src))
+
+
+def stmt_lines(stmts) -> list[str]:
+    """The `program_text` line of each statement."""
+    return program_text(SmtProgram(stmts=list(stmts))).splitlines()[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +83,7 @@ def test_storage_array_datatype():
     tr = fresh_translator()
     mapped = tr.map_type(DynArrayType(INT), Loc.STORAGE)
     assert mapped == DatatypeType("StorArr$int")
-    dt = tr.program.datatype("StorArr$int")
+    dt = tr.program.datatypes.get("StorArr$int")
     assert dt.members == (("arr", ArrayType(ir.INT, ir.INT)), ("length", ir.INT))
 
 
@@ -86,8 +91,8 @@ def test_memory_array_introduces_heap():
     tr = fresh_translator()
     mapped = tr.map_type(DynArrayType(INT), Loc.MEMORY)
     assert mapped == ir.INT
-    assert tr.program.datatype("MemArr$int") is not None
-    assert tr.program.decl_type("arrHeap$int") == ArrayType(ir.INT, DatatypeType("MemArr$int"))
+    assert tr.program.datatypes.get("MemArr$int") is not None
+    assert tr.program.decls.get("arrHeap$int") == ArrayType(ir.INT, DatatypeType("MemArr$int"))
 
 
 def test_struct_types_and_pointer_encoding():
@@ -95,14 +100,14 @@ def test_struct_types_and_pointer_encoding():
     assert tr.map_type(StructType("S"), Loc.STORPTR) == ir.PTR
     stor = tr.map_type(StructType("S"), Loc.STORAGE)
     assert stor == DatatypeType("StorStruct$S")
-    dt = tr.program.datatype("StorStruct$S")
+    dt = tr.program.datatypes.get("StorStruct$S")
     assert dt.members == (("x", ir.INT), ("t", DatatypeType("StorStruct$T")))
     mem = tr.map_type(StructType("S"), Loc.MEMORY)
     assert mem == ir.INT
     # memory struct members of reference type are pointers
-    mdt = tr.program.datatype("MemStruct$S")
+    mdt = tr.program.datatypes.get("MemStruct$S")
     assert mdt.members == (("x", ir.INT), ("t", ir.INT))
-    assert tr.program.decl_type("structHeap$S") == ArrayType(ir.INT, DatatypeType("MemStruct$S"))
+    assert tr.program.decls.get("structHeap$S") == ArrayType(ir.INT, DatatypeType("MemStruct$S"))
 
 
 def test_datatype_deduplication():
@@ -116,7 +121,7 @@ def test_nested_array_mangling():
     tr = fresh_translator()
     mapped = tr.map_type(DynArrayType(DynArrayType(INT)), Loc.STORAGE)
     assert mapped == DatatypeType("StorArr$int*")
-    inner = tr.program.datatype("StorArr$int*")
+    inner = tr.program.datatypes.get("StorArr$int*")
     assert dict(inner.members)["arr"] == ArrayType(ir.INT, DatatypeType("StorArr$int"))
 
 
@@ -157,12 +162,12 @@ def test_storage_struct_default_recursive():
 def test_memory_struct_default_allocates():
     tr = fresh_translator()
     result = tr.default_value(StructType("S"), Loc.MEMORY)
-    lines = [line for s in tr.stmts for line in format_stmt(s)]
-    assert lines[0] == "$alloc := ($alloc + 1)"
+    lines = stmt_lines(tr.stmts)
+    assert lines[0] == "(assign $alloc (+ $alloc 1))"
     assert "$alloc" in lines[1]
     # nested member t allocates its own entity before the struct write
-    assert any(line.startswith("structHeap$T[") for line in lines)
-    assert any(line.startswith("structHeap$S[") for line in lines)
+    assert any(line.startswith("(assign (select structHeap$T ") for line in lines)
+    assert any(line.startswith("(assign (select structHeap$S ") for line in lines)
     assert isinstance(result, Ident)
 
 
@@ -200,8 +205,8 @@ def test_value_assignment_is_plain():
     tf = translate_function(c, c.function("append"))
     # `r.set = true` contributes a single assignment into the unpacked
     # entity; no allocation statements in between
-    texts = [line for s in tf.program.stmts for line in format_stmt(s)]
-    assert any(".set := true" in t for t in texts)
+    texts = stmt_lines(tf.program.stmts)
+    assert any(t.startswith("(assign (StorStruct$Record.set ") and t.endswith(" true)") for t in texts)
 
 
 def test_storage_to_storage_is_datatype_assign():
@@ -295,8 +300,8 @@ contract C {
         translate_function(c, c.constructor)
     # bounded mode translates, with a length assumption
     tf = translate_function(c, c.constructor, unroll=3)
-    texts = [line for s in tf.program.stmts for line in format_stmt(s)]
-    assert any(t.startswith("assume") and "length" in t for t in texts)
+    texts = stmt_lines(tf.program.stmts)
+    assert any(t.startswith("(assume ") and "length" in t for t in texts)
 
 
 def test_unsupported_new_reference_array_with_symbolic_length():
@@ -373,10 +378,10 @@ contract C {
 """
     c = compile_source(src)
     tf = translate_function(c, c.function("f"))
-    texts = [line for s in tf.program.stmts for line in format_stmt(s)]
+    texts = stmt_lines(tf.program.stmts)
     p = c.function("f").params[0].name
-    assert f"assume ({p} <= $alloc)" in texts
-    assert any(t.startswith("assume (structHeap$S[") for t in texts)
+    assert f"(assume (<= {p} $alloc))" in texts
+    assert any(t.startswith("(assume (<= (MemStruct$S.data (select structHeap$S ") for t in texts)
 
 
 def test_memory_param_dynamic_reference_array_needs_unroll():
@@ -396,11 +401,11 @@ contract C {
 def test_memory_param_fixed_array_of_structs_assumes_each_element():
     c = compile_source("contract C { struct T { int z; } function f(T[2] memory xs) { } }")
     tf = translate_function(c, c.function("f"))
-    texts = [line for s in tf.program.stmts for line in format_stmt(s)]
-    assert [t for t in texts if t.startswith("assume")] == [
-        "assume (xs <= $alloc)",
-        "assume (arrHeap$T[xs].arr[0] <= $alloc)",
-        "assume (arrHeap$T[xs].arr[1] <= $alloc)",
+    texts = stmt_lines(tf.program.stmts)
+    assert [t for t in texts if t.startswith("(assume ")] == [
+        "(assume (<= xs $alloc))",
+        "(assume (<= (select (MemArr$T.arr (select arrHeap$T xs)) 0) $alloc))",
+        "(assume (<= (select (MemArr$T.arr (select arrHeap$T xs)) 1) $alloc))",
     ]
 
 
@@ -423,10 +428,10 @@ def test_returns_are_default_initialized():
     c = compile_source(DATA_STORAGE)
     tf = translate_function(c, c.function("get"))
     ret = c.function("get").returns[0].name
-    texts = [line for s in tf.program.stmts for line in format_stmt(s)]
+    texts = stmt_lines(tf.program.stmts)
     # allocation prologue for the memory return value
-    assert texts[0] == "$alloc := ($alloc + 1)"
-    assert any(t.startswith(f"{ret} :=") for t in texts)
+    assert texts[0] == "(assign $alloc (+ $alloc 1))"
+    assert any(t.startswith(f"(assign {ret} ") for t in texts)
 
 
 def test_constructor_initializes_state_in_order():

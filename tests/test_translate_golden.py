@@ -1,32 +1,35 @@
-"""Translation, SSA and SMT-LIB emission pinned by one digest.
+"""Translation, SSA and SMT-LIB emission pinned by two digests.
 
 For every function of the corpus, the shared test contracts, a contract
 covering the assignment matrix, generated programs (seeds 0-49) and two
 long straight-line constructors, each translated without and with
-`unroll=2`, the digest covers the IR text (`format_program`), every
-per-assert SMT-LIB script, and the text of every `SolmemError` raised
-on the way. A refactoring of the translator
-or the IR registries must leave it unchanged.
+`unroll=2`, `IR_DIGEST` covers the translated program's text
+(`program_text`), and `SMT_DIGEST` every per-assert SMT-LIB script and
+the text of every `SolmemError` raised on the way. A refactoring of the
+translator or the IR registries must leave both unchanged; a change to
+how IR is printed moves `IR_DIGEST` only.
 """
 
 import hashlib
 from pathlib import Path
 
 import sources
+from solmem import solver
 from solmem.errors import SolmemError
 from solmem.generator import random_program
-from solmem.ir import format_program
+from solmem.ir import Assert, Assign, Assume, IfStmt
 from solmem.normalize import normalize_lhs
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib
+from solmem.smtlib import emit_smtlib, expr_to_sexpr, program_text
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 from solmem.vcgen import vc_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DIGEST = "2cf7fef06498282866bea4fa2fcc1bbc879f93dde8c2f5308853ffe77565926f"
+IR_DIGEST = "6f586c79559ef609a89f2f6df2f7f44d64dede8992748efa06da382be05af4f5"
+SMT_DIGEST = "dee592ae9d821417990bde6ef578403a6f463b750d68702f9c9c4d2b08cc578b"
 
 
 # every location pair of the assignment matrix, for arrays, structs and
@@ -117,33 +120,81 @@ def inputs():
 
 
 def records(source: str, unroll: int | None):
-    """IR text, SMT-LIB scripts and error texts, in pipeline order."""
+    """(digests, text) in pipeline order: each function's name goes into
+    both digests, its IR text into "ir", and its SMT-LIB scripts and
+    every error text into "smt"."""
     try:
         contract = resolve_and_check(parse_source(source))
     except SolmemError as e:
-        yield f"error {type(e).__name__}: {e}"
+        yield ("smt",), f"error {type(e).__name__}: {e}"
         return
     for fn in contract.all_functions():
-        yield f"function {fn.name}"
+        yield ("ir", "smt"), f"function {fn.name}"
         try:
             tf = translate_function(contract, fn, unroll)
-            yield format_program(tf.program)
+            yield ("ir",), program_text(tf.program)
             ssa = to_ssa(normalize_lhs(tf.program)).program
             for info in tf.asserts:
-                yield emit_smtlib(ssa, vc_gen(ssa, info.ordinal))
+                yield ("smt",), emit_smtlib(ssa, vc_gen(ssa, info.ordinal))
         except SolmemError as e:
-            yield f"error {type(e).__name__}: {e}"
+            yield ("smt",), f"error {type(e).__name__}: {e}"
 
 
-def golden_digest() -> str:
-    digest = hashlib.sha256()
+def golden_digests() -> tuple[str, str]:
+    """(IR digest, SMT digest)."""
+    digests = {"ir": hashlib.sha256(), "smt": hashlib.sha256()}
     for name, source in inputs():
         for unroll in (None, 2):
-            digest.update(f"{name} unroll={unroll}\0".encode())
-            for record in records(source, unroll):
-                digest.update(record.encode() + b"\0")
-    return digest.hexdigest()
+            for digest in digests.values():
+                digest.update(f"{name} unroll={unroll}\0".encode())
+            for keys, record in records(source, unroll):
+                for key in keys:
+                    digests[key].update(record.encode() + b"\0")
+    return digests["ir"].hexdigest(), digests["smt"].hexdigest()
 
 
 def test_translation_and_emission_digest():
-    assert golden_digest() == DIGEST
+    assert golden_digests() == (IR_DIGEST, SMT_DIGEST)
+
+
+STATEMENT_HEADS = {Assign: "assign", Assume: "assume", Assert: "check", IfStmt: "if"}
+
+
+def _check_read_back(stmt, parsed) -> None:
+    """`parsed`, read back from the text of `stmt`, has its head and
+    renders each of its terms as `expr_to_sexpr` prints the node."""
+    assert parsed[0] == STATEMENT_HEADS[type(stmt)]
+    if isinstance(stmt, Assign):
+        assert [solver._render(t) for t in parsed[1:]] == [expr_to_sexpr(stmt.lhs), expr_to_sexpr(stmt.rhs)]
+    elif isinstance(stmt, IfStmt):
+        _, cond, [then, *then_parsed], [other, *other_parsed] = parsed
+        assert (then, other) == ("then", "else")
+        assert solver._render(cond) == expr_to_sexpr(stmt.cond)
+        assert len(then_parsed) == len(stmt.then) and len(other_parsed) == len(stmt.other)
+        for s, p in zip(stmt.then + stmt.other, then_parsed + other_parsed):
+            _check_read_back(s, p)
+    else:
+        assert [solver._render(t) for t in parsed[1:]] == [expr_to_sexpr(stmt.cond)]
+
+
+def test_program_text_reads_back():
+    """Every corpus function's IR text, before and after `normalize_lhs`,
+    reads back as one s-expression per header command and per statement,
+    each term as `expr_to_sexpr` printed it."""
+    checked = 0
+    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
+        contract = resolve_and_check(parse_source(path.read_text()))
+        for fn in contract.all_functions():
+            try:
+                program = translate_function(contract, fn).program
+            except SolmemError:
+                continue
+            for p in (program, normalize_lhs(program)):
+                parsed = solver._parse_sexprs(solver._tokenize_sexpr(program_text(p)))
+                header = ["set-logic"] + ["declare-datatypes"] * bool(p.datatypes) + ["declare-const"] * len(p.decls)
+                assert [c[0] for c in parsed[: len(header)]] == header
+                assert len(parsed) == len(header) + len(p.stmts), f"{path.name} {fn.name}"
+                for stmt, item in zip(p.stmts, parsed[len(header) :]):
+                    _check_read_back(stmt, item)
+                checked += 1
+    assert checked > 0

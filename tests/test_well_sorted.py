@@ -90,27 +90,28 @@ def _program() -> SmtProgram:
     return p
 
 
-@pytest.mark.parametrize(
-    "term",
-    [
-        Ite(Ident("i"), IntLit(1), IntLit(0)),
-        Ite(Ident("b"), IntLit(1), BoolLit(False)),
-        ArrayRead(Ident("a"), Ident("b")),
-        ArrayRead(Ident("i"), IntLit(0)),
-        ArrayWrite(Ident("a"), IntLit(0), Ident("b")),
-        BinOp("==", Ident("i"), Ident("b")),
-        BinOp("+", Ident("i"), Ident("b")),
-        BinOp("<", Ident("s"), Ident("i")),
-        UnOp("neg", Ident("b")),
-        BinOp("and", Ident("b"), Ident("i")),
-        UnOp("not", Ident("i")),
-        Select(Ident("s"), "x", "R"),
-        Select(Ident("s"), "y", "S"),
-        Construct("S", (Ident("b"),)),
-        Ident("undeclared"),
-    ],
-    ids=ir.format_expr,
-)
+# keyed by test id: fixed labels, not printed terms, so that a change to
+# how terms print renames no test
+ILL_SORTED = {
+    "ite(i, 1, 0)": Ite(Ident("i"), IntLit(1), IntLit(0)),
+    "ite(b, 1, false)": Ite(Ident("b"), IntLit(1), BoolLit(False)),
+    "a[b]": ArrayRead(Ident("a"), Ident("b")),
+    "i[0]": ArrayRead(Ident("i"), IntLit(0)),
+    "a[0 <- b]": ArrayWrite(Ident("a"), IntLit(0), Ident("b")),
+    "(i == b)": BinOp("==", Ident("i"), Ident("b")),
+    "(i + b)": BinOp("+", Ident("i"), Ident("b")),
+    "(s < i)": BinOp("<", Ident("s"), Ident("i")),
+    "(-b)": UnOp("neg", Ident("b")),
+    "(b and i)": BinOp("and", Ident("b"), Ident("i")),
+    "(!i)": UnOp("not", Ident("i")),
+    "s.x": Select(Ident("s"), "x", "R"),
+    "s.y": Select(Ident("s"), "y", "S"),
+    "S(b)": Construct("S", (Ident("b"),)),
+    "undeclared": Ident("undeclared"),
+}
+
+
+@pytest.mark.parametrize("term", ILL_SORTED.values(), ids=ILL_SORTED)
 def test_sort_check_rejects_ill_sorted_terms(term):
     p = _program()
     p.stmts = [Assert(BinOp("==", term, term))]
@@ -130,4 +131,17 @@ def test_sort_check_accepts_and_checks_statements():
         check_program(p)
     p.stmts[-1] = Assert(Ident("i"))
     with pytest.raises(SortError):
+        check_program(p)
+
+
+def test_sort_errors_print_terms_and_sorts_in_smtlib():
+    p = _program()
+    p.stmts = [Assign(Ident("i"), ArrayWrite(Ident("a"), IntLit(0), Ident("b")))]
+    with pytest.raises(SortError, match=r"^stored value of \(store a 0 b\) is Bool, expected Int$"):
+        check_program(p)
+    p.stmts = [Assign(Ident("i"), ArrayRead(Ident("s"), IntLit(0)))]
+    with pytest.raises(SortError, match=r"^array of \(select s 0\) has sort S$"):
+        check_program(p)
+    p.stmts = [Assign(Ident("a"), Ident("i"))]
+    with pytest.raises(SortError, match=r"^assigned value of i is Int, expected \(Array Int Int\)$"):
         check_program(p)
