@@ -21,6 +21,10 @@ for every stage after translation. Nodes compare by value but are
 unhashable, so a memo keys a node by `id()` and holds the node, which
 keeps the id from being reused while the entry lives.
 
+Types (`IrType` and `DatatypeDef`) are interned values instead
+(`interning`): one object per type, built only by calling the class, so
+`==` and `hash` are identity and a type costs nothing as a dict key.
+
 Walkers: each operation over expressions (SSA renaming, SMT-LIB
 printing, evaluation) is a module-level table from a node's exact
 class to a handler, looked up as `TABLE[type(e)]`. A handler recurses by
@@ -37,33 +41,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import IrError
+from .interning import Interned
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class IrType:
+@dataclass(frozen=True, eq=False)
+class IrType(metaclass=Interned):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntType(IrType):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoolType(IrType):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayType(IrType):
     index: IrType
     elem: IrType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatatypeType(IrType):
     name: str
 
@@ -73,8 +78,8 @@ BOOL = BoolType()
 PTR = ArrayType(INT, INT)  # storage pointer: path of edge ordinals / indices
 
 
-@dataclass(frozen=True)
-class DatatypeDef:
+@dataclass(frozen=True, eq=False)
+class DatatypeDef(metaclass=Interned):
     """Single-constructor datatype; the constructor is named like the type."""
 
     name: str

@@ -90,30 +90,32 @@ SYMBOLS = [
 ]
 
 
-# One match per lexeme, each taking the horizontal space before it
-# (`[^\S\n]*`; every `\s` but `\n`), so that space costs no turn of the
-# loop. A `\n` and a comment are matches of their own, so that only they
-# move the line. The alternatives are tried in order (the "Writing a
-# Tokenizer" recipe of the `re` docs): a comment before the `/` symbol, a
-# number before a word. A number directly followed by a letter or `_` is
-# malformed; `/*` without its `*/` is unterminated; `end` only takes the
-# space at the end of the text; `other` catches every character no class
-# accepts. Positions come from the lexeme's group, not the match.
+# One match per lexeme, as a (space, lexeme) pair: the horizontal space
+# before it (`[^\S\n]*`; every `\s` but `\n`) is taken by the same match,
+# so space costs no turn of the loop. A `\n` and a comment are lexemes of
+# their own, so that only they move the line. The alternatives are tried
+# in order (the "Writing a Tokenizer" recipe of the `re` docs): a comment
+# before the `/` symbol, a number before a word.
 _TOKEN_RE = re.compile(
-    r"[^\S\n]*(?:"
+    r"([^\S\n]*)("
     + "|".join([
-        r"(?P<comment>//[^\n]*|/\*.*?\*/)",
-        r"(?P<unterminated>/\*)",
-        "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
-        r"(?P<number>\d+)(?P<malformed>[^\W\d])?",
-        r"(?P<word>\w+)",
-        r"(?P<newline>\n)",
-        r"(?P<end>\Z)",
-        r"(?P<other>.)",
+        r"//[^\n]*",
+        r"/\*.*?\*/",
+        r"/\*",  # unterminated
+        *map(re.escape, SYMBOLS),
+        r"\d+[^\W\d]?",  # malformed when a letter or `_` follows the digits
+        r"\w+",
+        r"\n",
+        r"\Z",  # the empty lexeme: the space at the end of the text
+        ".",  # a character no token class accepts
     ])
     + ")",
     re.S,
 )
+
+# the kind of every lexeme that is a symbol or a keyword; any other
+# lexeme's kind follows from its first character
+_KINDS = {**dict.fromkeys(SYMBOLS, "symbol"), **dict.fromkeys(KEYWORDS, "keyword")}
 
 
 def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int, int]]:
@@ -123,28 +125,32 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int
     characters; only `\\n` starts a new line."""
     tokens: list[tuple[str, str, int, int]] = []
     append = tokens.append
-    base = -col  # a character's column is its offset minus `base`
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "symbol" or kind == "number":
-            append((kind, m[kind], line, m.start(kind) - base))
-        elif kind == "word":
-            value = m[kind]
-            append(("keyword" if value in KEYWORDS else "ident", value, line, m.start(kind) - base))
-        elif kind == "newline":
+    kinds = _KINDS.get
+    for space, lexeme in _TOKEN_RE.findall(text):
+        col += len(space)  # the column of `lexeme`
+        kind = kinds(lexeme)
+        if kind is not None:
+            append((kind, lexeme, line, col))
+        elif lexeme == "\n":
             line += 1
-            base = m.end() - 1
-        elif kind == "comment":
-            value = m[kind]
-            newlines = value.count("\n")
+            col = 1
+            continue
+        elif lexeme[:1].isdecimal():  # `\d`
+            if not lexeme[-1].isdecimal():
+                raise ParseError("malformed number", line, col)
+            append(("number", lexeme, line, col))
+        elif lexeme[:1].isalnum() or lexeme[:1] == "_":  # `\w`
+            append(("ident", lexeme, line, col))
+        elif lexeme == "/*":
+            raise ParseError("unterminated block comment", line, col)
+        elif lexeme[:1] == "/":  # a comment; `/` alone is a symbol
+            newlines = lexeme.count("\n")
             if newlines:
                 line += newlines
-                base = m.start(kind) + value.rindex("\n")
-        elif kind == "malformed":
-            raise ParseError("malformed number", line, m.start("number") - base)
-        elif kind == "unterminated":
-            raise ParseError("unterminated block comment", line, m.start(kind) - base)
-        elif kind == "other":
-            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) - base)
-    append(("eof", "", line, len(text) - base))
+                col = len(lexeme) - lexeme.rindex("\n")
+                continue
+        elif lexeme:
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        col += len(lexeme)
+    append(("eof", "", line, col))
     return tokens

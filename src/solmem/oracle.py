@@ -320,52 +320,53 @@ class Machine:
         a conditional), then the member names and index values taken."""
         chain: list[Expr] = []
         node = expr
-        while isinstance(node, (MemberExpr, IndexExpr)):
+        while type(node) is IndexExpr or type(node) is MemberExpr:
             chain.append(node)
             node = node.base
-        if isinstance(node, IdentExpr) and node.decl_kind == "state":
+        if type(node) is IdentExpr and node.decl_kind == "state":
             keys = [node.name]
         elif node.loc == Loc.STORPTR:
             keys = list(self.eval(node).keys)
         else:
             raise OracleError("cannot pack a memory expression")
         for part in reversed(chain):
-            keys.append(part.member if isinstance(part, MemberExpr) else self.eval(part.index))
+            keys.append(part.member if type(part) is MemberExpr else self.eval(part.index))
         return StorPath(expr.ty, tuple(keys))
 
     # ------------------------------------------------------------------
     # expression evaluation
 
     def eval(self, e: Expr) -> Any:
-        if isinstance(e, IntLitExpr):
+        cls = type(e)
+        if cls is IntLitExpr:
             return e.value
-        if isinstance(e, BoolLitExpr):
-            return e.value
-        if isinstance(e, IdentExpr):
+        if cls is IdentExpr:
             if e.decl_kind == "state":
                 return self.storage[e.name]
             return self.locals[e.name]
-        if isinstance(e, MemberExpr):
-            return self._eval_member(e)
-        if isinstance(e, IndexExpr):
+        if cls is IndexExpr:
             return self._eval_index(e)
-        if isinstance(e, CondExpr):
+        if cls is BinExpr:
+            return self._eval_binop(e)
+        if cls is MemberExpr:
+            return self._eval_member(e)
+        if cls is BoolLitExpr:
+            return e.value
+        if cls is UnExpr:
+            v = self.eval(e.operand)
+            return (not v) if e.op == "!" else -v
+        if cls is CondExpr:
             return self._eval_cond(e)
-        if isinstance(e, NewArrayExpr):
+        if cls is NewArrayExpr:
             length = self.eval(e.length)
             elem_loc = part_loc(e.elem_type, Loc.MEMORY)
             elems = {i: self.default(e.elem_type, elem_loc) for i in range(max(length, 0))}
             return self.allocate(MemArray(e.elem_type, elems, length))
-        if isinstance(e, StructCtorExpr):
+        if cls is StructCtorExpr:
             members = {}
             for m, arg in zip(self.members(e.ty), e.args):
                 members[m.name] = self._stored(m.ty, part_loc(m.ty, Loc.MEMORY), arg.loc, self.eval(arg))
             return self.allocate(MemStruct(e.name, members))
-        if isinstance(e, BinExpr):
-            return self._eval_binop(e)
-        if isinstance(e, UnExpr):
-            v = self.eval(e.operand)
-            return (not v) if e.op == "!" else -v
         raise OracleError(f"unknown expression {e!r}")
 
     def entity(self, e: Expr) -> Any:
@@ -415,7 +416,7 @@ class Machine:
         # Each left operand is still evaluated before its right one, and
         # `&&`/`||` skip the right operand as before.
         spine = [e]
-        while isinstance(spine[-1].left, BinExpr):
+        while type(spine[-1].left) is BinExpr:
             spine.append(spine[-1].left)
         value = self.eval(spine[-1].left)
         for b in reversed(spine):
@@ -437,13 +438,14 @@ class Machine:
         """The slot `(container, key)` of an lvalue: `container[key]` is
         its live value. A storage lvalue is reached through its access
         path, which stores the defaults on its way."""
-        if isinstance(e, IdentExpr) and e.decl_kind != "state":
+        cls = type(e)
+        if cls is IdentExpr and e.decl_kind != "state":
             return self.locals, e.name
-        if not isinstance(e, (IdentExpr, MemberExpr, IndexExpr)):
+        if cls is not IdentExpr and cls is not IndexExpr and cls is not MemberExpr:
             raise OracleError(f"not an lvalue: {e!r}")
-        if isinstance(e, IdentExpr) or e.base.loc != Loc.MEMORY:
+        if cls is IdentExpr or e.base.loc != Loc.MEMORY:
             return self._path_slot(self.pack_path(e))
-        return self.slot(self.entity(e.base), e.member if isinstance(e, MemberExpr) else self.eval(e.index))
+        return self.slot(self.entity(e.base), e.member if cls is MemberExpr else self.eval(e.index))
 
     # ------------------------------------------------------------------
     # statements
@@ -457,30 +459,31 @@ class Machine:
 
     def exec_stmt(self, s) -> bool:
         """Returns False when execution must stop (failed assert)."""
-        if isinstance(s, DeclStmt):
-            if s.init is None:
-                self.locals[s.name] = self.default(s.var_type, s.loc)
-            else:
-                self.locals[s.name] = self._stored(s.var_type, s.loc, *self._rhs_operand(s.init))
-        elif isinstance(s, AssignStmt):
+        cls = type(s)
+        if cls is AssignStmt:
             operands = [self._rhs_operand(r) for r in s.rhs]
             for lhs, (rloc, rval) in reversed(list(zip(s.lhs, operands))):
                 container, key = self.lvalue_place(lhs)
                 container[key] = self._stored(lhs.ty, lhs.loc, rloc, rval)
-        elif isinstance(s, (PushStmt, PopStmt)):
-            container, key = self._path_slot(self.pack_path(s.target))
-            arr = container[key]
-            if isinstance(s, PushStmt):
-                rloc, rval = self._rhs_operand(s.value)
-                arr.backing[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
-            arr.length += 1 if isinstance(s, PushStmt) else -1
-        elif isinstance(s, DeleteStmt):
-            container, key = self.lvalue_place(s.target)
-            container[key] = self.default(s.target.ty, s.target.loc)
-        elif isinstance(s, AssertStmt):
+        elif cls is DeclStmt:
+            if s.init is None:
+                self.locals[s.name] = self.default(s.var_type, s.loc)
+            else:
+                self.locals[s.name] = self._stored(s.var_type, s.loc, *self._rhs_operand(s.init))
+        elif cls is AssertStmt:
             ok = bool(self.eval(s.cond))
             self.assert_results.append(AssertOutcome(len(self.assert_results), s.line, ok))
             return ok
+        elif cls is PushStmt or cls is PopStmt:
+            container, key = self._path_slot(self.pack_path(s.target))
+            arr = container[key]
+            if cls is PushStmt:
+                rloc, rval = self._rhs_operand(s.value)
+                arr.backing[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
+            arr.length += 1 if cls is PushStmt else -1
+        elif cls is DeleteStmt:
+            container, key = self.lvalue_place(s.target)
+            container[key] = self.default(s.target.ty, s.target.loc)
         else:
             raise OracleError(f"unknown statement {s!r}")
         return True

@@ -228,19 +228,16 @@ class Parser:
 
     def parse_function(self, is_constructor: bool) -> Function:
         if is_constructor:
-            _, _, line, col = self.expect("keyword", "constructor")
+            _, _, line, _ = self.expect("keyword", "constructor")
             name = "constructor"
         else:
-            _, _, line, col = self.expect("keyword", "function")
+            _, _, line, _ = self.expect("keyword", "function")
             name = self.expect("ident")[1]
-        params = self.parse_params()
+        params = self.parse_params("parameters")
         self._skip_modifiers()
         returns: list[Param] = []
         if self.accept("returns"):
-            returns = self.parse_params()
-            for r in returns:
-                if not r.name:
-                    raise ParseError("return values must be named in this fragment", line, col)
+            returns = self.parse_params("return values")
         self._skip_modifiers()
         self.expect("symbol", "{")
         body: list[Stmt] = []
@@ -254,21 +251,23 @@ class Parser:
             _, value, line, _ = self.next()
             self.warnings.append(f"{line}: ignoring modifier '{value}'")
 
-    def parse_params(self) -> list[Param]:
+    def parse_params(self, what: str) -> list[Param]:
+        """A parenthesized list of named parameters or return values;
+        `what` names them in the error for an unnamed one."""
         self.expect("symbol", "(")
         params: list[Param] = []
         while self.tok[1] != ")":
             if params:
                 self.expect("symbol", ",")
+            _, _, line, col = self.tok
             ty = self.parse_type()
             data_loc = None
             if self.tok[1] in ("storage", "memory"):
                 data_loc = self.next()[1]
-            if self.tok[0] == "ident":
-                _, name, line, _ = self.next()
-                params.append(Param(ty, data_loc, name, line))
-            else:
-                params.append(Param(ty, data_loc, "", 0))
+            if self.tok[0] != "ident":
+                raise ParseError(f"{what} must be named in this fragment", line, col)
+            _, name, line, _ = self.next()
+            params.append(Param(ty, data_loc, name, line))
         self.next()
         return params
 

@@ -211,21 +211,22 @@ class Resolver:
     # -- statements ---------------------------------------------------------
 
     def _resolve_stmt(self, stmt, scope: Scope, fn: Function) -> None:
-        if isinstance(stmt, DeclStmt):
-            self._resolve_decl(stmt, scope)
-        elif isinstance(stmt, AssignStmt):
+        cls = type(stmt)
+        if cls is AssignStmt:
             self._resolve_assign(stmt, scope)
-        elif isinstance(stmt, PushStmt):
-            self._resolve_push(stmt, scope)
-        elif isinstance(stmt, PopStmt):
-            self._expect_array_lvalue(stmt.target, scope, "pop", stmt.line)
-        elif isinstance(stmt, DeleteStmt):
-            self._resolve_delete(stmt, scope)
-        elif isinstance(stmt, AssertStmt):
+        elif cls is DeclStmt:
+            self._resolve_decl(stmt, scope)
+        elif cls is AssertStmt:
             stmt.text = expr_to_source(stmt.cond)
             self._resolve_expr(stmt.cond, scope)
             if stmt.cond.ty != BOOL:
                 raise ResolveError("assert condition must be boolean", stmt.line)
+        elif cls is PushStmt:
+            self._resolve_push(stmt, scope)
+        elif cls is PopStmt:
+            self._expect_array_lvalue(stmt.target, scope, "pop", stmt.line)
+        elif cls is DeleteStmt:
+            self._resolve_delete(stmt, scope)
         else:
             raise ResolveError(f"unknown statement {stmt!r}", getattr(stmt, "line", 0))
 
@@ -287,17 +288,18 @@ class Resolver:
             raise ResolveError("delete cannot be applied to a storage pointer variable", stmt.line)
 
     def _check_lvalue(self, e: Expr, line: int) -> None:
-        if isinstance(e, IdentExpr):
+        cls = type(e)
+        if cls is IdentExpr:
             return
-        if isinstance(e, MemberExpr):
+        if cls is IndexExpr:
+            self._check_lvalue(e.base, line)
+            return
+        if cls is MemberExpr:
             if e.member == "length":
                 raise ResolveError("array length is read-only", line)
             self._check_lvalue(e.base, line)
             return
-        if isinstance(e, IndexExpr):
-            self._check_lvalue(e.base, line)
-            return
-        if isinstance(e, CondExpr):
+        if cls is CondExpr:
             raise UnsupportedError("unsupported: writing through a conditional expression", line)
         raise ResolveError("expression is not assignable", line)
 
@@ -319,7 +321,8 @@ class Resolver:
     # -- expressions ----------------------------------------------------------
 
     def _resolve_expr(self, e: Expr, scope: Scope) -> None:
-        if isinstance(e, IdentExpr):
+        cls = type(e)
+        if cls is IdentExpr:
             entry = scope.get(e.name)
             if entry is None:
                 raise ResolveError(f"unknown identifier {e.name}", e.line, e.col)
@@ -327,23 +330,30 @@ class Resolver:
             e.name = unique
             e.decl_kind = kind
             e.ty, e.loc = ty, loc
-            return
-        if isinstance(e, IntLitExpr):
+        elif cls is IntLitExpr:
             e.ty, e.loc = INT, Loc.VALUE
-            return
-        if isinstance(e, BoolLitExpr):
-            e.ty, e.loc = BOOL, Loc.VALUE
-            return
-        if isinstance(e, MemberExpr):
-            self._resolve_member(e, scope)
-            return
-        if isinstance(e, IndexExpr):
+        elif cls is IndexExpr:
             self._resolve_index(e, scope)
-            return
-        if isinstance(e, CondExpr):
+        elif cls is BinExpr:
+            self._resolve_binop(e, scope)
+        elif cls is MemberExpr:
+            self._resolve_member(e, scope)
+        elif cls is BoolLitExpr:
+            e.ty, e.loc = BOOL, Loc.VALUE
+        elif cls is UnExpr:
+            self._resolve_expr(e.operand, scope)
+            if e.op == "!":
+                if e.operand.ty != BOOL:
+                    raise ResolveError("! requires a boolean operand", e.line)
+                e.ty = BOOL
+            else:
+                if not is_integerish(e.operand.ty):
+                    raise ResolveError("unary - requires an integer operand", e.line)
+                e.ty = INT
+            e.loc = Loc.VALUE
+        elif cls is CondExpr:
             self._resolve_cond(e, scope)
-            return
-        if isinstance(e, NewArrayExpr):
+        elif cls is NewArrayExpr:
             self._check_type(e.elem_type, e.line)
             if self.contains_mapping(e.elem_type):
                 raise ResolveError("types containing mappings cannot be in memory", e.line)
@@ -351,8 +361,7 @@ class Resolver:
             if not is_integerish(e.length.ty):
                 raise ResolveError("array length must be an integer", e.line)
             e.ty, e.loc = DynArrayType(e.elem_type), Loc.MEMORY
-            return
-        if isinstance(e, StructCtorExpr):
+        elif cls is StructCtorExpr:
             sd = self.contract.struct(e.name)
             if sd is None:
                 raise ResolveError(f"unknown struct {e.name}", e.line, e.col)
@@ -367,33 +376,19 @@ class Resolver:
                 self._resolve_expr(arg, scope)
                 self._check_assignable(member.ty, part_loc(member.ty, Loc.MEMORY), arg, e.line)
             e.ty, e.loc = StructType(e.name), Loc.MEMORY
-            return
-        if isinstance(e, BinExpr):
-            self._resolve_binop(e, scope)
-            return
-        if isinstance(e, UnExpr):
-            self._resolve_expr(e.operand, scope)
-            if e.op == "!":
-                if e.operand.ty != BOOL:
-                    raise ResolveError("! requires a boolean operand", e.line)
-                e.ty = BOOL
-            else:
-                if not is_integerish(e.operand.ty):
-                    raise ResolveError("unary - requires an integer operand", e.line)
-                e.ty = INT
-            e.loc = Loc.VALUE
-            return
-        raise ResolveError(f"unknown expression {e!r}", getattr(e, "line", 0))
+        else:
+            raise ResolveError(f"unknown expression {e!r}", getattr(e, "line", 0))
 
     def _resolve_member(self, e: MemberExpr, scope: Scope) -> None:
         self._resolve_expr(e.base, scope)
         base_ty, base_loc = e.base.ty, e.base.loc
-        if isinstance(base_ty, (DynArrayType, FixArrayType)):
+        cls = type(base_ty)
+        if cls is DynArrayType or cls is FixArrayType:
             if e.member != "length":
                 raise ResolveError(f"arrays have no member {e.member}", e.line)
             e.ty, e.loc = UINT, Loc.VALUE
             return
-        if not isinstance(base_ty, StructType):
+        if cls is not StructType:
             raise ResolveError(f"member access on non-struct type {base_ty}", e.line)
         sd = self.contract.struct(base_ty.name)
         assert sd is not None
@@ -407,13 +402,14 @@ class Resolver:
         self._resolve_expr(e.base, scope)
         self._resolve_expr(e.index, scope)
         base_ty, base_loc = e.base.ty, e.base.loc
-        if isinstance(base_ty, MappingType):
+        cls = type(base_ty)
+        if cls is MappingType:
             if not is_value_type(e.index.ty) or not value_compatible(base_ty.key, e.index.ty):
                 raise ResolveError(f"mapping key must be {base_ty.key}", e.line)
             e.ty = base_ty.value
             e.loc = _access_loc(base_ty.value, base_loc)
             return
-        if isinstance(base_ty, (DynArrayType, FixArrayType)):
+        if cls is DynArrayType or cls is FixArrayType:
             if not is_integerish(e.index.ty):
                 raise ResolveError("array index must be an integer", e.line)
             e.ty = base_ty.base
@@ -444,7 +440,7 @@ class Resolver:
         # with a loop and check it bottom-up: a long chain takes no frame
         # per operator.
         spine = [e]
-        while isinstance(spine[-1].left, BinExpr):
+        while type(spine[-1].left) is BinExpr:
             spine.append(spine[-1].left)
         self._resolve_expr(spine[-1].left, scope)
         for b in reversed(spine):

@@ -1,8 +1,11 @@
 """Typed syntax tree for the Solidity fragment.
 
-Types are immutable and structural (structs compare by name). Expression
-and statement nodes are mutable: the resolver fills in the `ty` and `loc`
-annotations and rewrites identifiers to their globally unique names.
+Types are immutable interned values (`interning`): one object per type,
+so `==` is `is` (structs are equal when their names are); build them
+only by calling the class. Expression and statement nodes are mutable:
+the resolver fills in the `ty` and `loc` annotations and rewrites
+identifiers to their globally unique names. No node or type class is
+subclassed, so the walkers dispatch on a node's exact class.
 """
 
 from __future__ import annotations
@@ -10,17 +13,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .interning import Interned
+
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class SolType:
+@dataclass(frozen=True, eq=False)
+class SolType(metaclass=Interned):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueType(SolType):
     kind: str  # "address" | "int" | "uint" | "bool"
 
@@ -28,7 +33,7 @@ class ValueType(SolType):
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingType(SolType):
     key: SolType
     value: SolType
@@ -37,7 +42,7 @@ class MappingType(SolType):
         return f"mapping({self.key} => {self.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynArrayType(SolType):
     base: SolType
 
@@ -45,7 +50,7 @@ class DynArrayType(SolType):
         return f"{self.base}[]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixArrayType(SolType):
     base: SolType
     size: int
@@ -54,7 +59,7 @@ class FixArrayType(SolType):
         return f"{self.base}[{self.size}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructType(SolType):
     name: str
 
@@ -69,15 +74,15 @@ BOOL = ValueType("bool")
 
 
 def is_value_type(t: SolType) -> bool:
-    return isinstance(t, ValueType)
+    return type(t) is ValueType
 
 
 def is_reference_type(t: SolType) -> bool:
-    return not isinstance(t, ValueType)
+    return type(t) is not ValueType
 
 
 def is_integerish(t: SolType) -> bool:
-    return isinstance(t, ValueType) and t.kind in ("int", "uint", "address")
+    return t is INT or t is UINT or t is ADDRESS
 
 
 def value_compatible(a: SolType, b: SolType) -> bool:
@@ -111,11 +116,14 @@ class Loc(enum.Enum):
     STORPTR = "storptr"
     MEMORY = "memory"
 
+    # the members are singletons, and `Enum.__hash__` is Python code
+    __hash__ = object.__hash__
+
 
 def part_loc(ty: SolType, holder: Loc) -> Loc:
     """Location of a `ty` part of an entity held at `holder`: a value
     type is a plain value, a reference type takes its holder's location."""
-    return Loc.VALUE if is_value_type(ty) else holder
+    return Loc.VALUE if type(ty) is ValueType else holder
 
 
 def declared_loc(ty: SolType, data_loc: str | None) -> Loc:

@@ -444,29 +444,30 @@ class Translator:
     def expr(self, e: Expr | IrExpr) -> IrExpr:
         """Rvalue translation; side effects are emitted in order. An IR
         term is already translated and is returned as is."""
-        if isinstance(e, IdentExpr):
+        cls = type(e)
+        if cls is IdentExpr:
             return Ident(e.name)
-        if isinstance(e, IntLitExpr):
+        if cls is IntLitExpr:
             return IntLit(e.value)
-        if isinstance(e, BoolLitExpr):
-            return BoolLit(e.value)
-        if isinstance(e, MemberExpr):
-            return self._member(e, lvalue=False)
-        if isinstance(e, IndexExpr):
+        if cls is IndexExpr:
             return self._index(e, lvalue=False)
-        if isinstance(e, CondExpr):
-            return self._conditional(e)
-        if isinstance(e, NewArrayExpr):
-            return self._new_array(e)
-        if isinstance(e, StructCtorExpr):
-            return self._struct_ctor(e)
-        if isinstance(e, BinExpr):
+        if cls is BinExpr:
             op = _BINOPS.get(e.op)
             if op is None:
                 raise IrError(f"unknown operator {e.op}")
             return BinOp(op, self.expr(e.left), self.expr(e.right))
-        if isinstance(e, UnExpr):
+        if cls is MemberExpr:
+            return self._member(e, lvalue=False)
+        if cls is BoolLitExpr:
+            return BoolLit(e.value)
+        if cls is UnExpr:
             return UnOp("not" if e.op == "!" else "neg", self.expr(e.operand))
+        if cls is CondExpr:
+            return self._conditional(e)
+        if cls is NewArrayExpr:
+            return self._new_array(e)
+        if cls is StructCtorExpr:
+            return self._struct_ctor(e)
         if isinstance(e, IrExpr):
             return e
         raise IrError(f"unknown expression {e!r}")
@@ -475,12 +476,13 @@ class Translator:
         """Assignment-target translation: raw selects and reads, with the
         pointer dereference inserted at storage-pointer bases. An IR term
         is already translated and is returned as is."""
-        if isinstance(e, IdentExpr):
+        cls = type(e)
+        if cls is IdentExpr:
             return Ident(e.name)
-        if isinstance(e, MemberExpr):
-            return self._member(e, lvalue=True)
-        if isinstance(e, IndexExpr):
+        if cls is IndexExpr:
             return self._index(e, lvalue=True)
+        if cls is MemberExpr:
+            return self._member(e, lvalue=True)
         if isinstance(e, IrExpr):
             return e
         raise IrError(f"not an lvalue: {expr_to_source(e)}")
@@ -501,7 +503,7 @@ class Translator:
 
     def _index(self, e: IndexExpr, lvalue: bool) -> IrExpr:
         base_ty = e.base.ty
-        if isinstance(base_ty, MappingType):
+        if type(base_ty) is MappingType:
             entity = self._storage_base(e.base, lvalue)
             return ArrayRead(entity, self.expr(e.index))
         assert isinstance(base_ty, (DynArrayType, FixArrayType))
@@ -515,11 +517,11 @@ class Translator:
         # default (in particular, elements removed by pop). The guard reads
         # the index and the entity again, so each is bound once unless it
         # is a name or literal; otherwise `a[a[a[0]]]` grows exponentially.
-        if not isinstance(idx, (Ident, IntLit)):
+        if type(idx) is not Ident and type(idx) is not IntLit:
             tmp = self.fresh("idx", ir.INT)
             self.emit(Assign(tmp, idx))
             idx = tmp
-        if not isinstance(entity, (Ident, Select)):
+        if type(entity) is not Ident and type(entity) is not Select:
             tmp = self.fresh("arrval", DatatypeType(dt))
             self.emit(Assign(tmp, entity))
             entity = tmp
@@ -653,20 +655,21 @@ class Translator:
     # statements
 
     def stmt(self, s) -> None:
-        if isinstance(s, DeclStmt):
-            self._decl_stmt(s)
-        elif isinstance(s, AssignStmt):
+        cls = type(s)
+        if cls is AssignStmt:
             self._assign_stmt(s)
-        elif isinstance(s, PushStmt):
-            self._push_stmt(s)
-        elif isinstance(s, PopStmt):
-            self._pop_stmt(s)
-        elif isinstance(s, DeleteStmt):
-            self._delete_stmt(s)
-        elif isinstance(s, AssertStmt):
+        elif cls is DeclStmt:
+            self._decl_stmt(s)
+        elif cls is AssertStmt:
             cond = self.expr(s.cond)
             self.asserts.append(AssertInfo(len(self.asserts), s.line, s.text))
             self.emit(Assert(cond))
+        elif cls is PushStmt:
+            self._push_stmt(s)
+        elif cls is PopStmt:
+            self._pop_stmt(s)
+        elif cls is DeleteStmt:
+            self._delete_stmt(s)
         else:
             raise IrError(f"unknown statement {s!r}")
 

@@ -1,13 +1,13 @@
 """A fixed list of mutants of the translator, SSA and normalization
-rules and of the fuzz sampler's reads, and a runner that measures which
-of them the test suite kills.
+rules, of the fuzz sampler's reads and of type interning, and a runner
+that measures which of them the test suite kills.
 
 No solver runs in the test suite, so its trust in the translator rests on
 the IR evaluator agreeing with the reference interpreter and on golden
 digests. A digest fails on any change, right or wrong, so it says
 nothing about semantics. Each mutant here breaks one rule of the
-encoding, or of the sampler whose values the fuzz asserts compare
-with, by replacing one exact text in one module; a mutant is killed
+encoding, of the sampler whose values the fuzz asserts compare with,
+or of type interning, by replacing one exact text in one module; a mutant is killed
 only when a test other than a pin (the golden digests, the encoding
 goldens and the benchmark's byte counts) fails under it.
 
@@ -130,6 +130,14 @@ MUTANTS = (
         "last = node.edges[0]\n    result = _unpack_below(ptr, leaf, last.target, edges + ((node, last),))\n"
         "    for edge in reversed(node.edges[1:]):",
         "a pointer element that matches no edge of a contract or struct node takes the node's last edge",
+    ),
+    Mutant(
+        "M14", "src/solmem/interning.py",
+        "instance = cls._instances.get(args)\n        if instance is None:\n"
+        "            instance = cls._instances.setdefault(args, ",
+        "instance = cls._instances.get(args[:-1])\n        if instance is None:\n"
+        "            instance = cls._instances.setdefault(args[:-1], ",
+        "a type is interned under all of its constructor arguments, so int[2] and int[3] are two types",
     ),
 )
 

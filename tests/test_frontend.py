@@ -86,6 +86,20 @@ def test_missing_data_location_is_an_error():
         compile_source(src)
 
 
+@pytest.mark.parametrize("header, what, unnamed", [
+    ("f(int)", "parameters", "int)"),
+    ("f(int, int)", "parameters", "int, int"),
+    ("f(int x, int[] memory) returns (int y)", "parameters", "int[] memory"),
+    ("f() returns (int)", "return values", "int)"),
+])
+def test_unnamed_parameters_are_rejected_at_their_type(header, what, unnamed):
+    src = f"contract C {{ int x; function {header} {{ assert(x == 1); }} }}"
+    with pytest.raises(ParseError) as e:
+        parse_source(src)
+    assert (e.value.message, e.value.line, e.value.col) == (
+        f"{what} must be named in this fragment", 1, src.index(unnamed) + 1)
+
+
 def test_unsupported_constructs_are_reported_not_skipped():
     for snippet, what in [
         ("contract C { function f() { for (;;) {} } }", "loops"),

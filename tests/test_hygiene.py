@@ -11,7 +11,11 @@ tree edge's ordinal: it takes pointer arguments as access paths and
 uses the trees only to check them, so the translator alone maps
 ordinals to edges. Every walker's dispatch table has exactly one
 handler per IR expression class, so a forgotten node is caught here and
-not at run time. The names the translator invents are spelled only
+not at run time. No concrete syntax-tree node or type class of
+`sol_ast` or `ir` is subclassed, since the walkers dispatch on a node's
+exact class and interning keys a type by its exact class, and every type
+class is an interned frozen dataclass that compares by identity. The
+names the translator invents are spelled only
 where it invents them. No nested function refers to its own name, so
 that no closure holds itself in a reference cycle. Every text that
 `tests/mutants.py` replaces still occurs exactly once in its module.
@@ -19,12 +23,14 @@ that no closure holds itself in a reference cycle. Every text that
 
 import ast
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import irsorts
 import mutants
 import pytest
-from solmem import ireval, smtlib, ssa
+from solmem import ir, ireval, smtlib, sol_ast, ssa
+from solmem.interning import Interned
 from solmem.ir import IrExpr, UnOp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -333,6 +339,65 @@ def test_table_check_finds_what_it_looks_for():
     table = dict.fromkeys(leaf_classes(IrExpr) - {UnOp})
     table[IrExpr] = None
     assert table_gaps(table, IrExpr) == (["UnOp"], ["IrExpr"])
+
+
+# the classes of `sol_ast` and `ir` that serve only as bases
+ABSTRACT = {sol_ast.SolType, sol_ast.Expr, sol_ast.Stmt, ir.IrType, ir.IrExpr, ir.IrStmt}
+
+
+def module_classes(module) -> list[type]:
+    return [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+
+
+def subclassed(classes: list[type], abstract: set[type]) -> list[str]:
+    """The names of the classes in `classes`, other than those in
+    `abstract`, that some class subclasses."""
+    return sorted(c.__name__ for c in classes if c not in abstract and c.__subclasses__())
+
+
+def uninterned(roots: list[type]) -> list[str]:
+    """The names of the classes at or below `roots` that are not frozen
+    dataclasses of their own, built by `Interned`, with `eq=False`."""
+    found, stack = [], list(roots)
+    while stack:
+        cls = stack.pop()
+        stack += cls.__subclasses__()
+        params = cls.__dict__.get("__dataclass_params__")
+        if type(cls) is not Interned or params is None or not params.frozen or params.eq:
+            found.append(cls.__name__)
+    return sorted(found)
+
+
+def test_no_concrete_node_or_type_class_is_subclassed():
+    assert subclassed(module_classes(sol_ast) + module_classes(ir), ABSTRACT) == []
+
+
+def test_every_type_class_is_interned_and_compares_by_identity():
+    assert uninterned([sol_ast.SolType, ir.IrType, ir.DatatypeDef]) == []
+
+
+def test_class_checks_find_what_they_look_for():
+    root = type("Root", (), {})
+    leaf = type("Leaf", (root,), {})
+    below = type("Below", (leaf,), {})
+    assert subclassed([root, leaf, below], {root}) == ["Leaf"]
+
+    @dataclass(frozen=True, eq=False)
+    class Interned_(metaclass=Interned):
+        pass
+
+    @dataclass(frozen=True)
+    class Structural(Interned_):
+        pass
+
+    class Undecorated(Interned_):
+        pass
+
+    @dataclass(frozen=True, eq=False)
+    class Plain:
+        pass
+
+    assert uninterned([Interned_, Plain]) == ["Plain", "Structural", "Undecorated"]
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

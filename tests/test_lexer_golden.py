@@ -1,17 +1,21 @@
 """The regex lexer against token streams recorded from the earlier
 per-character lexer: same tokens (kind, value, line, col), same error
 messages and positions, on every corpus file, 50 generated programs,
-long straight-line sources and hand-picked edge cases."""
+long straight-line sources and hand-picked edge cases. A randomized
+differential compares it with the previous regex lexer
+(`tests/reflexer.py`) the same way."""
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import reflexer
 from solmem.errors import ParseError
 from solmem.generator import random_program
-from solmem.lexer import tokenize
+from solmem.lexer import KEYWORDS, SYMBOLS, tokenize
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "lexer_golden.json"
@@ -72,10 +76,10 @@ def inputs():
     yield from EDGE_CASES.items()
 
 
-def lex(text: str):
+def lex(text: str, tokenizer=tokenize, line: int = 1, col: int = 1):
     """Tokens as [kind, value, line, col] lists, or the error raised."""
     try:
-        return [list(t) for t in tokenize(text)]
+        return [list(t) for t in tokenizer(text, line, col)]
     except ParseError as e:
         return {"error": e.message, "line": e.line, "col": e.col}
 
@@ -107,3 +111,26 @@ def test_start_position():
     with pytest.raises(ParseError) as e:
         tokenize("  @", line=4, col=5)
     assert (e.value.line, e.value.col) == (4, 7)
+
+
+# What the random texts are made of: every symbol and keyword, words with
+# `_` and non-ASCII letters, ASCII and non-ASCII digits (Arabic-Indic),
+# numeric characters that are `\w` but not `\d` (a superscript, a
+# fraction), malformed numbers, comments of both kinds, an unterminated
+# block comment, line ends, the spaces `\s` takes besides `\n`, and
+# characters no token class accepts.
+FRAGMENTS = [
+    *SYMBOLS, *sorted(KEYWORDS),
+    "x", "_a1", "__", "\u00e9t\u00e9", "\u03bb_2", "0", "42", "\u0663\u0664", "\u00b2", "\u00bd", "1\u00b2", "12ab", "1_",
+    "// note", "//", "/* a\nb */", "/**/", "/* x\r\n\n y */", "/*",
+    "\n", "\r\n", "\r", "\t", "\f", "\v", "\u00a0", "\u2028", " ", "  ",
+    "@", "`", "$",
+]
+
+
+def test_tokens_match_the_reference_lexer_on_random_texts():
+    rng = random.Random(29)
+    for _ in range(20_000):
+        text = "".join(rng.choice(FRAGMENTS) + rng.choice(("", "", " ")) for _ in range(rng.randrange(1, 12)))
+        line, col = rng.randrange(1, 100), rng.randrange(1, 100)
+        assert lex(text, tokenize, line, col) == lex(text, reflexer.tokenize, line, col), repr(text)
