@@ -10,7 +10,8 @@ z3/cvc5 on PATH, then the bundled Node.js backend.
 
 verify, corpus and fuzz exit 2 when the solver cannot be found, launched
 or smoke-tested, even if some assert also has a counterexample. Every
-command exits 2 when its standard output is closed before it is done.
+command exits 2 when a file cannot be read or written, or when its
+standard output is closed before it is done.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import SolmemError
-from .harness import render_table, report_json, run_corpus, run_fuzz
+from .harness import fuzz_report_json, render_table, report_json, run_corpus, run_fuzz
 from .oracle import exec_function, run_constructor, serialize, serialize_storage
 from .parser import parse_source
 from .resolver import resolve_and_check
@@ -69,12 +70,7 @@ def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
 
 def cmd_verify(args) -> int:
     path = Path(args.file)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    report = verify_source(text, solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
+    report = verify_source(path.read_text(), solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.error is not None:
@@ -109,7 +105,7 @@ def cmd_run(args) -> int:
     path = Path(args.file)
     try:
         contract = resolve_and_check(parse_source(path.read_text()))
-    except (OSError, SolmemError) as e:
+    except SolmemError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -165,9 +161,6 @@ def cmd_run(args) -> int:
 
 def cmd_corpus(args) -> int:
     corpus_dir = Path(args.dir)
-    if not corpus_dir.is_dir():
-        print(f"error: {corpus_dir} is not a directory", file=sys.stderr)
-        return 2
     classes = run_corpus(
         corpus_dir,
         solver_cmd=args.solver_cmd,
@@ -175,6 +168,9 @@ def cmd_corpus(args) -> int:
         unroll=args.unroll,
         jobs=args.jobs,
     )
+    if not any(s.tests for s in classes.values()):  # it would pass having checked nothing
+        print(f"error: {corpus_dir} holds no <class>/<name>.sol file", file=sys.stderr)
+        return 2
     print(render_table(classes))
     if args.json:
         Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True))
@@ -203,15 +199,7 @@ def cmd_fuzz(args) -> int:
     for o in disagreements + errors[:1]:
         print(f"  seed {o.seed}: {o.observed}: {o.detail}")
     if args.json:
-        payload = {
-            "schema": 2,
-            "seeds": [
-                {"seed": o.seed, "agreed": o.agreed, "observed": o.observed, "compared": o.compared,
-                 "detail": o.detail, "rejections": o.rejections}
-                for o in outcomes
-            ],
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        Path(args.json).write_text(json.dumps(fuzz_report_json(outcomes), indent=2, sort_keys=True))
     return 2 if errors else 1 if disagreements else 0
 
 
@@ -263,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed (broken pipe)", file=sys.stderr)
+        return 2
+    except OSError as e:  # a file that cannot be read or written
+        print(f"error: {e}", file=sys.stderr)
         return 2
     return code
 

@@ -1,24 +1,28 @@
 """Corpus runner and differential fuzzing harness.
 
-Corpus tests live in `<dir>/<class>/<name>.sol`; a comment line
-`//expect: holds` or `//expect: fails` annotates the next assert
-(asserts default to `holds`). Each test counts as exactly one of
-`OUTCOMES`, and results aggregate per class into a table plus a
-versioned JSON report.
+Every verifier report is graded the same way (`judge`): against a list
+of expected outcomes, `holds` or `fails`, one per assert in source
+order. Only where that list comes from differs.
+
+Corpus tests live in `<dir>/<class>/<name>.sol`. A line comment
+`//expect: holds` or `//expect: fails` applies to the next assert that
+starts after it, so asserts that share a line each get their own;
+an assert without one holds (`scan_expectations`). A self-contained
+contract is also judged against the constructor oracle. Each test counts
+as exactly one of `OUTCOMES`, and results aggregate per class into a
+table plus a versioned JSON report.
 
 Differential fuzzing generates constructor-only programs, runs them
 through the reference interpreter, and demands that the verifier agrees
 on every assert the interpreter reached: passed asserts must verify,
 the failed assert must yield a counterexample.
-
-Both judge a verifier report the same way (`judge`); only where the
-expected outcomes come from differs.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,17 +33,17 @@ from .oracle import run_constructor
 from .sol_ast import Contract
 from .verify import VerifyReport, verify_source
 
-REPORT_SCHEMA = 1
+CORPUS_REPORT_SCHEMA = 1
+FUZZ_REPORT_SCHEMA = 2
 
 # Every outcome a corpus test or fuzz seed can have. `error` means the
 # solver could not be found, launched or smoke-tested, or a VC was too
 # deep to print.
 OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
 
-_EXPECT_RE = re.compile(r"//\s*expect:\s*(holds|fails)\b")
-_ASSERT_RE = re.compile(r"\bassert\s*\(")
-_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)  # as the lexer reads comments
-_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+# A line comment, with its expectation if it is one; a block comment, as
+# the lexer reads it; or the start of an assert.
+_SCAN_RE = re.compile(r"//(?:[ \t]*expect:[ \t]*(holds|fails)\b)?[^\n]*|/\*.*?\*/|\bassert\s*\(", re.S)
 
 
 @dataclass
@@ -51,63 +55,66 @@ class TestOutcome:
     detail: str = ""
 
 
-def parse_expectations(text: str) -> dict[int, str]:
-    """Map an assert's line number to holds/fails. An `//expect:` comment
-    applies to the next assert at or below it; asserts without one hold.
-    Only asserts outside comments count, on lines numbered as the lexer
-    numbers them."""
-    code = _COMMENT_RE.sub(lambda m: _NOT_NEWLINE_RE.sub(" ", m.group()), text)
-    expectations: dict[int, str] = {}
+def scan_expectations(text: str) -> list[tuple[int, str]]:
+    """(line, holds|fails) of each assert outside comments, in source
+    order, on lines numbered as the lexer numbers them."""
+    found: list[tuple[int, str]] = []
     pending: str | None = None
-    for lineno, (line, code_line) in enumerate(zip(text.split("\n"), code.split("\n")), start=1):
-        m = _EXPECT_RE.search(line)
-        if m:
-            pending = m.group(1)
-        # an expectation and its assert may share a line
-        if _ASSERT_RE.search(code_line):
-            expectations[lineno] = pending or "holds"
+    line, pos = 1, 0
+    for m in _SCAN_RE.finditer(text):
+        lexeme = m.group()
+        if lexeme[:2] == "//":
+            pending = m.group(1) or pending
+        elif lexeme[:2] != "/*":
+            line += text.count("\n", pos, m.start())
+            pos = m.start()
+            found.append((line, pending or "holds"))
             pending = None
-    return expectations
+    return found
 
 
-def oracle_expectations(contract: Contract) -> list[str]:
-    """holds/fails of each assert the constructor oracle reached, in
-    order: by ordinal, since asserts may share a line."""
-    return ["holds" if a.passed else "fails" for a in run_constructor(contract).asserts]
+def parse_expectations(text: str) -> dict[int, str]:
+    """`scan_expectations` keyed by line: the first assert on a line wins."""
+    by_line: dict[int, str] = {}
+    for line, want in scan_expectations(text):
+        by_line.setdefault(line, want)
+    return by_line
 
 
-def judge(
-    report: VerifyReport, expected: dict[int, str] | list[str], default: str | None = "holds"
-) -> tuple[str, str, int]:
+def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
     """(outcome, detail, asserts compared) of a report against the
-    expected holds/fails per assert line or, given a list, per assert
-    ordinal in the report. Asserts it does not cover expect `default`,
-    or are not compared when it is None."""
+    expected holds/fails of each assert, by ordinal in source order.
+    Asserts past the end of `expected` are not compared; a report with
+    fewer asserts than `expected` is incorrect."""
     if report.error is not None:
         return "invalid", report.error, 0
     unsupported = report.unsupported or next((f.unsupported for f in report.functions if f.unsupported), None)
     if unsupported is not None:
         return "unsupported", unsupported, 0
-    results = [(f.name, a) for f in report.functions for a in f.asserts]
+    # source order: by line, and within a line in report order, which
+    # puts the constructor first
+    results = sorted(((f.name, a) for f in report.functions for a in f.asserts), key=lambda r: r[1].line)
     for kind in ("error", "timeout"):  # a solver failure or timeout outranks every verdict
         for name, a in results:
             if a.verdict == kind:
                 return kind, f"{name}:{a.line}: {a.detail}".strip(), 0
-    compared = 0
-    for ordinal, (name, a) in enumerate(results):
-        if isinstance(expected, list):
-            want = expected[ordinal] if ordinal < len(expected) else default
-        else:
-            want = expected.get(a.line, default)
-        if want is None:
-            continue
+    for name, a in results:  # any other answer is no verdict
         if a.verdict not in ("verified", "counterexample"):
-            return "incorrect", f"{name}:{a.line}: solver said {a.verdict} ({a.detail})", compared
-        compared += 1
+            return "incorrect", f"{name}:{a.line}: solver said {a.verdict} ({a.detail})", 0
+    for compared, ((name, a), want) in enumerate(zip(results, expected)):
         got = "holds" if a.verdict == "verified" else "fails"
         if got != want:
             return "incorrect", f"{name}:{a.line}: expected {want}, verifier says {got}", compared
-    return "correct", "", compared
+    if len(results) < len(expected):
+        return "incorrect", f"verifier reported {len(results)} asserts, expected {len(expected)}", len(results)
+    return "correct", "", len(expected)
+
+
+def judge_by_oracle(report: VerifyReport) -> tuple[str, str, int]:
+    """`judge` against the constructor oracle: each assert it reached
+    must verify if it passed and be refuted if it failed."""
+    reached = run_constructor(report.contract).asserts if report.contract is not None else []
+    return judge(report, ["holds" if a.passed else "fails" for a in reached])
 
 
 def _self_contained(contract: Contract) -> bool:
@@ -123,45 +130,38 @@ def run_test(
     unroll: int | None = None,
 ) -> TestOutcome:
     """Verify one corpus file and judge it against its `//expect` lines.
-    A self-contained contract (no functions, and a constructor without
-    parameters) must also match the constructor oracle on its verdicts."""
+    A self-contained contract must also match the constructor oracle."""
     text = path.read_text()
-    expectations = parse_expectations(text)
+    expected = [want for _, want in scan_expectations(text)]
     start = time.monotonic()
     report = verify_source(text, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
-    observed, detail, _ = judge(report, expectations)
+    observed, detail, _ = judge(report, expected)
     if observed == "correct" and _self_contained(report.contract):
         try:
-            observed, detail, _ = judge(report, oracle_expectations(report.contract), None)
+            observed, detail, _ = judge_by_oracle(report)
             detail = detail and f"oracle disagrees: {detail}"
         except SolmemError as e:
             observed, detail = "incorrect", f"oracle failed: {e}"
-    return TestOutcome(
-        test_id=str(path),
-        expected=[expectations[k] for k in sorted(expectations)],
-        observed=observed,
-        wall_time_seconds=time.monotonic() - start,
-        detail=detail,
-    )
+    return TestOutcome(str(path), expected, observed, time.monotonic() - start, detail)
 
 
 @dataclass
 class ClassSummary:
-    """Per-class counts, one field per name in OUTCOMES."""
-
     name: str
-    correct: int = 0
-    incorrect: int = 0
-    unsupported: int = 0
-    timeout: int = 0
-    invalid: int = 0
-    error: int = 0
-    time_seconds: float = 0.0
     tests: list[TestOutcome] = field(default_factory=list)
 
     @property
+    def counts(self) -> Counter[str]:
+        """Tests per name in OUTCOMES."""
+        return Counter(t.observed for t in self.tests)
+
+    @property
     def total(self) -> int:
-        return sum(getattr(self, o) for o in OUTCOMES)
+        return len(self.tests)
+
+    @property
+    def time_seconds(self) -> float:
+        return sum(t.wall_time_seconds for t in self.tests)
 
 
 def run_corpus(
@@ -171,23 +171,12 @@ def run_corpus(
     unroll: int | None = None,
     jobs: int = 4,
 ) -> dict[str, ClassSummary]:
-    classes: dict[str, ClassSummary] = {}
-    work: list[tuple[str, Path]] = []
-    for class_dir in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
-        classes[class_dir.name] = ClassSummary(class_dir.name)
-        for test in sorted(class_dir.glob("*.sol")):
-            work.append((class_dir.name, test))
-
-    def run_one(item):
-        cls, path = item
-        return cls, run_test(path, solver_cmd, timeout, unroll)
-
+    classes = {d.name: ClassSummary(d.name) for d in sorted(p for p in corpus_dir.iterdir() if p.is_dir())}
+    work = [(s, test) for s in classes.values() for test in sorted((corpus_dir / s.name).glob("*.sol"))]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for cls, outcome in pool.map(run_one, work):
-            summary = classes[cls]
+        outcomes = pool.map(lambda item: run_test(item[1], solver_cmd, timeout, unroll), work)
+        for (summary, _), outcome in zip(work, outcomes):
             summary.tests.append(outcome)
-            summary.time_seconds += outcome.wall_time_seconds
-            setattr(summary, outcome.observed, getattr(summary, outcome.observed) + 1)
     return classes
 
 
@@ -196,10 +185,9 @@ def render_table(classes: dict[str, ClassSummary]) -> str:
     lines = [header, "-" * len(header)]
     for name in sorted(classes):
         s = classes[name]
+        counts = s.counts
         label = f"{name} ({s.total})"
-        lines.append(
-            f"{label:<14}" + "".join(f" {getattr(s, o):>11}" for o in OUTCOMES) + f" {s.time_seconds:>9.2f}"
-        )
+        lines.append(f"{label:<14}" + "".join(f" {counts[o]:>11}" for o in OUTCOMES) + f" {s.time_seconds:>9.2f}")
         for t in s.tests:
             if t.observed in ("incorrect", "invalid", "error") and t.detail:
                 lines.append(f"    {Path(t.test_id).name}: {t.observed}: {t.detail}")
@@ -208,10 +196,10 @@ def render_table(classes: dict[str, ClassSummary]) -> str:
 
 def report_json(classes: dict[str, ClassSummary]) -> dict:
     return {
-        "schema": REPORT_SCHEMA,
+        "schema": CORPUS_REPORT_SCHEMA,
         "classes": {
             name: {
-                **{o: getattr(s, o) for o in OUTCOMES},
+                **{o: s.counts[o] for o in OUTCOMES},
                 "time_seconds": round(s.time_seconds, 3),
                 "tests": [
                     {
@@ -251,13 +239,8 @@ def differential(
     source: str, solver_cmd: str | None = None, timeout: float = 60.0
 ) -> tuple[str, int, str]:
     """(outcome, asserts compared, detail) of oracle vs verifier on a
-    constructor-only program: for every assert the oracle reached,
-    passed must verify and failed must refute."""
-    report = verify_source(source, solver_cmd=solver_cmd, timeout=timeout)
-    expected = oracle_expectations(report.contract) if report.contract is not None else {}
-    observed, detail, compared = judge(report, expected, None)
-    if observed == "correct" and compared < len(expected):
-        observed, detail = "incorrect", "verifier reported fewer asserts than the oracle ran"
+    constructor-only program."""
+    observed, detail, compared = judge_by_oracle(verify_source(source, solver_cmd=solver_cmd, timeout=timeout))
     return observed, compared, detail
 
 
@@ -281,3 +264,14 @@ def run_fuzz(
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_one, seeds))
+
+
+def fuzz_report_json(outcomes: list[FuzzOutcome]) -> dict:
+    return {
+        "schema": FUZZ_REPORT_SCHEMA,
+        "seeds": [
+            {"seed": o.seed, "agreed": o.agreed, "observed": o.observed, "compared": o.compared,
+             "detail": o.detail, "rejections": o.rejections}
+            for o in outcomes
+        ],
+    }

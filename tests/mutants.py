@@ -1,15 +1,17 @@
 """A fixed list of mutants of the translator, SSA and normalization
-rules, of the fuzz sampler's reads and of type interning, and a runner
-that measures which of them the test suite kills.
+rules, of the fuzz sampler's reads, of type interning and of the
+harness's grading, and a runner that measures which of them the test
+suite kills.
 
 No solver runs in the test suite, so its trust in the translator rests on
 the IR evaluator agreeing with the reference interpreter and on golden
 digests. A digest fails on any change, right or wrong, so it says
 nothing about semantics. Each mutant here breaks one rule of the
 encoding, of the sampler whose values the fuzz asserts compare with,
-or of type interning, by replacing one exact text in one module; a mutant is killed
+of type interning or of grading, by replacing one exact text in one module; a mutant is killed
 only when a test other than a pin (the golden digests, the encoding
-goldens and the benchmark's byte counts) fails under it.
+goldens, the recorded corpus expectations and the benchmark's byte
+counts) fails under it.
 
 The test suite checks only that every listed text occurs exactly once in
 its module, so that the list cannot rot. The runner is started by hand:
@@ -139,12 +141,18 @@ MUTANTS = (
         "            instance = cls._instances.setdefault(args[:-1], ",
         "a type is interned under all of its constructor arguments, so int[2] and int[3] are two types",
     ),
+    Mutant(
+        "M15", "src/solmem/harness.py",
+        "if len(results) < len(expected):",
+        "if False:",
+        "a verifier report with fewer asserts than expected is graded incorrect",
+    ),
 )
 
 # Tests that fail on any change to what they pin, right or wrong: golden
-# digests, the pointer encoding's exact numbers, the benchmark's byte
-# counts (which the suite also runs as one aggregate test), and the check
-# that each mutant's text is still there. Parametrized ids match by name.
+# digests, the pointer encoding's exact numbers, the recorded corpus
+# expectations, the benchmark's byte counts (which the suite also runs as
+# one aggregate test), and the check that each mutant's text is still there. Parametrized ids match by name.
 PINS = {
     "tests/test_hygiene.py::test_each_mutant_text_occurs_once",
     "tests/test_lexer_golden.py::test_tokens_match_recorded",
@@ -153,6 +161,7 @@ PINS = {
     "tests/test_oracle_golden.py::test_oracle_digest",
     "tests/test_generator.py::test_golden_snapshot_seed0",
     "tests/test_generator.py::test_golden_digest_and_rejections_seeds_0_199",
+    "tests/test_harness_cli.py::test_parse_expectations_on_the_corpus_are_unchanged",
     "tests/test_acceptance.py::test_criterion_1_pack_unpack_goldens",
     "tests/test_storage_tree_pack_unpack.py::test_pack_goldens",
     "tests/test_bench_names.py::test_benchmark_tests_pass",

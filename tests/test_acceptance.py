@@ -130,14 +130,14 @@ def test_criterion_4_corpus(solver_available):
     classes = run_corpus(CORPUS_DIR, timeout=60.0, jobs=8)
     assert set(classes) == {"assignment", "delete", "init", "storage", "storageptr"}
     total = sum(s.total for s in classes.values())
-    unsupported = sum(s.unsupported for s in classes.values())
+    unsupported = sum(s.counts["unsupported"] for s in classes.values())
     for name, s in classes.items():
         assert s.total >= 5, f"{name} has only {s.total} tests"
-        assert s.incorrect == 0, [t.detail for t in s.tests if t.observed == "incorrect"]
-        assert s.timeout == 0
-        assert s.invalid == 0, [t.detail for t in s.tests if t.observed == "invalid"]
+        assert s.counts["incorrect"] == 0, [t.detail for t in s.tests if t.observed == "incorrect"]
+        assert s.counts["timeout"] == 0
+        assert s.counts["invalid"] == 0, [t.detail for t in s.tests if t.observed == "invalid"]
     assert unsupported <= total * 0.10, f"{unsupported}/{total} unsupported"
-    counts = ", ".join(f"{n}={classes[n].correct}/{classes[n].total}" for n in sorted(classes))
+    counts = ", ".join(f"{n}={classes[n].counts['correct']}/{classes[n].total}" for n in sorted(classes))
     _report(4, f"corpus all correct ({counts}, unsupported {unsupported}/{total})")
 
 

@@ -16,12 +16,15 @@ from sources import DANGLING_POINTER
 from solmem.cli import build_parser, main
 from solmem.harness import (
     differential,
+    judge,
     parse_expectations,
     render_table,
     report_json,
     run_corpus,
     run_test,
+    scan_expectations,
 )
+from solmem.verify import AssertResult, FunctionReport, VerifyReport
 
 
 def test_parse_expectations_attach_to_next_assert():
@@ -45,6 +48,82 @@ x = 1; /* assert(x == 2); */
 assert(x == 2);
 """
     assert parse_expectations(text) == {4: "fails"}
+
+
+# Five asserts on four lines: an expectation applies to the next assert
+# after it, and one in a block comment is no assert.
+SHARED_LINES = """contract C { int x; constructor() {
+    x = 1;
+    //expect: fails
+    assert(x == 2); assert(x == 1);
+    assert(x == 1); //expect: fails
+    assert(x == 3);
+    /* assert(x == 9); */ assert(x == 1);
+} }
+"""
+
+
+def test_scan_expectations_give_each_assert_its_own():
+    assert scan_expectations(SHARED_LINES) == [(4, "fails"), (4, "holds"), (5, "holds"), (6, "fails"), (7, "holds")]
+    # the line-keyed view keeps the first assert of each line
+    assert parse_expectations(SHARED_LINES) == {4: "fails", 5: "holds", 6: "fails", 7: "holds"}
+
+
+def _report(*asserts: tuple[int, str]) -> VerifyReport:
+    return VerifyReport(functions=[FunctionReport("constructor", [AssertResult(line, "x", v) for line, v in asserts])])
+
+
+def test_judge_grades_asserts_that_share_a_line_by_ordinal():
+    expected = [want for _, want in scan_expectations(SHARED_LINES)]
+    verdicts = [(4, "counterexample"), (4, "verified"), (5, "verified"), (6, "counterexample"), (7, "verified")]
+    assert judge(_report(*verdicts), expected) == ("correct", "", 5)
+    # the second assert of line 4 holds, so a counterexample to it is wrong
+    verdicts[1] = (4, "counterexample")
+    assert judge(_report(*verdicts), expected) == (
+        "incorrect", "constructor:4: expected holds, verifier says fails", 1)
+
+
+def test_judge_compares_only_the_expected_asserts():
+    report = _report((1, "verified"), (2, "counterexample"))
+    assert judge(report, ["holds"]) == ("correct", "", 1)
+    assert judge(report, []) == ("correct", "", 0)
+    assert judge(report, ["holds", "fails", "holds"]) == (
+        "incorrect", "verifier reported 2 asserts, expected 3", 2)
+
+
+def test_judge_takes_asserts_in_source_order_across_functions():
+    """The report lists the constructor first; expectations are in
+    source order, where a function may come before the constructor."""
+    report = VerifyReport(functions=[
+        FunctionReport("constructor", [AssertResult(5, "x", "counterexample")]),
+        FunctionReport("f", [AssertResult(2, "x", "verified")]),
+    ])
+    assert judge(report, ["holds", "fails"]) == ("correct", "", 2)
+
+
+def test_run_test_grades_asserts_that_share_a_line(tmp_path):
+    """End to end with a stub solver that answers the smoke query and
+    then each assert's query in order: refuted, verified, verified,
+    refuted, verified."""
+    f = _write(tmp_path, "assignment", "shared.sol", SHARED_LINES)
+    stub = shlex.join([sys.executable, str(TESTS / "stub_solver.py"), "unsat,sat,unsat,unsat,sat,unsat",
+                       str(tmp_path / "log")])
+    outcome = run_test(f, solver_cmd=stub)
+    assert (outcome.observed, outcome.detail) == ("correct", "")
+    assert outcome.expected == ["fails", "holds", "holds", "fails", "holds"]
+
+
+def test_parse_expectations_on_the_corpus_are_unchanged():
+    """The benchmark grades the corpus with `parse_expectations`; its
+    view of all 32 files is as it was when it read expectations by line."""
+    corpus = TESTS.parent / "corpus"
+    recorded = json.loads((TESTS / "data" / "corpus_expectations.json").read_text())
+    found = {
+        str(p.relative_to(corpus)): {str(line): want for line, want in parse_expectations(p.read_text()).items()}
+        for p in sorted(corpus.glob("*/*.sol"))
+    }
+    assert len(found) == 32
+    assert found == recorded
 
 
 def _write(tmp_path: Path, cls: str, name: str, text: str) -> Path:
@@ -110,8 +189,8 @@ def test_corpus_aggregation_and_json(tmp_path, solver_available):
     _write(tmp_path, "delete", "c.sol",
            "contract C { int x; constructor() { delete x; assert(x == 0); } }")
     classes = run_corpus(tmp_path, jobs=2)
-    assert classes["storage"].correct == 2
-    assert classes["delete"].correct == 1
+    assert classes["storage"].counts["correct"] == 2
+    assert classes["delete"].counts["correct"] == 1
     assert classes["storage"].total == 2
 
     table = render_table(classes)
@@ -128,6 +207,42 @@ def test_empty_corpus_renders_all_zero(tmp_path):
     classes = run_corpus(tmp_path, jobs=1)
     assert classes["assignment"].total == 0
     assert "assignment (0)" in render_table(classes)
+
+
+def test_cli_corpus_without_tests_is_a_usage_error(tmp_path, capsys):
+    """A corpus that holds no test would pass having checked nothing: an
+    empty directory, and one with contracts but no class directories
+    (a class directory given in place of the corpus)."""
+    (tmp_path / "empty").mkdir()
+    _write(tmp_path, "flat", "a.sol", "contract C { int x; constructor() { assert(x == 0); } }")
+    for corpus in ("empty", "flat"):
+        assert main(["corpus", str(tmp_path / corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path / corpus} holds no <class>/<name>.sol file\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "corpus", "fuzz"])
+def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
+    """Each run would exit 0 against a solver that says unsat to every
+    query; only writing its output fails."""
+    source = "contract C { int x; constructor() { x = 1; assert(x == 1); } }"
+    (tmp_path / "plain").write_text("")
+    if command == "verify":
+        f = _write(tmp_path, "x", "t.sol", source)
+        argv = [str(f), "--emit-smt", str(tmp_path / "plain" / "smt")]
+    elif command == "corpus":
+        _write(tmp_path / "corpus", "storage", "t.sol", source)
+        argv = [str(tmp_path / "corpus"), "--json", str(tmp_path / "missing" / "r.json")]
+    else:
+        argv = ["--count", "1", "--budget", "0", "--jobs", "1", "--json", str(tmp_path / "missing" / "r.json")]
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv, "--solver-cmd", shlex.join(stub)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_differential_agrees_on_dangling(solver_available):

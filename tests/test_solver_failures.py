@@ -190,7 +190,7 @@ def test_unknown_verdict_is_graded_incorrect(tmp_path):
                            solver_cmd=_stub("unsat,unknown", tmp_path / "verify.log"))
     [[result]] = [f.asserts for f in report.functions]
     assert result.verdict == "unknown"
-    outcome, detail, compared = judge(report, {})
+    outcome, detail, compared = judge(report, [])
     assert (outcome, compared) == ("incorrect", 0)
     assert detail.startswith("f:1: solver said unknown")
 
