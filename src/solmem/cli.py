@@ -6,7 +6,7 @@
   solmem fuzz                    differential fuzzing over generated programs
 
 The solver command resolves from --solver-cmd, then $SOLMEM_SOLVER, then
-z3/cvc5 on PATH, then the bundled Node.js backend.
+z3 or cvc5 on PATH.
 
 verify, corpus and fuzz exit 2 when the solver cannot be found, launched
 or smoke-tested, even if some assert also has a counterexample. Every

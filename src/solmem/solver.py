@@ -1,11 +1,10 @@
 """Client for an external SMT-LIB v2 solver process.
 
 Each query launches one solver process, writes the script on stdin, and
-parses the verdict from stdout. The command is configurable via the
-`SOLMEM_SOLVER` environment variable or an explicit argument; by default
-a `z3` or `cvc5` binary on PATH is used, falling back to the bundled
-Node.js shim around the z3-solver WASM distribution. `query`, which the
-verifier uses, first sends each command one smoke query per process.
+parses the verdict from stdout. The command comes from an explicit
+argument or the `SOLMEM_SOLVER` environment variable; by default a `z3`
+or `cvc5` binary on PATH is used. `query`, which the verifier uses,
+first sends each command one smoke query per process.
 """
 
 from __future__ import annotations
@@ -14,14 +13,12 @@ import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import SolverFailure
-
-KILL_GRACE_SECONDS = 2.0
 
 
 @dataclass
@@ -31,13 +28,9 @@ class SolverVerdict:
     detail: str = ""
 
 
-def _bundled_shim() -> Path:
-    return Path(__file__).parent / "backends" / "z3smt2.cjs"
-
-
 def default_solver_command() -> list[str]:
-    """Resolve the solver command: $SOLMEM_SOLVER, a z3/cvc5 binary on
-    PATH, or the bundled Node.js shim."""
+    """Resolve the solver command: $SOLMEM_SOLVER, else a z3 or cvc5
+    binary on PATH."""
     env = os.environ.get("SOLMEM_SOLVER")
     if env:
         return _split(env)
@@ -45,13 +38,7 @@ def default_solver_command() -> list[str]:
         return ["z3", "-in"]
     if shutil.which("cvc5"):
         return ["cvc5", "--lang", "smt2"]
-    if shutil.which("node") and _bundled_shim().exists():
-        return ["node", str(_bundled_shim())]
-    raise SolverFailure(
-        "no SMT solver found: install z3 or cvc5, run "
-        "`npm install -g z3-solver` for the bundled backend, or set "
-        "SOLMEM_SOLVER / --solver-cmd"
-    )
+    raise SolverFailure("no SMT solver found: install z3 or cvc5, or set SOLMEM_SOLVER / --solver-cmd")
 
 
 def _split(command: str) -> list[str]:
@@ -66,7 +53,7 @@ def _split(command: str) -> list[str]:
 
 
 def _command(solver_cmd: str | None) -> list[str]:
-    return _split(solver_cmd) if solver_cmd else default_solver_command()
+    return default_solver_command() if solver_cmd is None else _split(solver_cmd)
 
 
 def check(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = None) -> SolverVerdict:
@@ -113,7 +100,9 @@ def query(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = N
 def _run(cmd: list[str], script: str, timeout_seconds: float) -> SolverVerdict:
     """Launch `cmd`, write the script on stdin and parse the verdict.
 
-    The child process is killed (and reaped) if it exceeds the timeout.
+    The solver runs in a session of its own. Past the timeout its whole
+    process group is killed and the solver reaped; an interrupted wait
+    (Ctrl-C no longer reaches the solver) kills the group as well.
     """
     try:
         proc = subprocess.Popen(
@@ -122,18 +111,19 @@ def _run(cmd: list[str], script: str, timeout_seconds: float) -> SolverVerdict:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            start_new_session=True,
         )
     except OSError as e:
         return SolverVerdict("error", detail=f"failed to launch solver {cmd[0]}: {e}")
     try:
         out, err = proc.communicate(script, timeout=timeout_seconds)
     except subprocess.TimeoutExpired:
-        proc.kill()
-        try:
-            proc.communicate(timeout=KILL_GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
-            pass
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
         return SolverVerdict("timeout")
+    finally:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
     lines = (line.strip() for line in out.splitlines())
     verdict = next((t for t in lines if t in ("sat", "unsat", "unknown")), None)
     if verdict is None:

@@ -1,7 +1,8 @@
 """Hand-picked adversarial programs where oracle and verifier must agree:
 pointer/pop interactions, bool mapping keys, nested mappings, memory
 aliasing graphs, deletes observed through watching pointers, integer
-operators, reads past the end of a memory array of references, a
+operators, reads past the end of a memory array of references, reads
+at the length of a popped storage array and of a memory array, a
 memory copy out of a member of a storage-pointer conditional, storage
 pointers packed through a conditional base, writes and pointers at
 negative indexes, copies of a fixed-size array of structs between
@@ -353,6 +354,30 @@ contract C {
 }
 """
 
+# Checked without a solver only: an index at or past the length reads
+# the element default, whether the slot was popped from a storage array
+# or lies past a memory array's end, where the write went nowhere.
+POPPED_STORAGE_SLOT_READ = """
+contract C {
+    int[] a;
+    constructor() {
+        a.push(5);
+        a.pop();
+        assert(a[0] == 0);
+    }
+}
+"""
+
+MEMORY_READ_AT_LENGTH = """
+contract C {
+    constructor() {
+        int[] memory m = new int[](2);
+        m[2] = 7;
+        assert(m[2] == 0);
+    }
+}
+"""
+
 SOLVER_FREE = {
     "negative_memory_index_write": NEGATIVE_MEMORY_INDEX_WRITE,
     "negative_storage_index_write": NEGATIVE_STORAGE_INDEX_WRITE,
@@ -366,6 +391,8 @@ SOLVER_FREE = {
     "storage_to_memory_struct_array_copy": STORAGE_TO_MEMORY_STRUCT_ARRAY_COPY,
     "memory_to_storage_struct_array_copy": MEMORY_TO_STORAGE_STRUCT_ARRAY_COPY,
     "parenthesized_statement_start": PARENTHESIZED_STATEMENT_START,
+    "popped_storage_slot_read": POPPED_STORAGE_SLOT_READ,
+    "memory_read_at_length": MEMORY_READ_AT_LENGTH,
 }
 
 

@@ -7,6 +7,7 @@ launched only once per run.
 """
 
 import json
+import os
 import re
 import shlex
 import shutil
@@ -134,9 +135,13 @@ UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
      (["fuzz", "--count", "1", "--budget", "4", "--jobs", "1"], {}, NOT_FOUND),
      ([*VERIFY, "--solver-cmd", 'z3 "'], {}, UNBALANCED),
      ([*VERIFY, "--solver-cmd", " "], {}, "malformed solver command ' ': no program"),
+     # an empty flag is malformed too; it does not fall back to a working SOLMEM_SOLVER
+     ([*VERIFY, "--solver-cmd", ""], {"SOLMEM_SOLVER": _stub("unsat", Path(os.devnull))},
+      "malformed solver command '': no program"),
      (VERIFY, {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED),
      (["corpus", "corpus", "--solver-cmd", 'z3 "'], {}, UNBALANCED)],
-    ids=["verify", "corpus", "fuzz", "malformed-flag", "blank-flag", "malformed-environment", "malformed-corpus"],
+    ids=["verify", "corpus", "fuzz", "malformed-flag", "blank-flag", "empty-flag", "malformed-environment",
+         "malformed-corpus"],
 )
 def test_no_solver_on_path_exits_2_without_traceback(args, env, message):
     env = {"PATH": "", "PYTHONPATH": str(SRC), **env}  # SOLMEM_SOLVER only where given
@@ -171,6 +176,23 @@ def test_solver_past_its_timeout_is_killed_and_reaped():
     verdict = solver.check("(check-sat)\n", timeout_seconds=0.5, solver_cmd=sleeper)
     assert verdict.kind == "timeout"
     assert time.monotonic() - start < 10
+
+
+def test_timed_out_solver_is_killed_with_its_children(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    spawner = (
+        "import subprocess, sys, time; "
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)']); "
+        f"open({str(pid_file)!r}, 'w').write(str(child.pid)); time.sleep(60)"
+    )
+    timeout = 2.0
+    start = time.monotonic()
+    verdict = solver.check("(check-sat)\n", timeout, solver_cmd=shlex.join([sys.executable, "-c", spawner]))
+    assert verdict.kind == "timeout"
+    assert time.monotonic() - start < timeout + 1
+    stat = Path(f"/proc/{pid_file.read_text()}/stat")
+    # gone, or a zombie that its new parent has yet to reap
+    assert not stat.exists() or stat.read_text().rpartition(")")[2].split()[0] == "Z"
 
 
 def test_model_answer_sets_every_int_and_bool_constant(tmp_path):
@@ -210,10 +232,10 @@ def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path):
         ("my-solver --flag", {"z3", "cvc5", "node"}, ["my-solver", "--flag"]),
         (None, {"z3", "cvc5", "node"}, ["z3", "-in"]),
         (None, {"cvc5", "node"}, ["cvc5", "--lang", "smt2"]),
-        (None, {"node"}, ["node", str(solver._bundled_shim())]),
+        (None, {"node"}, None),
         (None, set(), None),
     ],
-    ids=["environment", "z3", "cvc5", "node-shim", "none"],
+    ids=["environment", "z3", "cvc5", "node-only", "none"],
 )
 def test_default_solver_command_resolution_order(monkeypatch, env, on_path, command):
     if env is None:
