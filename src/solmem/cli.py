@@ -9,9 +9,11 @@ The solver command resolves from --solver-cmd, then $SOLMEM_SOLVER, then
 z3 or cvc5 on PATH.
 
 verify, corpus and fuzz exit 2 when the solver cannot be found, launched
-or smoke-tested, even if some assert also has a counterexample. Every
-command exits 2 when a file cannot be read or written, or when its
-standard output is closed before it is done.
+or smoke-tested, even if some assert also has a counterexample. corpus
+and fuzz also exit 2 when a query runs past --timeout; verify then exits
+2 unless some assert has a counterexample. Every command exits 2 when a
+file cannot be read or written, or when its standard output is closed
+before it is done.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import SolmemError
-from .harness import fuzz_report_json, render_table, report_json, run_corpus, run_fuzz
+from .harness import (
+    OUTCOMES, SOLVER_FAILURES, exit_code, fuzz_report_json, render_table, report_json, run_corpus, run_fuzz,
+)
 from .oracle import exec_function, run_constructor, serialize, serialize_storage
 from .parser import parse_source
 from .resolver import resolve_and_check
@@ -174,8 +178,7 @@ def cmd_corpus(args) -> int:
     print(render_table(classes))
     if args.json:
         Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True))
-    outcomes = {t.observed for s in classes.values() for t in s.tests}
-    return 2 if "error" in outcomes else 1 if outcomes & {"incorrect", "invalid"} else 0
+    return exit_code({t.observed for s in classes.values() for t in s.tests}, {"incorrect", "invalid"})
 
 
 def cmd_fuzz(args) -> int:
@@ -186,21 +189,21 @@ def cmd_fuzz(args) -> int:
         timeout=args.timeout,
         jobs=args.jobs,
     )
-    errors = [o for o in outcomes if o.observed == "error"]
-    disagreements = [o for o in outcomes if not o.agreed and o.observed != "error"]
+    errors = [o for o in outcomes if o.observed in SOLVER_FAILURES]
+    disagreements = [o for o in outcomes if not o.agreed and o.observed not in SOLVER_FAILURES]
     compared = sum(o.compared for o in outcomes)
     rejections = Counter()
     for o in outcomes:
         rejections.update(o.rejections)
     print(f"{len(outcomes)} seeds, {compared} asserts compared, "
-          f"{len(disagreements)} disagreements, {len(errors)} solver errors")
+          f"{len(disagreements)} disagreements, {len(errors)} solver errors or timeouts")
     print("rejected candidates: "
           + (", ".join(f"{reason} {n}" for reason, n in sorted(rejections.items())) or "none"))
     for o in disagreements + errors[:1]:
         print(f"  seed {o.seed}: {o.observed}: {o.detail}")
     if args.json:
         Path(args.json).write_text(json.dumps(fuzz_report_json(outcomes), indent=2, sort_keys=True))
-    return 2 if errors else 1 if disagreements else 0
+    return exit_code({o.observed for o in outcomes}, set(OUTCOMES) - {"correct"})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,9 +30,7 @@ from itertools import accumulate
 
 from .errors import SourceError
 from .gcpause import gc_paused
-from .oracle import (
-    MemArray, MemRef, MemStruct, OracleError, StorArray, StorMapping, StorPath, StorStruct, run_constructor,
-)
+from .oracle import Array, MemRef, OracleError, StorPath, Struct, run_constructor
 from .parser import parse_source, parse_statement
 from .resolver import function_scope, resolve_and_check, resolve_statement, struct_refs
 from .sol_ast import (
@@ -195,7 +193,7 @@ class ProgramBuilder:
         levels -= 1
         obj = self.pristine.heap[value.addr] if type(value) is MemRef else value
         if kind is StructType:
-            assert isinstance(obj, (StorStruct, MemStruct))
+            assert type(obj) is Struct
             members = obj.members
             for mname, mty in self.structs[ty.name]:
                 if levels and type(mty) is not ValueType:
@@ -203,15 +201,12 @@ class ProgramBuilder:
                 else:
                     out.append((f"{text}.{mname}", mty, members[mname]))
             return
+        slots = obj.slots
         if kind is MappingType:
-            assert isinstance(obj, StorMapping)
             pool = _BOOL_KEY_POOL if ty.key == BOOL else _KEY_POOL
-            base, slots = ty.value, obj.entries
-            index = self.rng.sample(pool, min(keys, len(pool)))
+            base, index = ty.value, self.rng.sample(pool, min(keys, len(pool)))
         else:
-            assert isinstance(obj, (StorArray, MemArray))
-            base, slots = ty.base, obj.elems if type(obj) is MemArray else obj.backing
-            index = [(i, i) for i in range(min(max(obj.length, 0), elems))]
+            base, index = ty.base, [(i, i) for i in range(min(max(obj.length, 0), elems))]
         leaf = not levels or type(base) is ValueType
         for key, shown in index:
             part = slots[key] if key in slots else self._unwritten(base)
@@ -272,7 +267,7 @@ class ProgramBuilder:
             text, ty, value = read
             if type(ty) is ValueType:
                 reads.append(read)
-            elif isinstance(value, StorArray):
+            elif type(value) is Array:
                 reads.append((f"{text}.length", UINT, value.length))
         for name, ty in self._locals(Loc.VALUE):
             if name in self.pristine.locals:
@@ -315,7 +310,7 @@ class ProgramBuilder:
         return [
             (t, ty, v)
             for t, ty, v in self._storage_paths() + self._pointer_paths()
-            if isinstance(ty, DynArrayType) and isinstance(v, StorArray)
+            if isinstance(ty, DynArrayType) and type(v) is Array
         ]
 
     def _op_push(self) -> bool:

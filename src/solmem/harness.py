@@ -40,6 +40,8 @@ FUZZ_REPORT_SCHEMA = 2
 # solver could not be found, launched or smoke-tested, or a VC was too
 # deep to print.
 OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
+# The outcomes that grade the environment rather than the verifier.
+SOLVER_FAILURES = frozenset({"timeout", "error"})
 
 # A line comment, with its expectation if it is one; a block comment, as
 # the lexer reads it; or the start of an assert.
@@ -108,6 +110,13 @@ def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
     if len(results) < len(expected):
         return "incorrect", f"verifier reported {len(results)} asserts, expected {len(expected)}", len(results)
     return "correct", "", len(expected)
+
+
+def exit_code(observed: set[str], wrong: set[str]) -> int:
+    """The exit code of `corpus` and `fuzz` from the outcomes seen: 2 when
+    the solver failed or timed out, else 1 when an outcome in `wrong`
+    was seen, else 0."""
+    return 2 if observed & SOLVER_FAILURES else 1 if observed & wrong else 0
 
 
 def judge_by_oracle(report: VerifyReport) -> tuple[str, str, int]:
@@ -235,15 +244,6 @@ class FuzzOutcome:
         return self.observed == "correct"
 
 
-def differential(
-    source: str, solver_cmd: str | None = None, timeout: float = 60.0
-) -> tuple[str, int, str]:
-    """(outcome, asserts compared, detail) of oracle vs verifier on a
-    constructor-only program."""
-    observed, detail, compared = judge_by_oracle(verify_source(source, solver_cmd=solver_cmd, timeout=timeout))
-    return observed, compared, detail
-
-
 def run_fuzz(
     seeds: range,
     size_budget: int = 10,
@@ -255,9 +255,10 @@ def run_fuzz(
         start = time.monotonic()
         builder = ProgramBuilder(seed, size_budget)
         try:
-            observed, compared, detail = differential(builder.build(), solver_cmd, timeout)
+            report = verify_source(builder.build(), solver_cmd=solver_cmd, timeout=timeout)
+            observed, detail, compared = judge_by_oracle(report)
         except SolmemError as e:
-            observed, compared, detail = "invalid", 0, f"pipeline error: {e}"
+            observed, detail, compared = "invalid", f"pipeline error: {e}", 0
         return FuzzOutcome(
             seed, observed, compared, detail, time.monotonic() - start, dict(builder.rejections)
         )

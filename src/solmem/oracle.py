@@ -1,20 +1,25 @@
 """Concrete reference interpreter for the Solidity fragment.
 
-Storage is a pure tree of values: structs, arrays and mappings. An
-array, in storage or memory, is an explicit length next to a total map
-from raw index to slot, and a mapping is a total map with a default, as
-in the SMT encoding: a slot never written reads as the element default.
+The state model. Each shape has one class, wherever its value lives: a
+`Struct` holds its members, an `Array` an explicit length next to a
+total map from raw index to slot, and a `Mapping` (storage only) a
+total map with a default, as in the SMT encoding. Storage is one table
+of roots (`Machine.storage`): the state variables, each a pure tree of
+these values, and the default contexts a pointer argument may start
+from, whose names contain `$` and so never collide with a state
+variable. Memory is a heap of the same objects, reached through
+`MemRef`s. Memory stores every member and every in-range slot, so only
+a storage slot can be unwritten; it reads as the element default.
+
 Reads (`Machine.part`) never change state; a storage write goes through
 the access path of its lvalue (`Machine.pack_path`), storing the
-defaults on its way (`Machine.slot`). Memory is a heap of
-objects reached through references. A local storage pointer is an
-access path, the root it starts from (a state variable or a default
-context) followed by the member names and index values taken from it,
-dereferenced against the current storage. A pointer argument is such
-an access path too; the storage trees only check, when it is bound,
-that it leads from a root to an entity of the parameter's type. Deep
-copies build fresh trees or heap objects exactly where the translation
-does.
+defaults on its way (`Machine.slot`). A local storage pointer is a
+`StorPath`: the root it starts from followed by the member names and
+index values taken from it, dereferenced against the current storage.
+A pointer argument is such an access path too; the storage trees only
+check, when it is bound, that it leads from a root to an entity of the
+parameter's type. Deep copies build fresh trees or heap objects exactly
+where the translation does.
 
 Semantics deliberately mirror the SMT encoding rather than the EVM:
 indexed array reads outside [0, length) yield defaults instead of
@@ -34,6 +39,7 @@ from .errors import SolmemError
 from .gcpause import gc_paused
 from .sol_ast import (
     BOOL,
+    INT,
     AssertStmt,
     AssignStmt,
     BinExpr,
@@ -87,23 +93,23 @@ _OPERATORS = {
 
 
 @dataclass
-class StorStruct:
+class Struct:
     struct: str
     members: dict[str, Any]
 
 
 @dataclass
-class StorArray:
+class Array:
     elem: SolType
-    backing: dict = field(default_factory=dict)  # raw index -> element
+    slots: dict = field(default_factory=dict)  # raw index -> element
     length: int = 0
 
 
 @dataclass
-class StorMapping:
+class Mapping:
     key: SolType
     value: SolType
-    entries: dict = field(default_factory=dict)
+    slots: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -116,21 +122,7 @@ class StorPath:
     """A storage pointer: its root's name, then the member names and
     index values taken from it."""
 
-    target: SolType
     keys: tuple
-
-
-@dataclass
-class MemStruct:
-    struct: str
-    members: dict[str, Any]
-
-
-@dataclass
-class MemArray:
-    elem: SolType
-    elems: dict  # raw index -> element
-    length: int
 
 
 @dataclass
@@ -142,7 +134,6 @@ class AssertOutcome:
 
 @dataclass
 class ExecResult:
-    storage: dict[str, Any]
     returns: dict[str, Any]
     asserts: list[AssertOutcome]
     state: "Machine"
@@ -164,7 +155,6 @@ class Machine:
         self.heap: dict[int, Any] = {}
         self.next_addr = 0
         self.locals: dict[str, Any] = {}
-        self.default_contexts: dict[str, StorArray] = {}
         self.assert_results: list[AssertOutcome] = []
 
     def members(self, ty: StructType) -> list[StructMember]:
@@ -181,20 +171,23 @@ class Machine:
         if loc == Loc.STORPTR:
             raise OracleError("storage pointers have no default")
         if isinstance(ty, MappingType):
-            return StorMapping(ty.key, ty.value)
+            return Mapping(ty.key, ty.value)
         if isinstance(ty, (DynArrayType, FixArrayType)):
             length = ty.size if isinstance(ty, FixArrayType) else 0
             if loc == Loc.STORAGE:
-                return StorArray(ty.base, length=length)
-            elems = {i: self.default(ty.base, part_loc(ty.base, Loc.MEMORY)) for i in range(length)}
-            return self.allocate(MemArray(ty.base, elems, length))
+                return Array(ty.base, length=length)
+            return self._memory_array(ty.base, length)
         if isinstance(ty, StructType):
             # a memory struct's members are defaulted first, then it is allocated
-            members = {m.name: self.default(m.ty, part_loc(m.ty, loc)) for m in self.members(ty)}
-            if loc == Loc.STORAGE:
-                return StorStruct(ty.name, members)
-            return self.allocate(MemStruct(ty.name, members))
+            value = Struct(ty.name, {m.name: self.default(m.ty, part_loc(m.ty, loc)) for m in self.members(ty)})
+            return value if loc == Loc.STORAGE else self.allocate(value)
         raise OracleError(f"no default for {ty}")
+
+    def _memory_array(self, elem: SolType, length: int) -> MemRef:
+        """A fresh memory array with every in-range slot stored as the
+        element default, allocated after its elements."""
+        slots = {i: self.default(elem, part_loc(elem, Loc.MEMORY)) for i in range(max(length, 0))}
+        return self.allocate(Array(elem, slots, length))
 
     def allocate(self, obj) -> MemRef:
         self.next_addr += 1
@@ -202,12 +195,14 @@ class Machine:
         return MemRef(self.next_addr)
 
     def deep_copy(self, v: Any) -> Any:
-        if isinstance(v, StorStruct):
-            return StorStruct(v.struct, {k: self.deep_copy(m) for k, m in v.members.items()})
-        if isinstance(v, StorArray):
-            return StorArray(v.elem, {i: self.deep_copy(e) for i, e in v.backing.items()}, v.length)
-        if isinstance(v, StorMapping):
-            return StorMapping(v.key, v.value, {k: self.deep_copy(e) for k, e in v.entries.items()})
+        """A fresh copy of a storage value tree."""
+        cls = type(v)
+        if cls is Struct:
+            return Struct(v.struct, {k: self.deep_copy(m) for k, m in v.members.items()})
+        if cls is Array:
+            return Array(v.elem, {i: self.deep_copy(e) for i, e in v.slots.items()}, v.length)
+        if cls is Mapping:
+            return Mapping(v.key, v.value, {k: self.deep_copy(e) for k, e in v.slots.items()})
         return v
 
     def _copy_across(self, ty: SolType, v: Any, dst: Loc) -> Any:
@@ -219,15 +214,15 @@ class Machine:
         to_memory = dst == Loc.MEMORY
         src = v if to_memory else self.deref(v)
         if isinstance(ty, StructType):
-            if not isinstance(src, (StorStruct, MemStruct)):
+            if type(src) is not Struct:
                 raise OracleError("expected a struct")
             members = {m.name: self._copy_across(m.ty, src.members[m.name], dst) for m in self.members(ty)}
-            holder = (MemStruct if to_memory else StorStruct)(ty.name, members)
+            holder = Struct(ty.name, members)
         elif isinstance(ty, (DynArrayType, FixArrayType)):
-            if not isinstance(src, (StorArray, MemArray)):
+            if type(src) is not Array:
                 raise OracleError("expected an array")
-            elems = {i: self._copy_across(ty.base, self.part(src, i), dst) for i in range(max(src.length, 0))}
-            holder = (MemArray if to_memory else StorArray)(ty.base, elems, src.length)
+            slots = {i: self._copy_across(ty.base, self.part(src, i), dst) for i in range(max(src.length, 0))}
+            holder = Array(ty.base, slots, src.length)
         else:
             raise OracleError(f"cannot copy {ty} across locations")
         return self.allocate(holder) if to_memory else holder
@@ -261,19 +256,19 @@ class Machine:
 
     def part(self, entity: Any, key) -> Any:
         """A struct member, array slot or mapping entry, read without
-        changing state: a slot never written reads as the element default.
-        Every in-range slot of a memory array is stored, so reading one
-        allocates nothing."""
+        changing state. Memory stores every member and every in-range
+        slot, so a slot never written is a storage slot: it reads as the
+        element default in storage."""
         slots, key = self._slots(entity, key)
         if key in slots:
             return slots[key]
-        ty = entity.value if isinstance(entity, StorMapping) else entity.elem
-        return self.default(ty, part_loc(ty, Loc.MEMORY if isinstance(entity, MemArray) else Loc.STORAGE))
+        ty = entity.value if type(entity) is Mapping else entity.elem
+        return self.default(ty, part_loc(ty, Loc.STORAGE))
 
     def slot(self, entity: Any, key) -> tuple[dict, Any]:
-        """The slot `(container, key)` of a part: `container[key]` is its
-        live value. A slot never written gets its default stored first,
-        so a write through it lands."""
+        """The slot `(container, key)` of a storage part: `container[key]`
+        is its live value. A slot never written gets its default stored
+        first, so a write through it lands."""
         slots, key = self._slots(entity, key)
         if key not in slots:
             slots[key] = self.part(entity, key)
@@ -283,14 +278,13 @@ class Machine:
     def _slots(entity: Any, key) -> tuple[dict, Any]:
         """The dict holding an entity's parts, and the key into it
         (boolean mapping keys folded, so `1` and `True` name one entry)."""
-        if isinstance(entity, (StorStruct, MemStruct)):
+        cls = type(entity)
+        if cls is Struct:
             return entity.members, key
-        if isinstance(entity, StorMapping):
-            return entity.entries, bool(key) if entity.key == BOOL else key
-        if isinstance(entity, StorArray):
-            return entity.backing, key
-        if isinstance(entity, MemArray):
-            return entity.elems, key
+        if cls is Mapping:
+            return entity.slots, bool(key) if entity.key == BOOL else key
+        if cls is Array:
+            return entity.slots, key
         raise OracleError(f"no part {key!r} in {type(entity).__name__}")
 
     # ------------------------------------------------------------------
@@ -300,7 +294,7 @@ class Machine:
         """The live storage entity a pointer denotes, or the default an
         unwritten slot on its way reads as."""
         root, *steps = pointer.keys
-        entity = self.storage[root] if root in self.storage else self.default_contexts[root]
+        entity = self.storage[root]
         for key in steps:
             entity = self.part(entity, key)
         return entity
@@ -309,7 +303,7 @@ class Machine:
         """The slot of the entity a pointer denotes, storing the defaults
         on its way, so a write through the pointer lands."""
         root, *steps = pointer.keys
-        container, key = (self.storage if root in self.storage else self.default_contexts), root
+        container, key = self.storage, root
         for step in steps:
             container, key = self.slot(container[key], step)
         return container, key
@@ -331,7 +325,7 @@ class Machine:
             raise OracleError("cannot pack a memory expression")
         for part in reversed(chain):
             keys.append(part.member if type(part) is MemberExpr else self.eval(part.index))
-        return StorPath(expr.ty, tuple(keys))
+        return StorPath(tuple(keys))
 
     # ------------------------------------------------------------------
     # expression evaluation
@@ -358,15 +352,12 @@ class Machine:
         if cls is CondExpr:
             return self._eval_cond(e)
         if cls is NewArrayExpr:
-            length = self.eval(e.length)
-            elem_loc = part_loc(e.elem_type, Loc.MEMORY)
-            elems = {i: self.default(e.elem_type, elem_loc) for i in range(max(length, 0))}
-            return self.allocate(MemArray(e.elem_type, elems, length))
+            return self._memory_array(e.elem_type, self.eval(e.length))
         if cls is StructCtorExpr:
             members = {}
             for m, arg in zip(self.members(e.ty), e.args):
                 members[m.name] = self._stored(m.ty, part_loc(m.ty, Loc.MEMORY), arg.loc, self.eval(arg))
-            return self.allocate(MemStruct(e.name, members))
+            return self.allocate(Struct(e.name, members))
         raise OracleError(f"unknown expression {e!r}")
 
     def entity(self, e: Expr) -> Any:
@@ -382,10 +373,10 @@ class Machine:
     def _eval_member(self, e: MemberExpr) -> Any:
         entity = self.entity(e.base)
         if isinstance(e.base.ty, (DynArrayType, FixArrayType)):
-            if not isinstance(entity, (StorArray, MemArray)):
+            if type(entity) is not Array:
                 raise OracleError("expected an array")
             return entity.length
-        if isinstance(entity, (StorStruct, MemStruct)):
+        if type(entity) is Struct:
             return entity.members[e.member]
         raise OracleError(f"member access on {type(entity).__name__}")
 
@@ -394,13 +385,14 @@ class Machine:
         entity = self.entity(e.base)
         if isinstance(base_ty, MappingType):
             return self.part(entity, self.eval(e.index))
-        if not isinstance(entity, (StorArray, MemArray)):
+        if type(entity) is not Array:
             raise OracleError("expected an array")
         idx = self.eval(e.index)
         # length-guarded read; out of range yields the element default
+        # where the array lives
         if 0 <= idx < entity.length:
             return self.part(entity, idx)
-        holder = Loc.MEMORY if isinstance(entity, MemArray) else Loc.STORAGE
+        holder = Loc.MEMORY if e.base.loc == Loc.MEMORY else Loc.STORAGE
         return self.default(base_ty.base, part_loc(base_ty.base, holder))
 
     def _eval_cond(self, e: CondExpr) -> Any:
@@ -437,7 +429,8 @@ class Machine:
     def lvalue_place(self, e: Expr) -> tuple[Any, Any]:
         """The slot `(container, key)` of an lvalue: `container[key]` is
         its live value. A storage lvalue is reached through its access
-        path, which stores the defaults on its way."""
+        path, which stores the defaults on its way; every caller
+        overwrites the slot, so a memory one needs no default first."""
         cls = type(e)
         if cls is IdentExpr and e.decl_kind != "state":
             return self.locals, e.name
@@ -445,7 +438,7 @@ class Machine:
             raise OracleError(f"not an lvalue: {e!r}")
         if cls is IdentExpr or e.base.loc != Loc.MEMORY:
             return self._path_slot(self.pack_path(e))
-        return self.slot(self.entity(e.base), e.member if cls is MemberExpr else self.eval(e.index))
+        return self._slots(self.entity(e.base), e.member if cls is MemberExpr else self.eval(e.index))
 
     # ------------------------------------------------------------------
     # statements
@@ -479,7 +472,7 @@ class Machine:
             arr = container[key]
             if cls is PushStmt:
                 rloc, rval = self._rhs_operand(s.value)
-                arr.backing[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
+                arr.slots[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
             arr.length += 1 if cls is PushStmt else -1
         elif cls is DeleteStmt:
             container, key = self.lvalue_place(s.target)
@@ -522,18 +515,18 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
         if node is None or not node.is_leaf:
             raise ArgumentError(f"argument {name}: expected an access path to {ty}, got {value!r}")
         if tree.default_context:
-            machine.default_contexts.setdefault(value[0], StorArray(ty))
-        return StorPath(ty, tuple(value))
+            machine.storage.setdefault(value[0], Mapping(INT, ty))
+        return StorPath(tuple(value))
     if isinstance(ty, (DynArrayType, FixArrayType)):
         if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
             raise fail()
-        elems = {i: _bind_arg(machine, name, ty.base, Loc.MEMORY, v) for i, v in enumerate(value)}
-        return machine.allocate(MemArray(ty.base, elems, len(elems)))
+        slots = {i: _bind_arg(machine, name, ty.base, Loc.MEMORY, v) for i, v in enumerate(value)}
+        return machine.allocate(Array(ty.base, slots, len(slots)))
     members = machine.members(ty)
     if not isinstance(value, dict) or set(value) != {m.name for m in members}:
         raise fail()
     bound = {m.name: _bind_arg(machine, name, m.ty, Loc.MEMORY, value[m.name]) for m in members}
-    return machine.allocate(MemStruct(ty.name, bound))
+    return machine.allocate(Struct(ty.name, bound))
 
 
 def exec_function(
@@ -564,7 +557,7 @@ def exec_function(
         if not machine.exec_stmt(s):
             break
     returns = {r.name_source or r.name: machine.locals[r.name] for r in fn.returns}
-    return ExecResult(machine.storage, returns, machine.assert_results, machine)
+    return ExecResult(returns, machine.assert_results, machine)
 
 
 @gc_paused
@@ -575,7 +568,7 @@ def run_constructor(contract: Contract, args: list | None = None) -> ExecResult:
         raise ArgumentError(f"constructor takes a list of 0 arguments, got {args!r}")
     machine = Machine(contract)
     init_storage(machine)
-    return ExecResult(machine.storage, {}, [], machine)
+    return ExecResult({}, [], machine)
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +583,19 @@ def serialize(machine: Machine, ty: SolType, value) -> Any:
         return bool(value) if ty == BOOL else int(value)
     if isinstance(ty, (DynArrayType, FixArrayType)):
         obj = machine.deref(value) if isinstance(value, MemRef) else value
-        assert isinstance(obj, (MemArray, StorArray))
+        assert type(obj) is Array
         elems = [serialize(machine, ty.base, machine.part(obj, i)) for i in range(max(obj.length, 0))]
         return {"length": obj.length, "elems": elems}
     if isinstance(ty, StructType):
         obj = machine.deref(value) if isinstance(value, MemRef) else value
-        assert isinstance(obj, (MemStruct, StorStruct))
+        assert type(obj) is Struct
         return {m.name: serialize(machine, m.ty, obj.members[m.name]) for m in machine.members(ty)}
     if isinstance(ty, MappingType):
-        assert isinstance(value, StorMapping)
+        assert type(value) is Mapping
         default = serialize(machine, ty.value, machine.default(ty.value, part_loc(ty.value, Loc.STORAGE)))
         entries = {}
-        for key in sorted(value.entries, key=str):
-            entry = serialize(machine, ty.value, value.entries[key])
+        for key in sorted(value.slots, key=str):
+            entry = serialize(machine, ty.value, value.slots[key])
             if entry != default:
                 entries[str(int(key))] = entry
         return {"default": default, "entries": entries}

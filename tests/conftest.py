@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from solmem.solver import check, default_solver_command
+from solmem.errors import SolverFailure
+from solmem.solver import SMOKE_QUERY, SMOKE_TIMEOUT_SECONDS, check, default_solver_command
 
 
 @pytest.fixture(scope="session")
@@ -13,9 +14,9 @@ def solver_available():
     """Fail fast (once) when no SMT solver can be launched."""
     try:
         default_solver_command()
-    except Exception as e:  # pragma: no cover - environment problem
+    except SolverFailure as e:  # pragma: no cover - environment problem
         pytest.fail(f"no SMT solver available: {e}")
-    verdict = check("(set-logic ALL)(assert false)(check-sat)\n", timeout_seconds=30)
+    verdict = check(SMOKE_QUERY, timeout_seconds=SMOKE_TIMEOUT_SECONDS)
     if verdict.kind != "unsat":
         pytest.fail(f"solver smoke test failed: {verdict.kind} {verdict.detail}")
     return True

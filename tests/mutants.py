@@ -1,17 +1,17 @@
 """A fixed list of mutants of the translator, SSA and normalization
-rules, of the fuzz sampler's reads, of type interning and of the
-harness's grading, and a runner that measures which of them the test
-suite kills.
+rules, of the fuzz sampler's reads, of the reference interpreter's
+memory model, of type interning and of the harness's grading, and a
+runner that measures which of them the test suite kills.
 
-No solver runs in the test suite, so its trust in the translator rests on
-the IR evaluator agreeing with the reference interpreter and on golden
-digests. A digest fails on any change, right or wrong, so it says
+No solver runs in the test suite, so its trust in the translator rests
+on the IR evaluator agreeing with the reference interpreter and on
+golden digests. A digest fails on any change, right or wrong, so it says
 nothing about semantics. Each mutant here breaks one rule of the
-encoding, of the sampler whose values the fuzz asserts compare with,
-of type interning or of grading, by replacing one exact text in one module; a mutant is killed
-only when a test other than a pin (the golden digests, the encoding
-goldens, the recorded corpus expectations and the benchmark's byte
-counts) fails under it.
+encoding, of the sampler whose values the fuzz asserts compare with, of
+the interpreter's state, of type interning or of grading, by replacing
+one exact text in one module; a mutant is killed only when a test other
+than a pin (the golden digests, the encoding goldens, the recorded
+corpus expectations and the benchmark's byte counts) fails under it.
 
 The test suite checks only that every listed text occurs exactly once in
 its module, so that the list cannot rot. The runner is started by hand:
@@ -146,6 +146,12 @@ MUTANTS = (
         "if len(results) < len(expected):",
         "if False:",
         "a verifier report with fewer asserts than expected is graded incorrect",
+    ),
+    Mutant(
+        "M16", "src/solmem/oracle.py",
+        "slots = {i: self.default(elem, part_loc(elem, Loc.MEMORY)) for i in range(max(length, 0))}",
+        "slots = {}",
+        "a fresh memory array stores every in-range slot, since only a storage slot reads as a default",
     ),
 )
 

@@ -12,11 +12,12 @@ expression, and a closure over storage-pointer sources."""
 import pytest
 
 from solmem import parse_source, resolve_and_check, translate_function
-from solmem.harness import differential
+from solmem.harness import judge_by_oracle
 from solmem.ireval import eval_ir
 from solmem.normalize import normalize_lhs
 from solmem.oracle import run_constructor
 from solmem.ssa import to_ssa
+from solmem.verify import verify_source
 
 CASES = {
     "bool_keyed_mapping_pointer": """
@@ -410,7 +411,7 @@ def test_ireval_fails_where_the_oracle_fails(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_differential_agreement(name, solver_available):
-    observed, compared, detail = differential(CASES[name], timeout=30)
+    observed, detail, compared = judge_by_oracle(verify_source(CASES[name], timeout=30))
     assert observed == "correct", detail
     assert compared >= 1
 

@@ -9,7 +9,7 @@ import pytest
 from solmem import generator, oracle
 from solmem.generator import ProgramBuilder, random_program
 from solmem.harness import run_fuzz
-from solmem.oracle import ExecResult, OracleError, StorArray, run_constructor, serialize_storage
+from solmem.oracle import Array, ExecResult, OracleError, run_constructor, serialize_storage
 from solmem.parser import parse_source, parse_statement
 from solmem.resolver import resolve_and_check, resolve_statement
 from solmem.sol_ast import BOOL, INT, DynArrayType, FixArrayType, MappingType, is_value_type
@@ -86,7 +86,7 @@ def _checked_samples(seeds):
         builder.build()
         ctor = builder.contract.constructor
         for text, ty, value in builder._storage_paths() + builder._pointer_paths() + builder._memory_values():
-            if isinstance(value, StorArray):
+            if type(value) is Array:
                 text, value = f"{text}.length", value.length
             elif not is_value_type(ty):
                 continue
@@ -114,7 +114,7 @@ def test_unwritten_storage_bools_sample_as_false(monkeypatch):
 
 
 def _state(machine):
-    """Storage (backing slots past `length` and mapping insertion order
+    """Storage (array slots past `length` and mapping insertion order
     included), heap, next address and locals, as text."""
     return repr((machine.storage, machine.heap, machine.next_addr, machine.locals))
 
@@ -141,7 +141,7 @@ class _CheckedBuilder(ProgramBuilder):
         assert self.contract.constructor.body == full.constructor.body
         kept = _state(result.state)
         assert _state(self.pristine) == kept
-        incremental = ExecResult(self.pristine.storage, {}, [], self.pristine)
+        incremental = ExecResult({}, [], self.pristine)
         assert serialize_storage(incremental) == serialize_storage(result)
         # sample as the operations do, leaving the random stream as it was
         rng_state = self.rng.getstate()

@@ -15,8 +15,8 @@ import pytest
 from sources import DANGLING_POINTER
 from solmem.cli import build_parser, main
 from solmem.harness import (
-    differential,
     judge,
+    judge_by_oracle,
     parse_expectations,
     render_table,
     report_json,
@@ -24,7 +24,7 @@ from solmem.harness import (
     run_test,
     scan_expectations,
 )
-from solmem.verify import AssertResult, FunctionReport, VerifyReport
+from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
 
 
 def test_parse_expectations_attach_to_next_assert():
@@ -246,7 +246,7 @@ def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
 
 
 def test_differential_agrees_on_dangling(solver_available):
-    observed, compared, detail = differential(DANGLING_POINTER)
+    observed, detail, compared = judge_by_oracle(verify_source(DANGLING_POINTER))
     assert observed == "correct", detail
     assert compared == 2
 

@@ -1,24 +1,24 @@
 """Source hygiene of the `solmem` package, checked on its syntax trees.
 
-No handler may catch everything (a bare `except`, `except Exception` or
-`except BaseException`), every imported name must be used by its
-module, or re-exported through `__all__`, and every public function and
-method must have a caller in the pipeline or the benchmark, so that
-helpers only tests need live in `tests/`. The reference interpreter
-imports nothing from the translator's side of the pipeline, so that a
-fault there cannot hide from differential testing, and reads no storage
-tree edge's ordinal: it takes pointer arguments as access paths and
-uses the trees only to check them, so the translator alone maps
-ordinals to edges. Every walker's dispatch table has exactly one
-handler per IR expression class, so a forgotten node is caught here and
-not at run time. No concrete syntax-tree node or type class of
+No handler, in the package or in its tests, may catch everything (a bare
+`except`, `except Exception` or `except BaseException`), every imported
+name must be used by its module, or re-exported through `__all__`, and
+every public function and method must have a caller in the pipeline or
+the benchmark, so that helpers only tests need live in `tests/`. The
+reference interpreter imports nothing from the translator's side of the
+pipeline, so that a fault there cannot hide from differential testing,
+and reads no storage tree edge's ordinal: it takes pointer arguments as
+access paths and uses the trees only to check them, so the translator
+alone maps ordinals to edges. Every walker's dispatch table has exactly
+one handler per IR expression class, so a forgotten node is caught here
+and not at run time. No concrete syntax-tree node or type class of
 `sol_ast` or `ir` is subclassed, since the walkers dispatch on a node's
 exact class and interning keys a type by its exact class, and every type
 class is an interned frozen dataclass that compares by identity. The
-names the translator invents are spelled only
-where it invents them. No nested function refers to its own name, so
-that no closure holds itself in a reference cycle. Every text that
-`tests/mutants.py` replaces still occurs exactly once in its module.
+names the translator invents are spelled only where it invents them. No
+nested function refers to its own name, so that no closure holds itself
+in a reference cycle. Every text that `tests/mutants.py` replaces still
+occurs exactly once in its module.
 """
 
 import ast
@@ -35,6 +35,7 @@ from solmem.ir import IrExpr, UnOp
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "solmem").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # Where a caller may live: the package's modules (not the `__init__.py`
 # re-exports) and the benchmark, whose `STAGES` and `IMPORT_SITES`
 # tables name what they call in strings.
@@ -144,7 +145,7 @@ def uncalled(definitions: dict[str, ast.Module], callers: dict[str, ast.Module])
     return out
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_catch_all_handlers(path):
     assert catch_alls(ast.parse(path.read_text())) == []
 

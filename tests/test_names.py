@@ -162,7 +162,7 @@ def test_constructor_agrees_with_the_oracle(name):
         final = ssa.final_versions[v.name]
         value = ran.env[final] if final in ran.env else default_value(ssa.program.decls.get(final), ssa.program)
         ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
-        assert ir_json == serialize(oracle.state, v.ty, oracle.storage[v.name]), v.name
+        assert ir_json == serialize(oracle.state, v.ty, oracle.state.storage[v.name]), v.name
 
 
 def test_distinct_default_contexts_run_and_verify(tmp_path, capsys):

@@ -9,10 +9,10 @@ from sources import DANGLING_POINTER, DATA_STORAGE, TUPLE_SWAP
 from solmem import oracle
 from solmem.generator import random_program
 from solmem.oracle import (
+    Array,
+    Mapping,
     MemRef,
-    StorArray,
-    StorMapping,
-    StorStruct,
+    Struct,
     exec_function,
     run_constructor,
     serialize,
@@ -103,17 +103,14 @@ contract C {
 
     def scan(v):
         assert not isinstance(v, MemRef)
-        if isinstance(v, StorStruct):
+        if type(v) is Struct:
             for m in v.members.values():
                 scan(m)
-        elif isinstance(v, StorArray):
-            for e in v.backing.values():
-                scan(e)
-        elif isinstance(v, StorMapping):
-            for e in v.entries.values():
+        elif type(v) in (Array, Mapping):
+            for e in v.slots.values():
                 scan(e)
 
-    for value in result.storage.values():
+    for value in result.state.storage.values():
         scan(value)
     assert json.dumps(serialize_storage(result), sort_keys=True)
 
@@ -134,7 +131,7 @@ contract C {
 }
 """
     result = run_constructor(compile_source(src))
-    assert result.storage["probe"] == 5
+    assert result.state.storage["probe"] == 5
 
 
 def test_delete_resets_memory_pointer_to_fresh_default():
@@ -150,7 +147,7 @@ contract C {
 }
 """
     result = run_constructor(compile_source(src))
-    assert result.storage["probe"] == 0
+    assert result.state.storage["probe"] == 0
 
 
 def test_out_of_bounds_reads_default_and_negative_pop():
@@ -169,7 +166,30 @@ contract C {
     result = run_constructor(compile_source(src))
     machine = result.state
     assert machine.storage["a"].length == -1
-    assert result.storage["probe"] == 0
+    assert result.state.storage["probe"] == 0
+
+
+def test_memory_arrays_store_every_in_range_slot():
+    """Only a storage slot can be unwritten: a new memory array and a
+    default one hold their own element in every in-range slot."""
+    src = """
+contract C {
+    struct T { int z; }
+    int probe;
+    constructor() {
+        T[] memory m = new T[](2);
+        T[2] memory f;
+        m[1].z = 5;
+        f[0].z = 6;
+        probe = m[1].z + f[0].z;
+    }
+}
+"""
+    machine = run_constructor(compile_source(src)).state
+    assert machine.storage["probe"] == 11
+    arrays = [obj for obj in machine.heap.values() if type(obj) is Array]
+    assert [sorted(a.slots) for a in arrays] == [[0, 1], [0, 1]]
+    assert all(type(v) is MemRef for a in arrays for v in a.slots.values())
 
 
 def test_mapping_values_not_tracked_for_existence():

@@ -6,13 +6,13 @@ types. A storage-pointer parameter gets the access path that takes the
 first edge of the storage tree at each contract or struct node and the
 index 0 at each array or mapping node. The digest covers the canonical
 storage, the serialized returns and the assert outcomes, or the type
-and text of the error raised. It also covers the raw storage,
-heap, locals and allocation counter, so a change of aliasing, allocation
-order or of which slots get stored shows too. A storage-pointer
-local is rendered as its target type and its access path: the root (a
-state variable or a default context), then the member names and index
-values taken from it, with boolean keys as integers. A refactoring of
-the interpreter must leave the digest unchanged.
+and text of the error raised. It also covers the raw storage (the
+default contexts among its roots), heap, locals and allocation counter,
+so a change of aliasing, allocation order or of which slots get stored
+shows too. A storage-pointer local is rendered as its access path: the
+root (a state variable or a default context), then the member names and
+index values taken from it, with boolean keys as integers. A
+refactoring of the interpreter must leave the digest unchanged.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
 from solmem.storage_tree import build_storage_tree, default_context_tree
 from test_translate_golden import inputs
 
-DIGEST = "32425da8cb4b3da35ac891d5bd6ad17b174dc9dca02d3f660c5ed4f2d1950afc"
+DIGEST = "9631fa423a836277b2151ba4503a4edd0033cf31e0b02a7728d57082c0cdb42a"
 
 
 def zero_arg(contract, ty, loc):
@@ -50,8 +50,7 @@ def zero_arg(contract, ty, loc):
 
 def rendered_locals(machine) -> dict:
     return {
-        name: (v.target, tuple(int(k) if isinstance(k, bool) else k for k in v.keys))
-        if isinstance(v, StorPath) else v
+        name: tuple(int(k) if isinstance(k, bool) else k for k in v.keys) if isinstance(v, StorPath) else v
         for name, v in machine.locals.items()
     }
 

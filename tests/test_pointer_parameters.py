@@ -151,7 +151,7 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
             else:
                 value = default_value(ssa.program.decls.get(final), ssa.program)
             ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
-            assert ir_json == serialize(oracle.state, v.ty, oracle.storage[v.name]), (path, v.name)
+            assert ir_json == serialize(oracle.state, v.ty, oracle.state.storage[v.name]), (path, v.name)
 
 
 # three state variables of three members each, so that the last edge

@@ -21,7 +21,7 @@ import pytest
 from solmem import solver
 from solmem.cli import main
 from solmem.errors import SolverFailure
-from solmem.harness import OUTCOMES, differential, judge, render_table, run_corpus, run_test
+from solmem.harness import OUTCOMES, judge, judge_by_oracle, render_table, run_corpus, run_test
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
 
 STUB = Path(__file__).parent / "stub_solver.py"
@@ -73,6 +73,27 @@ def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, caps
     assert [s["observed"] for s in seeds] == ["error", "error"]
     assert not any(s["agreed"] for s in seeds)
     assert _launches(log) == 1
+
+
+def _sleeping_solver(tmp_path: Path) -> str:
+    """A solver that refutes the smoke query and sleeps through any other."""
+    path = tmp_path / "sleeper.py"
+    path.write_text(f"import sys, time\nif sys.stdin.read() == {solver.SMOKE_QUERY!r}:\n"
+                    "    print('unsat')\nelse:\n    time.sleep(60)\n")
+    return shlex.join([sys.executable, str(path)])
+
+
+def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys):
+    """A timeout says nothing of the program, like a solver error: every
+    command exits 2, and fuzz counts it with the solver errors."""
+    corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
+    test = _write(corpus, "storage", "a.sol", HOLDS)
+    sleeper = ["--solver-cmd", _sleeping_solver(tmp_path), "--timeout", "0.5"]
+    assert main(["verify", str(test), *sleeper]) == 2
+    assert main(["corpus", str(corpus), *sleeper]) == 2
+    assert main(["fuzz", "--count", "2", "--budget", "4", "--jobs", "2", *sleeper, "--json", str(report)]) == 2
+    assert "0 disagreements, 2 solver errors or timeouts" in capsys.readouterr().out
+    assert [s["observed"] for s in json.loads(report.read_text())["seeds"]] == ["timeout", "timeout"]
 
 
 def test_always_unsat_solver_grades_against_expectations(tmp_path):
@@ -223,7 +244,8 @@ def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path):
     second. Each verdict is compared with the oracle's outcome of the
     same ordinal, not with the last outcome on its line."""
     source = "contract C { int x; constructor() { x = 1; assert(x == 1); assert(x == 2); } }"
-    assert differential(source, solver_cmd=_stub("unsat,unsat,sat", tmp_path / "log")) == ("correct", 2, "")
+    report = verify_source(source, solver_cmd=_stub("unsat,unsat,sat", tmp_path / "log"))
+    assert judge_by_oracle(report) == ("correct", "", 2)
 
 
 @pytest.mark.parametrize(
