@@ -24,12 +24,12 @@ import re
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SolmemError
 from .generator import ProgramBuilder
 from .oracle import run_constructor
+from .records import Record
 from .sol_ast import Contract
 from .verify import VerifyReport, verify_source
 
@@ -48,13 +48,15 @@ SOLVER_FAILURES = frozenset({"timeout", "error"})
 _SCAN_RE = re.compile(r"//(?:[ \t]*expect:[ \t]*(holds|fails)\b)?[^\n]*|/\*.*?\*/|\bassert\s*\(", re.S)
 
 
-@dataclass
-class TestOutcome:
-    test_id: str
-    expected: list[str]  # per assert, in source order: "holds" | "fails"
-    observed: str  # one of OUTCOMES
-    wall_time_seconds: float
-    detail: str = ""
+class TestOutcome(Record):
+    __slots__ = ("test_id", "expected", "observed", "wall_time_seconds", "detail")
+
+    def __init__(self, test_id: str, expected: list[str], observed: str, wall_time_seconds: float, detail: str = ""):
+        self.test_id = test_id
+        self.expected = expected  # per assert, in source order: "holds" | "fails"
+        self.observed = observed  # one of OUTCOMES
+        self.wall_time_seconds = wall_time_seconds
+        self.detail = detail
 
 
 def scan_expectations(text: str) -> list[tuple[int, str]]:
@@ -154,10 +156,12 @@ def run_test(
     return TestOutcome(str(path), expected, observed, time.monotonic() - start, detail)
 
 
-@dataclass
-class ClassSummary:
-    name: str
-    tests: list[TestOutcome] = field(default_factory=list)
+class ClassSummary(Record):
+    __slots__ = ("name", "tests")
+
+    def __init__(self, name: str, tests: list[TestOutcome] | None = None):
+        self.name = name
+        self.tests = [] if tests is None else tests
 
     @property
     def counts(self) -> Counter[str]:
@@ -198,7 +202,7 @@ def render_table(classes: dict[str, ClassSummary]) -> str:
         label = f"{name} ({s.total})"
         lines.append(f"{label:<14}" + "".join(f" {counts[o]:>11}" for o in OUTCOMES) + f" {s.time_seconds:>9.2f}")
         for t in s.tests:
-            if t.observed in ("incorrect", "invalid", "error") and t.detail:
+            if t.observed in ("incorrect", "invalid", "timeout", "error") and t.detail:
                 lines.append(f"    {Path(t.test_id).name}: {t.observed}: {t.detail}")
     return "\n".join(lines)
 
@@ -230,14 +234,19 @@ def report_json(classes: dict[str, ClassSummary]) -> dict:
 # differential fuzzing
 
 
-@dataclass
-class FuzzOutcome:
-    seed: int
-    observed: str  # one of OUTCOMES
-    compared: int
-    detail: str = ""
-    wall_time_seconds: float = 0.0
-    rejections: dict[str, int] = field(default_factory=dict)  # generator candidates, by reason
+class FuzzOutcome(Record):
+    __slots__ = ("seed", "observed", "compared", "detail", "wall_time_seconds", "rejections")
+
+    def __init__(
+        self, seed: int, observed: str, compared: int, detail: str = "", wall_time_seconds: float = 0.0,
+        rejections: dict[str, int] | None = None,
+    ):
+        self.seed = seed
+        self.observed = observed  # one of OUTCOMES
+        self.compared = compared
+        self.detail = detail
+        self.wall_time_seconds = wall_time_seconds
+        self.rejections = {} if rejections is None else rejections  # generator candidates, by reason
 
     @property
     def agreed(self) -> bool:

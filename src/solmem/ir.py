@@ -11,19 +11,21 @@ connectives. Assignment left-hand sides may temporarily be composite
 Invariant: no expression or statement node is changed after it is built.
 Transformations build new nodes and new programs, and share the nodes
 they keep, so one node may sit in many programs and VCs. The nodes are
-plain slotted records rather than frozen dataclasses because the
-pipeline is mostly node construction (over 400,000 nodes per pass of
-the benchmark's stress workload), and a frozen node costs 2.5-5 times as
-much to build, since its `__init__` sets every field through
-`object.__setattr__` (a `BinOp` took 1.2 µs frozen and 0.45 µs slotted
-on Python 3.11). `tests/test_stage_purity.py` checks the invariant
-for every stage after translation. Nodes compare by value but are
-unhashable, so a memo keys a node by `id()` and holds the node, which
-keeps the id from being reused while the entry lives.
+mutable records (`records`): each class writes out its `__slots__` and
+an `__init__` that sets one slot per field, and nothing enforces the
+invariant at run time, because the pipeline is mostly node construction
+(over 400,000 nodes per pass of the benchmark's stress workload) and an
+immutable node costs 2.5-5 times as much to build: its `__init__` must
+set every field through `object.__setattr__` (a `BinOp` took 1.2 µs
+frozen and 0.45 µs slotted on Python 3.11). `tests/test_stage_purity.py`
+checks the invariant for every stage after translation. Nodes compare by
+value but are unhashable, so a memo keys a node by `id()` and holds the
+node, which keeps the id from being reused while the entry lives.
 
 Types (`IrType` and `DatatypeDef`) are interned values instead
-(`interning`): one object per type, built only by calling the class, so
-`==` and `hash` are identity and a type costs nothing as a dict key.
+(`interning`): one immutable object per type, built only by calling the
+class, so `==` and `hash` are identity and a type costs nothing as a
+dict key.
 
 Walkers: each operation over expressions (SSA renaming, SMT-LIB
 printing, evaluation) is a module-level table from a node's exact
@@ -38,38 +40,34 @@ each table's keys are exactly the node classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IrError
 from .interning import Interned
+from .records import Record
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True, eq=False)
 class IrType(metaclass=Interned):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class IntType(IrType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class BoolType(IrType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class ArrayType(IrType):
+    __slots__ = ("index", "elem")
     index: IrType
     elem: IrType
 
 
-@dataclass(frozen=True, eq=False)
 class DatatypeType(IrType):
+    __slots__ = ("name",)
     name: str
 
 
@@ -78,10 +76,10 @@ BOOL = BoolType()
 PTR = ArrayType(INT, INT)  # storage pointer: path of edge ordinals / indices
 
 
-@dataclass(frozen=True, eq=False)
 class DatatypeDef(metaclass=Interned):
     """Single-constructor datatype; the constructor is named like the type."""
 
+    __slots__ = ("name", "members")
     name: str
     members: tuple[tuple[str, IrType], ...]
 
@@ -96,87 +94,108 @@ class DatatypeDef(metaclass=Interned):
 # Expressions
 
 
-@dataclass(slots=True)
-class IrExpr:
-    pass
+class IrExpr(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Ident(IrExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True)
 class IntLit(IrExpr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True)
 class BoolLit(IrExpr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(slots=True)
 class ArrayRead(IrExpr):
-    array: IrExpr
-    index: IrExpr
+    __slots__ = ("array", "index")
+
+    def __init__(self, array: IrExpr, index: IrExpr):
+        self.array = array
+        self.index = index
 
 
-@dataclass(slots=True)
 class ArrayWrite(IrExpr):
-    array: IrExpr
-    index: IrExpr
-    value: IrExpr
+    __slots__ = ("array", "index", "value")
+
+    def __init__(self, array: IrExpr, index: IrExpr, value: IrExpr):
+        self.array = array
+        self.index = index
+        self.value = value
 
 
-@dataclass(slots=True)
 class ConstArray(IrExpr):
     """Total array equal to `value` at every index."""
 
-    index: IrType
-    elem: IrType
-    value: IrExpr
+    __slots__ = ("index", "elem", "value")
+
+    def __init__(self, index: IrType, elem: IrType, value: IrExpr):
+        self.index = index
+        self.elem = elem
+        self.value = value
 
 
-@dataclass(slots=True)
 class Construct(IrExpr):
     """Datatype constructor application."""
 
-    datatype: str
-    args: tuple[IrExpr, ...]
+    __slots__ = ("datatype", "args")
+
+    def __init__(self, datatype: str, args: tuple[IrExpr, ...]):
+        self.datatype = datatype
+        self.args = args
 
 
-@dataclass(slots=True)
 class Select(IrExpr):
     """Datatype member selector. `datatype` names the base's type."""
 
-    base: IrExpr
-    member: str
-    datatype: str
+    __slots__ = ("base", "member", "datatype")
+
+    def __init__(self, base: IrExpr, member: str, datatype: str):
+        self.base = base
+        self.member = member
+        self.datatype = datatype
 
 
-@dataclass(slots=True)
 class Ite(IrExpr):
-    cond: IrExpr
-    then: IrExpr
-    other: IrExpr
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: IrExpr, then: IrExpr, other: IrExpr):
+        self.cond = cond
+        self.then = then
+        self.other = other
 
 
-@dataclass(slots=True)
 class BinOp(IrExpr):
     """op is one of + - == != < <= > >= and or"""
 
-    op: str
-    left: IrExpr
-    right: IrExpr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: IrExpr, right: IrExpr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
 class UnOp(IrExpr):
     """op is one of not neg"""
 
-    op: str
-    operand: IrExpr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: IrExpr):
+        self.op = op
+        self.operand = operand
 
 
 def add(a: IrExpr, b: IrExpr) -> IrExpr:
@@ -215,58 +234,71 @@ def not_(a: IrExpr) -> IrExpr:
 # Statements
 
 
-@dataclass(slots=True)
-class IrStmt:
-    pass
+class IrStmt(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Assign(IrStmt):
-    lhs: IrExpr
-    rhs: IrExpr
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: IrExpr, rhs: IrExpr):
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(slots=True)
 class IfStmt(IrStmt):
-    cond: IrExpr
-    then: tuple[IrStmt, ...]
-    other: tuple[IrStmt, ...]
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: IrExpr, then: tuple[IrStmt, ...], other: tuple[IrStmt, ...]):
+        self.cond = cond
+        self.then = then
+        self.other = other
 
 
-@dataclass(slots=True)
 class Assume(IrStmt):
-    cond: IrExpr
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: IrExpr):
+        self.cond = cond
 
 
-@dataclass(slots=True)
 class Assert(IrStmt):
-    cond: IrExpr
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: IrExpr):
+        self.cond = cond
 
 
-@dataclass
-class SmtProgram:
+_MEMOS = ("conjuncts", "printed", "header")
+
+
+class SmtProgram(Record, uncompared=_MEMOS, unprinted=_MEMOS):
     """Datatype definitions, then declarations, then statements.
 
     Datatypes and declarations are keyed by name and kept in insertion
     order; re-adding a name with a conflicting definition is an error.
     """
 
-    datatypes: dict[str, DatatypeDef] = field(default_factory=dict)
-    decls: dict[str, IrType] = field(default_factory=dict)
-    stmts: list[IrStmt] = field(default_factory=list)
-    # Memos for the program's lifetime; never compared, printed or copied.
-    # `conjuncts` is vcgen's walk of `stmts` (conjuncts, assert positions and
-    # prefix chain) with the statements it was made from; `printed` maps a
-    # conjunct's id to (conjunct, SMT-LIB text), and holding the node keeps
-    # its id from being reused; `header` is the SMT-LIB header with the
-    # datatypes and declarations it was printed from.
-    conjuncts: tuple[list[IrStmt], list[IrExpr], list[int], list[IrExpr]] | None = field(
-        default=None, compare=False, repr=False
-    )
-    printed: dict[int, tuple[IrExpr, str]] = field(default_factory=dict, compare=False, repr=False)
-    header: tuple[dict[str, DatatypeDef], dict[str, IrType], str] | None = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("datatypes", "decls", "stmts") + _MEMOS
+
+    def __init__(
+        self,
+        datatypes: dict[str, DatatypeDef] | None = None,
+        decls: dict[str, IrType] | None = None,
+        stmts: list[IrStmt] | None = None,
+    ):
+        self.datatypes = {} if datatypes is None else datatypes
+        self.decls = {} if decls is None else decls
+        self.stmts = [] if stmts is None else stmts
+        # Memos for the program's lifetime; never compared, printed or copied.
+        # `conjuncts` is vcgen's walk of `stmts` (conjuncts, assert positions and
+        # prefix chain) with the statements it was made from; `printed` maps a
+        # conjunct's id to (conjunct, SMT-LIB text), and holding the node keeps
+        # its id from being reused; `header` is the SMT-LIB header with the
+        # datatypes and declarations it was printed from.
+        self.conjuncts: tuple[list[IrStmt], list[IrExpr], list[int], list[IrExpr]] | None = None
+        self.printed: dict[int, tuple[IrExpr, str]] = {}
+        self.header: tuple[dict[str, DatatypeDef], dict[str, IrType], str] | None = None
 
     def add_datatype(self, dt: DatatypeDef) -> None:
         if self.datatypes.setdefault(dt.name, dt) != dt:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import IrError
@@ -42,14 +41,17 @@ from .ir import (
     UnOp,
     unknown_key,
 )
+from .records import Record
 
 
-@dataclass
-class VArray:
+class VArray(Record):
     """Total map: `entries` overrides `default` at finitely many keys."""
 
-    default: Any
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("default", "entries")
+
+    def __init__(self, default: Any, entries: dict | None = None):
+        self.default = default
+        self.entries = {} if entries is None else entries
 
     def read(self, key):
         return self.entries.get(key, self.default)
@@ -60,10 +62,12 @@ class VArray:
         return VArray(self.default, new)
 
 
-@dataclass
-class VData:
-    datatype: str
-    members: tuple
+class VData(Record):
+    __slots__ = ("datatype", "members")
+
+    def __init__(self, datatype: str, members: tuple):
+        self.datatype = datatype
+        self.members = members
 
     def replace(self, index: int, value) -> "VData":
         ms = list(self.members)
@@ -119,11 +123,15 @@ def _truth(v, e: IrExpr) -> bool:
     return v
 
 
-@dataclass
-class EvalResult:
-    status: str  # "ok" | "assume-violated" | "assert-failed"
-    env: dict
-    failed_index: int | None = None  # ordinal of the violated assume/assert
+class EvalResult(Record):
+    # status: "ok" | "assume-violated" | "assert-failed"; failed_index: the
+    # ordinal of the violated assume or assert
+    __slots__ = ("status", "env", "failed_index")
+
+    def __init__(self, status: str, env: dict, failed_index: int | None = None):
+        self.status = status
+        self.env = env
+        self.failed_index = failed_index
 
 
 class _Machine:

@@ -32,11 +32,11 @@ values, mappings included.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import SolmemError
 from .gcpause import gc_paused
+from .records import Record, Value
 from .sol_ast import (
     BOOL,
     INT,
@@ -92,51 +92,65 @@ _OPERATORS = {
 }
 
 
-@dataclass
-class Struct:
-    struct: str
-    members: dict[str, Any]
+class Struct(Record):
+    __slots__ = ("struct", "members")
+
+    def __init__(self, struct: str, members: dict[str, Any]):
+        self.struct = struct
+        self.members = members
 
 
-@dataclass
-class Array:
-    elem: SolType
-    slots: dict = field(default_factory=dict)  # raw index -> element
-    length: int = 0
+class Array(Record):
+    __slots__ = ("elem", "slots", "length")
+
+    def __init__(self, elem: SolType, slots: dict | None = None, length: int = 0):
+        self.elem = elem
+        self.slots = {} if slots is None else slots  # raw index -> element
+        self.length = length
 
 
-@dataclass
-class Mapping:
-    key: SolType
-    value: SolType
-    slots: dict = field(default_factory=dict)
+class Mapping(Record):
+    __slots__ = ("key", "value", "slots")
+
+    def __init__(self, key: SolType, value: SolType, slots: dict | None = None):
+        self.key = key
+        self.value = value
+        self.slots = {} if slots is None else slots
 
 
-@dataclass(frozen=True)
-class MemRef:
-    addr: int
+class MemRef(Value):
+    __slots__ = ("addr",)
+
+    def __init__(self, addr: int):
+        object.__setattr__(self, "addr", addr)
 
 
-@dataclass(frozen=True)
-class StorPath:
+class StorPath(Value):
     """A storage pointer: its root's name, then the member names and
     index values taken from it."""
 
-    keys: tuple
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: tuple):
+        object.__setattr__(self, "keys", keys)
 
 
-@dataclass
-class AssertOutcome:
-    ordinal: int
-    line: int
-    passed: bool
+class AssertOutcome(Record):
+    __slots__ = ("ordinal", "line", "passed")
+
+    def __init__(self, ordinal: int, line: int, passed: bool):
+        self.ordinal = ordinal
+        self.line = line
+        self.passed = passed
 
 
-@dataclass
-class ExecResult:
-    returns: dict[str, Any]
-    asserts: list[AssertOutcome]
-    state: "Machine"
+class ExecResult(Record):
+    __slots__ = ("returns", "asserts", "state")
+
+    def __init__(self, returns: dict[str, Any], asserts: list[AssertOutcome], state: "Machine"):
+        self.returns = returns
+        self.asserts = asserts
+        self.state = state
 
     @property
     def failed(self) -> AssertOutcome | None:

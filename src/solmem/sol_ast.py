@@ -2,39 +2,39 @@
 
 Types are immutable interned values (`interning`): one object per type,
 so `==` is `is` (structs are equal when their names are); build them
-only by calling the class. Expression and statement nodes are mutable:
-the resolver fills in the `ty` and `loc` annotations and rewrites
-identifiers to their globally unique names. No node or type class is
-subclassed, so the walkers dispatch on a node's exact class.
+only by calling the class. Expression and statement nodes are mutable
+records (`records`): the resolver fills in the `ty` and `loc`
+annotations and rewrites identifiers to their globally unique names.
+No node or type class is subclassed, so the walkers dispatch on a
+node's exact class.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .interning import Interned
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True, eq=False)
 class SolType(metaclass=Interned):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class ValueType(SolType):
+    __slots__ = ("kind",)
     kind: str  # "address" | "int" | "uint" | "bool"
 
     def __str__(self) -> str:
         return self.kind
 
 
-@dataclass(frozen=True, eq=False)
 class MappingType(SolType):
+    __slots__ = ("key", "value")
     key: SolType
     value: SolType
 
@@ -42,16 +42,16 @@ class MappingType(SolType):
         return f"mapping({self.key} => {self.value})"
 
 
-@dataclass(frozen=True, eq=False)
 class DynArrayType(SolType):
+    __slots__ = ("base",)
     base: SolType
 
     def __str__(self) -> str:
         return f"{self.base}[]"
 
 
-@dataclass(frozen=True, eq=False)
 class FixArrayType(SolType):
+    __slots__ = ("base", "size")
     base: SolType
     size: int
 
@@ -59,8 +59,8 @@ class FixArrayType(SolType):
         return f"{self.base}[{self.size}]"
 
 
-@dataclass(frozen=True, eq=False)
 class StructType(SolType):
+    __slots__ = ("name",)
     name: str
 
     def __str__(self) -> str:
@@ -138,143 +138,234 @@ def declared_loc(ty: SolType, data_loc: str | None) -> Loc:
 # Expressions
 
 
-@dataclass
-class Expr:
-    line: int = field(default=0, kw_only=True)
-    col: int = field(default=0, kw_only=True)
-    ty: SolType | None = field(default=None, kw_only=True, compare=False)
-    loc: Loc | None = field(default=None, kw_only=True, compare=False)
+class Expr(Record, uncompared=("ty", "loc")):
+    """An expression; the resolver fills in `ty` and `loc`."""
+
+    __slots__ = ("line", "col", "ty", "loc")
+
+    def __init__(self, *, line: int = 0, col: int = 0, ty: SolType | None = None, loc: Loc | None = None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
 
 
-@dataclass
-class IdentExpr(Expr):
-    name: str
-    # filled by the resolver: "state" | "local" | "param" | "return"
-    decl_kind: str | None = field(default=None, compare=False)
+class IdentExpr(Expr, uncompared=("decl_kind",)):
+    # decl_kind, filled by the resolver: "state" | "local" | "param" | "return"
+    __slots__ = ("name", "decl_kind")
+
+    def __init__(self, name: str, decl_kind: str | None = None, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.name = name
+        self.decl_kind = decl_kind
 
 
-@dataclass
 class IntLitExpr(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class BoolLitExpr(Expr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class MemberExpr(Expr):
-    base: Expr
-    member: str
+    __slots__ = ("base", "member")
+
+    def __init__(self, base: Expr, member: str, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.base = base
+        self.member = member
 
 
-@dataclass
 class IndexExpr(Expr):
-    base: Expr
-    index: Expr
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Expr, index: Expr, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.base = base
+        self.index = index
 
 
-@dataclass
 class CondExpr(Expr):
-    cond: Expr
-    then: Expr
-    other: Expr
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: Expr, then: Expr, other: Expr, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.cond = cond
+        self.then = then
+        self.other = other
 
 
-@dataclass
 class NewArrayExpr(Expr):
-    elem_type: SolType
-    length: Expr
+    __slots__ = ("elem_type", "length")
+
+    def __init__(self, elem_type: SolType, length: Expr, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.elem_type = elem_type
+        self.length = length
 
 
-@dataclass
 class StructCtorExpr(Expr):
-    name: str
-    args: list[Expr]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: list[Expr], *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.name = name
+        self.args = args
 
 
-@dataclass
 class BinExpr(Expr):
-    op: str  # + - == != < <= > >= && ||
-    left: Expr
-    right: Expr
+    # op: + - == != < <= > >= && ||
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class UnExpr(Expr):
-    op: str  # ! -
-    operand: Expr
+    # op: ! -
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr, *, line=0, col=0, ty=None, loc=None):
+        self.line = line
+        self.col = col
+        self.ty = ty
+        self.loc = loc
+        self.op = op
+        self.operand = operand
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
 
-@dataclass
-class Stmt:
-    line: int = field(default=0, kw_only=True)
+class Stmt(Record):
+    __slots__ = ("line",)
+
+    def __init__(self, *, line: int = 0):
+        self.line = line
 
 
-@dataclass
 class DeclStmt(Stmt):
-    var_type: SolType
-    data_loc: str | None  # "storage" | "memory" | None
-    name: str
-    init: Expr | None
+    # data_loc: "storage" | "memory" | None
+    __slots__ = ("var_type", "data_loc", "name", "init")
+
+    def __init__(self, var_type: SolType, data_loc: str | None, name: str, init: Expr | None, *, line: int = 0):
+        self.line = line
+        self.var_type = var_type
+        self.data_loc = data_loc
+        self.name = name
+        self.init = init
 
     @property
     def loc(self) -> Loc:
         return declared_loc(self.var_type, self.data_loc)
 
 
-@dataclass
 class AssignStmt(Stmt):
-    lhs: list[Expr]
-    rhs: list[Expr]
-    tuple_form: bool = False
+    __slots__ = ("lhs", "rhs", "tuple_form")
+
+    def __init__(self, lhs: list[Expr], rhs: list[Expr], tuple_form: bool = False, *, line: int = 0):
+        self.line = line
+        self.lhs = lhs
+        self.rhs = rhs
+        self.tuple_form = tuple_form
 
 
-@dataclass
 class PushStmt(Stmt):
-    target: Expr
-    value: Expr
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: Expr, value: Expr, *, line: int = 0):
+        self.line = line
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class PopStmt(Stmt):
-    target: Expr
+    __slots__ = ("target",)
+
+    def __init__(self, target: Expr, *, line: int = 0):
+        self.line = line
+        self.target = target
 
 
-@dataclass
 class DeleteStmt(Stmt):
-    target: Expr
+    __slots__ = ("target",)
+
+    def __init__(self, target: Expr, *, line: int = 0):
+        self.line = line
+        self.target = target
 
 
-@dataclass
-class AssertStmt(Stmt):
-    cond: Expr
-    # the condition in source names (`expr_to_source`), kept by the
+class AssertStmt(Stmt, uncompared=("text",), unprinted=("text",)):
+    # text: the condition in source names (`expr_to_source`), kept by the
     # resolver before it renames
-    text: str = field(default="", repr=False, compare=False)
+    __slots__ = ("cond", "text")
+
+    def __init__(self, cond: Expr, text: str = "", *, line: int = 0):
+        self.line = line
+        self.cond = cond
+        self.text = text
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 
 
-@dataclass
-class StructMember:
-    name: str
-    ty: SolType
-    line: int = 0
+class StructMember(Record):
+    __slots__ = ("name", "ty", "line")
+
+    def __init__(self, name: str, ty: SolType, line: int = 0):
+        self.name = name
+        self.ty = ty
+        self.line = line
 
 
-@dataclass
-class StructDef:
-    name: str
-    members: list[StructMember]
-    line: int = 0
+class StructDef(Record):
+    __slots__ = ("name", "members", "line")
+
+    def __init__(self, name: str, members: list[StructMember], line: int = 0):
+        self.name = name
+        self.members = members
+        self.line = line
 
     def member(self, name: str) -> StructMember | None:
         for m in self.members:
@@ -283,45 +374,71 @@ class StructDef:
         return None
 
 
-@dataclass
-class StateVar:
-    name: str
-    ty: SolType
-    line: int = 0
+class StateVar(Record):
+    __slots__ = ("name", "ty", "line")
+
+    def __init__(self, name: str, ty: SolType, line: int = 0):
+        self.name = name
+        self.ty = ty
+        self.line = line
 
 
-@dataclass
-class Param:
-    ty: SolType
-    data_loc: str | None
-    name: str
-    line: int = 0
-    name_source: str = ""  # pre-rename name, for reports and JSON keys
+class Param(Record):
+    # name_source: the pre-rename name, for reports and JSON keys
+    __slots__ = ("ty", "data_loc", "name", "line", "name_source")
+
+    def __init__(self, ty: SolType, data_loc: str | None, name: str, line: int = 0, name_source: str = ""):
+        self.ty = ty
+        self.data_loc = data_loc
+        self.name = name
+        self.line = line
+        self.name_source = name_source
 
     @property
     def loc(self) -> Loc:
         return declared_loc(self.ty, self.data_loc)
 
 
-@dataclass
-class Function:
-    name: str
-    params: list[Param]
-    returns: list[Param]
-    body: list[Stmt]
-    is_constructor: bool = False
-    line: int = 0
+class Function(Record):
+    __slots__ = ("name", "params", "returns", "body", "is_constructor", "line")
+
+    def __init__(
+        self,
+        name: str,
+        params: list[Param],
+        returns: list[Param],
+        body: list[Stmt],
+        is_constructor: bool = False,
+        line: int = 0,
+    ):
+        self.name = name
+        self.params = params
+        self.returns = returns
+        self.body = body
+        self.is_constructor = is_constructor
+        self.line = line
 
 
-@dataclass
-class Contract:
-    name: str
-    structs: list[StructDef]
-    state_vars: list[StateVar]
-    constructor: Function | None
-    functions: list[Function]
-    warnings: list[str] = field(default_factory=list)
-    resolved: bool = False
+class Contract(Record):
+    __slots__ = ("name", "structs", "state_vars", "constructor", "functions", "warnings", "resolved")
+
+    def __init__(
+        self,
+        name: str,
+        structs: list[StructDef],
+        state_vars: list[StateVar],
+        constructor: Function | None,
+        functions: list[Function],
+        warnings: list[str] | None = None,
+        resolved: bool = False,
+    ):
+        self.name = name
+        self.structs = structs
+        self.state_vars = state_vars
+        self.constructor = constructor
+        self.functions = functions
+        self.warnings = [] if warnings is None else warnings
+        self.resolved = resolved
 
     def struct(self, name: str) -> StructDef | None:
         for s in self.structs:

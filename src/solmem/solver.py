@@ -16,16 +16,17 @@ import shutil
 import signal
 import subprocess
 import threading
-from dataclasses import dataclass, field
-
 from .errors import SolverFailure
+from .records import Record
 
 
-@dataclass
-class SolverVerdict:
-    kind: str  # "unsat" | "sat" | "unknown" | "timeout" | "error"
-    model: dict[str, str] = field(default_factory=dict)
-    detail: str = ""
+class SolverVerdict(Record):
+    __slots__ = ("kind", "model", "detail")
+
+    def __init__(self, kind: str, model: dict[str, str] | None = None, detail: str = ""):
+        self.kind = kind  # "unsat" | "sat" | "unknown" | "timeout" | "error"
+        self.model = {} if model is None else model
+        self.detail = detail
 
 
 def default_solver_command() -> list[str]:
@@ -120,7 +121,8 @@ def _run(cmd: list[str], script: str, timeout_seconds: float) -> SolverVerdict:
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        return SolverVerdict("timeout")
+        size = len(script.encode())
+        return SolverVerdict("timeout", detail=f"no answer within {timeout_seconds:g} s ({size:,} B query)")
     finally:
         if proc.returncode is None:
             os.killpg(proc.pid, signal.SIGKILL)

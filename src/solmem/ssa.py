@@ -12,7 +12,6 @@ name, so never-assigned inputs are stable across the conversion.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import IrError
@@ -39,6 +38,7 @@ from .ir import (
     not_,
     unknown_key,
 )
+from .records import Record
 
 
 _RENAME: dict[type, Callable[[Any, dict[str, str]], IrExpr]] = {
@@ -67,10 +67,12 @@ def rename_idents(e: IrExpr, versions: dict[str, str]) -> IrExpr:
         raise unknown_key(err) from None
 
 
-@dataclass
-class SsaResult:
-    program: SmtProgram
-    final_versions: dict[str, str]  # original name -> name of last version
+class SsaResult(Record):
+    __slots__ = ("program", "final_versions")
+
+    def __init__(self, program: SmtProgram, final_versions: dict[str, str]):
+        self.program = program
+        self.final_versions = final_versions  # original name -> name of last version
 
 
 class _Converter:

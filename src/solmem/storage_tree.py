@@ -17,8 +17,7 @@ root, an unconstrained array indexed by the path's second element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .records import Record
 from .sol_ast import (
     Contract,
     DynArrayType,
@@ -31,8 +30,7 @@ from .sol_ast import (
 )
 
 
-@dataclass
-class TreeNode:
+class TreeNode(Record):
     """One storage entity shape along paths to the target type.
 
     kind: "contract" | "struct" | "array" | "mapping" | "leaf".
@@ -40,27 +38,34 @@ class TreeNode:
     edges; array/mapping nodes carry exactly one unlabeled index edge.
     """
 
-    kind: str
-    ty: SolType | None = None
-    edges: list["TreeEdge"] = field(default_factory=list)
+    __slots__ = ("kind", "ty", "edges")
+
+    def __init__(self, kind: str, ty: SolType | None = None, edges: list[TreeEdge] | None = None):
+        self.kind = kind
+        self.ty = ty
+        self.edges = [] if edges is None else edges
 
     @property
     def is_leaf(self) -> bool:
         return self.kind == "leaf"
 
 
-@dataclass
-class TreeEdge:
-    label: str | None  # state var / member name; None for index edges
-    ordinal: int  # position among this node's kept edges
-    target: TreeNode
+class TreeEdge(Record):
+    __slots__ = ("label", "ordinal", "target")
+
+    def __init__(self, label: str | None, ordinal: int, target: TreeNode):
+        self.label = label  # state var / member name; None for index edges
+        self.ordinal = ordinal  # position among this node's kept edges
+        self.target = target
 
 
-@dataclass
-class StorageTree:
-    target: SolType
-    root: TreeNode
-    default_context: bool = False  # root edge is a synthetic array variable
+class StorageTree(Record):
+    __slots__ = ("target", "root", "default_context")
+
+    def __init__(self, target: SolType, root: TreeNode, default_context: bool = False):
+        self.target = target
+        self.root = root
+        self.default_context = default_context  # root edge is a synthetic array variable
 
     @property
     def is_empty(self) -> bool:

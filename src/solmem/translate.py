@@ -19,7 +19,6 @@ dangling storage pointers while indexing sees a defaulted slot.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import cache, partial
 
 from .errors import IrError, UnsupportedError
@@ -89,6 +88,7 @@ from .storage_tree import (
     default_context_name,
     default_context_tree,
 )
+from .records import Record
 
 ALLOC = "$alloc"
 
@@ -130,22 +130,29 @@ _COPY_NEEDS_UNROLL = (
 _BINOPS = {"+": "+", "-": "-", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "&&": "and", "||": "or"}
 
 
-@dataclass
-class AssertInfo:
-    ordinal: int
-    line: int
-    text: str
+class AssertInfo(Record):
+    __slots__ = ("ordinal", "line", "text")
+
+    def __init__(self, ordinal: int, line: int, text: str):
+        self.ordinal = ordinal
+        self.line = line
+        self.text = text
 
 
-@dataclass
-class TranslatedFunction:
-    name: str
-    program: SmtProgram
-    asserts: list[AssertInfo]
-    # the entry state a counterexample shows, declared name -> source name:
-    # the parameters, and outside a constructor the state variables
-    entry: dict[str, str]
-    is_constructor: bool = False
+class TranslatedFunction(Record):
+    __slots__ = ("name", "program", "asserts", "entry", "is_constructor")
+
+    def __init__(
+        self, name: str, program: SmtProgram, asserts: list[AssertInfo], entry: dict[str, str],
+        is_constructor: bool = False,
+    ):
+        self.name = name
+        self.program = program
+        self.asserts = asserts
+        # the entry state a counterexample shows, declared name -> source name:
+        # the parameters, and outside a constructor the state variables
+        self.entry = entry
+        self.is_constructor = is_constructor
 
 
 class Translator:

@@ -8,12 +8,12 @@ structured report that the CLI renders and the corpus harness consumes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .errors import ParseError, ResolveError, SolmemError, UnsupportedError
 from .ir import SmtProgram
 from .normalize import normalize_lhs
 from .parser import parse_source
+from .records import Record
 from .resolver import resolve_and_check
 from .sol_ast import Contract
 from .smtlib import emit_smtlib
@@ -27,32 +27,47 @@ from .vcgen import vc_gen
 VERDICT_OF = {"unsat": "verified", "sat": "counterexample"}
 
 
-@dataclass
-class AssertResult:
-    line: int
-    text: str
-    verdict: str  # "verified" | "counterexample" | "timeout" | "unknown" | "error"
-    model: dict[str, str] = field(default_factory=dict)
-    detail: str = ""
-    time_seconds: float = 0.0
+class AssertResult(Record):
+    __slots__ = ("line", "text", "verdict", "model", "detail", "time_seconds")
+
+    def __init__(
+        self, line: int, text: str, verdict: str, model: dict[str, str] | None = None, detail: str = "",
+        time_seconds: float = 0.0,
+    ):
+        self.line = line
+        self.text = text
+        self.verdict = verdict  # "verified" | "counterexample" | "timeout" | "unknown" | "error"
+        self.model = {} if model is None else model
+        self.detail = detail
+        self.time_seconds = time_seconds
 
 
-@dataclass
-class FunctionReport:
-    name: str
-    asserts: list[AssertResult] = field(default_factory=list)
-    unsupported: str | None = None
-    smt_scripts: list[str] = field(default_factory=list)
-    program: SmtProgram | None = None  # the translated program
+class FunctionReport(Record):
+    __slots__ = ("name", "asserts", "unsupported", "smt_scripts", "program")
+
+    def __init__(
+        self, name: str, asserts: list[AssertResult] | None = None, unsupported: str | None = None,
+        smt_scripts: list[str] | None = None, program: SmtProgram | None = None,
+    ):
+        self.name = name
+        self.asserts = [] if asserts is None else asserts
+        self.unsupported = unsupported
+        self.smt_scripts = [] if smt_scripts is None else smt_scripts
+        self.program = program  # the translated program
 
 
-@dataclass
-class VerifyReport:
-    functions: list[FunctionReport] = field(default_factory=list)
-    error: str | None = None
-    unsupported: str | None = None
-    warnings: list[str] = field(default_factory=list)
-    contract: Contract | None = None  # the resolved contract, when it resolved
+class VerifyReport(Record):
+    __slots__ = ("functions", "error", "unsupported", "warnings", "contract")
+
+    def __init__(
+        self, functions: list[FunctionReport] | None = None, error: str | None = None,
+        unsupported: str | None = None, warnings: list[str] | None = None, contract: Contract | None = None,
+    ):
+        self.functions = [] if functions is None else functions
+        self.error = error
+        self.unsupported = unsupported
+        self.warnings = [] if warnings is None else warnings
+        self.contract = contract  # the resolved contract, when it resolved
 
     def exit_code(self) -> int:
         """0 all verified, 1 a counterexample, 2 anything else; an `error`

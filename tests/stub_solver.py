@@ -6,12 +6,15 @@ Reads one SMT-LIB script on stdin, appends one line to LOG and prints
 the next answer from the comma-separated ANSWERS: the n-th launch prints
 the n-th answer, and the last one repeats. The answer `model` prints
 `sat` and a model that sets every `declare-const` of sort Int to 0 and
-of sort Bool to false. An answer other than `sat`, `unsat`, `unknown`
-or `model` (say `garbage`) is a verdict the client cannot read.
+of sort Bool to false. The answer `sleep` prints nothing and sleeps for
+a minute, past any timeout a test sets. An answer other than `sat`,
+`unsat`, `unknown`, `model` or `sleep` (say `garbage`) is a verdict the
+client cannot read.
 """
 
 import re
 import sys
+import time
 from pathlib import Path
 
 answers, log = sys.argv[1].split(","), Path(sys.argv[2])
@@ -24,4 +27,7 @@ if answer == "model":
     values = {"Int": "0", "Bool": "false"}
     consts = re.findall(r"\(declare-const (\S+) (Int|Bool)\)", script)
     answer = "sat\n(model" + "".join(f"\n  (define-fun {n} () {s} {values[s]})" for n, s in consts) + ")"
+elif answer == "sleep":
+    time.sleep(60)
+    answer = ""
 print(answer)

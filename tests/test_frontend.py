@@ -16,6 +16,7 @@ from solmem.ireval import eval_ir
 from solmem.lexer import tokenize
 from solmem.oracle import run_constructor
 from solmem.parser import parse_source, parse_statement
+from solmem.records import Record
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
     BOOL,
@@ -494,11 +495,11 @@ def _walk_exprs(node):
 
     if isinstance(node, sa.Expr):
         yield node
-    for field_name in getattr(node, "__dataclass_fields__", {}):
+    for field_name in node._fields:
         value = getattr(node, field_name)
         items = value if isinstance(value, list) else [value]
         for item in items:
-            if hasattr(item, "__dataclass_fields__"):
+            if isinstance(item, Record):
                 yield from _walk_exprs(item)
 
 

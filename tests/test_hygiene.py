@@ -14,7 +14,8 @@ one handler per IR expression class, so a forgotten node is caught here
 and not at run time. No concrete syntax-tree node or type class of
 `sol_ast` or `ir` is subclassed, since the walkers dispatch on a node's
 exact class and interning keys a type by its exact class, and every type
-class is an interned frozen dataclass that compares by identity. The
+class is interned, slotted and compares by identity. No module of the
+package imports `dataclasses`: records are written out (`records`). The
 names the translator invents are spelled only where it invents them. No
 nested function refers to its own name, so that no closure holds itself
 in a reference cycle. Every text that `tests/mutants.py` replaces still
@@ -22,8 +23,10 @@ occurs exactly once in its module.
 """
 
 import ast
+import os
 import re
-from dataclasses import dataclass
+import subprocess
+import sys
 from pathlib import Path
 
 import irsorts
@@ -241,8 +244,13 @@ def test_oracle_imports_nothing_from_the_translator_side():
 
 
 def attribute_uses(tree: ast.AST, attr: str) -> list[int]:
-    """Lines that read or write an attribute named `attr`."""
-    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr)
+    """Lines that read or write an attribute named `attr`, other than a
+    record's own field set as `self.attr = ...`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+        and not (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
 
 
 def test_oracle_reads_no_edge_ordinal():
@@ -251,8 +259,11 @@ def test_oracle_reads_no_edge_ordinal():
 
 
 def test_attribute_check_finds_what_it_looks_for():
-    tree = ast.parse("ordinal = 1\nx = edge.ordinal\ndef f(ordinal): return node.edges[ordinal].label\n")
-    assert attribute_uses(tree, "ordinal") == [2]
+    tree = ast.parse(
+        "ordinal = 1\nx = edge.ordinal\ndef f(ordinal): return node.edges[ordinal].label\n"
+        "class R:\n    def __init__(self, ordinal):\n        self.ordinal = ordinal\n        edge.ordinal = 0\n"
+    )
+    assert attribute_uses(tree, "ordinal") == [2, 7]
     assert attribute_uses(tree, "label") == [3]
 
 
@@ -263,6 +274,23 @@ def test_import_check_finds_what_it_looks_for():
         "from ..translate import x\nfrom dataclasses import field\n"
     )
     assert imported_modules(tree) & TRANSLATOR_SIDE == {"ir", "ssa", "vcgen", "smtlib", "translate"}
+    assert "dataclasses" in imported_modules(tree)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """Records are written out: `@dataclass` generates and compiles each
+    class's methods again at every import."""
+    assert "dataclasses" not in imported_modules(ast.parse(path.read_text()))
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """A one-file `solmem verify` pays for every module `solmem.cli`
+    imports, in a fresh interpreter."""
+    code = "import sys, solmem.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _trees(paths: list[Path]) -> dict[str, ast.Module]:
@@ -357,14 +385,14 @@ def subclassed(classes: list[type], abstract: set[type]) -> list[str]:
 
 
 def uninterned(roots: list[type]) -> list[str]:
-    """The names of the classes at or below `roots` that are not frozen
-    dataclasses of their own, built by `Interned`, with `eq=False`."""
+    """The names of the classes at or below `roots` that are not built by
+    `Interned` with slots of their own, or that define `==` or `hash`."""
     found, stack = [], list(roots)
     while stack:
         cls = stack.pop()
         stack += cls.__subclasses__()
-        params = cls.__dict__.get("__dataclass_params__")
-        if type(cls) is not Interned or params is None or not params.frozen or params.eq:
+        own = vars(cls)
+        if type(cls) is not Interned or "__slots__" not in own or "__eq__" in own or "__hash__" in own:
             found.append(cls.__name__)
     return sorted(found)
 
@@ -383,22 +411,22 @@ def test_class_checks_find_what_they_look_for():
     below = type("Below", (leaf,), {})
     assert subclassed([root, leaf, below], {root}) == ["Leaf"]
 
-    @dataclass(frozen=True, eq=False)
     class Interned_(metaclass=Interned):
-        pass
+        __slots__ = ()
 
-    @dataclass(frozen=True)
     class Structural(Interned_):
+        __slots__ = ()
+
+        def __eq__(self, other):
+            return self is other
+
+    class Unslotted(Interned_):
         pass
 
-    class Undecorated(Interned_):
-        pass
-
-    @dataclass(frozen=True, eq=False)
     class Plain:
-        pass
+        __slots__ = ()
 
-    assert uninterned([Interned_, Plain]) == ["Plain", "Structural", "Undecorated"]
+    assert uninterned([Interned_, Plain]) == ["Plain", "Structural", "Unslotted"]
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

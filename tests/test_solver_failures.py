@@ -75,25 +75,30 @@ def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, caps
     assert _launches(log) == 1
 
 
-def _sleeping_solver(tmp_path: Path) -> str:
-    """A solver that refutes the smoke query and sleeps through any other."""
-    path = tmp_path / "sleeper.py"
-    path.write_text(f"import sys, time\nif sys.stdin.read() == {solver.SMOKE_QUERY!r}:\n"
-                    "    print('unsat')\nelse:\n    time.sleep(60)\n")
-    return shlex.join([sys.executable, str(path)])
-
-
 def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys):
     """A timeout says nothing of the program, like a solver error: every
-    command exits 2, and fuzz counts it with the solver errors."""
+    command exits 2, and fuzz counts it with the solver errors. The stub
+    refutes the smoke query and sleeps through every other."""
     corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
     test = _write(corpus, "storage", "a.sol", HOLDS)
-    sleeper = ["--solver-cmd", _sleeping_solver(tmp_path), "--timeout", "0.5"]
+    sleeper = ["--solver-cmd", _stub("unsat,sleep", tmp_path / "log"), "--timeout", "0.5"]
     assert main(["verify", str(test), *sleeper]) == 2
     assert main(["corpus", str(corpus), *sleeper]) == 2
     assert main(["fuzz", "--count", "2", "--budget", "4", "--jobs", "2", *sleeper, "--json", str(report)]) == 2
-    assert "0 disagreements, 2 solver errors or timeouts" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0 disagreements, 2 solver errors or timeouts" in out
+    assert re.search(r"^    a\.sol: timeout: constructor:1: no answer within 0\.5 s \(", out, re.M)
     assert [s["observed"] for s in json.loads(report.read_text())["seeds"]] == ["timeout", "timeout"]
+
+
+def test_a_timeout_names_its_limit_and_the_query_size(tmp_path, capsys):
+    script = "(check-sat)\n" * 100
+    verdict = solver.query(script, timeout_seconds=0.5, solver_cmd=_stub("unsat,sleep", tmp_path / "log"))
+    assert (verdict.kind, verdict.detail) == ("timeout", "no answer within 0.5 s (1,200 B query)")
+    sleeper = ["--solver-cmd", _stub("unsat,sleep", tmp_path / "log2"), "--timeout", "0.5"]
+    assert main(["fuzz", "--count", "1", "--budget", "4", *sleeper]) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"seed 0: timeout: constructor:\d+: no answer within 0\.5 s \([\d,]+ B query\)", out)
 
 
 def test_always_unsat_solver_grades_against_expectations(tmp_path):

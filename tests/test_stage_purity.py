@@ -6,18 +6,23 @@ checks that none does. Every stage after translation runs on the
 corpus, the shared test contracts, generated programs and one long
 benchmark-shaped constructor, and the input program's text must be the
 same afterwards. The nodes must also be unhashable, so that no memo can
-key a node by value: memos key by `id()` and hold the node.
+key a node by value: memos key by `id()` and hold the node. So must
+every other mutable record of the package, and every record and type
+class is slotted.
 """
 
+import importlib
+import pkgutil
 import random
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import solmem
 import sources
-from solmem import ir
+from solmem import ir, oracle, sol_ast
+from solmem.records import Record, Value
 from test_invariants import frame_formula
 from solmem.generator import random_program
 from solmem.ireval import eval_ir
@@ -82,11 +87,32 @@ NODE_CLASSES = [
 ]
 
 
+def below(roots: list[type]) -> list[type]:
+    """`roots` and every class below them."""
+    found, stack = [], list(roots)
+    while stack:
+        found.append(stack.pop())
+        stack += found[-1].__subclasses__()
+    return found
+
+
 def test_nodes_are_slotted_and_unhashable():
     assert {ir.IrExpr, ir.IrStmt, ir.BinOp, ir.Assign} <= set(NODE_CLASSES)
     for cls in NODE_CLASSES:
         assert "__slots__" in vars(cls), cls.__name__
-        node = cls(*[None] * len(fields(cls)))
+        node = cls(*[None] * len(cls._fields))
         assert not hasattr(node, "__dict__"), cls.__name__
         with pytest.raises(TypeError):
             hash(node)
+    for module in pkgutil.iter_modules(solmem.__path__):
+        importlib.import_module(f"solmem.{module.name}")
+    records = [c for c in below([Record]) if c.__module__.startswith("solmem.")]
+    types = below([sol_ast.SolType, ir.IrType, ir.DatatypeDef])
+    assert {sol_ast.IdentExpr, sol_ast.Contract, ir.SmtProgram, oracle.Struct, oracle.MemRef} <= set(records)
+    for cls in records + types:
+        assert "__slots__" in vars(cls), cls.__name__
+        assert not hasattr(object.__new__(cls), "__dict__"), cls.__name__
+    for cls in records:
+        if not issubclass(cls, Value):
+            with pytest.raises(TypeError):
+                hash(object.__new__(cls))
