@@ -516,19 +516,20 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
         return value
     if loc == Loc.STORPTR:
         # an access path follows the storage tree from its root to a leaf:
-        # an edge label at a contract or struct node, an integer index at
-        # an array or mapping node
-        tree = build_storage_tree(machine.contract, ty)
-        if tree.is_empty:
-            tree = default_context_tree(ty)
-        node = tree.root
+        # an edge label at the root or a struct node, an integer index at
+        # an array or mapping node; when the contract stores no `ty`, the
+        # path starts in its default context
+        node = build_storage_tree(machine.contract, ty)
+        in_context = not node.edges
+        if in_context:
+            node = default_context_tree(ty)
         for step in value if isinstance(value, list) else ():
             node = next((e.target for e in node.edges if (type(step) is int if e.label is None else step == e.label)), None)
             if node is None:
                 break
-        if node is None or not node.is_leaf:
+        if node is None or node.edges:
             raise ArgumentError(f"argument {name}: expected an access path to {ty}, got {value!r}")
-        if tree.default_context:
+        if in_context:
             machine.storage.setdefault(value[0], Mapping(INT, ty))
         return StorPath(tuple(value))
     if isinstance(ty, (DynArrayType, FixArrayType)):

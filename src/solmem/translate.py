@@ -81,12 +81,13 @@ from .sol_ast import (
     part_loc,
 )
 from .storage_tree import (
-    StorageTree,
     TreeEdge,
     TreeNode,
+    add_default_context,
     build_storage_tree,
     default_context_name,
     default_context_tree,
+    subtree,
 )
 from .records import Record
 
@@ -94,8 +95,8 @@ ALLOC = "$alloc"
 
 # the (node, edge) pairs taken from a storage tree's root
 Edges = tuple[tuple[TreeNode, TreeEdge], ...]
-# one step of an access path: ("label", member name) or ("index", translated index)
-Step = tuple[str, object]
+# one step of an access path: a member name or a translated index
+Step = str | IrExpr
 
 
 @cache
@@ -112,7 +113,7 @@ def _names(ty: SolType) -> tuple[str, str, str]:
 
 def _unpack_below(ptr: IrExpr, leaf: Callable[[Edges], IrExpr], node: TreeNode, edges: Edges) -> IrExpr:
     """`Translator.unpack` below `node`, reached through `edges`."""
-    if node.is_leaf:
+    if not node.edges:
         return leaf(edges)
     last = node.edges[-1]
     result = _unpack_below(ptr, leaf, last.target, edges + ((node, last),))
@@ -173,7 +174,9 @@ class Translator:
         self.types: dict[tuple[SolType, Loc], IrType] = {}
         self.stmts: list[ir.IrStmt] = self.program.stmts
         self.fresh_counter = 0
-        self.trees: dict[SolType, StorageTree] = {}
+        self.trees: dict[SolType, TreeNode] = {}
+        # storage-pointer parameter types the contract does not store
+        self.contexts: list[SolType] = []
         self.asserts: list[AssertInfo] = []
         self.program.declare(ALLOC, ir.INT)
 
@@ -253,18 +256,29 @@ class Translator:
     # ------------------------------------------------------------------
     # storage trees, pack, unpack
 
-    def tree_for(self, target: SolType) -> StorageTree:
-        tree = self.trees.get(target)
-        if tree is None:
-            tree = build_storage_tree(self.contract, target)
-            if tree.is_empty:
-                tree = default_context_tree(target)
+    def tree_for(self, target: SolType) -> TreeNode:
+        """Storage tree of pointers to `target` in this function: the
+        state variables' tree, or the default context of `target` when it
+        is a parameter type the contract does not store; then one root
+        edge into each other such context whose entities reach `target`,
+        in parameter order."""
+        root = self.trees.get(target)
+        if root is None:
+            root, contexts = build_storage_tree(self.contract, target), []
+            if target in self.contexts:
+                root, contexts = default_context_tree(target), [target]
+            for context in self.contexts:
+                sub = None if context == target else subtree(self.contract, target, context)
+                if sub is not None:
+                    add_default_context(root, context, sub)
+                    contexts.append(context)
+            for context in contexts:
                 self.program.declare(
-                    default_context_name(target),
-                    ArrayType(ir.INT, self.map_type(target, Loc.STORAGE)),
+                    default_context_name(context),
+                    ArrayType(ir.INT, self.map_type(context, Loc.STORAGE)),
                 )
-            self.trees[target] = tree
-        return tree
+            self.trees[target] = root
+        return root
 
     def pack(self, expr: Expr, target: SolType | None = None, suffix: Sequence[Step] = ()) -> IrExpr:
         """Path array uniquely identifying the storage entity `expr`
@@ -285,79 +299,66 @@ class Translator:
         if not isinstance(root, IdentExpr):
             raise IrError(f"cannot pack non-lvalue {expr_to_source(expr)}")
         if root.decl_kind == "state":
-            tree = self.tree_for(target)
-            if tree.default_context:
-                raise IrError("state-variable path cannot live in a default context")
-            return self._path(tree.root, [("label", root.name)] + steps, None)
+            return self._path(self.tree_for(target), [root.name] + steps)
         if root.loc == Loc.STORPTR:
-            return self._repack(root, steps, target, expr.line)
+            return self._repack(root, steps, target)
         raise IrError(f"cannot pack {expr_to_source(expr)}")
 
     def _steps(self, chain: list[Expr]) -> list[Step]:
-        """One ("label", name) or ("index", translated index) per member or
-        index access; the indexes are translated once, in source order."""
-        return [
-            ("label", step.member) if isinstance(step, MemberExpr) else ("index", self.expr(step.index))
-            for step in chain
-        ]
+        """The member name or the translated index of each access, the
+        indexes translated once, in source order; a bool mapping key is
+        encoded as 0/1."""
+        steps: list[Step] = []
+        for step in chain:
+            if type(step) is MemberExpr:
+                steps.append(step.member)
+            elif type(step.base.ty) is MappingType and step.base.ty.key == BOOL:
+                steps.append(Ite(self.expr(step.index), IntLit(1), IntLit(0)))
+            else:
+                steps.append(self.expr(step.index))
+        return steps
 
-    def _path(self, node: TreeNode, steps: list[Step], ptr: IrExpr | None) -> IrExpr:
+    def _path(self, node: TreeNode, steps: list[Step]) -> IrExpr:
         """Path array of `steps` taken from `node`: the edge ordinal at a
-        label, the index at an index step (translated bool mapping keys as
-        0/1). An index step without an index copies `ptr`'s element at its
-        depth, which is already encoded."""
+        member name, the encoded index at an index."""
         result: IrExpr = ConstArray(ir.INT, ir.INT, IntLit(0))
-        for depth, (kind, payload) in enumerate(steps):
-            if kind == "label":
-                edge = next((e for e in node.edges if e.label == payload), None)
+        for depth, step in enumerate(steps):
+            if type(step) is str:
+                edge = next((e for e in node.edges if e.label == step), None)
                 if edge is None:
-                    raise IrError(f"storage tree has no edge labeled {payload}")
-                value: IrExpr = IntLit(edge.ordinal)
+                    raise IrError(f"storage tree has no edge labeled {step}")
+                step = IntLit(edge.ordinal)
             else:
                 edge = node.edges[0]
-                if payload is None:
-                    value = ArrayRead(ptr, IntLit(depth))
-                elif isinstance(node.ty, MappingType) and node.ty.key == BOOL:
-                    value = Ite(payload, IntLit(1), IntLit(0))
-                else:
-                    value = payload
-            result = ArrayWrite(result, IntLit(depth), value)
+            result = ArrayWrite(result, IntLit(depth), step)
             node = edge.target
-        if not node.is_leaf:
+        if node.edges:
             raise IrError("packed path does not reach a leaf")
         return result
 
-    def _repack(self, root: IdentExpr, suffix: list[Step], target: SolType, line: int) -> IrExpr:
+    def _repack(self, root: IdentExpr, suffix: list[Step], target: SolType) -> IrExpr:
         """Rebase a pointer-rooted lvalue (e.g. p.member[i]) into a path
         for the composite's own type through unpack's conditional: at each
         leaf the pointer may reach, re-encode the edges taken in the
         target tree and append the suffix steps at the leaf's depth. As
         in unpack, an element that matches no edge takes the last edge."""
-        if self.tree_for(root.ty).default_context:
-            raise UnsupportedError(
-                "unsupported: storage pointer access through a default context "
-                "cannot be re-packed",
-                line,
-            )
         target_tree = self.tree_for(target)
-        if target_tree.default_context:
-            raise IrError("target tree empty while source tree is not")
         ptr = self.expr(root)
 
         def leaf(edges: Edges) -> IrExpr:
-            steps = [("label", e.label) if e.label is not None else ("index", None) for _, e in edges]
-            return self._path(target_tree.root, steps + suffix, ptr)
+            steps = [e.label if e.label is not None else ArrayRead(ptr, IntLit(d)) for d, (_, e) in enumerate(edges)]
+            return self._path(target_tree, steps + suffix)
 
         return self.unpack(ptr, root.ty, leaf)
 
     def unpack(self, ptr: IrExpr, target: SolType, leaf: Callable[[Edges], IrExpr] | None = None) -> IrExpr:
         """Conditional over the storage tree's leaves decoding a pointer.
-        At a contract or struct node the path element selects the edge
+        At the root or a struct node the path element selects the edge
         with that ordinal, and an element that matches no edge takes the
         last edge, the unguarded fall-through; arrays and mappings index
         by it. A leaf yields the storage entity it reaches, or
         `leaf(edges)` for the (node, edge) pairs taken to it."""
-        return _unpack_below(ptr, leaf or partial(self._entity, ptr), self.tree_for(target).root, ())
+        return _unpack_below(ptr, leaf or partial(self._entity, ptr), self.tree_for(target), ())
 
     def _entity(self, ptr: IrExpr, edges: Edges) -> IrExpr:
         """Storage entity at the end of `edges`: arrays read their backing
@@ -366,7 +367,7 @@ class Translator:
         (_, first), *rest = edges
         entity: IrExpr = Ident(first.label)
         for depth, (node, edge) in enumerate(rest, 1):
-            if node.kind == "struct":
+            if type(node.ty) is StructType:
                 entity = Select(entity, edge.label, self._datatype_at(node.ty, Loc.STORAGE))
                 continue
             idx: IrExpr = ArrayRead(ptr, IntLit(depth))
@@ -762,6 +763,12 @@ class Translator:
                 self._assume_memory_pointer(part_ty, part)
 
     def translate_function(self, fn: Function) -> TranslatedFunction:
+        # a pointer parameter of a type the contract does not store points
+        # into that type's default context, a storage root of its own
+        self.contexts = list(dict.fromkeys(
+            p.ty for p in fn.params
+            if p.loc == Loc.STORPTR and not build_storage_tree(self.contract, p.ty).edges
+        ))
         for v in self.contract.state_vars:
             self.program.declare(v.name, self.map_type(v.ty, part_loc(v.ty, Loc.STORAGE)))
         for p in fn.params + fn.returns:

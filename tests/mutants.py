@@ -153,6 +153,12 @@ MUTANTS = (
         "slots = {}",
         "a fresh memory array stores every in-range slot, since only a storage slot reads as a default",
     ),
+    Mutant(
+        "M17", "src/solmem/translate.py",
+        "for context in self.contexts:",
+        "for context in [c for c in self.contexts if c == target]:",
+        "a storage tree has an edge into every default context the function binds whose entities reach its target",
+    ),
 )
 
 # Tests that fail on any change to what they pin, right or wrong: golden

@@ -31,9 +31,10 @@ DIGEST = "9631fa423a836277b2151ba4503a4edd0033cf31e0b02a7728d57082c0cdb42a"
 def zero_arg(contract, ty, loc):
     """JSON-ish zero value of a parameter type, as `exec_function` takes."""
     if loc == Loc.STORPTR:
-        tree = build_storage_tree(contract, ty)
-        node, path = (default_context_tree(ty) if tree.is_empty else tree).root, []
-        while not node.is_leaf:
+        node, path = build_storage_tree(contract, ty), []
+        if not node.edges:
+            node = default_context_tree(ty)
+        while node.edges:
             edge = node.edges[0]
             path.append(0 if edge.label is None else edge.label)
             node = edge.target

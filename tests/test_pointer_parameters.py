@@ -4,7 +4,7 @@ a concrete path, must fail the same assert and leave the same storage
 as the reference interpreter given the access path that path encodes.
 Every access path over the contract's storage is tried, with the index
 values {-1, 0, 1, 2}. Only the IR side sees the encoding: each path is
-encoded with the translator's storage tree.
+encoded with the storage tree the translator built for the function.
 
 An encoded path can also hold an element that matches no edge, which no
 access path spells. At a contract or struct node such an element takes
@@ -22,7 +22,6 @@ from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import Loc, StructType
 from solmem.ssa import to_ssa
-from solmem.storage_tree import build_storage_tree, default_context_tree
 from solmem.translate import Translator, translate_function
 
 INDEXES = (-1, 0, 1, 2)
@@ -80,24 +79,64 @@ contract C {
 }
 """
 
+# no storage of S: `p.t` re-packs into the tree of T, whose root has an
+# edge into the default context of S next to `ts`
+DEFAULT_CONTEXT_REPACK = """
+contract C {
+    struct T { int z; }
+    struct S { int x; T t; }
+    T[] ts;
+    function f(S storage p) {
+        T storage q = p.t;
+        q.z = 2;
+        assert(p.t.z == 2);
+        assert(q.z == 2);
+    }
+}
+"""
+
+# no storage of U or S, and only U is a parameter type: `s` points into
+# the default context of U, and re-packs from there into the tree of T
+NESTED_DEFAULT_CONTEXT = """
+contract C {
+    struct T { int z; }
+    struct S { int x; T t; }
+    struct U { S s; S[] ss; }
+    T[] ts;
+    function f(U storage u) {
+        S storage s = u.ss[1];
+        T storage q = s.t;
+        q.z = 3;
+        s.x = q.z + 1;
+        assert(s.t.z == 3);
+        assert(u.ss[1].x == 4);
+        ts.push(q);
+        assert(ts[0].z == 3);
+    }
+}
+"""
+
 CASES = {
     "nested_structs": (NESTED_STRUCTS, lambda path: [path]),
     "array_then_struct": (ARRAY_THEN_STRUCT, lambda path: [path]),
     "bool_mapping": (BOOL_MAPPING, lambda path: [path]),
     "default_context": (DEFAULT_CONTEXT, lambda path: [path, path[:1] + [1]]),
+    "default_context_repack": (DEFAULT_CONTEXT_REPACK, lambda path: [path]),
+    "nested_default_context": (NESTED_DEFAULT_CONTEXT, lambda path: [path]),
 }
 
 
-def pointer_tree(contract, ty):
-    """The translator's storage tree for pointers to `ty`."""
-    tree = build_storage_tree(contract, ty)
-    return default_context_tree(ty) if tree.is_empty else tree
+def pointer_tree(contract, fn, ty):
+    """The storage tree the translator uses in `fn` for pointers to `ty`."""
+    tr = Translator(contract)
+    tr.translate_function(fn)
+    return tr.tree_for(ty)
 
 
 def access_paths(node):
-    """Every root-to-leaf access path below `node`: an edge label at a
-    contract or struct node, each of INDEXES at an array or mapping node."""
-    if node.is_leaf:
+    """Every root-to-leaf access path below `node`: an edge label at the
+    root or a struct node, each of INDEXES at an array or mapping node."""
+    if not node.edges:
         yield []
         return
     for edge in node.edges:
@@ -114,17 +153,17 @@ def encode(node, path) -> VArray:
         edge = node.edges[0] if node.edges[0].label is None else next(e for e in node.edges if e.label == key)
         encoded[depth] = key if edge.label is None else edge.ordinal
         node = edge.target
-    assert node.is_leaf
+    assert not node.edges
     return VArray(0, encoded)
 
 
 def test_access_paths_cover_every_leaf():
     contract = resolve_and_check(parse_source(ARRAY_THEN_STRUCT))
-    tree = pointer_tree(contract, StructType("T"))
-    paths = list(access_paths(tree.root))
+    tree = pointer_tree(contract, contract.function("f"), StructType("T"))
+    paths = list(access_paths(tree))
     assert paths[:3] == [["t0"], ["ss", -1, "a"], ["ss", -1, "b"]]
     assert len(paths) == 1 + 2 * len(INDEXES)
-    assert encode(tree.root, ["ss", 2, "b"]) == VArray(0, {0: 1, 1: 2, 2: 1})
+    assert encode(tree, ["ss", 2, "b"]) == VArray(0, {0: 1, 1: 2, 2: 1})
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -133,11 +172,11 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
     contract = resolve_and_check(parse_source(source))
     fn = contract.function("f")
     ssa = to_ssa(normalize_lhs(translate_function(contract, fn).program))
-    tree = pointer_tree(contract, fn.params[0].ty)
-    for path in access_paths(tree.root):
+    trees = [pointer_tree(contract, fn, p.ty) for p in fn.params]
+    for path in access_paths(trees[0]):
         args = args_of(path)
         oracle = exec_function(contract, "f", args)
-        env = {p.name: encode(pointer_tree(contract, p.ty).root, a) for p, a in zip(fn.params, args)}
+        env = {p.name: encode(tree, a) for p, tree, a in zip(fn.params, trees, args)}
         ran = eval_ir(ssa.program, env)
         assert ran.status != "assume-violated", path
         ir_failed = ran.failed_index if ran.status == "assert-failed" else None

@@ -30,7 +30,7 @@ T = ir.BoolLit(True)
 DT = ir.DatatypeDef("D", (("m", ir.INT),))
 SX, S1 = sa.IdentExpr("x"), sa.IntLitExpr(1)
 AT = {"line": 1, "col": 2, "ty": sa.INT, "loc": sa.Loc.VALUE}
-LEAF = storage_tree.TreeNode("leaf", sa.INT, [])
+LEAF = storage_tree.TreeNode(sa.INT, [])
 
 # class -> its fields in order. `~` marks a field that `==` ignores, `!`
 # one that `repr` leaves out.
@@ -96,9 +96,8 @@ FIELDS = {
     ir.Assert: "cond",
     ir.SmtProgram: "datatypes decls stmts conjuncts~! printed~! header~!",
     # stages, interpreters and reports
-    storage_tree.TreeNode: "kind ty edges",
+    storage_tree.TreeNode: "ty edges",
     storage_tree.TreeEdge: "label ordinal target",
-    storage_tree.StorageTree: "target root default_context",
     translate.AssertInfo: "ordinal line text",
     translate.TranslatedFunction: "name program asserts entry is_constructor",
     ssa.SsaResult: "program final_versions",
@@ -271,18 +270,13 @@ INSTANCES = [
         "decls={'x': IntType()}, stmts=[Assert(cond=BoolLit(value=True))])",
     ),
     (
-        lambda: storage_tree.TreeNode("struct", sa.StructType("S"), [storage_tree.TreeEdge("m", 0, LEAF)]),
-        "TreeNode(kind='struct', ty=StructType(name='S'), edges=[TreeEdge(label='m', ordinal=0, "
-        "target=TreeNode(kind='leaf', ty=ValueType(kind='int'), edges=[]))])",
+        lambda: storage_tree.TreeNode(sa.StructType("S"), [storage_tree.TreeEdge("m", 0, LEAF)]),
+        "TreeNode(ty=StructType(name='S'), edges=[TreeEdge(label='m', ordinal=0, "
+        "target=TreeNode(ty=ValueType(kind='int'), edges=[]))])",
     ),
     (
         lambda: storage_tree.TreeEdge(None, 1, LEAF),
-        "TreeEdge(label=None, ordinal=1, target=TreeNode(kind='leaf', ty=ValueType(kind='int'), edges=[]))",
-    ),
-    (
-        lambda: storage_tree.StorageTree(sa.INT, LEAF, True),
-        "StorageTree(target=ValueType(kind='int'), root=TreeNode(kind='leaf', ty=ValueType(kind='int'), edges=[]), "
-        "default_context=True)",
+        "TreeEdge(label=None, ordinal=1, target=TreeNode(ty=ValueType(kind='int'), edges=[]))",
     ),
     (lambda: translate.AssertInfo(0, 4, "x == 1"), "AssertInfo(ordinal=0, line=4, text='x == 1')"),
     (
@@ -357,11 +351,12 @@ INSTANCES = [
         "Contract(name='C', structs=[], state_vars=[], constructor=None, functions=[], warnings=[], resolved=False)",
     ),
     (lambda: ir.SmtProgram(), "SmtProgram(datatypes={}, decls={}, stmts=[])"),
-    (lambda: storage_tree.TreeNode("leaf"), "TreeNode(kind='leaf', ty=None, edges=[])"),
+    (lambda: storage_tree.TreeNode(None), "TreeNode(ty=None, edges=[])"),
     (
-        lambda: storage_tree.StorageTree(sa.INT, LEAF),
-        "StorageTree(target=ValueType(kind='int'), root=TreeNode(kind='leaf', ty=ValueType(kind='int'), edges=[]), "
-        "default_context=False)",
+        lambda: storage_tree.default_context_tree(sa.INT),
+        "TreeNode(ty=None, edges=[TreeEdge(label='defaultctx$int', ordinal=0, target=TreeNode("
+        "ty=MappingType(key=ValueType(kind='int'), value=ValueType(kind='int')), edges=[TreeEdge(label=None, "
+        "ordinal=0, target=TreeNode(ty=ValueType(kind='int'), edges=[]))]))])",
     ),
     (
         lambda: translate.TranslatedFunction("f", "p", [], {}),

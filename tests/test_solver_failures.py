@@ -205,15 +205,13 @@ def test_solver_past_its_timeout_is_killed_and_reaped():
 
 
 def test_timed_out_solver_is_killed_with_its_children(tmp_path):
+    # a shell, not an interpreter, starts the child, so that writing its
+    # pid takes a few milliseconds of the timed window on a loaded host
     pid_file = tmp_path / "child.pid"
-    spawner = (
-        "import subprocess, sys, time; "
-        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)']); "
-        f"open({str(pid_file)!r}, 'w').write(str(child.pid)); time.sleep(60)"
-    )
+    spawner = f"sleep 60 & echo $! > {shlex.quote(str(pid_file))}; wait"
     timeout = 2.0
     start = time.monotonic()
-    verdict = solver.check("(check-sat)\n", timeout, solver_cmd=shlex.join([sys.executable, "-c", spawner]))
+    verdict = solver.check("(check-sat)\n", timeout, solver_cmd=shlex.join(["sh", "-c", spawner]))
     assert verdict.kind == "timeout"
     assert time.monotonic() - start < timeout + 1
     stat = Path(f"/proc/{pid_file.read_text()}/stat")

@@ -5,34 +5,39 @@
 
 The tree for T has five leaves (t1, s1.t, s1.ts[i], ss[i].t,
 ss[i].ts[i]); t1 packs to [0], s1.t to [1,0], ss[8].ts[5] to [2,8,1,5];
-unpacking decodes a pointer back into the matching conditional.
+unpacking decodes a pointer back into the matching conditional. Over
+every pinned program, every tree has the shape the encoding relies on.
 """
 
 
 from sources import POINTER_CONTRACT
 from solmem import ir
+from solmem.errors import SolmemError
 from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, eval_ir
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.smtlib import expr_to_sexpr
-from solmem.sol_ast import INT, StructType
-from solmem.storage_tree import StorageTree, TreeNode, build_storage_tree, default_context_tree
+from solmem.sol_ast import INT, DynArrayType, FixArrayType, MappingType, StructType, is_reference_type
+from solmem.storage_tree import TreeNode, build_storage_tree, default_context_tree
 from solmem.translate import Translator
+from test_pointer_parameters import CASES
+from test_translate_golden import inputs
 
 
-def leaf_paths(tree: StorageTree) -> list[list[str]]:
+def leaf_paths(root: TreeNode) -> list[list[str]]:
     """Readable root-to-leaf paths; index edges read `[i]`."""
     out: list[list[str]] = []
 
     def walk(node: TreeNode, prefix: list[str]) -> None:
-        if node.is_leaf:
+        if not node.edges:
             out.append(prefix)
             return
         for e in node.edges:
             walk(e.target, prefix + [e.label if e.label is not None else "[i]"])
 
-    walk(tree.root, [])
+    if root.edges:
+        walk(root, [])
     return out
 
 
@@ -67,7 +72,7 @@ def test_tree_for_t_has_five_leaves():
         ["ss", "[i]", "ts", "[i]"],
     ]
     # edges are numbered consecutively after filtering
-    assert [(e.label, e.ordinal) for e in tree.root.edges] == [
+    assert [(e.label, e.ordinal) for e in tree.edges] == [
         ("t1", 0),
         ("s1", 1),
         ("ss", 2),
@@ -78,21 +83,22 @@ def test_tree_for_s_filters_and_renumbers():
     c = pointer_contract()
     tree = build_storage_tree(c, StructType("S"))
     assert leaf_paths(tree) == [["s1"], ["ss", "[i]"]]
-    assert [(e.label, e.ordinal) for e in tree.root.edges] == [("s1", 0), ("ss", 1)]
+    assert [(e.label, e.ordinal) for e in tree.edges] == [("s1", 0), ("ss", 1)]
 
 
 def test_empty_tree_is_legal():
     c = resolve_and_check(parse_source("contract C { struct T { int z; } int x; }"))
     tree = build_storage_tree(c, StructType("T"))
-    assert tree.is_empty
+    assert tree.ty is None and not tree.edges
     assert len(leaf_paths(tree)) == 0
 
 
 def test_default_context_tree_shape():
     tree = default_context_tree(StructType("T"))
-    assert tree.default_context
     assert len(leaf_paths(tree)) == 1
-    assert tree.root.edges[0].label == "defaultctx$T"
+    (edge,) = tree.edges
+    assert (edge.label, edge.ordinal, edge.target.ty) == ("defaultctx$T", 0, MappingType(INT, StructType("T")))
+    assert edge.target.edges[0].target == TreeNode(StructType("T"))
 
 
 def test_pack_goldens():
@@ -203,3 +209,68 @@ def test_repack_through_pointer():
     env2 = {p_name: VArray(0, {0: 0})}  # p = s1
     out2 = eval_ir(prog, env2).env["out~"]
     assert [out2.read(k) for k in range(2)] == [1, 0]  # s1.t in tree(T)
+
+
+def held_types(contract):
+    """Every reference type the state variables and the structs hold."""
+    seen = {}
+
+    def walk(ty):
+        if not is_reference_type(ty) or ty in seen:
+            return
+        seen[ty] = None
+        if isinstance(ty, StructType):
+            for m in contract.struct(ty.name).members:
+                walk(m.ty)
+        else:
+            walk(ty.value if isinstance(ty, MappingType) else ty.base)
+
+    for ty in [v.ty for v in contract.state_vars] + [StructType(sd.name) for sd in contract.structs]:
+        walk(ty)
+    return list(seen)
+
+
+def shape_faults(node: TreeNode, target) -> list[str]:
+    """How the tree below `node` breaks the encoding's rules: edges of the
+    root and struct nodes are labelled and numbered 0, 1, ... in order;
+    array and mapping nodes have exactly one unlabelled edge; a leaf is an
+    entity of the target type."""
+    if not node.edges:
+        return [] if node.ty == target else [f"leaf of type {node.ty}"]
+    if isinstance(node.ty, (DynArrayType, FixArrayType, MappingType)):
+        faults = [] if [e.label for e in node.edges] == [None] else [f"{node.ty} edges {node.edges}"]
+    elif node.ty is None or isinstance(node.ty, StructType):
+        labelled = [e.label is not None for e in node.edges]
+        ordinals = [e.ordinal for e in node.edges]
+        faults = [] if all(labelled) and ordinals == list(range(len(ordinals))) else [f"{node.ty} edges {node.edges}"]
+    else:
+        faults = [f"inner node of type {node.ty}"]
+    return faults + [f for e in node.edges for f in shape_faults(e.target, target)]
+
+
+def test_every_tree_of_the_pinned_programs_has_the_encodings_shape():
+    """The state-variable and default-context trees of every type a
+    contract holds, and every tree the translator builds for a function,
+    default contexts included, over the corpus, the shared test sources,
+    fuzz seeds 0-49 and the pointer-parameter cases."""
+    checked = 0
+    for name, source in [*inputs(), *((name, source) for name, (source, _) in CASES.items())]:
+        try:
+            contract = resolve_and_check(parse_source(source))
+        except SolmemError:
+            continue
+        trees = [(ty, build_storage_tree(contract, ty)) for ty in held_types(contract)]
+        trees += [(ty, default_context_tree(ty)) for ty in held_types(contract)]
+        for fn in contract.all_functions():
+            tr = Translator(contract)
+            try:
+                tr.translate_function(fn)
+            except SolmemError:
+                pass
+            trees += tr.trees.items()
+        for ty, root in trees:
+            # a root without edges is the tree of a type the contract does not store
+            assert root.ty is None, (name, ty)
+            assert not root.edges or shape_faults(root, ty) == [], (name, ty)
+            checked += bool(root.edges)
+    assert checked > 800
