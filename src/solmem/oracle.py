@@ -16,9 +16,9 @@ the access path of its lvalue (`Machine.pack_path`), storing the
 defaults on its way (`Machine.slot`). A local storage pointer is a
 `StorPath`: the root it starts from followed by the member names and
 index values taken from it, dereferenced against the current storage.
-A pointer argument is such an access path too; the storage trees only
-check, when it is bound, that it leads from a root to an entity of the
-parameter's type. Deep copies build fresh trees or heap objects exactly
+A pointer argument is such an access path too; when it is bound, a walk
+over the declared types checks that it leads from a root to an entity of
+the parameter's type. Deep copies build fresh trees or heap objects exactly
 where the translation does.
 
 Semantics deliberately mirror the SMT encoding rather than the EVM:
@@ -39,7 +39,6 @@ from .gcpause import gc_paused
 from .records import Record, Value
 from .sol_ast import (
     BOOL,
-    INT,
     AssertStmt,
     AssignStmt,
     BinExpr,
@@ -501,11 +500,11 @@ def init_storage(machine: Machine) -> None:
         machine.storage[v.name] = machine.default(v.ty, part_loc(v.ty, Loc.STORAGE))
 
 
-def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
+def _bind_arg(machine: Machine, roots: dict[str, SolType], name: str, ty: SolType, loc: Loc, value) -> Any:
     """JSON argument into a runtime value, checked against its type: an
-    integer or a boolean for a value type, an access path for a storage
-    pointer, a list for a memory array and an object with exactly the
-    members for a memory struct."""
+    integer or a boolean for a value type, an access path from one of
+    `roots` (name -> type) for a storage pointer, a list for a memory
+    array and an object with exactly the members for a memory struct."""
 
     def fail():
         return ArgumentError(f"argument {name}: expected {ty}, got {value!r}")
@@ -515,32 +514,31 @@ def _bind_arg(machine: Machine, name: str, ty: SolType, loc: Loc, value) -> Any:
             raise fail()
         return value
     if loc == Loc.STORPTR:
-        # an access path follows the storage tree from its root to a leaf:
-        # an edge label at the root or a struct node, an integer index at
-        # an array or mapping node; when the contract stores no `ty`, the
-        # path starts in its default context
-        node = build_storage_tree(machine.contract, ty)
-        in_context = not node.edges
-        if in_context:
-            node = default_context_tree(ty)
-        for step in value if isinstance(value, list) else ():
-            node = next((e.target for e in node.edges if (type(step) is int if e.label is None else step == e.label)), None)
-            if node is None:
-                break
-        if node is None or node.edges:
+        # an access path is a root, then a member name at each struct and
+        # an integer at each array or mapping, ending at an entity of `ty`
+        root, *steps = value if isinstance(value, list) and value else [None]
+        at = roots.get(root) if type(root) is str else None
+        for step in steps:
+            if type(at) is StructType:
+                at = next((m.ty for m in machine.members(at) if m.name == step), None)
+            elif isinstance(at, (DynArrayType, FixArrayType, MappingType)) and type(step) is int:
+                at = at.value if type(at) is MappingType else at.base
+            else:
+                at = None
+        if at != ty:
             raise ArgumentError(f"argument {name}: expected an access path to {ty}, got {value!r}")
-        if in_context:
-            machine.storage.setdefault(value[0], Mapping(INT, ty))
+        if root not in machine.storage:
+            machine.storage[root] = machine.default(roots[root], Loc.STORAGE)
         return StorPath(tuple(value))
     if isinstance(ty, (DynArrayType, FixArrayType)):
         if not isinstance(value, list) or (isinstance(ty, FixArrayType) and len(value) != ty.size):
             raise fail()
-        slots = {i: _bind_arg(machine, name, ty.base, Loc.MEMORY, v) for i, v in enumerate(value)}
+        slots = {i: _bind_arg(machine, roots, name, ty.base, Loc.MEMORY, v) for i, v in enumerate(value)}
         return machine.allocate(Array(ty.base, slots, len(slots)))
     members = machine.members(ty)
     if not isinstance(value, dict) or set(value) != {m.name for m in members}:
         raise fail()
-    bound = {m.name: _bind_arg(machine, name, m.ty, Loc.MEMORY, value[m.name]) for m in members}
+    bound = {m.name: _bind_arg(machine, roots, name, m.ty, Loc.MEMORY, value[m.name]) for m in members}
     return machine.allocate(Struct(ty.name, bound))
 
 
@@ -564,8 +562,16 @@ def exec_function(
     args = [] if args is None else args
     if not isinstance(args, list) or len(args) != len(fn.params):
         raise ArgumentError(f"{fn_name} takes a list of {len(fn.params)} arguments, got {args!r}")
+    # the roots an access path may start from: the state variables, and
+    # the default context of each pointer-parameter type the contract
+    # does not store, which is created when a path starts in it
+    roots = {v.name: v.ty for v in contract.state_vars}
+    for p in fn.params:
+        if p.loc == Loc.STORPTR and not build_storage_tree(contract, p.ty).edges:
+            context = default_context_tree(p.ty).edges[0]
+            roots[context.label] = context.target.ty
     for p, a in zip(fn.params, args):
-        machine.locals[p.name] = _bind_arg(machine, p.name_source or p.name, p.ty, p.loc, a)
+        machine.locals[p.name] = _bind_arg(machine, roots, p.name_source or p.name, p.ty, p.loc, a)
     for r in fn.returns:
         machine.locals[r.name] = machine.default(r.ty, r.loc)
     for s in fn.body:

@@ -123,11 +123,6 @@ def _unpack_below(ptr: IrExpr, leaf: Callable[[Edges], IrExpr], node: TreeNode, 
     return result
 
 
-_COPY_NEEDS_UNROLL = (
-    "unsupported: deep copy into {} of a dynamic array with reference base "
-    "type requires element-wise iteration (use --unroll)"
-)
-
 _BINOPS = {"+": "+", "-": "-", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "&&": "and", "||": "or"}
 
 
@@ -393,15 +388,8 @@ class Translator:
         if isinstance(ty, (DynArrayType, FixArrayType)):
             length = ty.size if isinstance(ty, FixArrayType) else 0
             if loc == Loc.STORAGE:
-                elem_loc = part_loc(ty.base, Loc.STORAGE)
-                elem_ty = self.map_type(ty.base, elem_loc)
-                return Construct(
-                    self._datatype_at(ty, Loc.STORAGE),
-                    (
-                        ConstArray(ir.INT, elem_ty, self.default_value(ty.base, elem_loc)),
-                        IntLit(length),
-                    ),
-                )
+                backing = self._blank(ty.base, loc)
+                return Construct(self._datatype_at(ty, loc), (backing, IntLit(length)))
             return self._alloc_memory_array(ty, IntLit(length))
         if isinstance(ty, StructType):
             # a memory struct is allocated first, then its members defaulted
@@ -416,34 +404,27 @@ class Translator:
             return ptr
         raise IrError(f"no default for {ty} in {loc}")
 
-    def _alloc_memory_array(self, ty: SolType, length_expr: IrExpr) -> IrExpr:
+    def _blank(self, base: SolType, loc: Loc) -> IrExpr:
+        """Backing store of an array at `loc` whose `base` elements are
+        all blank: the element default, or a null pointer for a memory
+        reference."""
+        elem_loc = part_loc(base, loc)
+        elem_ty = self.map_type(base, elem_loc)
+        blank = IntLit(0) if elem_loc == Loc.MEMORY else self.default_value(base, elem_loc)
+        return ConstArray(ir.INT, elem_ty, blank)
+
+    def _alloc_memory_array(self, ty: SolType, length: IrExpr) -> IrExpr:
         """Allocate a memory array with defaulted elements. Value bases
-        default wholesale through a constant array; reference bases need
-        one allocation per element, so the length must be a compile-time
-        constant or bounded by --unroll."""
-        assert isinstance(ty, (DynArrayType, FixArrayType))
-        base = ty.base
+        default wholesale through the blank backing store; reference bases
+        need one allocation per element, up to `_array_bound`."""
         ptr = self.allocate()
-        dt = self._datatype_at(ty, Loc.MEMORY)
-        heap_slot = self.heap_read(ty, ptr)
-        if is_value_type(base):
-            elem_default = self.default_value(base, Loc.VALUE)
-            backing: IrExpr = ConstArray(ir.INT, self.map_type(base, Loc.VALUE), elem_default)
-            self.emit(Assign(heap_slot, Construct(dt, (backing, length_expr))))
+        entity, dt = self.heap_read(ty, ptr), self._datatype_at(ty, Loc.MEMORY)
+        self.emit(Assign(entity, Construct(dt, (self._blank(ty.base, Loc.MEMORY), length))))
+        if is_value_type(ty.base):
             return ptr
-        backing = ConstArray(ir.INT, ir.INT, IntLit(0))
-        self.emit(Assign(heap_slot, Construct(dt, (backing, length_expr))))
-        bound = self._array_bound(
-            ty,
-            length_expr,
-            "unsupported: memory array of reference base type with "
-            "non-constant length (use --unroll)",
-        )
-        for i in range(bound):
-            elem = self.default_value(base, Loc.MEMORY)
-            self.emit(
-                Assign(ArrayRead(Select(self.heap_read(ty, ptr), "arr", dt), IntLit(i)), elem)
-            )
+        bound = self._array_bound(ty, length, "memory array of reference base type with non-constant length")
+        for part_ty, part in self._parts(ty, entity, Loc.MEMORY, bound):
+            self.emit(Assign(part, self.default_value(part_ty, Loc.MEMORY)))
         return ptr
 
     # ------------------------------------------------------------------
@@ -604,19 +585,20 @@ class Translator:
         else:
             self._deep_copy(ty, loc, target, self.expr(source), rloc)
 
-    def _array_bound(self, ty: SolType, length: IrExpr, unsupported: str) -> int:
-        """Unroll bound for element-wise array work: the compile-time
-        length (a fixed size or a literal), else --unroll with an assumed
-        length bound. Without either, UnsupportedError(unsupported)."""
+    def _array_bound(self, ty: SolType, length: IrExpr, what: str) -> int:
+        """Unroll bound for element-wise array work, the one reader of
+        --unroll: the compile-time length (a fixed size or a literal),
+        else the bound N with `0 <= length <= N` assumed. Without either,
+        `what` is unsupported."""
         if isinstance(ty, FixArrayType):
             return ty.size
         if isinstance(length, IntLit):
             return length.value
-        if self.unroll is not None:
-            self.emit(Assume(ir.le(length, IntLit(self.unroll))))
-            self.emit(Assume(ir.le(IntLit(0), length)))
-            return self.unroll
-        raise UnsupportedError(unsupported)
+        if self.unroll is None:
+            raise UnsupportedError(f"unsupported: {what} (use --unroll)")
+        self.emit(Assume(ir.le(length, IntLit(self.unroll))))
+        self.emit(Assume(ir.le(IntLit(0), length)))
+        return self.unroll
 
     def _deep_copy(self, ty: SolType, dst_loc: Loc, target: Expr | IrExpr, src: IrExpr, src_loc: Loc) -> None:
         """Deep copy between storage and memory. `src` is a storage value
@@ -635,12 +617,10 @@ class Translator:
             if is_value_type(base):
                 whole = Construct(dst_dt, (Select(src, "arr", src_dt), length))
             else:
-                # elements are copied one by one over blank ones (null
-                # pointers in memory)
-                bound = self._array_bound(ty, length, _COPY_NEEDS_UNROLL.format(dst_loc.value))
-                elem_ty = self.map_type(base, part_loc(base, dst_loc))
-                blank = self.default_value(base, Loc.STORAGE) if dst_loc == Loc.STORAGE else IntLit(0)
-                whole = Construct(dst_dt, (ConstArray(ir.INT, elem_ty, blank), length))
+                # elements are copied one by one over blank ones
+                what = f"deep copy into {dst_loc.value} of a dynamic array with reference base type"
+                bound = self._array_bound(ty, length, what + " requires element-wise iteration")
+                whole = Construct(dst_dt, (self._blank(base, dst_loc), length))
         dst = self.lvalue(target) if ptr is None else self.heap_read(ty, ptr)
         if whole is not None:
             self.emit(Assign(dst, whole))
@@ -742,23 +722,14 @@ class Translator:
         pointer, and recursively every reference it contains, precedes
         all fresh allocations."""
         self.emit(Assume(ir.le(pointer, Ident(ALLOC))))
-        bound = 0
+        entity, bound = self.heap_read(ty, pointer), 0
         if isinstance(ty, (DynArrayType, FixArrayType)):
             if not is_reference_type(ty.base):
                 return
-            if isinstance(ty, FixArrayType):
-                bound = ty.size
-            elif self.unroll is not None:
-                bound = self.unroll
-                length = Select(self.heap_read(ty, pointer), "length", self._datatype_at(ty, Loc.MEMORY))
-                self.emit(Assume(ir.le(length, IntLit(bound))))
-            else:
-                raise UnsupportedError(
-                    "unsupported: memory parameter containing a dynamic array "
-                    "of reference base type requires quantified non-aliasing "
-                    "assumptions (use --unroll)"
-                )
-        for part_ty, part in self._parts(ty, self.heap_read(ty, pointer), Loc.MEMORY, bound):
+            length = Select(entity, "length", self._datatype_at(ty, Loc.MEMORY))
+            what = "memory parameter containing a dynamic array of reference base type"
+            bound = self._array_bound(ty, length, what + " requires quantified non-aliasing assumptions")
+        for part_ty, part in self._parts(ty, entity, Loc.MEMORY, bound):
             if is_reference_type(part_ty):
                 self._assume_memory_pointer(part_ty, part)
 

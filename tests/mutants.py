@@ -159,6 +159,18 @@ MUTANTS = (
         "for context in [c for c in self.contexts if c == target]:",
         "a storage tree has an edge into every default context the function binds whose entities reach its target",
     ),
+    Mutant(
+        "M18", "src/solmem/translate.py",
+        "return self.unroll",
+        "return self.unroll - 1",
+        "element-wise work under --unroll N covers N elements, the most the length assumption allows",
+    ),
+    Mutant(
+        "M19", "src/solmem/translate.py",
+        "self.emit(Assume(ir.le(IntLit(0), length)))",
+        "None",
+        "every length bounded by --unroll is assumed non-negative, memory parameters included",
+    ),
 )
 
 # Tests that fail on any change to what they pin, right or wrong: golden
@@ -170,6 +182,7 @@ PINS = {
     "tests/test_lexer_golden.py::test_tokens_match_recorded",
     "tests/test_parser_golden.py::test_parse_digest",
     "tests/test_translate_golden.py::test_translation_and_emission_digest",
+    "tests/test_translate_golden.py::test_translation_and_emission_digest_unrolled",
     "tests/test_oracle_golden.py::test_oracle_digest",
     "tests/test_generator.py::test_golden_snapshot_seed0",
     "tests/test_generator.py::test_golden_digest_and_rejections_seeds_0_199",

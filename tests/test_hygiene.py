@@ -8,9 +8,11 @@ the benchmark, so that helpers only tests need live in `tests/`. The
 reference interpreter imports nothing from the translator's side of the
 pipeline, so that a fault there cannot hide from differential testing,
 and reads no storage tree edge's ordinal: it takes pointer arguments as
-access paths and uses the trees only to check them, so the translator
-alone maps ordinals to edges. Every walker's dispatch table has exactly
-one handler per IR expression class, so a forgotten node is caught here
+access paths and checks them against the declared types, so the
+translator alone maps ordinals to edges. The translator reads its
+`--unroll` bound in `_array_bound` alone, and spells `use --unroll`
+once, so no other site can restate the bound rule. Every walker's
+dispatch table has exactly one handler per IR expression class, so a forgotten node is caught here
 and not at run time. No concrete syntax-tree node or type class of
 `sol_ast` or `ir` is subclassed, since the walkers dispatch on a node's
 exact class and interning keys a type by its exact class, and every type
@@ -265,6 +267,15 @@ def test_attribute_check_finds_what_it_looks_for():
     )
     assert attribute_uses(tree, "ordinal") == [2, 7]
     assert attribute_uses(tree, "label") == [3]
+
+
+def test_the_unroll_bound_is_read_in_one_place():
+    source = (ROOT / "src" / "solmem" / "translate.py").read_text()
+    tree = ast.parse(source)
+    bound = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_array_bound")
+    reads = attribute_uses(tree, "unroll")
+    assert reads and all(bound.lineno <= line <= bound.end_lineno for line in reads), reads
+    assert source.count("use --unroll") == 1
 
 
 def test_import_check_finds_what_it_looks_for():

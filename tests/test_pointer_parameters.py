@@ -116,6 +116,20 @@ contract C {
 }
 """
 
+# no storage of U or S: `u` points into the default context of U, and `r`
+# into that of S or, aliasing `u.s`, into that of U
+ALIASING_PARAMETERS = """
+contract C {
+    struct S { int x; }
+    struct U { S s; }
+    int n;
+    function f(U storage u, S storage r) {
+        r.x = 5;
+        assert(u.s.x == 0);
+    }
+}
+"""
+
 CASES = {
     "nested_structs": (NESTED_STRUCTS, lambda path: [path]),
     "array_then_struct": (ARRAY_THEN_STRUCT, lambda path: [path]),
@@ -123,6 +137,8 @@ CASES = {
     "default_context": (DEFAULT_CONTEXT, lambda path: [path, path[:1] + [1]]),
     "default_context_repack": (DEFAULT_CONTEXT_REPACK, lambda path: [path]),
     "nested_default_context": (NESTED_DEFAULT_CONTEXT, lambda path: [path]),
+    "aliasing_parameters": (ALIASING_PARAMETERS, lambda path: [path, path + ["s"]]),
+    "separate_parameters": (ALIASING_PARAMETERS, lambda path: [path, ["defaultctx$S", path[1]]]),
 }
 
 

@@ -16,7 +16,7 @@ from solmem.ir import (
     IntLit,
     SmtProgram,
 )
-from solmem.ireval import VData, eval_ir
+from solmem.ireval import VData, default_value, eval_ir
 from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function, run_constructor
 from solmem.parser import parse_source
@@ -336,6 +336,35 @@ def test_unroll_bounds_lengths_instead_of_covering_them():
     ran = eval_ir(tf.program, {"n": 3})
     assert (ran.status, ran.failed_index) == ("assume-violated", 0)
     assert [a.passed for a in exec_function(c, "f", [3]).asserts] == [False]
+
+
+def test_unroll_copies_every_element_up_to_the_bound():
+    """At `unroll=2` a storage array of two structs copied into memory
+    keeps both elements, as in the oracle."""
+    c = compile_source(
+        "contract C { struct S { int x; } S[] a; constructor() "
+        "{ a.push(S(1)); a.push(S(2)); S[] memory m = a; assert(m[1].x == 2); } }"
+    )
+    ran = eval_ir(translate_function(c, c.constructor, unroll=2).program)
+    assert run_constructor(c).failed is None
+    assert (ran.status, ran.failed_index) == ("ok", None)
+
+
+def test_unroll_assumes_every_unrolled_length_is_non_negative():
+    """`unroll=2` assumes `0 <= length <= 2` wherever it bounds a length,
+    so a negative length violates an assumption, for `new T[](n)` and
+    inside a memory parameter alike."""
+    c = compile_source(
+        "contract C { struct T { int z; } struct S { T[] ts; } "
+        "function f(int n) { T[] memory a = new T[](n); } function g(S memory sm) { } }"
+    )
+    allocation = translate_function(c, c.function("f"), unroll=2).program
+    assert eval_ir(allocation, {"n": -1}).status == "assume-violated"
+    param = translate_function(c, c.function("g"), unroll=2).program
+    heap = default_value(param.decls["arrHeap$T"], param)
+    # `sm` and `sm.ts` are both the null pointer; that array gets length -1
+    heap = heap.write(0, heap.default.replace(1, -1))
+    assert eval_ir(param, {"arrHeap$T": heap}).status == "assume-violated"
 
 
 def test_negative_unroll_bound_is_rejected():
