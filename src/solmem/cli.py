@@ -69,7 +69,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unroll", type=_non_negative_int, default=None, metavar="N",
                    help="assume dynamic array lengths <= N (N >= 0) and unroll their copies: "
-                        "verified covers only those lengths")
+                        "an unsat that rests on the bound reads bounded")
 
 
 def cmd_verify(args) -> int:

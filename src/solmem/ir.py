@@ -198,38 +198,6 @@ class UnOp(IrExpr):
         self.operand = operand
 
 
-def add(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("+", a, b)
-
-
-def sub(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("-", a, b)
-
-
-def eq(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("==", a, b)
-
-
-def lt(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("<", a, b)
-
-
-def le(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("<=", a, b)
-
-
-def and_(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("and", a, b)
-
-
-def or_(a: IrExpr, b: IrExpr) -> IrExpr:
-    return BinOp("or", a, b)
-
-
-def not_(a: IrExpr) -> IrExpr:
-    return UnOp("not", a)
-
-
 # ---------------------------------------------------------------------------
 # Statements
 

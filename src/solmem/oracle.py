@@ -405,8 +405,7 @@ class Machine:
         # where the array lives
         if 0 <= idx < entity.length:
             return self.part(entity, idx)
-        holder = Loc.MEMORY if e.base.loc == Loc.MEMORY else Loc.STORAGE
-        return self.default(base_ty.base, part_loc(base_ty.base, holder))
+        return self.default(e.ty, e.loc)
 
     def _eval_cond(self, e: CondExpr) -> Any:
         taken = e.then if self.eval(e.cond) else e.other

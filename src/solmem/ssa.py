@@ -34,8 +34,6 @@ from .ir import (
     Select,
     SmtProgram,
     UnOp,
-    or_,
-    not_,
     unknown_key,
 )
 from .records import Record
@@ -108,17 +106,17 @@ class _Converter:
             elif isinstance(s, Assume):
                 cond = rename_idents(s.cond, versions)
                 if path is not None:
-                    cond = or_(not_(path), cond)
+                    cond = BinOp("or", UnOp("not", path), cond)
                 self.out.stmts.append(Assume(cond))
             elif isinstance(s, Assert):
                 cond = rename_idents(s.cond, versions)
                 if path is not None:
-                    cond = or_(not_(path), cond)
+                    cond = BinOp("or", UnOp("not", path), cond)
                 self.out.stmts.append(Assert(cond))
             elif isinstance(s, IfStmt):
                 cond = rename_idents(s.cond, versions)
                 then_path = cond if path is None else BinOp("and", path, cond)
-                else_path = not_(cond) if path is None else BinOp("and", path, not_(cond))
+                else_path = UnOp("not", cond) if path is None else BinOp("and", path, UnOp("not", cond))
                 then_versions = dict(versions)
                 else_versions = dict(versions)
                 self.convert(s.then, then_versions, then_path)

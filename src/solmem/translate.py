@@ -118,7 +118,7 @@ def _unpack_below(ptr: IrExpr, leaf: Callable[[Edges], IrExpr], node: TreeNode, 
     last = node.edges[-1]
     result = _unpack_below(ptr, leaf, last.target, edges + ((node, last),))
     for edge in reversed(node.edges[:-1]):
-        cond = ir.eq(ArrayRead(ptr, IntLit(len(edges))), IntLit(edge.ordinal))
+        cond = BinOp("==", ArrayRead(ptr, IntLit(len(edges))), IntLit(edge.ordinal))
         result = Ite(cond, _unpack_below(ptr, leaf, edge.target, edges + ((node, edge),)), result)
     return result
 
@@ -127,12 +127,13 @@ _BINOPS = {"+": "+", "-": "-", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">"
 
 
 class AssertInfo(Record):
-    __slots__ = ("ordinal", "line", "text")
+    __slots__ = ("ordinal", "line", "text", "bound")
 
-    def __init__(self, ordinal: int, line: int, text: str):
+    def __init__(self, ordinal: int, line: int, text: str, bound: int | None = None):
         self.ordinal = ordinal
         self.line = line
         self.text = text
+        self.bound = bound  # the --unroll N its VC assumes lengths up to, if any
 
 
 class TranslatedFunction(Record):
@@ -164,6 +165,8 @@ class Translator:
             raise ValueError(f"unroll bound must be a non-negative integer, got {unroll}")
         self.contract = contract
         self.unroll = unroll
+        # set once a length is assumed bounded; every later assert rests on it
+        self.bound: int | None = None
         self.program = SmtProgram()
         # map_type's results by (type, location); `program` holds what it registered
         self.types: dict[tuple[SolType, Loc], IrType] = {}
@@ -192,7 +195,7 @@ class Translator:
 
     def allocate(self) -> Ident:
         """$alloc := $alloc + 1; p := $alloc — fresh, never-aliasing address."""
-        self.emit(Assign(Ident(ALLOC), ir.add(Ident(ALLOC), IntLit(1))))
+        self.emit(Assign(Ident(ALLOC), BinOp("+", Ident(ALLOC), IntLit(1))))
         ptr = self.fresh("newptr", ir.INT)
         self.emit(Assign(ptr, Ident(ALLOC)))
         return ptr
@@ -496,7 +499,6 @@ class Translator:
             entity = self._storage_base(e.base, lvalue)
             return ArrayRead(entity, self.expr(e.index))
         assert isinstance(base_ty, (DynArrayType, FixArrayType))
-        in_memory = e.base.loc == Loc.MEMORY
         dt = self._datatype_at(base_ty, e.base.loc)
         entity = self._storage_base(e.base, lvalue)
         idx = self.expr(e.index)
@@ -515,12 +517,8 @@ class Translator:
             self.emit(Assign(tmp, entity))
             entity = tmp
         backing = ArrayRead(Select(entity, "arr", dt), idx)
-        in_range = ir.and_(
-            ir.le(IntLit(0), idx), ir.lt(idx, Select(entity, "length", dt))
-        )
-        elem = base_ty.base
-        fallback = self.default_value(elem, part_loc(elem, Loc.MEMORY if in_memory else Loc.STORAGE))
-        return Ite(in_range, backing, fallback)
+        in_range = BinOp("and", BinOp("<=", IntLit(0), idx), BinOp("<", idx, Select(entity, "length", dt)))
+        return Ite(in_range, backing, self.default_value(e.ty, e.loc))
 
     def _conditional(self, e: CondExpr) -> IrExpr:
         cond = self.expr(e.cond)
@@ -596,8 +594,9 @@ class Translator:
             return length.value
         if self.unroll is None:
             raise UnsupportedError(f"unsupported: {what} (use --unroll)")
-        self.emit(Assume(ir.le(length, IntLit(self.unroll))))
-        self.emit(Assume(ir.le(IntLit(0), length)))
+        self.emit(Assume(BinOp("<=", length, IntLit(self.unroll))))
+        self.emit(Assume(BinOp("<=", IntLit(0), length)))
+        self.bound = self.unroll
         return self.unroll
 
     def _deep_copy(self, ty: SolType, dst_loc: Loc, target: Expr | IrExpr, src: IrExpr, src_loc: Loc) -> None:
@@ -650,7 +649,7 @@ class Translator:
             self._decl_stmt(s)
         elif cls is AssertStmt:
             cond = self.expr(s.cond)
-            self.asserts.append(AssertInfo(len(self.asserts), s.line, s.text))
+            self.asserts.append(AssertInfo(len(self.asserts), s.line, s.text, self.bound))
             self.emit(Assert(cond))
         elif cls is PushStmt:
             self._push_stmt(s)
@@ -698,7 +697,7 @@ class Translator:
         length = Select(entity, "length", dt)
         slot = ArrayRead(Select(entity, "arr", dt), length)
         self.assign(elem, part_loc(elem, Loc.STORAGE), slot, s.value.loc, s.value)
-        self.emit(Assign(length, ir.add(length, IntLit(1))))
+        self.emit(Assign(length, BinOp("+", length, IntLit(1))))
 
     def _pop_stmt(self, s: PopStmt) -> None:
         # length shrinks; the backing slot is retained so dangling
@@ -706,7 +705,7 @@ class Translator:
         # access (length-guarded) sees the default value
         dt = self._datatype_at(s.target.ty, s.target.loc)
         length = Select(self._storage_base(s.target, lvalue=True), "length", dt)
-        self.emit(Assign(length, ir.sub(length, IntLit(1))))
+        self.emit(Assign(length, BinOp("-", length, IntLit(1))))
 
     def _delete_stmt(self, s: DeleteStmt) -> None:
         # the resolver rejects deleting a storage pointer variable
@@ -721,7 +720,7 @@ class Translator:
         """Non-aliasing assumptions for memory pointers passed in: the
         pointer, and recursively every reference it contains, precedes
         all fresh allocations."""
-        self.emit(Assume(ir.le(pointer, Ident(ALLOC))))
+        self.emit(Assume(BinOp("<=", pointer, Ident(ALLOC))))
         entity, bound = self.heap_read(ty, pointer), 0
         if isinstance(ty, (DynArrayType, FixArrayType)):
             if not is_reference_type(ty.base):

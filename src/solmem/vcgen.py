@@ -20,13 +20,12 @@ from .ir import (
     Assert,
     Assign,
     Assume,
+    BinOp,
     IfStmt,
     Ident,
     IrExpr,
     SmtProgram,
-    and_,
-    eq,
-    not_,
+    UnOp,
 )
 
 
@@ -45,7 +44,7 @@ def _conjuncts(program: SmtProgram) -> tuple[list[IrExpr], list[int], list[IrExp
         if isinstance(s, Assign):
             if not isinstance(s.lhs, Ident):
                 raise IrError("VC generation requires identifier assignment targets")
-            parts.append(eq(s.lhs, s.rhs))
+            parts.append(BinOp("==", s.lhs, s.rhs))
         elif isinstance(s, Assume):
             parts.append(s.cond)
         elif isinstance(s, Assert):
@@ -53,7 +52,7 @@ def _conjuncts(program: SmtProgram) -> tuple[list[IrExpr], list[int], list[IrExp
             parts.append(s.cond)
     chain = parts[:1]
     for part in parts[1:]:
-        chain.append(and_(chain[-1], part))
+        chain.append(BinOp("and", chain[-1], part))
     program.conjuncts = (list(program.stmts), parts, positions, chain)
     return parts, positions, chain
 
@@ -65,5 +64,5 @@ def vc_gen(program: SmtProgram, assert_index: int) -> IrExpr:
     if not 0 <= assert_index < len(positions):
         raise IrError(f"assert index {assert_index} out of range")
     pos = positions[assert_index]
-    return and_(chain[pos - 1], not_(parts[pos])) if pos else not_(parts[0])
+    return BinOp("and", chain[pos - 1], UnOp("not", parts[pos])) if pos else UnOp("not", parts[0])
 

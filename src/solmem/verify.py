@@ -36,7 +36,7 @@ class AssertResult(Record):
     ):
         self.line = line
         self.text = text
-        self.verdict = verdict  # "verified" | "counterexample" | "timeout" | "unknown" | "error"
+        self.verdict = verdict  # "verified" | "bounded" | "counterexample" | "timeout" | "unknown" | "error"
         self.model = {} if model is None else model
         self.detail = detail
         self.time_seconds = time_seconds
@@ -70,8 +70,8 @@ class VerifyReport(Record):
         self.contract = contract  # the resolved contract, when it resolved
 
     def exit_code(self) -> int:
-        """0 all verified, 1 a counterexample, 2 anything else; an `error`
-        verdict wins over a counterexample."""
+        """0 all verified, 1 a counterexample, 2 anything else (`bounded`
+        included); an `error` verdict wins over a counterexample."""
         verdicts = {a.verdict for f in self.functions for a in f.asserts}
         if "error" in verdicts or self.error is not None:
             return 2
@@ -100,14 +100,13 @@ def verify_translated(
         start = time.monotonic()
         verdict = query(script, timeout, solver_cmd)
         model = {shown: verdict.model[name] for name, shown in tf.entry.items() if name in verdict.model}
+        kind, detail = VERDICT_OF.get(verdict.kind, verdict.kind), verdict.detail
+        if kind == "verified" and info.bound is not None:
+            # the VC assumed every unrolled length <= N, so longer ones were never checked
+            kind, detail = "bounded", f"holds for array lengths up to {info.bound} only (--unroll {info.bound})"
         report.asserts.append(
             AssertResult(
-                info.line,
-                info.text,
-                VERDICT_OF.get(verdict.kind, verdict.kind),
-                model=model,
-                detail=verdict.detail,
-                time_seconds=time.monotonic() - start,
+                info.line, info.text, kind, model=model, detail=detail, time_seconds=time.monotonic() - start
             )
         )
     return report

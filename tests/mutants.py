@@ -49,13 +49,13 @@ class Mutant:
 MUTANTS = (
     Mutant(
         "M1", "src/solmem/translate.py",
-        'ir.lt(idx, Select(entity, "length", dt))',
-        'ir.le(idx, Select(entity, "length", dt))',
+        'BinOp("<", idx, Select(entity, "length", dt))',
+        'BinOp("<=", idx, Select(entity, "length", dt))',
         "an index read is in range only below the length; out of range it reads the element default",
     ),
     Mutant(
         "M2", "src/solmem/translate.py",
-        "self.emit(Assume(ir.le(pointer, Ident(ALLOC))))",
+        'self.emit(Assume(BinOp("<=", pointer, Ident(ALLOC))))',
         "None",
         "a memory pointer passed in precedes every fresh allocation, so the two never alias",
     ),
@@ -97,13 +97,13 @@ MUTANTS = (
     ),
     Mutant(
         "M8", "src/solmem/ssa.py",
-        "cond = or_(not_(path), cond)\n                self.out.stmts.append(Assert(",
+        'cond = BinOp("or", UnOp("not", path), cond)\n                self.out.stmts.append(Assert(',
         "pass\n                self.out.stmts.append(Assert(",
         "an assert inside a branch is checked only on that branch's path",
     ),
     Mutant(
         "M9", "src/solmem/ssa.py",
-        "cond = or_(not_(path), cond)\n                self.out.stmts.append(Assume(",
+        'cond = BinOp("or", UnOp("not", path), cond)\n                self.out.stmts.append(Assume(',
         "pass\n                self.out.stmts.append(Assume(",
         "an assumption inside a branch constrains only that branch's path",
     ),
@@ -167,9 +167,15 @@ MUTANTS = (
     ),
     Mutant(
         "M19", "src/solmem/translate.py",
-        "self.emit(Assume(ir.le(IntLit(0), length)))",
+        'self.emit(Assume(BinOp("<=", IntLit(0), length)))',
         "None",
         "every length bounded by --unroll is assumed non-negative, memory parameters included",
+    ),
+    Mutant(
+        "M20", "src/solmem/translate.py",
+        "self.bound = self.unroll",
+        "pass",
+        "an assert whose VC assumes a length bound under --unroll N is reported bounded, never verified",
     ),
 )
 

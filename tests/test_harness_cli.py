@@ -290,6 +290,40 @@ def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys):
     assert "~" not in out
 
 
+BOUNDED = (
+    "contract C { struct S { int x; } function f(int n) public {\n"
+    "assert(n == n); S[] memory a = new S[](LENGTH);\nassert(a.length <= 2); } }"
+)
+
+
+def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsys):
+    """With the length `n` unrolled at 2, the second assert's VC assumes
+    `a.length <= 2`, so an unsat answer covers only those lengths (at
+    n = 3 the assert fails): `bounded`, exit 2. The first assert precedes
+    the bound and stays verified; a counterexample keeps its verdict."""
+    f = tmp_path / "b.sol"
+    f.write_text(BOUNDED.replace("LENGTH", "n"))
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+    assert main(["verify", str(f), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("f:2: assert((n == n)): verified")
+    assert out[1] == "f:3: assert((a.length <= 2)): bounded holds for array lengths up to 2 only (--unroll 2)"
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log2")]
+    assert main(["verify", str(f), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 1
+    assert "f:3: assert((a.length <= 2)): counterexample [n = 0]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unroll", [[], ["--unroll", "2"]], ids=["plain", "unroll"])
+def test_cli_verify_without_a_bound_assumption_says_verified(tmp_path, capsys, unroll):
+    """A constant length needs no bound, so `--unroll` changes nothing."""
+    f = tmp_path / "v.sol"
+    f.write_text(BOUNDED.replace("LENGTH", "2"))
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+    assert main(["verify", str(f), *unroll, "--solver-cmd", shlex.join(stub)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": verified [") == 2 and "bounded" not in out
+
+
 def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys):
     """Against a stub model that sets every Int to 0, the counterexample
     lists the parameter `x` and the state variable it shadows as `this.x`,

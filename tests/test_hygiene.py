@@ -11,7 +11,10 @@ and reads no storage tree edge's ordinal: it takes pointer arguments as
 access paths and checks them against the declared types, so the
 translator alone maps ordinals to edges. The translator reads its
 `--unroll` bound in `_array_bound` alone, and spells `use --unroll`
-once, so no other site can restate the bound rule. Every walker's
+once, so no other site can restate the bound rule. IR operators have
+one vocabulary: every operator the package passes to `BinOp` or `UnOp`
+as a literal, and every operator the translator maps a source operator
+to, is one the SMT-LIB printer and the IR evaluator know. Every walker's
 dispatch table has exactly one handler per IR expression class, so a forgotten node is caught here
 and not at run time. No concrete syntax-tree node or type class of
 `sol_ast` or `ir` is subclassed, since the walkers dispatch on a node's
@@ -34,7 +37,7 @@ from pathlib import Path
 import irsorts
 import mutants
 import pytest
-from solmem import ir, ireval, smtlib, sol_ast, ssa
+from solmem import ir, ireval, smtlib, sol_ast, ssa, translate
 from solmem.interning import Interned
 from solmem.ir import IrExpr, UnOp
 
@@ -276,6 +279,49 @@ def test_the_unroll_bound_is_read_in_one_place():
     reads = attribute_uses(tree, "unroll")
     assert reads and all(bound.lineno <= line <= bound.end_lineno for line in reads), reads
     assert source.count("use --unroll") == 1
+
+
+def operator_literals(tree: ast.AST) -> list[tuple[int, str, str]]:
+    """(line, class, operator) of each literal operator passed to
+    `BinOp(...)` or `UnOp(...)`; both branches of a conditional count."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in ("BinOp", "UnOp"):
+            op = node.args[0]
+            choices = (op.body, op.orelse) if isinstance(op, ast.IfExp) else (op,)
+            found += [(node.lineno, name, c.value) for c in choices if isinstance(c, ast.Constant)]
+    return sorted(found)
+
+
+def unknown_operators(found: list[tuple[object, str, str]]) -> list[str]:
+    """Those of `found` that the SMT-LIB printer, or for a binary
+    operator also the IR evaluator, has no entry for."""
+    known = {"BinOp": smtlib._OPS.keys() & ireval._BINOPS.keys(), "UnOp": smtlib._UNOPS.keys()}
+    return [f"{line}: {name}({op!r})" for line, name, op in found if op not in known[name]]
+
+
+def test_ir_operators_have_one_vocabulary():
+    found = [
+        (f"{path.name}:{line}", name, op)
+        for path in SOURCES for line, name, op in operator_literals(ast.parse(path.read_text()))
+    ]
+    assert {op for _, _, op in found} >= {"+", "-", "==", "<", "<=", "and", "or", "not"}
+    assert unknown_operators(found) == []
+    assert unknown_operators([("translate._BINOPS", "BinOp", op) for op in translate._BINOPS.values()]) == []
+
+
+def test_operator_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        'BinOp("<==", a, b)\nir.BinOp("<=", a, b)\nUnOp("not" if c else "neg!", a)\n'
+        'BinOp(op, a, b)\nf("<==")\nUnOp("!=", a)\n'
+    )
+    assert operator_literals(tree) == [
+        (1, "BinOp", "<=="), (2, "BinOp", "<="), (3, "UnOp", "neg!"), (3, "UnOp", "not"), (6, "UnOp", "!="),
+    ]
+    assert unknown_operators(operator_literals(tree)) == ["1: BinOp('<==')", "3: UnOp('neg!')", "6: UnOp('!=')"]
 
 
 def test_import_check_finds_what_it_looks_for():

@@ -23,7 +23,7 @@ from solmem.translate import Translator, translate_function
 
 def conjoin(exprs: list[IrExpr]) -> IrExpr:
     """Left-nested conjunction of a non-empty list."""
-    return reduce(ir.and_, exprs)
+    return reduce(lambda a, b: ir.BinOp("and", a, b), exprs)
 
 
 def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
@@ -31,11 +31,11 @@ def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
     the flat SSA `program`: every definition and assumption, in program
     order, and the negation of pre == post. Asserts are left out."""
     parts = [
-        ir.eq(s.lhs, s.rhs) if isinstance(s, Assign) else s.cond
+        ir.BinOp("==", s.lhs, s.rhs) if isinstance(s, Assign) else s.cond
         for s in program.stmts
         if isinstance(s, (Assign, Assume))
     ]
-    return conjoin(parts + [ir.not_(ir.eq(Ident(pre_name), Ident(post_name)))])
+    return conjoin(parts + [ir.UnOp("not", ir.BinOp("==", Ident(pre_name), Ident(post_name)))])
 
 
 def compile_source(text):
@@ -176,10 +176,10 @@ contract C {
     parts = []
     for s in ssa.program.stmts:
         if isinstance(s, ir.Assign):
-            parts.append(ir.eq(s.lhs, s.rhs))
+            parts.append(ir.BinOp("==", s.lhs, s.rhs))
         elif isinstance(s, ir.Assume):
             parts.append(s.cond)
-    parts.append(ir.eq(Ident(q_final), Ident(p_name)))
+    parts.append(ir.BinOp("==", Ident(q_final), Ident(p_name)))
     formula = conjoin(parts)
     assert check(emit_smtlib(ssa.program, formula), 60).kind == "unsat"
 
@@ -202,12 +202,12 @@ contract C {
     parts = []
     for s in ssa.program.stmts:
         if isinstance(s, ir.Assign):
-            parts.append(ir.eq(s.lhs, s.rhs))
+            parts.append(ir.BinOp("==", s.lhs, s.rhs))
     distinct = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            distinct.append(ir.eq(Ident(names[i]), Ident(names[j])))
-    formula = conjoin(parts + [ir.or_(ir.or_(distinct[0], distinct[1]), distinct[2])])
+            distinct.append(ir.BinOp("==", Ident(names[i]), Ident(names[j])))
+    formula = conjoin(parts + [ir.BinOp("or", ir.BinOp("or", distinct[0], distinct[1]), distinct[2])])
     assert check(emit_smtlib(ssa.program, formula), 60).kind == "unsat"
 
 

@@ -18,6 +18,7 @@ from solmem.ir import (
     Ite,
     Select,
     SmtProgram,
+    UnOp,
 )
 from solmem.ireval import VArray, VData, eval_ir, values_equal
 from solmem.smtlib import program_text
@@ -35,7 +36,7 @@ def program(*stmts, decls=(), datatypes=()):
 
 def test_arithmetic_assignment():
     p = program(
-        Assign(Ident("x"), ir.add(IntLit(1), IntLit(2))),
+        Assign(Ident("x"), BinOp("+", IntLit(1), IntLit(2))),
         decls=[("x", ir.INT)],
     )
     result = eval_ir(p)
@@ -63,7 +64,7 @@ def test_const_array_reads_default_everywhere():
 def test_assert_failure_reports_ordinal():
     p = program(
         Assert(BoolLit(True)),
-        Assert(ir.eq(IntLit(1), IntLit(2))),
+        Assert(BinOp("==", IntLit(1), IntLit(2))),
         Assert(BoolLit(True)),
     )
     result = eval_ir(p)
@@ -95,7 +96,7 @@ def test_composite_lvalues():
 def test_if_statement_branching():
     p = program(
         IfStmt(
-            ir.lt(Ident("x"), IntLit(0)),
+            BinOp("<", Ident("x"), IntLit(0)),
             (Assign(Ident("y"), IntLit(1)),),
             (Assign(Ident("y"), IntLit(2)),),
         ),
@@ -112,9 +113,9 @@ INT_CONDITIONS = {
     "if": IfStmt(ONE, (Assign(Ident("x"), IntLit(5)),), ()),
     "assume": Assume(ONE),
     "assert": Assert(ONE),
-    "and": Assert(ir.and_(BoolLit(True), ONE)),
-    "or": Assert(ir.or_(ONE, BoolLit(False))),
-    "not": Assert(ir.not_(ONE)),
+    "and": Assert(BinOp("and", BoolLit(True), ONE)),
+    "or": Assert(BinOp("or", ONE, BoolLit(False))),
+    "not": Assert(UnOp("not", ONE)),
 }
 
 

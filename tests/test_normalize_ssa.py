@@ -92,12 +92,12 @@ def test_ssa_sequential_renaming():
     p = _shell([("x", ir.INT)])
     p.stmts = [
         Assign(Ident("x"), IntLit(1)),
-        Assign(Ident("x"), ir.add(Ident("x"), IntLit(1))),
+        Assign(Ident("x"), ir.BinOp("+", Ident("x"), IntLit(1))),
     ]
     out = to_ssa(p)
     assert out.program.stmts == [
         Assign(Ident("x!1"), IntLit(1)),
-        Assign(Ident("x!2"), ir.add(Ident("x!1"), IntLit(1))),
+        Assign(Ident("x!2"), ir.BinOp("+", Ident("x!1"), IntLit(1))),
     ]
     assert out.final_versions["x"] == "x!2"
 
@@ -110,7 +110,7 @@ def test_ssa_merges_branches_with_ite():
             (Assign(Ident("x"), IntLit(1)),),
             (Assign(Ident("x"), IntLit(2)),),
         ),
-        Assert(ir.lt(IntLit(0), Ident("x"))),
+        Assert(ir.BinOp("<", IntLit(0), Ident("x"))),
     ]
     out = to_ssa(p)
     stmts = out.program.stmts

@@ -98,7 +98,7 @@ FIELDS = {
     # stages, interpreters and reports
     storage_tree.TreeNode: "ty edges",
     storage_tree.TreeEdge: "label ordinal target",
-    translate.AssertInfo: "ordinal line text",
+    translate.AssertInfo: "ordinal line text bound",
     translate.TranslatedFunction: "name program asserts entry is_constructor",
     ssa.SsaResult: "program final_versions",
     ireval.VArray: "default entries",
@@ -278,7 +278,7 @@ INSTANCES = [
         lambda: storage_tree.TreeEdge(None, 1, LEAF),
         "TreeEdge(label=None, ordinal=1, target=TreeNode(ty=ValueType(kind='int'), edges=[]))",
     ),
-    (lambda: translate.AssertInfo(0, 4, "x == 1"), "AssertInfo(ordinal=0, line=4, text='x == 1')"),
+    (lambda: translate.AssertInfo(0, 4, "x == 1", 2), "AssertInfo(ordinal=0, line=4, text='x == 1', bound=2)"),
     (
         lambda: translate.TranslatedFunction("f", "p", [], {"x!1": "x"}, True),
         "TranslatedFunction(name='f', program='p', asserts=[], entry={'x!1': 'x'}, is_constructor=True)",

@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from solmem import ir
+from solmem import ir, vcgen
 from solmem.ir import Assert, Assign, Assume, Ident, IntLit, SmtProgram
 from solmem.normalize import normalize_lhs
 from solmem.parser import parse_source
@@ -74,7 +74,7 @@ def test_scripts_follow_new_and_replaced_statements():
     program, count = _constructor(stress_source(60, 20))
     for i in range(count):
         _script(program, i)
-    program.stmts.append(Assert(ir.eq(Ident("x"), IntLit(2))))
+    program.stmts.append(Assert(ir.BinOp("==", Ident("x"), IntLit(2))))
     program.declare("x", ir.INT)
     assert [_script(program, i) for i in range(count + 1)] == [
         _script(_fresh(program), i) for i in range(count + 1)
@@ -113,13 +113,13 @@ def _reference_vc(program: SmtProgram, index: int) -> ir.IrExpr:
     parts, positions = [], []
     for s in program.stmts:
         if isinstance(s, Assign):
-            parts.append(ir.eq(s.lhs, s.rhs))
+            parts.append(ir.BinOp("==", s.lhs, s.rhs))
         else:
             if isinstance(s, Assert):
                 positions.append(len(parts))
             parts.append(s.cond)
     pos = positions[index]
-    return conjoin(parts[:pos] + [ir.not_(parts[pos])])
+    return conjoin(parts[:pos] + [ir.UnOp("not", parts[pos])])
 
 
 def _left_spine(e: ir.IrExpr):
@@ -156,11 +156,12 @@ def test_vcs_share_one_prefix_chain(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(ir, "BinOp", CountedBinOp)
-    monkeypatch.setattr(ir, "UnOp", CountedUnOp)
+    monkeypatch.setattr(vcgen, "BinOp", CountedBinOp)
+    monkeypatch.setattr(vcgen, "UnOp", CountedUnOp)
     counted = _fresh(program)
     for i in range(count):
         vc_gen(counted, i)
+    assert built
     parts = {id(part) for part in counted.conjuncts[1]}
     # besides the definitional equalities, which are the conjuncts themselves
     assert len([n for n in built if id(n) not in parts]) <= len(parts) + 2 * count
@@ -168,15 +169,15 @@ def test_vcs_share_one_prefix_chain(monkeypatch):
 
 def test_frame_formula_keeps_definitions_and_assumptions_in_order():
     p = SmtProgram(decls={"x": ir.INT, "y": ir.INT})
-    define, assume = Assign(Ident("x"), IntLit(1)), Assume(ir.lt(Ident("y"), IntLit(3)))
-    p.stmts = [define, Assert(ir.eq(Ident("x"), IntLit(1))), assume]
+    define, assume = Assign(Ident("x"), IntLit(1)), Assume(ir.BinOp("<", Ident("y"), IntLit(3)))
+    p.stmts = [define, Assert(ir.BinOp("==", Ident("x"), IntLit(1))), assume]
     expected = conjoin([
-        ir.eq(Ident("x"), IntLit(1)),
+        ir.BinOp("==", Ident("x"), IntLit(1)),
         assume.cond,
-        ir.not_(ir.eq(Ident("x"), Ident("y"))),
+        ir.UnOp("not", ir.BinOp("==", Ident("x"), Ident("y"))),
     ])
     assert frame_formula(p, "x", "y") == expected
-    assert vc_gen(p, 0) == ir.and_(ir.eq(Ident("x"), IntLit(1)), ir.not_(p.stmts[1].cond))
+    assert vc_gen(p, 0) == ir.BinOp("and", ir.BinOp("==", Ident("x"), IntLit(1)), ir.UnOp("not", p.stmts[1].cond))
 
 
 def test_verify_reports_a_vc_too_deep_to_print_as_error(tmp_path):

@@ -38,7 +38,7 @@ def _program(*stmts, decls=(), datatypes=()):
 def test_vc_for_trivially_valid_assert():
     p = _program(
         Assign(Ident("x"), IntLit(1)),
-        Assert(ir.eq(Ident("x"), IntLit(1))),
+        Assert(BinOp("==", Ident("x"), IntLit(1))),
         decls=[("x", ir.INT)],
     )
     formula = vc_gen(p, 0)
@@ -56,8 +56,8 @@ def test_vc_index_out_of_range():
 
 def test_prior_asserts_are_assumed():
     p = _program(
-        Assert(ir.lt(IntLit(0), Ident("x"))),
-        Assert(ir.le(IntLit(1), Ident("x"))),
+        Assert(BinOp("<", IntLit(0), Ident("x"))),
+        Assert(BinOp("<=", IntLit(1), Ident("x"))),
         decls=[("x", ir.INT)],
     )
     formula = vc_gen(p, 1)
@@ -123,21 +123,21 @@ def test_sat_with_model(solver_available):
 def test_vc_roundtrip_through_solver(solver_available):
     p = _program(
         Assign(Ident("x"), IntLit(1)),
-        Assert(ir.eq(Ident("x"), IntLit(1))),
+        Assert(BinOp("==", Ident("x"), IntLit(1))),
         decls=[("x", ir.INT)],
     )
     assert check(emit_smtlib(p, vc_gen(p, 0)), 30).kind == "unsat"
 
     p2 = _program(
-        Assume(ir.lt(IntLit(0), Ident("x"))),
-        Assert(ir.le(IntLit(1), Ident("x"))),
+        Assume(BinOp("<", IntLit(0), Ident("x"))),
+        Assert(BinOp("<=", IntLit(1), Ident("x"))),
         decls=[("x", ir.INT)],
     )
     assert check(emit_smtlib(p2, vc_gen(p2, 0)), 30).kind == "unsat"
 
     p3 = _program(
         Assign(Ident("x"), Ident("y")),
-        Assert(ir.eq(Ident("x"), IntLit(0))),
+        Assert(BinOp("==", Ident("x"), IntLit(0))),
         decls=[("x", ir.INT), ("y", ir.INT)],
     )
     verdict = check(emit_smtlib(p3, vc_gen(p3, 0)), 30)
@@ -151,7 +151,7 @@ def test_datatype_script_roundtrips(solver_available):
             Ident("a"),
             ir.Construct("StorArr$int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(3))),
         ),
-        Assert(ir.eq(ir.Select(Ident("a"), "length", "StorArr$int"), IntLit(3))),
+        Assert(BinOp("==", ir.Select(Ident("a"), "length", "StorArr$int"), IntLit(3))),
         decls=[("a", DatatypeType("StorArr$int"))],
         datatypes=[
             DatatypeDef(
