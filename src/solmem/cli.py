@@ -27,6 +27,7 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import SolmemError
+from .generator import DEFAULT_BUDGET
 from .harness import (
     OUTCOMES, SOLVER_FAILURES, exit_code, fuzz_report_json, render_table, report_json, run_corpus, run_fuzz,
 )
@@ -34,6 +35,7 @@ from .oracle import exec_function, run_constructor, serialize, serialize_storage
 from .parser import parse_source
 from .resolver import resolve_and_check
 from .smtlib import program_text
+from .solver import DEFAULT_TIMEOUT_SECONDS
 from .verify import verify_source
 
 
@@ -63,7 +65,8 @@ def _positive_seconds(text: str) -> float:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-cmd", help="solver command line (reads SMT-LIB on stdin)")
-    p.add_argument("--timeout", type=_positive_seconds, default=60.0, help="per-query timeout in seconds (> 0)")
+    p.add_argument("--timeout", type=_positive_seconds, default=DEFAULT_TIMEOUT_SECONDS,
+                   help="per-query timeout in seconds (> 0)")
 
 
 def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
@@ -165,13 +168,7 @@ def cmd_run(args) -> int:
 
 def cmd_corpus(args) -> int:
     corpus_dir = Path(args.dir)
-    classes = run_corpus(
-        corpus_dir,
-        solver_cmd=args.solver_cmd,
-        timeout=args.timeout,
-        unroll=args.unroll,
-        jobs=args.jobs,
-    )
+    classes = run_corpus(corpus_dir, solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
     if not any(s.tests for s in classes.values()):  # it would pass having checked nothing
         print(f"error: {corpus_dir} holds no <class>/<name>.sol file", file=sys.stderr)
         return 2
@@ -182,13 +179,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    outcomes = run_fuzz(
-        range(args.start, args.start + args.count),
-        size_budget=args.budget,
-        solver_cmd=args.solver_cmd,
-        timeout=args.timeout,
-        jobs=args.jobs,
-    )
+    seeds = range(args.start, args.start + args.count)
+    outcomes = run_fuzz(seeds, size_budget=args.budget, solver_cmd=args.solver_cmd, timeout=args.timeout)
     errors = [o for o in outcomes if o.observed in SOLVER_FAILURES]
     disagreements = [o for o in outcomes if not o.agreed and o.observed not in SOLVER_FAILURES]
     compared = sum(o.compared for o in outcomes)
@@ -229,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     _add_solver_flags(p)
     _add_unroll_flag(p)
-    p.add_argument("--jobs", type=_positive_int, default=4)
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     p.set_defaults(func=cmd_corpus)
 
@@ -237,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--budget", type=_non_negative_int, default=10, help="statements per generated program")
-    p.add_argument("--jobs", type=_positive_int, default=4)
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET,
+                   help="statements per generated program")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_fuzz)
     return parser

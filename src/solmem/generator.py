@@ -101,6 +101,10 @@ def _memory_safe(ty: SolType, structs: dict) -> bool:
     return False
 
 
+# Statements per generated program, unless the caller gives its own (`--budget`).
+DEFAULT_BUDGET = 10
+
+
 class ProgramBuilder:
     def __init__(self, seed: int, size_budget: int):
         self.rng = random.Random(seed)
@@ -525,6 +529,6 @@ class ProgramBuilder:
 
 
 @gc_paused
-def random_program(seed: int, size_budget: int = 10) -> str:
+def random_program(seed: int, size_budget: int = DEFAULT_BUDGET) -> str:
     """Deterministic, well-typed, in-bounds fragment program."""
     return ProgramBuilder(seed, size_budget).build()

@@ -20,6 +20,7 @@ the failed assert must yield a counterexample.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from collections import Counter
@@ -27,10 +28,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import SolmemError
-from .generator import ProgramBuilder
+from .generator import DEFAULT_BUDGET, ProgramBuilder
 from .oracle import run_constructor
 from .records import Record
 from .sol_ast import Contract
+from .solver import DEFAULT_TIMEOUT_SECONDS
 from .verify import VerifyReport, verify_source
 
 CORPUS_REPORT_SCHEMA = 1
@@ -42,6 +44,10 @@ FUZZ_REPORT_SCHEMA = 2
 OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
 # The outcomes that grade the environment rather than the verifier.
 SOLVER_FAILURES = frozenset({"timeout", "error"})
+
+# Tests or seeds run at once. Each waits on a CPU-bound solver process,
+# so more workers than CPUs only share the same cores.
+_WORKERS = os.cpu_count() or 1
 
 # A line comment, with its expectation if it is one; a block comment, as
 # the lexer reads it; or the start of an assert.
@@ -102,7 +108,9 @@ def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
         for name, a in results:
             if a.verdict == kind:
                 return kind, f"{name}:{a.line}: {a.detail}".strip(), 0
-    for name, a in results:  # any other answer is no verdict
+    for name, a in results:  # no verdict: bounded rests on --unroll, any other is the solver's answer
+        if a.verdict == "bounded":
+            return "incorrect", f"{name}:{a.line}: bounded: {a.detail}", 0
         if a.verdict not in ("verified", "counterexample"):
             return "incorrect", f"{name}:{a.line}: solver said {a.verdict} ({a.detail})", 0
     for compared, ((name, a), want) in enumerate(zip(results, expected)):
@@ -135,10 +143,7 @@ def _self_contained(contract: Contract) -> bool:
 
 
 def run_test(
-    path: Path,
-    solver_cmd: str | None = None,
-    timeout: float = 60.0,
-    unroll: int | None = None,
+    path: Path, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
 ) -> TestOutcome:
     """Verify one corpus file and judge it against its `//expect` lines.
     A self-contained contract must also match the constructor oracle."""
@@ -178,15 +183,11 @@ class ClassSummary(Record):
 
 
 def run_corpus(
-    corpus_dir: Path,
-    solver_cmd: str | None = None,
-    timeout: float = 60.0,
-    unroll: int | None = None,
-    jobs: int = 4,
+    corpus_dir: Path, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
 ) -> dict[str, ClassSummary]:
     classes = {d.name: ClassSummary(d.name) for d in sorted(p for p in corpus_dir.iterdir() if p.is_dir())}
     work = [(s, test) for s in classes.values() for test in sorted((corpus_dir / s.name).glob("*.sol"))]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         outcomes = pool.map(lambda item: run_test(item[1], solver_cmd, timeout, unroll), work)
         for (summary, _), outcome in zip(work, outcomes):
             summary.tests.append(outcome)
@@ -254,11 +255,8 @@ class FuzzOutcome(Record):
 
 
 def run_fuzz(
-    seeds: range,
-    size_budget: int = 10,
-    solver_cmd: str | None = None,
-    timeout: float = 60.0,
-    jobs: int = 4,
+    seeds: range, size_budget: int = DEFAULT_BUDGET, solver_cmd: str | None = None,
+    timeout: float = DEFAULT_TIMEOUT_SECONDS,
 ) -> list[FuzzOutcome]:
     def run_one(seed: int) -> FuzzOutcome:
         start = time.monotonic()
@@ -272,7 +270,7 @@ def run_fuzz(
             seed, observed, compared, detail, time.monotonic() - start, dict(builder.rejections)
         )
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return list(pool.map(run_one, seeds))
 
 

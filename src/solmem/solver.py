@@ -57,7 +57,13 @@ def _command(solver_cmd: str | None) -> list[str]:
     return default_solver_command() if solver_cmd is None else _split(solver_cmd)
 
 
-def check(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = None) -> SolverVerdict:
+# Seconds a query may run, unless the caller gives its own (`--timeout`).
+DEFAULT_TIMEOUT_SECONDS = 60.0
+
+
+def check(
+    script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS, solver_cmd: str | None = None
+) -> SolverVerdict:
     """Run one SMT-LIB session and classify the outcome. A solver that
     cannot be found or launched gives an `error` verdict."""
     try:
@@ -75,7 +81,9 @@ _smoke_lock = threading.Lock()
 _smoke_failures: dict[tuple[str, ...], str] = {}  # command -> reason, "" once it answered
 
 
-def query(script: str, timeout_seconds: float = 60.0, solver_cmd: str | None = None) -> SolverVerdict:
+def query(
+    script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS, solver_cmd: str | None = None
+) -> SolverVerdict:
     """`check`, once the solver command has answered the smoke query.
 
     The smoke query runs once per command per process. After it fails,

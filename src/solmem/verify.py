@@ -17,7 +17,7 @@ from .records import Record
 from .resolver import resolve_and_check
 from .sol_ast import Contract
 from .smtlib import emit_smtlib
-from .solver import query
+from .solver import DEFAULT_TIMEOUT_SECONDS, query
 from .ssa import to_ssa
 from .translate import TranslatedFunction, translate_function
 from .vcgen import vc_gen
@@ -82,9 +82,7 @@ class VerifyReport(Record):
 
 
 def verify_translated(
-    tf: TranslatedFunction,
-    solver_cmd: str | None = None,
-    timeout: float = 60.0,
+    tf: TranslatedFunction, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS
 ) -> FunctionReport:
     report = FunctionReport(tf.name, program=tf.program)
     ssa = to_ssa(normalize_lhs(tf.program))
@@ -113,10 +111,7 @@ def verify_translated(
 
 
 def verify_source(
-    text: str,
-    solver_cmd: str | None = None,
-    timeout: float = 60.0,
-    unroll: int | None = None,
+    text: str, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
 ) -> VerifyReport:
     report = VerifyReport()
     try:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "corpus", "pyproject.toml", "BENCHMARK.json")
+COPIED = ("src", "tests", "perfbench", "corpus", "pyproject.toml", "BENCHMARK.json", "README.md")
 
 
 @dataclass(frozen=True)

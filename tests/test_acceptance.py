@@ -127,7 +127,7 @@ def test_criterion_3_dangling_pointer(solver_available):
 
 
 def test_criterion_4_corpus(solver_available):
-    classes = run_corpus(CORPUS_DIR, timeout=60.0, jobs=8)
+    classes = run_corpus(CORPUS_DIR, timeout=60.0)
     assert set(classes) == {"assignment", "delete", "init", "storage", "storageptr"}
     total = sum(s.total for s in classes.values())
     unsupported = sum(s.counts["unsupported"] for s in classes.values())
@@ -147,7 +147,7 @@ def test_criterion_4_corpus(solver_available):
 
 def test_criterion_5_differential_fuzzing(solver_available):
     start = time.monotonic()
-    outcomes = run_fuzz(range(500), size_budget=8, timeout=60.0, jobs=8)
+    outcomes = run_fuzz(range(500), size_budget=8, timeout=60.0)
     elapsed = time.monotonic() - start
     disagreements = [o for o in outcomes if not o.agreed]
     compared = sum(o.compared for o in outcomes)

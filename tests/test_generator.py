@@ -211,7 +211,7 @@ def test_interpreter_errors_are_not_rejected_candidates(monkeypatch):
     monkeypatch.setattr(oracle.Machine, "exec_stmt", broken)
     with pytest.raises(OracleError, match="interpreter bug"):
         ProgramBuilder(0, 10).build()
-    [outcome] = run_fuzz(range(1), jobs=1)
+    [outcome] = run_fuzz(range(1))
     assert (outcome.observed, outcome.detail) == ("invalid", "pipeline error: interpreter bug")
     assert outcome.rejections == {}
 
@@ -229,6 +229,6 @@ def test_failing_sampled_assert_is_an_error(monkeypatch):
     monkeypatch.setattr(ProgramBuilder, "_value_reads", off_by_one)
     with pytest.raises(OracleError, match=r"^sampled assert fails: assert\(.+ == -?\d+\);$"):
         ProgramBuilder(0, 10).build()
-    [outcome] = run_fuzz(range(1), jobs=1)
+    [outcome] = run_fuzz(range(1))
     assert outcome.observed == "invalid"
     assert outcome.detail.startswith("pipeline error: sampled assert fails: assert(")

@@ -8,12 +8,15 @@ import re
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from sources import DANGLING_POINTER
+from solmem import harness, solver, verify
 from solmem.cli import build_parser, main
+from solmem.generator import DEFAULT_BUDGET, random_program
 from solmem.harness import (
     judge,
     judge_by_oracle,
@@ -21,6 +24,7 @@ from solmem.harness import (
     render_table,
     report_json,
     run_corpus,
+    run_fuzz,
     run_test,
     scan_expectations,
 )
@@ -188,7 +192,7 @@ def test_corpus_aggregation_and_json(tmp_path, solver_available):
            "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }")
     _write(tmp_path, "delete", "c.sol",
            "contract C { int x; constructor() { delete x; assert(x == 0); } }")
-    classes = run_corpus(tmp_path, jobs=2)
+    classes = run_corpus(tmp_path)
     assert classes["storage"].counts["correct"] == 2
     assert classes["delete"].counts["correct"] == 1
     assert classes["storage"].total == 2
@@ -204,7 +208,7 @@ def test_corpus_aggregation_and_json(tmp_path, solver_available):
 
 def test_empty_corpus_renders_all_zero(tmp_path):
     (tmp_path / "assignment").mkdir()
-    classes = run_corpus(tmp_path, jobs=1)
+    classes = run_corpus(tmp_path)
     assert classes["assignment"].total == 0
     assert "assignment (0)" in render_table(classes)
 
@@ -235,7 +239,7 @@ def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
         _write(tmp_path / "corpus", "storage", "t.sol", source)
         argv = [str(tmp_path / "corpus"), "--json", str(tmp_path / "missing" / "r.json")]
     else:
-        argv = ["--count", "1", "--budget", "0", "--jobs", "1", "--json", str(tmp_path / "missing" / "r.json")]
+        argv = ["--count", "1", "--budget", "0", "--json", str(tmp_path / "missing" / "r.json")]
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
     proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv, "--solver-cmd", shlex.join(stub)],
                           capture_output=True, text=True, timeout=120,
@@ -311,6 +315,18 @@ def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsy
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log2")]
     assert main(["verify", str(f), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 1
     assert "f:3: assert((a.length <= 2)): counterexample [n = 0]" in capsys.readouterr().out
+
+
+def test_cli_corpus_words_bounded_as_no_verdict_of_the_solver(tmp_path, capsys):
+    """The solver said unsat; only the `--unroll` bound keeps the assert
+    from verifying, so the detail names no solver answer. The test is
+    still incorrect, exit 1."""
+    _write(tmp_path, "arrays", "bound.sol", BOUNDED.replace("LENGTH", "n"))
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+    assert main(["corpus", str(tmp_path), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 1
+    out = capsys.readouterr().out
+    assert "    bound.sol: incorrect: f:3: bounded: holds for array lengths up to 2 only (--unroll 2)\n" in out
+    assert "solver said" not in out
 
 
 @pytest.mark.parametrize("unroll", [[], ["--unroll", "2"]], ids=["plain", "unroll"])
@@ -509,15 +525,14 @@ def test_cli_corpus(tmp_path, capsys, solver_available):
     d.mkdir(parents=True)
     (d / "t.sol").write_text("contract C { int x; constructor() { assert(x == 0); } }")
     report = tmp_path / "report.json"
-    assert main(["corpus", str(tmp_path / "corpus"), "--json", str(report), "--jobs", "1"]) == 0
+    assert main(["corpus", str(tmp_path / "corpus"), "--json", str(report)]) == 0
     assert "storage (1)" in capsys.readouterr().out
     assert json.loads(report.read_text())["schema"] == 1
 
 
 def test_cli_fuzz_small(tmp_path, capsys, solver_available):
     report = tmp_path / "fuzz.json"
-    assert main(["fuzz", "--count", "2", "--budget", "4", "--jobs", "2",
-                 "--json", str(report)]) == 0
+    assert main(["fuzz", "--count", "2", "--budget", "4", "--json", str(report)]) == 0
     out = capsys.readouterr().out
     assert "0 disagreements" in out
     payload = json.loads(report.read_text())
@@ -527,8 +542,8 @@ def test_cli_fuzz_small(tmp_path, capsys, solver_available):
 
 def test_cli_fuzz_json_reports_rejections_without_solver(tmp_path):
     report = tmp_path / "fuzz.json"
-    main(["fuzz", "--start", "69", "--count", "1", "--jobs", "1",
-          "--solver-cmd", "definitely-not-a-solver-binary", "--json", str(report)])
+    main(["fuzz", "--start", "69", "--count", "1", "--solver-cmd", "definitely-not-a-solver-binary",
+          "--json", str(report)])
     payload = json.loads(report.read_text())
     assert payload["schema"] == 2
     assert payload["seeds"][0]["rejections"] == {"ParseError": 1, "ResolveError": 1}
@@ -541,7 +556,7 @@ def test_corpus_rerun_is_deterministic(tmp_path, solver_available):
            "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }")
 
     def observed():
-        classes = run_corpus(tmp_path, jobs=2)
+        classes = run_corpus(tmp_path)
         return sorted((t.test_id, t.observed) for s in classes.values() for t in s.tests)
 
     assert observed() == observed()
@@ -551,7 +566,7 @@ def test_class_totals_count_every_file(tmp_path, solver_available):
     for i in range(3):
         _write(tmp_path, "init", f"t{i}.sol",
                "contract C { int x; constructor() { assert(x == 0); } }")
-    classes = run_corpus(tmp_path, jobs=2)
+    classes = run_corpus(tmp_path)
     assert classes["init"].total == 3 == len(classes["init"].tests)
 
 
@@ -571,9 +586,6 @@ BAD_NUMBERS = [
     # a fuzz run over no seeds would pass having checked nothing
     ("fuzz", "--count", "-5", "a positive integer"),
     ("fuzz", "--count", "0", "a positive integer"),
-    ("fuzz", "--jobs", "0", "a positive integer"),
-    ("fuzz", "--jobs", "-3", "a positive integer"),
-    ("corpus", "--jobs", "0", "a positive integer"),
     ("fuzz", "--budget", "-1", "a non-negative integer"),
     # a solver given no time would report every VC as a timeout
     ("verify", "--timeout", "-1", "a positive number"),
@@ -593,6 +605,47 @@ def test_meaningless_numeric_option_is_a_usage_error(tmp_path, capsys, command, 
     assert f"{option}: expected {expected}, got '{value}'" in capsys.readouterr().err
 
 
+def test_corpus_and_fuzz_each_run_one_pool_of_a_worker_per_cpu(tmp_path, monkeypatch):
+    """Each worker waits on a CPU-bound solver process, so the pool has
+    one per CPU. No solver runs: the test does not parse, and the solver
+    command names no program."""
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
+    assert run_corpus(tmp_path)["init"].counts["invalid"] == 1
+    assert [o.observed for o in run_fuzz(range(2), solver_cmd="definitely-not-a-solver-binary")] == ["error"] * 2
+    assert pools == [os.cpu_count() or 1] * 2
+
+
+@pytest.mark.parametrize("command", ["corpus", "fuzz"])
+def test_the_pool_size_is_no_option(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command] + ([str(tmp_path)] if command == "corpus" else []) + ["--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_each_run_default_has_one_owner():
+    """The command line and every function that takes a timeout or a
+    budget default to the value its owner states."""
+    for command in (["verify", "f.sol"], ["corpus", "d"], ["fuzz"]):
+        assert build_parser().parse_args(command).timeout == solver.DEFAULT_TIMEOUT_SECONDS
+    assert build_parser().parse_args(["fuzz"]).budget == DEFAULT_BUDGET
+    timed = [solver.check, solver.query, verify.verify_translated, verify.verify_source,
+             run_test, run_corpus, run_fuzz]
+    for fn in timed:
+        [param] = [p for name, p in inspect.signature(fn).parameters.items() if name.startswith("timeout")]
+        assert param.default == solver.DEFAULT_TIMEOUT_SECONDS, fn.__name__
+    for fn in (random_program, run_fuzz):
+        assert inspect.signature(fn).parameters["size_budget"].default == DEFAULT_BUDGET, fn.__name__
+
+
 def test_smallest_meaningful_numeric_options_parse():
-    args = build_parser().parse_args(["fuzz", "--count", "1", "--jobs", "1", "--budget", "0", "--timeout", "0.5"])
-    assert (args.count, args.jobs, args.budget, args.timeout) == (1, 1, 0, 0.5)
+    args = build_parser().parse_args(["fuzz", "--count", "1", "--budget", "0", "--timeout", "0.5"])
+    assert (args.count, args.budget, args.timeout) == (1, 0, 0.5)

@@ -23,10 +23,13 @@ class is interned, slotted and compares by identity. No module of the
 package imports `dataclasses`: records are written out (`records`). The
 names the translator invents are spelled only where it invents them. No
 nested function refers to its own name, so that no closure holds itself
-in a reference cycle. Every text that `tests/mutants.py` replaces still
-occurs exactly once in its module.
+in a reference cycle. README.md names every option of the command line,
+and its Usage section names no option that the command line lacks, so a
+removed option cannot linger in the docs. Every text that
+`tests/mutants.py` replaces still occurs exactly once in its module.
 """
 
+import argparse
 import ast
 import os
 import re
@@ -37,7 +40,7 @@ from pathlib import Path
 import irsorts
 import mutants
 import pytest
-from solmem import ir, ireval, smtlib, sol_ast, ssa, translate
+from solmem import cli, ir, ireval, smtlib, sol_ast, ssa, translate
 from solmem.interning import Interned
 from solmem.ir import IrExpr, UnOp
 
@@ -484,6 +487,42 @@ def test_class_checks_find_what_they_look_for():
         __slots__ = ()
 
     assert uninterned([Interned_, Plain]) == ["Plain", "Structural", "Unslotted"]
+
+
+def cli_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of every subcommand of `parser`, `--help` aside."""
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        option for p in commands.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
+        for option in a.option_strings
+    }
+
+
+def readme_disagreements(readme: str, options: set[str]) -> list[str]:
+    """The `options` that `readme` never names, and the `--options` its
+    Usage section names that are not among `options`."""
+    usage = readme.split("\n## Usage\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", usage))
+    mentioned = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", readme))
+    return [f"undocumented {o}" for o in sorted(options - mentioned)] + [f"stale {o}" for o in sorted(named - options)]
+
+
+def test_readme_and_the_command_line_name_the_same_options():
+    assert readme_disagreements((ROOT / "README.md").read_text(), cli_options(cli.build_parser())) == []
+
+
+def test_readme_check_finds_what_it_looks_for():
+    readme = (
+        "# tool\n`--count` (`-c`)\n## Usage\n```sh\nsolmem corpus dir --jobs 8 --json r.json\n```\n"
+        "## Tests\n`perfbench/run.py --trace 0`, `--json-lines`\n"
+    )
+    options = {"--count", "-c", "--json", "--timeout", "--json-lines"}
+    assert readme_disagreements(readme, options) == ["undocumented --timeout", "stale --jobs"]
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("run")
+    p.add_argument("--entry")
+    p.add_argument("-n", "--count")
+    assert cli_options(parser) == {"--entry", "-n", "--count"}
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

@@ -51,8 +51,7 @@ def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_pat
     _write(corpus, "storage", "a.sol", HOLDS)
     _write(corpus, "storage", "b.sol", FAILS)
     _write(corpus, "delete", "c.sol", HOLDS)
-    code = main(["corpus", str(corpus), "--solver-cmd", _stub("garbage", log),
-                 "--jobs", "3", "--json", str(report)])
+    code = main(["corpus", str(corpus), "--solver-cmd", _stub("garbage", log), "--json", str(report)])
     assert code == 2
     payload = json.loads(report.read_text())
     assert payload["schema"] == 1
@@ -65,8 +64,8 @@ def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_pat
 
 def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys):
     log, report = tmp_path / "launches.log", tmp_path / "fuzz.json"
-    code = main(["fuzz", "--count", "2", "--budget", "4", "--jobs", "2",
-                 "--solver-cmd", _stub("garbage", log), "--json", str(report)])
+    code = main(["fuzz", "--count", "2", "--budget", "4", "--solver-cmd", _stub("garbage", log),
+                 "--json", str(report)])
     assert code == 2
     assert "0 disagreements" in capsys.readouterr().out
     seeds = json.loads(report.read_text())["seeds"]
@@ -84,7 +83,7 @@ def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys):
     sleeper = ["--solver-cmd", _stub("unsat,sleep", tmp_path / "log"), "--timeout", "0.5"]
     assert main(["verify", str(test), *sleeper]) == 2
     assert main(["corpus", str(corpus), *sleeper]) == 2
-    assert main(["fuzz", "--count", "2", "--budget", "4", "--jobs", "2", *sleeper, "--json", str(report)]) == 2
+    assert main(["fuzz", "--count", "2", "--budget", "4", *sleeper, "--json", str(report)]) == 2
     out = capsys.readouterr().out
     assert "0 disagreements, 2 solver errors or timeouts" in out
     assert re.search(r"^    a\.sol: timeout: constructor:1: no answer within 0\.5 s \(", out, re.M)
@@ -158,7 +157,7 @@ UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
     "args, env, message",
     [(VERIFY, {}, NOT_FOUND),
      (["corpus", "corpus"], {}, NOT_FOUND),
-     (["fuzz", "--count", "1", "--budget", "4", "--jobs", "1"], {}, NOT_FOUND),
+     (["fuzz", "--count", "1", "--budget", "4"], {}, NOT_FOUND),
      ([*VERIFY, "--solver-cmd", 'z3 "'], {}, UNBALANCED),
      ([*VERIFY, "--solver-cmd", " "], {}, "malformed solver command ' ': no program"),
      # an empty flag is malformed too; it does not fall back to a working SOLMEM_SOLVER
@@ -183,7 +182,7 @@ def test_table_columns_sum_to_each_class_total(tmp_path):
     _write(tmp_path, "init", "loops.sol", "contract C { function f() { while (true) {} } }")
     _write(tmp_path, "delete", "loops.sol", "contract C { function f() { for (;;) {} } }")
     (tmp_path / "storage").mkdir()
-    table = render_table(run_corpus(tmp_path, jobs=1))
+    table = render_table(run_corpus(tmp_path))
     header = table.splitlines()[0].split()
     assert all(o in header for o in OUTCOMES)
     rows = [re.match(r"(\S+) \((\d+)\)\s+([\d\s.]+)$", line) for line in table.splitlines()]
