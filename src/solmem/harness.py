@@ -20,7 +20,6 @@ the failed assert must yield a counterexample.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from collections import Counter
@@ -45,9 +44,9 @@ OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error"
 # The outcomes that grade the environment rather than the verifier.
 SOLVER_FAILURES = frozenset({"timeout", "error"})
 
-# Tests or seeds run at once. Each waits on a CPU-bound solver process,
-# so more workers than CPUs only share the same cores.
-_WORKERS = os.cpu_count() or 1
+# Tests or seeds run at once, the old default of the removed worker-count
+# option. Sizing it from the machine waits on measured solver throughput.
+_WORKERS = 4
 
 # A line comment, with its expectation if it is one; a block comment, as
 # the lexer reads it; or the start of an assert.

@@ -605,10 +605,10 @@ def test_meaningless_numeric_option_is_a_usage_error(tmp_path, capsys, command, 
     assert f"{option}: expected {expected}, got '{value}'" in capsys.readouterr().err
 
 
-def test_corpus_and_fuzz_each_run_one_pool_of_a_worker_per_cpu(tmp_path, monkeypatch):
-    """Each worker waits on a CPU-bound solver process, so the pool has
-    one per CPU. No solver runs: the test does not parse, and the solver
-    command names no program."""
+def test_corpus_and_fuzz_each_run_one_pool_of_four_workers(tmp_path, monkeypatch):
+    """The pool keeps the size the removed `--jobs` option defaulted to.
+    No solver runs: the test does not parse, and the solver command names
+    no program."""
     pools = []
 
     class Recording(ThreadPoolExecutor):
@@ -620,7 +620,7 @@ def test_corpus_and_fuzz_each_run_one_pool_of_a_worker_per_cpu(tmp_path, monkeyp
     _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
     assert run_corpus(tmp_path)["init"].counts["invalid"] == 1
     assert [o.observed for o in run_fuzz(range(2), solver_cmd="definitely-not-a-solver-binary")] == ["error"] * 2
-    assert pools == [os.cpu_count() or 1] * 2
+    assert pools == [4, 4]
 
 
 @pytest.mark.parametrize("command", ["corpus", "fuzz"])

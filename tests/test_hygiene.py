@@ -31,6 +31,8 @@ removed option cannot linger in the docs. Every text that
 
 import argparse
 import ast
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -490,12 +492,17 @@ def test_class_checks_find_what_they_look_for():
 
 
 def cli_options(parser: argparse.ArgumentParser) -> set[str]:
-    """The option strings of every subcommand of `parser`, `--help` aside."""
-    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {
-        option for p in commands.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
-        for option in a.option_strings
-    }
+    """The option strings of every subcommand of `parser`, `--help` aside,
+    read from the usage line and each subcommand's `--help` output."""
+    [commands] = re.findall(r"\{([\w,-]+)\}", parser.format_usage())
+    options = set()
+    for command in commands.split(","):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        for invocation in re.findall(r"^  (-.*?)(?: {2,}|$)", out.getvalue(), re.M):
+            options.update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", invocation))
+    return options - {"-h", "--help"}
 
 
 def readme_disagreements(readme: str, options: set[str]) -> list[str]:
@@ -519,10 +526,12 @@ def test_readme_check_finds_what_it_looks_for():
     options = {"--count", "-c", "--json", "--timeout", "--json-lines"}
     assert readme_disagreements(readme, options) == ["undocumented --timeout", "stale --jobs"]
     parser = argparse.ArgumentParser()
-    p = parser.add_subparsers().add_parser("run")
-    p.add_argument("--entry")
-    p.add_argument("-n", "--count")
-    assert cli_options(parser) == {"--entry", "-n", "--count"}
+    commands = parser.add_subparsers()
+    p = commands.add_parser("run")
+    p.add_argument("--entry", help="see --count")
+    p.add_argument("-n", "--count", metavar="N")
+    commands.add_parser("check").add_argument("--a-very-long-option-name-that-wraps", help="an option")
+    assert cli_options(parser) == {"--entry", "-n", "--count", "--a-very-long-option-name-that-wraps"}
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
