@@ -12,8 +12,8 @@ verify, corpus and fuzz exit 2 when the solver cannot be found, launched
 or smoke-tested, even if some assert also has a counterexample. corpus
 and fuzz also exit 2 when a query runs past --timeout; verify then exits
 2 unless some assert has a counterexample. Every command exits 2 when a
-file cannot be read or written, or when its standard output is closed
-before it is done.
+file cannot be read or written, a source is not UTF-8, or its standard
+output is closed before it is done.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from pathlib import Path
 from .errors import SolmemError
 from .generator import DEFAULT_BUDGET
 from .harness import (
-    OUTCOMES, SOLVER_FAILURES, exit_code, fuzz_report_json, render_table, report_json, run_corpus, run_fuzz,
+    OUTCOMES, SOLVER_FAILURES, exit_code, fuzz_report_json, read_source, render_table, report_json, run_corpus,
+    run_fuzz,
 )
 from .oracle import exec_function, run_constructor, serialize, serialize_storage
 from .parser import parse_source
@@ -77,7 +78,7 @@ def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
 
 def cmd_verify(args) -> int:
     path = Path(args.file)
-    report = verify_source(path.read_text(), solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
+    report = verify_source(read_source(path), solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.error is not None:
@@ -104,14 +105,14 @@ def cmd_verify(args) -> int:
             out_dir = Path(args.emit_smt)
             out_dir.mkdir(parents=True, exist_ok=True)
             for i, script in enumerate(f.smt_scripts):
-                (out_dir / f"{path.stem}.{f.name}.{i}.smt2").write_text(script)
+                (out_dir / f"{path.stem}.{f.name}.{i}.smt2").write_text(script, encoding="utf-8")
     return report.exit_code()
 
 
 def cmd_run(args) -> int:
     path = Path(args.file)
     try:
-        contract = resolve_and_check(parse_source(path.read_text()))
+        contract = resolve_and_check(parse_source(read_source(path)))
     except SolmemError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -174,7 +175,7 @@ def cmd_corpus(args) -> int:
         return 2
     print(render_table(classes))
     if args.json:
-        Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True))
+        Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True), encoding="utf-8")
     return exit_code({t.observed for s in classes.values() for t in s.tests}, {"incorrect", "invalid"})
 
 
@@ -194,7 +195,7 @@ def cmd_fuzz(args) -> int:
     for o in disagreements + errors[:1]:
         print(f"  seed {o.seed}: {o.observed}: {o.detail}")
     if args.json:
-        Path(args.json).write_text(json.dumps(fuzz_report_json(outcomes), indent=2, sort_keys=True))
+        Path(args.json).write_text(json.dumps(fuzz_report_json(outcomes), indent=2, sort_keys=True), encoding="utf-8")
     return exit_code({o.observed for o in outcomes}, set(OUTCOMES) - {"correct"})
 
 

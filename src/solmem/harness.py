@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .errors import SolmemError
 from .generator import DEFAULT_BUDGET, ProgramBuilder
+from .lexer import lexemes
 from .oracle import run_constructor
 from .records import Record
 from .sol_ast import Contract
@@ -48,9 +49,8 @@ SOLVER_FAILURES = frozenset({"timeout", "error"})
 # option. Sizing it from the machine waits on measured solver throughput.
 _WORKERS = 4
 
-# A line comment, with its expectation if it is one; a block comment, as
-# the lexer reads it; or the start of an assert.
-_SCAN_RE = re.compile(r"//(?:[ \t]*expect:[ \t]*(holds|fails)\b)?[^\n]*|/\*.*?\*/|\bassert\s*\(", re.S)
+# The expectation a line comment's text starts with, if any.
+_EXPECT_RE = re.compile(r"[ \t]*expect:[ \t]*(holds|fails)\b")
 
 
 class TestOutcome(Record):
@@ -64,21 +64,25 @@ class TestOutcome(Record):
         self.detail = detail
 
 
+def read_source(path: Path) -> str:
+    """The text of a source file, decoded as UTF-8 whatever the locale."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:  # exits 2 as an unreadable file does
+        raise OSError(f"{path} is not UTF-8 text ({e})") from e
+
+
 def scan_expectations(text: str) -> list[tuple[int, str]]:
-    """(line, holds|fails) of each assert outside comments, in source
-    order, on lines numbered as the lexer numbers them."""
+    """(line, holds|fails) of each `assert` keyword, in source order, on
+    lines numbered as the lexer numbers them."""
     found: list[tuple[int, str]] = []
     pending: str | None = None
-    line, pos = 1, 0
-    for m in _SCAN_RE.finditer(text):
-        lexeme = m.group()
-        if lexeme[:2] == "//":
-            pending = m.group(1) or pending
-        elif lexeme[:2] != "/*":
-            line += text.count("\n", pos, m.start())
-            pos = m.start()
+    for line, lexeme, comment in lexemes(text):
+        if lexeme == "assert":
             found.append((line, pending or "holds"))
             pending = None
+        elif comment is not None and (m := _EXPECT_RE.match(comment)):
+            pending = m[1]
     return found
 
 
@@ -146,7 +150,7 @@ def run_test(
 ) -> TestOutcome:
     """Verify one corpus file and judge it against its `//expect` lines.
     A self-contained contract must also match the constructor oracle."""
-    text = path.read_text()
+    text = read_source(path)
     expected = [want for _, want in scan_expectations(text)]
     start = time.monotonic()
     report = verify_source(text, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)

@@ -33,7 +33,6 @@ from .ir import (
     IntLit,
     IntType,
     IrExpr,
-    IrStmt,
     IrType,
     Ite,
     Select,
@@ -123,6 +122,10 @@ def _truth(v, e: IrExpr) -> bool:
     return v
 
 
+# The status of a run stopped by a false assume or assert, by its kind.
+_FAILED = {Assume: "assume-violated", Assert: "assert-failed"}
+
+
 class EvalResult(Record):
     # status: "ok" | "assume-violated" | "assert-failed"; failed_index: the
     # ordinal of the violated assume or assert
@@ -138,8 +141,7 @@ class _Machine:
     def __init__(self, program: SmtProgram, env: dict | None):
         self.program = program
         self.env: dict = dict(env) if env else {}
-        self.assert_ordinal = 0
-        self.assume_ordinal = 0
+        self.ordinals = dict.fromkeys(_FAILED, 0)  # per kind, of the next assume or assert
 
     # -- expressions --------------------------------------------------
 
@@ -237,50 +239,28 @@ class _Machine:
             return
         raise IrError(f"invalid assignment target {lhs!r}")
 
-    def run(self, stmts) -> EvalResult | None:
+    def run(self, stmts, live: bool = True) -> EvalResult | None:
+        """Run `stmts` to the first violated assume or assert. Ordinals are
+        static (program-text positions), so a branch not taken is walked
+        too, with `live` false: it evaluates nothing and only counts."""
         for s in stmts:
-            r = self.step(s)
-            if r is not None:
-                return r
-        return None
-
-    def _skip_counts(self, stmts) -> None:
-        """Ordinals are static (program-text positions), so a skipped
-        branch still advances the counters."""
-        for s in stmts:
-            if isinstance(s, Assume):
-                self.assume_ordinal += 1
-            elif isinstance(s, Assert):
-                self.assert_ordinal += 1
+            status = _FAILED.get(type(s))
+            if status is not None:
+                idx = self.ordinals[type(s)]
+                self.ordinals[type(s)] = idx + 1
+                if live and not self._cond(s.cond):
+                    return EvalResult(status, self.env, idx)
+            elif isinstance(s, Assign):
+                if live:
+                    self.assign(s.lhs, self.eval(s.rhs))
             elif isinstance(s, IfStmt):
-                self._skip_counts(s.then)
-                self._skip_counts(s.other)
-
-    def step(self, s: IrStmt) -> EvalResult | None:
-        if isinstance(s, Assign):
-            self.assign(s.lhs, self.eval(s.rhs))
-            return None
-        if isinstance(s, IfStmt):
-            if self._cond(s.cond):
-                result = self.run(s.then)
-                self._skip_counts(s.other)
+                taken = live and self._cond(s.cond)
+                result = self.run(s.then, taken) or self.run(s.other, live and not taken)
+                if result is not None:
+                    return result
             else:
-                self._skip_counts(s.then)
-                result = self.run(s.other)
-            return result
-        if isinstance(s, Assume):
-            idx = self.assume_ordinal
-            self.assume_ordinal += 1
-            if not self._cond(s.cond):
-                return EvalResult("assume-violated", self.env, idx)
-            return None
-        if isinstance(s, Assert):
-            idx = self.assert_ordinal
-            self.assert_ordinal += 1
-            if not self._cond(s.cond):
-                return EvalResult("assert-failed", self.env, idx)
-            return None
-        raise IrError(f"unknown statement {s!r}")
+                raise IrError(f"unknown statement {s!r}")
+        return None
 
 
 _EVAL: dict[type, Callable[[_Machine, Any], Any]] = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import ParseError
 
@@ -154,3 +155,14 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int
         col += len(lexeme)
     append(("eof", "", line, col))
     return tokens
+
+
+def lexemes(text: str) -> Iterator[tuple[int, str, str | None]]:
+    """`(line, lexeme, comment)` of each lexeme of `text` but space and
+    `\\n`, malformed ones included, on the lines `tokenize` gives them;
+    `comment` is the text after `//` of a line comment, else None."""
+    line = 1
+    for _, lexeme in _TOKEN_RE.findall(text):
+        if lexeme.strip():  # neither `\n` nor the empty lexeme that ends the text
+            yield line, lexeme, lexeme[2:] if lexeme[:2] == "//" else None
+        line += lexeme.count("\n")

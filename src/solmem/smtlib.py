@@ -67,6 +67,8 @@ def selector_name(datatype: str, member: str) -> str:
 # IR operator -> SMT-LIB function; the others are spelled alike
 _OPS = {"==": "=", "!=": "distinct"} | {op: op for op in ("+", "-", "<", "<=", ">", ">=", "and", "or")}
 _UNOPS = {"not": "not", "neg": "-"}
+# `--emit-ir` statement heads; `check`, since a solver reads `assert` as an assumption
+_HEADS = {Assume: "assume", Assert: "check"}
 
 _SEXPR: dict[type, Callable[[Any], str]] = {
     Ident: lambda e: e.name,
@@ -160,10 +162,9 @@ def emit_smtlib(program: SmtProgram, formula: IrExpr) -> str:
 def _stmt_text(s: IrStmt) -> str:
     if isinstance(s, Assign):
         return f"(assign {expr_to_sexpr(s.lhs)} {expr_to_sexpr(s.rhs)})"
-    if isinstance(s, Assume):
-        return f"(assume {expr_to_sexpr(s.cond)})"
-    if isinstance(s, Assert):  # not `assert`, which a solver reads as an assumption
-        return f"(check {expr_to_sexpr(s.cond)})"
+    head = _HEADS.get(type(s))
+    if head is not None:
+        return f"({head} {expr_to_sexpr(s.cond)})"
     if isinstance(s, IfStmt):
         then, other = ("".join(" " + _stmt_text(t) for t in branch) for branch in (s.then, s.other))
         return f"(if {expr_to_sexpr(s.cond)} (then{then}) (else{other}))"

@@ -103,16 +103,11 @@ class _Converter:
                 name = self.fresh_version(s.lhs.name)
                 versions[s.lhs.name] = name
                 self.out.stmts.append(Assign(Ident(name), rhs))
-            elif isinstance(s, Assume):
+            elif isinstance(s, (Assume, Assert)):
                 cond = rename_idents(s.cond, versions)
                 if path is not None:
                     cond = BinOp("or", UnOp("not", path), cond)
-                self.out.stmts.append(Assume(cond))
-            elif isinstance(s, Assert):
-                cond = rename_idents(s.cond, versions)
-                if path is not None:
-                    cond = BinOp("or", UnOp("not", path), cond)
-                self.out.stmts.append(Assert(cond))
+                self.out.stmts.append(type(s)(cond))
             elif isinstance(s, IfStmt):
                 cond = rename_idents(s.cond, versions)
                 then_path = cond if path is None else BinOp("and", path, cond)

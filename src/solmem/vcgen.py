@@ -21,7 +21,6 @@ from .ir import (
     Assign,
     Assume,
     BinOp,
-    IfStmt,
     Ident,
     IrExpr,
     SmtProgram,
@@ -39,17 +38,16 @@ def _conjuncts(program: SmtProgram) -> tuple[list[IrExpr], list[int], list[IrExp
     parts: list[IrExpr] = []
     positions: list[int] = []
     for s in program.stmts:
-        if isinstance(s, IfStmt):
-            raise IrError("VC generation requires a flat SSA program")
         if isinstance(s, Assign):
             if not isinstance(s.lhs, Ident):
                 raise IrError("VC generation requires identifier assignment targets")
             parts.append(BinOp("==", s.lhs, s.rhs))
-        elif isinstance(s, Assume):
+        elif isinstance(s, (Assume, Assert)):
+            if isinstance(s, Assert):
+                positions.append(len(parts))
             parts.append(s.cond)
-        elif isinstance(s, Assert):
-            positions.append(len(parts))
-            parts.append(s.cond)
+        else:
+            raise IrError("VC generation requires a flat SSA program")
     chain = parts[:1]
     for part in parts[1:]:
         chain.append(BinOp("and", chain[-1], part))

@@ -97,14 +97,14 @@ MUTANTS = (
     ),
     Mutant(
         "M8", "src/solmem/ssa.py",
-        'cond = BinOp("or", UnOp("not", path), cond)\n                self.out.stmts.append(Assert(',
-        "pass\n                self.out.stmts.append(Assert(",
+        'cond = BinOp("or", UnOp("not", path), cond)',
+        'cond = cond if isinstance(s, Assert) else BinOp("or", UnOp("not", path), cond)',
         "an assert inside a branch is checked only on that branch's path",
     ),
     Mutant(
         "M9", "src/solmem/ssa.py",
-        'cond = BinOp("or", UnOp("not", path), cond)\n                self.out.stmts.append(Assume(',
-        "pass\n                self.out.stmts.append(Assume(",
+        'cond = BinOp("or", UnOp("not", path), cond)',
+        'cond = cond if isinstance(s, Assume) else BinOp("or", UnOp("not", path), cond)',
         "an assumption inside a branch constrains only that branch's path",
     ),
     Mutant(

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import sources
 from sources import DANGLING_POINTER
 from solmem import harness, solver, verify
 from solmem.cli import build_parser, main
@@ -28,7 +29,10 @@ from solmem.harness import (
     run_test,
     scan_expectations,
 )
+from solmem.parser import parse_source
+from solmem.sol_ast import AssertStmt
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
+from test_vc_printing import stress_source
 
 
 def test_parse_expectations_attach_to_next_assert():
@@ -71,6 +75,41 @@ def test_scan_expectations_give_each_assert_its_own():
     assert scan_expectations(SHARED_LINES) == [(4, "fails"), (4, "holds"), (5, "holds"), (6, "fails"), (7, "holds")]
     # the line-keyed view keeps the first assert of each line
     assert parse_expectations(SHARED_LINES) == {4: "fails", 5: "holds", 6: "fails", 7: "holds"}
+
+
+# An assert whose `(` follows a comment is an assert all the same, so the
+# expectation below it belongs to the second assert only.
+COMMENT_BEFORE_PAREN = """contract C { int x; constructor() {
+    assert /* c */ (x == 1);
+    //expect: fails
+    assert(x == 2);
+} }
+"""
+
+
+def test_scan_expectations_count_an_assert_whose_paren_follows_a_comment():
+    assert scan_expectations(COMMENT_BEFORE_PAREN) == [(2, "holds"), (4, "fails")]
+
+
+def _scanned_sources() -> list[str]:
+    """Every corpus file, every source of `tests/sources.py`, fuzz seeds
+    0-199, one stress program and `COMMENT_BEFORE_PAREN`."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted((TESTS.parent / "corpus").glob("*/*.sol"))]
+    texts += [sources.DATA_STORAGE, sources.POINTER_CONTRACT, sources.TUPLE_SWAP, sources.DANGLING_POINTER]
+    texts += [random_program(seed) for seed in range(200)]
+    return texts + [stress_source(300, 25), COMMENT_BEFORE_PAREN]
+
+
+def test_scan_expectations_find_the_asserts_the_parser_finds():
+    """The scanner reads the lexer's lexemes, so on each of these sources,
+    all of which parse, it yields one entry per parsed assert, on the
+    parser's line, in source order."""
+    texts = _scanned_sources()
+    assert len(texts) == 238
+    for text in texts:
+        functions = sorted(parse_source(text).all_functions(), key=lambda f: f.line)
+        lines = [s.line for f in functions for s in f.body if isinstance(s, AssertStmt)]
+        assert [line for line, _ in scan_expectations(text)] == lines, text
 
 
 def _report(*asserts: tuple[int, str]) -> VerifyReport:
@@ -469,6 +508,31 @@ def test_cli_run_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, source
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "corpus"])
+def test_cli_source_that_is_not_utf8_is_one_error_line_and_exit_2(tmp_path, capsys, command):
+    """Sources are UTF-8 whatever the locale; one that does not decode is
+    reported as an unreadable file is, by name."""
+    f = tmp_path / "corpus" / "storage" / "t.sol"
+    f.parent.mkdir(parents=True)
+    f.write_bytes(b"contract C { int x; constructor() { x = 1; assert(x == 1); } } // \xff\n")
+    assert main([command, str(tmp_path / "corpus" if command == "corpus" else f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {f} is not UTF-8 text (") and err.count("\n") == 1, err
+
+
+def test_cli_reads_sources_as_utf8_under_an_ascii_locale(tmp_path):
+    f = tmp_path / "t.sol"
+    f.write_bytes("contract C { int x; constructor() { x = 1; } } // x ≠ 2\n".encode("utf-8"))
+    # the C locale without its coercion to UTF-8 (PEP 538, PEP 540) decodes as ASCII
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(TESTS.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", "run", str(f)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["storage"] == {"x": 1}
 
 
 def test_every_subcommand_reads_each_option_it_declares():

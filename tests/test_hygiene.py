@@ -25,7 +25,9 @@ names the translator invents are spelled only where it invents them. No
 nested function refers to its own name, so that no closure holds itself
 in a reference cycle. README.md names every option of the command line,
 and its Usage section names no option that the command line lacks, so a
-removed option cannot linger in the docs. Every text that
+removed option cannot linger in the docs. Every `read_text`,
+`write_text` and `open` of the package names `encoding="utf-8"`, so no
+file means what the locale makes of it. Every text that
 `tests/mutants.py` replaces still occurs exactly once in its module.
 """
 
@@ -275,6 +277,39 @@ def test_attribute_check_finds_what_it_looks_for():
     )
     assert attribute_uses(tree, "ordinal") == [2, 7]
     assert attribute_uses(tree, "label") == [3]
+
+
+def unencoded_text_io(tree: ast.AST) -> list[int]:
+    """Lines of each `read_text`, `write_text` or `open` call, the
+    built-in or a method (`os.open` opens no text file), that does not
+    pass `encoding="utf-8"`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in ("read_text", "write_text", "open")
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "os")
+        )
+        and not any(k.arg == "encoding" and isinstance(k.value, ast.Constant) and k.value.value == "utf-8"
+                    for k in node.keywords)
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_text_file_is_read_and_written_as_utf8(path):
+    assert unencoded_text_io(ast.parse(path.read_text())) == []
+
+
+def test_encoding_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        "import os\nfrom pathlib import Path\np = Path('x')\n"
+        "text = p.read_text()\np.write_text(text, encoding='utf-8')\n"
+        "with open(p, 'w') as f:\n    f.write(text)\n"
+        "os.dup2(os.open(os.devnull, os.O_WRONLY), 1)\n"
+        "p.open(encoding='latin-1').close()\nPath('y').write_text(text)\n"
+    )
+    assert unencoded_text_io(tree) == [4, 6, 9, 10]
 
 
 def test_the_unroll_bound_is_read_in_one_place():

@@ -190,3 +190,17 @@ def test_verify_reports_a_vc_too_deep_to_print_as_error(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout.count(": error ") == 1
     assert "RecursionError" in proc.stdout
+    # 3000 statements with an assert every 25: parse, translate, SSA and
+    # vcgen get through, and each VC is either too deep to print or sent
+    # to the missing solver
+    path.write_text(stress_source(3000, 25))
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", "verify", str(path)], cwd=SRC.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 121 and all(line.startswith("constructor:") for line in lines), proc.stdout
+    too_deep = [line for line in lines if "RecursionError" in line]
+    assert too_deep and lines[-1] in too_deep
+    assert all(line.endswith(": error verification condition nested too deeply to print (RecursionError)")
+               for line in too_deep)
