@@ -113,9 +113,6 @@ def cmd_run(args) -> int:
     path = Path(args.file)
     try:
         contract = resolve_and_check(parse_source(read_source(path)))
-    except SolmemError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except RecursionError:
         print("error: source nested too deeply to parse and resolve (RecursionError)", file=sys.stderr)
         return 2
@@ -152,9 +149,6 @@ def cmd_run(args) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2)
     except json.JSONDecodeError as e:
         print(f"error: --args is not valid JSON: {e}", file=sys.stderr)
-        return 2
-    except SolmemError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: value or expression nested too deeply to run (RecursionError)", file=sys.stderr)
@@ -247,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed (broken pipe)", file=sys.stderr)
         return 2
-    except OSError as e:  # a file that cannot be read or written
+    except (OSError, SolmemError) as e:  # an unreadable file or a rejected source
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

@@ -210,7 +210,7 @@ class ProgramBuilder:
             pool = _BOOL_KEY_POOL if ty.key == BOOL else _KEY_POOL
             base, index = ty.value, self.rng.sample(pool, min(keys, len(pool)))
         else:
-            base, index = ty.base, [(i, i) for i in range(min(max(obj.length, 0), elems))]
+            base, index = ty.base, [(i, i) for i in range(min(obj.length, elems))]
         leaf = not levels or type(base) is ValueType
         for key, shown in index:
             part = slots[key] if key in slots else self._unwritten(base)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import string
 from collections.abc import Iterator
 
 from .errors import ParseError
@@ -96,7 +97,7 @@ SYMBOLS = [
 # so space costs no turn of the loop. A `\n` and a comment are lexemes of
 # their own, so that only they move the line. The alternatives are tried
 # in order (the "Writing a Tokenizer" recipe of the `re` docs): a comment
-# before the `/` symbol, a number before a word.
+# before the `/` symbol, a number before a word, both ASCII as in Solidity.
 _TOKEN_RE = re.compile(
     r"([^\S\n]*)("
     + "|".join([
@@ -104,8 +105,8 @@ _TOKEN_RE = re.compile(
         r"/\*.*?\*/",
         r"/\*",  # unterminated
         *map(re.escape, SYMBOLS),
-        r"\d+[^\W\d]?",  # malformed when a letter or `_` follows the digits
-        r"\w+",
+        r"[0-9]+[A-Za-z_]?",  # malformed when a letter or `_` follows the digits
+        r"[A-Za-z0-9_]+",
         r"\n",
         r"\Z",  # the empty lexeme: the space at the end of the text
         ".",  # a character no token class accepts
@@ -117,6 +118,7 @@ _TOKEN_RE = re.compile(
 # the kind of every lexeme that is a symbol or a keyword; any other
 # lexeme's kind follows from its first character
 _KINDS = {**dict.fromkeys(SYMBOLS, "symbol"), **dict.fromkeys(KEYWORDS, "keyword")}
+_DIGITS, _WORD_STARTS = frozenset(string.digits), frozenset(string.ascii_letters + "_")
 
 
 def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int, int]]:
@@ -136,11 +138,11 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int
             line += 1
             col = 1
             continue
-        elif lexeme[:1].isdecimal():  # `\d`
-            if not lexeme[-1].isdecimal():
+        elif lexeme[:1] in _DIGITS:
+            if lexeme[-1] not in _DIGITS:
                 raise ParseError("malformed number", line, col)
             append(("number", lexeme, line, col))
-        elif lexeme[:1].isalnum() or lexeme[:1] == "_":  # `\w`
+        elif lexeme[:1] in _WORD_STARTS:
             append(("ident", lexeme, line, col))
         elif lexeme == "/*":
             raise ParseError("unterminated block comment", line, col)
@@ -151,7 +153,7 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int
                 col = len(lexeme) - lexeme.rindex("\n")
                 continue
         elif lexeme:
-            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+            raise ParseError(f"unexpected character {lexeme!a}", line, col)
         col += len(lexeme)
     append(("eof", "", line, col))
     return tokens

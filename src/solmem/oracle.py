@@ -199,7 +199,7 @@ class Machine:
     def _memory_array(self, elem: SolType, length: int) -> MemRef:
         """A fresh memory array with every in-range slot stored as the
         element default, allocated after its elements."""
-        slots = {i: self.default(elem, part_loc(elem, Loc.MEMORY)) for i in range(max(length, 0))}
+        slots = {i: self.default(elem, part_loc(elem, Loc.MEMORY)) for i in range(length)}
         return self.allocate(Array(elem, slots, length))
 
     def allocate(self, obj) -> MemRef:
@@ -234,7 +234,7 @@ class Machine:
         elif isinstance(ty, (DynArrayType, FixArrayType)):
             if type(src) is not Array:
                 raise OracleError("expected an array")
-            slots = {i: self._copy_across(ty.base, self.part(src, i), dst) for i in range(max(src.length, 0))}
+            slots = {i: self._copy_across(ty.base, self.part(src, i), dst) for i in range(src.length)}
             holder = Array(ty.base, slots, src.length)
         else:
             raise OracleError(f"cannot copy {ty} across locations")
@@ -484,7 +484,7 @@ class Machine:
             arr = container[key]
             if cls is PushStmt:
                 rloc, rval = self._rhs_operand(s.value)
-                arr.slots[max(arr.length, 0)] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
+                arr.slots[arr.length] = self._stored(arr.elem, part_loc(arr.elem, Loc.STORAGE), rloc, rval)
             arr.length += 1 if cls is PushStmt else -1
         elif cls is DeleteStmt:
             container, key = self.lvalue_place(s.target)
@@ -604,7 +604,7 @@ def serialize(machine: Machine, ty: SolType, value) -> Any:
     if isinstance(ty, (DynArrayType, FixArrayType)):
         obj = machine.deref(value) if isinstance(value, MemRef) else value
         assert type(obj) is Array
-        elems = [serialize(machine, ty.base, machine.part(obj, i)) for i in range(max(obj.length, 0))]
+        elems = [serialize(machine, ty.base, machine.part(obj, i)) for i in range(obj.length)]
         return {"length": obj.length, "elems": elems}
     if isinstance(ty, StructType):
         obj = machine.deref(value) if isinstance(value, MemRef) else value

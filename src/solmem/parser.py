@@ -26,6 +26,8 @@ tighter still. `c ? x : y` is the loosest form and nests to the right.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from .errors import ParseError, UnsupportedError
 from .gcpause import gc_paused
 from .lexer import IGNORED_MODIFIERS, UNSUPPORTED_KEYWORDS, tokenize
@@ -112,7 +114,7 @@ class Parser:
             self._reject(expected=value or kind)
         return self.next()
 
-    def _reject(self, expected: str) -> None:
+    def _reject(self, expected: str) -> NoReturn:
         self._check_unsupported()
         _, value, line, col = self.tok
         shown = value or "end of input"
@@ -152,6 +154,11 @@ class Parser:
                 self.expect("symbol", "]")
                 base = FixArrayType(base, int(size))
         return base
+
+    def parse_located_type(self) -> tuple[SolType, str | None]:
+        """A parameter's or local's type and its data location, if any."""
+        ty = self.parse_type()
+        return ty, self.next()[1] if self.tok[1] in ("storage", "memory") else None
 
     def _looks_like_type(self) -> bool:
         kind, value, _, _ = self.tok
@@ -194,7 +201,7 @@ class Parser:
             structs.append(self.parse_struct())
         state_vars: list[StateVar] = []
         while self.tok[1] not in ("constructor", "function", "}"):
-            state_vars.append(self.parse_state_var())
+            state_vars.append(self.parse_field(StateVar))
         constructor = None
         if self.tok[1] == "constructor":
             constructor = self.parse_function(is_constructor=True)
@@ -211,20 +218,18 @@ class Parser:
         self.expect("symbol", "{")
         members: list[StructMember] = []
         while self.tok[1] != "}":
-            ty = self.parse_type()
-            _, mname, mline, _ = self.expect("ident")
-            self.expect("symbol", ";")
-            members.append(StructMember(mname, ty, mline))
+            members.append(self.parse_field(StructMember))
         self.next()
         if not members:
             raise ParseError(f"struct {name} has no members", line, col)
         return StructDef(name, members, line)
 
-    def parse_state_var(self) -> StateVar:
+    def parse_field(self, record: type[StateVar] | type[StructMember]) -> StateVar | StructMember:
+        """`T name;`, a state variable or a struct member, as a `record`."""
         ty = self.parse_type()
         _, name, line, _ = self.expect("ident")
         self.expect("symbol", ";")
-        return StateVar(name, ty, line)
+        return record(name, ty, line)
 
     def parse_function(self, is_constructor: bool) -> Function:
         if is_constructor:
@@ -260,10 +265,7 @@ class Parser:
             if params:
                 self.expect("symbol", ",")
             _, _, line, col = self.tok
-            ty = self.parse_type()
-            data_loc = None
-            if self.tok[1] in ("storage", "memory"):
-                data_loc = self.next()[1]
+            ty, data_loc = self.parse_located_type()
             if self.tok[0] != "ident":
                 raise ParseError(f"{what} must be named in this fragment", line, col)
             _, name, line, _ = self.next()
@@ -316,7 +318,6 @@ class Parser:
             self.expect("symbol", ";")
             return PopStmt(expr.base, line=line)
         self._reject(expected="'=' or ';'")
-        raise AssertionError("unreachable")
 
     def parse_tuple_assign(self) -> Stmt | None:
         """`(a, b) = (c, d);`, or None and no token taken for a statement
@@ -342,10 +343,7 @@ class Parser:
 
     def parse_decl(self) -> Stmt:
         line = self.tok[2]
-        ty = self.parse_type()
-        data_loc = None
-        if self.tok[1] in ("storage", "memory"):
-            data_loc = self.next()[1]
+        ty, data_loc = self.parse_located_type()
         name = self.expect("ident")[1]
         init = None
         if self.accept("="):
@@ -458,7 +456,6 @@ class Parser:
             self.expect("symbol", ")")
             return inner
         self._reject(expected="expression")
-        raise AssertionError("unreachable")
 
 
 @gc_paused

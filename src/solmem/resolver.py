@@ -90,9 +90,7 @@ class Resolver:
         self._check_state_vars()
         names = set()
         for fn in c.functions:
-            if fn.name in names:
-                raise ResolveError(f"duplicate function {fn.name} (overloading unsupported)", fn.line)
-            names.add(fn.name)
+            _add_new(names, fn.name, f"function {fn.name} (overloading unsupported)", fn.line)
         for fn in c.all_functions():
             self._resolve_function(fn)
         c.resolved = True
@@ -103,17 +101,13 @@ class Resolver:
     def _check_structs(self) -> None:
         seen: set[str] = set()
         for s in self.contract.structs:
-            if s.name in seen:
-                raise ResolveError(f"duplicate struct {s.name}", s.line)
-            seen.add(s.name)
+            _add_new(seen, s.name, f"struct {s.name}", s.line)
         for s in self.contract.structs:
             members: set[str] = set()
             for m in s.members:
-                if m.name in members:
-                    raise ResolveError(f"duplicate member {s.name}.{m.name}", m.line)
+                _add_new(members, m.name, f"member {s.name}.{m.name}", m.line)
                 if m.name in RESERVED_MEMBERS:
                     raise ResolveError(f"member name {m.name} is reserved", m.line)
-                members.add(m.name)
                 self._check_type(m.ty, m.line)
         # storage must stay a finite-depth tree of values
         visiting: set[str] = set()
@@ -140,9 +134,7 @@ class Resolver:
     def _check_state_vars(self) -> None:
         seen: set[str] = set()
         for v in self.contract.state_vars:
-            if v.name in seen:
-                raise ResolveError(f"duplicate state variable {v.name}", v.line)
-            seen.add(v.name)
+            _add_new(seen, v.name, f"state variable {v.name}", v.line)
             self.used_names.add(v.name)
             self._check_type(v.ty, v.line)
 
@@ -159,9 +151,7 @@ class Resolver:
                 raise ResolveError("negative array size", line)
             self._check_type(ty.base, line)
             return
-        if isinstance(ty, StructType):
-            if self.contract.struct(ty.name) is None:
-                raise ResolveError(f"unknown type {ty.name}", line)
+        if isinstance(ty, StructType) and self.contract.struct(ty.name) is not None:
             return
         raise ResolveError(f"unknown type {ty}", line)
 
@@ -176,6 +166,11 @@ class Resolver:
             return any(self.contains_mapping(m.ty) for m in sd.members)
         return False
 
+    def _check_memory(self, ty: SolType, line: int) -> None:
+        """A `ty` entity may live in memory: it holds no mapping."""
+        if self.contains_mapping(ty):
+            raise ResolveError("types containing mappings cannot be in memory", line)
+
     # -- functions ----------------------------------------------------------
 
     def _resolve_function(self, fn: Function) -> None:
@@ -187,9 +182,7 @@ class Resolver:
                 self._check_declared(p.ty, p.data_loc, p.line)
                 if kind == "return" and p.data_loc == "storage":
                     raise ResolveError("storage-pointer return values are unsupported (no default value)", p.line)
-                if p.name in seen:
-                    raise ResolveError(f"duplicate parameter {p.name}", p.line)
-                seen.add(p.name)
+                _add_new(seen, p.name, f"parameter {p.name}", p.line)
                 p.name_source = p.name
                 p.name = self._unique(p.name)
         scope = function_scope(self.contract, fn)
@@ -205,8 +198,8 @@ class Resolver:
                 raise ResolveError(f"data location not allowed for value type {ty}", line)
         elif data_loc is None:
             raise ResolveError(f"data location required for reference type {ty}", line)
-        elif data_loc == "memory" and self.contains_mapping(ty):
-            raise ResolveError("types containing mappings cannot be in memory", line)
+        elif data_loc == "memory":
+            self._check_memory(ty, line)
 
     # -- statements ---------------------------------------------------------
 
@@ -305,12 +298,10 @@ class Resolver:
 
     def _check_assignable(self, lhs_ty: SolType, lhs_loc: Loc, rhs: Expr, line: int) -> None:
         rhs_ty, rhs_loc = rhs.ty, rhs.loc
-        if is_value_type(lhs_ty):
-            if not is_value_type(rhs_ty) or not value_compatible(lhs_ty, rhs_ty):
-                raise ResolveError(f"cannot assign {rhs_ty} to {lhs_ty}", line)
-            return
-        if lhs_ty != rhs_ty:
+        if not value_compatible(lhs_ty, rhs_ty):
             raise ResolveError(f"cannot assign {rhs_ty} to {lhs_ty}", line)
+        if is_value_type(lhs_ty):
+            return
         if lhs_loc == Loc.STORPTR and rhs_loc == Loc.MEMORY:
             raise ResolveError("cannot assign a memory entity to a storage pointer", line)
         if isinstance(lhs_ty, MappingType) and lhs_loc != Loc.STORPTR:
@@ -355,8 +346,7 @@ class Resolver:
             self._resolve_cond(e, scope)
         elif cls is NewArrayExpr:
             self._check_type(e.elem_type, e.line)
-            if self.contains_mapping(e.elem_type):
-                raise ResolveError("types containing mappings cannot be in memory", e.line)
+            self._check_memory(e.elem_type, e.line)
             self._resolve_expr(e.length, scope)
             if not is_integerish(e.length.ty):
                 raise ResolveError("array length must be an integer", e.line)
@@ -365,8 +355,7 @@ class Resolver:
             sd = self.contract.struct(e.name)
             if sd is None:
                 raise ResolveError(f"unknown struct {e.name}", e.line, e.col)
-            if self.contains_mapping(StructType(e.name)):
-                raise ResolveError("types containing mappings cannot be in memory", e.line)
+            self._check_memory(StructType(e.name), e.line)
             if len(e.args) != len(sd.members):
                 raise ResolveError(
                     f"{e.name} constructor takes {len(sd.members)} arguments, got {len(e.args)}",
@@ -424,14 +413,12 @@ class Resolver:
         self._resolve_expr(e.then, scope)
         self._resolve_expr(e.other, scope)
         t, f = e.then, e.other
-        if is_value_type(t.ty) and is_value_type(f.ty):
-            if not value_compatible(t.ty, f.ty):
-                raise ResolveError(f"incompatible branches {t.ty} / {f.ty}", e.line)
+        if not value_compatible(t.ty, f.ty):
+            raise ResolveError(f"incompatible branches {t.ty} / {f.ty}", e.line)
+        if is_value_type(t.ty):
             e.ty = t.ty if t.ty == f.ty else INT
             e.loc = Loc.VALUE
             return
-        if t.ty != f.ty:
-            raise ResolveError(f"incompatible branches {t.ty} / {f.ty}", e.line)
         e.ty = t.ty
         e.loc = Loc.MEMORY if Loc.MEMORY in (t.loc, f.loc) else Loc.STORPTR
 
@@ -451,14 +438,10 @@ class Resolver:
                 if lt != BOOL or rt != BOOL:
                     raise ResolveError(f"{op} requires boolean operands", b.line)
                 b.ty = BOOL
-            elif op in ("+", "-"):
+            elif op in ("+", "-", "<", "<=", ">", ">="):
                 if not (is_integerish(lt) and is_integerish(rt)):
                     raise ResolveError(f"{op} requires integer operands", b.line)
-                b.ty = lt if lt == rt else INT
-            elif op in ("<", "<=", ">", ">="):
-                if not (is_integerish(lt) and is_integerish(rt)):
-                    raise ResolveError(f"{op} requires integer operands", b.line)
-                b.ty = BOOL
+                b.ty = (lt if lt == rt else INT) if op in ("+", "-") else BOOL
             elif op in ("==", "!="):
                 if not (is_value_type(lt) and is_value_type(rt) and value_compatible(lt, rt)):
                     raise ResolveError("comparison requires compatible value types", b.line)
@@ -466,6 +449,14 @@ class Resolver:
             else:
                 raise ResolveError(f"unknown operator {op}", b.line)
             b.loc = Loc.VALUE
+
+
+def _add_new(seen: set[str], name: str, what: str, line: int) -> None:
+    """Add `name` to `seen`, the names of its kind declared so far; a
+    second declaration is an error, `what` naming it in the message."""
+    if name in seen:
+        raise ResolveError(f"duplicate {what}", line)
+    seen.add(name)
 
 
 def _access_loc(part_ty: SolType, base_loc: Loc) -> Loc:

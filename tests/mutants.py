@@ -149,7 +149,7 @@ MUTANTS = (
     ),
     Mutant(
         "M16", "src/solmem/oracle.py",
-        "slots = {i: self.default(elem, part_loc(elem, Loc.MEMORY)) for i in range(max(length, 0))}",
+        "slots = {i: self.default(elem, part_loc(elem, Loc.MEMORY)) for i in range(length)}",
         "slots = {}",
         "a fresh memory array stores every in-range slot, since only a storage slot reads as a default",
     ),

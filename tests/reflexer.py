@@ -15,18 +15,19 @@ from solmem.lexer import KEYWORDS, SYMBOLS
 # loop. A `\n` and a comment are matches of their own, so that only they
 # move the line. The alternatives are tried in order (the "Writing a
 # Tokenizer" recipe of the `re` docs): a comment before the `/` symbol, a
-# number before a word. A number directly followed by a letter or `_` is
-# malformed; `/*` without its `*/` is unterminated; `end` only takes the
-# space at the end of the text; `other` catches every character no class
-# accepts. Positions come from the lexeme's group, not the match.
+# number before a word. Numbers and words are ASCII. A number directly
+# followed by a letter or `_` is malformed; `/*` without its `*/` is
+# unterminated; `end` only takes the space at the end of the text; `other`
+# catches every character no class accepts. Positions come from the
+# lexeme's group, not the match.
 _TOKEN_RE = re.compile(
     r"[^\S\n]*(?:"
     + "|".join([
         r"(?P<comment>//[^\n]*|/\*.*?\*/)",
         r"(?P<unterminated>/\*)",
         "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
-        r"(?P<number>\d+)(?P<malformed>[^\W\d])?",
-        r"(?P<word>\w+)",
+        r"(?P<number>[0-9]+)(?P<malformed>[A-Za-z_])?",
+        r"(?P<word>[A-Za-z0-9_]+)",
         r"(?P<newline>\n)",
         r"(?P<end>\Z)",
         r"(?P<other>.)",
@@ -65,6 +66,6 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int
         elif kind == "unterminated":
             raise ParseError("unterminated block comment", line, m.start(kind) - base)
         elif kind == "other":
-            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) - base)
+            raise ParseError(f"unexpected character {m[kind]!a}", line, m.start(kind) - base)
     append(("eof", "", line, len(text) - base))
     return tokens

@@ -379,6 +379,24 @@ contract C {
 }
 """
 
+# A pop below zero leaves the length at -1; the next push writes the raw
+# slot -1 and brings the length back to 0, so slot 0 still reads as the
+# default and slot -1 holds the pushed element.
+PUSH_AFTER_POP_BELOW_ZERO = """
+contract C {
+    struct S { int x; }
+    S[] ss;
+    constructor() {
+        ss.pop();
+        ss.push(S(5));
+        S storage p = ss[0];
+        assert(p.x == 0);
+        S storage q = ss[0 - 1];
+        assert(q.x == 5);
+    }
+}
+"""
+
 SOLVER_FREE = {
     "negative_memory_index_write": NEGATIVE_MEMORY_INDEX_WRITE,
     "negative_storage_index_write": NEGATIVE_STORAGE_INDEX_WRITE,
@@ -394,6 +412,7 @@ SOLVER_FREE = {
     "parenthesized_statement_start": PARENTHESIZED_STATEMENT_START,
     "popped_storage_slot_read": POPPED_STORAGE_SLOT_READ,
     "memory_read_at_length": MEMORY_READ_AT_LENGTH,
+    "push_after_pop_below_zero": PUSH_AFTER_POP_BELOW_ZERO,
 }
 
 

@@ -535,6 +535,24 @@ def test_cli_reads_sources_as_utf8_under_an_ascii_locale(tmp_path):
     assert json.loads(proc.stdout)["storage"] == {"x": 1}
 
 
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_a_non_ascii_identifier_is_an_error_under_an_ascii_locale(tmp_path, command):
+    """Identifiers are ASCII, so no name the pipeline prints or sends to
+    the solver needs more than the locale's encoding."""
+    f = tmp_path / "t.sol"
+    f.write_bytes("contract C { int café; constructor() { café = 1; assert(café == 1); } }\n".encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(TESTS.parent / "src")}
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
+    argv = ["--solver-cmd", shlex.join(stub)] if command == "verify" else []
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, str(f), *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in (proc.stdout + proc.stderr).splitlines() if "error: " in line]
+    assert len(errors) == 1 and errors[0].endswith("error: 1:21: unexpected character '\\xe9'"), errors
+
+
 def test_every_subcommand_reads_each_option_it_declares():
     """An option its command never reads is dead: it parses, then changes
     nothing."""

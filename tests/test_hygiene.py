@@ -29,6 +29,8 @@ removed option cannot linger in the docs. Every `read_text`,
 `write_text` and `open` of the package names `encoding="utf-8"`, so no
 file means what the locale makes of it. Every text that
 `tests/mutants.py` replaces still occurs exactly once in its module.
+Within a module, each diagnostic text is raised from one site, so the
+rule that decides it is stated once.
 """
 
 import argparse
@@ -60,6 +62,8 @@ CATCH_ALL = {"Exception", "BaseException"}
 # contexts, the allocation counter), and the modules that spell them.
 INVENTED = ("StorStruct", "MemStruct", "structHeap", "StorArr", "MemArr", "arrHeap", "defaultctx", "$alloc")
 NAMERS = {"translate.py", "storage_tree.py"}
+# The source diagnostics whose message texts are stated at one site each.
+DIAGNOSTICS = {"ParseError", "ResolveError", "UnsupportedError"}
 # The modules that turn a resolved contract into IR and SMT-LIB or
 # evaluate IR; `oracle.py` must not import them.
 TRANSLATOR_SIDE = {"translate", "ir", "normalize", "ssa", "vcgen", "smtlib", "ireval"}
@@ -574,3 +578,39 @@ def test_each_mutant_text_occurs_once(mutant):
     """`tests/mutants.py` replaces each text in place, so it must still
     name exactly one spot of its module."""
     assert (ROOT / mutant.path).read_text().count(mutant.text) == 1
+
+
+def repeated_diagnostics(tree: ast.AST) -> list[str]:
+    """Each message text, a string or an f-string as spelled, that more
+    than one construction of a `DIAGNOSTICS` error in `tree` passes, with
+    the lines of its sites. A message computed elsewhere is not a text."""
+    sites: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        message = node.args[0]
+        if name in DIAGNOSTICS and isinstance(message, (ast.JoinedStr, ast.Constant)):
+            sites.setdefault(ast.unparse(message), []).append(node.lineno)
+    return sorted(f"{text} (lines {', '.join(map(str, sorted(lines)))})"
+                  for text, lines in sites.items() if len(lines) > 1)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_each_diagnostic_is_raised_from_one_site(path):
+    assert repeated_diagnostics(ast.parse(path.read_text())) == []
+
+
+def test_diagnostic_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        'raise ResolveError(f"cannot assign {a} to {b}", 1)\n'
+        'raise ResolveError(f"cannot assign {a} to {b}", 2)\n'
+        'raise errors.ParseError("bad", 3)\n'
+        'e = ParseError("bad")\n'
+        'raise UnsupportedError(f"{op} unsupported", 5)\n'
+        'raise OracleError("bad")\n'
+        'raise ResolveError(message, 7)\n'
+        'raise ResolveError(message, 8)\n'
+        'raise ResolveError(f"cannot assign {a.ty} to {b}", 9)\n'
+    )
+    assert repeated_diagnostics(tree) == ["'bad' (lines 3, 4)", "f'cannot assign {a} to {b}' (lines 1, 2)"]
