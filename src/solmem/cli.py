@@ -5,8 +5,8 @@
   solmem corpus <dir>            run a test corpus, print a summary table
   solmem fuzz                    differential fuzzing over generated programs
 
-The solver command resolves from --solver-cmd, then $SOLMEM_SOLVER, then
-z3 or cvc5 on PATH.
+The solver command resolves from $SOLMEM_SOLVER, then z3 or cvc5 on
+PATH.
 
 verify, corpus and fuzz exit 2 when the solver cannot be found, launched
 or smoke-tested, even if some assert also has a counterexample. corpus
@@ -64,8 +64,7 @@ def _positive_seconds(text: str) -> float:
     return seconds
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver-cmd", help="solver command line (reads SMT-LIB on stdin)")
+def _add_timeout_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=_positive_seconds, default=DEFAULT_TIMEOUT_SECONDS,
                    help="per-query timeout in seconds (> 0)")
 
@@ -78,7 +77,7 @@ def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
 
 def cmd_verify(args) -> int:
     path = Path(args.file)
-    report = verify_source(read_source(path), solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
+    report = verify_source(read_source(path), timeout=args.timeout, unroll=args.unroll)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.error is not None:
@@ -163,7 +162,7 @@ def cmd_run(args) -> int:
 
 def cmd_corpus(args) -> int:
     corpus_dir = Path(args.dir)
-    classes = run_corpus(corpus_dir, solver_cmd=args.solver_cmd, timeout=args.timeout, unroll=args.unroll)
+    classes = run_corpus(corpus_dir, timeout=args.timeout, unroll=args.unroll)
     if not any(s.tests for s in classes.values()):  # it would pass having checked nothing
         print(f"error: {corpus_dir} holds no <class>/<name>.sol file", file=sys.stderr)
         return 2
@@ -175,7 +174,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_fuzz(args) -> int:
     seeds = range(args.start, args.start + args.count)
-    outcomes = run_fuzz(seeds, size_budget=args.budget, solver_cmd=args.solver_cmd, timeout=args.timeout)
+    outcomes = run_fuzz(seeds, size_budget=args.budget, timeout=args.timeout)
     errors = [o for o in outcomes if o.observed in SOLVER_FAILURES]
     disagreements = [o for o in outcomes if not o.agreed and o.observed not in SOLVER_FAILURES]
     compared = sum(o.compared for o in outcomes)
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the asserts in a contract")
     p.add_argument("file")
-    _add_solver_flags(p)
+    _add_timeout_flag(p)
     _add_unroll_flag(p)
     p.add_argument("--emit-smt", metavar="DIR", help="write one .smt2 script per assert")
     p.add_argument("--emit-ir", action="store_true", help="print the intermediate program")
@@ -214,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run a corpus directory")
     p.add_argument("dir")
-    _add_solver_flags(p)
+    _add_timeout_flag(p)
     _add_unroll_flag(p)
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("fuzz", help="differential fuzzing against the reference interpreter")
-    _add_solver_flags(p)
+    _add_timeout_flag(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET,

@@ -145,15 +145,13 @@ def _self_contained(contract: Contract) -> bool:
     return not contract.functions and not (contract.constructor and contract.constructor.params)
 
 
-def run_test(
-    path: Path, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
-) -> TestOutcome:
+def run_test(path: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None) -> TestOutcome:
     """Verify one corpus file and judge it against its `//expect` lines.
     A self-contained contract must also match the constructor oracle."""
     text = read_source(path)
     expected = [want for _, want in scan_expectations(text)]
     start = time.monotonic()
-    report = verify_source(text, solver_cmd=solver_cmd, timeout=timeout, unroll=unroll)
+    report = verify_source(text, timeout, unroll)
     observed, detail, _ = judge(report, expected)
     if observed == "correct" and _self_contained(report.contract):
         try:
@@ -186,12 +184,12 @@ class ClassSummary(Record):
 
 
 def run_corpus(
-    corpus_dir: Path, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
+    corpus_dir: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
 ) -> dict[str, ClassSummary]:
     classes = {d.name: ClassSummary(d.name) for d in sorted(p for p in corpus_dir.iterdir() if p.is_dir())}
     work = [(s, test) for s in classes.values() for test in sorted((corpus_dir / s.name).glob("*.sol"))]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        outcomes = pool.map(lambda item: run_test(item[1], solver_cmd, timeout, unroll), work)
+        outcomes = pool.map(lambda item: run_test(item[1], timeout, unroll), work)
         for (summary, _), outcome in zip(work, outcomes):
             summary.tests.append(outcome)
     return classes
@@ -258,14 +256,13 @@ class FuzzOutcome(Record):
 
 
 def run_fuzz(
-    seeds: range, size_budget: int = DEFAULT_BUDGET, solver_cmd: str | None = None,
-    timeout: float = DEFAULT_TIMEOUT_SECONDS,
+    seeds: range, size_budget: int = DEFAULT_BUDGET, timeout: float = DEFAULT_TIMEOUT_SECONDS
 ) -> list[FuzzOutcome]:
     def run_one(seed: int) -> FuzzOutcome:
         start = time.monotonic()
         builder = ProgramBuilder(seed, size_budget)
         try:
-            report = verify_source(builder.build(), solver_cmd=solver_cmd, timeout=timeout)
+            report = verify_source(builder.build(), timeout)
             observed, detail, compared = judge_by_oracle(report)
         except SolmemError as e:
             observed, detail, compared = "invalid", f"pipeline error: {e}", 0

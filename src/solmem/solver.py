@@ -1,8 +1,8 @@
 """Client for an external SMT-LIB v2 solver process.
 
 Each query launches one solver process, writes the script on stdin, and
-parses the verdict from stdout. The command comes from an explicit
-argument or the `SOLMEM_SOLVER` environment variable; by default a `z3`
+parses the verdict from stdout. The command comes from the
+`SOLMEM_SOLVER` environment variable; when it is unset or empty, a `z3`
 or `cvc5` binary on PATH is used. `query`, which the verifier uses,
 first sends each command one smoke query per process.
 """
@@ -39,7 +39,7 @@ def default_solver_command() -> list[str]:
         return ["z3", "-in"]
     if shutil.which("cvc5"):
         return ["cvc5", "--lang", "smt2"]
-    raise SolverFailure("no SMT solver found: install z3 or cvc5, or set SOLMEM_SOLVER / --solver-cmd")
+    raise SolverFailure("no SMT solver found: install z3 or cvc5, or set SOLMEM_SOLVER")
 
 
 def _split(command: str) -> list[str]:
@@ -53,21 +53,15 @@ def _split(command: str) -> list[str]:
     return words
 
 
-def _command(solver_cmd: str | None) -> list[str]:
-    return default_solver_command() if solver_cmd is None else _split(solver_cmd)
-
-
 # Seconds a query may run, unless the caller gives its own (`--timeout`).
 DEFAULT_TIMEOUT_SECONDS = 60.0
 
 
-def check(
-    script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS, solver_cmd: str | None = None
-) -> SolverVerdict:
+def check(script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> SolverVerdict:
     """Run one SMT-LIB session and classify the outcome. A solver that
     cannot be found or launched gives an `error` verdict."""
     try:
-        cmd = _command(solver_cmd)
+        cmd = default_solver_command()
     except SolverFailure as e:
         return SolverVerdict("error", detail=str(e))
     return _run(cmd, script, timeout_seconds)
@@ -81,9 +75,7 @@ _smoke_lock = threading.Lock()
 _smoke_failures: dict[tuple[str, ...], str] = {}  # command -> reason, "" once it answered
 
 
-def query(
-    script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS, solver_cmd: str | None = None
-) -> SolverVerdict:
+def query(script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> SolverVerdict:
     """`check`, once the solver command has answered the smoke query.
 
     The smoke query runs once per command per process. After it fails,
@@ -91,7 +83,7 @@ def query(
     process is launched again.
     """
     try:
-        cmd = _command(solver_cmd)
+        cmd = default_solver_command()
     except SolverFailure as e:
         return SolverVerdict("error", detail=str(e))
     with _smoke_lock:

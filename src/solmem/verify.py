@@ -81,9 +81,7 @@ class VerifyReport(Record):
         return 0 if complete and verdicts <= {"verified"} else 2
 
 
-def verify_translated(
-    tf: TranslatedFunction, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS
-) -> FunctionReport:
+def verify_translated(tf: TranslatedFunction, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> FunctionReport:
     report = FunctionReport(tf.name, program=tf.program)
     ssa = to_ssa(normalize_lhs(tf.program))
     for info in tf.asserts:
@@ -96,7 +94,7 @@ def verify_translated(
             continue
         report.smt_scripts.append(script)
         start = time.monotonic()
-        verdict = query(script, timeout, solver_cmd)
+        verdict = query(script, timeout)
         model = {shown: verdict.model[name] for name, shown in tf.entry.items() if name in verdict.model}
         kind, detail = VERDICT_OF.get(verdict.kind, verdict.kind), verdict.detail
         if kind == "verified" and info.bound is not None:
@@ -110,9 +108,7 @@ def verify_translated(
     return report
 
 
-def verify_source(
-    text: str, solver_cmd: str | None = None, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
-) -> VerifyReport:
+def verify_source(text: str, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None) -> VerifyReport:
     report = VerifyReport()
     try:
         contract = resolve_and_check(parse_source(text))
@@ -139,5 +135,5 @@ def verify_source(
         except RecursionError:
             report.error = f"{fn.name}: expression nested too deeply to translate (RecursionError)"
             return report
-        report.functions.append(verify_translated(tf, solver_cmd, timeout))
+        report.functions.append(verify_translated(tf, timeout))
     return report

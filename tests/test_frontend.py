@@ -209,8 +209,8 @@ def _verify_nested(tmp_path, rhs):
     path.write_text(_deep_source(rhs))
     stub = shlex.join([sys.executable, str(ROOT / "tests" / "stub_solver.py"), "unsat", str(log)])
     proc = subprocess.run(
-        [sys.executable, "-m", "solmem.cli", "verify", str(path), "--solver-cmd", stub],
-        cwd=ROOT, env={"PATH": "", "PYTHONPATH": str(ROOT / "src")},
+        [sys.executable, "-m", "solmem.cli", "verify", str(path)],
+        cwd=ROOT, env={"PATH": "", "PYTHONPATH": str(ROOT / "src"), "SOLMEM_SOLVER": stub},
         capture_output=True, text=True, timeout=120,
     )
     assert "Traceback" not in proc.stderr

@@ -144,14 +144,15 @@ def test_judge_takes_asserts_in_source_order_across_functions():
     assert judge(report, ["holds", "fails"]) == ("correct", "", 2)
 
 
-def test_run_test_grades_asserts_that_share_a_line(tmp_path):
+def test_run_test_grades_asserts_that_share_a_line(tmp_path, monkeypatch):
     """End to end with a stub solver that answers the smoke query and
     then each assert's query in order: refuted, verified, verified,
     refuted, verified."""
     f = _write(tmp_path, "assignment", "shared.sol", SHARED_LINES)
     stub = shlex.join([sys.executable, str(TESTS / "stub_solver.py"), "unsat,sat,unsat,unsat,sat,unsat",
                        str(tmp_path / "log")])
-    outcome = run_test(f, solver_cmd=stub)
+    monkeypatch.setenv("SOLMEM_SOLVER", stub)
+    outcome = run_test(f)
     assert (outcome.observed, outcome.detail) == ("correct", "")
     assert outcome.expected == ["fails", "holds", "holds", "fails", "holds"]
 
@@ -280,9 +281,9 @@ def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
     else:
         argv = ["--count", "1", "--budget", "0", "--json", str(tmp_path / "missing" / "r.json")]
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv, "--solver-cmd", shlex.join(stub)],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")})
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src"),
+                                            "SOLMEM_SOLVER": shlex.join(stub)})
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
@@ -316,7 +317,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys, solver_available):
     assert "unsupported: loops" in capsys.readouterr().out
 
 
-def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys):
+def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys, monkeypatch):
     """The resolver renames a parameter that shadows a state variable
     (`x~2`), and a local declared again in a later function; an assert
     is still printed as written."""
@@ -326,7 +327,8 @@ def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys):
         "function g() { int y = 2; } function h() { int y = 3; assert(y == 3 && x == 0); } }"
     )
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    assert main(["verify", str(f), "--solver-cmd", shlex.join(stub)]) == 0
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    assert main(["verify", str(f)]) == 0
     out = capsys.readouterr().out
     assert "f:1: assert((x == 1)): verified" in out
     assert "h:2: assert(((y == 3) && (x == 0))): verified" in out
@@ -339,7 +341,7 @@ BOUNDED = (
 )
 
 
-def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsys):
+def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsys, monkeypatch):
     """With the length `n` unrolled at 2, the second assert's VC assumes
     `a.length <= 2`, so an unsat answer covers only those lengths (at
     n = 3 the assert fails): `bounded`, exit 2. The first assert precedes
@@ -347,39 +349,43 @@ def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsy
     f = tmp_path / "b.sol"
     f.write_text(BOUNDED.replace("LENGTH", "n"))
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    assert main(["verify", str(f), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 2
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    assert main(["verify", str(f), "--unroll", "2"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("f:2: assert((n == n)): verified")
     assert out[1] == "f:3: assert((a.length <= 2)): bounded holds for array lengths up to 2 only (--unroll 2)"
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log2")]
-    assert main(["verify", str(f), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 1
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    assert main(["verify", str(f), "--unroll", "2"]) == 1
     assert "f:3: assert((a.length <= 2)): counterexample [n = 0]" in capsys.readouterr().out
 
 
-def test_cli_corpus_words_bounded_as_no_verdict_of_the_solver(tmp_path, capsys):
+def test_cli_corpus_words_bounded_as_no_verdict_of_the_solver(tmp_path, capsys, monkeypatch):
     """The solver said unsat; only the `--unroll` bound keeps the assert
     from verifying, so the detail names no solver answer. The test is
     still incorrect, exit 1."""
     _write(tmp_path, "arrays", "bound.sol", BOUNDED.replace("LENGTH", "n"))
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    assert main(["corpus", str(tmp_path), "--unroll", "2", "--solver-cmd", shlex.join(stub)]) == 1
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    assert main(["corpus", str(tmp_path), "--unroll", "2"]) == 1
     out = capsys.readouterr().out
     assert "    bound.sol: incorrect: f:3: bounded: holds for array lengths up to 2 only (--unroll 2)\n" in out
     assert "solver said" not in out
 
 
 @pytest.mark.parametrize("unroll", [[], ["--unroll", "2"]], ids=["plain", "unroll"])
-def test_cli_verify_without_a_bound_assumption_says_verified(tmp_path, capsys, unroll):
+def test_cli_verify_without_a_bound_assumption_says_verified(tmp_path, capsys, monkeypatch, unroll):
     """A constant length needs no bound, so `--unroll` changes nothing."""
     f = tmp_path / "v.sol"
     f.write_text(BOUNDED.replace("LENGTH", "2"))
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    assert main(["verify", str(f), *unroll, "--solver-cmd", shlex.join(stub)]) == 0
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    assert main(["verify", str(f), *unroll]) == 0
     out = capsys.readouterr().out
     assert out.count(": verified [") == 2 and "bounded" not in out
 
 
-def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys):
+def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys, monkeypatch):
     """Against a stub model that sets every Int to 0, the counterexample
     lists the parameter `x` and the state variable it shadows as `this.x`,
     and leaves out the local `y`; `--emit-ir` prints the program in
@@ -387,7 +393,8 @@ def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys):
     f = tmp_path / "c.sol"
     f.write_text("contract C { int x; function f(int x) public { int y = x; assert(y == 1); } }")
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log")]
-    assert main(["verify", str(f), "--emit-ir", "--solver-cmd", shlex.join(stub)]) == 1
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    assert main(["verify", str(f), "--emit-ir"]) == 1
     out = capsys.readouterr().out
     assert "(declare-const x~2 Int)\n(declare-const y Int)\n(assign y x~2)\n(check (= y 1))\n" in out
     assert "f:1: assert((y == 1)): counterexample [this.x = 0, x = 0]\n" in out
@@ -541,11 +548,10 @@ def test_a_non_ascii_identifier_is_an_error_under_an_ascii_locale(tmp_path, comm
     the solver needs more than the locale's encoding."""
     f = tmp_path / "t.sol"
     f.write_bytes("contract C { int café; constructor() { café = 1; assert(café == 1); } }\n".encode("utf-8"))
-    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-           "PYTHONPATH": str(TESTS.parent / "src")}
     stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    argv = ["--solver-cmd", shlex.join(stub)] if command == "verify" else []
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, str(f), *argv], capture_output=True,
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(TESTS.parent / "src"), "SOLMEM_SOLVER": shlex.join(stub)}
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, str(f)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -586,16 +592,14 @@ def test_cli_closed_stdout_is_one_error_line_and_exit_2(tmp_path, command):
     counterexample or a failed assert."""
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { x = 1; assert(x == 1); } }")
-    argv = [str(f)]
-    if command == "verify":
-        stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-        argv += ["--solver-cmd", shlex.join(stub)]
+    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv], stdout=write_end,
+        proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, str(f)], stdout=write_end,
                               stderr=subprocess.PIPE, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")})
+                              env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src"),
+                                   "SOLMEM_SOLVER": shlex.join(stub)})
     finally:
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
@@ -622,10 +626,10 @@ def test_cli_fuzz_small(tmp_path, capsys, solver_available):
     assert all("rejections" in seed for seed in payload["seeds"])
 
 
-def test_cli_fuzz_json_reports_rejections_without_solver(tmp_path):
+def test_cli_fuzz_json_reports_rejections_without_solver(tmp_path, monkeypatch):
     report = tmp_path / "fuzz.json"
-    main(["fuzz", "--start", "69", "--count", "1", "--solver-cmd", "definitely-not-a-solver-binary",
-          "--json", str(report)])
+    monkeypatch.setenv("SOLMEM_SOLVER", "definitely-not-a-solver-binary")
+    main(["fuzz", "--start", "69", "--count", "1", "--json", str(report)])
     payload = json.loads(report.read_text())
     assert payload["schema"] == 2
     assert payload["seeds"][0]["rejections"] == {"ParseError": 1, "ResolveError": 1}
@@ -701,7 +705,8 @@ def test_corpus_and_fuzz_each_run_one_pool_of_four_workers(tmp_path, monkeypatch
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
     _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
     assert run_corpus(tmp_path)["init"].counts["invalid"] == 1
-    assert [o.observed for o in run_fuzz(range(2), solver_cmd="definitely-not-a-solver-binary")] == ["error"] * 2
+    monkeypatch.setenv("SOLMEM_SOLVER", "definitely-not-a-solver-binary")
+    assert [o.observed for o in run_fuzz(range(2))] == ["error"] * 2
     assert pools == [4, 4]
 
 

@@ -11,10 +11,13 @@ and reads no storage tree edge's ordinal: it takes pointer arguments as
 access paths and checks them against the declared types, so the
 translator alone maps ordinals to edges. The translator reads its
 `--unroll` bound in `_array_bound` alone, and spells `use --unroll`
-once, so no other site can restate the bound rule. IR operators have
-one vocabulary: every operator the package passes to `BinOp` or `UnOp`
-as a literal, and every operator the translator maps a source operator
-to, is one the SMT-LIB printer and the IR evaluator know. Every walker's
+once, so no other site can restate the bound rule. The solver command
+has one source: no function takes a `solver_cmd` parameter, and outside
+docstrings only `solver.default_solver_command` spells `SOLMEM_SOLVER`.
+IR operators have one vocabulary: every operator the package passes to
+`BinOp` or `UnOp` as a literal, and every operator the translator maps
+a source operator to, is one the SMT-LIB printer and the IR evaluator
+know. Every walker's
 dispatch table has exactly one handler per IR expression class, so a forgotten node is caught here
 and not at run time. No concrete syntax-tree node or type class of
 `sol_ast` or `ir` is subclassed, since the walkers dispatch on a node's
@@ -323,6 +326,67 @@ def test_the_unroll_bound_is_read_in_one_place():
     reads = attribute_uses(tree, "unroll")
     assert reads and all(bound.lineno <= line <= bound.end_lineno for line in reads), reads
     assert source.count("use --unroll") == 1
+
+
+def solver_command_sources(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:function` for each function of `trees` (keyed by file
+    name) that takes a `solver_cmd` parameter, and `module:line` for each
+    string, docstrings aside, that spells `SOLMEM_SOLVER` outside
+    `default_solver_command` of `solver.py`."""
+    found = []
+    for module, tree in trees.items():
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+                allowed.add(node.body[0].value)
+            if isinstance(node, ast.FunctionDef):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "solver_cmd" for a in params):
+                    found.append(f"{module}:{node.name}")
+                if (module, node.name) == ("solver.py", "default_solver_command"):
+                    allowed.update(ast.walk(node))
+        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and "SOLMEM_SOLVER" in str(node.value) and node not in allowed]
+    return found
+
+
+def test_the_solver_command_has_one_source():
+    assert solver_command_sources({p.name: ast.parse(p.read_text()) for p in SOURCES}) == []
+
+
+def test_solver_command_check_finds_what_it_looks_for():
+    """The signatures the `solver_cmd` chain had, and strings that name
+    the variable in a docstring, in its one reader and elsewhere."""
+    solver = ast.parse(
+        '"""Reads SOLMEM_SOLVER."""\n'
+        "def default_solver_command():\n"
+        '    """SOLMEM_SOLVER, else PATH."""\n'
+        '    return os.environ.get("SOLMEM_SOLVER") or "set SOLMEM_SOLVER"\n'
+        "def _command(solver_cmd: str | None) -> list[str]: pass\n"
+        "def check(script, timeout_seconds=60.0, solver_cmd=None): pass\n"
+        "def query(script, timeout_seconds=60.0, solver_cmd=None): pass\n"
+        'HINT = f"or set SOLMEM_SOLVER {x}"\n'
+    )
+    verify = ast.parse(
+        "def verify_translated(tf, solver_cmd=None, timeout=60.0): pass\n"
+        "def verify_source(text, solver_cmd=None, timeout=60.0, unroll=None): pass\n"
+    )
+    harness = ast.parse(
+        "def run_test(path, solver_cmd=None, timeout=60.0, unroll=None): pass\n"
+        "def run_corpus(corpus_dir, solver_cmd=None, timeout=60.0, unroll=None):\n"
+        "    return map(lambda item: run_test(item, solver_cmd), [])\n"
+        "def run_fuzz(seeds, size_budget=10, *, solver_cmd=None, timeout=60.0): pass\n"
+        "class K:\n"
+        '    """Set SOLMEM_SOLVER."""\n'
+        "    def default_solver_command(self):\n"
+        '        return os.environ["SOLMEM_SOLVER"]\n'
+    )
+    trees = {"solver.py": solver, "verify.py": verify, "harness.py": harness}
+    assert solver_command_sources(trees) == [
+        "solver.py:_command", "solver.py:check", "solver.py:query", "solver.py:8",
+        "verify.py:verify_translated", "verify.py:verify_source",
+        "harness.py:run_test", "harness.py:run_corpus", "harness.py:run_fuzz", "harness.py:8",
+    ]
 
 
 def operator_literals(tree: ast.AST) -> list[tuple[int, str, str]]:

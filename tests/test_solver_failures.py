@@ -7,7 +7,6 @@ launched only once per run.
 """
 
 import json
-import os
 import re
 import shlex
 import shutil
@@ -46,12 +45,13 @@ def _write(root: Path, cls: str, name: str, text: str) -> Path:
     return path
 
 
-def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_path, capsys):
+def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_path, capsys, monkeypatch):
     corpus, log, report = tmp_path / "corpus", tmp_path / "launches.log", tmp_path / "report.json"
     _write(corpus, "storage", "a.sol", HOLDS)
     _write(corpus, "storage", "b.sol", FAILS)
     _write(corpus, "delete", "c.sol", HOLDS)
-    code = main(["corpus", str(corpus), "--solver-cmd", _stub("garbage", log), "--json", str(report)])
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("garbage", log))
+    code = main(["corpus", str(corpus), "--json", str(report)])
     assert code == 2
     payload = json.loads(report.read_text())
     assert payload["schema"] == 1
@@ -62,10 +62,10 @@ def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_pat
     assert _launches(log) == 1
 
 
-def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys):
+def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys, monkeypatch):
     log, report = tmp_path / "launches.log", tmp_path / "fuzz.json"
-    code = main(["fuzz", "--count", "2", "--budget", "4", "--solver-cmd", _stub("garbage", log),
-                 "--json", str(report)])
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("garbage", log))
+    code = main(["fuzz", "--count", "2", "--budget", "4", "--json", str(report)])
     assert code == 2
     assert "0 disagreements" in capsys.readouterr().out
     seeds = json.loads(report.read_text())["seeds"]
@@ -74,13 +74,14 @@ def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, caps
     assert _launches(log) == 1
 
 
-def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys):
+def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, monkeypatch):
     """A timeout says nothing of the program, like a solver error: every
     command exits 2, and fuzz counts it with the solver errors. The stub
     refutes the smoke query and sleeps through every other."""
     corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
     test = _write(corpus, "storage", "a.sol", HOLDS)
-    sleeper = ["--solver-cmd", _stub("unsat,sleep", tmp_path / "log"), "--timeout", "0.5"]
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log"))
+    sleeper = ["--timeout", "0.5"]
     assert main(["verify", str(test), *sleeper]) == 2
     assert main(["corpus", str(corpus), *sleeper]) == 2
     assert main(["fuzz", "--count", "2", "--budget", "4", *sleeper, "--json", str(report)]) == 2
@@ -90,49 +91,51 @@ def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys):
     assert [s["observed"] for s in json.loads(report.read_text())["seeds"]] == ["timeout", "timeout"]
 
 
-def test_a_timeout_names_its_limit_and_the_query_size(tmp_path, capsys):
+def test_a_timeout_names_its_limit_and_the_query_size(tmp_path, capsys, monkeypatch):
     script = "(check-sat)\n" * 100
-    verdict = solver.query(script, timeout_seconds=0.5, solver_cmd=_stub("unsat,sleep", tmp_path / "log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log"))
+    verdict = solver.query(script, timeout_seconds=0.5)
     assert (verdict.kind, verdict.detail) == ("timeout", "no answer within 0.5 s (1,200 B query)")
-    sleeper = ["--solver-cmd", _stub("unsat,sleep", tmp_path / "log2"), "--timeout", "0.5"]
-    assert main(["fuzz", "--count", "1", "--budget", "4", *sleeper]) == 2
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log2"))
+    assert main(["fuzz", "--count", "1", "--budget", "4", "--timeout", "0.5"]) == 2
     out = capsys.readouterr().out
     assert re.search(r"seed 0: timeout: constructor:\d+: no answer within 0\.5 s \([\d,]+ B query\)", out)
 
 
-def test_always_unsat_solver_grades_against_expectations(tmp_path):
+def test_always_unsat_solver_grades_against_expectations(tmp_path, monkeypatch):
     log = tmp_path / "launches.log"
     holds = _write(tmp_path, "init", "holds.sol", HOLDS)
     fails = _write(tmp_path, "init", "fails.sol", FAILS)
-    solver = _stub("unsat", log)
-    assert run_test(holds, solver_cmd=solver).observed == "correct"
-    outcome = run_test(fails, solver_cmd=solver)
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat", log))
+    assert run_test(holds).observed == "correct"
+    outcome = run_test(fails)
     assert outcome.observed == "incorrect"
     assert "expected fails, verifier says holds" in outcome.detail
     assert _launches(log) == 3  # one smoke query, then one query per assert
 
 
-def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path):
+def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path, monkeypatch):
     """The constructor oracle has no arguments to bind, so only a contract
     without functions and without constructor parameters is run by it."""
     corpus = tmp_path / "corpus"
-    solver = _stub("unsat", tmp_path / "launches.log")
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat", tmp_path / "launches.log"))
     with_param = _write(corpus, "init", "param.sol", "contract C { int y; constructor(int a) { y = a; assert(y == a); } }")
-    outcome = run_test(with_param, solver_cmd=solver)
+    outcome = run_test(with_param)
     assert (outcome.observed, outcome.detail) == ("correct", "")
     # without parameters the oracle still runs, and disagrees with a solver that always says unsat
     without = _write(corpus, "init", "none.sol", "contract C { int y; constructor() { assert(y == 1); } }")
-    outcome = run_test(without, solver_cmd=solver)
+    outcome = run_test(without)
     assert outcome.observed == "incorrect"
     assert outcome.detail.startswith("oracle disagrees")
 
 
-def test_solver_error_wins_over_a_counterexample(tmp_path, capsys):
+def test_solver_error_wins_over_a_counterexample(tmp_path, capsys, monkeypatch):
     log = tmp_path / "launches.log"
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { assert(x == 1); assert(x == 2); } }")
     # smoke query, then a counterexample, then a verdict the client cannot read
-    assert main(["verify", str(f), "--solver-cmd", _stub("unsat,sat,garbage", log)]) == 2
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sat,garbage", log))
+    assert main(["verify", str(f)]) == 2
     out = capsys.readouterr().out
     assert ": counterexample" in out and ": error" in out
 
@@ -158,14 +161,12 @@ UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
     [(VERIFY, {}, NOT_FOUND),
      (["corpus", "corpus"], {}, NOT_FOUND),
      (["fuzz", "--count", "1", "--budget", "4"], {}, NOT_FOUND),
-     ([*VERIFY, "--solver-cmd", 'z3 "'], {}, UNBALANCED),
-     ([*VERIFY, "--solver-cmd", " "], {}, "malformed solver command ' ': no program"),
-     # an empty flag is malformed too; it does not fall back to a working SOLMEM_SOLVER
-     ([*VERIFY, "--solver-cmd", ""], {"SOLMEM_SOLVER": _stub("unsat", Path(os.devnull))},
-      "malformed solver command '': no program"),
+     # an empty SOLMEM_SOLVER is unset: the search goes on to PATH
+     (VERIFY, {"SOLMEM_SOLVER": ""}, NOT_FOUND),
+     (VERIFY, {"SOLMEM_SOLVER": " "}, "malformed solver command ' ': no program"),
      (VERIFY, {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED),
-     (["corpus", "corpus", "--solver-cmd", 'z3 "'], {}, UNBALANCED)],
-    ids=["verify", "corpus", "fuzz", "malformed-flag", "blank-flag", "empty-flag", "malformed-environment",
+     (["corpus", "corpus"], {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED)],
+    ids=["verify", "corpus", "fuzz", "empty-environment", "blank-environment", "malformed-environment",
          "malformed-corpus"],
 )
 def test_no_solver_on_path_exits_2_without_traceback(args, env, message):
@@ -195,22 +196,23 @@ def test_table_columns_sum_to_each_class_total(tmp_path):
     assert "init (2)" in table
 
 
-def test_solver_past_its_timeout_is_killed_and_reaped():
-    sleeper = shlex.join([sys.executable, "-c", "import time; time.sleep(60)"])
+def test_solver_past_its_timeout_is_killed_and_reaped(monkeypatch):
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join([sys.executable, "-c", "import time; time.sleep(60)"]))
     start = time.monotonic()
-    verdict = solver.check("(check-sat)\n", timeout_seconds=0.5, solver_cmd=sleeper)
+    verdict = solver.check("(check-sat)\n", timeout_seconds=0.5)
     assert verdict.kind == "timeout"
     assert time.monotonic() - start < 10
 
 
-def test_timed_out_solver_is_killed_with_its_children(tmp_path):
+def test_timed_out_solver_is_killed_with_its_children(tmp_path, monkeypatch):
     # a shell, not an interpreter, starts the child, so that writing its
     # pid takes a few milliseconds of the timed window on a loaded host
     pid_file = tmp_path / "child.pid"
     spawner = f"sleep 60 & echo $! > {shlex.quote(str(pid_file))}; wait"
+    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(["sh", "-c", spawner]))
     timeout = 2.0
     start = time.monotonic()
-    verdict = solver.check("(check-sat)\n", timeout, solver_cmd=shlex.join(["sh", "-c", spawner]))
+    verdict = solver.check("(check-sat)\n", timeout)
     assert verdict.kind == "timeout"
     assert time.monotonic() - start < timeout + 1
     stat = Path(f"/proc/{pid_file.read_text()}/stat")
@@ -218,21 +220,22 @@ def test_timed_out_solver_is_killed_with_its_children(tmp_path):
     assert not stat.exists() or stat.read_text().rpartition(")")[2].split()[0] == "Z"
 
 
-def test_model_answer_sets_every_int_and_bool_constant(tmp_path):
+def test_model_answer_sets_every_int_and_bool_constant(tmp_path, monkeypatch):
     script = (
         "(set-logic ALL)\n(declare-const a Int)\n(declare-const b Bool)\n"
         "(declare-const c (Array Int Int))\n(assert b)\n(check-sat)\n(get-model)\n"
     )
-    verdict = solver.check(script, solver_cmd=_stub("model", tmp_path / "launches.log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("model", tmp_path / "launches.log"))
+    verdict = solver.check(script)
     assert (verdict.kind, verdict.model) == ("sat", {"a": "0", "b": "false"})
 
 
-def test_unknown_verdict_is_graded_incorrect(tmp_path):
-    log = tmp_path / "launches.log"
-    assert solver.check("(check-sat)\n", solver_cmd=_stub("unknown", log)).kind == "unknown"
+def test_unknown_verdict_is_graded_incorrect(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unknown", tmp_path / "launches.log"))
+    assert solver.check("(check-sat)\n").kind == "unknown"
     # the smoke query must be refuted; the assert's query then gets unknown
-    report = verify_source("contract C { function f(int a) { assert(a == 1); } }",
-                           solver_cmd=_stub("unsat,unknown", tmp_path / "verify.log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,unknown", tmp_path / "verify.log"))
+    report = verify_source("contract C { function f(int a) { assert(a == 1); } }")
     [[result]] = [f.asserts for f in report.functions]
     assert result.verdict == "unknown"
     outcome, detail, compared = judge(report, [])
@@ -240,13 +243,14 @@ def test_unknown_verdict_is_graded_incorrect(tmp_path):
     assert detail.startswith("f:1: solver said unknown")
 
 
-def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path):
+def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path, monkeypatch):
     """Two asserts share a line, the first holds and the second fails;
     the stub refutes the smoke query, verifies the first and refutes the
     second. Each verdict is compared with the oracle's outcome of the
     same ordinal, not with the last outcome on its line."""
     source = "contract C { int x; constructor() { x = 1; assert(x == 1); assert(x == 2); } }"
-    report = verify_source(source, solver_cmd=_stub("unsat,unsat,sat", tmp_path / "log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,unsat,sat", tmp_path / "log"))
+    report = verify_source(source)
     assert judge_by_oracle(report) == ("correct", "", 2)
 
 

@@ -189,8 +189,9 @@ def test_deterministic_verdicts(solver_available):
     assert kinds == {"sat"}
 
 
-def test_missing_solver_binary_reports_error():
-    verdict = check("(check-sat)\n", 5, solver_cmd="definitely-not-a-solver-binary")
+def test_missing_solver_binary_reports_error(monkeypatch):
+    monkeypatch.setenv("SOLMEM_SOLVER", "definitely-not-a-solver-binary")
+    verdict = check("(check-sat)\n", 5)
     assert verdict.kind == "error"
     assert "definitely-not-a-solver-binary" in verdict.detail
 
