@@ -718,6 +718,15 @@ def test_the_pool_size_is_no_option(tmp_path, capsys, command):
     assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "corpus", "fuzz"])
+def test_the_solver_command_is_no_option(tmp_path, capsys, command):
+    """`SOLMEM_SOLVER` is the one way to name the solver."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command] + ([str(tmp_path)] if command != "fuzz" else []) + ["--solver-cmd", "z3"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --solver-cmd z3" in capsys.readouterr().err
+
+
 def test_each_run_default_has_one_owner():
     """The command line and every function that takes a timeout or a
     budget default to the value its owner states."""
