@@ -69,12 +69,6 @@ def _add_timeout_flag(p: argparse.ArgumentParser) -> None:
                    help="per-query timeout in seconds (> 0)")
 
 
-def _add_unroll_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--unroll", type=_non_negative_int, default=None, metavar="N",
-                   help="assume dynamic array lengths <= N (N >= 0) and unroll their copies: "
-                        "an unsat that rests on the bound reads bounded")
-
-
 def cmd_verify(args) -> int:
     path = Path(args.file)
     report = verify_source(read_source(path), timeout=args.timeout, unroll=args.unroll)
@@ -162,7 +156,7 @@ def cmd_run(args) -> int:
 
 def cmd_corpus(args) -> int:
     corpus_dir = Path(args.dir)
-    classes = run_corpus(corpus_dir, timeout=args.timeout, unroll=args.unroll)
+    classes = run_corpus(corpus_dir, timeout=args.timeout)
     if not any(s.tests for s in classes.values()):  # it would pass having checked nothing
         print(f"error: {corpus_dir} holds no <class>/<name>.sol file", file=sys.stderr)
         return 2
@@ -200,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the asserts in a contract")
     p.add_argument("file")
     _add_timeout_flag(p)
-    _add_unroll_flag(p)
+    p.add_argument("--unroll", type=_non_negative_int, default=None, metavar="N",
+                   help="assume dynamic array lengths <= N (N >= 0) and unroll their copies: "
+                        "an unsat that rests on the bound reads bounded")
     p.add_argument("--emit-smt", metavar="DIR", help="write one .smt2 script per assert")
     p.add_argument("--emit-ir", action="store_true", help="print the intermediate program")
     p.set_defaults(func=cmd_verify)
@@ -214,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run a corpus directory")
     p.add_argument("dir")
     _add_timeout_flag(p)
-    _add_unroll_flag(p)
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     p.set_defaults(func=cmd_corpus)
 

@@ -45,8 +45,8 @@ OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error"
 # The outcomes that grade the environment rather than the verifier.
 SOLVER_FAILURES = frozenset({"timeout", "error"})
 
-# Tests or seeds run at once, the old default of the removed worker-count
-# option. Sizing it from the machine waits on measured solver throughput.
+# Tests or seeds run at once. Sizing it from the machine waits on
+# measured solver throughput.
 _WORKERS = 4
 
 # The expectation a line comment's text starts with, if any.
@@ -98,7 +98,8 @@ def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
     """(outcome, detail, asserts compared) of a report against the
     expected holds/fails of each assert, by ordinal in source order.
     Asserts past the end of `expected` are not compared; a report with
-    fewer asserts than `expected` is incorrect."""
+    fewer asserts than `expected`, or with a verdict other than verified
+    or counterexample, is incorrect."""
     if report.error is not None:
         return "invalid", report.error, 0
     unsupported = report.unsupported or next((f.unsupported for f in report.functions if f.unsupported), None)
@@ -111,9 +112,7 @@ def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
         for name, a in results:
             if a.verdict == kind:
                 return kind, f"{name}:{a.line}: {a.detail}".strip(), 0
-    for name, a in results:  # no verdict: bounded rests on --unroll, any other is the solver's answer
-        if a.verdict == "bounded":
-            return "incorrect", f"{name}:{a.line}: bounded: {a.detail}", 0
+    for name, a in results:  # any other verdict is the solver's answer
         if a.verdict not in ("verified", "counterexample"):
             return "incorrect", f"{name}:{a.line}: solver said {a.verdict} ({a.detail})", 0
     for compared, ((name, a), want) in enumerate(zip(results, expected)):
@@ -145,13 +144,15 @@ def _self_contained(contract: Contract) -> bool:
     return not contract.functions and not (contract.constructor and contract.constructor.params)
 
 
-def run_test(path: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None) -> TestOutcome:
+def run_test(path: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> TestOutcome:
     """Verify one corpus file and judge it against its `//expect` lines.
-    A self-contained contract must also match the constructor oracle."""
+    A self-contained contract must also match the constructor oracle.
+    The file is verified without a length bound, so a construct that
+    needs `verify --unroll` makes the test unsupported."""
     text = read_source(path)
     expected = [want for _, want in scan_expectations(text)]
     start = time.monotonic()
-    report = verify_source(text, timeout, unroll)
+    report = verify_source(text, timeout)
     observed, detail, _ = judge(report, expected)
     if observed == "correct" and _self_contained(report.contract):
         try:
@@ -183,13 +184,11 @@ class ClassSummary(Record):
         return sum(t.wall_time_seconds for t in self.tests)
 
 
-def run_corpus(
-    corpus_dir: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None
-) -> dict[str, ClassSummary]:
+def run_corpus(corpus_dir: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> dict[str, ClassSummary]:
     classes = {d.name: ClassSummary(d.name) for d in sorted(p for p in corpus_dir.iterdir() if p.is_dir())}
     work = [(s, test) for s in classes.values() for test in sorted((corpus_dir / s.name).glob("*.sol"))]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        outcomes = pool.map(lambda item: run_test(item[1], timeout, unroll), work)
+        outcomes = pool.map(lambda item: run_test(item[1], timeout), work)
         for (summary, _), outcome in zip(work, outcomes):
             summary.tests.append(outcome)
     return classes
@@ -204,7 +203,7 @@ def render_table(classes: dict[str, ClassSummary]) -> str:
         label = f"{name} ({s.total})"
         lines.append(f"{label:<14}" + "".join(f" {counts[o]:>11}" for o in OUTCOMES) + f" {s.time_seconds:>9.2f}")
         for t in s.tests:
-            if t.observed in ("incorrect", "invalid", "timeout", "error") and t.detail:
+            if t.observed != "correct" and t.detail:
                 lines.append(f"    {Path(t.test_id).name}: {t.observed}: {t.detail}")
     return "\n".join(lines)
 

@@ -253,6 +253,22 @@ def test_empty_corpus_renders_all_zero(tmp_path):
     assert "assignment (0)" in render_table(classes)
 
 
+def test_cli_corpus_table_says_why_a_test_is_unsupported(tmp_path, capsys):
+    """Each test that is not correct gets a line with its reason under
+    its class row: for a test that needs a length bound, the reason
+    names `--unroll`. `judge` decides unsupported before any solver runs."""
+    _write(tmp_path, "k", "u.sol",
+           "contract C { int[] a; constructor() { int[] memory m = a; assert(m.length == 0); } "
+           "function g(int[][] memory q) public { assert(q.length >= 0); } }")
+    _write(tmp_path, "k", "loops.sol", "contract C { function f() { while (true) {} } }")
+    assert main(["corpus", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("k (2) ") and out[2].split()[2:5] == ["0", "0", "2"]
+    assert out[3] == "    loops.sol: unsupported: 1:29: unsupported: loops"
+    assert out[4].startswith("    u.sol: unsupported: ") and out[4].endswith("(use --unroll)")
+    assert len(out) == 5
+
+
 def test_cli_corpus_without_tests_is_a_usage_error(tmp_path, capsys):
     """A corpus that holds no test would pass having checked nothing: an
     empty directory, and one with contracts but no class directories
@@ -358,19 +374,6 @@ def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsy
     monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
     assert main(["verify", str(f), "--unroll", "2"]) == 1
     assert "f:3: assert((a.length <= 2)): counterexample [n = 0]" in capsys.readouterr().out
-
-
-def test_cli_corpus_words_bounded_as_no_verdict_of_the_solver(tmp_path, capsys, monkeypatch):
-    """The solver said unsat; only the `--unroll` bound keeps the assert
-    from verifying, so the detail names no solver answer. The test is
-    still incorrect, exit 1."""
-    _write(tmp_path, "arrays", "bound.sol", BOUNDED.replace("LENGTH", "n"))
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
-    assert main(["corpus", str(tmp_path), "--unroll", "2"]) == 1
-    out = capsys.readouterr().out
-    assert "    bound.sol: incorrect: f:3: bounded: holds for array lengths up to 2 only (--unroll 2)\n" in out
-    assert "solver said" not in out
 
 
 @pytest.mark.parametrize("unroll", [[], ["--unroll", "2"]], ids=["plain", "unroll"])
@@ -656,16 +659,35 @@ def test_class_totals_count_every_file(tmp_path, solver_available):
     assert classes["init"].total == 3 == len(classes["init"].tests)
 
 
-@pytest.mark.parametrize("command", ["verify", "corpus"])
-def test_negative_unroll_is_a_usage_error(tmp_path, capsys, command):
+def test_negative_unroll_is_a_usage_error(tmp_path, capsys):
     """A negative bound N assumes `n <= N` next to `0 <= n` for a length
     `n`: no length satisfies both, so every later assert would verify
     vacuously."""
     with pytest.raises(SystemExit) as exit_info:
-        main([command, str(tmp_path), "--unroll", "-1"])
+        main(["verify", str(tmp_path), "--unroll", "-1"])
     assert exit_info.value.code == 2
     assert "--unroll: expected a non-negative integer, got '-1'" in capsys.readouterr().err
-    assert build_parser().parse_args([command, str(tmp_path), "--unroll", "0"]).unroll == 0
+    assert build_parser().parse_args(["verify", str(tmp_path), "--unroll", "0"]).unroll == 0
+
+
+def test_the_unroll_bound_is_no_corpus_option(tmp_path, capsys):
+    """`--unroll` is a setting of `verify` alone: the corpus runs at the
+    encoding's defaults."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["corpus", str(tmp_path), "--unroll", "2"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --unroll 2" in capsys.readouterr().err
+
+
+def test_the_corpus_needs_no_length_bound(monkeypatch):
+    """Every function of every shipped corpus file translates without
+    `--unroll`, so `corpus` grades none of them unsupported. A corpus
+    file that needs a bound fails here. Every query answers unsat; no
+    solver runs."""
+    monkeypatch.setattr(verify, "query", lambda *_: solver.SolverVerdict("unsat"))
+    tests = [t for s in run_corpus(TESTS.parent / "corpus").values() for t in s.tests]
+    assert len(tests) == 32
+    assert [(t.test_id, t.detail) for t in tests if t.observed == "unsupported"] == []
 
 
 BAD_NUMBERS = [
@@ -740,6 +762,8 @@ def test_each_run_default_has_one_owner():
         assert param.default == solver.DEFAULT_TIMEOUT_SECONDS, fn.__name__
     for fn in (random_program, run_fuzz):
         assert inspect.signature(fn).parameters["size_budget"].default == DEFAULT_BUDGET, fn.__name__
+    for fn in (run_test, run_corpus):  # the corpus runs without a length bound
+        assert "unroll" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_smallest_meaningful_numeric_options_parse():
