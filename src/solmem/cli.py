@@ -163,7 +163,11 @@ def cmd_corpus(args) -> int:
     print(render_table(classes))
     if args.json:
         Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True), encoding="utf-8")
-    return exit_code({t.observed for s in classes.values() for t in s.tests}, {"incorrect", "invalid"})
+    observed = {t.observed for s in classes.values() for t in s.tests}
+    if observed == {"unsupported"}:  # it would pass having graded nothing
+        print(f"error: every test in {corpus_dir} is unsupported", file=sys.stderr)
+        return 2
+    return exit_code(observed, {"incorrect", "invalid"})
 
 
 def cmd_fuzz(args) -> int:

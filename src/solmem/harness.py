@@ -99,12 +99,15 @@ def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
     expected holds/fails of each assert, by ordinal in source order.
     Asserts past the end of `expected` are not compared; a report with
     fewer asserts than `expected`, or with a verdict other than verified
-    or counterexample, is incorrect."""
+    or counterexample, is incorrect. An unsupported report's detail is
+    its first reason, after the function's name where it has one, without
+    the `unsupported: ` that the outcome already says."""
     if report.error is not None:
         return "invalid", report.error, 0
-    unsupported = report.unsupported or next((f.unsupported for f in report.functions if f.unsupported), None)
-    if unsupported is not None:
-        return "unsupported", unsupported, 0
+    unsupported = [("", report.unsupported)] + [(f"{f.name}: ", f.unsupported) for f in report.functions]
+    for where, message in unsupported:
+        if message is not None:
+            return "unsupported", where + message.replace("unsupported: ", "", 1), 0
     # source order: by line, and within a line in report order, which
     # puts the constructor first
     results = sorted(((f.name, a) for f in report.functions for a in f.asserts), key=lambda r: r[1].line)

@@ -3,6 +3,11 @@
 parse -> resolve -> translate each function -> normalize -> SSA -> one
 verification condition per assert -> external solver. Produces a
 structured report that the CLI renders and the corpus harness consumes.
+
+`ssa_form` (normalize, then SSA) and `vc_script` (one assert's VC,
+printed as SMT-LIB) are the one place the stage chain is written: the
+pipeline and the tests call them, and a test of a single stage calls
+that stage.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .resolver import resolve_and_check
 from .sol_ast import Contract
 from .smtlib import emit_smtlib
 from .solver import DEFAULT_TIMEOUT_SECONDS, query
-from .ssa import to_ssa
+from .ssa import SsaResult, to_ssa
 from .translate import TranslatedFunction, translate_function
 from .vcgen import vc_gen
 
@@ -81,13 +86,22 @@ class VerifyReport(Record):
         return 0 if complete and verdicts <= {"verified"} else 2
 
 
+def ssa_form(program: SmtProgram) -> SsaResult:
+    """The flat single-assignment form of a translated program."""
+    return to_ssa(normalize_lhs(program))
+
+
+def vc_script(program: SmtProgram, ordinal: int) -> str:
+    """The SMT-LIB script that checks assert `ordinal` of an SSA program."""
+    return emit_smtlib(program, vc_gen(program, ordinal))
+
+
 def verify_translated(tf: TranslatedFunction, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> FunctionReport:
     report = FunctionReport(tf.name, program=tf.program)
-    ssa = to_ssa(normalize_lhs(tf.program))
+    ssa = ssa_form(tf.program).program
     for info in tf.asserts:
-        formula = vc_gen(ssa.program, info.ordinal)
         try:
-            script = emit_smtlib(ssa.program, formula)
+            script = vc_script(ssa, info.ordinal)
         except RecursionError:
             detail = "verification condition nested too deeply to print (RecursionError)"
             report.asserts.append(AssertResult(info.line, info.text, "error", detail=detail))

@@ -21,12 +21,11 @@ from solmem.normalize import normalize_lhs
 from solmem.oracle import Machine, serialize
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib, expr_to_sexpr
+from solmem.smtlib import expr_to_sexpr
 from solmem.sol_ast import Loc, StructType, is_reference_type
 from solmem.ssa import to_ssa
 from solmem.translate import Translator, translate_function
-from solmem.vcgen import vc_gen
-from solmem.verify import verify_source
+from solmem.verify import ssa_form, vc_script, verify_source
 
 CORPUS_DIR = Path(__file__).parent.parent / "corpus"
 
@@ -218,9 +217,8 @@ def test_criterion_6c_quantifier_free_corpus():
         contract = compile_source(text)
         for fn in contract.all_functions():
             tf = translate_function(contract, fn)
-            ssa = to_ssa(normalize_lhs(tf.program))
-            for i in range(len(tf.asserts)):
-                scripts.append(emit_smtlib(ssa.program, vc_gen(ssa.program, i)))
+            ssa = ssa_form(tf.program).program
+            scripts.extend(vc_script(ssa, i) for i in range(len(tf.asserts)))
     assert len(scripts) == asserts > 0
     for script in scripts:
         assert "forall" not in script and "exists" not in script

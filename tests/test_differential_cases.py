@@ -14,10 +14,8 @@ import pytest
 from solmem import parse_source, resolve_and_check, translate_function
 from solmem.harness import judge_by_oracle
 from solmem.ireval import eval_ir
-from solmem.normalize import normalize_lhs
 from solmem.oracle import run_constructor
-from solmem.ssa import to_ssa
-from solmem.verify import verify_source
+from solmem.verify import ssa_form, verify_source
 
 CASES = {
     "bool_keyed_mapping_pointer": """
@@ -422,7 +420,7 @@ def test_ireval_fails_where_the_oracle_fails(name):
     contract = resolve_and_check(parse_source(source))
     oracle = run_constructor(contract)
     # the SSA program, as the pipeline decides it
-    ran = eval_ir(to_ssa(normalize_lhs(translate_function(contract, contract.constructor).program)).program)
+    ran = eval_ir(ssa_form(translate_function(contract, contract.constructor).program).program)
     assert ran.status != "assume-violated"
     ir_failed = ran.failed_index if ran.status == "assert-failed" else None
     assert ir_failed == (oracle.failed.ordinal if oracle.failed else None)

@@ -1,10 +1,16 @@
 """Verifier end-to-end behaviors not covered by the corpus."""
 
+from pathlib import Path
 
+from solmem import verify
 from solmem.oracle import exec_function, run_constructor
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.verify import verify_source
+from solmem.solver import SolverVerdict
+from solmem.translate import translate_function
+from solmem.verify import ssa_form, vc_script, verify_source
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def compile_source(text):
@@ -13,6 +19,24 @@ def compile_source(text):
 
 def verdicts(report):
     return [(f.name, a.verdict) for f in report.functions for a in f.asserts]
+
+
+def test_verify_queries_the_script_of_each_assert(monkeypatch):
+    """For every assert of every corpus function, `verify_source` keeps
+    and sends the script that `vc_script` prints for that assert's
+    ordinal in `ssa_form`'s program. Every query answers unsat; no solver
+    is looked up."""
+    sent = []
+    monkeypatch.setattr(verify, "query", lambda script, _: sent.append(script) or SolverVerdict("unsat"))
+    kept = []
+    for path in sorted(CORPUS.glob("*/*.sol")):
+        report = verify_source(path.read_text(encoding="utf-8"))
+        for f, fn in zip(report.functions, report.contract.all_functions(), strict=True):
+            tf = translate_function(report.contract, fn)
+            ssa = ssa_form(tf.program).program
+            assert f.smt_scripts == [vc_script(ssa, a.ordinal) for a in tf.asserts], f"{path.name}: {f.name}"
+            kept += f.smt_scripts
+    assert sent == kept and len(kept) == 87
 
 
 def test_default_context_pointer_param(solver_available):

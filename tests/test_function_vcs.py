@@ -21,13 +21,12 @@ from pathlib import Path
 import pytest
 
 from solmem.ireval import eval_ir
-from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, DynArrayType, FixArrayType, MappingType, StructType, is_value_type
-from solmem.ssa import to_ssa
 from solmem.translate import translate_function
+from solmem.verify import ssa_form
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,7 +87,7 @@ def _failed_ordinals(contract, fn, args=None):
     environment, `args` bound in both."""
     oracle = exec_function(contract, fn.name, args)
     env = {p.name: a for p, a in zip(fn.params, args or [])}
-    ran = eval_ir(to_ssa(normalize_lhs(translate_function(contract, fn).program)).program, env)
+    ran = eval_ir(ssa_form(translate_function(contract, fn).program).program, env)
     assert ran.status != "assume-violated"
     return oracle.failed.ordinal if oracle.failed else None, ran.failed_index if ran.status == "assert-failed" else None
 

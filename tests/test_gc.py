@@ -27,10 +27,9 @@ from solmem.normalize import normalize_lhs
 from solmem.oracle import run_constructor
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
-from solmem.vcgen import vc_gen
+from solmem.verify import ssa_form, vc_script
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -76,10 +75,10 @@ def run_everything() -> int:
         run_constructor(contract)
         for fn in contract.all_functions():
             tf = translate_function(contract, fn)
-            program = to_ssa(normalize_lhs(tf.program)).program
+            program = ssa_form(tf.program).program
             eval_ir(program)
             for info in tf.asserts:
-                emit_smtlib(program, vc_gen(program, info.ordinal))
+                vc_script(program, info.ordinal)
             count += 1
     return count
 

@@ -253,20 +253,45 @@ def test_empty_corpus_renders_all_zero(tmp_path):
     assert "assignment (0)" in render_table(classes)
 
 
-def test_cli_corpus_table_says_why_a_test_is_unsupported(tmp_path, capsys):
+def test_cli_corpus_table_says_why_a_test_is_unsupported(tmp_path, capsys, monkeypatch):
     """Each test that is not correct gets a line with its reason under
-    its class row: for a test that needs a length bound, the reason
-    names `--unroll`. `judge` decides unsupported before any solver runs."""
-    _write(tmp_path, "k", "u.sol",
+    its class row, said once and after the function it is in: for a test
+    that needs a length bound, the reason names `--unroll`. `judge`
+    decides unsupported before any solver runs. `verify` keeps its own
+    wording; there every query answers unsat, and no solver runs."""
+    u = _write(tmp_path, "k", "u.sol",
            "contract C { int[] a; constructor() { int[] memory m = a; assert(m.length == 0); } "
            "function g(int[][] memory q) public { assert(q.length >= 0); } }")
     _write(tmp_path, "k", "loops.sol", "contract C { function f() { while (true) {} } }")
-    assert main(["corpus", str(tmp_path)]) == 0
+    assert main(["corpus", str(tmp_path)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[2].startswith("k (2) ") and out[2].split()[2:5] == ["0", "0", "2"]
-    assert out[3] == "    loops.sol: unsupported: 1:29: unsupported: loops"
-    assert out[4].startswith("    u.sol: unsupported: ") and out[4].endswith("(use --unroll)")
+    assert out[3] == "    loops.sol: unsupported: 1:29: loops"
+    assert out[4] == (
+        "    u.sol: unsupported: g: memory parameter containing a dynamic array of reference base type "
+        "requires quantified non-aliasing assumptions (use --unroll)"
+    )
     assert len(out) == 5
+    monkeypatch.setattr(verify, "query", lambda *_: solver.SolverVerdict("unsat"))
+    assert main(["verify", str(u)]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == "g: unsupported: " + out[4].split(": g: ", 1)[1]
+
+
+def test_cli_corpus_that_grades_no_test_is_an_error(tmp_path, capsys, monkeypatch):
+    """A corpus whose every test is unsupported would pass having graded
+    nothing, as an empty one would. One supported test is enough to pass.
+    Every query answers unsat; no solver runs."""
+    monkeypatch.setattr(verify, "query", lambda *_: solver.SolverVerdict("unsat"))
+    _write(tmp_path, "k", "w.sol", "contract C { function f() { while (true) {} } }")
+    _write(tmp_path, "k", "u.sol", "contract C { struct S { int x; } function g(S[] memory q) public { } }")
+    assert main(["corpus", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[2].split()[2:5] == ["0", "0", "2"]
+    assert err == f"error: every test in {tmp_path} is unsupported\n"
+    _write(tmp_path, "k", "c.sol", "contract C { int x; constructor() { assert(x == 0); } }")
+    assert main(["corpus", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[2].split()[2:5] == ["1", "0", "2"] and err == ""
 
 
 def test_cli_corpus_without_tests_is_a_usage_error(tmp_path, capsys):

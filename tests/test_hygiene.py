@@ -33,7 +33,10 @@ removed option cannot linger in the docs. Every `read_text`,
 file means what the locale makes of it. Every text that
 `tests/mutants.py` replaces still occurs exactly once in its module.
 Within a module, each diagnostic text is raised from one site, so the
-rule that decides it is stated once.
+rule that decides it is stated once. The stage chain has one owner: no
+module nests `normalize_lhs(…)` in `to_ssa(…)` or `vc_gen(…)` in
+`emit_smtlib(…)` outside `verify.ssa_form` and `verify.vc_script`, bar
+the test that watches a paused stage run on its own.
 """
 
 import argparse
@@ -67,6 +70,15 @@ INVENTED = ("StorStruct", "MemStruct", "structHeap", "StorArr", "MemArr", "arrHe
 NAMERS = {"translate.py", "storage_tree.py"}
 # The source diagnostics whose message texts are stated at one site each.
 DIAGNOSTICS = {"ParseError", "ResolveError", "UnsupportedError"}
+# Each stage call that takes another stage's result as written: the
+# outer callee and the inner one. `verify` composes them once.
+CHAINS = {"to_ssa": "normalize_lhs", "emit_smtlib": "vc_gen"}
+# (module, top-level definition) of each place that may write a chain out:
+# its owners, and the test that times `to_ssa` unwrapped of its pause.
+CHAIN_SITES = {
+    ("verify.py", "ssa_form"), ("verify.py", "vc_script"),
+    ("test_gc.py", "test_no_collection_starts_inside_a_paused_stage"),
+}
 # The modules that turn a resolved contract into IR and SMT-LIB or
 # evaluate IR; `oracle.py` must not import them.
 TRANSLATOR_SIDE = {"translate", "ir", "normalize", "ssa", "vcgen", "smtlib", "ireval"}
@@ -644,6 +656,13 @@ def test_each_mutant_text_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.text) == 1
 
 
+def callee(node: ast.AST) -> str | None:
+    """The name a call calls, bare or as an attribute; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
 def repeated_diagnostics(tree: ast.AST) -> list[str]:
     """Each message text, a string or an f-string as spelled, that more
     than one construction of a `DIAGNOSTICS` error in `tree` passes, with
@@ -652,9 +671,8 @@ def repeated_diagnostics(tree: ast.AST) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         message = node.args[0]
-        if name in DIAGNOSTICS and isinstance(message, (ast.JoinedStr, ast.Constant)):
+        if callee(node) in DIAGNOSTICS and isinstance(message, (ast.JoinedStr, ast.Constant)):
             sites.setdefault(ast.unparse(message), []).append(node.lineno)
     return sorted(f"{text} (lines {', '.join(map(str, sorted(lines)))})"
                   for text, lines in sites.items() if len(lines) > 1)
@@ -678,3 +696,36 @@ def test_diagnostic_check_finds_what_it_looks_for():
         'raise ResolveError(f"cannot assign {a.ty} to {b}", 9)\n'
     )
     assert repeated_diagnostics(tree) == ["'bad' (lines 3, 4)", "f'cannot assign {a} to {b}' (lines 1, 2)"]
+
+
+def written_chains(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level definition, line) of each call of a `CHAINS` stage
+    whose arguments call the stage it follows; `<module>` for a call
+    outside any definition."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            inner = CHAINS.get(callee(node))
+            if inner and any(callee(n) == inner for arg in node.args + node.keywords for n in ast.walk(arg)):
+                found.append((owner, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
+def test_the_stage_chain_is_written_in_verify_alone(path):
+    sites = written_chains(ast.parse(path.read_text()))
+    assert [(name, line) for name, line in sites if (path.name, name) not in CHAIN_SITES] == []
+
+
+def test_chain_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        "s = to_ssa(normalize_lhs(p))\n"
+        "def f(p):\n    n = normalize_lhs(p)\n    return to_ssa(n), emit_smtlib(p, formula)\n"
+        "class K:\n    def g(self, p):\n        return stages.emit_smtlib(p, formula=vc_gen(p, 0)).strip()\n"
+        "def h(p):\n    return eval_ir(to_ssa(x.normalize_lhs(p)).program)\n"
+    )
+    assert written_chains(tree) == [("<module>", 1), ("K", 7), ("h", 9)]
+    # every allowed site still writes a chain out, so the list cannot go stale
+    sites = {(path.name, name) for path in SOURCES + TESTS for name, _ in written_chains(ast.parse(path.read_text()))}
+    assert CHAIN_SITES <= sites

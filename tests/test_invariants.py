@@ -10,15 +10,14 @@ from irserialize import serialize_ir
 from solmem import ir
 from solmem.ir import Assign, Assume, Ident, IrExpr, SmtProgram
 from solmem.ireval import eval_ir
-from solmem.normalize import normalize_lhs
 from solmem.oracle import Machine, serialize
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib
 from solmem.solver import check
-from solmem.ssa import to_ssa
 from solmem.sol_ast import Loc, is_reference_type, is_value_type
 from solmem.translate import Translator, translate_function
+from solmem.verify import ssa_form
 
 
 def conjoin(exprs: list[IrExpr]) -> IrExpr:
@@ -47,7 +46,7 @@ def frame_verdict(src: str, fn_name: str, framed: str, solver_available=None):
     c = compile_source(src)
     fn = c.function(fn_name)
     tf = translate_function(c, fn)
-    ssa = to_ssa(normalize_lhs(tf.program))
+    ssa = ssa_form(tf.program)
     post = ssa.final_versions[framed]
     formula = frame_formula(ssa.program, framed, post)
     return check(emit_smtlib(ssa.program, formula), 60), ssa, post
@@ -135,7 +134,7 @@ def test_untouched_variable_is_syntactically_stable():
     src = f"contract C {{ {S2} S a; S b; function f() {{ a.x = 1; }} }}"
     c = compile_source(src)
     tf = translate_function(c, c.function("f"))
-    ssa = to_ssa(normalize_lhs(tf.program))
+    ssa = ssa_form(tf.program)
     assert ssa.final_versions["b"] == "b"
     assert ssa.final_versions["a"] != "a"
 
@@ -170,7 +169,7 @@ contract C {
     # check the formula at the IR level instead
     c = compile_source(src.replace("assert(q != p);", ""))
     tf = translate_function(c, c.function("f"))
-    ssa = to_ssa(normalize_lhs(tf.program))
+    ssa = ssa_form(tf.program)
     q_final = ssa.final_versions[c.function("f").body[0].name]
     p_name = c.function("f").params[0].name
     parts = []
@@ -197,7 +196,7 @@ contract C {
 """
     c = compile_source(src)
     tf = translate_function(c, c.constructor)
-    ssa = to_ssa(normalize_lhs(tf.program))
+    ssa = ssa_form(tf.program)
     names = [ssa.final_versions[s.name] for s in c.constructor.body]
     parts = []
     for s in ssa.program.stmts:

@@ -21,7 +21,6 @@ from irsorts import check_program
 from solmem.cli import main
 from solmem.errors import SolmemError
 from solmem.ireval import default_value, eval_ir
-from solmem.normalize import normalize_lhs
 from solmem.oracle import run_constructor, serialize
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
@@ -38,11 +37,10 @@ from solmem.sol_ast import (
     SolType,
     StructType,
 )
-from solmem.ssa import to_ssa
 from solmem.storage_tree import default_context_name
 from solmem.solver import SolverVerdict
 from solmem.translate import _names, translate_function
-from solmem.verify import verify_translated
+from solmem.verify import ssa_form, verify_translated
 from test_translate_golden import inputs
 
 SRC = Path(__file__).parent.parent / "src"
@@ -140,7 +138,7 @@ contract Zoo {
 
 
 def ssa_program(contract, fn, unroll=None):
-    return to_ssa(normalize_lhs(translate_function(contract, fn, unroll).program))
+    return ssa_form(translate_function(contract, fn, unroll).program)
 
 
 @pytest.mark.parametrize("source", [*COLLISIONS.values(), ZOO], ids=[*COLLISIONS, "zoo"])
@@ -208,7 +206,7 @@ def test_counterexample_models_list_source_names_only(monkeypatch):
         contract = resolve_and_check(parse_source(source))
         for fn in contract.all_functions():
             tf = translate_function(contract, fn)
-            ssa = to_ssa(normalize_lhs(tf.program)).program
+            ssa = ssa_form(tf.program).program
             # the solver gives each declaration its own name as its value
             model = {name: name for name in ssa.decls}
             monkeypatch.setattr("solmem.verify.query", lambda *_: SolverVerdict("sat", model))

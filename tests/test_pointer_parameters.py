@@ -16,13 +16,12 @@ import pytest
 from irserialize import serialize_ir
 from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, default_value, eval_ir, values_equal
-from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function, serialize
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import Loc, StructType
-from solmem.ssa import to_ssa
 from solmem.translate import Translator, translate_function
+from solmem.verify import ssa_form
 
 INDEXES = (-1, 0, 1, 2)
 
@@ -187,7 +186,7 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
     source, args_of = CASES[name]
     contract = resolve_and_check(parse_source(source))
     fn = contract.function("f")
-    ssa = to_ssa(normalize_lhs(translate_function(contract, fn).program))
+    ssa = ssa_form(translate_function(contract, fn).program)
     trees = [pointer_tree(contract, fn, p.ty) for p in fn.params]
     for path in access_paths(trees[0]):
         args = args_of(path)
@@ -247,7 +246,7 @@ def _value(tr: Translator, term, env: dict):
 @pytest.mark.parametrize("unmatched, last", UNMATCHED.values(), ids=UNMATCHED)
 def test_an_element_matching_no_edge_takes_the_last_edge(unmatched, last):
     contract = resolve_and_check(parse_source(LAST_EDGE))
-    ctor = to_ssa(normalize_lhs(translate_function(contract, contract.constructor).program))
+    ctor = ssa_form(translate_function(contract, contract.constructor).program)
     built = eval_ir(ctor.program)
     assert built.status == "ok"
     state = {v.name: built.env[ctor.final_versions[v.name]] for v in contract.state_vars}

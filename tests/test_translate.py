@@ -17,11 +17,10 @@ from solmem.ir import (
     SmtProgram,
 )
 from solmem.ireval import VData, default_value, eval_ir
-from solmem.normalize import normalize_lhs
 from solmem.oracle import exec_function, run_constructor
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib, program_text
+from solmem.smtlib import program_text
 from solmem.sol_ast import (
     ADDRESS,
     BOOL,
@@ -33,9 +32,8 @@ from solmem.sol_ast import (
     MappingType,
     StructType,
 )
-from solmem.ssa import to_ssa
 from solmem.translate import Translator, translate_function
-from solmem.vcgen import vc_gen
+from solmem.verify import ssa_form, vc_script
 
 
 def compile_source(text):
@@ -448,7 +446,7 @@ def test_memory_param_cannot_alias_a_fresh_allocation(header):
         "{ int old = m.x; S memory n = S(old + 1); assert(m.x == old); } }"
     )
     fn = c.constructor or c.function("f")
-    ssa = to_ssa(normalize_lhs(translate_function(c, fn).program))
+    ssa = ssa_form(translate_function(c, fn).program)
     assert eval_ir(ssa.program, {"$alloc": 0, "m": 1}).status == "assume-violated"
     assert eval_ir(ssa.program, {"$alloc": 1, "m": 1}).status == "ok"
 
@@ -517,8 +515,8 @@ def test_nested_index_read_is_linear_in_depth():
         f"int x = {read}; assert(x == {depth % 3}); }} }}"
     )
     tf = translate_function(c, c.constructor)
-    ssa = to_ssa(normalize_lhs(tf.program)).program
-    assert len(emit_smtlib(ssa, vc_gen(ssa, 0))) < 64 * 1024
+    ssa = ssa_form(tf.program).program
+    assert len(vc_script(ssa, 0)) < 64 * 1024
     assert run_constructor(c).failed is None
     assert eval_ir(ssa).status == "ok"
     assert eval_ir(tf.program).env["x"] == depth % 3

@@ -24,10 +24,9 @@ from solmem.ir import Assert, Assign, Assume, IfStmt
 from solmem.normalize import normalize_lhs
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.smtlib import emit_smtlib, expr_to_sexpr, program_text
-from solmem.ssa import to_ssa
+from solmem.smtlib import expr_to_sexpr, program_text
 from solmem.translate import translate_function
-from solmem.vcgen import vc_gen
+from solmem.verify import ssa_form, vc_script
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,9 +137,9 @@ def records(source: str, unroll: int | None):
         try:
             tf = translate_function(contract, fn, unroll)
             yield ("ir",), program_text(tf.program)
-            ssa = to_ssa(normalize_lhs(tf.program)).program
+            ssa = ssa_form(tf.program).program
             for info in tf.asserts:
-                yield ("smt",), emit_smtlib(ssa, vc_gen(ssa, info.ordinal))
+                yield ("smt",), vc_script(ssa, info.ordinal)
         except SolmemError as e:
             yield ("smt",), f"error {type(e).__name__}: {e}"
 

@@ -16,13 +16,12 @@ from pathlib import Path
 
 from solmem import ir, vcgen
 from solmem.ir import Assert, Assign, Assume, Ident, IntLit, SmtProgram
-from solmem.normalize import normalize_lhs
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib
-from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 from solmem.vcgen import vc_gen
+from solmem.verify import ssa_form, vc_script
 from test_invariants import conjoin, frame_formula
 
 SRC = Path(__file__).parent.parent / "src"
@@ -47,7 +46,7 @@ def _constructor(source: str) -> tuple[SmtProgram, int]:
     """The constructor's SSA program and its number of asserts."""
     contract = resolve_and_check(parse_source(source))
     tf = translate_function(contract, contract.constructor)
-    return to_ssa(normalize_lhs(tf.program)).program, len(tf.asserts)
+    return ssa_form(tf.program).program, len(tf.asserts)
 
 
 def _fresh(program: SmtProgram) -> SmtProgram:
@@ -55,53 +54,49 @@ def _fresh(program: SmtProgram) -> SmtProgram:
     return SmtProgram(dict(program.datatypes), dict(program.decls), list(program.stmts))
 
 
-def _script(program: SmtProgram, index: int) -> str:
-    return emit_smtlib(program, vc_gen(program, index))
-
-
 def test_scripts_do_not_depend_on_emission_order_or_repeats():
     program, count = _constructor(stress_source(300, 25))
     assert count == 13
-    alone = [_script(_fresh(program), i) for i in range(count)]
-    forward = [_script(program, i) for i in range(count)]
-    again = [_script(program, i) for i in range(count)]
+    alone = [vc_script(_fresh(program), i) for i in range(count)]
+    forward = [vc_script(program, i) for i in range(count)]
+    again = [vc_script(program, i) for i in range(count)]
     backward_program = _fresh(program)
-    backward = [_script(backward_program, i) for i in reversed(range(count))][::-1]
+    backward = [vc_script(backward_program, i) for i in reversed(range(count))][::-1]
     assert forward == again == backward == alone
 
 
 def test_scripts_follow_new_and_replaced_statements():
     program, count = _constructor(stress_source(60, 20))
     for i in range(count):
-        _script(program, i)
+        vc_script(program, i)
     program.stmts.append(Assert(ir.BinOp("==", Ident("x"), IntLit(2))))
     program.declare("x", ir.INT)
-    assert [_script(program, i) for i in range(count + 1)] == [
-        _script(_fresh(program), i) for i in range(count + 1)
+    assert [vc_script(program, i) for i in range(count + 1)] == [
+        vc_script(_fresh(program), i) for i in range(count + 1)
     ]
     first = next(k for k, s in enumerate(program.stmts) if isinstance(s, Assign))
     program.stmts[first] = Assign(program.stmts[first].lhs, ir.ConstArray(ir.INT, ir.INT, IntLit(7)))
-    assert [_script(program, i) for i in range(count + 1)] == [
-        _script(_fresh(program), i) for i in range(count + 1)
+    assert [vc_script(program, i) for i in range(count + 1)] == [
+        vc_script(_fresh(program), i) for i in range(count + 1)
     ]
 
 
 def test_header_follows_new_declarations_and_datatypes():
     program, count = _constructor(stress_source(60, 20))
-    first = _script(program, 0)
+    first = vc_script(program, 0)
     assert "(declare-const fresh_var Int)" not in first
     program.declare("fresh_var", ir.INT)
-    assert "(declare-const fresh_var Int)\n" in _script(program, 0)
+    assert "(declare-const fresh_var Int)\n" in vc_script(program, 0)
     program.add_datatype(ir.DatatypeDef("Fresh_T", (("m", ir.INT),)))
-    script = _script(program, 0)
+    script = vc_script(program, 0)
     assert "(Fresh_T 0)" in script and "(Fresh_T.m Int)" in script
-    assert script == _script(_fresh(program), 0)
+    assert script == vc_script(_fresh(program), 0)
     assert _fresh(program).header is None and program.copy_shell().header is None
 
 
 def test_700_statement_constructor_prints_every_script():
     program, count = _constructor(stress_source(700, 25))
-    scripts = [_script(program, i) for i in range(count)]
+    scripts = [vc_script(program, i) for i in range(count)]
     assert len(scripts) == 29
     assert all(s.endswith("(check-sat)\n(get-model)\n") for s in scripts)
 

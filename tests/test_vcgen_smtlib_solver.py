@@ -23,6 +23,7 @@ from solmem.ireval import eval_ir
 from solmem.smtlib import datatype_block, emit_smtlib, expr_to_sexpr
 from solmem.solver import check, parse_model
 from solmem.vcgen import vc_gen
+from solmem.verify import vc_script
 
 
 def _program(*stmts, decls=(), datatypes=()):
@@ -126,21 +127,21 @@ def test_vc_roundtrip_through_solver(solver_available):
         Assert(BinOp("==", Ident("x"), IntLit(1))),
         decls=[("x", ir.INT)],
     )
-    assert check(emit_smtlib(p, vc_gen(p, 0)), 30).kind == "unsat"
+    assert check(vc_script(p, 0), 30).kind == "unsat"
 
     p2 = _program(
         Assume(BinOp("<", IntLit(0), Ident("x"))),
         Assert(BinOp("<=", IntLit(1), Ident("x"))),
         decls=[("x", ir.INT)],
     )
-    assert check(emit_smtlib(p2, vc_gen(p2, 0)), 30).kind == "unsat"
+    assert check(vc_script(p2, 0), 30).kind == "unsat"
 
     p3 = _program(
         Assign(Ident("x"), Ident("y")),
         Assert(BinOp("==", Ident("x"), IntLit(0))),
         decls=[("x", ir.INT), ("y", ir.INT)],
     )
-    verdict = check(emit_smtlib(p3, vc_gen(p3, 0)), 30)
+    verdict = check(vc_script(p3, 0), 30)
     assert verdict.kind == "sat"
     assert int(verdict.model["y"]) != 0
 
@@ -160,7 +161,7 @@ def test_datatype_script_roundtrips(solver_available):
             )
         ],
     )
-    assert check(emit_smtlib(p, vc_gen(p, 0)), 30).kind == "unsat"
+    assert check(vc_script(p, 0), 30).kind == "unsat"
 
 
 def test_timeout_kills_solver(solver_available):

@@ -26,11 +26,10 @@ from solmem.ir import (
     SmtProgram,
     UnOp,
 )
-from solmem.normalize import normalize_lhs
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.ssa import to_ssa
 from solmem.translate import translate_function
+from solmem.verify import ssa_form
 from test_translate_golden import inputs
 
 # the re-packed path of `p.t` copies the key element of `p`, which is
@@ -62,7 +61,7 @@ def ssa_programs(source: str, unroll: int | None):
             program = translate_function(contract, fn, unroll).program
         except SolmemError:
             continue
-        yield fn.name, to_ssa(normalize_lhs(program)).program
+        yield fn.name, ssa_form(program).program
 
 
 def test_golden_inputs_are_well_sorted():
