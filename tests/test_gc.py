@@ -1,17 +1,24 @@
 """The pipeline makes no reference cycles, and its stages pause the
-cyclic collector only for their own call.
+cyclic collector only for their own call and hand their output to the
+oldest generation.
 
 Each stage builds an acyclic tree, so reference counting alone must
 free what the pipeline drops: with automatic collection off, a full
 collection after a run over the corpus, generated programs and one long
 constructor finds nothing. A stage marked `gc_paused` runs with
 collection off and hands the caller's collection state back unchanged,
-also when it raises.
+also when it raises. No collection starts inside a paused stage, and
+none starts at the caller's next allocations either, since the stage's
+output leaves the young generation unscanned. The caller's young cyclic
+garbage is not promoted with it: a young collection after the call
+still frees a cycle made just before it. A host's frozen objects stay
+frozen across every paused stage.
 """
 
 import gc
 import random
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -171,3 +178,53 @@ def test_no_collection_starts_inside_a_paused_stage():
     with collections_inside(codes) as inside:
         to_ssa.__wrapped__(normalize_lhs(tf.program))
     assert "to_ssa" in inside
+
+
+def test_the_caller_does_not_rescan_a_stage_s_output():
+    contract = resolve_and_check(parse_source(stress_source(300, 25, random.Random(0))))
+    started = []
+
+    def probe(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    # the stage's output and the new lists stay alive while the probe watches
+    with collection(True):
+        tf = translate_function(contract, contract.constructor)  # noqa: F841
+        gc.callbacks.append(probe)
+        try:
+            lists = [[] for _ in range(100)]  # noqa: F841
+        finally:
+            gc.callbacks.remove(probe)
+    assert started == []
+
+
+class Node:
+    """A weakly referable object to build a reference cycle from."""
+
+
+def test_a_paused_stage_does_not_promote_the_caller_s_young_cycles():
+    gc.collect()
+    with collection(True):
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        assert ref() is not None
+        parse_source(SMALL)
+        gc.collect(1)
+        assert ref() is None
+
+
+def test_the_host_s_frozen_objects_stay_frozen():
+    calls = stage_calls()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        with collection(True):
+            for name, call in calls:
+                call()
+                assert gc.get_freeze_count() == frozen, name
+    finally:
+        gc.unfreeze()

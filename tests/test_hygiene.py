@@ -36,7 +36,10 @@ Within a module, each diagnostic text is raised from one site, so the
 rule that decides it is stated once. The stage chain has one owner: no
 module nests `normalize_lhs(…)` in `to_ssa(…)` or `vc_gen(…)` in
 `emit_smtlib(…)` outside `verify.ssa_form` and `verify.vc_script`, bar
-the test that watches a paused stage run on its own.
+the test that watches a paused stage run on its own. The collector has
+one owner too: no module of the package but `gcpause.py` calls
+`gc.collect`, `gc.freeze`, `gc.unfreeze`, `gc.disable` or `gc.enable`,
+so the pause-and-promote policy is stated once.
 """
 
 import argparse
@@ -82,6 +85,9 @@ CHAIN_SITES = {
 # The modules that turn a resolved contract into IR and SMT-LIB or
 # evaluate IR; `oracle.py` must not import them.
 TRANSLATOR_SIDE = {"translate", "ir", "normalize", "ssa", "vcgen", "smtlib", "ireval"}
+# The `gc` functions that change the collector's state or its
+# generations; `gcpause.py` alone calls them.
+COLLECTOR_CALLS = {"collect", "freeze", "unfreeze", "disable", "enable"}
 
 
 def catch_alls(tree: ast.AST) -> list[int]:
@@ -729,3 +735,43 @@ def test_chain_check_finds_what_it_looks_for():
     # every allowed site still writes a chain out, so the list cannot go stale
     sites = {(path.name, name) for path in SOURCES + TESTS for name, _ in written_chains(ast.parse(path.read_text()))}
     assert CHAIN_SITES <= sites
+
+
+def collector_calls(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, function) of each call of a `COLLECTOR_CALLS` function,
+    made through the `gc` module under any name or imported from it."""
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level:
+            functions |= {alias.asname or alias.name: alias.name for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            name = func.attr
+        else:
+            name = functions.get(func.id) if isinstance(func, ast.Name) else None
+        if name in COLLECTOR_CALLS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "gcpause.py"], ids=lambda p: p.name)
+def test_gcpause_alone_calls_the_collector(path):
+    assert collector_calls(ast.parse(path.read_text())) == []
+
+
+def test_collector_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        "import gc\nimport gc as g\nfrom gc import freeze, unfreeze as thaw\n"
+        "gc.collect(1)\ng.disable()\nfreeze()\nthaw()\n"
+        "gc.isenabled()\ngc.get_freeze_count()\nself.collect()\nenable()\n"
+    )
+    assert collector_calls(tree) == [(4, "collect"), (5, "disable"), (6, "freeze"), (7, "unfreeze")]
+    # the owner calls every one of them, so the check reads real calls
+    owner = ast.parse((ROOT / "src" / "solmem" / "gcpause.py").read_text())
+    assert {name for _, name in collector_calls(owner)} == COLLECTOR_CALLS
