@@ -84,7 +84,8 @@ class Parser:
     keywords spell keywords, so most tests read the value alone. The hot
     paths (operands, their suffixes, the binary loop and expression
     statements) advance in place; the rest go through `next`, `accept`
-    and `expect`."""
+    and `expect`. Nodes are built with positional arguments only: on
+    Python 3.11 a construction with keywords costs about twice as much."""
 
     def __init__(self, text: str, line: int = 1, col: int = 1):
         self.tokens = tokenize(text, line, col)
@@ -282,14 +283,14 @@ class Parser:
                 self.next()
                 target = self.parse_expr()
                 self.expect("symbol", ";")
-                return DeleteStmt(target, line=line)
+                return DeleteStmt(target, line)
             if value == "assert":
                 self.next()
                 self.expect("symbol", "(")
                 cond = self.parse_expr()
                 self.expect("symbol", ")")
                 self.expect("symbol", ";")
-                return AssertStmt(cond, line=line)
+                return AssertStmt(cond, "", line)
         elif value == "(":
             stmt = self.parse_tuple_assign()
             if stmt is not None:
@@ -306,17 +307,17 @@ class Parser:
                 self._reject(expected=";")
             self.pos += 1
             self.tok = self.tokens[self.pos]
-            return AssignStmt([expr], [rhs], tuple_form=False, line=line)
+            return AssignStmt([expr], [rhs], False, line)
         if isinstance(expr, MemberExpr) and expr.member in ("push", "pop") and self.tok[1] == "(":
             self.next()
             if expr.member == "push":
                 pushed = self.parse_expr()
                 self.expect("symbol", ")")
                 self.expect("symbol", ";")
-                return PushStmt(expr.base, pushed, line=line)
+                return PushStmt(expr.base, pushed, line)
             self.expect("symbol", ")")
             self.expect("symbol", ";")
-            return PopStmt(expr.base, line=line)
+            return PopStmt(expr.base, line)
         self._reject(expected="'=' or ';'")
 
     def parse_tuple_assign(self) -> Stmt | None:
@@ -339,7 +340,7 @@ class Parser:
             rhs.append(self.parse_expr())
         self.expect("symbol", ")")
         self.expect("symbol", ";")
-        return AssignStmt(lhs, rhs, tuple_form=True, line=line)
+        return AssignStmt(lhs, rhs, True, line)
 
     def parse_decl(self) -> Stmt:
         line = self.tok[2]
@@ -349,7 +350,7 @@ class Parser:
         if self.accept("="):
             init = self.parse_expr()
         self.expect("symbol", ";")
-        return DeclStmt(ty, data_loc, name, init, line=line)
+        return DeclStmt(ty, data_loc, name, init, line)
 
     # -- expressions --------------------------------------------------------
 
@@ -360,7 +361,7 @@ class Parser:
             then = self.parse_expr()
             self.expect("symbol", ":")
             other = self.parse_expr()
-            return CondExpr(cond, then, other, line=cond.line, col=cond.col)
+            return CondExpr(cond, then, other, cond.line, cond.col)
         return cond
 
     def parse_binary(self, min_prec: int) -> Expr:
@@ -375,7 +376,7 @@ class Parser:
             self.pos += 1
             self.tok = self.tokens[self.pos]
             right = self.parse_binary(_BINARY_PREC[op] + 1)
-            left = BinExpr(op, left, right, line=line, col=col)
+            left = BinExpr(op, left, right, line, col)
 
     def parse_operand(self) -> Expr:
         """Prefix `!` and `-`, a primary, then its `.member` and `[index]`
@@ -390,16 +391,16 @@ class Parser:
             if self.tok[1] == "(":
                 expr: Expr = self.parse_struct_ctor(value, line, col)
             else:
-                expr = IdentExpr(value, line=line, col=col)
+                expr = IdentExpr(value, None, line, col)
         elif kind == "number":
             self.pos += 1
             self.tok = self.tokens[self.pos]
-            expr = IntLitExpr(int(value), line=line, col=col)
+            expr = IntLitExpr(int(value), line, col)
         elif value in _PREFIX:
             if value == "!" or value == "-":
                 self.pos += 1
                 self.tok = self.tokens[self.pos]
-                return UnExpr(value, self.parse_operand(), line=line, col=col)
+                return UnExpr(value, self.parse_operand(), line, col)
             raise UnsupportedError(f"unsupported: operator {value}", line, col)
         else:
             expr = self.parse_primary()
@@ -412,7 +413,7 @@ class Parser:
                     self._reject(expected="ident")
                 self.pos += 1
                 self.tok = self.tokens[self.pos]
-                expr = MemberExpr(expr, tok[1], line=expr.line, col=expr.col)
+                expr = MemberExpr(expr, tok[1], expr.line, expr.col)
             elif value == "[":
                 self.pos += 1
                 self.tok = self.tokens[self.pos]
@@ -421,7 +422,7 @@ class Parser:
                     self._reject(expected="]")
                 self.pos += 1
                 self.tok = self.tokens[self.pos]
-                expr = IndexExpr(expr, index, line=expr.line, col=expr.col)
+                expr = IndexExpr(expr, index, expr.line, expr.col)
             else:
                 return expr
 
@@ -433,14 +434,14 @@ class Parser:
                 self.expect("symbol", ",")
             args.append(self.parse_expr())
         self.next()
-        return StructCtorExpr(name, args, line=line, col=col)
+        return StructCtorExpr(name, args, line, col)
 
     def parse_primary(self) -> Expr:
         """A primary other than an identifier or a number."""
         _, value, line, col = self.tok
         if value == "true" or value == "false":
             self.next()
-            return BoolLitExpr(value == "true", line=line, col=col)
+            return BoolLitExpr(value == "true", line, col)
         if value == "new":
             self.next()
             elem = self.parse_type()
@@ -449,7 +450,7 @@ class Parser:
             self.expect("symbol", "(")
             length = self.parse_expr()
             self.expect("symbol", ")")
-            return NewArrayExpr(elem.base, length, line=line, col=col)
+            return NewArrayExpr(elem.base, length, line, col)
         if value == "(":
             self.next()
             inner = self.parse_expr()

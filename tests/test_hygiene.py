@@ -39,7 +39,10 @@ module nests `normalize_lhs(…)` in `to_ssa(…)` or `vc_gen(…)` in
 the test that watches a paused stage run on its own. The collector has
 one owner too: no module of the package but `gcpause.py` calls
 `gc.collect`, `gc.freeze`, `gc.unfreeze`, `gc.disable` or `gc.enable`,
-so the pause-and-promote policy is stated once.
+so the pause-and-promote policy is stated once. The parser's hot path
+stays off Python's slow protocols: no module of the package imports
+`enum`, no `sol_ast` constructor declares a keyword-only parameter, and
+the parser passes no keyword argument to a `sol_ast` class.
 """
 
 import argparse
@@ -775,3 +778,83 @@ def test_collector_check_finds_what_it_looks_for():
     # the owner calls every one of them, so the check reads real calls
     owner = ast.parse((ROOT / "src" / "solmem" / "gcpause.py").read_text())
     assert {name for _, name in collector_calls(owner)} == COLLECTOR_CALLS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_enum(path):
+    """An `enum` member costs a metaclass `__getattr__` per lookup; the
+    data locations are a plain class (`sol_ast.Loc`)."""
+    assert "enum" not in imported_modules(ast.parse(path.read_text()))
+
+
+def test_enum_check_finds_what_it_looks_for():
+    for text in ("import enum\n", "import enum as e\n", "from enum import Enum\n"):
+        assert "enum" in imported_modules(ast.parse(text)), text
+    assert "enum" not in imported_modules(ast.parse("from .lexer import enum\nimport enumerate\n"))
+
+
+def keyword_only_constructors(classes: list[type]) -> list[str]:
+    """The names of the classes in `classes` whose own `__init__` declares
+    a keyword-only parameter."""
+    return sorted(
+        c.__name__ for c in classes
+        if "__init__" in vars(c) and vars(c)["__init__"].__code__.co_kwonlyargcount
+    )
+
+
+def keyword_constructions(tree: ast.AST, classes: set[str]) -> list[tuple[int, str]]:
+    """(line, class) of each call of one of `classes`, by name or as an
+    attribute, that passes a keyword argument or a `**` mapping."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.keywords:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in classes:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+SOL_AST_CLASSES = module_classes(sol_ast)
+PARSER = ROOT / "src" / "solmem" / "parser.py"
+
+
+def test_no_syntax_tree_constructor_is_keyword_only():
+    """A node built with keyword arguments costs about twice one built
+    positionally, so the parser must be able to pass every field by
+    position."""
+    assert keyword_only_constructors(SOL_AST_CLASSES) == []
+
+
+def test_the_parser_builds_nodes_positionally():
+    tree = ast.parse(PARSER.read_text())
+    assert keyword_constructions(tree, {c.__name__ for c in SOL_AST_CLASSES}) == []
+
+
+def test_constructor_checks_find_what_they_look_for():
+    class KeywordOnly:
+        def __init__(self, a, *, line=0):
+            pass
+
+    class Positional:
+        def __init__(self, a, line=0, *args, **kwargs):
+            pass
+
+    class Inherited(KeywordOnly):
+        pass
+
+    assert keyword_only_constructors([KeywordOnly, Positional, Inherited]) == ["KeywordOnly"]
+    # every syntax-tree node class writes its own constructor, so the check reads them all
+    assert all("__init__" in vars(c) for c in SOL_AST_CLASSES if issubclass(c, (sol_ast.Expr, sol_ast.Stmt)))
+    tree = ast.parse(
+        "IdentExpr(v, line=l, col=c)\nsa.BinExpr(op, a, b, line, col)\nf(x, line=1)\n"
+        'AssertStmt(c, "", line)\nsol_ast.PopStmt(t, line=l)\nIdentExpr(*args, **kw)\n'
+    )
+    assert keyword_constructions(tree, {"IdentExpr", "BinExpr", "AssertStmt", "PopStmt"}) == [
+        (1, "IdentExpr"), (5, "PopStmt"), (6, "IdentExpr"),
+    ]
+    # the parser calls the node classes by name, so the check reads real calls
+    parser_tree = ast.parse(PARSER.read_text())
+    called = {n.func.id for n in ast.walk(parser_tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert {"IdentExpr", "BinExpr", "IndexExpr", "AssignStmt", "AssertStmt"} <= called

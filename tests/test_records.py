@@ -417,6 +417,26 @@ def test_repr(build, text):
     assert repr(build()) == text
 
 
+def test_loc_members_are_singletons_that_read_as_an_enum():
+    """`sol_ast.Loc` is a plain class of four members: they print as an
+    enum's do, compare and hash by identity, and come back as themselves
+    from copies and pickles."""
+    members = [sa.Loc.VALUE, sa.Loc.STORAGE, sa.Loc.STORPTR, sa.Loc.MEMORY]
+    assert len({id(m) for m in members}) == 4
+    assert [repr(m) for m in members] == [
+        "<Loc.VALUE: 'value'>", "<Loc.STORAGE: 'storage'>", "<Loc.STORPTR: 'storptr'>", "<Loc.MEMORY: 'memory'>",
+    ]
+    assert [str(m) for m in members] == ["Loc.VALUE", "Loc.STORAGE", "Loc.STORPTR", "Loc.MEMORY"]
+    assert type(sa.Loc.VALUE).__eq__ is object.__eq__ and type(sa.Loc.VALUE).__hash__ is object.__hash__
+    # the translator keys its type table by (type, location)
+    table = {(sa.INT, m): n for n, m in enumerate(members)}
+    assert [table[sa.INT, m] for m in members] == [0, 1, 2, 3]
+    for m in members:
+        assert copy.copy(m) is m and copy.deepcopy(m) is m and copy.deepcopy([m, (m,)])[1][0] is m
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) is m
+
+
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
 def test_fields_print_in_order(cls):
     """The repr lists the printed fields in the declared order; every
