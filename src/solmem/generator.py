@@ -516,6 +516,7 @@ class ProgramBuilder:
     # what `choices` would accumulate from the weights itself: the same draws
     _OP_CUM_WEIGHTS = list(accumulate(w for _, w in _OPS))
 
+    @gc_paused
     def build(self) -> str:
         emitted = 0
         attempts = 0

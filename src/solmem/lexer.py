@@ -96,17 +96,24 @@ SYMBOLS = [
 # before it (`[^\S\n]*`; every `\s` but `\n`) is taken by the same match,
 # so space costs no turn of the loop. A `\n` and a comment are lexemes of
 # their own, so that only they move the line. The alternatives are tried
-# in order (the "Writing a Tokenizer" recipe of the `re` docs): a comment
-# before the `/` symbol, a number before a word, both ASCII as in Solidity.
+# in order (the "Writing a Tokenizer" recipe of the `re` docs), so the
+# most frequent come first: words and numbers, about 60% of all lexemes,
+# are matched without trying any symbol. An alternative whose lexeme can
+# begin a longer one comes after the longer: the two-character symbols
+# before the one-character ones, which share one character class, and
+# a comment before the `/` symbol. Words and numbers are ASCII, as in
+# Solidity, and a word never starts with a digit.
 _TOKEN_RE = re.compile(
     r"([^\S\n]*)("
     + "|".join([
+        r"[A-Za-z_][A-Za-z0-9_]*",
+        r"[0-9]+[A-Za-z_]?",  # malformed when a letter or `_` follows the digits
+        *(re.escape(s) for s in SYMBOLS if len(s) > 1),
+        "[" + "".join(re.escape(s) for s in SYMBOLS if len(s) == 1 and s != "/") + "]",
         r"//[^\n]*",
         r"/\*.*?\*/",
         r"/\*",  # unterminated
-        *map(re.escape, SYMBOLS),
-        r"[0-9]+[A-Za-z_]?",  # malformed when a letter or `_` follows the digits
-        r"[A-Za-z0-9_]+",
+        "/",
         r"\n",
         r"\Z",  # the empty lexeme: the space at the end of the text
         ".",  # a character no token class accepts

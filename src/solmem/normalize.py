@@ -57,7 +57,10 @@ def _normalize_stmts(stmts, program: SmtProgram) -> list[IrStmt]:
     out: list[IrStmt] = []
     for s in stmts:
         if isinstance(s, Assign):
-            out.extend(_normalize_assign(s, program))
+            if isinstance(s.lhs, Ident):
+                out.append(s)  # already normal: kept, not rebuilt
+            else:
+                out.extend(_normalize_assign(s, program))
         elif isinstance(s, IfStmt):
             out.append(
                 IfStmt(

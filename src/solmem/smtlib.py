@@ -17,6 +17,7 @@ strings and joined once.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cache
 from typing import Any
 
 from .errors import IrError
@@ -48,7 +49,10 @@ from .ir import (
 )
 
 
+@cache
 def sort_of(ty: IrType) -> str:
+    """The SMT-LIB sort of an IR type; types are interned, so each is
+    printed once."""
     if isinstance(ty, IntType):
         return "Int"
     if isinstance(ty, BoolType):
@@ -83,7 +87,7 @@ _SEXPR: dict[type, Callable[[Any], str]] = {
         f"((as const (Array {sort_of(e.index)} {sort_of(e.elem)})) {_SEXPR[type(e.value)](e.value)})"
     ),
     Construct: lambda e: (
-        f"({e.datatype} {' '.join(_SEXPR[type(a)](a) for a in e.args)})" if e.args else e.datatype
+        f"({e.datatype} {' '.join([_SEXPR[type(a)](a) for a in e.args])})" if e.args else e.datatype
     ),
     Select: lambda e: f"({selector_name(e.datatype, e.member)} {_SEXPR[type(e.base)](e.base)})",
     Ite: lambda e: (

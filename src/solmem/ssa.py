@@ -48,7 +48,7 @@ _RENAME: dict[type, Callable[[Any, dict[str, str]], IrExpr]] = {
         _RENAME[type(e.array)](e.array, v), _RENAME[type(e.index)](e.index, v), _RENAME[type(e.value)](e.value, v)
     ),
     ConstArray: lambda e, v: ConstArray(e.index, e.elem, _RENAME[type(e.value)](e.value, v)),
-    Construct: lambda e, v: Construct(e.datatype, tuple(_RENAME[type(a)](a, v) for a in e.args)),
+    Construct: lambda e, v: Construct(e.datatype, tuple([_RENAME[type(a)](a, v) for a in e.args])),
     Select: lambda e, v: Select(_RENAME[type(e.base)](e.base, v), e.member, e.datatype),
     Ite: lambda e, v: Ite(
         _RENAME[type(e.cond)](e.cond, v), _RENAME[type(e.then)](e.then, v), _RENAME[type(e.other)](e.other, v)

@@ -7,7 +7,7 @@ two implementations.
 
 from __future__ import annotations
 
-from solmem.ireval import VArray, VData
+from solmem.ireval import VArray, VData, default_value
 from solmem.sol_ast import (
     BOOL,
     Contract,
@@ -20,6 +20,7 @@ from solmem.sol_ast import (
     is_reference_type,
     is_value_type,
 )
+from solmem.ssa import SsaResult
 from solmem.translate import _names
 
 
@@ -69,3 +70,16 @@ def serialize_ir(contract: Contract, ty: SolType, loc: Loc, value, env: dict):
             out[m.name] = serialize_ir(contract, m.ty, m_loc, v, env)
         return out
     raise TypeError(f"cannot serialize {ty}")
+
+
+def serialize_final_storage(contract: Contract, ssa: SsaResult, env: dict) -> dict:
+    """Each state variable at its final SSA version in an evaluation
+    environment, serialized as `oracle.serialize_storage` serializes the
+    interpreter's storage. A version the run never assigned reads as its
+    type's default."""
+    out = {}
+    for v in contract.state_vars:
+        final = ssa.final_versions[v.name]
+        value = env[final] if final in env else default_value(ssa.program.decls.get(final), ssa.program)
+        out[v.name] = serialize_ir(contract, v.ty, Loc.STORAGE, value, env)
+    return out

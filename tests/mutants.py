@@ -177,6 +177,12 @@ MUTANTS = (
         "pass",
         "an assert whose VC assumes a length bound under --unroll N is reported bounded, never verified",
     ),
+    Mutant(
+        "M21", "src/solmem/normalize.py",
+        "if isinstance(s.lhs, Ident):",
+        "if True:",
+        "only an assignment whose target is already an identifier is kept as it is",
+    ),
 )
 
 # Tests that fail on any change to what they pin, right or wrong: golden

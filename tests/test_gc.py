@@ -28,7 +28,7 @@ import solmem
 from solmem import generator, normalize, oracle, parser, resolver, ssa, translate
 from solmem.errors import ParseError, UnsupportedError
 from solmem.gcpause import gc_paused
-from solmem.generator import random_program
+from solmem.generator import ProgramBuilder, random_program
 from solmem.ireval import eval_ir
 from solmem.normalize import normalize_lhs
 from solmem.oracle import run_constructor
@@ -44,10 +44,10 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import stress_source  # noqa: E402
 
 # the stage entry points that build program-sized trees; `parse_statement`
-# runs only inside `random_program`, where collection is already paused
+# runs only inside `ProgramBuilder.build`, where collection is already paused
 PAUSED = {
     "parse_source", "resolve_and_check", "translate_function", "normalize_lhs",
-    "to_ssa", "random_program", "run_constructor",
+    "to_ssa", "random_program", "ProgramBuilder.build", "run_constructor",
 }
 SMALL = "contract C { int[] a; constructor() { a.push(1); assert(a[0] == 1); } }"
 # a storage array copied into memory needs --unroll
@@ -98,12 +98,20 @@ def test_the_pipeline_leaves_no_cyclic_garbage():
 
 
 def paused_stages() -> set[str]:
-    """Names of the package's functions that `gc_paused` wraps."""
+    """Names of the package's functions and methods that `gc_paused` wraps."""
+    paused = gc_paused(len).__code__
     modules = (parser, resolver, translate, normalize, ssa, generator, oracle, solmem)
-    return {
-        name for module in modules for name, value in vars(module).items()
-        if getattr(value, "__code__", None) is gc_paused(len).__code__
-    }
+    found = set()
+    for module in modules:
+        for name, value in vars(module).items():
+            if getattr(value, "__code__", None) is paused:
+                found.add(name)
+            elif isinstance(value, type):
+                found |= {
+                    f"{name}.{method}" for method, function in vars(value).items()
+                    if getattr(function, "__code__", None) is paused
+                }
+    return found
 
 
 def stage_calls():
@@ -118,6 +126,7 @@ def stage_calls():
         ("normalize_lhs", lambda: normalize_lhs(tf.program)),
         ("to_ssa", lambda: to_ssa(normalized)),
         ("random_program", lambda: random_program(0, 3)),
+        ("ProgramBuilder.build", lambda: ProgramBuilder(0, 3).build()),
         ("run_constructor", lambda: run_constructor(contract)),
     ]
 
@@ -178,6 +187,16 @@ def test_no_collection_starts_inside_a_paused_stage():
     with collections_inside(codes) as inside:
         to_ssa.__wrapped__(normalize_lhs(tf.program))
     assert "to_ssa" in inside
+
+
+def test_no_collection_starts_inside_a_fuzz_program_s_generation():
+    # `solmem fuzz` calls `build` itself, outside `random_program`'s pause;
+    # unpaused, programs of this budget collect a few times each
+    build = ProgramBuilder.build
+    with collections_inside({getattr(build, "__wrapped__", build).__code__}) as inside:
+        for seed in range(3):
+            ProgramBuilder(seed, 200).build()
+    assert inside == []
 
 
 def test_the_caller_does_not_rescan_a_stage_s_output():

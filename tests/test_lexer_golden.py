@@ -1,9 +1,9 @@
 """The regex lexer against token streams recorded from the earlier
 per-character lexer: same tokens (kind, value, line, col), same error
 messages and positions, on every corpus file, 50 generated programs,
-long straight-line sources and hand-picked edge cases. A randomized
-differential compares it with the previous regex lexer
-(`tests/reflexer.py`) the same way."""
+long straight-line sources and hand-picked edge cases. A differential
+compares it with the previous regex lexer (`tests/reflexer.py`) the
+same way, on the corpus, the generated programs and random texts."""
 
 import hashlib
 import json
@@ -65,12 +65,17 @@ def stress_source(size: int, assert_every: int) -> str:
     return "contract Stress {\n    int[7] a;\n    constructor() {\n" + "\n".join(body) + "\n    }\n}\n"
 
 
-def inputs():
-    """(name, text) for every recorded input."""
+def real_sources():
+    """(name, text) of every corpus file and generated program recorded."""
     for path in sorted((ROOT / "corpus").glob("*/*.sol")):
         yield f"corpus/{path.parent.name}/{path.name}", path.read_text()
     for seed in range(50):
         yield f"fuzz/{seed}", random_program(seed, 10)
+
+
+def inputs():
+    """(name, text) for every recorded input."""
+    yield from real_sources()
     for size, every in ((250, 0), (250, 25), (1000, 0)):
         yield f"stress/{size}/{every}", stress_source(size, every)
     yield from EDGE_CASES.items()
@@ -129,6 +134,8 @@ FRAGMENTS = [
 
 
 def test_tokens_match_the_reference_lexer_on_random_texts():
+    for name, text in real_sources():
+        assert lex(text) == lex(text, reflexer.tokenize), name
     rng = random.Random(29)
     for _ in range(20_000):
         text = "".join(rng.choice(FRAGMENTS) + rng.choice(("", "", " ")) for _ in range(rng.randrange(1, 12)))

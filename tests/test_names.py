@@ -16,12 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from irserialize import serialize_ir
+from irserialize import serialize_final_storage
 from irsorts import check_program
 from solmem.cli import main
 from solmem.errors import SolmemError
-from solmem.ireval import default_value, eval_ir
-from solmem.oracle import run_constructor, serialize
+from solmem.ireval import eval_ir
+from solmem.oracle import run_constructor, serialize_storage
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
@@ -32,7 +32,6 @@ from solmem.sol_ast import (
     DeclStmt,
     DynArrayType,
     FixArrayType,
-    Loc,
     MappingType,
     SolType,
     StructType,
@@ -156,11 +155,7 @@ def test_constructor_agrees_with_the_oracle(name):
     ssa = ssa_program(contract, contract.constructor)
     ran = eval_ir(ssa.program)
     assert ran.status == "ok"
-    for v in contract.state_vars:
-        final = ssa.final_versions[v.name]
-        value = ran.env[final] if final in ran.env else default_value(ssa.program.decls.get(final), ssa.program)
-        ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
-        assert ir_json == serialize(oracle.state, v.ty, oracle.state.storage[v.name]), v.name
+    assert serialize_final_storage(contract, ssa, ran.env) == serialize_storage(oracle)
 
 
 def test_distinct_default_contexts_run_and_verify(tmp_path, capsys):

@@ -81,6 +81,18 @@ def test_nested_lvalue_peels_to_identifier():
     assert result.env["d"].members[0].read(1) == 9
 
 
+def test_identifier_assignments_are_kept_not_rebuilt():
+    p = _shell([("c", ir.BOOL), ("x", ir.INT), ("a", ir.ArrayType(ir.INT, ir.INT))])
+    top, nested = Assign(Ident("x"), IntLit(1)), Assign(Ident("x"), IntLit(2))
+    composite = Assign(ArrayRead(Ident("a"), IntLit(0)), IntLit(3))
+    p.stmts = [top, IfStmt(Ident("c"), (nested,), (composite,))]
+    out = normalize_lhs(p)
+    assert out.stmts[0] is top
+    assert out.stmts[1].then[0] is nested
+    assert out.stmts[1].other == (Assign(Ident("a"), ArrayWrite(Ident("a"), IntLit(0), IntLit(3))),)
+    assert p.stmts[1].other == (composite,)  # the input is left as it was
+
+
 def test_non_lvalue_rejected():
     p = _shell()
     p.stmts = [Assign(IntLit(3), IntLit(4))]

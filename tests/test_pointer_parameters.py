@@ -13,13 +13,13 @@ the node's last edge, both when the pointer is dereferenced and when
 
 import pytest
 
-from irserialize import serialize_ir
+from irserialize import serialize_final_storage
 from solmem.ir import Assign, Ident
-from solmem.ireval import VArray, default_value, eval_ir, values_equal
-from solmem.oracle import exec_function, serialize
+from solmem.ireval import VArray, eval_ir, values_equal
+from solmem.oracle import exec_function, serialize_storage
 from solmem.parser import parse_source
 from solmem.resolver import resolve_and_check
-from solmem.sol_ast import Loc, StructType
+from solmem.sol_ast import StructType
 from solmem.translate import Translator, translate_function
 from solmem.verify import ssa_form
 
@@ -198,14 +198,7 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
         assert ir_failed == (oracle.failed.ordinal if oracle.failed else None), path
         if ir_failed is not None:
             continue
-        for v in contract.state_vars:
-            final = ssa.final_versions[v.name]
-            if final in ran.env:
-                value = ran.env[final]
-            else:
-                value = default_value(ssa.program.decls.get(final), ssa.program)
-            ir_json = serialize_ir(contract, v.ty, Loc.STORAGE, value, ran.env)
-            assert ir_json == serialize(oracle.state, v.ty, oracle.state.storage[v.name]), (path, v.name)
+        assert serialize_final_storage(contract, ssa, ran.env) == serialize_storage(oracle), path
 
 
 # three state variables of three members each, so that the last edge
