@@ -12,7 +12,8 @@ verify, corpus and fuzz exit 2 when the solver cannot be found, launched
 or smoke-tested, even if some assert also has a counterexample. corpus
 and fuzz also exit 2 when a query runs past --timeout; verify then exits
 2 unless some assert has a counterexample. Every command exits 2 when a
-file cannot be read or written, a source is not UTF-8, or its standard
+file cannot be read or written, a source is not UTF-8, a source or value
+is nested too deeply for Python's recursion limit, or its standard
 output is closed before it is done.
 """
 
@@ -26,7 +27,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .errors import SolmemError
+from .errors import TOO_DEEP, SolmemError
 from .generator import DEFAULT_BUDGET
 from .harness import (
     OUTCOMES, SOLVER_FAILURES, exit_code, fuzz_report_json, read_source, render_table, report_json, run_corpus,
@@ -104,49 +105,35 @@ def cmd_verify(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.file)
-    try:
-        contract = resolve_and_check(parse_source(read_source(path)))
-    except RecursionError:
-        print("error: source nested too deeply to parse and resolve (RecursionError)", file=sys.stderr)
-        return 2
+    contract = resolve_and_check(parse_source(read_source(path)))
     fn = contract.function(args.entry)
     if fn is None and args.entry != "constructor":
-        print(f"error: no function named {args.entry}", file=sys.stderr)
-        return 2
+        raise SolmemError(f"no function named {args.entry}")
     ctor = contract.constructor
     if fn is not None and not fn.is_constructor and ctor is not None and ctor.params:
         n = len(ctor.params)
-        print(
-            f"error: {fn.name} runs after the constructor, which takes {n} argument{'s' * (n != 1)}; "
-            f"--args holds only {fn.name}'s arguments",
-            file=sys.stderr,
+        raise SolmemError(
+            f"{fn.name} runs after the constructor, which takes {n} argument{'s' * (n != 1)}; "
+            f"--args holds only {fn.name}'s arguments"
         )
-        return 2
     try:
         fn_args = json.loads(args.args) if args.args else []
-        if fn is not None and not fn.is_constructor:
-            result = exec_function(contract, fn.name, fn_args, initial=run_constructor(contract).state)
-        else:
-            result = run_constructor(contract, fn_args)
-        returns = {
-            name: serialize(result.state, r.ty, value)
-            for r, (name, value) in zip(fn.returns if fn else [], result.returns.items())
-        }
-        payload = {
-            "storage": serialize_storage(result),
-            "returns": returns,
-            "asserts": [
-                {"index": a.ordinal, "line": a.line, "passed": a.passed} for a in result.asserts
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2)
     except json.JSONDecodeError as e:
-        print(f"error: --args is not valid JSON: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: value or expression nested too deeply to run (RecursionError)", file=sys.stderr)
-        return 2
-    print(text)
+        raise SolmemError(f"--args is not valid JSON: {e}") from e
+    if fn is not None and not fn.is_constructor:
+        result = exec_function(contract, fn.name, fn_args, initial=run_constructor(contract).state)
+    else:
+        result = run_constructor(contract, fn_args)
+    returns = {
+        name: serialize(result.state, r.ty, value)
+        for r, (name, value) in zip(fn.returns if fn else [], result.returns.items())
+    }
+    payload = {
+        "storage": serialize_storage(result),
+        "returns": returns,
+        "asserts": [{"index": a.ordinal, "line": a.line, "passed": a.passed} for a in result.asserts],
+    }
+    print(json.dumps(payload, sort_keys=True, indent=2))
     failed = result.failed
     if failed is not None:
         print(f"assert failed at line {failed.line} (index {failed.ordinal})", file=sys.stderr)
@@ -158,15 +145,13 @@ def cmd_corpus(args) -> int:
     corpus_dir = Path(args.dir)
     classes = run_corpus(corpus_dir, timeout=args.timeout)
     if not any(s.tests for s in classes.values()):  # it would pass having checked nothing
-        print(f"error: {corpus_dir} holds no <class>/<name>.sol file", file=sys.stderr)
-        return 2
+        raise SolmemError(f"{corpus_dir} holds no <class>/<name>.sol file")
     print(render_table(classes))
     if args.json:
         Path(args.json).write_text(json.dumps(report_json(classes), indent=2, sort_keys=True), encoding="utf-8")
     observed = {t.observed for s in classes.values() for t in s.tests}
     if observed == {"unsupported"}:  # it would pass having graded nothing
-        print(f"error: every test in {corpus_dir} is unsupported", file=sys.stderr)
-        return 2
+        raise SolmemError(f"every test in {corpus_dir} is unsupported")
     return exit_code(observed, {"incorrect", "invalid"})
 
 
@@ -239,8 +224,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed (broken pipe)", file=sys.stderr)
         return 2
-    except (OSError, SolmemError) as e:  # an unreadable file or a rejected source
+    except (OSError, SolmemError) as e:  # an unreadable file, a rejected source or bad input
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: {TOO_DEEP}", file=sys.stderr)
         return 2
     return code
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# What every command reports when Python's recursion limit stops it.
+TOO_DEEP = "source or value nested too deeply (RecursionError)"
+
 
 class SolmemError(Exception):
     """Base class for all user-facing errors."""

@@ -26,7 +26,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .errors import SolmemError
+from .errors import TOO_DEEP, SolmemError
 from .generator import DEFAULT_BUDGET, ProgramBuilder
 from .lexer import lexemes
 from .oracle import run_constructor
@@ -38,9 +38,10 @@ from .verify import VerifyReport, verify_source
 CORPUS_REPORT_SCHEMA = 1
 FUZZ_REPORT_SCHEMA = 2
 
-# Every outcome a corpus test or fuzz seed can have. `error` means the
-# solver could not be found, launched or smoke-tested, or a VC was too
-# deep to print.
+# Every outcome a corpus test or fuzz seed can have. `invalid` means the
+# source does not parse or resolve. `error` means the solver could not
+# be found, launched or smoke-tested, or Python's recursion limit stopped
+# the pipeline or the oracle (`TOO_DEEP`), or a VC was too deep to print.
 OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
 # The outcomes that grade the environment rather than the verifier.
 SOLVER_FAILURES = frozenset({"timeout", "error"})
@@ -155,14 +156,17 @@ def run_test(path: Path, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> TestOutcom
     text = read_source(path)
     expected = [want for _, want in scan_expectations(text)]
     start = time.monotonic()
-    report = verify_source(text, timeout)
-    observed, detail, _ = judge(report, expected)
-    if observed == "correct" and _self_contained(report.contract):
-        try:
-            observed, detail, _ = judge_by_oracle(report)
-            detail = detail and f"oracle disagrees: {detail}"
-        except SolmemError as e:
-            observed, detail = "incorrect", f"oracle failed: {e}"
+    try:
+        report = verify_source(text, timeout)
+        observed, detail, _ = judge(report, expected)
+        if observed == "correct" and _self_contained(report.contract):
+            try:
+                observed, detail, _ = judge_by_oracle(report)
+                detail = detail and f"oracle disagrees: {detail}"
+            except SolmemError as e:
+                observed, detail = "incorrect", f"oracle failed: {e}"
+    except RecursionError:
+        observed, detail = "error", TOO_DEEP
     return TestOutcome(str(path), expected, observed, time.monotonic() - start, detail)
 
 
@@ -268,6 +272,8 @@ def run_fuzz(
             observed, detail, compared = judge_by_oracle(report)
         except SolmemError as e:
             observed, detail, compared = "invalid", f"pipeline error: {e}", 0
+        except RecursionError:
+            observed, detail, compared = "error", TOO_DEEP, 0
         return FuzzOutcome(
             seed, observed, compared, detail, time.monotonic() - start, dict(builder.rejections)
         )

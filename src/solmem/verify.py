@@ -123,6 +123,8 @@ def verify_translated(tf: TranslatedFunction, timeout: float = DEFAULT_TIMEOUT_S
 
 
 def verify_source(text: str, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: int | None = None) -> VerifyReport:
+    """Verify every assert of a contract. A source nested too deeply to
+    parse, resolve or translate raises `RecursionError`."""
     report = VerifyReport()
     try:
         contract = resolve_and_check(parse_source(text))
@@ -131,9 +133,6 @@ def verify_source(text: str, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: i
         return report
     except (ParseError, ResolveError) as e:
         report.error = str(e)
-        return report
-    except RecursionError:
-        report.error = "source nested too deeply to parse and resolve (RecursionError)"
         return report
     report.contract = contract
     report.warnings = list(contract.warnings)
@@ -145,9 +144,6 @@ def verify_source(text: str, timeout: float = DEFAULT_TIMEOUT_SECONDS, unroll: i
             continue
         except SolmemError as e:
             report.error = f"{fn.name}: {e}"
-            return report
-        except RecursionError:
-            report.error = f"{fn.name}: expression nested too deeply to translate (RecursionError)"
             return report
         report.functions.append(verify_translated(tf, timeout))
     return report

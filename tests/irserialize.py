@@ -7,6 +7,7 @@ two implementations.
 
 from __future__ import annotations
 
+from solmem.ir import Assert, Assign
 from solmem.ireval import VArray, VData, default_value
 from solmem.sol_ast import (
     BOOL,
@@ -72,14 +73,33 @@ def serialize_ir(contract: Contract, ty: SolType, loc: Loc, value, env: dict):
     raise TypeError(f"cannot serialize {ty}")
 
 
-def serialize_final_storage(contract: Contract, ssa: SsaResult, env: dict) -> dict:
-    """Each state variable at its final SSA version in an evaluation
-    environment, serialized as `oracle.serialize_storage` serializes the
-    interpreter's storage. A version the run never assigned reads as its
-    type's default."""
+def versions_before(ssa: SsaResult, ordinal: int) -> dict[str, str]:
+    """Each name of `ssa.final_versions` at its last SSA version assigned
+    before assert `ordinal` of the flat SSA program."""
+    versions = {name: name for name in ssa.final_versions}
+    asserts = 0
+    for s in ssa.program.stmts:
+        if isinstance(s, Assert):
+            if asserts == ordinal:
+                return versions
+            asserts += 1
+        elif isinstance(s, Assign):
+            base = s.lhs.name.rpartition("!")[0]  # `to_ssa` names version k of x `x!k`
+            if base in versions:
+                versions[base] = s.lhs.name
+    raise ValueError(f"the program has no assert {ordinal}")
+
+
+def serialize_final_storage(contract: Contract, ssa: SsaResult, env: dict, failed: int | None = None) -> dict:
+    """Each state variable in an evaluation environment, serialized as
+    `oracle.serialize_storage` serializes the interpreter's storage: at
+    its final SSA version, or, for a run stopped by assert `failed`, at
+    the last version assigned before that assert. A version the run
+    never assigned reads as its type's default."""
+    versions = ssa.final_versions if failed is None else versions_before(ssa, failed)
     out = {}
     for v in contract.state_vars:
-        final = ssa.final_versions[v.name]
+        final = versions[v.name]
         value = env[final] if final in env else default_value(ssa.program.decls.get(final), ssa.program)
         out[v.name] = serialize_ir(contract, v.ty, Loc.STORAGE, value, env)
     return out

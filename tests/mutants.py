@@ -254,7 +254,7 @@ def main(argv: list[str]) -> int:
             path.write_text(pristine)
         pinned = {t for t in new if t.split("[")[0] in PINS}
         killers = sorted(new - pinned)
-        verdict = f"killed by {len(killers)}: {', '.join(killers[:3])}" if killers else "SURVIVES"
+        verdict = f"killed by {len(killers)}: {', '.join(killers)}" if killers else "SURVIVES"
         pins = f"; pins failing: {len(pinned)}"
         print(f"{m.name} ({m.rule}): {verdict}{pins}", flush=True)
         if not killers:

@@ -1,4 +1,13 @@
-"""Shared example contracts used across the test suite."""
+"""Shared example contracts used across the test suite, and the one
+helper that compiles them."""
+
+from solmem.parser import parse_source
+from solmem.resolver import resolve_and_check
+
+
+def compile_source(text):
+    return resolve_and_check(parse_source(text))
+
 
 DATA_STORAGE = """
 contract DataStorage {

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from irgen import random_env, random_ir_program
 from irserialize import serialize_ir
-from sources import DANGLING_POINTER, POINTER_CONTRACT, tuple_swap_with
+from sources import DANGLING_POINTER, POINTER_CONTRACT, compile_source, tuple_swap_with
 from test_invariants import FRAME_CONTRACTS, MEMORY_ZOO, ZOO_TYPES, _zoo_contract, frame_verdict
 from solmem import ir
 from solmem.harness import run_corpus, run_fuzz, scan_expectations
@@ -19,8 +19,6 @@ from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, eval_ir, values_equal
 from solmem.normalize import normalize_lhs
 from solmem.oracle import Machine, serialize
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import expr_to_sexpr
 from solmem.sol_ast import Loc, StructType, is_reference_type
 from solmem.ssa import to_ssa
@@ -28,10 +26,6 @@ from solmem.translate import Translator, translate_function
 from solmem.verify import ssa_form, vc_script, verify_source
 
 CORPUS_DIR = Path(__file__).parent.parent / "corpus"
-
-
-def compile_source(text):
-    return resolve_and_check(parse_source(text))
 
 
 def _report(n: int, label: str):

@@ -2,19 +2,14 @@
 
 from pathlib import Path
 
+from sources import compile_source
 from solmem import verify
 from solmem.oracle import exec_function, run_constructor
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.solver import SolverVerdict
 from solmem.translate import translate_function
 from solmem.verify import ssa_form, vc_script, verify_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def compile_source(text):
-    return resolve_and_check(parse_source(text))
 
 
 def verdicts(report):

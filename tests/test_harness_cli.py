@@ -17,6 +17,7 @@ import sources
 from sources import DANGLING_POINTER
 from solmem import harness, solver, verify
 from solmem.cli import build_parser, main
+from solmem.errors import TOO_DEEP
 from solmem.generator import DEFAULT_BUDGET, random_program
 from solmem.harness import (
     judge,
@@ -32,6 +33,7 @@ from solmem.harness import (
 from solmem.parser import parse_source
 from solmem.sol_ast import AssertStmt
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
+from test_frontend import _deep_source, _parenthesized
 from test_vc_printing import stress_source
 
 
@@ -307,6 +309,33 @@ def test_cli_corpus_without_tests_is_a_usage_error(tmp_path, capsys):
         assert err == f"error: {tmp_path / corpus} holds no <class>/<name>.sol file\n"
 
 
+def test_cli_corpus_grades_a_source_too_deep_to_parse_as_an_error(tmp_path, capsys):
+    """The recursion limit is the environment's failure, as in `verify`:
+    an `error` row and exit 2, not an `invalid` source and exit 1. No
+    solver runs, since the source never parses."""
+    _write(tmp_path, "k", "deep.sol", _deep_source(_parenthesized(400)))
+    assert main(["corpus", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[2].split()[2:8] == ["0", "0", "0", "0", "0", "1"]
+    assert out.splitlines()[3] == f"    deep.sol: error: {TOO_DEEP}"
+    assert err == ""
+
+
+def test_cli_fuzz_grades_a_recursion_limit_as_an_error(capsys, monkeypatch):
+    """A seed that stops at the recursion limit is an error seed: the
+    summary still prints, and fuzz exits 2 without a traceback."""
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(harness, "verify_source", too_deep)
+    assert main(["fuzz", "--count", "1"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "1 seeds, 0 asserts compared, 0 disagreements, 1 solver errors or timeouts"
+    assert lines[2:] == [f"  seed 0: error: {TOO_DEEP}"]
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", ["verify", "corpus", "fuzz"])
 def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
     """Each run would exit 0 against a solver that says unsat to every
@@ -517,15 +546,15 @@ _MEMORY_ARGS = "contract C { struct S { int x; } function f(int[2] memory m, S m
         (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2], {"y": 1}]'], "argument s: expected S"),
         (_MEMORY_ARGS, ["--entry", "f", "--args", '[[1, 2], {"x": 1, "y": 2}]'], "argument s: expected S"),
         ("contract C { int x; constructor() { x = " + "(" * 400 + "1" + ")" * 400 + "; } }", [],
-         "source nested too deeply to parse and resolve (RecursionError)"),
+         TOO_DEEP),
         # The oracle evaluates a long sum with a loop, but takes frames per
         # index of a read from a 400-dimensional array, which the parser
         # and the resolver still accept.
         ("contract C { int x; int" + "[]" * 400 + " a; constructor() { x = a" + "[0]" * 400 + "; } }", [],
-         "expression nested too deeply to run (RecursionError)"),
+         TOO_DEEP),
         # runs, but its final state is too deep to serialize
         ("contract C { int" + "[1]" * 600 + " a; constructor() { } }", [],
-         "value or expression nested too deeply to run (RecursionError)"),
+         TOO_DEEP),
     ],
     ids=[
         "missing-file", "malformed-json", "wrong-type", "not-a-list", "constructor-takes-arguments",

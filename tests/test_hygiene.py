@@ -42,7 +42,11 @@ one owner too: no module of the package but `gcpause.py` calls
 so the pause-and-promote policy is stated once. The parser's hot path
 stays off Python's slow protocols: no module of the package imports
 `enum`, no `sol_ast` constructor declares a keyword-only parameter, and
-the parser passes no keyword argument to a `sol_ast` class.
+the parser passes no keyword argument to a `sol_ast` class. A failure
+has one path: `RecursionError` is caught only where it is graded
+(`cli.main`, the two harness workers) and in `verify_translated`, whose
+per-assert catch keeps a function's other verdicts, and no `cmd_*`
+function of the CLI returns 2 itself, since `main` prints every error.
 """
 
 import argparse
@@ -88,6 +92,12 @@ CHAIN_SITES = {
 # The modules that turn a resolved contract into IR and SMT-LIB or
 # evaluate IR; `oracle.py` must not import them.
 TRANSLATOR_SIDE = {"translate", "ir", "normalize", "ssa", "vcgen", "smtlib", "ireval"}
+# (module, innermost function) of each handler that may catch
+# `RecursionError`: the CLI's failure path, the corpus and fuzz workers,
+# and the per-assert VC printing.
+RECURSION_CATCHERS = {
+    ("cli.py", "main"), ("harness.py", "run_test"), ("harness.py", "run_one"), ("verify.py", "verify_translated"),
+}
 # The `gc` functions that change the collector's state or its
 # generations; `gcpause.py` alone calls them.
 COLLECTOR_CALLS = {"collect", "freeze", "unfreeze", "disable", "enable"}
@@ -858,3 +868,56 @@ def test_constructor_checks_find_what_they_look_for():
     parser_tree = ast.parse(PARSER.read_text())
     called = {n.func.id for n in ast.walk(parser_tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert {"IdentExpr", "BinExpr", "IndexExpr", "AssignStmt", "AssertStmt"} <= called
+
+
+def recursion_catches(tree: ast.AST) -> list[str]:
+    """The innermost function around each handler that names
+    `RecursionError`, `<module>` outside any function, in line order."""
+    owners = {}
+    for fn in ast.walk(tree):  # breadth first: a nested function comes after the one around it
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owners.update((node, fn.name) for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(c, ast.Name) and c.id == "RecursionError" for c in caught):
+                found.append((node.lineno, owners.get(node, "<module>")))
+    return [owner for _, owner in sorted(found)]
+
+
+def command_exit_twos(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each `return 2` in a top-level `cmd_*` function."""
+    return [
+        (fn.name, node.lineno)
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2
+    ]
+
+
+def test_a_recursion_limit_is_caught_only_where_it_is_graded():
+    sites = [(path.name, owner) for path in SOURCES for owner in recursion_catches(ast.parse(path.read_text()))]
+    assert sorted(sites) == sorted(RECURSION_CATCHERS)
+
+
+def test_no_command_returns_2_itself():
+    assert command_exit_twos(ast.parse((ROOT / "src" / "solmem" / "cli.py").read_text())) == []
+
+
+def test_failure_path_checks_find_what_they_look_for():
+    tree = ast.parse(
+        "try:\n    pass\nexcept RecursionError:\n    pass\n"
+        "def cmd_a(args):\n    try:\n        return 0\n    except (OSError, RecursionError) as e:\n        return 2\n"
+        "def outer():\n    def inner():\n        try:\n            pass\n        except RecursionError:\n            pass\n"
+        "    try:\n        pass\n    except ValueError:\n        return 2\n"
+        "def cmd_b(args):\n    if args:\n        return 1\n    return args.code\n"
+    )
+    assert recursion_catches(tree) == ["<module>", "cmd_a", "inner"]
+    assert command_exit_twos(tree) == [("cmd_a", 9)]
+    # the CLI still catches it in `main`, which returns 2 for every
+    # command, so the checks read real code
+    cli_tree = ast.parse((ROOT / "src" / "solmem" / "cli.py").read_text())
+    assert recursion_catches(cli_tree) == ["main"]
+    next(fn for fn in cli_tree.body if getattr(fn, "name", None) == "main").name = "cmd_main"
+    assert len(command_exit_twos(cli_tree)) == 3

@@ -7,12 +7,11 @@ from functools import reduce
 import pytest
 
 from irserialize import serialize_ir
+from sources import compile_source
 from solmem import ir
 from solmem.ir import Assign, Assume, Ident, IrExpr, SmtProgram
 from solmem.ireval import eval_ir
 from solmem.oracle import Machine, serialize
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib
 from solmem.solver import check
 from solmem.sol_ast import Loc, is_reference_type, is_value_type
@@ -35,10 +34,6 @@ def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
         if isinstance(s, (Assign, Assume))
     ]
     return conjoin(parts + [ir.UnOp("not", ir.BinOp("==", Ident(pre_name), Ident(post_name)))])
-
-
-def compile_source(text):
-    return resolve_and_check(parse_source(text))
 
 
 def frame_verdict(src: str, fn_name: str, framed: str, solver_available=None):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sources import DANGLING_POINTER, DATA_STORAGE, TUPLE_SWAP
+from sources import DANGLING_POINTER, DATA_STORAGE, TUPLE_SWAP, compile_source
 from solmem import oracle
 from solmem.generator import random_program
 from solmem.oracle import (
@@ -18,12 +18,6 @@ from solmem.oracle import (
     serialize,
     serialize_storage,
 )
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
-
-
-def compile_source(text):
-    return resolve_and_check(parse_source(text))
 
 
 def test_primitive_tuple_swap():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sources import DATA_STORAGE, POINTER_CONTRACT
+from sources import DATA_STORAGE, POINTER_CONTRACT, compile_source
 from solmem import ir
 from solmem.errors import UnsupportedError
 from solmem.ir import (
@@ -18,8 +18,6 @@ from solmem.ir import (
 )
 from solmem.ireval import VData, default_value, eval_ir
 from solmem.oracle import exec_function, run_constructor
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import program_text
 from solmem.sol_ast import (
     ADDRESS,
@@ -34,10 +32,6 @@ from solmem.sol_ast import (
 )
 from solmem.translate import Translator, translate_function
 from solmem.verify import ssa_form, vc_script
-
-
-def compile_source(text):
-    return resolve_and_check(parse_source(text))
 
 
 STRUCTS = "contract C { struct T { int z; } struct S { int x; T t; } T t0; S s0; }"

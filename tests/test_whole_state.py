@@ -1,10 +1,11 @@
 """Whole final states, not only asserts: on every constructor that the
-reference interpreter and the IR evaluator both run to the end, each
-state variable's final storage is the same on both sides.
+reference interpreter and the IR evaluator both run to the end, or both
+stop at the same failing assert, each state variable's storage is the
+same on both sides where the run stops.
 
 The assert differential compares the first failing assert and nothing
 else, so a translator fault that corrupts state no assert reads goes
-unseen there. At the end of a constructor, storage is all the state a
+unseen there. Where a constructor stops, storage is all the state its
 run leaves, so comparing it whole sees such a fault. The programs are
 fuzz seeds 0-299 (the first seed where an element-wise copy that skips
 the last element changes a final state is 299) and the self-contained
@@ -36,10 +37,11 @@ def sources():
 
 
 def final_states(source: str):
-    """The final storage of the constructor as the interpreter and as the
-    IR evaluator serialize it, or None where either side does not run it
-    to the end: the source is rejected or not self-contained, an assert
-    fails, or the translator does not support it."""
+    """The storage where the constructor stops, as the interpreter and as
+    the IR evaluator serialize it, or None where the two do not stop at
+    the same place: the source is rejected or not self-contained, the
+    translator does not support it, an assumption fails, or the sides
+    stop at different asserts (the assert differential's case)."""
     try:
         contract = resolve_and_check(parse_source(source))
     except SolmemError:
@@ -48,16 +50,15 @@ def final_states(source: str):
     if ctor is None or ctor.params or contract.functions:
         return None
     oracle = run_constructor(contract)
-    if oracle.failed is not None:
-        return None
     try:
         ssa = ssa_form(translate_function(contract, ctor).program)
     except SolmemError:
         return None
     ran = eval_ir(ssa.program)
-    if ran.status != "ok":
+    failed = oracle.failed.ordinal if oracle.failed else None
+    if ran.status == "assume-violated" or ran.failed_index != failed:
         return None
-    return serialize_storage(oracle), serialize_final_storage(contract, ssa, ran.env)
+    return serialize_storage(oracle), serialize_final_storage(contract, ssa, ran.env, failed)
 
 
 def test_final_storage_agrees_with_the_interpreter():
@@ -70,4 +71,12 @@ def test_final_storage_agrees_with_the_interpreter():
         oracle_state, ir_state = states
         disagreements += [(name, v) for v in oracle_state if oracle_state[v] != ir_state[v]]
     assert disagreements == []
-    assert compared >= 200  # most programs run to the end on both sides
+    assert compared >= 300  # every fuzz seed stops at the same place on both sides
+
+
+def test_a_run_stopped_by_an_assert_is_read_where_it_stopped():
+    """A state variable assigned after the failing assert reads its
+    version from before the assert, not its final version, which the
+    stopped run never assigned."""
+    states = final_states("contract C { int x; constructor() { x = 1; assert(x == 2); x = 3; } }")
+    assert states == ({"x": 1}, {"x": 1})
