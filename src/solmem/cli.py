@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import TOO_DEEP, SolmemError
 from .generator import DEFAULT_BUDGET
 from .harness import (
-    OUTCOMES, SOLVER_FAILURES, exit_code, fuzz_report_json, read_source, render_table, report_json, run_corpus,
+    ERRORS_OR_TIMEOUTS, OUTCOMES, exit_code, fuzz_report_json, read_source, render_table, report_json, run_corpus,
     run_fuzz,
 )
 from .oracle import exec_function, run_constructor, serialize, serialize_storage
@@ -158,14 +158,14 @@ def cmd_corpus(args) -> int:
 def cmd_fuzz(args) -> int:
     seeds = range(args.start, args.start + args.count)
     outcomes = run_fuzz(seeds, size_budget=args.budget, timeout=args.timeout)
-    errors = [o for o in outcomes if o.observed in SOLVER_FAILURES]
-    disagreements = [o for o in outcomes if not o.agreed and o.observed not in SOLVER_FAILURES]
+    errors = [o for o in outcomes if o.observed in ERRORS_OR_TIMEOUTS]
+    disagreements = [o for o in outcomes if not o.agreed and o.observed not in ERRORS_OR_TIMEOUTS]
     compared = sum(o.compared for o in outcomes)
     rejections = Counter()
     for o in outcomes:
         rejections.update(o.rejections)
     print(f"{len(outcomes)} seeds, {compared} asserts compared, "
-          f"{len(disagreements)} disagreements, {len(errors)} solver errors or timeouts")
+          f"{len(disagreements)} disagreements, {len(errors)} errors or timeouts")
     print("rejected candidates: "
           + (", ".join(f"{reason} {n}" for reason, n in sorted(rejections.items())) or "none"))
     for o in disagreements + errors[:1]:

@@ -43,8 +43,8 @@ FUZZ_REPORT_SCHEMA = 2
 # be found, launched or smoke-tested, or Python's recursion limit stopped
 # the pipeline or the oracle (`TOO_DEEP`), or a VC was too deep to print.
 OUTCOMES = ("correct", "incorrect", "unsupported", "timeout", "invalid", "error")
-# The outcomes that grade the environment rather than the verifier.
-SOLVER_FAILURES = frozenset({"timeout", "error"})
+# The outcomes that give no verdict to grade.
+ERRORS_OR_TIMEOUTS = frozenset({"timeout", "error"})
 
 # Tests or seeds run at once. Sizing it from the machine waits on
 # measured solver throughput.
@@ -129,10 +129,10 @@ def judge(report: VerifyReport, expected: list[str]) -> tuple[str, str, int]:
 
 
 def exit_code(observed: set[str], wrong: set[str]) -> int:
-    """The exit code of `corpus` and `fuzz` from the outcomes seen: 2 when
-    the solver failed or timed out, else 1 when an outcome in `wrong`
-    was seen, else 0."""
-    return 2 if observed & SOLVER_FAILURES else 1 if observed & wrong else 0
+    """The exit code of `corpus` and `fuzz` from the outcomes seen: 2 on
+    an error or a timeout, else 1 when an outcome in `wrong` was seen,
+    else 0."""
+    return 2 if observed & ERRORS_OR_TIMEOUTS else 1 if observed & wrong else 0
 
 
 def judge_by_oracle(report: VerifyReport) -> tuple[str, str, int]:

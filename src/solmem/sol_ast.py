@@ -106,6 +106,10 @@ def mangle(t: SolType) -> str:
     raise TypeError(f"unknown type {t}")
 
 
+def default_context_name(target: SolType) -> str:
+    return f"defaultctx${mangle(target)}"
+
+
 class Loc:
     """Data-location category of an expression: `Loc.VALUE`,
     `Loc.STORAGE`, `Loc.STORPTR` or `Loc.MEMORY`, the class's only

@@ -67,7 +67,7 @@ def check(script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> Solv
     return _run(cmd, script, timeout_seconds)
 
 
-# The query the test suite's `solver_available` fixture sends.
+# The query `smoke_failure` sends each solver command.
 SMOKE_QUERY = "(set-logic ALL)(assert false)(check-sat)\n"
 SMOKE_TIMEOUT_SECONDS = 30.0
 
@@ -75,27 +75,26 @@ _smoke_lock = threading.Lock()
 _smoke_failures: dict[tuple[str, ...], str] = {}  # command -> reason, "" once it answered
 
 
-def query(script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> SolverVerdict:
-    """`check`, once the solver command has answered the smoke query.
-
-    The smoke query runs once per command per process. After it fails,
-    every query gets an `error` verdict with the reason and no solver
-    process is launched again.
-    """
+def smoke_failure() -> str:
+    """Why the solver command cannot be used, or "" once it has answered
+    the smoke query `unsat`. The query goes through `check` once per
+    command per process, so after a failure no solver is launched again."""
     try:
-        cmd = default_solver_command()
+        cmd = tuple(default_solver_command())
     except SolverFailure as e:
-        return SolverVerdict("error", detail=str(e))
+        return str(e)
     with _smoke_lock:
-        reason = _smoke_failures.get(tuple(cmd))
-        if reason is None:
-            smoke = _run(cmd, SMOKE_QUERY, SMOKE_TIMEOUT_SECONDS)
-            failure = f"solver smoke test failed: {smoke.kind} {smoke.detail}"
-            reason = "" if smoke.kind == "unsat" else " ".join(failure.split())
-            _smoke_failures[tuple(cmd)] = reason
-    if reason:
-        return SolverVerdict("error", detail=reason)
-    return _run(cmd, script, timeout_seconds)
+        if cmd not in _smoke_failures:
+            smoke = check(SMOKE_QUERY, SMOKE_TIMEOUT_SECONDS)
+            failure = " ".join(f"solver smoke test failed: {smoke.kind} {smoke.detail}".split())
+            _smoke_failures[cmd] = "" if smoke.kind == "unsat" else failure
+        return _smoke_failures[cmd]
+
+
+def query(script: str, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> SolverVerdict:
+    """`check`, or an `error` verdict and no launch if `smoke_failure` says why."""
+    reason = smoke_failure()
+    return SolverVerdict("error", detail=reason) if reason else check(script, timeout_seconds)
 
 
 def _run(cmd: list[str], script: str, timeout_seconds: float) -> SolverVerdict:

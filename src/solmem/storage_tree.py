@@ -26,8 +26,8 @@ from .sol_ast import (
     MappingType,
     SolType,
     StructType,
+    default_context_name,
     is_reference_type,
-    mangle,
 )
 
 
@@ -52,10 +52,6 @@ class TreeEdge(Record):
         self.label = label  # state var / member name; None for index edges
         self.ordinal = ordinal  # position among this node's kept edges
         self.target = target
-
-
-def default_context_name(target: SolType) -> str:
-    return f"defaultctx${mangle(target)}"
 
 
 def build_storage_tree(contract: Contract, target: SolType) -> TreeNode:

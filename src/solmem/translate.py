@@ -74,6 +74,7 @@ from .sol_ast import (
     StructCtorExpr,
     StructType,
     UnExpr,
+    default_context_name,
     expr_to_source,
     is_reference_type,
     is_value_type,
@@ -85,7 +86,6 @@ from .storage_tree import (
     TreeNode,
     add_default_context,
     build_storage_tree,
-    default_context_name,
     default_context_tree,
     subtree,
 )

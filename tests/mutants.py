@@ -186,9 +186,12 @@ MUTANTS = (
 )
 
 # Tests that fail on any change to what they pin, right or wrong: golden
-# digests, the pointer encoding's exact numbers, the recorded corpus
-# expectations, the benchmark's byte counts (which the suite also runs as
-# one aggregate test), and the check that each mutant's text is still there. Parametrized ids match by name.
+# digests, the pointer encoding's exact numbers and unpack text, the
+# recorded corpus expectations, the benchmark's byte counts (which the
+# suite also runs as one aggregate test), and the check that each
+# mutant's text is still there. Each id names a top-level test function
+# (`tests/test_hygiene.py` checks that it exists); parametrized ids
+# match by name.
 PINS = {
     "tests/test_hygiene.py::test_each_mutant_text_occurs_once",
     "tests/test_lexer_golden.py::test_tokens_match_recorded",
@@ -199,7 +202,6 @@ PINS = {
     "tests/test_generator.py::test_golden_snapshot_seed0",
     "tests/test_generator.py::test_golden_digest_and_rejections_seeds_0_199",
     "tests/test_harness_cli.py::test_parse_expectations_on_the_corpus_are_unchanged",
-    "tests/test_acceptance.py::test_criterion_1_pack_unpack_goldens",
     "tests/test_storage_tree_pack_unpack.py::test_pack_goldens",
     "tests/test_bench_names.py::test_benchmark_tests_pass",
     "perfbench/test_perfbench.py::test_deterministic_counts_repeat_across_runs",

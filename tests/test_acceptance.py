@@ -1,4 +1,13 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: the criteria that need a solver or the whole
+corpus, each at its stated tolerance.
+
+The solver-free criteria are checked once each, in the module that owns
+the property: 1 (pack/unpack goldens, within 1 s) by
+`test_storage_tree_pack_unpack.py::test_pack_goldens`, 6a
+(normalize/SSA equivalence over seeds 0-999) by
+`test_normalize_ssa.py::test_transformations_preserve_evaluation` and 7
+(default-value conformance) by `test_invariants.py`'s
+`test_storage_default_conformance` and `test_memory_default_conformance`.
 
 Each test prints one `ACCEPTANCE <n>: ... PASS` line on success; a
 failure raises with the offending details. Run with `pytest -s
@@ -8,21 +17,10 @@ tests/test_acceptance.py` to see the lines as they complete.
 import time
 from pathlib import Path
 
-
-from irgen import random_env, random_ir_program
-from irserialize import serialize_ir
-from sources import DANGLING_POINTER, POINTER_CONTRACT, compile_source, tuple_swap_with
-from test_invariants import FRAME_CONTRACTS, MEMORY_ZOO, ZOO_TYPES, _zoo_contract, frame_verdict
-from solmem import ir
+from sources import DANGLING_POINTER, compile_source, tuple_swap_with
+from test_invariants import FRAME_CONTRACTS, frame_verdict
 from solmem.harness import run_corpus, run_fuzz, scan_expectations
-from solmem.ir import Assign, Ident
-from solmem.ireval import VArray, eval_ir, values_equal
-from solmem.normalize import normalize_lhs
-from solmem.oracle import Machine, serialize
-from solmem.smtlib import expr_to_sexpr
-from solmem.sol_ast import Loc, StructType, is_reference_type
-from solmem.ssa import to_ssa
-from solmem.translate import Translator, translate_function
+from solmem.translate import translate_function
 from solmem.verify import ssa_form, vc_script, verify_source
 
 CORPUS_DIR = Path(__file__).parent.parent / "corpus"
@@ -30,49 +28,6 @@ CORPUS_DIR = Path(__file__).parent.parent / "corpus"
 
 def _report(n: int, label: str):
     print(f"ACCEPTANCE {n}: {label} PASS")
-
-
-# ---------------------------------------------------------------------------
-# 1. pack/unpack golden values
-
-
-def test_criterion_1_pack_unpack_goldens():
-    start = time.monotonic()
-    src = POINTER_CONTRACT.replace(
-        "S[] ss;",
-        "S[] ss;\n    function probe() {"
-        " T storage a = t1; T storage b = s1.t; T storage d = ss[8].ts[5]; }",
-    )
-    c = compile_source(src)
-    tr = Translator(c)
-
-    def packed_values(expr, depth):
-        prog = tr.program.copy_shell()
-        prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), tr.pack(expr))]
-        prog.declare("out~", ir.PTR)
-        arr = eval_ir(prog).env["out~"]
-        assert isinstance(arr, VArray)
-        return [arr.read(i) for i in range(depth)]
-
-    decls = c.function("probe").body
-    assert packed_values(decls[0].init, 1) == [0]
-    assert packed_values(decls[1].init, 2) == [1, 0]
-    assert packed_values(decls[2].init, 4) == [2, 8, 1, 5]
-
-    unpacked = expr_to_sexpr(tr.unpack(Ident("ptr"), StructType("T")))
-    s1_ts = "(select (StorArr$T.arr (StorStruct$S.ts s1)) (select ptr 2))"
-    ss_i = "(select (StorArr$S.arr ss) (select ptr 1))"
-    ss_i_ts = f"(select (StorArr$T.arr (StorStruct$S.ts {ss_i})) (select ptr 3))"
-    expected = (
-        "(ite (= (select ptr 0) 0) t1 "
-        "(ite (= (select ptr 0) 1) "
-        f"(ite (= (select ptr 1) 0) (StorStruct$S.t s1) {s1_ts}) "
-        f"(ite (= (select ptr 2) 0) (StorStruct$S.t {ss_i}) {ss_i_ts})))"
-    )
-    assert unpacked == expected
-    elapsed = time.monotonic() - start
-    assert elapsed < 1.0, f"took {elapsed:.2f}s"
-    _report(1, f"pack [0] [1,0] [2,8,1,5] and unpack conditional in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -154,28 +109,6 @@ def test_criterion_5_differential_fuzzing(solver_available):
 # 6. invariant suites
 
 
-def test_criterion_6a_transformation_equivalence():
-    for seed in range(200):
-        program = random_ir_program(seed, size=8)
-        env = random_env(seed)
-        normalized = normalize_lhs(program)
-        ssa = to_ssa(normalized)
-        r0 = eval_ir(program, dict(env))
-        r1 = eval_ir(normalized, dict(env))
-        r2 = eval_ir(ssa.program, dict(env))
-        assert (r0.status, r0.failed_index) == (r1.status, r1.failed_index) == (
-            r2.status,
-            r2.failed_index,
-        ), f"seed {seed}"
-        if r0.status == "ok":
-            for name in program.decls:
-                assert values_equal(r0.env.get(name), r1.env.get(name)), (seed, name)
-                final = ssa.final_versions[name]
-                if final in r2.env or name in r0.env:
-                    assert values_equal(r0.env.get(name), r2.env.get(final)), (seed, name)
-    _report(6, "(a) normalize/SSA preserve evaluation on 200 random programs")
-
-
 def test_criterion_6b_non_aliasing_and_deep_copy(solver_available):
     assert len(FRAME_CONTRACTS) == 20
     checked = 0
@@ -218,28 +151,3 @@ def test_criterion_6c_quantifier_free_corpus():
         assert "forall" not in script and "exists" not in script
     _report(6, f"(c) {len(scripts)} emitted scripts contain no quantifiers")
 
-
-# ---------------------------------------------------------------------------
-# 7. default-value conformance
-
-
-def test_criterion_7_default_conformance():
-    checked = 0
-    for type_src in ZOO_TYPES:
-        c = compile_source(_zoo_contract(type_src))
-        ty = c.state_vars[0].ty
-        locs = [Loc.STORAGE if is_reference_type(ty) else Loc.VALUE]
-        if type_src in MEMORY_ZOO:
-            locs.append(Loc.MEMORY)
-        for loc in locs:
-            machine = Machine(c)
-            oracle_json = serialize(machine, ty, machine.default(ty, loc))
-            tr = Translator(c)
-            expr = tr.default_value(ty, loc)
-            prog = tr.program.copy_shell()
-            prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), expr)]
-            prog.declare("out~", tr.map_type(ty, loc))
-            env = eval_ir(prog).env
-            assert serialize_ir(c, ty, loc, env["out~"], env) == oracle_json, (type_src, loc)
-            checked += 1
-    _report(7, f"defaults agree between translator and interpreter on {checked} type/location pairs")

@@ -331,7 +331,7 @@ def test_cli_fuzz_grades_a_recursion_limit_as_an_error(capsys, monkeypatch):
     assert main(["fuzz", "--count", "1"]) == 2
     out, err = capsys.readouterr()
     lines = out.splitlines()
-    assert lines[0] == "1 seeds, 0 asserts compared, 0 disagreements, 1 solver errors or timeouts"
+    assert lines[0] == "1 seeds, 0 asserts compared, 0 disagreements, 1 errors or timeouts"
     assert lines[2:] == [f"  seed 0: error: {TOO_DEEP}"]
     assert err == ""
 

@@ -31,7 +31,8 @@ and its Usage section names no option that the command line lacks, so a
 removed option cannot linger in the docs. Every `read_text`,
 `write_text` and `open` of the package names `encoding="utf-8"`, so no
 file means what the locale makes of it. Every text that
-`tests/mutants.py` replaces still occurs exactly once in its module.
+`tests/mutants.py` replaces still occurs exactly once in its module, and
+each of its `PINS` ids names a test function its file defines.
 Within a module, each diagnostic text is raised from one site, so the
 rule that decides it is stated once. The stage chain has one owner: no
 module nests `normalize_lhs(…)` in `to_ssa(…)` or `vc_gen(…)` in
@@ -77,7 +78,7 @@ CATCH_ALL = {"Exception", "BaseException"}
 # The stems of the names the translator invents (datatypes, heaps, default
 # contexts, the allocation counter), and the modules that spell them.
 INVENTED = ("StorStruct", "MemStruct", "structHeap", "StorArr", "MemArr", "arrHeap", "defaultctx", "$alloc")
-NAMERS = {"translate.py", "storage_tree.py"}
+NAMERS = {"translate.py", "sol_ast.py"}
 # The source diagnostics whose message texts are stated at one site each.
 DIAGNOSTICS = {"ParseError", "ResolveError", "UnsupportedError"}
 # Each stage call that takes another stage's result as written: the
@@ -673,6 +674,39 @@ def test_each_mutant_text_occurs_once(mutant):
     """`tests/mutants.py` replaces each text in place, so it must still
     name exactly one spot of its module."""
     assert (ROOT / mutant.path).read_text().count(mutant.text) == 1
+
+
+def stale_pins(pins: set[str], root: Path) -> list[str]:
+    """Each id of `pins`, `<file>::<function>`, whose file under `root`
+    does not exist or defines no top-level function of that name."""
+    stale = []
+    for pin in sorted(pins):
+        path, _, name = pin.partition("::")
+        file = root / path
+        body = ast.parse(file.read_text()).body if file.is_file() else []
+        if not any(isinstance(node, ast.FunctionDef) and node.name == name for node in body):
+            stale.append(pin)
+    return stale
+
+
+def test_every_pin_names_a_test_that_exists():
+    """A stale id in `mutants.PINS` would silently count a pin among a
+    mutant's killers."""
+    assert stale_pins(mutants.PINS, ROOT) == []
+
+
+def test_pin_check_finds_what_it_looks_for(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "def test_kept():\n    pass\n"
+        "def helper():\n    def test_nested():\n        pass\n"
+        "class TestK:\n    def test_method(self):\n        pass\n"
+    )
+    pins = {f"tests/test_{f}.py::test_{name}" for f in "ab" for name in ("kept", "gone", "nested", "method")}
+    assert stale_pins(pins, tmp_path) == sorted(pins - {"tests/test_a.py::test_kept"})
+    # a pinned test that no longer exists reads stale against the real tree
+    removed = "tests/test_acceptance.py::test_criterion_1_pack_unpack_goldens"
+    assert stale_pins(mutants.PINS | {removed}, ROOT) == [removed]
 
 
 def callee(node: ast.AST) -> str | None:

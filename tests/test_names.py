@@ -35,8 +35,8 @@ from solmem.sol_ast import (
     MappingType,
     SolType,
     StructType,
+    default_context_name,
 )
-from solmem.storage_tree import default_context_name
 from solmem.solver import SolverVerdict
 from solmem.translate import _names, translate_function
 from solmem.verify import ssa_form, verify_translated

@@ -76,7 +76,7 @@ def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, caps
 
 def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, monkeypatch):
     """A timeout says nothing of the program, like a solver error: every
-    command exits 2, and fuzz counts it with the solver errors. The stub
+    command exits 2, and fuzz counts it among its errors or timeouts. The stub
     refutes the smoke query and sleeps through every other."""
     corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
     test = _write(corpus, "storage", "a.sol", HOLDS)
@@ -86,7 +86,7 @@ def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, mo
     assert main(["corpus", str(corpus), *sleeper]) == 2
     assert main(["fuzz", "--count", "2", "--budget", "4", *sleeper, "--json", str(report)]) == 2
     out = capsys.readouterr().out
-    assert "0 disagreements, 2 solver errors or timeouts" in out
+    assert "0 disagreements, 2 errors or timeouts" in out
     assert re.search(r"^    a\.sol: timeout: constructor:1: no answer within 0\.5 s \(", out, re.M)
     assert [s["observed"] for s in json.loads(report.read_text())["seeds"]] == ["timeout", "timeout"]
 
