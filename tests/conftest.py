@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+# the test helpers, then the repository root (for `perfbench.workloads`)
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent)]
 
 from solmem.solver import smoke_failure
 

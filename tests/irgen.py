@@ -4,11 +4,15 @@ Programs draw from a small typed vocabulary (ints, bools, an int array,
 a two-member datatype), assign through composite lvalues (array slots,
 members, ite targets), branch, and sprinkle mostly-true assumes/asserts,
 so normalize/SSA equivalence is exercised over every rewrite rule.
+
+`conjoin`, `premises` and `frame_formula` build the IR formulas the invariant,
+purity and VC-printing tests check by hand.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from solmem import ir
 from solmem.ir import (
@@ -24,6 +28,7 @@ from solmem.ir import (
     Ident,
     IfStmt,
     IntLit,
+    IrExpr,
     Ite,
     Select,
     SmtProgram,
@@ -131,3 +136,21 @@ def random_env(seed: int) -> dict:
     for v in PAIR_VARS:
         env[v] = VData(DT.name, (rng.randint(-5, 5), rng.random() < 0.5))
     return env
+
+
+def conjoin(exprs: list[IrExpr]) -> IrExpr:
+    """Left-nested conjunction of a non-empty list."""
+    return reduce(lambda a, b: BinOp("and", a, b), exprs)
+
+
+def premises(program: SmtProgram) -> list[IrExpr]:
+    """Every definition and assumption of the flat SSA `program`, in
+    program order. Asserts are left out."""
+    return [BinOp("==", s.lhs, s.rhs) if isinstance(s, Assign) else s.cond
+            for s in program.stmts if isinstance(s, (Assign, Assume))]
+
+
+def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
+    """Formula satisfiable iff `post_name` can differ from `pre_name` after
+    the flat SSA `program`: its premises and the negation of pre == post."""
+    return conjoin(premises(program) + [ir.UnOp("not", BinOp("==", Ident(pre_name), Ident(post_name)))])

@@ -1,13 +1,16 @@
 """Acceptance suite: the criteria that need a solver or the whole
 corpus, each at its stated tolerance.
 
-The solver-free criteria are checked once each, in the module that owns
-the property: 1 (pack/unpack goldens, within 1 s) by
+The other criteria are checked once each, in the module that owns the
+property: 1 (pack/unpack goldens, within 1 s) by
 `test_storage_tree_pack_unpack.py::test_pack_goldens`, 6a
 (normalize/SSA equivalence over seeds 0-999) by
-`test_normalize_ssa.py::test_transformations_preserve_evaluation` and 7
-(default-value conformance) by `test_invariants.py`'s
-`test_storage_default_conformance` and `test_memory_default_conformance`.
+`test_normalize_ssa.py::test_transformations_preserve_evaluation`, 6b
+(non-aliasing and deep copy) by `test_invariants.py`'s
+`test_storage_non_aliasing_frames` and
+`test_deep_copy_storage_to_memory_preserves_source`, and 7 (default-value
+conformance) by its `test_storage_default_conformance` and
+`test_memory_default_conformance`.
 
 Each test prints one `ACCEPTANCE <n>: ... PASS` line on success; a
 failure raises with the offending details. Run with `pytest -s
@@ -15,15 +18,11 @@ tests/test_acceptance.py` to see the lines as they complete.
 """
 
 import time
-from pathlib import Path
 
-from sources import DANGLING_POINTER, compile_source, tuple_swap_with
-from test_invariants import FRAME_CONTRACTS, frame_verdict
+from sources import CORPUS_DIR, DANGLING_POINTER, compile_source, corpus, tuple_swap_with
 from solmem.harness import run_corpus, run_fuzz, scan_expectations
 from solmem.translate import translate_function
 from solmem.verify import ssa_form, vc_script, verify_source
-
-CORPUS_DIR = Path(__file__).parent.parent / "corpus"
 
 
 def _report(n: int, label: str):
@@ -109,37 +108,12 @@ def test_criterion_5_differential_fuzzing(solver_available):
 # 6. invariant suites
 
 
-def test_criterion_6b_non_aliasing_and_deep_copy(solver_available):
-    assert len(FRAME_CONTRACTS) == 20
-    checked = 0
-    for src, framed_vars in FRAME_CONTRACTS:
-        for framed in framed_vars:
-            verdict, _, _ = frame_verdict(src, "f", framed)
-            assert verdict.kind == "unsat", (src, framed, verdict.kind)
-            checked += 1
-    deep_copy = """
-contract C {
-    struct S { int x; int[] data; }
-    S s;
-    function f() {
-        S memory m = s;
-        m.x = 77;
-        m.data[0] = 5;
-    }
-}
-"""
-    verdict, _, _ = frame_verdict(deep_copy, "f", "s")
-    assert verdict.kind == "unsat"
-    _report(6, f"(b) {checked} frame checks + deep-copy validity proven unsat")
-
-
 def test_criterion_6c_quantifier_free_corpus():
     """Every corpus function translates, so every assert of the corpus
     gets its script."""
     scripts: list[str] = []
     asserts = 0
-    for path in sorted(CORPUS_DIR.glob("*/*.sol")):
-        text = path.read_text()
+    for text in corpus().values():
         asserts += len(scan_expectations(text))
         contract = compile_source(text)
         for fn in contract.all_functions():

@@ -1,15 +1,11 @@
 """Verifier end-to-end behaviors not covered by the corpus."""
 
-from pathlib import Path
-
-from sources import compile_source
+from sources import compile_source, corpus
 from solmem import verify
 from solmem.oracle import exec_function, run_constructor
 from solmem.solver import SolverVerdict
 from solmem.translate import translate_function
 from solmem.verify import ssa_form, vc_script, verify_source
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def verdicts(report):
@@ -24,12 +20,12 @@ def test_verify_queries_the_script_of_each_assert(monkeypatch):
     sent = []
     monkeypatch.setattr(verify, "query", lambda script, _: sent.append(script) or SolverVerdict("unsat"))
     kept = []
-    for path in sorted(CORPUS.glob("*/*.sol")):
-        report = verify_source(path.read_text(encoding="utf-8"))
+    for name, text in corpus().items():
+        report = verify_source(text)
         for f, fn in zip(report.functions, report.contract.all_functions(), strict=True):
             tf = translate_function(report.contract, fn)
             ssa = ssa_form(tf.program).program
-            assert f.smt_scripts == [vc_script(ssa, a.ordinal) for a in tf.asserts], f"{path.name}: {f.name}"
+            assert f.smt_scripts == [vc_script(ssa, a.ordinal) for a in tf.asserts], f"{name}: {f.name}"
             kept += f.smt_scripts
     assert sent == kept and len(kept) == 87
 

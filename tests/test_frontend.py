@@ -7,11 +7,10 @@ import sys
 import pytest
 from pathlib import Path
 
-from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP, compile_source
+from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP, compile_source, corpus, deep_source, fuzz, parenthesized
 from srcprint import to_source
 from solmem import verify
 from solmem.errors import TOO_DEEP, ParseError, ResolveError, UnsupportedError
-from solmem.generator import random_program
 from solmem.ireval import eval_ir
 from solmem.lexer import tokenize
 from solmem.oracle import run_constructor
@@ -192,16 +191,11 @@ def test_caret_and_tilde_are_operators_outside_the_fragment():
         parse_statement("x = ~a;")
 
 
-def _deep_source(rhs: str) -> str:
-    """A constructor assigning `rhs` to `x`, then asserting `x == 1`."""
-    return f"contract C {{\n    int x;\n    constructor() {{\n        x = {rhs};\n        assert(x == 1);\n    }}\n}}\n"
-
-
 def _verify_nested(tmp_path, rhs):
-    """`solmem verify` on `_deep_source(rhs)`, with a stub solver that
+    """`solmem verify` on `deep_source(rhs)`, with a stub solver that
     answers unsat; the process and the stub's launch log."""
     path, log = tmp_path / "deep.sol", tmp_path / "launches.log"
-    path.write_text(_deep_source(rhs))
+    path.write_text(deep_source(rhs))
     stub = shlex.join([sys.executable, str(ROOT / "tests" / "stub_solver.py"), "unsat", str(log)])
     proc = subprocess.run(
         [sys.executable, "-m", "solmem.cli", "verify", str(path)],
@@ -210,10 +204,6 @@ def _verify_nested(tmp_path, rhs):
     )
     assert "Traceback" not in proc.stderr
     return proc, log
-
-
-def _parenthesized(depth: int) -> str:
-    return "(" * depth + "1" + ")" * depth
 
 
 # A left-nested chain `1 + x + … + x` of 700 terms: the parser and the
@@ -229,7 +219,7 @@ def _assert_reaches_the_solver(tmp_path, rhs):
 
 
 def test_expression_150_parentheses_deep_reaches_the_solver(tmp_path):
-    _assert_reaches_the_solver(tmp_path, _parenthesized(150))
+    _assert_reaches_the_solver(tmp_path, parenthesized(150))
 
 
 def test_700_term_sum_reaches_the_solver(tmp_path):
@@ -237,7 +227,7 @@ def test_700_term_sum_reaches_the_solver(tmp_path):
 
 
 def test_700_term_sum_resolves():
-    contract = compile_source(_deep_source(LONG_SUM))
+    contract = compile_source(deep_source(LONG_SUM))
     e, terms = contract.constructor.body[0].rhs[0], 1
     while isinstance(e, BinExpr):
         assert e.ty == INT and e.right.ty == INT and e.right.name == "x"
@@ -249,7 +239,7 @@ def test_700_term_sum_runs_in_both_interpreters(tmp_path):
     """The ground truths evaluate what the verifier verifies: the oracle
     walks the chain's left spine with a loop, and `eval_ir` takes one
     frame per IR level."""
-    source = _deep_source(LONG_SUM)
+    source = deep_source(LONG_SUM)
     contract = compile_source(source)
     assert [a.passed for a in run_constructor(contract).asserts] == [True]
     assert eval_ir(translate_function(contract, contract.constructor).program).status == "ok"
@@ -265,7 +255,7 @@ def test_700_term_sum_runs_in_both_interpreters(tmp_path):
 
 
 def test_expression_too_deep_to_parse_is_an_error(tmp_path):
-    proc, log = _verify_nested(tmp_path, _parenthesized(400))
+    proc, log = _verify_nested(tmp_path, parenthesized(400))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr == f"error: {TOO_DEEP}\n"
     assert proc.stdout == ""
@@ -309,7 +299,7 @@ def test_print_parse_roundtrip(src):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_roundtrip_generated_corpus(seed):
-    assert_print_roundtrip(random_program(seed, 8))
+    assert_print_roundtrip(fuzz(seed, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +468,9 @@ def test_resolver_errors():
             compile_source(src)
 
 
-CORPUS = ROOT / "corpus"
-
-
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.sol")), ids=lambda p: p.parent.name + "/" + p.name)
-def test_roundtrip_corpus_files(path):
-    assert_print_roundtrip(path.read_text())
+@pytest.mark.parametrize("text", corpus().values(), ids=list(corpus()))
+def test_roundtrip_corpus_files(text):
+    assert_print_roundtrip(text)
 
 
 def _walk_exprs(node):
@@ -503,7 +490,7 @@ def _walk_exprs(node):
 def test_every_expression_annotated_and_categories_consistent(seed):
     from solmem.sol_ast import is_value_type
 
-    c = compile_source(random_program(seed, 8))
+    c = compile_source(fuzz(seed, 8))
     count = 0
     for fn in c.all_functions():
         for stmt in fn.body:

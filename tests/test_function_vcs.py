@@ -16,19 +16,15 @@ its type.
 """
 
 from itertools import product
-from pathlib import Path
 
 import pytest
 
+from sources import compile_source, corpus
 from solmem.ireval import eval_ir
 from solmem.oracle import exec_function
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, DynArrayType, FixArrayType, MappingType, StructType, is_value_type
 from solmem.translate import translate_function
 from solmem.verify import ssa_form
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def stores_fixed_array(contract) -> bool:
@@ -49,11 +45,11 @@ def stores_fixed_array(contract) -> bool:
 def corpus_functions():
     """(id, contract, function, skip reason or None) for every corpus
     function."""
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        contract = resolve_and_check(parse_source(path.read_text()))
+    for name, text in corpus().items():
+        contract = compile_source(text)
         skip = "fixed-size array length is free at entry" if stores_fixed_array(contract) else None
         for fn in contract.functions:
-            yield f"{path.name}:{fn.name}", contract, fn, skip
+            yield f"{name.split('/')[1]}:{fn.name}", contract, fn, skip
 
 
 FUNCTIONS = list(corpus_functions())

@@ -16,15 +16,14 @@ frozen across every paused stage.
 """
 
 import gc
-import random
 import sys
 import weakref
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 
 import solmem
+import sources
 from solmem import generator, normalize, oracle, parser, resolver, ssa, translate
 from solmem.errors import ParseError, UnsupportedError
 from solmem.gcpause import gc_paused
@@ -37,11 +36,6 @@ from solmem.resolver import resolve_and_check
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 from solmem.verify import ssa_form, vc_script
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
-
-from perfbench.workloads import stress_source  # noqa: E402
 
 # the stage entry points that build program-sized trees; `parse_statement`
 # runs only inside `ProgramBuilder.build`, where collection is already paused
@@ -65,19 +59,17 @@ def collection(enabled: bool):
         (gc.enable if was else gc.disable)()
 
 
-def sources():
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        yield path.read_text()
-    for seed in range(20):
-        yield random_program(seed, 10)
-    yield stress_source(300, 25, random.Random(0))
+def programs():
+    yield from sources.corpus().values()
+    yield from (sources.fuzz(seed) for seed in range(20))
+    yield sources.workload_stress()
 
 
 def run_everything() -> int:
     """Every stage over every source, the results dropped; the number of
     functions run."""
     count = 0
-    for source in sources():
+    for source in programs():
         contract = resolve_and_check(parse_source(source))
         run_constructor(contract)
         for fn in contract.all_functions():
@@ -177,7 +169,7 @@ def collections_inside(codes):
 def test_no_collection_starts_inside_a_paused_stage():
     stages = [translate_function, normalize_lhs, to_ssa, parse_source, resolve_and_check]
     codes = {stage.__wrapped__.__code__ for stage in stages}
-    source = stress_source(300, 25, random.Random(0))
+    source = sources.workload_stress()
     with collections_inside(codes) as inside:
         contract = resolve_and_check(parse_source(source))
         tf = translate_function(contract, contract.constructor)
@@ -200,7 +192,7 @@ def test_no_collection_starts_inside_a_fuzz_program_s_generation():
 
 
 def test_the_caller_does_not_rescan_a_stage_s_output():
-    contract = resolve_and_check(parse_source(stress_source(300, 25, random.Random(0))))
+    contract = resolve_and_check(parse_source(sources.workload_stress()))
     started = []
 
     def probe(phase, info):

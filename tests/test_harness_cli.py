@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sources
-from sources import DANGLING_POINTER
+from sources import DANGLING_POINTER, write_test
 from solmem import harness, solver, verify
 from solmem.cli import build_parser, main
 from solmem.errors import TOO_DEEP
@@ -33,8 +33,6 @@ from solmem.harness import (
 from solmem.parser import parse_source
 from solmem.sol_ast import AssertStmt
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
-from test_frontend import _deep_source, _parenthesized
-from test_vc_printing import stress_source
 
 
 def test_parse_expectations_attach_to_next_assert():
@@ -96,10 +94,10 @@ def test_scan_expectations_count_an_assert_whose_paren_follows_a_comment():
 def _scanned_sources() -> list[str]:
     """Every corpus file, every source of `tests/sources.py`, fuzz seeds
     0-199, one stress program and `COMMENT_BEFORE_PAREN`."""
-    texts = [p.read_text(encoding="utf-8") for p in sorted((TESTS.parent / "corpus").glob("*/*.sol"))]
+    texts = [*sources.corpus().values()]
     texts += [sources.DATA_STORAGE, sources.POINTER_CONTRACT, sources.TUPLE_SWAP, sources.DANGLING_POINTER]
-    texts += [random_program(seed) for seed in range(200)]
-    return texts + [stress_source(300, 25), COMMENT_BEFORE_PAREN]
+    texts += [sources.fuzz(seed) for seed in range(200)]
+    return texts + [sources.checked_stress_source(300, 25), COMMENT_BEFORE_PAREN]
 
 
 def test_scan_expectations_find_the_asserts_the_parser_finds():
@@ -150,7 +148,7 @@ def test_run_test_grades_asserts_that_share_a_line(tmp_path, monkeypatch):
     """End to end with a stub solver that answers the smoke query and
     then each assert's query in order: refuted, verified, verified,
     refuted, verified."""
-    f = _write(tmp_path, "assignment", "shared.sol", SHARED_LINES)
+    f = write_test(tmp_path, "assignment", "shared.sol", SHARED_LINES)
     stub = shlex.join([sys.executable, str(TESTS / "stub_solver.py"), "unsat,sat,unsat,unsat,sat,unsat",
                        str(tmp_path / "log")])
     monkeypatch.setenv("SOLMEM_SOLVER", stub)
@@ -162,26 +160,17 @@ def test_run_test_grades_asserts_that_share_a_line(tmp_path, monkeypatch):
 def test_parse_expectations_on_the_corpus_are_unchanged():
     """The benchmark grades the corpus with `parse_expectations`; its
     view of all 32 files is as it was when it read expectations by line."""
-    corpus = TESTS.parent / "corpus"
     recorded = json.loads((TESTS / "data" / "corpus_expectations.json").read_text())
     found = {
-        str(p.relative_to(corpus)): {str(line): want for line, want in parse_expectations(p.read_text()).items()}
-        for p in sorted(corpus.glob("*/*.sol"))
+        name: {str(line): want for line, want in parse_expectations(text).items()}
+        for name, text in sources.corpus().items()
     }
     assert len(found) == 32
     assert found == recorded
 
 
-def _write(tmp_path: Path, cls: str, name: str, text: str) -> Path:
-    d = tmp_path / cls
-    d.mkdir(parents=True, exist_ok=True)
-    f = d / name
-    f.write_text(text)
-    return f
-
-
 def test_run_test_correct_and_incorrect(tmp_path, solver_available):
-    good = _write(
+    good = write_test(
         tmp_path,
         "assignment",
         "good.sol",
@@ -190,7 +179,7 @@ def test_run_test_correct_and_incorrect(tmp_path, solver_available):
     assert run_test(good).observed == "correct"
 
     # a failing assert marked as expected-to-fail still counts correct
-    expected_fail = _write(
+    expected_fail = write_test(
         tmp_path,
         "assignment",
         "efail.sol",
@@ -198,7 +187,7 @@ def test_run_test_correct_and_incorrect(tmp_path, solver_available):
     )
     assert run_test(expected_fail).observed == "correct"
 
-    wrong = _write(
+    wrong = write_test(
         tmp_path,
         "assignment",
         "wrong.sol",
@@ -210,15 +199,15 @@ def test_run_test_correct_and_incorrect(tmp_path, solver_available):
 
 
 def test_run_test_unsupported_and_invalid(tmp_path):
-    loops = _write(
+    loops = write_test(
         tmp_path, "init", "loops.sol", "contract C { function f() { while (true) {} } }"
     )
     assert run_test(loops).observed == "unsupported"
 
-    bad = _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
+    bad = write_test(tmp_path, "init", "bad.sol", "contract C { int x = }")
     assert run_test(bad).observed == "invalid"
 
-    needs_unroll = _write(
+    needs_unroll = write_test(
         tmp_path,
         "init",
         "unroll.sol",
@@ -228,11 +217,11 @@ def test_run_test_unsupported_and_invalid(tmp_path):
 
 
 def test_corpus_aggregation_and_json(tmp_path, solver_available):
-    _write(tmp_path, "storage", "a.sol",
+    write_test(tmp_path, "storage", "a.sol",
            "contract C { int x; constructor() { assert(x == 0); } }")
-    _write(tmp_path, "storage", "b.sol",
+    write_test(tmp_path, "storage", "b.sol",
            "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }")
-    _write(tmp_path, "delete", "c.sol",
+    write_test(tmp_path, "delete", "c.sol",
            "contract C { int x; constructor() { delete x; assert(x == 0); } }")
     classes = run_corpus(tmp_path)
     assert classes["storage"].counts["correct"] == 2
@@ -261,10 +250,10 @@ def test_cli_corpus_table_says_why_a_test_is_unsupported(tmp_path, capsys, monke
     that needs a length bound, the reason names `--unroll`. `judge`
     decides unsupported before any solver runs. `verify` keeps its own
     wording; there every query answers unsat, and no solver runs."""
-    u = _write(tmp_path, "k", "u.sol",
+    u = write_test(tmp_path, "k", "u.sol",
            "contract C { int[] a; constructor() { int[] memory m = a; assert(m.length == 0); } "
            "function g(int[][] memory q) public { assert(q.length >= 0); } }")
-    _write(tmp_path, "k", "loops.sol", "contract C { function f() { while (true) {} } }")
+    write_test(tmp_path, "k", "loops.sol", "contract C { function f() { while (true) {} } }")
     assert main(["corpus", str(tmp_path)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[2].startswith("k (2) ") and out[2].split()[2:5] == ["0", "0", "2"]
@@ -284,13 +273,13 @@ def test_cli_corpus_that_grades_no_test_is_an_error(tmp_path, capsys, monkeypatc
     nothing, as an empty one would. One supported test is enough to pass.
     Every query answers unsat; no solver runs."""
     monkeypatch.setattr(verify, "query", lambda *_: solver.SolverVerdict("unsat"))
-    _write(tmp_path, "k", "w.sol", "contract C { function f() { while (true) {} } }")
-    _write(tmp_path, "k", "u.sol", "contract C { struct S { int x; } function g(S[] memory q) public { } }")
+    write_test(tmp_path, "k", "w.sol", "contract C { function f() { while (true) {} } }")
+    write_test(tmp_path, "k", "u.sol", "contract C { struct S { int x; } function g(S[] memory q) public { } }")
     assert main(["corpus", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out.splitlines()[2].split()[2:5] == ["0", "0", "2"]
     assert err == f"error: every test in {tmp_path} is unsupported\n"
-    _write(tmp_path, "k", "c.sol", "contract C { int x; constructor() { assert(x == 0); } }")
+    write_test(tmp_path, "k", "c.sol", "contract C { int x; constructor() { assert(x == 0); } }")
     assert main(["corpus", str(tmp_path)]) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[2].split()[2:5] == ["1", "0", "2"] and err == ""
@@ -301,7 +290,7 @@ def test_cli_corpus_without_tests_is_a_usage_error(tmp_path, capsys):
     empty directory, and one with contracts but no class directories
     (a class directory given in place of the corpus)."""
     (tmp_path / "empty").mkdir()
-    _write(tmp_path, "flat", "a.sol", "contract C { int x; constructor() { assert(x == 0); } }")
+    write_test(tmp_path, "flat", "a.sol", "contract C { int x; constructor() { assert(x == 0); } }")
     for corpus in ("empty", "flat"):
         assert main(["corpus", str(tmp_path / corpus)]) == 2
         out, err = capsys.readouterr()
@@ -313,7 +302,7 @@ def test_cli_corpus_grades_a_source_too_deep_to_parse_as_an_error(tmp_path, caps
     """The recursion limit is the environment's failure, as in `verify`:
     an `error` row and exit 2, not an `invalid` source and exit 1. No
     solver runs, since the source never parses."""
-    _write(tmp_path, "k", "deep.sol", _deep_source(_parenthesized(400)))
+    write_test(tmp_path, "k", "deep.sol", sources.deep_source(sources.parenthesized(400)))
     assert main(["corpus", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out.splitlines()[2].split()[2:8] == ["0", "0", "0", "0", "0", "1"]
@@ -343,10 +332,10 @@ def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
     source = "contract C { int x; constructor() { x = 1; assert(x == 1); } }"
     (tmp_path / "plain").write_text("")
     if command == "verify":
-        f = _write(tmp_path, "x", "t.sol", source)
+        f = write_test(tmp_path, "x", "t.sol", source)
         argv = [str(f), "--emit-smt", str(tmp_path / "plain" / "smt")]
     elif command == "corpus":
-        _write(tmp_path / "corpus", "storage", "t.sol", source)
+        write_test(tmp_path / "corpus", "storage", "t.sol", source)
         argv = [str(tmp_path / "corpus"), "--json", str(tmp_path / "missing" / "r.json")]
     else:
         argv = ["--count", "1", "--budget", "0", "--json", str(tmp_path / "missing" / "r.json")]
@@ -693,9 +682,9 @@ def test_cli_fuzz_json_reports_rejections_without_solver(tmp_path, monkeypatch):
 
 
 def test_corpus_rerun_is_deterministic(tmp_path, solver_available):
-    _write(tmp_path, "storage", "a.sol",
+    write_test(tmp_path, "storage", "a.sol",
            "contract C { int x; constructor() { assert(x == 0); } }")
-    _write(tmp_path, "storage", "b.sol",
+    write_test(tmp_path, "storage", "b.sol",
            "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }")
 
     def observed():
@@ -707,7 +696,7 @@ def test_corpus_rerun_is_deterministic(tmp_path, solver_available):
 
 def test_class_totals_count_every_file(tmp_path, solver_available):
     for i in range(3):
-        _write(tmp_path, "init", f"t{i}.sol",
+        write_test(tmp_path, "init", f"t{i}.sol",
                "contract C { int x; constructor() { assert(x == 0); } }")
     classes = run_corpus(tmp_path)
     assert classes["init"].total == 3 == len(classes["init"].tests)
@@ -739,7 +728,7 @@ def test_the_corpus_needs_no_length_bound(monkeypatch):
     file that needs a bound fails here. Every query answers unsat; no
     solver runs."""
     monkeypatch.setattr(verify, "query", lambda *_: solver.SolverVerdict("unsat"))
-    tests = [t for s in run_corpus(TESTS.parent / "corpus").values() for t in s.tests]
+    tests = [t for s in run_corpus(sources.CORPUS_DIR).values() for t in s.tests]
     assert len(tests) == 32
     assert [(t.test_id, t.detail) for t in tests if t.observed == "unsupported"] == []
 
@@ -779,7 +768,7 @@ def test_corpus_and_fuzz_each_run_one_pool_of_four_workers(tmp_path, monkeypatch
             super().__init__(max_workers)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
-    _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
+    write_test(tmp_path, "init", "bad.sol", "contract C { int x = }")
     assert run_corpus(tmp_path)["init"].counts["invalid"] == 1
     monkeypatch.setenv("SOLMEM_SOLVER", "definitely-not-a-solver-binary")
     assert [o.observed for o in run_fuzz(range(2))] == ["error"] * 2

@@ -48,6 +48,8 @@ has one path: `RecursionError` is caught only where it is graded
 (`cli.main`, the two harness workers) and in `verify_translated`, whose
 per-assert catch keeps a function's other verdicts, and no `cmd_*`
 function of the CLI returns 2 itself, since `main` prints every error.
+Test inputs have one home: no module of `tests/` imports a `test_*`
+module, and only `tests/sources.py` globs or names the corpus directory.
 """
 
 import argparse
@@ -955,3 +957,68 @@ def test_failure_path_checks_find_what_they_look_for():
     assert recursion_catches(cli_tree) == ["main"]
     next(fn for fn in cli_tree.body if getattr(fn, "name", None) == "main").name = "cmd_main"
     assert len(command_exit_twos(cli_tree)) == 3
+
+
+def imported_test_modules(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) of each import of a `test_*` module, or of names
+    from one, however spelled."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # `from tests import test_x` imports the module as a name
+            module = node.module or ""
+            modules = [module] + [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.rpartition(".")[2].startswith("test_")]
+    return found
+
+
+def corpus_namings(tree: ast.AST) -> list[int]:
+    """Lines that glob for `.sol` files, join `corpus` onto a path not
+    rooted at a test's `tmp_path`, or spell a corpus file's path."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("glob", "rglob"):
+            if any(isinstance(a, ast.Constant) and str(a.value).endswith(".sol") for a in node.args):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and isinstance(node.right, ast.Constant):
+            if node.right.value == "corpus" and not ast.unparse(node.left).startswith("tmp_path"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and re.fullmatch(r"corpus/[\w/]+[.]sol", str(node.value)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_test_module_imports_another():
+    """Shared inputs and helpers live in `sources.py` and the other
+    helper modules, so no test module depends on another's body."""
+    found = {path.name: imported_test_modules(ast.parse(path.read_text())) for path in TESTS}
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def test_only_the_catalogue_names_the_corpus():
+    """`sources.py` lists the corpus once; every other module takes it
+    from there."""
+    found = {path.name: corpus_namings(ast.parse(path.read_text())) for path in TESTS if path.name != "sources.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_catalogue_checks_find_what_they_look_for():
+    tree = ast.parse(
+        "import sources\nfrom test_invariants import frame_formula\nimport test_gc as g\n"
+        "from tests.test_names import x\nfrom tests import test_oracle\nfrom irgen import conjoin\n"
+    )
+    assert imported_test_modules(tree) == [(2, "test_invariants"), (3, "test_gc"), (4, "tests.test_names"), (5, "tests.test_oracle")]
+    tree = ast.parse(
+        'CORPUS = Path(__file__).resolve().parent.parent / "corpus"\n'
+        'paths = sorted(CORPUS.glob("*/*.sol"))\n'
+        'paths = ROOT.rglob("*.sol")\n'
+        'VERIFY = ["verify", "corpus/storage/a.sol"]\n'
+        'd = tmp_path / "corpus" / "storage"\n'
+        'main(["corpus", str(d)])\nlabel = f"corpus/{name}"\nscripts = d.glob("*.smt2")\n'
+    )
+    assert corpus_namings(tree) == [1, 2, 3, 4]
+    # the catalogue globs the corpus itself, so the check reads real code
+    assert corpus_namings(ast.parse((ROOT / "tests" / "sources.py").read_text())) != []

@@ -2,49 +2,28 @@
 non-aliasing frames, deep-copy validity, allocation freshness, and
 default-value conformance between the translator and the interpreter."""
 
-from functools import reduce
-
 import pytest
 
+from irgen import conjoin, frame_formula, premises
 from irserialize import serialize_ir
 from sources import compile_source
 from solmem import ir
-from solmem.ir import Assign, Assume, Ident, IrExpr, SmtProgram
+from solmem.ir import Assign, Ident
 from solmem.ireval import eval_ir
 from solmem.oracle import Machine, serialize
 from solmem.smtlib import emit_smtlib
 from solmem.solver import check
-from solmem.sol_ast import Loc, is_reference_type, is_value_type
+from solmem.sol_ast import Loc, is_reference_type
 from solmem.translate import Translator, translate_function
 from solmem.verify import ssa_form
 
 
-def conjoin(exprs: list[IrExpr]) -> IrExpr:
-    """Left-nested conjunction of a non-empty list."""
-    return reduce(lambda a, b: ir.BinOp("and", a, b), exprs)
-
-
-def frame_formula(program: SmtProgram, pre_name: str, post_name: str) -> IrExpr:
-    """Formula satisfiable iff `post_name` can differ from `pre_name` after
-    the flat SSA `program`: every definition and assumption, in program
-    order, and the negation of pre == post. Asserts are left out."""
-    parts = [
-        ir.BinOp("==", s.lhs, s.rhs) if isinstance(s, Assign) else s.cond
-        for s in program.stmts
-        if isinstance(s, (Assign, Assume))
-    ]
-    return conjoin(parts + [ir.UnOp("not", ir.BinOp("==", Ident(pre_name), Ident(post_name)))])
-
-
-def frame_verdict(src: str, fn_name: str, framed: str, solver_available=None):
-    """Check that `framed` cannot change across `fn_name`."""
+def frame_verdict(src: str, framed: str):
+    """The solver's verdict on whether `framed` can change across `f`."""
     c = compile_source(src)
-    fn = c.function(fn_name)
-    tf = translate_function(c, fn)
-    ssa = ssa_form(tf.program)
-    post = ssa.final_versions[framed]
-    formula = frame_formula(ssa.program, framed, post)
-    return check(emit_smtlib(ssa.program, formula), 60), ssa, post
+    ssa = ssa_form(translate_function(c, c.function("f")).program)
+    formula = frame_formula(ssa.program, framed, ssa.final_versions[framed])
+    return check(emit_smtlib(ssa.program, formula), 60)
 
 
 # Twenty mutation routes; each names the state variable it writes and the
@@ -121,8 +100,7 @@ def _flatten_frames():
 
 @pytest.mark.parametrize("src,framed", list(_flatten_frames()))
 def test_storage_non_aliasing_frames(src, framed, solver_available):
-    verdict, _, _ = frame_verdict(src, "f", framed)
-    assert verdict.kind == "unsat"
+    assert frame_verdict(src, framed).kind == "unsat"
 
 
 def test_untouched_variable_is_syntactically_stable():
@@ -146,8 +124,7 @@ contract C {
     }
 }
 """
-    verdict, _, _ = frame_verdict(src, "f", "s")
-    assert verdict.kind == "unsat"
+    assert frame_verdict(src, "s").kind == "unsat"
 
 
 def test_fresh_allocations_exceed_memory_parameters(solver_available):
@@ -167,14 +144,7 @@ contract C {
     ssa = ssa_form(tf.program)
     q_final = ssa.final_versions[c.function("f").body[0].name]
     p_name = c.function("f").params[0].name
-    parts = []
-    for s in ssa.program.stmts:
-        if isinstance(s, ir.Assign):
-            parts.append(ir.BinOp("==", s.lhs, s.rhs))
-        elif isinstance(s, ir.Assume):
-            parts.append(s.cond)
-    parts.append(ir.BinOp("==", Ident(q_final), Ident(p_name)))
-    formula = conjoin(parts)
+    formula = conjoin(premises(ssa.program) + [ir.BinOp("==", Ident(q_final), Ident(p_name))])
     assert check(emit_smtlib(ssa.program, formula), 60).kind == "unsat"
 
 
@@ -249,15 +219,15 @@ def _zoo_contract(type_src: str) -> str:
     return f"contract Zoo {{ {ZOO_STRUCTS} {type_src} subject; }}"
 
 
-@pytest.mark.parametrize("type_src", ZOO_TYPES)
-def test_storage_default_conformance(type_src):
+def default_jsons(type_src: str, memory: bool):
+    """The default value of the zoo type `type_src`, in memory or else in
+    storage, as the IR evaluator and as the interpreter serialize it."""
     c = compile_source(_zoo_contract(type_src))
     ty = c.state_vars[0].ty
-    loc = Loc.STORAGE if is_reference_type(ty) else Loc.VALUE
+    loc = Loc.MEMORY if memory else Loc.STORAGE if is_reference_type(ty) else Loc.VALUE
 
     machine = Machine(c)
-    oracle_default = machine.default(ty, loc)
-    oracle_json = serialize(machine, ty, oracle_default)
+    oracle_json = serialize(machine, ty, machine.default(ty, loc))
 
     tr = Translator(c)
     expr = tr.default_value(ty, loc)
@@ -265,25 +235,16 @@ def test_storage_default_conformance(type_src):
     prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), expr)]
     prog.declare("out~", tr.map_type(ty, loc))
     env = eval_ir(prog).env
-    ir_json = serialize_ir(c, ty, loc, env["out~"], env)
+    return serialize_ir(c, ty, loc, env["out~"], env), oracle_json
+
+
+@pytest.mark.parametrize("type_src", ZOO_TYPES)
+def test_storage_default_conformance(type_src):
+    ir_json, oracle_json = default_jsons(type_src, memory=False)
     assert ir_json == oracle_json
 
 
 @pytest.mark.parametrize("type_src", MEMORY_ZOO)
 def test_memory_default_conformance(type_src):
-    c = compile_source(_zoo_contract(type_src))
-    ty = c.state_vars[0].ty
-    if is_value_type(ty):
-        pytest.skip("memory defaults exist for reference types only")
-
-    machine = Machine(c)
-    oracle_json = serialize(machine, ty, machine.default(ty, Loc.MEMORY))
-
-    tr = Translator(c)
-    expr = tr.default_value(ty, Loc.MEMORY)
-    prog = tr.program.copy_shell()
-    prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), expr)]
-    prog.declare("out~", ir.INT)
-    env = eval_ir(prog).env
-    ir_json = serialize_ir(c, ty, Loc.MEMORY, env["out~"], env)
+    ir_json, oracle_json = default_jsons(type_src, memory=True)
     assert ir_json == oracle_json

@@ -8,16 +8,16 @@ same way, on the corpus, the generated programs and random texts."""
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import reflexer
+import sources
 from solmem.errors import ParseError
-from solmem.generator import random_program
 from solmem.lexer import KEYWORDS, SYMBOLS, tokenize
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "lexer_golden.json"
 
 EDGE_CASES = {
@@ -57,20 +57,14 @@ EDGE_CASES = {
 
 
 def stress_source(size: int, assert_every: int) -> str:
-    body = []
-    for i in range(size):
-        body.append(f"        a[{i % 7}] = a[{(i + 1) % 7}] + {i};")
-        if assert_every and (i + 1) % assert_every == 0:
-            body.append(f"        assert(a[{i % 7}] == a[{i % 7}]);")
-    return "contract Stress {\n    int[7] a;\n    constructor() {\n" + "\n".join(body) + "\n    }\n}\n"
+    """`sources.stress_source` with each assert comparing its cell with itself."""
+    return re.sub(r"assert\(a\[(\d)\] == \d+\);", r"assert(a[\1] == a[\1]);", sources.stress_source(size, assert_every))
 
 
 def real_sources():
-    """(name, text) of every corpus file and generated program recorded."""
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        yield f"corpus/{path.parent.name}/{path.name}", path.read_text()
-    for seed in range(50):
-        yield f"fuzz/{seed}", random_program(seed, 10)
+    """(name, text) of every corpus file and generated program recorded:
+    those of `sources.pinned()`."""
+    return [(name, text) for name, text in sources.pinned() if name.startswith(("corpus/", "fuzz/"))]
 
 
 def inputs():

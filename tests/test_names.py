@@ -16,14 +16,12 @@ from pathlib import Path
 
 import pytest
 
+import sources
 from irserialize import serialize_final_storage
 from irsorts import check_program
 from solmem.cli import main
-from solmem.errors import SolmemError
 from solmem.ireval import eval_ir
 from solmem.oracle import run_constructor, serialize_storage
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.sol_ast import (
     ADDRESS,
     BOOL,
@@ -40,7 +38,6 @@ from solmem.sol_ast import (
 from solmem.solver import SolverVerdict
 from solmem.translate import _names, translate_function
 from solmem.verify import ssa_form, verify_translated
-from test_translate_golden import inputs
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -142,14 +139,14 @@ def ssa_program(contract, fn, unroll=None):
 
 @pytest.mark.parametrize("source", [*COLLISIONS.values(), ZOO], ids=[*COLLISIONS, "zoo"])
 def test_every_function_is_well_sorted(source):
-    contract = resolve_and_check(parse_source(source))
+    contract = sources.compile_source(source)
     for fn in contract.all_functions():
         check_program(ssa_program(contract, fn).program)
 
 
 @pytest.mark.parametrize("name", ["struct_named_like_an_array", "mapping_arrays"])
 def test_constructor_agrees_with_the_oracle(name):
-    contract = resolve_and_check(parse_source(COLLISIONS[name]))
+    contract = sources.compile_source(COLLISIONS[name])
     oracle = run_constructor(contract)
     assert oracle.failed is None
     ssa = ssa_program(contract, contract.constructor)
@@ -198,7 +195,7 @@ def test_counterexample_models_list_source_names_only(monkeypatch):
         SHADOWING: {"constructor": {"x": "x~2"}, "f": {"this.x": "x", "this.z": "z", "x": "x~3"}},
     }
     for source, entries in expected.items():
-        contract = resolve_and_check(parse_source(source))
+        contract = sources.compile_source(source)
         for fn in contract.all_functions():
             tf = translate_function(contract, fn)
             ssa = ssa_form(tf.program).program
@@ -224,18 +221,10 @@ def test_every_declared_name_is_a_source_name_or_invented():
     name the SSA program declares that is no resolved source name has a
     `$` (invented by the translator) or a `!` (an SSA version)."""
     checked = 0
-    for name, source in inputs():
-        try:
-            contract = resolve_and_check(parse_source(source))
-        except SolmemError:
-            continue
-        taken = source_names(contract)
-        for fn in contract.all_functions():
-            for unroll in (None, 2):
-                try:
-                    program = ssa_program(contract, fn, unroll).program
-                except SolmemError:
-                    continue
+    for name, source in sources.pinned():
+        for unroll in (None, 2):
+            for contract, fn, program in sources.translated(source, unroll):
+                taken = source_names(contract)
                 stray = [d for d in program.decls if d not in taken and "$" not in d and "!" not in d]
                 assert stray == [], (name, fn.name, unroll)
                 assert all("$" in d for d in program.datatypes), (name, fn.name, unroll)

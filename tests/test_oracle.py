@@ -1,13 +1,11 @@
 """Reference interpreter: worked examples, determinism, storage purity."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-from sources import DANGLING_POINTER, DATA_STORAGE, TUPLE_SWAP, compile_source
+from sources import DANGLING_POINTER, DATA_STORAGE, TUPLE_SWAP, compile_source, corpus, fuzz
 from solmem import oracle
-from solmem.generator import random_program
 from solmem.oracle import (
     Array,
     Mapping,
@@ -214,15 +212,12 @@ contract C {
     assert serialize_storage(result) == {"a": {"x": 5}, "b": {"x": 0}, "c": {"x": 0}}
 
 
-CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").rglob("*.sol"))
-
-
 def test_pointers_are_paths_without_storage_trees(monkeypatch):
     """Only binding a pointer argument builds a storage tree, to check
     its access path: constructor-only corpus files and fuzz programs, whose pointers all
     come from packing, run with the tree builders removed."""
-    sources = [p.read_text() for p in CORPUS] + [random_program(seed) for seed in range(20)]
-    contracts = [c for c in map(compile_source, sources) if not c.functions]
+    texts = [*corpus().values(), *(fuzz(seed) for seed in range(20))]
+    contracts = [c for c in map(compile_source, texts) if not c.functions]
     data_storage = compile_source(DATA_STORAGE)
 
     def no_tree(*args):

@@ -1,6 +1,6 @@
 """Reference-interpreter results pinned by one digest.
 
-Over the programs of `test_translate_golden.inputs()`, every function runs
+Over the programs of `sources.pinned()`, every function runs
 on a fresh constructor state with zero arguments built from its parameter
 types. A storage-pointer parameter gets the access path that takes the
 first edge of the storage tree at each contract or struct node and the
@@ -17,13 +17,11 @@ refactoring of the interpreter must leave the digest unchanged.
 
 import hashlib
 
+import sources
 from solmem.errors import SolmemError
 from solmem.oracle import StorPath, exec_function, run_constructor, serialize, serialize_storage
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.sol_ast import BOOL, FixArrayType, Loc, StructType, is_value_type
 from solmem.storage_tree import build_storage_tree, default_context_tree
-from test_translate_golden import inputs
 
 DIGEST = "9631fa423a836277b2151ba4503a4edd0033cf31e0b02a7728d57082c0cdb42a"
 
@@ -74,7 +72,7 @@ def run_record(contract, fn) -> str:
 
 def records(source: str):
     try:
-        contract = resolve_and_check(parse_source(source))
+        contract = sources.compile_source(source)
     except SolmemError as e:
         yield f"error {type(e).__name__}: {e}"
         return
@@ -88,7 +86,7 @@ def records(source: str):
 
 def golden_digest() -> str:
     digest = hashlib.sha256()
-    for name, source in inputs():
+    for name, source in sources.pinned():
         digest.update(f"{name}\0".encode())
         for record in records(source):
             digest.update(record.encode() + b"\0")

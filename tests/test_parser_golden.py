@@ -1,7 +1,8 @@
 """Parse trees and parse errors pinned by one digest.
 
-For the corpus, the shared test contracts, generated programs (seeds
-0-49) and two long straight-line constructors, the digest covers
+For the programs `sources.pinned()` lists but the assignment matrix (the
+corpus, the shared test contracts, generated programs of seeds 0-49 and
+two long straight-line constructors), the digest covers
 `repr(parse_source(text))`, or the type, text, line and column of the
 error raised. It also covers a few thousand `parse_statement` inputs made
 by inserting and deleting operators, brackets, identifiers and numbers
@@ -13,15 +14,10 @@ rewrite of the parser must leave it unchanged.
 import hashlib
 import random
 import re
-from pathlib import Path
 
 import sources
 from solmem.errors import SolmemError
-from solmem.generator import random_program
 from solmem.parser import parse_source, parse_statement
-from test_translate_golden import stress_source
-
-ROOT = Path(__file__).resolve().parent.parent
 
 DIGEST = "74070c7f0418b9c217ee5f5e27d9806694b9de3ab8f07f4ff109348efdbf754d"
 
@@ -37,23 +33,10 @@ _INSERTS = _SYMBOLS + _OPERANDS + [
 ] + ["? x : 7", "( x )", "[ 0 ]", "! x", "- x"]
 
 
-def programs():
-    """(name, source) for every pinned program."""
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        yield f"corpus/{path.parent.name}/{path.name}", path.read_text()
-    for name in ("DATA_STORAGE", "POINTER_CONTRACT", "TUPLE_SWAP", "DANGLING_POINTER"):
-        yield f"sources/{name}", getattr(sources, name)
-    yield "sources/tuple_swap_with", sources.tuple_swap_with("s1.x == 3", "s1.x == 3")
-    for seed in range(50):
-        yield f"fuzz/{seed}", random_program(seed, 10)
-    yield "stress/300/0", stress_source(300, 0)
-    yield "stress/250/25", stress_source(250, 25)
-
-
 def corpus_statements() -> list[str]:
     stmts = []
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        for line in path.read_text().splitlines():
+    for text in sources.corpus().values():
+        for line in text.splitlines():
             line = line.strip()
             if line.endswith(";") and not line.startswith("//"):
                 stmts.append(line)
@@ -84,7 +67,9 @@ def outcome(parse, *args) -> str:
 
 def golden_digest() -> str:
     digest = hashlib.sha256()
-    for name, source in programs():
+    for name, source in sources.pinned():
+        if name == "matrix":
+            continue
         digest.update(f"{name}\0{outcome(parse_source, source)}\0".encode())
     for line, col, text in mutated_statements():
         digest.update(f"{line}:{col} {text}\0{outcome(parse_statement, text, line, col)}\0".encode())

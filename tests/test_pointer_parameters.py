@@ -14,131 +14,15 @@ the node's last edge, both when the pointer is dereferenced and when
 import pytest
 
 from irserialize import serialize_final_storage
+from sources import ARRAY_THEN_STRUCT, POINTER_PARAMETERS, compile_source
 from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, eval_ir, values_equal
 from solmem.oracle import exec_function, serialize_storage
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.sol_ast import StructType
 from solmem.translate import Translator, translate_function
 from solmem.verify import ssa_form
 
 INDEXES = (-1, 0, 1, 2)
-
-# `q` re-points into the entity `p` reaches; `r` is a packed path to one
-# of the leaves, which must see the push exactly when `p` reaches it
-REPACK_BODY = """
-    function f(T storage p) {
-        int[] storage q = p.ys;
-        q.push(5);
-        assert(p.ys.length == q.length);
-        T storage r = %s;
-        assert(r.ys.length == 0);
-    }
-}
-"""
-
-NESTED_STRUCTS = """
-contract C {
-    struct T { int x; int[] ys; }
-    struct S { T a; T b; }
-    S s1;
-    S s2;
-""" + REPACK_BODY % "s2.a"
-
-ARRAY_THEN_STRUCT = """
-contract C {
-    struct T { int x; int[] ys; }
-    struct S { T a; T b; }
-    T t0;
-    S[] ss;
-""" + REPACK_BODY % "ss[1].b"
-
-BOOL_MAPPING = """
-contract C {
-    struct T { int x; int[] ys; }
-    T t0;
-    mapping(bool => T) m;
-""" + REPACK_BODY % "m[true]"
-
-# no storage of type T: both pointers index the default context, and
-# alias when `p` takes the index 1 that `r` is given
-DEFAULT_CONTEXT = """
-contract C {
-    struct T { int x; int[] ys; }
-    int n;
-    function f(T storage p, T storage r) {
-        r.x = 7;
-        p.ys.push(5);
-        p.x = p.x + 1;
-        n = p.x + p.ys.length;
-        assert(p.ys.length == 1);
-        assert(n == 2);
-    }
-}
-"""
-
-# no storage of S: `p.t` re-packs into the tree of T, whose root has an
-# edge into the default context of S next to `ts`
-DEFAULT_CONTEXT_REPACK = """
-contract C {
-    struct T { int z; }
-    struct S { int x; T t; }
-    T[] ts;
-    function f(S storage p) {
-        T storage q = p.t;
-        q.z = 2;
-        assert(p.t.z == 2);
-        assert(q.z == 2);
-    }
-}
-"""
-
-# no storage of U or S, and only U is a parameter type: `s` points into
-# the default context of U, and re-packs from there into the tree of T
-NESTED_DEFAULT_CONTEXT = """
-contract C {
-    struct T { int z; }
-    struct S { int x; T t; }
-    struct U { S s; S[] ss; }
-    T[] ts;
-    function f(U storage u) {
-        S storage s = u.ss[1];
-        T storage q = s.t;
-        q.z = 3;
-        s.x = q.z + 1;
-        assert(s.t.z == 3);
-        assert(u.ss[1].x == 4);
-        ts.push(q);
-        assert(ts[0].z == 3);
-    }
-}
-"""
-
-# no storage of U or S: `u` points into the default context of U, and `r`
-# into that of S or, aliasing `u.s`, into that of U
-ALIASING_PARAMETERS = """
-contract C {
-    struct S { int x; }
-    struct U { S s; }
-    int n;
-    function f(U storage u, S storage r) {
-        r.x = 5;
-        assert(u.s.x == 0);
-    }
-}
-"""
-
-CASES = {
-    "nested_structs": (NESTED_STRUCTS, lambda path: [path]),
-    "array_then_struct": (ARRAY_THEN_STRUCT, lambda path: [path]),
-    "bool_mapping": (BOOL_MAPPING, lambda path: [path]),
-    "default_context": (DEFAULT_CONTEXT, lambda path: [path, path[:1] + [1]]),
-    "default_context_repack": (DEFAULT_CONTEXT_REPACK, lambda path: [path]),
-    "nested_default_context": (NESTED_DEFAULT_CONTEXT, lambda path: [path]),
-    "aliasing_parameters": (ALIASING_PARAMETERS, lambda path: [path, path + ["s"]]),
-    "separate_parameters": (ALIASING_PARAMETERS, lambda path: [path, ["defaultctx$S", path[1]]]),
-}
 
 
 def pointer_tree(contract, fn, ty):
@@ -173,7 +57,7 @@ def encode(node, path) -> VArray:
 
 
 def test_access_paths_cover_every_leaf():
-    contract = resolve_and_check(parse_source(ARRAY_THEN_STRUCT))
+    contract = compile_source(ARRAY_THEN_STRUCT)
     tree = pointer_tree(contract, contract.function("f"), StructType("T"))
     paths = list(access_paths(tree))
     assert paths[:3] == [["t0"], ["ss", -1, "a"], ["ss", -1, "b"]]
@@ -181,10 +65,10 @@ def test_access_paths_cover_every_leaf():
     assert encode(tree, ["ss", 2, "b"]) == VArray(0, {0: 1, 1: 2, 2: 1})
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", POINTER_PARAMETERS)
 def test_ireval_agrees_with_oracle_on_every_path(name):
-    source, args_of = CASES[name]
-    contract = resolve_and_check(parse_source(source))
+    source, args_of = POINTER_PARAMETERS[name]
+    contract = compile_source(source)
     fn = contract.function("f")
     ssa = ssa_form(translate_function(contract, fn).program)
     trees = [pointer_tree(contract, fn, p.ty) for p in fn.params]
@@ -238,7 +122,7 @@ def _value(tr: Translator, term, env: dict):
 
 @pytest.mark.parametrize("unmatched, last", UNMATCHED.values(), ids=UNMATCHED)
 def test_an_element_matching_no_edge_takes_the_last_edge(unmatched, last):
-    contract = resolve_and_check(parse_source(LAST_EDGE))
+    contract = compile_source(LAST_EDGE)
     ctor = ssa_form(translate_function(contract, contract.constructor).program)
     built = eval_ir(ctor.program)
     assert built.status == "ok"

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from sources import CORPUS_DIR, write_test
 from solmem import solver
 from solmem.cli import main
 from solmem.errors import SolverFailure
@@ -38,18 +39,11 @@ def _launches(log: Path) -> int:
     return len(log.read_text().splitlines()) if log.exists() else 0
 
 
-def _write(root: Path, cls: str, name: str, text: str) -> Path:
-    (root / cls).mkdir(parents=True, exist_ok=True)
-    path = root / cls / name
-    path.write_text(text)
-    return path
-
-
 def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_path, capsys, monkeypatch):
     corpus, log, report = tmp_path / "corpus", tmp_path / "launches.log", tmp_path / "report.json"
-    _write(corpus, "storage", "a.sol", HOLDS)
-    _write(corpus, "storage", "b.sol", FAILS)
-    _write(corpus, "delete", "c.sol", HOLDS)
+    write_test(corpus, "storage", "a.sol", HOLDS)
+    write_test(corpus, "storage", "b.sol", FAILS)
+    write_test(corpus, "delete", "c.sol", HOLDS)
     monkeypatch.setenv("SOLMEM_SOLVER", _stub("garbage", log))
     code = main(["corpus", str(corpus), "--json", str(report)])
     assert code == 2
@@ -79,7 +73,7 @@ def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, mo
     command exits 2, and fuzz counts it among its errors or timeouts. The stub
     refutes the smoke query and sleeps through every other."""
     corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
-    test = _write(corpus, "storage", "a.sol", HOLDS)
+    test = write_test(corpus, "storage", "a.sol", HOLDS)
     monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log"))
     sleeper = ["--timeout", "0.5"]
     assert main(["verify", str(test), *sleeper]) == 2
@@ -104,8 +98,8 @@ def test_a_timeout_names_its_limit_and_the_query_size(tmp_path, capsys, monkeypa
 
 def test_always_unsat_solver_grades_against_expectations(tmp_path, monkeypatch):
     log = tmp_path / "launches.log"
-    holds = _write(tmp_path, "init", "holds.sol", HOLDS)
-    fails = _write(tmp_path, "init", "fails.sol", FAILS)
+    holds = write_test(tmp_path, "init", "holds.sol", HOLDS)
+    fails = write_test(tmp_path, "init", "fails.sol", FAILS)
     monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat", log))
     assert run_test(holds).observed == "correct"
     outcome = run_test(fails)
@@ -119,11 +113,11 @@ def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path
     without functions and without constructor parameters is run by it."""
     corpus = tmp_path / "corpus"
     monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat", tmp_path / "launches.log"))
-    with_param = _write(corpus, "init", "param.sol", "contract C { int y; constructor(int a) { y = a; assert(y == a); } }")
+    with_param = write_test(corpus, "init", "param.sol", "contract C { int y; constructor(int a) { y = a; assert(y == a); } }")
     outcome = run_test(with_param)
     assert (outcome.observed, outcome.detail) == ("correct", "")
     # without parameters the oracle still runs, and disagrees with a solver that always says unsat
-    without = _write(corpus, "init", "none.sol", "contract C { int y; constructor() { assert(y == 1); } }")
+    without = write_test(corpus, "init", "none.sol", "contract C { int y; constructor() { assert(y == 1); } }")
     outcome = run_test(without)
     assert outcome.observed == "incorrect"
     assert outcome.detail.startswith("oracle disagrees")
@@ -151,7 +145,7 @@ def test_exit_code_ranks_error_over_counterexample_over_verified():
     assert report("verified", "timeout").exit_code() == 2
 
 
-VERIFY = ["verify", "corpus/storage/deep_copy_independence.sol"]
+VERIFY = ["verify", str(CORPUS_DIR / "storage" / "deep_copy_independence.sol")]
 NOT_FOUND = "no SMT solver found"
 UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
 
@@ -159,13 +153,13 @@ UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
 @pytest.mark.parametrize(
     "args, env, message",
     [(VERIFY, {}, NOT_FOUND),
-     (["corpus", "corpus"], {}, NOT_FOUND),
+     (["corpus", str(CORPUS_DIR)], {}, NOT_FOUND),
      (["fuzz", "--count", "1", "--budget", "4"], {}, NOT_FOUND),
      # an empty SOLMEM_SOLVER is unset: the search goes on to PATH
      (VERIFY, {"SOLMEM_SOLVER": ""}, NOT_FOUND),
      (VERIFY, {"SOLMEM_SOLVER": " "}, "malformed solver command ' ': no program"),
      (VERIFY, {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED),
-     (["corpus", "corpus"], {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED)],
+     (["corpus", str(CORPUS_DIR)], {"SOLMEM_SOLVER": 'z3 "'}, UNBALANCED)],
     ids=["verify", "corpus", "fuzz", "empty-environment", "blank-environment", "malformed-environment",
          "malformed-corpus"],
 )
@@ -179,9 +173,9 @@ def test_no_solver_on_path_exits_2_without_traceback(args, env, message):
 
 
 def test_table_columns_sum_to_each_class_total(tmp_path):
-    _write(tmp_path, "init", "bad.sol", "contract C { int x = }")
-    _write(tmp_path, "init", "loops.sol", "contract C { function f() { while (true) {} } }")
-    _write(tmp_path, "delete", "loops.sol", "contract C { function f() { for (;;) {} } }")
+    write_test(tmp_path, "init", "bad.sol", "contract C { int x = }")
+    write_test(tmp_path, "init", "loops.sol", "contract C { function f() { while (true) {} } }")
+    write_test(tmp_path, "delete", "loops.sol", "contract C { function f() { for (;;) {} } }")
     (tmp_path / "storage").mkdir()
     table = render_table(run_corpus(tmp_path))
     header = table.splitlines()[0].split()

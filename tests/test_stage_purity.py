@@ -13,43 +13,27 @@ class is slotted.
 
 import importlib
 import pkgutil
-import random
-import sys
-from pathlib import Path
 
 import pytest
 
 import solmem
 import sources
+from irgen import frame_formula
 from solmem import ir, oracle, sol_ast
 from solmem.records import Record, Value
-from test_invariants import frame_formula
-from solmem.generator import random_program
 from solmem.ireval import eval_ir
 from solmem.normalize import normalize_lhs
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib, program_text
 from solmem.ssa import to_ssa
 from solmem.translate import translate_function
 from solmem.vcgen import vc_gen
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
-
-from perfbench.workloads import stress_source  # noqa: E402
-
-
 def inputs():
     """The source of every program the stages run on."""
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        yield path.read_text()
-    for name in ("DATA_STORAGE", "POINTER_CONTRACT", "TUPLE_SWAP", "DANGLING_POINTER"):
-        yield getattr(sources, name)
-    yield sources.tuple_swap_with("s1.x == 3", "s1.x == 3")
-    for seed in range(20):
-        yield random_program(seed, 10)
-    yield stress_source(300, 25, random.Random(0))
+    yield from sources.corpus().values()
+    yield from (text for _, text in sources.EXAMPLES)
+    yield from (sources.fuzz(seed) for seed in range(20))
+    yield sources.workload_stress()
 
 
 def _pure(stage, program, *args):
@@ -64,7 +48,7 @@ def _pure(stage, program, *args):
 def test_stages_leave_their_input_unchanged():
     count = 0
     for source in inputs():
-        contract = resolve_and_check(parse_source(source))
+        contract = sources.compile_source(source)
         for fn in contract.all_functions():
             tf = translate_function(contract, fn)
             _pure(eval_ir, tf.program)

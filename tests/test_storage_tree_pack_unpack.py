@@ -11,19 +11,15 @@ every pinned program, every tree has the shape the encoding relies on.
 
 import time
 
-from sources import POINTER_CONTRACT
+from sources import POINTER_CONTRACT, POINTER_PARAMETERS, compile_source, pinned
 from solmem import ir
 from solmem.errors import SolmemError
 from solmem.ir import Assign, Ident
 from solmem.ireval import VArray, eval_ir
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import expr_to_sexpr
 from solmem.sol_ast import INT, DynArrayType, FixArrayType, MappingType, StructType, is_reference_type
 from solmem.storage_tree import TreeNode, build_storage_tree, default_context_tree
 from solmem.translate import Translator
-from test_pointer_parameters import CASES
-from test_translate_golden import inputs
 
 
 def leaf_paths(root: TreeNode) -> list[list[str]]:
@@ -46,7 +42,7 @@ def pointer_contract(extra: str = ""):
     src = POINTER_CONTRACT
     if extra:
         src = src.replace("S[] ss;", f"S[] ss;\n    {extra}")
-    return resolve_and_check(parse_source(src))
+    return compile_source(src)
 
 
 def eval_pack(tr: Translator, expr) -> list[int]:
@@ -88,7 +84,7 @@ def test_tree_for_s_filters_and_renumbers():
 
 
 def test_empty_tree_is_legal():
-    c = resolve_and_check(parse_source("contract C { struct T { int z; } int x; }"))
+    c = compile_source("contract C { struct T { int z; } int x; }")
     tree = build_storage_tree(c, StructType("T"))
     assert tree.ty is None and not tree.edges
     assert len(leaf_paths(tree)) == 0
@@ -142,7 +138,7 @@ def test_pack_symbolic_index():
 
 
 def test_unpack_single_leaf_has_no_conditional():
-    c = resolve_and_check(parse_source("contract C { struct T { int z; } T t; }"))
+    c = compile_source("contract C { struct T { int z; } T t; }")
     tr = Translator(c)
     assert expr_to_sexpr(tr.unpack(Ident("ptr"), StructType("T"))) == "t"
 
@@ -185,7 +181,7 @@ contract C {
     function probe() { R storage p = flags[true]; }
 }
 """
-    c = resolve_and_check(parse_source(src))
+    c = compile_source(src)
     tr = Translator(c)
     expr = c.function("probe").body[0].init
     assert eval_pack(tr, expr) == [0, 1]  # true encodes as 1
@@ -256,9 +252,9 @@ def test_every_tree_of_the_pinned_programs_has_the_encodings_shape():
     default contexts included, over the corpus, the shared test sources,
     fuzz seeds 0-49 and the pointer-parameter cases."""
     checked = 0
-    for name, source in [*inputs(), *((name, source) for name, (source, _) in CASES.items())]:
+    for name, source in [*pinned(), *((name, source) for name, (source, _) in POINTER_PARAMETERS.items())]:
         try:
-            contract = resolve_and_check(parse_source(source))
+            contract = compile_source(source)
         except SolmemError:
             continue
         trees = [(ty, build_storage_tree(contract, ty)) for ty in held_types(contract)]

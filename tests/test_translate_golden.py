@@ -1,8 +1,9 @@
 """Translation, SSA and SMT-LIB emission pinned by two pairs of digests.
 
-For every function of the corpus, the shared test contracts, a contract
-covering the assignment matrix, generated programs (seeds 0-49) and two
-long straight-line constructors, the IR digest covers the translated
+For every function of the programs `sources.pinned()` lists (the
+corpus, the shared test contracts, a contract covering the assignment
+matrix, generated programs of seeds 0-49 and two long straight-line
+constructors), the IR digest covers the translated
 program's text (`program_text`), and the SMT digest every per-assert
 SMT-LIB script and the text of every `SolmemError` raised on the way.
 `IR_DIGEST` and `SMT_DIGEST` pin the translation without `--unroll`,
@@ -14,21 +15,15 @@ only.
 """
 
 import hashlib
-from pathlib import Path
 
 import sources
 from solmem import solver
 from solmem.errors import SolmemError
-from solmem.generator import random_program
 from solmem.ir import Assert, Assign, Assume, IfStmt
 from solmem.normalize import normalize_lhs
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import expr_to_sexpr, program_text
 from solmem.translate import translate_function
 from solmem.verify import ssa_form, vc_script
-
-ROOT = Path(__file__).resolve().parent.parent
 
 IR_DIGEST = "3de2d3cba1a442124ffdbd86bd21d3d0432ec15ea662e9d070492d4a75bd0fd3"
 SMT_DIGEST = "3e4783a5d6230fb702de305c8a431448cd8de697cbbd3e075e67f3e976efcc8a"
@@ -36,99 +31,12 @@ IR_DIGEST_UNROLL = "ec9793937d6e558d0dd5b6f92d1776e097b97012695ccd6f2c71ff654ab4
 SMT_DIGEST_UNROLL = "1701ff17fc439b7a54c1ecc05c5c007de6c396b681d587192e35fa1b146b43ff"
 
 
-# every location pair of the assignment matrix, for arrays, structs and
-# mappings, with deep copies that need --unroll
-MATRIX = """
-contract Matrix {
-    struct T { int z; int[] zs; }
-    struct S { int x; T t; T[] ts; int[3] f; }
-    S s1;
-    S[] ss;
-    int[] xs;
-    T[2] tf;
-    mapping(int => S) m;
-    constructor() {
-        S memory a = s1;
-        a.ts = new T[](2);
-        s1 = a;
-        assert(s1.ts.length == 2);
-    }
-    function arrays(int[] memory ys, bool c) {
-        int[] storage p = xs;
-        xs = p;
-        int[] memory q = p;
-        int[] memory r = xs;
-        xs = ys;
-        (q, p, r) = (r, p, q);
-        (p, xs) = (xs, p);
-        int[] memory k = c ? p : ys;
-        int[] storage j = c ? p : xs;
-        delete q;
-        delete xs;
-        T[2] memory tm = tf;
-        tf = tm;
-        T[2] storage tp = tf;
-        tm = tp;
-        assert(k.length == j.length);
-    }
-    function structs(S memory sm, T memory tmem) {
-        S storage sp = ss[0];
-        s1 = sp;
-        S memory a = sp;
-        s1 = sm;
-        ss[1] = s1;
-        T[] memory tm = s1.ts;
-        s1.ts = tm;
-        m[3] = sm;
-        S storage mp = m[4];
-        mp.t = tmem;
-        delete sm;
-        delete a.t;
-        delete mp.ts;
-        ss.push(sm);
-        tm[1] = T(1, tm[0].zs);
-        assert(s1.x == a.x);
-    }
-    function mappings() {
-        mapping(int => S) storage mp = m;
-        mapping(int => S) storage mq = mp;
-        mq[1].x = 2;
-        delete mq[1];
-        assert(m[1].x == 0);
-    }
-}
-"""
-
-
-def stress_source(size: int, assert_every: int) -> str:
-    body = []
-    for i in range(size):
-        body.append(f"        a[{i % 7}] = a[{(i + 1) % 7}] + {i};")
-        if assert_every and (i + 1) % assert_every == 0:
-            body.append(f"        assert(a[{i % 7}] == {i});")
-    return "contract Stress {\n    int[7] a;\n    constructor() {\n" + "\n".join(body) + "\n    }\n}\n"
-
-
-def inputs():
-    """(name, source) for every pinned program."""
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        yield f"corpus/{path.parent.name}/{path.name}", path.read_text()
-    for name in ("DATA_STORAGE", "POINTER_CONTRACT", "TUPLE_SWAP", "DANGLING_POINTER"):
-        yield f"sources/{name}", getattr(sources, name)
-    yield "sources/tuple_swap_with", sources.tuple_swap_with("s1.x == 3", "s1.x == 3")
-    yield "matrix", MATRIX
-    for seed in range(50):
-        yield f"fuzz/{seed}", random_program(seed, 10)
-    yield "stress/300/0", stress_source(300, 0)
-    yield "stress/250/25", stress_source(250, 25)
-
-
 def records(source: str, unroll: int | None):
     """(digests, text) in pipeline order: each function's name goes into
     both digests, its IR text into "ir", and its SMT-LIB scripts and
     every error text into "smt"."""
     try:
-        contract = resolve_and_check(parse_source(source))
+        contract = sources.compile_source(source)
     except SolmemError as e:
         yield ("smt",), f"error {type(e).__name__}: {e}"
         return
@@ -147,7 +55,7 @@ def records(source: str, unroll: int | None):
 def golden_digests(unroll: int | None) -> tuple[str, str]:
     """(IR digest, SMT digest) of every pinned program at `unroll`."""
     digests = {"ir": hashlib.sha256(), "smt": hashlib.sha256()}
-    for name, source in inputs():
+    for name, source in sources.pinned():
         for digest in digests.values():
             digest.update(f"{name} unroll={unroll}\0".encode())
         for keys, record in records(source, unroll):
@@ -189,8 +97,8 @@ def test_program_text_reads_back():
     reads back as one s-expression per header command and per statement,
     each term as `expr_to_sexpr` printed it."""
     checked = 0
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        contract = resolve_and_check(parse_source(path.read_text()))
+    for name, text in sources.corpus().items():
+        contract = sources.compile_source(text)
         for fn in contract.all_functions():
             try:
                 program = translate_function(contract, fn).program
@@ -200,7 +108,7 @@ def test_program_text_reads_back():
                 parsed = solver._parse_sexprs(solver._tokenize_sexpr(program_text(p)))
                 header = ["set-logic"] + ["declare-datatypes"] * bool(p.datatypes) + ["declare-const"] * len(p.decls)
                 assert [c[0] for c in parsed[: len(header)]] == header
-                assert len(parsed) == len(header) + len(p.stmts), f"{path.name} {fn.name}"
+                assert len(parsed) == len(header) + len(p.stmts), f"{name} {fn.name}"
                 for stmt, item in zip(p.stmts, parsed[len(header) :]):
                     _check_read_back(stmt, item)
                 checked += 1

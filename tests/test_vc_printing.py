@@ -14,37 +14,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+from irgen import conjoin, frame_formula
+from sources import checked_stress_source, compile_source
 from solmem import ir, vcgen
 from solmem.ir import Assert, Assign, Assume, Ident, IntLit, SmtProgram
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.smtlib import emit_smtlib
 from solmem.translate import translate_function
 from solmem.vcgen import vc_gen
 from solmem.verify import ssa_form, vc_script
-from test_invariants import conjoin, frame_formula
 
 SRC = Path(__file__).parent.parent / "src"
 
 
-def stress_source(size: int, assert_every: int) -> str:
-    """Straight-line constructor `a[i%7] = a[(i+1)%7] + i;` that asserts
-    the cell just written every `assert_every` statements and once more at
-    the end, the shape of the benchmark's stress workload."""
-    cells = [0] * 7
-    body = []
-    for i in range(size):
-        cells[i % 7] = cells[(i + 1) % 7] + i
-        body.append(f"a[{i % 7}] = a[{(i + 1) % 7}] + {i};")
-        if assert_every and (i + 1) % assert_every == 0:
-            body.append(f"assert(a[{i % 7}] == {cells[i % 7]});")
-    body.append(f"assert(a[{(size - 1) % 7}] == {cells[(size - 1) % 7]});")
-    return "contract Stress { int[7] a; constructor() {\n" + "\n".join(body) + "\n} }\n"
-
-
 def _constructor(source: str) -> tuple[SmtProgram, int]:
     """The constructor's SSA program and its number of asserts."""
-    contract = resolve_and_check(parse_source(source))
+    contract = compile_source(source)
     tf = translate_function(contract, contract.constructor)
     return ssa_form(tf.program).program, len(tf.asserts)
 
@@ -55,7 +39,7 @@ def _fresh(program: SmtProgram) -> SmtProgram:
 
 
 def test_scripts_do_not_depend_on_emission_order_or_repeats():
-    program, count = _constructor(stress_source(300, 25))
+    program, count = _constructor(checked_stress_source(300, 25))
     assert count == 13
     alone = [vc_script(_fresh(program), i) for i in range(count)]
     forward = [vc_script(program, i) for i in range(count)]
@@ -66,7 +50,7 @@ def test_scripts_do_not_depend_on_emission_order_or_repeats():
 
 
 def test_scripts_follow_new_and_replaced_statements():
-    program, count = _constructor(stress_source(60, 20))
+    program, count = _constructor(checked_stress_source(60, 20))
     for i in range(count):
         vc_script(program, i)
     program.stmts.append(Assert(ir.BinOp("==", Ident("x"), IntLit(2))))
@@ -82,7 +66,7 @@ def test_scripts_follow_new_and_replaced_statements():
 
 
 def test_header_follows_new_declarations_and_datatypes():
-    program, count = _constructor(stress_source(60, 20))
+    program, count = _constructor(checked_stress_source(60, 20))
     first = vc_script(program, 0)
     assert "(declare-const fresh_var Int)" not in first
     program.declare("fresh_var", ir.INT)
@@ -95,7 +79,7 @@ def test_header_follows_new_declarations_and_datatypes():
 
 
 def test_700_statement_constructor_prints_every_script():
-    program, count = _constructor(stress_source(700, 25))
+    program, count = _constructor(checked_stress_source(700, 25))
     scripts = [vc_script(program, i) for i in range(count)]
     assert len(scripts) == 29
     assert all(s.endswith("(check-sat)\n(get-model)\n") for s in scripts)
@@ -125,7 +109,7 @@ def _left_spine(e: ir.IrExpr):
 
 
 def test_vcs_share_one_prefix_chain(monkeypatch):
-    program, count = _constructor(stress_source(700, 25))
+    program, count = _constructor(checked_stress_source(700, 25))
     assert count == 29
     vcs = [vc_gen(program, i) for i in range(count)]
     for vc, later in zip(vcs, vcs[1:]):
@@ -177,7 +161,7 @@ def test_frame_formula_keeps_definitions_and_assumptions_in_order():
 
 def test_verify_reports_a_vc_too_deep_to_print_as_error(tmp_path):
     path = tmp_path / "deep.sol"
-    path.write_text(stress_source(1000, 0))
+    path.write_text(checked_stress_source(1000, 0))
     env = {"PATH": "", "PYTHONPATH": str(SRC)}  # no solver: the one assert fails before any query
     proc = subprocess.run([sys.executable, "-m", "solmem.cli", "verify", str(path)], cwd=SRC.parent, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -188,7 +172,7 @@ def test_verify_reports_a_vc_too_deep_to_print_as_error(tmp_path):
     # 3000 statements with an assert every 25: parse, translate, SSA and
     # vcgen get through, and each VC is either too deep to print or sent
     # to the missing solver
-    path.write_text(stress_source(3000, 25))
+    path.write_text(checked_stress_source(3000, 25))
     proc = subprocess.run([sys.executable, "-m", "solmem.cli", "verify", str(path)], cwd=SRC.parent, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stdout + proc.stderr

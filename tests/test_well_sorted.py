@@ -1,13 +1,13 @@
 """Every translated SSA program is well-sorted, checked without a solver
-by the sort inference of `irsorts`: the pinned translate-golden inputs
+by the sort inference of `irsorts`: the pinned programs of `sources`
 without and with `unroll=2`, and a pointer re-packed through a
 `mapping(bool => ...)`."""
 
 import pytest
 
+import sources
 from irsorts import SortError, check_program
 from solmem import ir
-from solmem.errors import SolmemError
 from solmem.ir import (
     ArrayRead,
     ArrayType,
@@ -26,11 +26,6 @@ from solmem.ir import (
     SmtProgram,
     UnOp,
 )
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
-from solmem.translate import translate_function
-from solmem.verify import ssa_form
-from test_translate_golden import inputs
 
 # the re-packed path of `p.t` copies the key element of `p`, which is
 # already 0/1-encoded, so it must not be encoded again
@@ -50,35 +45,21 @@ contract C {
 """
 
 
-def ssa_programs(source: str, unroll: int | None):
-    """(function name, SSA program) for each function that translates."""
-    try:
-        contract = resolve_and_check(parse_source(source))
-    except SolmemError:
-        return
-    for fn in contract.all_functions():
-        try:
-            program = translate_function(contract, fn, unroll).program
-        except SolmemError:
-            continue
-        yield fn.name, ssa_form(program).program
-
-
 def test_golden_inputs_are_well_sorted():
     checked = 0
-    for name, source in inputs():
+    for name, source in sources.pinned():
         for unroll in (None, 2):
-            for fn_name, program in ssa_programs(source, unroll):
+            for _, fn, program in sources.translated(source, unroll):
                 try:
                     check_program(program)
                 except SortError as e:
-                    pytest.fail(f"{name} {fn_name} unroll={unroll}: {e}")
+                    pytest.fail(f"{name} {fn.name} unroll={unroll}: {e}")
                 checked += 1
     assert checked == 200
 
 
 def test_bool_key_repack_is_well_sorted():
-    [(_, program)] = ssa_programs(BOOL_KEY_REPACK, None)
+    [(_, _, program)] = sources.translated(BOOL_KEY_REPACK)
     check_program(program)
 
 

@@ -12,28 +12,23 @@ the last element changes a final state is 299) and the self-contained
 corpus files.
 """
 
-from pathlib import Path
-
+import sources
 from irserialize import serialize_final_storage
 from solmem.errors import SolmemError
-from solmem.generator import random_program
 from solmem.ireval import eval_ir
 from solmem.oracle import run_constructor, serialize_storage
-from solmem.parser import parse_source
-from solmem.resolver import resolve_and_check
 from solmem.translate import translate_function
 from solmem.verify import ssa_form
 
-ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(300)
 
 
-def sources():
+def programs():
     """(name, source) of every fuzz seed and corpus file."""
     for seed in SEEDS:
-        yield f"fuzz/{seed}", random_program(seed)
-    for path in sorted((ROOT / "corpus").glob("*/*.sol")):
-        yield f"corpus/{path.parent.name}/{path.name}", path.read_text()
+        yield f"fuzz/{seed}", sources.fuzz(seed)
+    for name, text in sources.corpus().items():
+        yield f"corpus/{name}", text
 
 
 def final_states(source: str):
@@ -43,7 +38,7 @@ def final_states(source: str):
     translator does not support it, an assumption fails, or the sides
     stop at different asserts (the assert differential's case)."""
     try:
-        contract = resolve_and_check(parse_source(source))
+        contract = sources.compile_source(source)
     except SolmemError:
         return None
     ctor = contract.constructor
@@ -63,7 +58,7 @@ def final_states(source: str):
 
 def test_final_storage_agrees_with_the_interpreter():
     compared, disagreements = 0, []
-    for name, source in sources():
+    for name, source in programs():
         states = final_states(source)
         if states is None:
             continue
