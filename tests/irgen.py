@@ -6,7 +6,9 @@ members, ite targets), branch, and sprinkle mostly-true assumes/asserts,
 so normalize/SSA equivalence is exercised over every rewrite rule.
 
 `conjoin`, `premises` and `frame_formula` build the IR formulas the invariant,
-purity and VC-printing tests check by hand.
+purity and VC-printing tests check by hand. `program` builds a small IR
+program from its statements, declarations and datatypes, and `evaluate`
+runs a term a `Translator` built after the statements it emitted.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from solmem.ir import (
     Select,
     SmtProgram,
 )
+from solmem.ireval import VArray, VData, eval_ir
+from solmem.translate import Translator
 
 DT = DatatypeDef("Pair", (("fst", ir.INT), ("snd", ir.BOOL)))
 
@@ -110,25 +114,36 @@ def _stmt(rng: random.Random, depth: int) -> ir.IrStmt:
     return Assert(_bool_expr(rng))
 
 
+def program(*stmts: ir.IrStmt, decls=(), datatypes=()) -> SmtProgram:
+    """An IR program of `stmts` that declares each `(name, type)` of
+    `decls` and defines `datatypes`."""
+    p = SmtProgram()
+    for dt in datatypes:
+        p.add_datatype(dt)
+    for name, ty in decls:
+        p.declare(name, ty)
+    p.stmts = list(stmts)
+    return p
+
+
 def random_ir_program(seed: int, size: int = 8) -> SmtProgram:
     rng = random.Random(seed)
-    program = SmtProgram()
-    program.add_datatype(DT)
-    for v in INT_VARS:
-        program.declare(v, ir.INT)
-    for v in BOOL_VARS:
-        program.declare(v, ir.BOOL)
-    for v in ARR_VARS:
-        program.declare(v, ir.ArrayType(ir.INT, ir.INT))
-    for v in PAIR_VARS:
-        program.declare(v, DatatypeType(DT.name))
-    program.stmts = [_stmt(rng, 0) for _ in range(size)]
-    return program
+    decls = [(v, ir.INT) for v in INT_VARS] + [(v, ir.BOOL) for v in BOOL_VARS]
+    decls += [(v, ir.ArrayType(ir.INT, ir.INT)) for v in ARR_VARS] + [(v, DatatypeType(DT.name)) for v in PAIR_VARS]
+    return program(*(_stmt(rng, 0) for _ in range(size)), decls=decls, datatypes=[DT])
+
+
+def evaluate(tr: Translator, term: IrExpr, env: dict | None = None):
+    """`term`, built by the translator `tr` after its statements, evaluated
+    after them from `env`: its value and the environment it ran in."""
+    p = tr.program.copy_shell()
+    p.stmts = [*tr.stmts, Assign(Ident("out$"), term)]
+    result = eval_ir(p, env)
+    assert result.status == "ok"
+    return result.env["out$"], result.env
 
 
 def random_env(seed: int) -> dict:
-    from solmem.ireval import VArray, VData
-
     rng = random.Random(seed ^ 0xA5A5)
     env = {v: rng.randint(-5, 5) for v in INT_VARS}
     env.update({v: rng.random() < 0.5 for v in BOOL_VARS})

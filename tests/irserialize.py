@@ -1,14 +1,22 @@
-"""Canonical serialization of evaluated IR values, type-directed.
+"""Canonical serialization of evaluated IR values, type-directed, and
+the one differential between the reference interpreter and the IR
+evaluator.
 
-Produces the same shapes as the reference interpreter's serializer so
-default values and final states can be compared structurally across the
-two implementations.
+`serialize_ir` produces the same shapes as the reference interpreter's
+serializer so default values and final states can be compared
+structurally across the two implementations. `differential` runs a
+function in the interpreter and its SSA program, the program the
+verifier decides, under `eval_ir`. It checks that no assumption fails,
+that both sides stop at the same first failing assert or run to the
+end, and that every state variable's storage is the same where they
+stop. Every test that compares the two sides calls it.
 """
 
 from __future__ import annotations
 
 from solmem.ir import Assert, Assign
-from solmem.ireval import VArray, VData, default_value
+from solmem.ireval import EvalResult, VArray, VData, default_value, eval_ir
+from solmem.oracle import ExecResult, exec_function, serialize_storage
 from solmem.sol_ast import (
     BOOL,
     Contract,
@@ -22,7 +30,8 @@ from solmem.sol_ast import (
     is_value_type,
 )
 from solmem.ssa import SsaResult
-from solmem.translate import _names
+from solmem.translate import _names, translate_function
+from solmem.verify import ssa_form
 
 
 def serialize_ir(contract: Contract, ty: SolType, loc: Loc, value, env: dict):
@@ -103,3 +112,24 @@ def serialize_final_storage(contract: Contract, ssa: SsaResult, env: dict, faile
         value = env[final] if final in env else default_value(ssa.program.decls.get(final), ssa.program)
         out[v.name] = serialize_ir(contract, v.ty, Loc.STORAGE, value, env)
     return out
+
+
+def differential(contract: Contract, fn=None, args=None, env=None,
+                 unroll: int | None = None) -> tuple[ExecResult, EvalResult, SsaResult]:
+    """Run `fn` (the constructor by default) in the interpreter on `args`
+    from default storage, and its SSA program at `unroll` under `eval_ir`
+    from `env` (by default `args` bound to the parameters). Fail unless
+    no assumption is violated, both sides fail the same first assert or
+    none, and each state variable's storage is the same where they stop.
+    Returns the interpreter's result, the evaluator's and the SSA form."""
+    fn = fn or contract.constructor
+    oracle = exec_function(contract, fn.name, args)
+    ssa = ssa_form(translate_function(contract, fn, unroll).program)
+    if env is None:
+        env = {p.name: a for p, a in zip(fn.params, args or [])}
+    ran = eval_ir(ssa.program, env)
+    failed = oracle.failed.ordinal if oracle.failed else None
+    assert ran.status != "assume-violated", (fn.name, args)
+    assert ran.failed_index == failed, (fn.name, args)
+    assert serialize_final_storage(contract, ssa, ran.env, failed) == serialize_storage(oracle), (fn.name, args)
+    return oracle, ran, ssa

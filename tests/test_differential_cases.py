@@ -11,11 +11,10 @@ expression, and a closure over storage-pointer sources."""
 
 import pytest
 
-from solmem import parse_source, resolve_and_check, translate_function
+from irserialize import differential
+from sources import compile_source
 from solmem.harness import judge_by_oracle
-from solmem.ireval import eval_ir
-from solmem.oracle import run_constructor
-from solmem.verify import ssa_form, verify_source
+from solmem.verify import verify_source
 
 CASES = {
     "bool_keyed_mapping_pointer": """
@@ -416,14 +415,7 @@ SOLVER_FREE = {
 
 @pytest.mark.parametrize("name", [*CASES, *SOLVER_FREE])
 def test_ireval_fails_where_the_oracle_fails(name):
-    source = CASES.get(name) or SOLVER_FREE[name]
-    contract = resolve_and_check(parse_source(source))
-    oracle = run_constructor(contract)
-    # the SSA program, as the pipeline decides it
-    ran = eval_ir(ssa_form(translate_function(contract, contract.constructor).program).program)
-    assert ran.status != "assume-violated"
-    ir_failed = ran.failed_index if ran.status == "assert-failed" else None
-    assert ir_failed == (oracle.failed.ordinal if oracle.failed else None)
+    differential(compile_source(CASES.get(name) or SOLVER_FREE[name]))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -438,7 +430,7 @@ def test_differential_agreement(name, solver_available):
 # these) in every shape (as is, `.ys`, `.zs[0]`), under both conditions.
 # Each root starts with distinct values; a write through the new pointer
 # must land in exactly the root the taken branch names, so every assert
-# passes in the oracle and `ireval` agrees with it.
+# passes in the oracle and the IR evaluator agrees with it, storage too.
 CLOSURE_ROOTS = {"a": 1, "m[1]": 2, "g[0]": 3, "g[1]": 4}
 CLOSURE_BASES = {
     "a": ("a", "a"),
@@ -489,8 +481,5 @@ contract C {{
 @pytest.mark.parametrize("shape", CLOSURE_SHAPES)
 @pytest.mark.parametrize("base", CLOSURE_BASES)
 def test_storage_pointer_source_closure(base, shape, cond):
-    contract = resolve_and_check(parse_source(closure_source(base, shape, cond)))
-    oracle = run_constructor(contract)
+    oracle, _, _ = differential(compile_source(closure_source(base, shape, cond)))
     assert oracle.failed is None and len(oracle.asserts) == 2 * len(CLOSURE_ROOTS)
-    ran = eval_ir(translate_function(contract, contract.constructor).program)
-    assert ran.status == "ok"

@@ -1,5 +1,7 @@
 """Verifier end-to-end behaviors not covered by the corpus."""
 
+import pytest
+
 from sources import compile_source, corpus
 from solmem import verify
 from solmem.oracle import exec_function, run_constructor
@@ -64,8 +66,9 @@ contract Lib {
     assert result.returns["out"] == 42
 
 
-def test_conditional_mixing_memory_and_storage(solver_available):
-    src = """
+# every assert verifies and passes in the interpreter
+ALL_HOLD = {
+    "conditional_mixing_memory_and_storage": """
 contract C {
     struct S { int x; }
     S s;
@@ -80,12 +83,47 @@ contract C {
         assert(s.x == 3);
     }
 }
-"""
-    report = verify_source(src, timeout=30)
+""",
+    "storage_pointer_swap_via_tuple": """
+contract C {
+    struct S { int x; }
+    S s1;
+    S s2;
+    constructor() {
+        s1.x = 1;
+        s2.x = 2;
+        S storage p = s1;
+        S storage q = s2;
+        (p, q) = (q, p);
+        p.x = 10;
+        assert(s2.x == 10);
+        assert(s1.x == 1);
+    }
+}
+""",
+    "chained_pointer_reads_after_mutation": """
+contract C {
+    struct T { int z; }
+    struct S { int x; T t; }
+    S s;
+    constructor() {
+        S storage p = s;
+        T storage q = p.t;
+        s.t.z = 6;
+        assert(q.z == 6);
+        q.z = 7;
+        assert(p.t.z == 7);
+    }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", ALL_HOLD)
+def test_every_assert_verifies_and_passes_in_the_interpreter(name, solver_available):
+    report = verify_source(ALL_HOLD[name], timeout=30)
     assert all(v == "verified" for _, v in verdicts(report)), verdicts(report)
-    # the oracle agrees
-    result = run_constructor(compile_source(src))
-    assert all(a.passed for a in result.asserts)
+    assert all(a.passed for a in run_constructor(compile_source(ALL_HOLD[name])).asserts)
 
 
 def test_new_array_symbolic_length_value_base(solver_available):
@@ -144,52 +182,6 @@ contract C {
     # and the oracle agrees with the bounded encoding on this program
     result = run_constructor(compile_source(src))
     assert [a.passed for a in result.asserts] == [True]
-
-
-def test_storage_pointer_swap_via_tuple(solver_available):
-    src = """
-contract C {
-    struct S { int x; }
-    S s1;
-    S s2;
-    constructor() {
-        s1.x = 1;
-        s2.x = 2;
-        S storage p = s1;
-        S storage q = s2;
-        (p, q) = (q, p);
-        p.x = 10;
-        assert(s2.x == 10);
-        assert(s1.x == 1);
-    }
-}
-"""
-    report = verify_source(src, timeout=30)
-    assert all(v == "verified" for _, v in verdicts(report)), verdicts(report)
-    result = run_constructor(compile_source(src))
-    assert all(a.passed for a in result.asserts)
-
-
-def test_chained_pointer_reads_after_mutation(solver_available):
-    src = """
-contract C {
-    struct T { int z; }
-    struct S { int x; T t; }
-    S s;
-    constructor() {
-        S storage p = s;
-        T storage q = p.t;
-        s.t.z = 6;
-        assert(q.z == 6);
-        q.z = 7;
-        assert(p.t.z == 7);
-    }
-}
-"""
-    report = verify_source(src, timeout=30)
-    assert all(v == "verified" for _, v in verdicts(report)), verdicts(report)
-    result = run_constructor(compile_source(src))
-    assert all(a.passed for a in result.asserts)
 
 
 def test_push_evaluates_target_once():

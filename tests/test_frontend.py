@@ -7,13 +7,12 @@ import sys
 import pytest
 from pathlib import Path
 
+from irserialize import differential
 from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP, compile_source, corpus, deep_source, fuzz, parenthesized
 from srcprint import to_source
 from solmem import verify
 from solmem.errors import TOO_DEEP, ParseError, ResolveError, UnsupportedError
-from solmem.ireval import eval_ir
 from solmem.lexer import tokenize
-from solmem.oracle import run_constructor
 from solmem.parser import parse_source, parse_statement
 from solmem.records import Record
 from solmem.sol_ast import (
@@ -27,7 +26,6 @@ from solmem.sol_ast import (
     StructType,
     expr_to_source,
 )
-from solmem.translate import translate_function
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,9 +238,8 @@ def test_700_term_sum_runs_in_both_interpreters(tmp_path):
     walks the chain's left spine with a loop, and `eval_ir` takes one
     frame per IR level."""
     source = deep_source(LONG_SUM)
-    contract = compile_source(source)
-    assert [a.passed for a in run_constructor(contract).asserts] == [True]
-    assert eval_ir(translate_function(contract, contract.constructor).program).status == "ok"
+    oracle, _, _ = differential(compile_source(source))
+    assert [a.passed for a in oracle.asserts] == [True]
     path = tmp_path / "deep.sol"
     path.write_text(source)
     proc = subprocess.run(
@@ -407,8 +404,8 @@ contract C {
     c = compile_source(src)
     assert c.state_vars[0].name == "refcnt"
     assert [s.name for s in c.constructor.body[1:3]] == ["arrHeap_x", "defaultctx_int"]
-    assert [a.passed for a in run_constructor(c).asserts] == [True]
-    assert eval_ir(translate_function(c, c.constructor).program).status == "ok"
+    oracle, _, _ = differential(c)
+    assert [a.passed for a in oracle.asserts] == [True]
 
 
 def test_resolver_errors():

@@ -3,8 +3,9 @@
 A function's VC quantifies over every entry state. The default state is
 one of them, so the IR evaluator run on a function's SSA program from
 its default environment must fail exactly where the reference
-interpreter fails the function from default storage, and must never
-find an assumption violated there. A function whose parameters are all
+interpreter fails the function from default storage, must never find
+an assumption violated there, and must leave the same storage where it
+stops (`irserialize.differential`). A function whose parameters are all
 value types is run so for every argument tuple over a small domain, the
 arguments bound in both.
 
@@ -19,12 +20,9 @@ from itertools import product
 
 import pytest
 
+from irserialize import differential
 from sources import compile_source, corpus
-from solmem.ireval import eval_ir
-from solmem.oracle import exec_function
 from solmem.sol_ast import BOOL, DynArrayType, FixArrayType, MappingType, StructType, is_value_type
-from solmem.translate import translate_function
-from solmem.verify import ssa_form
 
 
 def stores_fixed_array(contract) -> bool:
@@ -77,31 +75,18 @@ def value_argument_cases():
 ARG_CASES = list(value_argument_cases())
 
 
-def _failed_ordinals(contract, fn, args=None):
-    """The failing assert ordinal (or None) of the oracle run from default
-    storage and of `ireval` on the function's SSA program from the default
-    environment, `args` bound in both."""
-    oracle = exec_function(contract, fn.name, args)
-    env = {p.name: a for p, a in zip(fn.params, args or [])}
-    ran = eval_ir(ssa_form(translate_function(contract, fn).program).program, env)
-    assert ran.status != "assume-violated"
-    return oracle.failed.ordinal if oracle.failed else None, ran.failed_index if ran.status == "assert-failed" else None
-
-
 @pytest.mark.parametrize("contract, fn, skip", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_function_vc_agrees_with_oracle_from_default_state(contract, fn, skip):
     if skip:
         pytest.skip(skip)
-    oracle_failed, ir_failed = _failed_ordinals(contract, fn)
-    assert ir_failed == oracle_failed
+    differential(contract, fn)
 
 
 @pytest.mark.parametrize("contract, fn, args, skip", [c[1:] for c in ARG_CASES], ids=[c[0] for c in ARG_CASES])
 def test_function_vc_agrees_with_oracle_on_value_arguments(contract, fn, args, skip):
     if skip:
         pytest.skip(skip)
-    oracle_failed, ir_failed = _failed_ordinals(contract, fn, args)
-    assert ir_failed == oracle_failed
+    differential(contract, fn, args)
 
 
 def test_cases_cover_the_parameterless_corpus_functions():
@@ -127,5 +112,5 @@ def test_cases_cover_the_value_argument_corpus_functions():
     ]
     assert not [c for c in ARG_CASES if c[4] is not None]
     # the domain reaches a failing assert: the key that aliases `m[2]`
-    failing = [c[0] for c in ARG_CASES if _failed_ordinals(*c[1:4]) != (None, None)]
+    failing = [c[0] for c in ARG_CASES if differential(*c[1:4])[0].failed]
     assert failing == ["nonaliasing_mapping_keys.sol:symbolic(k=2)"]

@@ -50,6 +50,10 @@ per-assert catch keeps a function's other verdicts, and no `cmd_*`
 function of the CLI returns 2 itself, since `main` prints every error.
 Test inputs have one home: no module of `tests/` imports a `test_*`
 module, and only `tests/sources.py` globs or names the corpus directory.
+The differential has one home too: outside `PAIRING_SITES`, no function
+of `tests/` calls `eval_ir` and also `run_constructor` or
+`exec_function`, so every comparison of the two sides goes through
+`irserialize.differential` and compares whole storage.
 """
 
 import argparse
@@ -104,6 +108,14 @@ RECURSION_CATCHERS = {
 # The `gc` functions that change the collector's state or its
 # generations; `gcpause.py` alone calls them.
 COLLECTOR_CALLS = {"collect", "freeze", "unfreeze", "disable", "enable"}
+# The functions of `tests/` that run the interpreter and the IR evaluator
+# side by side: the differential itself, a run of every stage that
+# compares nothing, and the one deliberate disagreement (under an unroll
+# bound the IR assumes what the interpreter does not).
+PAIRING_SITES = {
+    ("irserialize.py", "differential"), ("test_gc.py", "run_everything"),
+    ("test_translate.py", "test_unroll_bounds_lengths_instead_of_covering_them"),
+}
 
 
 def catch_alls(tree: ast.AST) -> list[int]:
@@ -1022,3 +1034,32 @@ def test_catalogue_checks_find_what_they_look_for():
     assert corpus_namings(tree) == [1, 2, 3, 4]
     # the catalogue globs the corpus itself, so the check reads real code
     assert corpus_namings(ast.parse((ROOT / "tests" / "sources.py").read_text())) != []
+
+
+def paired_runs(tree: ast.AST) -> list[str]:
+    """Each function that calls `eval_ir` and also the interpreter's
+    `run_constructor` or `exec_function`, bare or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            called = {callee(n) for n in ast.walk(node)}
+            if "eval_ir" in called and called & {"run_constructor", "exec_function"}:
+                found.append(node.name)
+    return found
+
+
+def test_the_differential_is_written_once():
+    """Every allowed site still pairs the two, so the list cannot go stale."""
+    found = {(path.name, name) for path in TESTS for name in paired_runs(ast.parse(path.read_text()))}
+    assert found == PAIRING_SITES
+
+
+def test_pairing_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        "def f(c):\n    return run_constructor(c), eval_ir(p)\n"
+        "def g(c):\n    return exec_function(c, 'g')\n"
+        "class K:\n    def h(self):\n        ireval.eval_ir(p)\n        def inner():\n"
+        "            return oracle.exec_function(c, 'h')\n"
+        "def run_constructor_ir(src):\n    return eval_ir(p)\n"
+    )
+    assert paired_runs(tree) == ["f", "h"]

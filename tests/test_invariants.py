@@ -4,12 +4,11 @@ default-value conformance between the translator and the interpreter."""
 
 import pytest
 
-from irgen import conjoin, frame_formula, premises
+from irgen import conjoin, evaluate, frame_formula, premises
 from irserialize import serialize_ir
 from sources import compile_source
 from solmem import ir
-from solmem.ir import Assign, Ident
-from solmem.ireval import eval_ir
+from solmem.ir import Ident
 from solmem.oracle import Machine, serialize
 from solmem.smtlib import emit_smtlib
 from solmem.solver import check
@@ -230,12 +229,8 @@ def default_jsons(type_src: str, memory: bool):
     oracle_json = serialize(machine, ty, machine.default(ty, loc))
 
     tr = Translator(c)
-    expr = tr.default_value(ty, loc)
-    prog = tr.program.copy_shell()
-    prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), expr)]
-    prog.declare("out~", tr.map_type(ty, loc))
-    env = eval_ir(prog).env
-    return serialize_ir(c, ty, loc, env["out~"], env), oracle_json
+    value, env = evaluate(tr, tr.default_value(ty, loc))
+    return serialize_ir(c, ty, loc, value, env), oracle_json
 
 
 @pytest.mark.parametrize("type_src", ZOO_TYPES)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from irgen import program
 from solmem import ir
 from solmem.errors import IrError
 from solmem.ir import (
@@ -17,21 +18,10 @@ from solmem.ir import (
     IntLit,
     Ite,
     Select,
-    SmtProgram,
     UnOp,
 )
 from solmem.ireval import VArray, VData, eval_ir, values_equal
 from solmem.smtlib import program_text
-
-
-def program(*stmts, decls=(), datatypes=()):
-    p = SmtProgram()
-    for dt in datatypes:
-        p.add_datatype(dt)
-    for name, ty in decls:
-        p.declare(name, ty)
-    p.stmts = list(stmts)
-    return p
 
 
 def test_arithmetic_assignment():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from irgen import random_env, random_ir_program
+from irgen import program, random_env, random_ir_program
 from solmem import ir
 from solmem.errors import IrError
 from solmem.ir import (
@@ -17,24 +17,14 @@ from solmem.ir import (
     IntLit,
     Ite,
     Select,
-    SmtProgram,
 )
 from solmem.ireval import eval_ir, values_equal
 from solmem.normalize import normalize_lhs
 from solmem.ssa import to_ssa
 
 
-def _shell(decls=(), datatypes=()):
-    p = SmtProgram()
-    for dt in datatypes:
-        p.add_datatype(dt)
-    for n, t in decls:
-        p.declare(n, t)
-    return p
-
-
 def test_array_write_rule():
-    p = _shell([("a", ir.ArrayType(ir.INT, ir.INT)), ("i", ir.INT), ("e", ir.INT)])
+    p = program(decls=[("a", ir.ArrayType(ir.INT, ir.INT)), ("i", ir.INT), ("e", ir.INT)])
     p.stmts = [Assign(ArrayRead(Ident("a"), Ident("i")), Ident("e"))]
     out = normalize_lhs(p)
     assert out.stmts == [Assign(Ident("a"), ArrayWrite(Ident("a"), Ident("i"), Ident("e")))]
@@ -42,7 +32,7 @@ def test_array_write_rule():
 
 def test_member_constructor_rule():
     dt = ir.DatatypeDef("D", (("m1", ir.INT), ("m2", ir.INT), ("m3", ir.INT)))
-    p = _shell([("d", ir.DatatypeType("D")), ("e", ir.INT)], [dt])
+    p = program(decls=[("d", ir.DatatypeType("D")), ("e", ir.INT)], datatypes=[dt])
     p.stmts = [Assign(Select(Ident("d"), "m2", "D"), Ident("e"))]
     out = normalize_lhs(p)
     expected = Assign(
@@ -56,7 +46,7 @@ def test_member_constructor_rule():
 
 
 def test_ite_branch_duplication_rule():
-    p = _shell([("c", ir.BOOL), ("x", ir.INT), ("y", ir.INT)])
+    p = program(decls=[("c", ir.BOOL), ("x", ir.INT), ("y", ir.INT)])
     p.stmts = [Assign(Ite(Ident("c"), Ident("x"), Ident("y")), IntLit(5))]
     out = normalize_lhs(p)
     assert out.stmts == [
@@ -70,7 +60,7 @@ def test_ite_branch_duplication_rule():
 
 def test_nested_lvalue_peels_to_identifier():
     dt = ir.DatatypeDef("D", (("m", ir.ArrayType(ir.INT, ir.INT)),))
-    p = _shell([("d", ir.DatatypeType("D"))], [dt])
+    p = program(decls=[("d", ir.DatatypeType("D"))], datatypes=[dt])
     p.stmts = [Assign(ArrayRead(Select(Ident("d"), "m", "D"), IntLit(1)), IntLit(9))]
     out = normalize_lhs(p)
     (stmt,) = out.stmts
@@ -80,7 +70,7 @@ def test_nested_lvalue_peels_to_identifier():
 
 
 def test_identifier_assignments_are_kept_not_rebuilt():
-    p = _shell([("c", ir.BOOL), ("x", ir.INT), ("a", ir.ArrayType(ir.INT, ir.INT))])
+    p = program(decls=[("c", ir.BOOL), ("x", ir.INT), ("a", ir.ArrayType(ir.INT, ir.INT))])
     top, nested = Assign(Ident("x"), IntLit(1)), Assign(Ident("x"), IntLit(2))
     composite = Assign(ArrayRead(Ident("a"), IntLit(0)), IntLit(3))
     p.stmts = [top, IfStmt(Ident("c"), (nested,), (composite,))]
@@ -92,14 +82,14 @@ def test_identifier_assignments_are_kept_not_rebuilt():
 
 
 def test_non_lvalue_rejected():
-    p = _shell()
+    p = program()
     p.stmts = [Assign(IntLit(3), IntLit(4))]
     with pytest.raises(IrError):
         normalize_lhs(p)
 
 
 def test_ssa_sequential_renaming():
-    p = _shell([("x", ir.INT)])
+    p = program(decls=[("x", ir.INT)])
     p.stmts = [
         Assign(Ident("x"), IntLit(1)),
         Assign(Ident("x"), ir.BinOp("+", Ident("x"), IntLit(1))),
@@ -113,7 +103,7 @@ def test_ssa_sequential_renaming():
 
 
 def test_ssa_merges_branches_with_ite():
-    p = _shell([("c", ir.BOOL), ("x", ir.INT)])
+    p = program(decls=[("c", ir.BOOL), ("x", ir.INT)])
     p.stmts = [
         IfStmt(
             Ident("c"),
@@ -161,14 +151,14 @@ def test_transformations_preserve_evaluation(shard):
 
 
 def test_ssa_requires_normalized_input():
-    p = _shell([("a", ir.ArrayType(ir.INT, ir.INT))])
+    p = program(decls=[("a", ir.ArrayType(ir.INT, ir.INT))])
     p.stmts = [Assign(ArrayRead(Ident("a"), IntLit(0)), IntLit(1))]
     with pytest.raises(IrError):
         to_ssa(p)
 
 
 def test_ssa_guards_nested_asserts_with_path_condition():
-    p = _shell([("c", ir.BOOL)])
+    p = program(decls=[("c", ir.BOOL)])
     p.stmts = [IfStmt(Ident("c"), (Assert(BoolLit(False)),), ())]
     out = to_ssa(p)
     assert eval_ir(out.program, {"c": False}).status == "ok"

@@ -1,7 +1,8 @@
 """Storage-pointer parameters, run without a solver: the translated and
 SSA-converted function, evaluated by `eval_ir` with the pointer seeded to
 a concrete path, must fail the same assert and leave the same storage
-as the reference interpreter given the access path that path encodes.
+as the reference interpreter given the access path that path encodes
+(`irserialize.differential`).
 Every access path over the contract's storage is tried, with the index
 values {-1, 0, 1, 2}. Only the IR side sees the encoding: each path is
 encoded with the storage tree the translator built for the function.
@@ -13,11 +14,11 @@ the node's last edge, both when the pointer is dereferenced and when
 
 import pytest
 
-from irserialize import serialize_final_storage
+from irgen import evaluate
+from irserialize import differential
 from sources import ARRAY_THEN_STRUCT, POINTER_PARAMETERS, compile_source
-from solmem.ir import Assign, Ident
+from solmem.ir import Ident
 from solmem.ireval import VArray, eval_ir, values_equal
-from solmem.oracle import exec_function, serialize_storage
 from solmem.sol_ast import StructType
 from solmem.translate import Translator, translate_function
 from solmem.verify import ssa_form
@@ -70,19 +71,10 @@ def test_ireval_agrees_with_oracle_on_every_path(name):
     source, args_of = POINTER_PARAMETERS[name]
     contract = compile_source(source)
     fn = contract.function("f")
-    ssa = ssa_form(translate_function(contract, fn).program)
     trees = [pointer_tree(contract, fn, p.ty) for p in fn.params]
     for path in access_paths(trees[0]):
         args = args_of(path)
-        oracle = exec_function(contract, "f", args)
-        env = {p.name: encode(tree, a) for p, tree, a in zip(fn.params, trees, args)}
-        ran = eval_ir(ssa.program, env)
-        assert ran.status != "assume-violated", path
-        ir_failed = ran.failed_index if ran.status == "assert-failed" else None
-        assert ir_failed == (oracle.failed.ordinal if oracle.failed else None), path
-        if ir_failed is not None:
-            continue
-        assert serialize_final_storage(contract, ssa, ran.env) == serialize_storage(oracle), path
+        differential(contract, fn, args, env={p.name: encode(tree, a) for p, tree, a in zip(fn.params, trees, args)})
 
 
 # three state variables of three members each, so that the last edge
@@ -113,13 +105,6 @@ UNMATCHED = {
 }
 
 
-def _value(tr: Translator, term, env: dict):
-    """`term`, built by `tr` after its statements, evaluated in `env`."""
-    program = tr.program.copy_shell()
-    program.stmts = list(tr.stmts) + [Assign(Ident("out$"), term)]
-    return eval_ir(program, env).env["out$"]
-
-
 @pytest.mark.parametrize("unmatched, last", UNMATCHED.values(), ids=UNMATCHED)
 def test_an_element_matching_no_edge_takes_the_last_edge(unmatched, last):
     contract = compile_source(LAST_EDGE)
@@ -135,6 +120,6 @@ def test_an_element_matching_no_edge_takes_the_last_edge(unmatched, last):
     # the first edge where `unmatched` matches none: a different leaf
     first = tuple(0 if u != l else l for u, l in zip(unmatched, last))
     for term in (read, repacked):
-        got = [_value(tr, term, {**state, p.name: VArray(0, dict(enumerate(path)))}) for path in (unmatched, last, first)]
+        got = [evaluate(tr, term, {**state, p.name: VArray(0, dict(enumerate(path)))})[0] for path in (unmatched, last, first)]
         assert values_equal(got[0], got[1])
         assert not values_equal(got[1], got[2])

@@ -11,11 +11,11 @@ every pinned program, every tree has the shape the encoding relies on.
 
 import time
 
+from irgen import evaluate
 from sources import POINTER_CONTRACT, POINTER_PARAMETERS, compile_source, pinned
-from solmem import ir
 from solmem.errors import SolmemError
-from solmem.ir import Assign, Ident
-from solmem.ireval import VArray, eval_ir
+from solmem.ir import Ident
+from solmem.ireval import VArray, VData
 from solmem.smtlib import expr_to_sexpr
 from solmem.sol_ast import INT, DynArrayType, FixArrayType, MappingType, StructType, is_reference_type
 from solmem.storage_tree import TreeNode, build_storage_tree, default_context_tree
@@ -46,12 +46,7 @@ def pointer_contract(extra: str = ""):
 
 
 def eval_pack(tr: Translator, expr) -> list[int]:
-    packed = tr.pack(expr)
-    prog = tr.program.copy_shell()
-    prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), packed)]
-    prog.declare("out~", ir.PTR)
-    result = eval_ir(prog)
-    arr = result.env["out~"]
+    arr, _ = evaluate(tr, tr.pack(expr))
     assert isinstance(arr, VArray)
     depth = max(arr.entries, default=-1) + 1
     return [arr.read(i) for i in range(depth)]
@@ -128,13 +123,9 @@ def test_pack_goldens():
 def test_pack_symbolic_index():
     c = pointer_contract("function probe(int i) { T storage a = ss[i].t; }")
     tr = Translator(c)
-    expr = c.function("probe").body[0].init
-    packed = tr.pack(expr)
-    prog = tr.program.copy_shell()
-    prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), packed)]
-    prog.declare("out~", ir.PTR)
-    env = eval_ir(prog, {next(p.name for p in c.function("probe").params): 8}).env
-    assert [env["out~"].read(k) for k in range(3)] == [2, 8, 0]
+    packed = tr.pack(c.function("probe").body[0].init)
+    out, _ = evaluate(tr, packed, {c.function("probe").params[0].name: 8})
+    assert [out.read(k) for k in range(3)] == [2, 8, 0]
 
 
 def test_unpack_single_leaf_has_no_conditional():
@@ -145,16 +136,9 @@ def test_unpack_single_leaf_has_no_conditional():
 
 def test_unpack_of_packed_path_evaluates_to_entity():
     # pointer [2, 8, 1, 5] decodes exactly to ss[8].ts[5]
-    from solmem.ireval import VData
-    from solmem.sol_ast import Loc
-
     c = pointer_contract()
     tr = Translator(c)
     unpacked = tr.unpack(Ident("ptr"), StructType("T"))
-    prog = tr.program.copy_shell()
-    prog.declare("out~", tr.map_type(StructType("T"), Loc.STORAGE))
-    prog.declare("ptr", ir.PTR)
-    prog.stmts = [Assign(Ident("out~"), unpacked)]
 
     t_zero = VData("StorStruct$T", (0,))
     marked = VData("StorStruct$T", (55,))
@@ -169,8 +153,7 @@ def test_unpack_of_packed_path_evaluates_to_entity():
         "t1": t_zero,
         "s1": s_zero,
     }
-    result = eval_ir(prog, env)
-    assert result.env["out~"] == marked
+    assert evaluate(tr, unpacked, env)[0] == marked
 
 
 def test_mapping_tree_and_bool_keys():
@@ -192,21 +175,15 @@ contract C {
 def test_repack_through_pointer():
     c = pointer_contract("function probe() { S storage p = ss[3]; T storage q = p.t; }")
     tr = Translator(c)
-    q_init = c.function("probe").body[1].init
-    packed = tr.pack(q_init)
+    packed = tr.pack(c.function("probe").body[1].init)
     # the pointer p targets tree(S); re-encoding p.t in tree(T) must
     # branch on whether p denotes s1 ([0]) or ss[i] ([1, i])
-    prog = tr.program.copy_shell()
-    prog.stmts = list(tr.stmts) + [Assign(Ident("out~"), packed)]
-    prog.declare("out~", ir.PTR)
     p_name = c.function("probe").body[0].name
     # p = [1, 3] in tree(S) coordinates (ss is edge 1 there)
-    env = {p_name: VArray(0, {0: 1, 1: 3})}
-    out = eval_ir(prog, env).env["out~"]
+    out, _ = evaluate(tr, packed, {p_name: VArray(0, {0: 1, 1: 3})})
     assert [out.read(k) for k in range(3)] == [2, 3, 0]  # ss[3].t in tree(T)
-    env2 = {p_name: VArray(0, {0: 0})}  # p = s1
-    out2 = eval_ir(prog, env2).env["out~"]
-    assert [out2.read(k) for k in range(2)] == [1, 0]  # s1.t in tree(T)
+    out, _ = evaluate(tr, packed, {p_name: VArray(0, {0: 0})})  # p = s1
+    assert [out.read(k) for k in range(2)] == [1, 0]  # s1.t in tree(T)
 
 
 def held_types(contract):

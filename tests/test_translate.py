@@ -2,6 +2,8 @@
 
 import pytest
 
+from irgen import evaluate
+from irserialize import differential
 from sources import DATA_STORAGE, POINTER_CONTRACT, compile_source
 from solmem import ir
 from solmem.errors import UnsupportedError
@@ -17,7 +19,7 @@ from solmem.ir import (
     SmtProgram,
 )
 from solmem.ireval import VData, default_value, eval_ir
-from solmem.oracle import exec_function, run_constructor
+from solmem.oracle import exec_function
 from solmem.smtlib import program_text
 from solmem.sol_ast import (
     ADDRESS,
@@ -165,12 +167,8 @@ def test_memory_struct_default_allocates():
 
 def test_memory_array_default_and_eval():
     tr = fresh_translator()
-    ptr = tr.default_value(FixArrayType(INT, 2), Loc.MEMORY)
-    prog = tr.program.copy_shell()
-    prog.stmts = list(tr.stmts)
-    env = eval_ir(prog).env
-    heap = env["arrHeap$int"]
-    obj = heap.read(env[ptr.name])
+    ptr, env = evaluate(tr, tr.default_value(FixArrayType(INT, 2), Loc.MEMORY))
+    obj = env["arrHeap$int"].read(ptr)
     assert obj.members[1] == 2  # length
     assert obj.members[0].read(0) == 0 and obj.members[0].read(1) == 0
 
@@ -337,9 +335,8 @@ def test_unroll_copies_every_element_up_to_the_bound():
         "contract C { struct S { int x; } S[] a; constructor() "
         "{ a.push(S(1)); a.push(S(2)); S[] memory m = a; assert(m[1].x == 2); } }"
     )
-    ran = eval_ir(translate_function(c, c.constructor, unroll=2).program)
-    assert run_constructor(c).failed is None
-    assert (ran.status, ran.failed_index) == ("ok", None)
+    oracle, _, _ = differential(c, unroll=2)
+    assert oracle.failed is None
 
 
 def test_unroll_assumes_every_unrolled_length_is_non_negative():
@@ -508,12 +505,10 @@ def test_nested_index_read_is_linear_in_depth():
         f"contract C {{ int[] a; constructor() {{ a.push(1); a.push(2); a.push(0); "
         f"int x = {read}; assert(x == {depth % 3}); }} }}"
     )
-    tf = translate_function(c, c.constructor)
-    ssa = ssa_form(tf.program).program
-    assert len(vc_script(ssa, 0)) < 64 * 1024
-    assert run_constructor(c).failed is None
-    assert eval_ir(ssa).status == "ok"
-    assert eval_ir(tf.program).env["x"] == depth % 3
+    oracle, ran, ssa = differential(c)
+    assert len(vc_script(ssa.program, 0)) < 64 * 1024
+    assert oracle.failed is None
+    assert ran.env[ssa.final_versions["x"]] == depth % 3
 
 
 def test_temporaries_do_not_overwrite_renamed_locals():
@@ -527,5 +522,5 @@ contract C {
 }
 """
     )
-    assert exec_function(c, "g").failed is None
-    assert eval_ir(translate_function(c, c.function("g")).program).status == "ok"
+    oracle, _, _ = differential(c, c.function("g"))
+    assert oracle.failed is None

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from irgen import program
 from solmem import ir
 from solmem.errors import IrError
 from solmem.ir import (
@@ -17,7 +18,6 @@ from solmem.ir import (
     DatatypeType,
     Ident,
     IntLit,
-    SmtProgram,
 )
 from solmem.ireval import eval_ir
 from solmem.smtlib import datatype_block, emit_smtlib, expr_to_sexpr
@@ -26,37 +26,27 @@ from solmem.vcgen import vc_gen
 from solmem.verify import vc_script
 
 
-def _program(*stmts, decls=(), datatypes=()):
-    p = SmtProgram()
-    for dt in datatypes:
-        p.add_datatype(dt)
-    for n, t in decls:
-        p.declare(n, t)
-    p.stmts = list(stmts)
-    return p
-
-
 def test_vc_for_trivially_valid_assert():
-    p = _program(
+    p = program(
         Assign(Ident("x"), IntLit(1)),
         Assert(BinOp("==", Ident("x"), IntLit(1))),
         decls=[("x", ir.INT)],
     )
     formula = vc_gen(p, 0)
     # x = 1 and not (x = 1): concretely false
-    assert eval_ir(_program(decls=[("x", ir.INT)]), {}).status == "ok"
-    result = eval_ir(_program(Assign(Ident("ok"), formula), decls=[("x", ir.INT), ("ok", ir.BOOL)]), {"x": 1})
+    assert eval_ir(program(decls=[("x", ir.INT)]), {}).status == "ok"
+    result = eval_ir(program(Assign(Ident("ok"), formula), decls=[("x", ir.INT), ("ok", ir.BOOL)]), {"x": 1})
     assert result.env["ok"] is False
 
 
 def test_vc_index_out_of_range():
-    p = _program(Assert(BoolLit(True)))
+    p = program(Assert(BoolLit(True)))
     with pytest.raises(IrError):
         vc_gen(p, 1)
 
 
 def test_prior_asserts_are_assumed():
-    p = _program(
+    p = program(
         Assert(BinOp("<", IntLit(0), Ident("x"))),
         Assert(BinOp("<=", IntLit(1), Ident("x"))),
         decls=[("x", ir.INT)],
@@ -64,7 +54,7 @@ def test_prior_asserts_are_assumed():
     formula = vc_gen(p, 1)
     # under x > 0 (integers), x >= 1 cannot fail
     result = eval_ir(
-        _program(Assign(Ident("ok"), formula), decls=[("x", ir.INT), ("ok", ir.BOOL)]),
+        program(Assign(Ident("ok"), formula), decls=[("x", ir.INT), ("ok", ir.BOOL)]),
         {"x": 1},
     )
     assert result.env["ok"] is False
@@ -75,7 +65,7 @@ def test_prior_asserts_are_assumed():
 
 
 def test_emit_declares_and_asserts():
-    p = _program(decls=[("x", ir.BOOL)])
+    p = program(decls=[("x", ir.BOOL)])
     script = emit_smtlib(p, Ident("x"))
     assert "(set-logic ALL)" in script
     assert "(declare-const x Bool)" in script
@@ -84,7 +74,7 @@ def test_emit_declares_and_asserts():
 
 
 def test_datatype_block_has_prefixed_selectors():
-    p = _program(
+    p = program(
         datatypes=[
             DatatypeDef(
                 "StorArr$int",
@@ -122,21 +112,21 @@ def test_sat_with_model(solver_available):
 
 
 def test_vc_roundtrip_through_solver(solver_available):
-    p = _program(
+    p = program(
         Assign(Ident("x"), IntLit(1)),
         Assert(BinOp("==", Ident("x"), IntLit(1))),
         decls=[("x", ir.INT)],
     )
     assert check(vc_script(p, 0), 30).kind == "unsat"
 
-    p2 = _program(
+    p2 = program(
         Assume(BinOp("<", IntLit(0), Ident("x"))),
         Assert(BinOp("<=", IntLit(1), Ident("x"))),
         decls=[("x", ir.INT)],
     )
     assert check(vc_script(p2, 0), 30).kind == "unsat"
 
-    p3 = _program(
+    p3 = program(
         Assign(Ident("x"), Ident("y")),
         Assert(BinOp("==", Ident("x"), IntLit(0))),
         decls=[("x", ir.INT), ("y", ir.INT)],
@@ -147,7 +137,7 @@ def test_vc_roundtrip_through_solver(solver_available):
 
 
 def test_datatype_script_roundtrips(solver_available):
-    p = _program(
+    p = program(
         Assign(
             Ident("a"),
             ir.Construct("StorArr$int", (ConstArray(ir.INT, ir.INT, IntLit(0)), IntLit(3))),
