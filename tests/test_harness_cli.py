@@ -717,6 +717,15 @@ def test_negative_unroll_is_a_usage_error(tmp_path, capsys):
     assert build_parser().parse_args(["verify", str(tmp_path), "--unroll", "0"]).unroll == 0
 
 
+def test_the_unroll_bound_is_no_corpus_option(tmp_path, capsys):
+    """`--unroll` is a setting of `verify` alone: the corpus runs at the
+    encoding's defaults."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["corpus", str(tmp_path), "--unroll", "2"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --unroll 2" in capsys.readouterr().err
+
+
 def test_the_corpus_needs_no_length_bound(monkeypatch):
     """Every function of every shipped corpus file translates without
     `--unroll`, so `corpus` grades none of them unsupported. A corpus
@@ -770,11 +779,25 @@ def test_corpus_and_fuzz_each_run_one_pool_of_four_workers(tmp_path, monkeypatch
     assert pools == [4, 4]
 
 
+@pytest.mark.parametrize("command", ["corpus", "fuzz"])
+def test_the_pool_size_is_no_option(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command] + ([str(tmp_path)] if command == "corpus" else []) + ["--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "corpus", "fuzz"])
+def test_the_solver_command_is_no_option(tmp_path, capsys, command):
+    """`SOLMEM_SOLVER` is the one way to name the solver."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command] + ([str(tmp_path)] if command != "fuzz" else []) + ["--solver-cmd", "z3"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --solver-cmd z3" in capsys.readouterr().err
+
+
 def test_each_subcommand_takes_exactly_its_options():
-    """The arguments of each subcommand, so that a new option is seen here.
-    `--unroll` is a setting of `verify` alone: the corpus runs at the
-    encoding's defaults. The pool size is no option (`--jobs`), and
-    `SOLMEM_SOLVER` is the one way to name the solver (`--solver-cmd`)."""
+    """The arguments of each subcommand, so that a new option is seen here."""
     declared = {name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
                        for s in a.option_strings or [a.dest]}
                 for name, sub in subcommands().items()}
