@@ -78,16 +78,14 @@ class _Converter:
         self.source = program
         self.out = program.copy_shell()
         self.counters: dict[str, int] = {}
-        self.taken = set(program.decls)
 
     def fresh_version(self, base: str) -> str:
         k = self.counters.get(base, 0) + 1
         name = f"{base}!{k}"
-        while name in self.taken:
+        while name in self.out.decls:
             k += 1
             name = f"{base}!{k}"
         self.counters[base] = k
-        self.taken.add(name)
         ty = self.source.decls.get(base)
         if ty is None:
             raise IrError(f"assignment to undeclared identifier {base}")

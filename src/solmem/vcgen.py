@@ -1,9 +1,9 @@
 """Verification condition generation over flat SSA programs.
 
-One formula per assert: the conjunction of all definitional equalities,
-all assumptions, every assert condition strictly before the target (prior
-checks are taken as established), and the negation of the target. The
-formula is satisfiable exactly when the target assert can fail.
+One formula per assert: the conjunction of every definitional equality,
+assumption and assert condition strictly before the target (prior checks
+are taken as established), and the negation of the target. The formula
+is satisfiable exactly when the target assert can fail.
 
 One walk over the program builds its conjuncts and their left-nested
 prefix chain (`chain[k]` is the conjunction of `parts[:k + 1]`); the walk

@@ -6,11 +6,15 @@ from these lists: the corpus, generated fuzz programs (each seed and
 budget generated once per session), long straight-line stress programs,
 the shared example contracts, the pointer-parameter cases and the list
 the golden digests pin. No other module of `tests/` globs or names the
-corpus directory, and no test module imports another.
+corpus directory, and no test module imports another. `run_cli` is the
+one way a test starts the command line in a process of its own.
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -23,7 +27,8 @@ from solmem.resolver import resolve_and_check
 from solmem.translate import translate_function
 from solmem.verify import ssa_form
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = ROOT / "corpus"
 # one program per (seed, budget) and session: `fuzz` passes both
 _generated = functools.cache(random_program)
 
@@ -43,6 +48,18 @@ def write_test(root: Path, cls: str, name: str, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
+
+
+def run_cli(*argv: str, stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+    """`python -m solmem.cli *argv` from the repository root, in an
+    environment of this `PATH`, the package on `PYTHONPATH` and no
+    bytecode written, with `env` on top (`PATH=""` leaves no solver to
+    find). Output is text, and stderr holds no traceback."""
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1", **env}
+    proc = subprocess.run([sys.executable, "-m", "solmem.cli", *argv], cwd=ROOT, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
 
 
 def compile_source(text):

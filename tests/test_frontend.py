@@ -1,14 +1,12 @@
 """Lexer, parser, resolver: fragment coverage, annotations, round-trips."""
 
-import shlex
-import subprocess
-import sys
-
 import pytest
-from pathlib import Path
 
+import stub_solver
 from irserialize import differential
-from sources import DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP, compile_source, corpus, deep_source, fuzz, parenthesized
+from sources import (
+    DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP, compile_source, corpus, deep_source, fuzz, parenthesized, run_cli,
+)
 from srcprint import to_source
 from solmem import verify
 from solmem.errors import TOO_DEEP, ParseError, ResolveError, UnsupportedError
@@ -26,8 +24,6 @@ from solmem.sol_ast import (
     StructType,
     expr_to_source,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +190,7 @@ def _verify_nested(tmp_path, rhs):
     answers unsat; the process and the stub's launch log."""
     path, log = tmp_path / "deep.sol", tmp_path / "launches.log"
     path.write_text(deep_source(rhs))
-    stub = shlex.join([sys.executable, str(ROOT / "tests" / "stub_solver.py"), "unsat", str(log)])
-    proc = subprocess.run(
-        [sys.executable, "-m", "solmem.cli", "verify", str(path)],
-        cwd=ROOT, env={"PATH": "", "PYTHONPATH": str(ROOT / "src"), "SOLMEM_SOLVER": stub},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert "Traceback" not in proc.stderr
-    return proc, log
+    return run_cli("verify", str(path), PATH="", SOLMEM_SOLVER=stub_solver.command("unsat", log)), log
 
 
 # A left-nested chain `1 + x + … + x` of 700 terms: the parser and the
@@ -242,11 +231,7 @@ def test_700_term_sum_runs_in_both_interpreters(tmp_path):
     assert [a.passed for a in oracle.asserts] == [True]
     path = tmp_path / "deep.sol"
     path.write_text(source)
-    proc = subprocess.run(
-        [sys.executable, "-m", "solmem.cli", "run", str(path)],
-        cwd=ROOT, env={"PATH": "", "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_cli("run", str(path), PATH="")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert '"passed": true' in proc.stdout
 

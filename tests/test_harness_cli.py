@@ -5,16 +5,14 @@ import inspect
 import json
 import os
 import re
-import shlex
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import sources
-from sources import DANGLING_POINTER, write_test
+import stub_solver
+from sources import DANGLING_POINTER, run_cli, write_test
 from solmem import harness, solver, verify
 from solmem.cli import build_parser, main
 from solmem.errors import TOO_DEEP
@@ -59,12 +57,15 @@ assert(x == 2);
 
 
 # Five asserts on four lines: an expectation applies to the next assert
-# after it, and one in a block comment is no assert.
-SHARED_LINES = """contract C { int x; constructor() {
-    x = 1;
+# after it, and one in a block comment is no assert. `x` is free, and a
+# VC takes every earlier assert as established, so the VCs are refuted
+# (`x` may be 0), verified, verified, refuted (`x` is 2) and verified
+# (`x` is 2 and 3).
+SHARED_LINES = """contract C { int x; constructor(int a) {
+    x = a;
     //expect: fails
-    assert(x == 2); assert(x == 1);
-    assert(x == 1); //expect: fails
+    assert(x == 2); assert(x > 1);
+    assert(x >= 2); //expect: fails
     assert(x == 3);
     /* assert(x == 9); */ assert(x == 1);
 } }
@@ -149,9 +150,7 @@ def test_run_test_grades_asserts_that_share_a_line(tmp_path, monkeypatch):
     then each assert's query in order: refuted, verified, verified,
     refuted, verified."""
     f = write_test(tmp_path, "assignment", "shared.sol", SHARED_LINES)
-    stub = shlex.join([sys.executable, str(TESTS / "stub_solver.py"), "unsat,sat,unsat,unsat,sat,unsat",
-                       str(tmp_path / "log")])
-    monkeypatch.setenv("SOLMEM_SOLVER", stub)
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sat,unsat,unsat,sat,unsat", tmp_path / "log"))
     outcome = run_test(f)
     assert (outcome.observed, outcome.detail) == ("correct", "")
     assert outcome.expected == ["fails", "holds", "holds", "fails", "holds"]
@@ -160,7 +159,7 @@ def test_run_test_grades_asserts_that_share_a_line(tmp_path, monkeypatch):
 def test_parse_expectations_on_the_corpus_are_unchanged():
     """The benchmark grades the corpus with `parse_expectations`; its
     view of all 32 files is as it was when it read expectations by line."""
-    recorded = json.loads((TESTS / "data" / "corpus_expectations.json").read_text())
+    recorded = json.loads((Path(__file__).parent / "data" / "corpus_expectations.json").read_text())
     found = {
         name: {str(line): want for line, want in parse_expectations(text).items()}
         for name, text in sources.corpus().items()
@@ -339,12 +338,8 @@ def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
         argv = [str(tmp_path / "corpus"), "--json", str(tmp_path / "missing" / "r.json")]
     else:
         argv = ["--count", "1", "--budget", "0", "--json", str(tmp_path / "missing" / "r.json")]
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, *argv], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src"),
-                                            "SOLMEM_SOLVER": shlex.join(stub)})
+    proc = run_cli(command, *argv, SOLMEM_SOLVER=stub_solver.command("unsat", tmp_path / "log"))
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
@@ -385,8 +380,7 @@ def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys, monkeypat
         "contract C { int x; function f(int x) { x = 1; assert(x == 1); }\n"
         "function g() { int y = 2; } function h() { int y = 3; assert(y == 3 && x == 0); } }"
     )
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "log"))
     assert main(["verify", str(f)]) == 0
     out = capsys.readouterr().out
     assert "f:1: assert((x == 1)): verified" in out
@@ -407,14 +401,12 @@ def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsy
     the bound and stays verified; a counterexample keeps its verdict."""
     f = tmp_path / "b.sol"
     f.write_text(BOUNDED.replace("LENGTH", "n"))
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "log"))
     assert main(["verify", str(f), "--unroll", "2"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("f:2: assert((n == n)): verified")
     assert out[1] == "f:3: assert((a.length <= 2)): bounded holds for array lengths up to 2 only (--unroll 2)"
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log2")]
-    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,model", tmp_path / "log2"))
     assert main(["verify", str(f), "--unroll", "2"]) == 1
     assert "f:3: assert((a.length <= 2)): counterexample [n = 0]" in capsys.readouterr().out
 
@@ -424,8 +416,7 @@ def test_cli_verify_without_a_bound_assumption_says_verified(tmp_path, capsys, m
     """A constant length needs no bound, so `--unroll` changes nothing."""
     f = tmp_path / "v.sol"
     f.write_text(BOUNDED.replace("LENGTH", "2"))
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "log"))
     assert main(["verify", str(f), *unroll]) == 0
     out = capsys.readouterr().out
     assert out.count(": verified [") == 2 and "bounded" not in out
@@ -438,8 +429,7 @@ def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys, monkey
     SMT-LIB, with the parameter under its resolved name."""
     f = tmp_path / "c.sol"
     f.write_text("contract C { int x; function f(int x) public { int y = x; assert(y == 1); } }")
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat,model", str(tmp_path / "log")]
-    monkeypatch.setenv("SOLMEM_SOLVER", shlex.join(stub))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,model", tmp_path / "log"))
     assert main(["verify", str(f), "--emit-ir"]) == 1
     out = capsys.readouterr().out
     assert "(declare-const x~2 Int)\n(declare-const y Int)\n(assign y x~2)\n(check (= y 1))\n" in out
@@ -580,10 +570,7 @@ def test_cli_reads_sources_as_utf8_under_an_ascii_locale(tmp_path):
     f = tmp_path / "t.sol"
     f.write_bytes("contract C { int x; constructor() { x = 1; } } // x ≠ 2\n".encode("utf-8"))
     # the C locale without its coercion to UTF-8 (PEP 538, PEP 540) decodes as ASCII
-    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-           "PYTHONPATH": str(TESTS.parent / "src")}
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", "run", str(f)], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_cli("run", str(f), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["storage"] == {"x": 1}
 
@@ -594,13 +581,9 @@ def test_a_non_ascii_identifier_is_an_error_under_an_ascii_locale(tmp_path, comm
     the solver needs more than the locale's encoding."""
     f = tmp_path / "t.sol"
     f.write_bytes("contract C { int café; constructor() { café = 1; assert(café == 1); } }\n".encode("utf-8"))
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
-    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-           "PYTHONPATH": str(TESTS.parent / "src"), "SOLMEM_SOLVER": shlex.join(stub)}
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, str(f)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = run_cli(command, str(f), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   SOLMEM_SOLVER=stub_solver.command("unsat", tmp_path / "log"))
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
     errors = [line for line in (proc.stdout + proc.stderr).splitlines() if "error: " in line]
     assert len(errors) == 1 and errors[0].endswith("error: 1:21: unexpected character '\\xe9'"), errors
 
@@ -633,23 +616,17 @@ def test_cli_run_accepts_a_negative_path_element(tmp_path, capsys):
     assert payload["storage"] == {"ts": {"length": 0, "elems": []}}
 
 
-TESTS = Path(__file__).parent
-
-
 @pytest.mark.parametrize("command", ["verify", "run"])
 def test_cli_closed_stdout_is_one_error_line_and_exit_2(tmp_path, command):
     """A reader that goes away is an environment failure, not a
     counterexample or a failed assert."""
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { x = 1; assert(x == 1); } }")
-    stub = [sys.executable, str(TESTS / "stub_solver.py"), "unsat", str(tmp_path / "log")]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "solmem.cli", command, str(f)], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src"),
-                                   "SOLMEM_SOLVER": shlex.join(stub)})
+        proc = run_cli(command, str(f), stdout=write_end,
+                       SOLMEM_SOLVER=stub_solver.command("unsat", tmp_path / "log"))
     finally:
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr

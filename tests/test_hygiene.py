@@ -53,7 +53,11 @@ module, and only `tests/sources.py` globs or names the corpus directory.
 The differential has one home too: outside `PAIRING_SITES`, no function
 of `tests/` calls `eval_ir` and also `run_constructor` or
 `exec_function`, so every comparison of the two sides goes through
-`irserialize.differential` and compares whole storage.
+`irserialize.differential` and compares whole storage. A process has
+one launcher: outside `sources.run_cli`, no module of `tests/` spells
+the CLI module `solmem.cli` as a string, and outside
+`stub_solver.command` none spells the stub solver's script, so every
+CLI launch gets one fixed environment and writes no bytecode.
 """
 
 import argparse
@@ -69,6 +73,8 @@ from pathlib import Path
 import irsorts
 import mutants
 import pytest
+import sources
+import stub_solver
 from solmem import cli, ir, ireval, smtlib, sol_ast, ssa, translate
 from solmem.interning import Interned
 from solmem.ir import IrExpr, UnOp
@@ -116,6 +122,9 @@ PAIRING_SITES = {
     ("irserialize.py", "differential"), ("test_gc.py", "run_everything"),
     ("test_translate.py", "test_unroll_bounds_lengths_instead_of_covering_them"),
 }
+# The text that names each process a test starts, and its one launcher;
+# derived, so that this table spells neither text.
+LAUNCHERS = {cli.__name__: sources.run_cli, Path(stub_solver.__file__).name: stub_solver.command}
 
 
 def catch_alls(tree: ast.AST) -> list[int]:
@@ -1063,3 +1072,40 @@ def test_pairing_check_finds_what_it_looks_for():
         "def run_constructor_ir(src):\n    return eval_ir(p)\n"
     )
     assert paired_runs(tree) == ["f", "h"]
+
+
+def inlined_launches(module: str, tree: ast.Module) -> list[int]:
+    """Lines of `module` (named as imported) with a string equal to a
+    `LAUNCHERS` text outside that text's launcher; a string that only
+    contains one does not count."""
+    inside = {
+        text: {n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and (module, f.name) == (launcher.__module__, launcher.__name__) for n in ast.walk(f)}
+        for text, launcher in LAUNCHERS.items()
+    }
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in inside and node not in inside[node.value])
+
+
+def test_each_process_has_one_launcher():
+    found = {path.name: inlined_launches(path.stem, ast.parse(path.read_text())) for path in TESTS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_launch_check_finds_what_it_looks_for():
+    tree = ast.parse(
+        '"""Runs `python -m solmem.cli`, and stub_solver.py as the solver."""\n'
+        'STUB = TESTS / "stub_solver.py"\n'
+        "def run_cli(*argv):\n"
+        '    return subprocess.run([sys.executable, "-m", "solmem.cli", *argv])\n'
+        "def test_run(tmp_path):\n"
+        '    subprocess.run([sys.executable, "-m", "solmem.cli", "run", str(tmp_path)])\n'
+        "    def command(answers, log):\n"
+        '        return shlex.join([sys.executable, str(TESTS / "stub_solver.py"), answers, log])\n'
+        'code = "import sys, solmem.cli"\n'
+    )
+    assert inlined_launches("sources", tree) == [2, 6, 8]
+    assert inlined_launches("stub_solver", tree) == [2, 4, 6]
+    assert inlined_launches("test_cli", tree) == [2, 4, 6, 8]
+    # the launcher spells the module itself, so the check reads real code
+    assert inlined_launches("test_cli", ast.parse((ROOT / "tests" / "sources.py").read_text())) != []

@@ -9,10 +9,7 @@ distinct types share one at an earlier revision.
 """
 
 import json
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -36,8 +33,6 @@ from solmem.sol_ast import (
 from solmem.solver import SolverVerdict
 from solmem.translate import _names, translate_function
 from solmem.verify import ssa_form, verify_translated
-
-SRC = Path(__file__).parent.parent / "src"
 
 # `int[][]` and `int_arr[]` both stored their datatype as `StorArr_int_arr`
 STRUCT_NAMED_LIKE_AN_ARRAY = """
@@ -150,11 +145,8 @@ def test_distinct_default_contexts_run_and_verify(tmp_path, capsys):
     f.write_text(DEFAULT_CONTEXTS)
     assert main(["run", str(f), "--entry", "f", "--args", '[["defaultctx$int_arr", 0], ["defaultctx$int*", 0]]']) == 0
     assert json.loads(capsys.readouterr().out)["asserts"] == [{"index": 0, "line": 5, "passed": True}]
-    env = {"PATH": "", "PYTHONPATH": str(SRC)}  # no solver
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", "verify", str(f)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = sources.run_cli("verify", str(f), PATH="")  # no solver
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "Traceback" not in proc.stderr
     assert "assert((p.x == q.length)): error no SMT solver found" in proc.stdout
 
 

