@@ -9,12 +9,13 @@ function in the interpreter and its SSA program, the program the
 verifier decides, under `eval_ir`. It checks that no assumption fails,
 that both sides stop at the same first failing assert or run to the
 end, and that every state variable's storage is the same where they
-stop. Every test that compares the two sides calls it.
+stop. Every test that compares the two sides calls it. `entry_reads`
+is the brute-force reference for which names an SSA program leaves free.
 """
 
 from __future__ import annotations
 
-from solmem.ir import Assert, Assign
+from solmem.ir import Assert, Assign, Ident, IrExpr, SmtProgram
 from solmem.ireval import EvalResult, VArray, VData, default_value, eval_ir
 from solmem.oracle import ExecResult, exec_function, serialize_storage
 from solmem.sol_ast import (
@@ -97,6 +98,28 @@ def versions_before(ssa: SsaResult, ordinal: int) -> dict[str, str]:
             if base in versions:
                 versions[base] = s.lhs.name
     raise ValueError(f"the program has no assert {ordinal}")
+
+
+def entry_reads(program: SmtProgram) -> set[str]:
+    """The names the flat SSA `program` reads before it assigns them: its
+    free constants. A program that reads none is closed, and `eval_ir`
+    from the empty environment computes its one model. The walk keeps
+    its own stack, so no expression depth reaches the recursion limit."""
+    defined, reads = set(), set()
+    for s in program.stmts:
+        stack = [s.rhs if isinstance(s, Assign) else s.cond]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Ident):
+                if e.name not in defined:
+                    reads.add(e.name)
+            elif isinstance(e, tuple):  # `Construct.args`
+                stack.extend(e)
+            elif isinstance(e, IrExpr):
+                stack.extend(getattr(e, field) for field in type(e).__slots__)
+        if isinstance(s, Assign):
+            defined.add(s.lhs.name)
+    return reads
 
 
 def serialize_final_storage(contract: Contract, ssa: SsaResult, env: dict, failed: int | None = None) -> dict:

@@ -187,9 +187,9 @@ MUTANTS = (
 
 # Tests that fail on any change to what they pin, right or wrong: golden
 # digests, the pointer encoding's exact numbers and unpack text, the
-# recorded corpus expectations, the benchmark's byte counts (which the
-# suite also runs as one aggregate test), and the check that each
-# mutant's text is still there. Each id names a top-level test function
+# recorded corpus expectations, the list of closed programs, the
+# benchmark's byte counts (which the suite also runs as one aggregate
+# test), and the check that each mutant's text is still there. Each id names a top-level test function
 # (`tests/test_hygiene.py` checks that it exists); parametrized ids
 # match by name.
 PINS = {
@@ -202,6 +202,7 @@ PINS = {
     "tests/test_generator.py::test_golden_snapshot_seed0",
     "tests/test_generator.py::test_golden_digest_and_rejections_seeds_0_199",
     "tests/test_harness_cli.py::test_parse_expectations_on_the_corpus_are_unchanged",
+    "tests/test_entry_reads.py::test_closed_corpus_functions_and_fuzz_constructors_are_pinned",
     "tests/test_storage_tree_pack_unpack.py::test_pack_goldens",
     "tests/test_bench_names.py::test_benchmark_tests_pass",
     "perfbench/test_perfbench.py::test_deterministic_counts_repeat_across_runs",

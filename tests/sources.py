@@ -4,10 +4,11 @@ and translate them.
 Every test input is listed here, and a test module composes its inputs
 from these lists: the corpus, generated fuzz programs (each seed and
 budget generated once per session), long straight-line stress programs,
-the shared example contracts, the pointer-parameter cases and the list
-the golden digests pin. No other module of `tests/` globs or names the
-corpus directory, and no test module imports another. `run_cli` is the
-one way a test starts the command line in a process of its own.
+the shared example contracts, the pointer-parameter cases, the open
+programs of the solver-boundary tests and the list the golden digests
+pin. No other module of `tests/` globs or names the corpus directory,
+and no test module imports another. `run_cli` is the one way a test
+starts the command line in a process of its own.
 """
 
 import functools
@@ -276,6 +277,50 @@ def deep_source(rhs: str) -> str:
 
 def parenthesized(depth: int) -> str:
     return "(" * depth + "1" + ")" * depth
+
+
+# A left-nested chain `1 + x + … + x` of 700 terms: the parser and the
+# resolver walk its left spine with a loop, so it needs no frame per term.
+LONG_SUM = " + ".join(["1"] + ["x"] * 699)
+
+
+def with_parameter(source: str, stmt: str) -> str:
+    """`source` whose constructor takes `int k` and first runs `stmt`."""
+    return source.replace("constructor() {", f"constructor(int k) {{ {stmt}", 1)
+
+
+def wide_tree_source(leaves: int, writes: int) -> str:
+    """`f(S storage p, int k)` writing `p.x = k;` `writes` times, then
+    asserting `p.x == k`, beside `leaves` state variables of type `S`, each
+    a leaf `p` may point to: the VC grows with the width of the tree times
+    the writes. One line per member, state variable and statement."""
+    state = "".join(f"    S s{i};\n" for i in range(leaves))
+    return ("contract C {\n    struct S { int x; int y; }\n" + state + "    function f(S storage p, int k) {\n"
+            + "        p.x = k;\n" * writes + "        assert(p.x == k);\n    }\n}\n")
+
+
+# Inputs of the tests that reach the solver boundary. Each function that
+# asserts reads a name before assigning it: evaluation would decide a
+# closed one without a solver (ROADMAP item 28). All but the two
+# self-contained entries read a free value parameter (README "Tests").
+SOLVER_BOUNDARY = {
+    "holds": "contract C { int x; constructor(int a) { x = a; assert(x == a); } }",
+    "fails": "contract C { int x; constructor(int a) { //expect: fails\n assert(x == a); } }",
+    "two_asserts": "contract C { int x; constructor(int a) { assert(x == a); assert(x == 2); } }",
+    "shadowed_names": ("contract C { int x; function f(int x) { x = x + 1; assert(x == 1); }\n"
+                       "function g() { int y = 2; } function h() { int y = 3; assert(y == 3 && x == 0); } }"),
+    # for the constructor oracle: open only through `$alloc`, so item 28 step 2
+    # decides them and item 2's `--decide solver` takes them over
+    "self_contained": "contract C { int x; constructor() { x = 1; int[] memory m = new int[](1); assert(x == 1); } }",
+    "self_contained_pair": ("contract C { int x; constructor() { x = 1; int[] memory m = new int[](1); "
+                            "assert(x == 1); assert(x == 2); } }"),
+    "parentheses_150": with_parameter(deep_source(parenthesized(150)), "x = k - k;"),
+    "sum_700": with_parameter(deep_source(LONG_SUM), "x = k - k;"),
+    "wide_tree": wide_tree_source(16, 7),
+    "stress_3000": with_parameter(checked_stress_source(3000, 25), "a[0] = k;"),  # no assert changes
+}
+BOUNDARY_FILE = CORPUS_DIR / "storage" / "nonaliasing_mapping_keys.sol"  # `symbolic(int k)`
+BOUNDARY_FUZZ = ("--start", "2", "--count", "2", "--budget", "4")  # seeds 2 and 3 (seed 1 is closed)
 
 
 # `q` re-points into the entity `p` reaches; `r` is a packed path to one

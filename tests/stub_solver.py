@@ -9,7 +9,8 @@ the n-th answer, and the last one repeats. The answer `model` prints
 of sort Bool to false. The answer `sleep` prints nothing and sleeps for
 a minute, past any timeout a test sets. An answer other than `sat`,
 `unsat`, `unknown`, `model` or `sleep` (say `garbage`) is a verdict the
-client cannot read. Tests name the stub by `command`.
+client cannot read. Tests name the stub by `command` and count its
+launches by `launches`.
 """
 
 import re
@@ -24,13 +25,17 @@ def command(answers: str, log: Path) -> str:
     return shlex.join([sys.executable, __file__, answers, str(log)])
 
 
+def launches(log: Path) -> int:
+    """How often the stub logging to `log` has started."""
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
 if __name__ == "__main__":
     answers, log = sys.argv[1].split(","), Path(sys.argv[2])
     script = sys.stdin.read()
-    launches = len(log.read_text().splitlines()) if log.exists() else 0
+    answer = answers[min(launches(log), len(answers) - 1)]
     with log.open("a") as f:
         f.write("launch\n")
-    answer = answers[min(launches, len(answers) - 1)]
     if answer == "model":
         values = {"Int": "0", "Bool": "false"}
         consts = re.findall(r"\(declare-const (\S+) (Int|Bool)\)", script)

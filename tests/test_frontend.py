@@ -5,7 +5,8 @@ import pytest
 import stub_solver
 from irserialize import differential
 from sources import (
-    DATA_STORAGE, POINTER_CONTRACT, TUPLE_SWAP, compile_source, corpus, deep_source, fuzz, parenthesized, run_cli,
+    DATA_STORAGE, LONG_SUM, POINTER_CONTRACT, SOLVER_BOUNDARY, TUPLE_SWAP, compile_source, corpus, deep_source, fuzz,
+    parenthesized, run_cli,
 )
 from srcprint import to_source
 from solmem import verify
@@ -185,32 +186,27 @@ def test_caret_and_tilde_are_operators_outside_the_fragment():
         parse_statement("x = ~a;")
 
 
-def _verify_nested(tmp_path, rhs):
-    """`solmem verify` on `deep_source(rhs)`, with a stub solver that
-    answers unsat; the process and the stub's launch log."""
+def _verify_nested(tmp_path, source):
+    """`solmem verify` on `source`, with a stub solver that answers
+    unsat; the process and the stub's launch log."""
     path, log = tmp_path / "deep.sol", tmp_path / "launches.log"
-    path.write_text(deep_source(rhs))
+    path.write_text(source)
     return run_cli("verify", str(path), PATH="", SOLMEM_SOLVER=stub_solver.command("unsat", log)), log
 
 
-# A left-nested chain `1 + x + … + x` of 700 terms: the parser and the
-# resolver walk its left spine with a loop, so it needs no frame per term.
-LONG_SUM = " + ".join(["1"] + ["x"] * 699)
-
-
-def _assert_reaches_the_solver(tmp_path, rhs):
-    proc, log = _verify_nested(tmp_path, rhs)
+def _assert_reaches_the_solver(tmp_path, source):
+    proc, log = _verify_nested(tmp_path, source)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "assert((x == 1)): verified" in proc.stdout
-    assert log.exists()
+    assert stub_solver.launches(log)
 
 
 def test_expression_150_parentheses_deep_reaches_the_solver(tmp_path):
-    _assert_reaches_the_solver(tmp_path, parenthesized(150))
+    _assert_reaches_the_solver(tmp_path, SOLVER_BOUNDARY["parentheses_150"])
 
 
 def test_700_term_sum_reaches_the_solver(tmp_path):
-    _assert_reaches_the_solver(tmp_path, LONG_SUM)
+    _assert_reaches_the_solver(tmp_path, SOLVER_BOUNDARY["sum_700"])
 
 
 def test_700_term_sum_resolves():
@@ -237,11 +233,11 @@ def test_700_term_sum_runs_in_both_interpreters(tmp_path):
 
 
 def test_expression_too_deep_to_parse_is_an_error(tmp_path):
-    proc, log = _verify_nested(tmp_path, parenthesized(400))
+    proc, log = _verify_nested(tmp_path, deep_source(parenthesized(400)))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr == f"error: {TOO_DEEP}\n"
     assert proc.stdout == ""
-    assert not log.exists()
+    assert not stub_solver.launches(log)
 
 
 def test_translation_too_deep_is_an_error(monkeypatch):

@@ -145,12 +145,12 @@ def test_judge_takes_asserts_in_source_order_across_functions():
     assert judge(report, ["holds", "fails"]) == ("correct", "", 2)
 
 
-def test_run_test_grades_asserts_that_share_a_line(tmp_path, monkeypatch):
+def test_run_test_grades_asserts_that_share_a_line(tmp_path, stub):
     """End to end with a stub solver that answers the smoke query and
     then each assert's query in order: refuted, verified, verified,
     refuted, verified."""
     f = write_test(tmp_path, "assignment", "shared.sol", SHARED_LINES)
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sat,unsat,unsat,sat,unsat", tmp_path / "log"))
+    stub("unsat,sat,unsat,unsat,sat,unsat")
     outcome = run_test(f)
     assert (outcome.observed, outcome.detail) == ("correct", "")
     assert outcome.expected == ["fails", "holds", "holds", "fails", "holds"]
@@ -328,7 +328,7 @@ def test_cli_fuzz_grades_a_recursion_limit_as_an_error(capsys, monkeypatch):
 def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
     """Each run would exit 0 against a solver that says unsat to every
     query; only writing its output fails."""
-    source = "contract C { int x; constructor() { x = 1; assert(x == 1); } }"
+    source = sources.SOLVER_BOUNDARY["holds"]
     (tmp_path / "plain").write_text("")
     if command == "verify":
         f = write_test(tmp_path, "x", "t.sol", source)
@@ -337,7 +337,7 @@ def test_cli_unwritable_output_is_one_error_line_and_exit_2(tmp_path, command):
         write_test(tmp_path / "corpus", "storage", "t.sol", source)
         argv = [str(tmp_path / "corpus"), "--json", str(tmp_path / "missing" / "r.json")]
     else:
-        argv = ["--count", "1", "--budget", "0", "--json", str(tmp_path / "missing" / "r.json")]
+        argv = [*sources.BOUNDARY_FUZZ, "--json", str(tmp_path / "missing" / "r.json")]
     proc = run_cli(command, *argv, SOLMEM_SOLVER=stub_solver.command("unsat", tmp_path / "log"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
@@ -371,16 +371,13 @@ def test_cli_verify_exit_codes(tmp_path, capsys, solver_available):
     assert "unsupported: loops" in capsys.readouterr().out
 
 
-def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys, monkeypatch):
+def test_cli_verify_prints_asserts_with_source_names(tmp_path, capsys, stub):
     """The resolver renames a parameter that shadows a state variable
     (`x~2`), and a local declared again in a later function; an assert
     is still printed as written."""
     f = tmp_path / "t.sol"
-    f.write_text(
-        "contract C { int x; function f(int x) { x = 1; assert(x == 1); }\n"
-        "function g() { int y = 2; } function h() { int y = 3; assert(y == 3 && x == 0); } }"
-    )
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "log"))
+    f.write_text(sources.SOLVER_BOUNDARY["shadowed_names"])
+    stub("unsat")
     assert main(["verify", str(f)]) == 0
     out = capsys.readouterr().out
     assert "f:1: assert((x == 1)): verified" in out
@@ -394,42 +391,42 @@ BOUNDED = (
 )
 
 
-def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsys, monkeypatch):
+def test_cli_verify_says_bounded_where_a_verdict_rests_on_unroll(tmp_path, capsys, stub):
     """With the length `n` unrolled at 2, the second assert's VC assumes
     `a.length <= 2`, so an unsat answer covers only those lengths (at
     n = 3 the assert fails): `bounded`, exit 2. The first assert precedes
     the bound and stays verified; a counterexample keeps its verdict."""
     f = tmp_path / "b.sol"
     f.write_text(BOUNDED.replace("LENGTH", "n"))
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "log"))
+    stub("unsat")
     assert main(["verify", str(f), "--unroll", "2"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("f:2: assert((n == n)): verified")
     assert out[1] == "f:3: assert((a.length <= 2)): bounded holds for array lengths up to 2 only (--unroll 2)"
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,model", tmp_path / "log2"))
+    stub("unsat,model")
     assert main(["verify", str(f), "--unroll", "2"]) == 1
     assert "f:3: assert((a.length <= 2)): counterexample [n = 0]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("unroll", [[], ["--unroll", "2"]], ids=["plain", "unroll"])
-def test_cli_verify_without_a_bound_assumption_says_verified(tmp_path, capsys, monkeypatch, unroll):
+def test_cli_verify_without_a_bound_assumption_says_verified(tmp_path, capsys, stub, unroll):
     """A constant length needs no bound, so `--unroll` changes nothing."""
     f = tmp_path / "v.sol"
     f.write_text(BOUNDED.replace("LENGTH", "2"))
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "log"))
+    stub("unsat")
     assert main(["verify", str(f), *unroll]) == 0
     out = capsys.readouterr().out
     assert out.count(": verified [") == 2 and "bounded" not in out
 
 
-def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys, monkeypatch):
+def test_cli_verify_prints_a_counterexample_entry_state(tmp_path, capsys, stub):
     """Against a stub model that sets every Int to 0, the counterexample
     lists the parameter `x` and the state variable it shadows as `this.x`,
     and leaves out the local `y`; `--emit-ir` prints the program in
     SMT-LIB, with the parameter under its resolved name."""
     f = tmp_path / "c.sol"
     f.write_text("contract C { int x; function f(int x) public { int y = x; assert(y == 1); } }")
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,model", tmp_path / "log"))
+    stub("unsat,model")
     assert main(["verify", str(f), "--emit-ir"]) == 1
     out = capsys.readouterr().out
     assert "(declare-const x~2 Int)\n(declare-const y Int)\n(assign y x~2)\n(check (= y 1))\n" in out
@@ -621,7 +618,7 @@ def test_cli_closed_stdout_is_one_error_line_and_exit_2(tmp_path, command):
     """A reader that goes away is an environment failure, not a
     counterexample or a failed assert."""
     f = tmp_path / "t.sol"
-    f.write_text("contract C { int x; constructor() { x = 1; assert(x == 1); } }")
+    f.write_text(sources.SOLVER_BOUNDARY["self_contained"])
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

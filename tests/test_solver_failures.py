@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-import stub_solver
-from sources import CORPUS_DIR, run_cli, write_test
+from sources import BOUNDARY_FILE, BOUNDARY_FUZZ, CORPUS_DIR, SOLVER_BOUNDARY, run_cli, write_test
 from solmem import solver
 from solmem.cli import main
 from solmem.errors import SolverFailure
@@ -25,20 +24,12 @@ from solmem.harness import OUTCOMES, judge, judge_by_oracle, render_table, run_c
 from solmem.verify import AssertResult, FunctionReport, VerifyReport, verify_source
 
 
-HOLDS = "contract C { int x; constructor() { x = 1; assert(x == 1); } }"
-FAILS = "contract C { int x; constructor() { //expect: fails\n assert(x == 1); } }"
-
-
-def _launches(log: Path) -> int:
-    return len(log.read_text().splitlines()) if log.exists() else 0
-
-
-def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_path, capsys, monkeypatch):
-    corpus, log, report = tmp_path / "corpus", tmp_path / "launches.log", tmp_path / "report.json"
-    write_test(corpus, "storage", "a.sol", HOLDS)
-    write_test(corpus, "storage", "b.sol", FAILS)
-    write_test(corpus, "delete", "c.sol", HOLDS)
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("garbage", log))
+def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_path, capsys, stub):
+    corpus, report = tmp_path / "corpus", tmp_path / "report.json"
+    write_test(corpus, "storage", "a.sol", SOLVER_BOUNDARY["holds"])
+    write_test(corpus, "storage", "b.sol", SOLVER_BOUNDARY["fails"])
+    write_test(corpus, "delete", "c.sol", SOLVER_BOUNDARY["holds"])
+    launches = stub("garbage")
     code = main(["corpus", str(corpus), "--json", str(report)])
     assert code == 2
     payload = json.loads(report.read_text())
@@ -47,82 +38,80 @@ def test_broken_solver_makes_every_corpus_test_an_error_after_one_launch(tmp_pat
     assert observed == ["error"] * 3
     assert sum(c["error"] for c in payload["classes"].values()) == 3
     assert "smoke test failed" in capsys.readouterr().out
-    assert _launches(log) == 1
+    assert launches() == 1
 
 
-def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys, monkeypatch):
-    log, report = tmp_path / "launches.log", tmp_path / "fuzz.json"
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("garbage", log))
-    code = main(["fuzz", "--count", "2", "--budget", "4", "--json", str(report)])
+def test_fuzz_with_broken_solver_reports_errors_not_disagreements(tmp_path, capsys, stub):
+    report = tmp_path / "fuzz.json"
+    launches = stub("garbage")
+    code = main(["fuzz", *BOUNDARY_FUZZ, "--json", str(report)])
     assert code == 2
     assert "0 disagreements" in capsys.readouterr().out
     seeds = json.loads(report.read_text())["seeds"]
     assert [s["observed"] for s in seeds] == ["error", "error"]
     assert not any(s["agreed"] for s in seeds)
-    assert _launches(log) == 1
+    assert launches() == 1
 
 
-def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, monkeypatch):
+def test_solver_timeout_exits_2_from_verify_corpus_and_fuzz(tmp_path, capsys, stub):
     """A timeout says nothing of the program, like a solver error: every
     command exits 2, and fuzz counts it among its errors or timeouts. The stub
     refutes the smoke query and sleeps through every other."""
     corpus, report = tmp_path / "corpus", tmp_path / "fuzz.json"
-    test = write_test(corpus, "storage", "a.sol", HOLDS)
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sleep", tmp_path / "log"))
+    test = write_test(corpus, "storage", "a.sol", SOLVER_BOUNDARY["holds"])
+    stub("unsat,sleep")
     sleeper = ["--timeout", "0.5"]
     assert main(["verify", str(test), *sleeper]) == 2
     assert main(["corpus", str(corpus), *sleeper]) == 2
-    assert main(["fuzz", "--count", "2", "--budget", "4", *sleeper, "--json", str(report)]) == 2
+    assert main(["fuzz", *BOUNDARY_FUZZ, *sleeper, "--json", str(report)]) == 2
     out = capsys.readouterr().out
     assert "0 disagreements, 2 errors or timeouts" in out
     assert re.search(r"^    a\.sol: timeout: constructor:1: no answer within 0\.5 s \(", out, re.M)
     assert [s["observed"] for s in json.loads(report.read_text())["seeds"]] == ["timeout", "timeout"]
 
 
-def test_a_timeout_names_its_limit_and_the_query_size(tmp_path, capsys, monkeypatch):
+def test_a_timeout_names_its_limit_and_the_query_size(capsys, stub):
     script = "(check-sat)\n" * 100
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sleep", tmp_path / "log"))
+    stub("unsat,sleep")
     verdict = solver.query(script, timeout_seconds=0.5)
     assert (verdict.kind, verdict.detail) == ("timeout", "no answer within 0.5 s (1,200 B query)")
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sleep", tmp_path / "log2"))
+    stub("unsat,sleep")
     assert main(["fuzz", "--count", "1", "--budget", "4", "--timeout", "0.5"]) == 2
     out = capsys.readouterr().out
     assert re.search(r"seed 0: timeout: constructor:\d+: no answer within 0\.5 s \([\d,]+ B query\)", out)
 
 
-def test_always_unsat_solver_grades_against_expectations(tmp_path, monkeypatch):
-    log = tmp_path / "launches.log"
-    holds = write_test(tmp_path, "init", "holds.sol", HOLDS)
-    fails = write_test(tmp_path, "init", "fails.sol", FAILS)
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", log))
+def test_always_unsat_solver_grades_against_expectations(tmp_path, stub):
+    holds = write_test(tmp_path, "init", "holds.sol", SOLVER_BOUNDARY["holds"])
+    fails = write_test(tmp_path, "init", "fails.sol", SOLVER_BOUNDARY["fails"])
+    launches = stub("unsat")
     assert run_test(holds).observed == "correct"
     outcome = run_test(fails)
     assert outcome.observed == "incorrect"
     assert "expected fails, verifier says holds" in outcome.detail
-    assert _launches(log) == 3  # one smoke query, then one query per assert
+    assert launches() == 3  # one smoke query, then one query per assert
 
 
-def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path, monkeypatch):
+def test_constructor_with_parameters_is_not_cross_checked_by_the_oracle(tmp_path, stub):
     """The constructor oracle has no arguments to bind, so only a contract
     without functions and without constructor parameters is run by it."""
     corpus = tmp_path / "corpus"
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat", tmp_path / "launches.log"))
-    with_param = write_test(corpus, "init", "param.sol", "contract C { int y; constructor(int a) { y = a; assert(y == a); } }")
+    stub("unsat")
+    with_param = write_test(corpus, "init", "param.sol", SOLVER_BOUNDARY["holds"])
     outcome = run_test(with_param)
     assert (outcome.observed, outcome.detail) == ("correct", "")
     # without parameters the oracle still runs, and disagrees with a solver that always says unsat
-    without = write_test(corpus, "init", "none.sol", "contract C { int y; constructor() { assert(y == 1); } }")
+    without = write_test(corpus, "init", "none.sol", SOLVER_BOUNDARY["self_contained_pair"])
     outcome = run_test(without)
     assert outcome.observed == "incorrect"
     assert outcome.detail.startswith("oracle disagrees")
 
 
-def test_solver_error_wins_over_a_counterexample(tmp_path, capsys, monkeypatch):
-    log = tmp_path / "launches.log"
+def test_solver_error_wins_over_a_counterexample(tmp_path, capsys, stub):
     f = tmp_path / "t.sol"
-    f.write_text("contract C { int x; constructor() { assert(x == 1); assert(x == 2); } }")
+    f.write_text(SOLVER_BOUNDARY["two_asserts"])
     # smoke query, then a counterexample, then a verdict the client cannot read
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,sat,garbage", log))
+    stub("unsat,sat,garbage")
     assert main(["verify", str(f)]) == 2
     out = capsys.readouterr().out
     assert ": counterexample" in out and ": error" in out
@@ -139,7 +128,7 @@ def test_exit_code_ranks_error_over_counterexample_over_verified():
     assert report("verified", "timeout").exit_code() == 2
 
 
-VERIFY = ["verify", str(CORPUS_DIR / "storage" / "deep_copy_independence.sol")]
+VERIFY = ["verify", str(BOUNDARY_FILE)]
 NOT_FOUND = "no SMT solver found"
 UNBALANCED = "malformed solver command 'z3 \"': No closing quotation"
 
@@ -205,21 +194,21 @@ def test_timed_out_solver_is_killed_with_its_children(tmp_path, monkeypatch):
     assert not stat.exists() or stat.read_text().rpartition(")")[2].split()[0] == "Z"
 
 
-def test_model_answer_sets_every_int_and_bool_constant(tmp_path, monkeypatch):
+def test_model_answer_sets_every_int_and_bool_constant(stub):
     script = (
         "(set-logic ALL)\n(declare-const a Int)\n(declare-const b Bool)\n"
         "(declare-const c (Array Int Int))\n(assert b)\n(check-sat)\n(get-model)\n"
     )
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("model", tmp_path / "launches.log"))
+    stub("model")
     verdict = solver.check(script)
     assert (verdict.kind, verdict.model) == ("sat", {"a": "0", "b": "false"})
 
 
-def test_unknown_verdict_is_graded_incorrect(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unknown", tmp_path / "launches.log"))
+def test_unknown_verdict_is_graded_incorrect(stub):
+    stub("unknown")
     assert solver.check("(check-sat)\n").kind == "unknown"
     # the smoke query must be refuted; the assert's query then gets unknown
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,unknown", tmp_path / "verify.log"))
+    stub("unsat,unknown")
     report = verify_source("contract C { function f(int a) { assert(a == 1); } }")
     [[result]] = [f.asserts for f in report.functions]
     assert result.verdict == "unknown"
@@ -228,14 +217,13 @@ def test_unknown_verdict_is_graded_incorrect(tmp_path, monkeypatch):
     assert detail.startswith("f:1: solver said unknown")
 
 
-def test_oracle_outcomes_match_verdicts_by_ordinal(tmp_path, monkeypatch):
+def test_oracle_outcomes_match_verdicts_by_ordinal(stub):
     """Two asserts share a line, the first holds and the second fails;
     the stub refutes the smoke query, verifies the first and refutes the
     second. Each verdict is compared with the oracle's outcome of the
     same ordinal, not with the last outcome on its line."""
-    source = "contract C { int x; constructor() { x = 1; assert(x == 1); assert(x == 2); } }"
-    monkeypatch.setenv("SOLMEM_SOLVER", stub_solver.command("unsat,unsat,sat", tmp_path / "log"))
-    report = verify_source(source)
+    stub("unsat,unsat,sat")
+    report = verify_source(SOLVER_BOUNDARY["self_contained_pair"])
     assert judge_by_oracle(report) == ("correct", "", 2)
 
 

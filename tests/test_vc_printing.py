@@ -11,7 +11,7 @@ shared prefix chain of conjunctions and prints as if built from scratch.
 """
 
 from irgen import conjoin, frame_formula
-from sources import checked_stress_source, compile_source, run_cli
+from sources import SOLVER_BOUNDARY, checked_stress_source, compile_source, run_cli
 from solmem import ir, vcgen
 from solmem.ir import Assert, Assign, Assume, Ident, IntLit, SmtProgram
 from solmem.smtlib import emit_smtlib
@@ -155,7 +155,7 @@ def test_frame_formula_keeps_definitions_and_assumptions_in_order():
 
 def test_verify_reports_a_vc_too_deep_to_print_as_error(tmp_path):
     path = tmp_path / "deep.sol"
-    path.write_text(checked_stress_source(1000, 0))
+    path.write_text(SOLVER_BOUNDARY["wide_tree"])
     proc = run_cli("verify", str(path), PATH="")  # no solver: the one assert fails before any query
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout.count(": error ") == 1
@@ -163,7 +163,7 @@ def test_verify_reports_a_vc_too_deep_to_print_as_error(tmp_path):
     # 3000 statements with an assert every 25: parse, translate, SSA and
     # vcgen get through, and each VC is either too deep to print or sent
     # to the missing solver
-    path.write_text(checked_stress_source(3000, 25))
+    path.write_text(SOLVER_BOUNDARY["stress_3000"])
     proc = run_cli("verify", str(path), PATH="")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
